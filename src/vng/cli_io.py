@@ -42,6 +42,7 @@ from .certification import (
 )
 from .errors import (
     DigestMismatch,
+    DimensionMismatch,
     InfeasibleStart,
     LPFailure,
     MarginTooTight,
@@ -503,7 +504,10 @@ def _load_solution(args, problem: PathProblem, raw: bytes) -> tuple[Solution, st
         raise DigestMismatch(
             "solution file does not match this problem file and options"
         )
-    return solution_from_doc(sdoc, problem), digest
+    try:
+        return solution_from_doc(sdoc, problem), digest
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"solution file: bad or missing field: {exc!r}") from exc
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -519,6 +523,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         # A tampered file can carry stale residuals; verify the stored data
         # anyway so the refutation names a witness.
         dual = extract_dual(solution, problem, strict=False)
+    except DimensionMismatch as exc:  # z or multipliers of the wrong length
+        raise ParseError(f"solution file: {exc}") from exc
     cert = verify_rapid(
         solution.path, dual, problem.tree, problem.market, tol=args.tol
     )

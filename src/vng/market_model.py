@@ -41,11 +41,6 @@ from .scenario_tree import AdaptedVector, Node, ScenarioTree
 
 MEMBERSHIP_TOL = 1e-9
 
-# Resolution of the direction grid used for the cone-section constants when
-# the asset count is small; larger markets switch to sign-pattern enumeration.
-GRID_DIRECTIONS = 100_000
-GRID_MAX_ASSETS = 3
-
 
 def _pos(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
@@ -383,34 +378,14 @@ def section_vertices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.array(verts)
 
 
-def _section_grid(mu: float, m: int, n_dirs: int = GRID_DIRECTIONS) -> np.ndarray:
-    """Deterministic direction grid over the section of {mu |a-| <= |a+|}.
-
-    Axis directions plus, for every ordered coordinate pair, a dense sweep of
-    one-long-one-short directions up to the margin boundary.
-    """
-    dirs = [np.eye(m)[i] for i in range(m)]
-    if m >= 2:
-        pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
-        k = max(2, n_dirs // len(pairs))
-        s_max = 1.0 / (1.0 + mu)
-        sweep = np.linspace(0.0, s_max, k)
-        for i, j in pairs:
-            block = np.zeros((k, m))
-            block[:, i] = 1.0 - sweep
-            block[:, j] = -sweep
-            dirs.append(block)
-    return np.vstack([np.atleast_2d(d) for d in dirs])
-
-
 def _min_over_ideal_section(
-    mu: float, m: int, weight_pos: float, weight_neg: float, method: str
+    mu: float, m: int, weight_pos: float, weight_neg: float
 ) -> float:
-    """Minimum of w+ |a+| - w- |a-| over the unit section of {mu |a-| <= |a+|}."""
-    if method == "grid":
-        dirs = _section_grid(mu, m)
-        vals = weight_pos * _pos(dirs).sum(axis=1) - weight_neg * _neg(dirs).sum(axis=1)
-        return float(vals.min())
+    """Minimum of w+ |a+| - w- |a-| over the unit section of {mu |a-| <= |a+|}.
+
+    Exact: the function is linear on each orthant, so the minimum sits at a
+    section vertex.
+    """
     verts = section_vertices(np.ones(m), np.full(m, mu))
     vals = weight_pos * _pos(verts).sum(axis=1) - weight_neg * _neg(verts).sum(axis=1)
     return float(vals.min())
@@ -433,18 +408,15 @@ class MarketConstants:
     Q: np.ndarray
 
 
-def market_constants(market: MarketData, method: str | None = None) -> MarketConstants:
+def market_constants(market: MarketData) -> MarketConstants:
     """nu_t, C1_t, C2_t, K_t, H_t from the observed (B1) bounds.
 
-    C1 and Q are section minima, computed on a direction grid for small asset
-    counts and by sign-pattern vertex enumeration otherwise.  Raises
-    MarginTooTight when (B2) fails at some date.  At the final date the
+    C1 and Q are section minima, computed exactly over the section vertices.
+    Raises MarginTooTight when (B2) fails at some date.  At the final date the
     forward-looking term of nu is absent and only the cost-ratio term remains.
     """
     N = market.tree.horizon
     b = market.bounds()
-    if method is None:
-        method = "grid" if market.m <= GRID_MAX_ASSETS else "pattern"
 
     nu = np.zeros(N + 1)
     for t in range(N + 1):
@@ -468,8 +440,8 @@ def market_constants(market: MarketData, method: str | None = None) -> MarketCon
     Q = np.zeros(N + 1)
     for t in range(N + 1):
         mu = float(market.margins[t])
-        C1[t] = _min_over_ideal_section(mu, market.m, 1.0, nu[t], method)
-        Q[t] = _min_over_ideal_section(mu, market.m, 1.0, 1.0, method)
+        C1[t] = _min_over_ideal_section(mu, market.m, 1.0, nu[t])
+        Q[t] = _min_over_ideal_section(mu, market.m, 1.0, 1.0)
     if np.any(C1 <= 0) or np.any(Q <= 0):
         raise MarginTooTight("section minimum is not strictly positive")
 

@@ -9,8 +9,10 @@ ways by a multiple of the 1-norm.  Three variants ship:
 * ``norm_penalized`` -- q . a minus a small norm penalty (1-norm or Euclidean).
 
 Degree-one homogeneity yields the Euler identity g . a = value(a) for the
-supergradient g, which the dual extraction leans on.  All evaluation is pure;
-leaves can be processed in parallel.
+supergradient g, which the dual extraction leans on.  Every variant also
+carries its leaf values as one :class:`LeafForm`, built at construction: the
+arrays the solver reads for all leaves at once.  The per-leaf ``_value`` and
+``_grad`` stay as the reference that evaluation and the axiom checks use.
 """
 
 from __future__ import annotations
@@ -50,27 +52,38 @@ def _leaf_matrix(tree: ScenarioTree, m: int, data, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LeafLift:
-    """Exact polyhedral description of one leaf's value function.
+class LeafForm:
+    """Array form of the leaf values, one layout for every variant.
 
-    The auxiliary scalars w satisfy the two coordinatewise rows
-    ``c1 * x + d1 * w >= 0`` and ``c2 * x + d2 * w >= 0``; the value is the
-    linear form ``cx . x + cw . w``, which the solver's maximization drives to
-    the true piecewise-linear value.
+    The value at leaf l with terminal state x_l is
+    ``cx[l] . x_l - l2[l] * |x_l|_2``, plus ``cw[k] . w_k`` when l is the
+    lifted leaf ``lifted[k]``.  Its auxiliary scalars w_k satisfy the two
+    coordinatewise rows ``c1[k] * x_l + d * w_k >= 0`` and
+    ``c2[k] * x_l + d * w_k >= 0``; the solver's maximization drives w_k to
+    the binding row, where the linear form equals the piecewise-linear value.
     """
 
-    c1: np.ndarray
-    d1: float
-    c2: np.ndarray
-    d2: float
-    cx: np.ndarray
-    cw: np.ndarray
+    cx: np.ndarray      # (n_leaves, m) coefficients on x
+    lifted: np.ndarray  # (n_lifted,) positions of the lifted leaves
+    cw: np.ndarray      # (n_lifted, m) coefficients on w
+    c1: np.ndarray      # (n_lifted, m)
+    c2: np.ndarray      # (n_lifted, m)
+    d: float            # -1: w sits below both forms; +1: w sits above both
+    l2: np.ndarray      # (n_leaves,) Euclidean penalty weight
+
+    @staticmethod
+    def unlifted(cx: np.ndarray, l2: np.ndarray | None = None) -> "LeafForm":
+        n_leaves, m = cx.shape
+        none = np.zeros((0, m))
+        if l2 is None:
+            l2 = np.zeros(n_leaves)
+        return LeafForm(cx, np.zeros(0, dtype=int), none, none, none, 1.0, l2)
 
 
 class TerminalObjective:
     """Common machinery; construct one of the concrete variants below."""
 
-    kind: str  # "polyhedral" or "smooth" (how the solver folds it in)
+    form: LeafForm
 
     def __init__(self, tree: ScenarioTree, market: MarketData):
         if market.tree is not tree:
@@ -100,13 +113,6 @@ class TerminalObjective:
         """Reported two-sided bound constant at a leaf."""
         return float(self._h_psi[self._leaf_pos(leaf)])
 
-    def leaf_lift(self, pos: int) -> LeafLift | None:
-        """Polyhedral lift of the leaf value; None when it is already linear."""
-        return None
-
-    def linear_coeffs(self, pos: int) -> np.ndarray:
-        raise NotImplementedError
-
     def evaluate(self, leaf: int | str | Node, a: np.ndarray) -> float:
         node = self.tree.node(leaf)
         a = np.asarray(a, dtype=float)
@@ -135,8 +141,6 @@ class TerminalObjective:
 class LinearObjective(TerminalObjective):
     """value(a) = q . a with q strictly inside every leaf's dual cone."""
 
-    kind = "polyhedral"
-
     def __init__(self, tree: ScenarioTree, market: MarketData, q=None):
         super().__init__(tree, market)
         if q is None:
@@ -152,6 +156,7 @@ class LinearObjective(TerminalObjective):
                 )
             h[pos] = max(c_max, 1.0 / c_min, 1.0)
         self._h_psi = h
+        self.form = LeafForm.unlifted(self.q)
 
     def _value(self, pos: int, a: np.ndarray) -> float:
         return float(self.q[pos] @ a)
@@ -159,14 +164,9 @@ class LinearObjective(TerminalObjective):
     def _grad(self, pos: int, a: np.ndarray) -> np.ndarray:
         return self.q[pos].copy()
 
-    def linear_coeffs(self, pos: int) -> np.ndarray:
-        return self.q[pos]
-
 
 class LiquidationObjective(TerminalObjective):
     """Cost-adjusted cash value of unwinding: Lp . a+ - Lm . a-."""
-
-    kind = "polyhedral"
 
     def __init__(self, tree: ScenarioTree, market: MarketData):
         super().__init__(tree, market)
@@ -180,6 +180,18 @@ class LiquidationObjective(TerminalObjective):
                 1.0,
             )
         self._h_psi = h
+        # value = sum_j min(Lp_j x_j, Lm_j x_j): w sits below both forms
+        nodes = [leaf.index for leaf in tree.leaves()]
+        n_leaves = len(nodes)
+        self.form = LeafForm(
+            cx=np.zeros((n_leaves, self.m)),
+            lifted=np.arange(n_leaves),
+            cw=np.ones((n_leaves, self.m)),
+            c1=market.Lp[nodes],
+            c2=market.Lm[nodes],
+            d=-1.0,
+            l2=np.zeros(n_leaves),
+        )
 
     def _leaf_cost(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
         i = self.tree.leaves()[pos].index
@@ -192,14 +204,6 @@ class LiquidationObjective(TerminalObjective):
     def _grad(self, pos: int, a: np.ndarray) -> np.ndarray:
         lp, lm = self._leaf_cost(pos)
         return np.where(a >= 0.0, lp, lm)
-
-    def leaf_lift(self, pos: int) -> LeafLift:
-        # value = sum_j min(Lp_j x_j, Lm_j x_j): w sits below both forms
-        lp, lm = self._leaf_cost(pos)
-        return LeafLift(
-            c1=lp, d1=-1.0, c2=lm, d2=-1.0,
-            cx=np.zeros(self.m), cw=np.ones(self.m),
-        )
 
 
 class NormPenalizedObjective(TerminalObjective):
@@ -230,7 +234,6 @@ class NormPenalizedObjective(TerminalObjective):
             raise ValueError("delta must lie in (0, 1)")
         self.norm = norm
         self.delta = delta
-        self.kind = "polyhedral" if norm == "l1" else "smooth"
         if q is None:
             q = np.ones(self.m)
         self.q = _leaf_matrix(tree, self.m, q, "q")
@@ -264,6 +267,21 @@ class NormPenalizedObjective(TerminalObjective):
                 )
             h[pos] = max(c_max, 1.0 / (delta * c_min), 1.0)
         self._h_psi = h
+        if norm == "l2":
+            self.form = LeafForm.unlifted(self.q, l2=self.theta)
+        else:
+            # value = q . x - theta sum_j |x_j|: w sits above both x and -x
+            lifted = np.flatnonzero(self.theta)
+            ones = np.ones((len(lifted), self.m))
+            self.form = LeafForm(
+                cx=self.q,
+                lifted=lifted,
+                cw=-self.theta[lifted, None] * ones,
+                c1=-ones,
+                c2=ones,
+                d=1.0,
+                l2=np.zeros(n_leaves),
+            )
 
     def _norm(self, a: np.ndarray) -> float:
         return float(np.abs(a).sum() if self.norm == "l1" else np.linalg.norm(a))
@@ -277,31 +295,6 @@ class NormPenalizedObjective(TerminalObjective):
             return self.q[pos] - self.theta[pos] * sign
         nrm = float(np.linalg.norm(a))
         return self.q[pos] - self.theta[pos] * a / nrm
-
-    def leaf_lift(self, pos: int) -> LeafLift | None:
-        # value = q . x - theta sum_j |x_j|: w sits above both x and -x
-        if self.theta[pos] == 0.0:
-            return None
-        ones = np.ones(self.m)
-        return LeafLift(
-            c1=-ones, d1=1.0, c2=ones, d2=1.0,
-            cx=self.q[pos], cw=-self.theta[pos] * ones,
-        )
-
-    def linear_coeffs(self, pos: int) -> np.ndarray:
-        return self.q[pos]
-
-    # smooth interface (Euclidean penalty)
-    def sigma_value(self, pos: int, x: np.ndarray) -> float:
-        return self._value(pos, x)
-
-    def sigma_grad(self, pos: int, x: np.ndarray) -> np.ndarray:
-        return self._grad(pos, x)
-
-    def sigma_hess(self, pos: int, x: np.ndarray) -> np.ndarray:
-        nrm = float(np.linalg.norm(x))
-        xhat = x / nrm
-        return -(self.theta[pos] / nrm) * (np.eye(self.m) - np.outer(xhat, xhat))
 
 
 def _dual_range(

@@ -47,7 +47,7 @@ class ScenarioTree:
     nodes: tuple[Node, ...]
     state_dims: tuple[int, ...]
     _children: tuple[tuple[int, ...], ...] = field(repr=False)
-    _levels: tuple[tuple[int, ...], ...] = field(repr=False)
+    _levels: tuple[tuple[Node, ...], ...] = field(repr=False)
     _probs: tuple[float, ...] = field(repr=False)
     _id_index: dict[str, int] = field(repr=False)
     _level_pos: tuple[int, ...] = field(repr=False)
@@ -58,7 +58,7 @@ class ScenarioTree:
 
     @property
     def root(self) -> Node:
-        return self.nodes[self._levels[0][0]]
+        return self._levels[0][0]
 
     def node(self, ref: int | str | Node) -> Node:
         """Resolve an index, id or Node to the tree's Node."""
@@ -84,7 +84,7 @@ class ScenarioTree:
         """Nodes at a given depth, in stable construction order."""
         if not 0 <= depth <= self.horizon:
             raise DepthMismatch(f"depth {depth} outside 0..{self.horizon}")
-        return tuple(self.nodes[i] for i in self._levels[depth])
+        return self._levels[depth]
 
     def leaves(self) -> tuple[Node, ...]:
         return self.level(self.horizon)
@@ -112,6 +112,7 @@ def build_tree(
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise CycleOrForest(f"duplicate node ids: {dupes}")
     id_index = {nid: k for k, (nid, _, _) in enumerate(raw_nodes)}
+    parent_of = {nid: par for nid, par, _ in raw_nodes}
 
     roots = [nid for nid, par, _ in raw_nodes if par is None]
     if len(roots) != 1:
@@ -168,9 +169,7 @@ def build_tree(
         Node(
             index=new_index[nid],
             node_id=nid,
-            parent=None if nid == roots[0] else new_index[next(
-                par for n2, par, _ in raw_nodes if n2 == nid
-            )],
+            parent=None if nid == roots[0] else new_index[parent_of[nid]],
             depth=depth[nid],
             cond_prob=cond[nid],
         )
@@ -179,17 +178,17 @@ def build_tree(
     children = tuple(
         tuple(new_index[c] for c in children_ids[nid]) for nid in order
     )
-    levels: list[list[int]] = [[] for _ in range(horizon + 1)]
+    levels: list[list[Node]] = [[] for _ in range(horizon + 1)]
     for n in nodes:
-        levels[n.depth].append(n.index)
+        levels[n.depth].append(n)
 
     probs = [0.0] * len(nodes)
     level_pos = [0] * len(nodes)
     for n in nodes:
         probs[n.index] = n.cond_prob if n.parent is None else probs[n.parent] * n.cond_prob
     for lev in levels:
-        for pos, i in enumerate(lev):
-            level_pos[i] = pos
+        for pos, n in enumerate(lev):
+            level_pos[n.index] = pos
 
     if isinstance(dimensions, int):
         dims = (dimensions,) * (horizon + 1)

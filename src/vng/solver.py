@@ -12,7 +12,9 @@ below both forms and their sum is the released cash.  (A plus/minus split of
 the rebalance would leave a cost-free inflation ray wherever a coordinate is
 frictionless, which a log barrier chases to infinity; the min-form has no
 such ray.)  Piecewise-linear terminal objectives are lifted the same way, so
-maximizing drives each auxiliary scalar up to the true value.
+maximizing drives each auxiliary scalar to the true value.  The objective
+reaches the program through its array form (:class:`~vng.objectives.LeafForm`):
+its value and derivatives are whole-array expressions over all leaves.
 
 The solve follows the log-barrier central path (barrier parameter cut by 0.2
 per outer iteration, damped Newton with Armijo backtracking at 1e-4 / 0.5)
@@ -147,7 +149,7 @@ class AssembledProgram:
     (u = x + v), and the min-form cash scalars s; the rows are v >= 0,
     u >= 0, margin >= 0, Lp(R x_par - x) - s >= 0, Lm(R x_par - x) - s >= 0,
     and sum(s) >= 0.  Lifted objective leaves append auxiliary scalars w with
-    two coordinatewise rows each.
+    two coordinatewise rows each (see :class:`~vng.objectives.LeafForm`).
     """
 
     problem: PathProblem
@@ -159,9 +161,9 @@ class AssembledProgram:
     x_off: dict[int, int]     # node index -> column offset of its x block
     v_off: dict[int, int]
     s_off: dict[int, int]
-    w_off: dict[int, int]     # leaf position -> column offset (lifted leaves)
     row_base: dict[int, int]  # node index -> first row of its constraint block
-    leaf_row_base: dict[int, int]
+    leaf_x: np.ndarray        # (n_leaves, m) x columns of each leaf
+    leaf_w: np.ndarray        # (n_lifted, m) w columns of each lifted leaf
     row_owner: np.ndarray     # node index owning each constraint row
     col_owner: np.ndarray     # node index owning each variable column
     leaf_prob: np.ndarray
@@ -211,24 +213,24 @@ class AssembledProgram:
         return out
 
     # -- objective: f(z) = sum_l P_l ln sigma_l ---------------------------------
+    # Leaf inner products use np.vecdot on the stacked (n_leaves, m) arrays: it
+    # rounds like one dot product per leaf, which einsum, (C * X).sum(1) and a
+    # sparse product do not, and the central path's end is sensitive to that.
+
+    def _leaf_state(
+        self, z: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Leaf states X, their Euclidean norms, d sigma / d x and sigma per leaf."""
+        form = self.problem.objective.form
+        X = z[self.leaf_x]
+        nrm = np.sqrt(np.vecdot(X, X))
+        sigma = np.vecdot(form.cx, X) - form.l2 * nrm
+        sigma[form.lifted] += np.vecdot(form.cw, z[self.leaf_w])
+        G = form.cx - form.l2[:, None] * X / nrm[:, None]
+        return X, nrm, G, sigma
 
     def sigmas(self, z: np.ndarray) -> np.ndarray:
-        obj = self.problem.objective
-        tree = self.problem.tree
-        m = self.m
-        vals = np.zeros(len(tree.leaves()))
-        for pos, leaf in enumerate(tree.leaves()):
-            x = self.x_of(z, leaf.index)
-            if obj.kind == "smooth":
-                vals[pos] = obj.sigma_value(pos, x)
-                continue
-            lift = obj.leaf_lift(pos)
-            if lift is None:
-                vals[pos] = obj.linear_coeffs(pos) @ x
-            else:
-                w = z[self.w_off[pos]:self.w_off[pos] + m]
-                vals[pos] = lift.cx @ x + lift.cw @ w
-        return vals
+        return self._leaf_state(z)[3]
 
     def f(self, z: np.ndarray) -> float:
         s = self.sigmas(z)
@@ -237,69 +239,48 @@ class AssembledProgram:
         return float(self.leaf_prob @ np.log(s))
 
     def grad_f(self, z: np.ndarray) -> np.ndarray:
-        obj = self.problem.objective
-        tree = self.problem.tree
-        m = self.m
+        form = self.problem.objective.form
+        _, _, G, sigma = self._leaf_state(z)
+        P = self.leaf_prob[:, None]
+        s = sigma[:, None]
         grad = np.zeros(self.n_vars)
-        s = self.sigmas(z)
-        for pos, leaf in enumerate(tree.leaves()):
-            xo = self.x_off[leaf.index]
-            w_l = self.leaf_prob[pos]
-            if obj.kind == "smooth":
-                x = self.x_of(z, leaf.index)
-                grad[xo:xo + m] += w_l * obj.sigma_grad(pos, x) / s[pos]
-                continue
-            lift = obj.leaf_lift(pos)
-            if lift is None:
-                grad[xo:xo + m] += w_l * obj.linear_coeffs(pos) / s[pos]
-            else:
-                grad[xo:xo + m] += w_l * lift.cx / s[pos]
-                wo = self.w_off[pos]
-                grad[wo:wo + m] += w_l * lift.cw / s[pos]
+        grad[self.leaf_x] = P * G / s
+        grad[self.leaf_w] = P[form.lifted] * form.cw / s[form.lifted]
         return grad
 
     def neg_hess_f(self, z: np.ndarray) -> sp.csr_matrix:
-        """W = -hess f(z), positive semidefinite, supported on leaf blocks."""
-        obj = self.problem.objective
-        tree = self.problem.tree
-        m = self.m
-        s = self.sigmas(z)
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
+        """W = -hess f(z), positive semidefinite, supported on leaf blocks.
 
-        def add_block(idx: np.ndarray, block: np.ndarray) -> None:
-            rr, cc = np.meshgrid(idx, idx, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(block.ravel())
-
-        for pos, leaf in enumerate(tree.leaves()):
-            xo = self.x_off[leaf.index]
-            w_l = self.leaf_prob[pos]
-            if obj.kind == "smooth":
-                x = self.x_of(z, leaf.index)
-                gr = obj.sigma_grad(pos, x)
-                block = w_l * (
-                    np.outer(gr, gr) / s[pos] ** 2 - obj.sigma_hess(pos, x) / s[pos]
-                )
-                add_block(np.arange(xo, xo + m), block)
-                continue
-            lift = obj.leaf_lift(pos)
-            if lift is None:
-                c = obj.linear_coeffs(pos)
-                add_block(np.arange(xo, xo + m), w_l * np.outer(c, c) / s[pos] ** 2)
-            else:
-                coef = np.concatenate([lift.cx, lift.cw])
-                idx = np.concatenate([
-                    np.arange(xo, xo + m),
-                    np.arange(self.w_off[pos], self.w_off[pos] + m),
-                ])
-                add_block(idx, w_l * np.outer(coef, coef) / s[pos] ** 2)
-        if not rows:
-            return sp.csr_matrix((self.n_vars, self.n_vars))
+        Each leaf contributes P (g g^T) / sigma^2 over its columns, g the
+        gradient of sigma, plus P * curv / sigma on its x block, curv the
+        curvature of the Euclidean penalty.
+        """
+        form = self.problem.objective.form
+        X, nrm, G, sigma = self._leaf_state(z)
+        P = self.leaf_prob[:, None, None]
+        s = sigma[:, None, None]
+        s2 = np.float_power(s, 2)  # pow(), as a scalar s ** 2; array s ** 2 is s * s
+        xhat = X / nrm[:, None]
+        curv = (form.l2 / nrm)[:, None, None] * (
+            np.eye(self.m) - xhat[:, :, None] * xhat[:, None, :]
+        )
+        lw = form.lifted
+        xw = P[lw] * (G[lw][:, :, None] * form.cw[:, None, :]) / s2[lw]
+        blocks = [
+            (self.leaf_x, self.leaf_x,
+             P * (G[:, :, None] * G[:, None, :]) / s2 + P * (curv / s)),
+            (self.leaf_x[lw], self.leaf_w, xw),
+            (self.leaf_w, self.leaf_x[lw], xw.transpose(0, 2, 1)),
+            (self.leaf_w, self.leaf_w,
+             P[lw] * (form.cw[:, :, None] * form.cw[:, None, :]) / s2[lw]),
+        ]
+        rows = [np.broadcast_to(r[:, :, None], v.shape).ravel() for r, _, v in blocks]
+        cols = [np.broadcast_to(c[:, None, :], v.shape).ravel() for _, c, v in blocks]
         return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (
+                np.concatenate([v.ravel() for _, _, v in blocks]),
+                (np.concatenate(rows), np.concatenate(cols)),
+            ),
             shape=(self.n_vars, self.n_vars),
         )
 
@@ -308,15 +289,12 @@ def assemble(problem: PathProblem) -> AssembledProgram:
     """Build the lifted deterministic-equivalent program."""
     tree = problem.tree
     market = problem.market
-    obj = problem.objective
+    form = problem.objective.form
     m = market.m
     root = tree.root.index
     non_root = [n.index for n in tree.nodes if n.index != root]
     leaves = tree.leaves()
-    lifted_leaves = [
-        pos for pos in range(len(leaves))
-        if obj.kind != "smooth" and obj.leaf_lift(pos) is not None
-    ]
+    n_lifted = len(form.lifted)
 
     x_off: dict[int, int] = {}
     v_off: dict[int, int] = {}
@@ -326,18 +304,16 @@ def assemble(problem: PathProblem) -> AssembledProgram:
         v_off[i] = x_off[i] + m
         s_off[i] = x_off[i] + 2 * m
     n_vars = len(non_root) * 3 * m
-    w_off: dict[int, int] = {}
-    for pos in lifted_leaves:
-        w_off[pos] = n_vars
-        n_vars += m
+    leaf_x = np.array([x_off[n.index] for n in leaves])[:, None] + np.arange(m)
+    leaf_w = n_vars + np.arange(n_lifted * m).reshape(n_lifted, m)
+    n_vars += n_lifted * m
 
     block = 4 * m + 2
     row_base = {i: k * block for k, i in enumerate(non_root)}
     n_cons = len(non_root) * block
-    leaf_row_base: dict[int, int] = {}
-    for pos in lifted_leaves:
-        leaf_row_base[pos] = n_cons
-        n_cons += 2 * m
+    # per lifted leaf: m rows c1 * x + d * w >= 0, then m rows c2 * x + d * w >= 0
+    leaf_rows = n_cons + np.arange(n_lifted * 2 * m).reshape(n_lifted, 2, m)
+    n_cons += n_lifted * 2 * m
 
     rows: list[int] = []
     cols: list[int] = []
@@ -387,17 +363,17 @@ def assemble(problem: PathProblem) -> AssembledProgram:
                 put(r_plus + j, x_off[parent.index] + j, Lp[j] * R[j])
                 put(r_minus + j, x_off[parent.index] + j, Lm[j] * R[j])
 
-    for pos in lifted_leaves:
-        leaf = leaves[pos]
-        lift = obj.leaf_lift(pos)
-        base = leaf_row_base[pos]
-        row_owner[base:base + 2 * m] = leaf.index
-        col_owner[w_off[pos]:w_off[pos] + m] = leaf.index
-        for j in range(m):
-            put(base + j, x_off[leaf.index] + j, lift.c1[j])
-            put(base + j, w_off[pos] + j, lift.d1)
-            put(base + m + j, x_off[leaf.index] + j, lift.c2[j])
-            put(base + m + j, w_off[pos] + j, lift.d2)
+    lifted_index = np.array([n.index for n in leaves], dtype=int)[form.lifted]
+    row_owner[leaf_rows] = lifted_index[:, None, None]
+    col_owner[leaf_w] = lifted_index[:, None]
+    x_lifted = leaf_x[form.lifted]
+    d = np.full((n_lifted, m), form.d)
+    r1, r2 = leaf_rows[:, 0], leaf_rows[:, 1]
+    for r, c, v in ((r1, x_lifted, form.c1), (r1, leaf_w, d),
+                    (r2, x_lifted, form.c2), (r2, leaf_w, d)):
+        rows.extend(r.ravel())
+        cols.extend(c.ravel())
+        data.extend(v.ravel())
 
     A = sp.csr_matrix(
         (np.array(data), (np.array(rows), np.array(cols))), shape=(n_cons, n_vars)
@@ -426,9 +402,9 @@ def assemble(problem: PathProblem) -> AssembledProgram:
         x_off=x_off,
         v_off=v_off,
         s_off=s_off,
-        w_off=w_off,
         row_base=row_base,
-        leaf_row_base=leaf_row_base,
+        leaf_x=leaf_x,
+        leaf_w=leaf_w,
         row_owner=row_owner,
         col_owner=col_owner,
         leaf_prob=leaf_prob,
@@ -448,7 +424,7 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     """
     problem = prog.problem
     tree, market = problem.tree, problem.market
-    obj = problem.objective
+    form = problem.objective.form
     m = market.m
     constants = market.constants()
     ones = np.ones(m)
@@ -491,27 +467,17 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
             z[prog.s_off[i]:prog.s_off[i] + m] = mins - pad_s
             z[prog.x_off[i]:prog.x_off[i] + m] = x
 
-        for pos in prog.w_off:
-            leaf = tree.leaves()[pos]
-            x = x_val[leaf.index]
-            lift = obj.leaf_lift(pos)
-            scale = float(np.abs(x).sum()) / m
-            if lift.d1 < 0:  # w below both forms, objective pulls it up
-                target = np.minimum(lift.c1 * x, lift.c2 * x)
-                sigma_full = float(lift.cx @ x + lift.cw @ target)
-                pad_w = min(
-                    pad_frac * scale,
-                    0.4 * sigma_full / max(float(np.abs(lift.cw).sum()), 1e-30),
-                )
-                z[prog.w_off[pos]:prog.w_off[pos] + m] = target - pad_w
-            else:  # w above both forms, objective pushes it down
-                target = np.maximum(-lift.c1 * x, -lift.c2 * x)
-                sigma_full = float(lift.cx @ x + lift.cw @ target)
-                pad_w = min(
-                    pad_frac * scale,
-                    0.4 * sigma_full / max(float(np.abs(lift.cw).sum()), 1e-30),
-                )
-                z[prog.w_off[pos]:prog.w_off[pos] + m] = target + pad_w
+        # w on the tighter of its two rows, then pad_w inside it (in direction d)
+        X = z[prog.leaf_x[form.lifted]]
+        scale = np.abs(X).sum(axis=1) / m
+        target = -form.d * np.minimum(form.c1 * X, form.c2 * X)
+        sigma_full = (np.vecdot(form.cx[form.lifted], X)
+                      + np.vecdot(form.cw, target))
+        pad_w = np.minimum(
+            pad_frac * scale,
+            0.4 * sigma_full / np.maximum(np.abs(form.cw).sum(axis=1), 1e-30),
+        )
+        z[prog.leaf_w] = target + form.d * pad_w[:, None]
 
         if prog.g(z).min() > 0.0 and np.all(prog.sigmas(z) > 0.0):
             return z

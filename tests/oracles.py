@@ -116,3 +116,28 @@ def batch_transition_members(market, node, rng, count):
         hi = np.where(ok, hi, mid)
     fill = rng.uniform(0.0, 1.0, count)
     return a, (fill * lo)[:, None] * d
+
+
+def section_grid_min(mu: float, m: int, weight_pos: float, weight_neg: float) -> float:
+    """Grid sweep for the minimum of w+ |a+| - w- |a-| on {mu |a-| <= |a+|}.
+
+    Axis directions plus, for every ordered coordinate pair, a dense sweep of
+    one-long-one-short directions (1-norm one) up to the margin boundary; the
+    library computes the same minimum exactly from the section vertices.
+    """
+    dirs = [np.eye(m)]
+    if m >= 2:
+        pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+        k = max(2, 100_000 // len(pairs))
+        sweep = np.linspace(0.0, 1.0 / (1.0 + mu), k)
+        for i, j in pairs:
+            block = np.zeros((k, m))
+            block[:, i] = 1.0 - sweep
+            block[:, j] = -sweep
+            dirs.append(block)
+    dirs = np.vstack(dirs)
+    vals = (
+        weight_pos * np.maximum(dirs, 0.0).sum(axis=1)
+        - weight_neg * np.maximum(-dirs, 0.0).sum(axis=1)
+    )
+    return float(vals.min())

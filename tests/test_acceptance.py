@@ -17,7 +17,7 @@ import pytest
 import vng
 import vng.cli_io as cli
 from conftest import kelly_problem, make_instance, two_asset_margin_market
-from oracles import batch_transition_members, kelly_oracle
+from oracles import batch_transition_members, kelly_oracle, section_grid_min
 from vng.market_model import _min_over_ideal_section
 
 N_INSTANCES = 50
@@ -239,9 +239,10 @@ def test_07_constants_oracle():
     closed_h = (mu + 1.0) / (mu - 1.0)
     worst = 0.0
     for m in (2, 3):
-        c1 = _min_over_ideal_section(mu, m, 1.0, nu, "grid")
-        q = _min_over_ideal_section(mu, m, 1.0, 1.0, "grid")
-        worst = max(worst, abs(c1 - closed_c1), abs(1.0 / q - closed_h))
+        for section_min in (section_grid_min, _min_over_ideal_section):
+            c1 = section_min(mu, m, 1.0, nu)
+            q = section_min(mu, m, 1.0, 1.0)
+            worst = max(worst, abs(c1 - closed_c1), abs(1.0 / q - closed_h))
     market = two_asset_margin_market()
     constants = market.constants()
     rng = np.random.default_rng(77)

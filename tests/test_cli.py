@@ -108,6 +108,19 @@ class TestSolveCertify:
         assert cert["verdict"] == "refuted"
         assert cert["witness"] is not None
 
+    @pytest.mark.parametrize("damage", ["no_residuals", "short_z"])
+    def test_malformed_solution_is_parse_error(self, workdir, damage):
+        run("solve", "kelly.json")
+        doc = json.loads((workdir / "kelly.solution.json").read_text())
+        if damage == "no_residuals":
+            del doc["residuals"]
+        else:
+            doc["z"] = doc["z"][:-1]
+        (workdir / "kelly.solution.json").write_text(json.dumps(doc))
+        assert (
+            run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_PARSE
+        )
+
     def test_certificate_reverification_reproduces_residuals(self, workdir):
         import vng
         run("solve", "two_asset_margin.json")

@@ -5,6 +5,7 @@ import pytest
 
 import vng
 from conftest import make_instance, two_asset_margin_market
+from oracles import section_grid_min
 from vng.errors import (
     MarginTooTight,
     NonpositivePrice,
@@ -432,18 +433,19 @@ class TestMarketConstants:
     @pytest.mark.parametrize("m", [2, 3])
     def test_c1_and_h_match_closed_forms(self, m):
         mu, nu = 1.5, 1.2721088435374148
-        c1 = _min_over_ideal_section(mu, m, 1.0, nu, "grid")
-        assert c1 == pytest.approx((mu - nu) / (1.0 + mu), abs=1e-3)
-        assert c1 == pytest.approx(0.0911564625850341, abs=1e-3)
-        q = _min_over_ideal_section(mu, m, 1.0, 1.0, "grid")
-        assert 1.0 / q == pytest.approx((mu + 1.0) / (mu - 1.0), abs=1e-3)
-        assert 1.0 / q == pytest.approx(5.0, abs=1e-3)
+        for section_min in (section_grid_min, _min_over_ideal_section):
+            c1 = section_min(mu, m, 1.0, nu)
+            assert c1 == pytest.approx((mu - nu) / (1.0 + mu), abs=1e-3)
+            assert c1 == pytest.approx(0.0911564625850341, abs=1e-3)
+            q = section_min(mu, m, 1.0, 1.0)
+            assert 1.0 / q == pytest.approx((mu + 1.0) / (mu - 1.0), abs=1e-3)
+            assert 1.0 / q == pytest.approx(5.0, abs=1e-3)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_grid_and_pattern_methods_agree(self, m):
         mu, nu = 1.7, 1.3
-        grid = _min_over_ideal_section(mu, m, 1.0, nu, "grid")
-        exact = _min_over_ideal_section(mu, m, 1.0, nu, "pattern")
+        grid = section_grid_min(mu, m, 1.0, nu)
+        exact = _min_over_ideal_section(mu, m, 1.0, nu)
         assert grid == pytest.approx(exact, abs=1e-4)
 
     def test_b2_failure_raises_margin_too_tight(self):

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 import vng
-from conftest import make_instance
-from oracles import golden_section_max, kelly_oracle, retained_fraction_oracle
+from conftest import make_instance, two_asset_margin_market
+from oracles import (
+    central_difference_gradient,
+    golden_section_max,
+    kelly_oracle,
+    retained_fraction_oracle,
+)
 from vng.errors import InfeasibleStart
 from vng.solver import _interior_start, assemble
 
@@ -231,6 +236,67 @@ class TestKktReport:
         )
         report = vng.kkt_report(tampered, single_asset)
         assert report.residuals.primal == pytest.approx(0.25, abs=1e-8)
+
+
+def _margin_problem(variant: str) -> vng.PathProblem:
+    """Two assets with costs and shorting room, four leaves; one objective."""
+    market = two_asset_margin_market()
+    tree = market.tree
+    if variant == "linear":
+        objective = vng.LinearObjective(tree, market, q=[1.0, 1.1])
+    elif variant == "liquidation":
+        objective = vng.LiquidationObjective(tree, market)
+    else:
+        norm = variant[:2]
+        bound = vng.NormPenalizedObjective(tree, market, norm=norm).theta_bound
+        theta = 0.3 * bound
+        if variant == "l1_mixed":  # lifted and unlifted leaves side by side
+            theta[::2] = 0.0
+        objective = vng.NormPenalizedObjective(
+            tree, market, theta=theta, norm=norm
+        )
+    return vng.PathProblem(
+        tree=tree, market=market, objective=objective, x0=np.array([0.6, 0.4])
+    )
+
+
+class TestAssembledDerivatives:
+    @pytest.mark.parametrize(
+        "variant", ["linear", "liquidation", "l1", "l2", "l1_mixed"]
+    )
+    def test_derivatives_match_differences(self, variant):
+        prog = assemble(_margin_problem(variant))
+        z0 = _interior_start(prog)
+        grad = prog.grad_f(z0)
+        assert grad == pytest.approx(
+            central_difference_gradient(prog.f, z0), rel=1e-6, abs=1e-8
+        )
+        hess = np.column_stack([
+            -central_difference_gradient(lambda z: prog.grad_f(z)[k], z0)
+            for k in range(prog.n_vars)
+        ])
+        W = prog.neg_hess_f(z0).toarray()
+        assert W == pytest.approx(hess, rel=1e-6, abs=1e-8 * np.abs(W).max())
+        assert np.allclose(W, W.T)
+
+    def test_mixed_penalty_solves_and_certifies(self):
+        problem = _margin_problem("l1_mixed")
+        prog = assemble(problem)
+        lifted = problem.objective.form.lifted
+        assert 0 < len(lifted) < len(problem.tree.leaves())
+        solution = vng.solve_log_optimal(problem)
+        assert solution.converged
+        dual = vng.extract_dual(solution, problem)
+        cert = vng.verify_rapid(
+            solution.path, dual, problem.tree, problem.market, tol=1e-6
+        )
+        assert cert.certified
+        x_N = solution.path[-1]
+        values = [
+            problem.objective.evaluate(leaf, x_N.values[pos])
+            for pos, leaf in enumerate(problem.tree.leaves())
+        ]
+        assert prog.sigmas(solution.z) == pytest.approx(values, rel=1e-8)
 
 
 def test_grid_search_on_retained_fraction_is_independent_oracle():
