@@ -4,7 +4,7 @@ The package solves finite-horizon log-optimal portfolio problems over
 margin-constrained markets with transaction costs, encoded on scenario trees,
 and verifies optimality by constructing a supporting dual price path whose
 defining inequalities are checked exactly (inner products, section vertices,
-and one small LP per node).
+and a closed-form transition proof, with a small LP per node it leaves open).
 """
 
 __version__ = "0.1.0"
@@ -45,6 +45,7 @@ from .market_model import (
     sample_transition_pair,
     transition_frontier,
     transition_frontier_batch,
+    transition_proved,
     self_financing_value,
     slater_path,
     dominating_path,

@@ -12,14 +12,16 @@ terminal layer comes from the objective's supergradient, whose degree-one
 Euler identity makes the last normalization exact by construction.
 
 Verification never trusts the solver: memberships use the exact section-vertex
-test, transition inequalities are certified by one small LP per node over the
-cone lift, and normalizations are plain inner products.  The per-node LPs are
-independent and can run in parallel.
+test, normalizations are plain inner products, and each transition inequality
+is proved in closed form from the dual path alone, a whole tree level at a
+time.  Only the nodes that proof leaves open go to one small LP each over the
+cone lift, which decides them and supplies the refutation witness; the
+certificate lists those nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .market_model import (
+    DualConeCheck,
     MarketData,
     dual_cone_residual,
     dual_cone_violation,
@@ -38,14 +41,16 @@ from .market_model import (
     sample_transition_pair,
     transition_frontier,
     transition_frontier_batch,
+    transition_proved,
 )
 from .scenario_tree import (
     AdaptedVector,
+    Node,
     ScenarioTree,
     conditional_expectation,
     node_probability,
 )
-from .solver import PathProblem, Solution, assemble, kkt_report
+from .solver import PathProblem, Solution, _kkt_report, assemble
 
 
 @dataclass(frozen=True)
@@ -94,13 +99,13 @@ def extract_dual(
     layer is the objective's multiplier-selected supergradient over its
     value, whose degree-one Euler identity pins p_{N+1} . x_N = 1 exactly.
     """
+    prog = assemble(problem)
     if strict:
-        report = kkt_report(solution, problem)
+        report = _kkt_report(solution, prog)
         if not solution.converged or not report.within(solution.options.tol):
             raise NotCertified(
                 "solution is not converged to tolerance; no dual path extracted"
             )
-    prog = assemble(problem)
     tree, market = problem.tree, problem.market
     m = market.m
     lam = np.asarray(solution.multipliers, dtype=float)
@@ -149,17 +154,20 @@ class RapidityCertificate:
 
     ``certified`` means every residual is within ``tol``: unit normalization
     at all dates, dual-cone membership of every price vector, and the per-node
-    LP bound on expected growth across the transition cones.
+    bound on expected growth across the transition cones.  That bound is 0 at
+    nodes the closed-form proof settles; ``transition_lp_nodes`` names the
+    nodes whose value the LP decided instead.
     """
 
     tol: float
     certified: bool
     normalization_by_t: list[float]          # index t: max |p_{t+1} x_t - 1|
     membership_by_node: dict[str, float]     # positive = violation
-    transition_by_node: dict[str, float]     # dual-cone LP value per node
+    transition_by_node: dict[str, float]     # dual-cone LP value; 0 where proved
     feasibility_by_node: dict[str, float]    # primal cone violations of the path
     witness: dict | None = None
     supermartingale: "SupermartingaleReport | None" = None
+    transition_lp_nodes: list[str] = field(default_factory=list)
 
     @property
     def max_normalization(self) -> float:
@@ -176,6 +184,27 @@ class RapidityCertificate:
     @property
     def max_feasibility(self) -> float:
         return max(self.feasibility_by_node.values())
+
+
+def _transition_level(
+    market: MarketData,
+    level: tuple[Node, ...],
+    p: np.ndarray,
+    p_bar: np.ndarray,
+    tol: float,
+) -> tuple[list[DualConeCheck], np.ndarray]:
+    """Transition checks of one tree level and the mask of proved nodes.
+
+    The closed-form proof runs on the whole level; each node it leaves open
+    gets the LP, which yields its value and any witness.  Proved nodes read 0.
+    """
+    proved = transition_proved(market, [node.index for node in level], p, p_bar)
+    checks = [
+        DualConeCheck(0.0, None, None) if ok
+        else dual_cone_violation(market, p[k], p_bar[k], node, tol=tol)
+        for k, (node, ok) in enumerate(zip(level, proved))
+    ]
+    return checks, proved
 
 
 def verify_rapid(
@@ -238,18 +267,17 @@ def verify_rapid(
             normalization[t - 1] = max(normalization[t - 1], resid)
             note_witness("normalization", node.node_id, resid, layer=t)
 
-    # (dual-path): certify sup { p_bar b - p a } <= 0 by LP at every node.
+    # (dual-path): certify sup { p_bar b - p a } <= 0 at every node, in closed
+    # form where the proof holds and by LP elsewhere.
+    lp_nodes: list[str] = []
     for t in range(1, N + 1):
-        p_t = dual.price(t, N)
-        bar_next = dual.bar(tree, t)
-        for node in tree.level(t):
-            check = dual_cone_violation(
-                market,
-                p_t.value_at(tree, node),
-                bar_next.value_at(tree, node),
-                node,
-                tol=tol,
-            )
+        level = tree.level(t)
+        checks, proved = _transition_level(
+            market, level, dual.price(t, N).values, dual.bar(tree, t).values, tol
+        )
+        for node, check, ok in zip(level, checks, proved):
+            if not ok:
+                lp_nodes.append(node.node_id)
             transition[node.node_id] = check.value
             note_witness(
                 "transition", node.node_id, check.value,
@@ -272,6 +300,7 @@ def verify_rapid(
         transition_by_node=transition,
         feasibility_by_node=feasibility,
         witness=witness,
+        transition_lp_nodes=lp_nodes,
     )
 
 
@@ -375,7 +404,7 @@ class EquivalenceReport:
 
     ``value_*`` are signed statistics that must be <= tol for a supporting
     dual: (I) worst sampled E(ratio) - 1, (II) worst sampled E log ratio,
-    (III) worst sampled E p_{t+1} y - E p_t x, (IV) worst per-node LP value.
+    (III) worst sampled E p_{t+1} y - E p_t x, (IV) worst per-node transition value.
     Preconditions record how far the supplied pair is from the unit
     normalization and the prices from dual-cone membership.
     """
@@ -431,7 +460,8 @@ def check_equivalences(
     Samples feasible per-node transition pairs (always including the supplied
     pair itself and, when the LP finds violations, the LP witnesses mixed with
     the supplied pair), then evaluates the ratio, log-ratio and expectation
-    forms against the per-node LP check.  Nodes where no strictly positive
+    forms against the per-node check (IV), the same closed-form proof and LP
+    fallback as :func:`verify_rapid`.  Nodes where no strictly positive
     denominator exists are dropped from the ratio forms only.
     """
     rng = np.random.default_rng(seed)
@@ -469,16 +499,14 @@ def check_equivalences(
                 ),
             )
 
-    # (IV): exact per-node LP, collecting witnesses for the sampled forms.
-    value_iv = -np.inf
-    witnesses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for node in level:
-        check = dual_cone_violation(
-            market, p_t.value_at(tree, node), bar.value_at(tree, node), node, tol=tol
-        )
-        value_iv = max(value_iv, check.value)
-        if check.witness_a is not None:
-            witnesses[node.index] = (check.witness_a, check.witness_b)
+    # (IV): exact per-node value, collecting LP witnesses for the sampled forms.
+    checks, _ = _transition_level(market, level, p_t.values, bar.values, tol)
+    value_iv = max(check.value for check in checks)
+    witnesses = {
+        node.index: (check.witness_a, check.witness_b)
+        for node, check in zip(level, checks)
+        if check.witness_a is not None
+    }
 
     equality_pairs = {
         node.index: (

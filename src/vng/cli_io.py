@@ -17,6 +17,7 @@ Verbosity follows the VNG_LOG environment variable (error|warn|info|debug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -89,7 +90,10 @@ def _need(section: dict, key: str, where: str):
 
 
 def _vector(value, m: int, where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: expected {m} numbers: {exc}") from exc
     if arr.shape != (m,):
         raise ParseError(f"{where}: expected {m} numbers, got shape {arr.shape}")
     return arr
@@ -378,6 +382,7 @@ def certificate_to_doc(
         "transition_by_node": cert.transition_by_node,
         "feasibility_by_node": cert.feasibility_by_node,
         "witness": cert.witness,
+        "transition_lp_nodes": list(cert.transition_lp_nodes),
         "path": _path_to_dict(tree, path),
         "dual": {
             **{
@@ -541,7 +546,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 max(worst.second_form, rep.second_form),
                 rapid.equality_gap,
             )
-        cert = cert_with_supermartingale(cert, worst)
+        cert = dataclasses.replace(cert, supermartingale=worst)
 
     out = args.out or _default_out(args.problem, ".certificate.json")
     write_json(
@@ -558,21 +563,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         f"transition={cert.max_transition!r}"
     )
     return EXIT_OK if cert.certified else EXIT_REFUTED
-
-
-def cert_with_supermartingale(
-    cert: RapidityCertificate, report: SupermartingaleReport
-) -> RapidityCertificate:
-    return RapidityCertificate(
-        tol=cert.tol,
-        certified=cert.certified,
-        normalization_by_t=cert.normalization_by_t,
-        membership_by_node=cert.membership_by_node,
-        transition_by_node=cert.transition_by_node,
-        feasibility_by_node=cert.feasibility_by_node,
-        witness=cert.witness,
-        supermartingale=report,
-    )
 
 
 def _strategy_path(
@@ -617,8 +607,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if cdoc.get("verdict") != "certified":
             print("compare: stored certificate is refuted")
             return EXIT_REFUTED
-        rapid = _path_from_dict(problem.tree, cdoc["path"], problem.market.m)
-        dual = dual_from_doc(problem.tree, cdoc["dual"], problem.market.m)
+        try:
+            rapid = _path_from_dict(problem.tree, cdoc["path"], problem.market.m)
+            dual = dual_from_doc(problem.tree, cdoc["dual"], problem.market.m)
+        except (KeyError, TypeError) as exc:
+            raise ParseError(
+                f"certificate {args.certificate}: bad or missing field: {exc!r}"
+            ) from exc
     else:
         solution = solve_log_optimal(problem, options)
         if not solution.converged:

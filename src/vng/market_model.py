@@ -15,8 +15,9 @@ Both the margin function and ``psi`` are concave and piecewise linear, so the
 cones admit exact polyhedral lifts via split variables: inflating both halves
 of a split strictly decreases each defining expression (the coefficients pair
 a smaller positive weight against a larger negative one), hence the
-componentwise-minimal split attains the defining value.  The lifts make every
-membership and dual-cone question a small linear program.
+componentwise-minimal split attains the defining value.  The lifts pose the
+dual transition inequality as a small linear program; ``transition_proved``
+settles it in closed form wherever the prices allow.
 
 Everything here is a pure function of immutable data; per-node operations are
 independent.  The LP sub-solver (scipy's HiGHS) is re-entrant.
@@ -222,26 +223,6 @@ class ConeLift:
     A_eq: np.ndarray | None
     b_eq: np.ndarray | None
     proj: np.ndarray
-    upper: np.ndarray | None = None
-
-    def contains(self, vec: np.ndarray) -> bool:
-        """LP feasibility of a point under the projection pin."""
-        vec = np.asarray(vec, dtype=float)
-        A_eq = self.proj if self.A_eq is None else np.vstack([self.proj, self.A_eq])
-        b_eq = vec if self.b_eq is None else np.concatenate([vec, self.b_eq])
-        ub = self.upper if self.upper is not None else np.full(self.n_vars, np.inf)
-        res = linprog(
-            c=np.zeros(self.n_vars),
-            A_ub=self.A_ub, b_ub=self.b_ub,
-            A_eq=A_eq, b_eq=b_eq,
-            bounds=list(zip(np.zeros(self.n_vars), ub)),
-            method="highs",
-        )
-        if res.status == 0:
-            return True
-        if res.status == 2:
-            return False
-        raise LPFailure(f"membership LP ended with status {res.status}: {res.message}")
 
 
 def lift_X(market: MarketData, node: int | str | Node) -> ConeLift:
@@ -321,7 +302,8 @@ def dual_cone_violation(
 
     Maximizes ``p_bar . b - p . a`` over ``(a, b) in Z`` with ``|a| + |b| <= 1``.
     A value within ``tol`` of zero certifies the inequality at this node; a
-    larger value comes with the violating pair as witness.
+    larger value comes with the violating pair as witness.  Verification runs
+    it only where :func:`transition_proved` leaves a node open.
     """
     node = market.tree.node(node)
     lift = lift_Z(market, node)
@@ -354,6 +336,49 @@ def dual_cone_violation(
         return DualConeCheck(value, None, None)
     z = res.x
     return DualConeCheck(value, z[:m] - z[m:2 * m], z[2 * m:3 * m] - z[3 * m:4 * m])
+
+
+def _in_ratio_cone(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Rows of v with v_j in kappa [lo_j, hi_j] for one kappa >= 0 (0 < lo <= hi)."""
+    return np.maximum((v / hi).max(axis=1), 0.0) <= (v / lo).min(axis=1)
+
+
+def transition_proved(
+    market: MarketData, nodes: np.ndarray, p: np.ndarray, p_bar: np.ndarray
+) -> np.ndarray:
+    """Mask of the nodes whose dual transition inequality holds in closed form.
+
+    ``nodes`` are non-root node indices and ``p``, ``p_bar`` their ``(n, m)``
+    prices and next-date conditional expectations.  With sigma = p / R the
+    parent term is sigma . (R a), so for d = R a - b
+
+        p . a - p_bar . b = sigma . d + (sigma - p_bar) . b >= kappa psi(a, b) >= 0
+
+    on the transition cone when sigma_j lies in kappa [Lp_j, Lm_j] for some
+    kappa >= 0 and sigma - p_bar lies in X*.  The second test has the same
+    form with the bounds [Lp_j, mu Lm_j]: it is the sign test at the section
+    vertices of X, divided through.  A proved node's LP value is exactly 0.
+    No tolerance applies: a node counts only when every comparison holds in
+    floating point, and every other node needs :func:`dual_cone_violation`.
+    """
+    idx = np.asarray(nodes, dtype=int)
+    p = np.asarray(p, dtype=float)
+    p_bar = np.asarray(p_bar, dtype=float)
+    if p.shape != (len(idx), market.m) or p_bar.shape != p.shape:
+        raise DimensionMismatch(
+            f"expected ({len(idx)}, {market.m}) price arrays, "
+            f"got {p.shape} and {p_bar.shape}"
+        )
+    Lp, Lm = market.Lp[idx], market.Lm[idx]
+    mu = market.margins[[market.tree.nodes[i].depth for i in idx]]
+    sigma = p / market.returns[idx]
+    y_b = sigma - p_bar
+    finite = np.isfinite(sigma).all(axis=1) & np.isfinite(y_b).all(axis=1)
+    return (
+        finite
+        & _in_ratio_cone(sigma, Lp, Lm)
+        & _in_ratio_cone(y_b, Lp, mu[:, None] * Lm)
+    )
 
 
 # --- cone sections and the (B2) constants --------------------------------------

@@ -692,7 +692,11 @@ class KktReport:
 
 def kkt_report(solution: Solution, problem: PathProblem) -> KktReport:
     """Recompute all residuals from the stored iterate, solver state unused."""
-    prog = assemble(problem)
+    return _kkt_report(solution, assemble(problem))
+
+
+def _kkt_report(solution: Solution, prog: AssembledProgram) -> KktReport:
+    """:func:`kkt_report` against an already assembled program."""
     z = np.asarray(solution.z, dtype=float)
     lam = np.asarray(solution.multipliers, dtype=float)
     if z.shape != (prog.n_vars,) or lam.shape != (prog.n_cons,):
@@ -701,7 +705,7 @@ def kkt_report(solution: Solution, problem: PathProblem) -> KktReport:
     g = prog.g(z)
     r_d = prog.grad_f(z) + prog.A.T @ lam
     comp = lam * g
-    tree = problem.tree
+    tree = prog.problem.tree
 
     def worst(values: np.ndarray, owner: np.ndarray) -> tuple[str, float]:
         k = int(np.argmax(values))

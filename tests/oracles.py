@@ -7,6 +7,7 @@ two unrelated routes to the same number.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
@@ -141,3 +142,52 @@ def section_grid_min(mu: float, m: int, weight_pos: float, weight_neg: float) ->
         - weight_neg * np.maximum(-dirs, 0.0).sum(axis=1)
     )
     return float(vals.min())
+
+
+def lift_contains(lift, vec) -> bool:
+    """LP feasibility of a point in a ``ConeLift`` under its projection pin."""
+    vec = np.asarray(vec, dtype=float)
+    A_eq = lift.proj if lift.A_eq is None else np.vstack([lift.proj, lift.A_eq])
+    b_eq = vec if lift.b_eq is None else np.concatenate([vec, lift.b_eq])
+    res = linprog(
+        c=np.zeros(lift.n_vars),
+        A_ub=lift.A_ub, b_ub=lift.b_ub,
+        A_eq=A_eq, b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status not in (0, 2):
+        raise RuntimeError(f"membership LP ended with status {res.status}: {res.message}")
+    return res.status == 0
+
+
+def exact_transition_proof(market, node, p, bar_terms) -> bool:
+    """The closed-form transition proof at one node, in exact rational arithmetic.
+
+    ``p`` is the node's price and ``bar_terms`` the ``(weight, price)`` pairs
+    whose weighted sum is p_bar (the children with their conditional
+    probabilities, or the terminal price with weight 1 at a leaf); every float
+    is taken as the rational it stores and p_bar is summed exactly.  Proved
+    when sigma = p / R lies in kappa [Lp, Lm] for some kappa >= 0 and
+    sigma - p_bar has a nonnegative inner product with every section vertex
+    of the node's margin cone (checked as e_i and beta_j e_i - alpha_i e_j).
+    """
+    from fractions import Fraction as F
+
+    node = market.tree.node(node)
+    i = node.index
+    m = market.m
+    R = [F(v) for v in market.returns[i]]
+    alpha = [F(v) for v in market.Lp[i]]
+    lm = [F(v) for v in market.Lm[i]]
+    beta = [F(market.margins[node.depth]) * v for v in lm]
+    sigma = [F(p[j]) / R[j] for j in range(m)]
+    p_bar = [sum(F(w) * F(v[j]) for w, v in bar_terms) for j in range(m)]
+    y = [sigma[j] - p_bar[j] for j in range(m)]
+    kappa_lo = max([sigma[j] / lm[j] for j in range(m)] + [F(0)])
+    kappa_hi = min(sigma[j] / alpha[j] for j in range(m))
+    in_dual = all(v >= 0 for v in y) and all(
+        beta[j] * y[k] - alpha[k] * y[j] >= 0
+        for k in range(m) for j in range(m) if j != k
+    )
+    return kappa_lo <= kappa_hi and in_dual

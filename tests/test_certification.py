@@ -1,10 +1,14 @@
 """Dual extraction, rapidity verification, and the growth-bound checks."""
 
+import os
+
 import numpy as np
 import pytest
 
 import vng
+import vng.cli_io as cli
 from conftest import make_instance
+from oracles import exact_transition_proof
 from vng.errors import (
     NonpositiveDenominator,
     NotCertified,
@@ -295,3 +299,160 @@ class TestProp4:
         bad = vng.DualPath(prices=prices, terminal=dual.terminal)
         with pytest.raises(ZeroDenominator):
             vng.prop4_reconstruct(bad, solution.path, tree, problem.market)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+LP_TOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def solved_set():
+    """The fifty acceptance instances and the three CLI fixtures, solved once."""
+    problems = [make_instance(seed) for seed in range(50)]
+    problems += [
+        cli.load_problem(os.path.join(FIXTURES, f"{name}.json"))[0]
+        for name in ("kelly", "single_asset", "two_asset_margin")
+    ]
+    out = []
+    for problem in problems:
+        solution = vng.solve_log_optimal(problem)
+        out.append((problem, solution, vng.extract_dual(solution, problem)))
+    return out
+
+
+def level_prices(dual, tree, t):
+    """Depth-t nodes with their prices p_t and p_bar = E_t p_{t+1}."""
+    return tree.level(t), dual.prices[t].values, dual.bar(tree, t).values
+
+
+def bar_terms(dual, tree, t, node):
+    """The (weight, price) pairs whose weighted sum is p_bar at the node."""
+    if t == tree.horizon:
+        return [(1.0, dual.terminal.value_at(tree, node))]
+    return [
+        (child.cond_prob, dual.prices[t + 1].value_at(tree, child))
+        for child in tree.children(node)
+    ]
+
+
+def lp_value(market, p, p_bar, node) -> float:
+    return vng.dual_cone_violation(market, p, p_bar, node, tol=LP_TOL).value
+
+
+class TestTransitionProof:
+    def test_proved_nodes_pass_the_lp_and_exact_arithmetic(self, solved_set):
+        proved_total = nodes_total = 0
+        for problem, _, dual in solved_set:
+            tree, market = problem.tree, problem.market
+            for t in range(1, tree.horizon + 1):
+                level, p, p_bar = level_prices(dual, tree, t)
+                proved = vng.transition_proved(
+                    market, [node.index for node in level], p, p_bar
+                )
+                nodes_total += len(level)
+                proved_total += int(proved.sum())
+                for k in np.flatnonzero(proved):
+                    node = level[k]
+                    assert lp_value(market, p[k], p_bar[k], node) <= LP_TOL
+                    assert exact_transition_proof(
+                        market, node, p[k], bar_terms(dual, tree, t, node)
+                    ), node.node_id
+        # the proof settles the solved duals, so the LP is the exception
+        assert proved_total >= 0.95 * nodes_total
+
+    def test_random_and_perturbed_pairs_never_accepted_above_lp(self, solved_set):
+        rng = np.random.default_rng(12)
+        accepted = rejected = 0
+
+        def check(market, level, p, p_bar):
+            nonlocal accepted, rejected
+            proved = vng.transition_proved(
+                market, [node.index for node in level], p, p_bar
+            )
+            for k in np.flatnonzero(proved):
+                assert lp_value(market, p[k], p_bar[k], level[k]) <= LP_TOL
+            accepted += int(proved.sum())
+            rejected += int((~proved).sum())
+
+        for problem, _, dual in solved_set[::6]:
+            tree, market = problem.tree, problem.market
+            for t in range(1, tree.horizon + 1):
+                level, p, p_bar = level_prices(dual, tree, t)
+                # perturbed solved pairs, relative noise from tiny to large
+                for scale in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+                    check(
+                        market, level,
+                        p * (1.0 + scale * rng.normal(size=p.shape)),
+                        p_bar * (1.0 + scale * rng.normal(size=p.shape)),
+                    )
+                # random pairs around the proof's boundary: sigma and
+                # sigma - p_bar drawn in and just outside their cones
+                idx = [node.index for node in level]
+                Lp, Lm = market.Lp[idx], market.Lm[idx]
+                beta = market.margins[t] * Lm
+                for _ in range(4):
+                    u = rng.uniform(-0.1, 1.1, p.shape)
+                    w = rng.uniform(-0.1, 1.1, p.shape)
+                    kappa = rng.uniform(0.5, 2.0, (len(idx), 1))
+                    gamma = rng.uniform(0.0, 0.1, (len(idx), 1))
+                    sigma = kappa * (Lp + u * (Lm - Lp))
+                    y = gamma * (Lp + w * (beta - Lp))
+                    check(market, level, market.returns[idx] * sigma, sigma - y)
+        assert accepted > 100 and rejected > 100
+
+    def test_certificate_lists_the_nodes_the_lp_decided(self, solved_set):
+        listed = []
+        for problem, solution, dual in solved_set:
+            tree, market = problem.tree, problem.market
+            cert = vng.verify_rapid(solution.path, dual, tree, market)
+            assert cert.certified
+            open_nodes = []
+            for t in range(1, tree.horizon + 1):
+                level, p, p_bar = level_prices(dual, tree, t)
+                proved = vng.transition_proved(
+                    market, [node.index for node in level], p, p_bar
+                )
+                open_nodes += [level[k].node_id for k in np.flatnonzero(~proved)]
+            assert cert.transition_lp_nodes == open_nodes
+            listed.append(open_nodes)
+        # frictionless kelly: the kappa interval is one point, so rounding in
+        # p / R leaves all three of its nodes to the LP
+        assert listed[50] == ["mid", "up", "down"]
+
+    @pytest.mark.parametrize("cost", [0.0, 0.02])
+    def test_transition_only_failure_keeps_lp_witness(self, cost):
+        tree = vng.build_tree([("r", None, 1.0), ("l", "r", 1.0)], 2)
+        returns = np.array([[np.nan, np.nan], [1.0, 1.0]])
+        lam = np.full((2, 2), cost)
+        market = vng.MarketData(
+            tree=tree, m=2, returns=returns, lam_plus=lam, lam_minus=lam,
+            margins=np.array([2.5, 2.5]),
+        )
+        x0 = np.array([0.5, 0.5])
+        path = [vng.AdaptedVector(0, x0[None, :]), vng.AdaptedVector(1, x0[None, :])]
+        # p_1 lies in the dual cone and prices x0 at 1, but buying asset 1 at
+        # p_1 and holding it is worth p_2 > p_1 next date
+        p = np.array([1.0, 1.2]) / 1.1
+        terminal = np.array([1.0, 1.0])
+        dual = vng.DualPath(
+            prices={1: vng.AdaptedVector(1, p[None, :])},
+            terminal=vng.AdaptedVector(2, terminal[None, :]),
+        )
+        cert = vng.verify_rapid(path, dual, tree, market)
+        assert not cert.certified
+        assert max(
+            cert.max_normalization, cert.max_membership, cert.max_feasibility
+        ) <= 1e-6
+        assert cert.transition_lp_nodes == ["l"]
+        lp = vng.dual_cone_violation(market, p, terminal, "l", tol=1e-6)
+        assert cert.max_transition == lp.value > 1e-6
+        assert cert.witness == {
+            "kind": "transition", "node": "l", "value": lp.value,
+            "pair": (lp.witness_a.tolist(), lp.witness_b.tolist()),
+        }
+        report = vng.check_equivalences(
+            tree, market, path[0], path[1], dual.prices[1], dual.terminal, 1,
+            n_samples=5, tol=1e-6,
+        )
+        assert report.value_IV == lp.value
+        assert not report.passes["IV"] and report.consistent

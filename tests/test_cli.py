@@ -63,6 +63,8 @@ class TestSolveCertify:
         cert = json.loads((workdir / "kelly.certificate.json").read_text())
         assert cert["verdict"] == "certified"
         assert "supermartingale" in cert
+        # frictionless nodes are the ones the closed-form proof leaves open
+        assert cert["transition_lp_nodes"] == ["mid", "up", "down"]
 
     def test_solution_roundtrip_lossless(self, workdir):
         run("solve", "single_asset.json")
@@ -202,6 +204,23 @@ class TestCompare:
         assert run("compare", "kelly.json", "none.json") == 0
         lines = (workdir / "kelly.compare.csv").read_text().splitlines()
         assert len(lines) == 1
+
+    def test_certificate_without_path_is_parse_error(self, workdir):
+        run("solve", "kelly.json")
+        run("certify", "kelly.json", "kelly.solution.json")
+        doc = json.loads((workdir / "kelly.certificate.json").read_text())
+        del doc["path"]
+        (workdir / "kelly.certificate.json").write_text(json.dumps(doc))
+        assert run(
+            "compare", "kelly.json", "strategies.json",
+            "--certificate", "kelly.certificate.json",
+        ) == cli.EXIT_PARSE
+
+    def test_non_numeric_weights_are_parse_error(self, workdir):
+        (workdir / "bad_weights.json").write_text(json.dumps({"strategies": [
+            {"id": "ff", "type": "fixed_fraction", "weights": "abc"},
+        ]}))
+        assert run("compare", "kelly.json", "bad_weights.json") == cli.EXIT_PARSE
 
     def test_lp_failure_exit_code(self, workdir, monkeypatch):
         def boom(*args, **kwargs):

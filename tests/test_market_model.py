@@ -5,7 +5,7 @@ import pytest
 
 import vng
 from conftest import make_instance, two_asset_margin_market
-from oracles import section_grid_min
+from oracles import lift_contains, section_grid_min
 from vng.errors import (
     MarginTooTight,
     NonpositivePrice,
@@ -196,7 +196,7 @@ class TestLifts:
             resid = vng.margin_residual(market, a, node)
             if abs(resid) < 1e-7:
                 continue
-            assert lift.contains(a) == (resid > 0)
+            assert lift_contains(lift, a) == (resid > 0)
             checked += 1
         assert checked > 900
 
@@ -217,20 +217,20 @@ class TestLifts:
             margin = min(verdict.parent_margin, verdict.child_margin, verdict.psi)
             if abs(margin) < 1e-7:
                 continue
-            assert lift.contains(np.concatenate([a, b])) == verdict.member
+            assert lift_contains(lift, np.concatenate([a, b])) == verdict.member
             agree += 1
         assert agree > 1000
 
     def test_zero_vector_in_lift(self):
         market = two_asset_margin_market()
-        assert vng.lift_X(market, "a").contains(np.zeros(2))
+        assert lift_contains(vng.lift_X(market, "a"), np.zeros(2))
 
     def test_nonnegative_orthant_in_lift(self):
         market = two_asset_margin_market()
         lift = vng.lift_X(market, "b")
         rng = np.random.default_rng(8)
         for _ in range(20):
-            assert lift.contains(rng.uniform(0.0, 3.0, 2))
+            assert lift_contains(lift, rng.uniform(0.0, 3.0, 2))
 
 
 class TestDualConeViolation:
