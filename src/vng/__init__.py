@@ -42,8 +42,8 @@ from .market_model import (
     returns_from_prices,
     sample_cone_batch,
     sample_cone_point,
-    sample_transition_pair,
-    transition_frontier,
+    sample_transition_pairs,
+    section_values,
     transition_frontier_batch,
     transition_proved,
     self_financing_value,

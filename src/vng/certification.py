@@ -38,18 +38,11 @@ from .market_model import (
     dual_cone_violation,
     in_Z,
     sample_cone_batch,
-    sample_transition_pair,
-    transition_frontier,
+    sample_transition_pairs,
     transition_frontier_batch,
     transition_proved,
 )
-from .scenario_tree import (
-    AdaptedVector,
-    Node,
-    ScenarioTree,
-    conditional_expectation,
-    node_probability,
-)
+from .scenario_tree import AdaptedVector, ScenarioTree, conditional_expectation
 from .solver import PathProblem, Solution, _kkt_report, assemble
 
 
@@ -107,45 +100,35 @@ def extract_dual(
                 "solution is not converged to tolerance; no dual path extracted"
             )
     tree, market = problem.tree, problem.market
-    m = market.m
+    N, m = tree.horizon, market.m
     lam = np.asarray(solution.multipliers, dtype=float)
 
-    def edge_price_density(node_index: int) -> np.ndarray:
+    def edge_price_density(idx: np.ndarray) -> np.ndarray:
         # Combined multiplier of the two min-form rows, weighted by the
         # selling/buying cost coefficients: the x_parent-direction gradient
         # of the edge block divided by the returns.
-        kp = lam[prog.rows_min_plus(node_index)]
-        km = lam[prog.rows_min_minus(node_index)]
-        return kp * market.Lp[node_index] + km * market.Lm[node_index]
+        plus = prog.row_base[idx, None] + 2 * m + 1 + np.arange(m)
+        return lam[plus] * market.Lp[idx] + lam[plus + m] * market.Lm[idx]
 
     prices: dict[int, AdaptedVector] = {}
-    for t in range(1, tree.horizon + 1):
-        rows = np.zeros((len(tree.level(t)), m))
-        for pos, node in enumerate(tree.level(t)):
-            i = node.index
-            rows[pos] = (
-                market.returns[i] * edge_price_density(i)
-                / node_probability(tree, node)
-            )
-        prices[t] = AdaptedVector(t, rows)
+    for t in range(1, N + 1):
+        idx = tree.indices(t)
+        prices[t] = AdaptedVector(
+            t, market.returns[idx] * edge_price_density(idx) / tree.prob[idx, None]
+        )
 
     # Terminal layer: the objective's supergradient over its value.  At a
     # kink (a terminal coordinate parked exactly at zero) the stationarity
     # identity of the leaf block selects the supergradient consistent with
     # the multipliers, so read it off the same block identities as the
     # interior layers and pin the Euler normalization exactly per leaf.
-    term = np.zeros((len(tree.leaves()), m))
-    x_N = solution.path[tree.horizon]
-    for pos, leaf in enumerate(tree.leaves()):
-        i = leaf.index
-        base = prog.row_base[i]
-        beta = lam[base + m:base + 2 * m]
-        gamma = lam[base + 2 * m]
-        g = (edge_price_density(i) - beta - gamma * market.Lp[i]) / (
-            node_probability(tree, leaf)
-        )
-        term[pos] = g / float(g @ x_N.values[pos])
-    return DualPath(prices=prices, terminal=AdaptedVector(tree.horizon + 1, term))
+    idx = tree.indices(N)
+    base = prog.row_base[idx]
+    beta = lam[base[:, None] + m + np.arange(m)]
+    gamma = lam[base + 2 * m, None]
+    g = (edge_price_density(idx) - beta - gamma * market.Lp[idx]) / tree.prob[idx, None]
+    term = g / np.vecdot(g, solution.path[N].values)[:, None]
+    return DualPath(prices=prices, terminal=AdaptedVector(N + 1, term))
 
 
 @dataclass(frozen=True)
@@ -188,7 +171,7 @@ class RapidityCertificate:
 
 def _transition_level(
     market: MarketData,
-    level: tuple[Node, ...],
+    idx: np.ndarray,
     p: np.ndarray,
     p_bar: np.ndarray,
     tol: float,
@@ -198,11 +181,11 @@ def _transition_level(
     The closed-form proof runs on the whole level; each node it leaves open
     gets the LP, which yields its value and any witness.  Proved nodes read 0.
     """
-    proved = transition_proved(market, [node.index for node in level], p, p_bar)
+    proved = transition_proved(market, idx, p, p_bar)
     checks = [
         DualConeCheck(0.0, None, None) if ok
-        else dual_cone_violation(market, p[k], p_bar[k], node, tol=tol)
-        for k, (node, ok) in enumerate(zip(level, proved))
+        else dual_cone_violation(market, p[k], p_bar[k], int(idx[k]), tol=tol)
+        for k, ok in enumerate(proved)
     ]
     return checks, proved
 
@@ -214,7 +197,13 @@ def verify_rapid(
     market: MarketData,
     tol: float = 1e-6,
 ) -> RapidityCertificate:
-    """Check that the dual path supports the path; refute with a witness."""
+    """Check that the dual path supports the path; refute with a witness.
+
+    Every criterion runs on whole tree levels.  The witness is the first
+    violation above ``tol`` in the order: path feasibility by date, then
+    membership and normalization by date (node by node, membership first),
+    then transitions by date.
+    """
     N = tree.horizon
     if len(path) != N + 1:
         raise ShapeMismatch(f"path must have {N + 1} layers, got {len(path)}")
@@ -230,42 +219,52 @@ def verify_rapid(
     feasibility: dict[str, float] = {}
     witness: dict | None = None
 
-    def note_witness(kind: str, node_id: str, value: float, **extra) -> None:
+    def violation(v: np.ndarray) -> np.ndarray:
+        """A nan residual (from a nan entry) is an unbounded violation."""
+        return np.where(np.isnan(v), np.inf, v)
+
+    def note_witness(t: int, columns: dict[str, np.ndarray], extra) -> None:
+        """Witness at the level's first node above tol, first column first."""
         nonlocal witness
-        if witness is None and value > tol:
-            witness = {"kind": kind, "node": node_id, "value": value, **extra}
+        table = np.column_stack(list(columns.values()))
+        hits = np.argwhere(table > tol)
+        if witness is None and len(hits):
+            k, c = hits[0]
+            witness = {
+                "kind": list(columns)[c], "node": tree.level(t)[k].node_id,
+                "value": float(table[k, c]), **extra(k),
+            }
 
     # The supported object must itself be a path: transition-cone membership
     # of every consecutive pair (a supporting dual says nothing about primal
     # feasibility on its own).
     for t in range(1, N + 1):
-        for node in tree.level(t):
-            res = in_Z(
-                market,
-                path[t - 1].value_at(tree, tree.parent(node)),
-                path[t].value_at(tree, node),
-                node,
-                tol=tol,
-            )
-            viol = max(0.0, -min(res.parent_margin, res.child_margin, res.psi))
-            feasibility[node.node_id] = viol
-            note_witness("path_feasibility", node.node_id, viol, layer=t)
+        res = in_Z(
+            market, path[t - 1].values[tree.up(t)], path[t].values,
+            tree.indices(t), tol=tol,
+        )
+        worst = np.minimum(np.minimum(res.parent_margin, res.child_margin), res.psi)
+        viol = violation(np.maximum(0.0, -worst))
+        feasibility.update(zip((n.node_id for n in tree.level(t)), viol.tolist()))
+        note_witness(t, {"path_feasibility": viol}, lambda k, t=t: {"layer": t})
 
     # (p-X) membership and the supporting normalization p_{t+1} x_t = 1.
     for t in range(1, N + 2):
-        p_t = dual.price(t, N)
-        for node in tree.level(min(t, N)):
-            p = p_t.value_at(tree, node)
-            cone_node = node if t == N + 1 else tree.parent(node)
-            viol = max(0.0, -dual_cone_residual(market, p, cone_node))
-            key = f"p_{t}@{node.node_id}"
-            membership[key] = viol
-            note_witness("dual_cone_membership", node.node_id, viol, layer=t)
-
-            x_prev = path[t - 1].value_at(tree, node if t == N + 1 else tree.parent(node))
-            resid = abs(float(p @ x_prev) - 1.0)
-            normalization[t - 1] = max(normalization[t - 1], resid)
-            note_witness("normalization", node.node_id, resid, layer=t)
+        p = dual.price(t, N).values
+        if t == N + 1:
+            cone_nodes, x_prev = tree.indices(N), path[N].values
+        else:
+            cone_nodes = tree.parents[tree.indices(t)]
+            x_prev = path[t - 1].values[tree.up(t)]
+        viol = violation(np.maximum(0.0, -dual_cone_residual(market, p, cone_nodes)))
+        level = tree.level(min(t, N))
+        membership.update(zip((f"p_{t}@{n.node_id}" for n in level), viol.tolist()))
+        resid = violation(np.abs(np.vecdot(p, x_prev) - 1.0))
+        normalization[t - 1] = max(0.0, float(resid.max()))
+        note_witness(
+            min(t, N), {"dual_cone_membership": viol, "normalization": resid},
+            lambda k, t=t: {"layer": t},
+        )
 
     # (dual-path): certify sup { p_bar b - p a } <= 0 at every node, in closed
     # form where the proof holds and by LP elsewhere.
@@ -273,18 +272,17 @@ def verify_rapid(
     for t in range(1, N + 1):
         level = tree.level(t)
         checks, proved = _transition_level(
-            market, level, dual.price(t, N).values, dual.bar(tree, t).values, tol
+            market, tree.indices(t), dual.price(t, N).values,
+            dual.bar(tree, t).values, tol,
         )
-        for node, check, ok in zip(level, checks, proved):
-            if not ok:
-                lp_nodes.append(node.node_id)
-            transition[node.node_id] = check.value
-            note_witness(
-                "transition", node.node_id, check.value,
-                pair=None if check.witness_a is None else (
-                    check.witness_a.tolist(), check.witness_b.tolist()
-                ),
-            )
+        lp_nodes += [node.node_id for node, ok in zip(level, proved) if not ok]
+        transition.update((node.node_id, c.value) for node, c in zip(level, checks))
+        note_witness(
+            t, {"transition": np.array([c.value for c in checks])},
+            lambda k: {"pair": None if checks[k].witness_a is None else (
+                checks[k].witness_a.tolist(), checks[k].witness_b.tolist()
+            )},
+        )
 
     certified = (
         max(normalization) <= tol
@@ -325,34 +323,19 @@ def supermartingale_check(
     N = tree.horizon
     if len(y) != N + 1:
         raise ShapeMismatch(f"path must have {N + 1} layers, got {len(y)}")
-    worst1 = 0.0
-    worst2 = 0.0
-    gap = 0.0
+    bars = [dual.bar(tree, t).values for t in range(N + 1)]
+    worst1 = worst2 = gap = 0.0
     for t in range(1, N + 1):
-        p_t = dual.price(t, N)
-        bar_next = dual.bar(tree, t)
-        for node in tree.level(t):
-            lhs = float(bar_next.value_at(tree, node) @ y[t].value_at(tree, node))
-            rhs = float(
-                p_t.value_at(tree, node) @ y[t - 1].value_at(tree, tree.parent(node))
-            )
-            worst1 = max(worst1, lhs - rhs)
-            gap = max(gap, abs(lhs - rhs))
-        bar_t = dual.bar(tree, t - 1) if t >= 2 else None
-        for q in tree.level(t - 1):
-            lhs = sum(
-                child.cond_prob
-                * float(bar_next.value_at(tree, child) @ y[t].value_at(tree, child))
-                for child in tree.children(q)
-            )
-            if t >= 2:
-                rhs = float(bar_t.value_at(tree, q) @ y[t - 1].value_at(tree, q))
-            else:
-                # depth 0: conditioning is plain expectation against p_1-bar
-                rhs = float(
-                    dual.bar(tree, 0).value_at(tree, q) @ y[0].value_at(tree, q)
-                )
-            worst2 = max(worst2, lhs - rhs)
+        up = tree.up(t)
+        lhs = np.vecdot(bars[t], y[t].values)
+        diff = lhs - np.vecdot(dual.price(t, N).values, y[t - 1].values[up])
+        worst1 = max(worst1, float(diff.max()))
+        gap = max(gap, float(np.abs(diff).max()))
+        # one date earlier: E_{t-1}[p_bar_{t+1} y_t] against p_bar_t y_{t-1}
+        lhs_prev = np.zeros(len(bars[t - 1]))
+        np.add.at(lhs_prev, up, tree.cond_prob[tree.span(t)] * lhs)
+        diff = lhs_prev - np.vecdot(bars[t - 1], y[t - 1].values)
+        worst2 = max(worst2, float(diff.max()))
     return SupermartingaleReport(first_form=worst1, second_form=worst2, equality_gap=gap)
 
 
@@ -380,21 +363,17 @@ def growth_dominance(
     N = tree.horizon
     entries: list[GrowthEntry] = []
     for t in range(1, N + 1):
-        p_t = dual.price(t, N)
-        bar_next = dual.bar(tree, t)
-        for node in tree.level(t):
-            den = float(
-                p_t.value_at(tree, node) @ y[t - 1].value_at(tree, tree.parent(node))
+        level = tree.level(t)
+        den = np.vecdot(dual.price(t, N).values, y[t - 1].values[tree.up(t)])
+        num = np.vecdot(dual.bar(tree, t).values, y[t].values)
+        bad = den <= 0.0
+        if on_nonpositive == "raise" and bad.any():
+            k = int(np.argmax(bad))
+            raise NonpositiveDenominator(
+                f"p_{t} . y_{t - 1} = {float(den[k])!r} at node {level[k].node_id!r}"
             )
-            num = float(bar_next.value_at(tree, node) @ y[t].value_at(tree, node))
-            if den <= 0.0:
-                if on_nonpositive == "raise":
-                    raise NonpositiveDenominator(
-                        f"p_{t} . y_{t - 1} = {den!r} at node {node.node_id!r}"
-                    )
-                entries.append(GrowthEntry(t, node.node_id, float("nan")))
-            else:
-                entries.append(GrowthEntry(t, node.node_id, num / den))
+        ratio = np.where(bad, np.nan, num / np.where(bad, 1.0, den))
+        entries += [GrowthEntry(t, n.node_id, r) for n, r in zip(level, ratio.tolist())]
     return entries
 
 
@@ -443,6 +422,11 @@ class EquivalenceReport:
         return sampled_fail
 
 
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Row sums added left to right from 0.0, as a Python loop over nodes adds."""
+    return np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)[:, -1]
+
+
 def check_equivalences(
     tree: ScenarioTree,
     market: MarketData,
@@ -466,101 +450,57 @@ def check_equivalences(
     """
     rng = np.random.default_rng(seed)
     N = tree.horizon
-    level = tree.level(t)
-    if p_next.depth == N + 1:
-        bar = AdaptedVector(N, p_next.values.copy())
-    else:
-        bar = conditional_expectation(tree, p_next)
+    idx, up = tree.indices(t), tree.up(t)
+    bar = conditional_expectation(tree, p_next)  # p_next itself at the last date
 
-    pre_norm = 0.0
-    pre_member = 0.0
-    for node in level:
-        p = p_t.value_at(tree, node)
-        parent = tree.parent(node)
-        pre_norm = max(
-            pre_norm, abs(float(p @ x_prev.value_at(tree, parent)) - 1.0)
-        )
-        pre_member = max(pre_member, -dual_cone_residual(market, p, parent))
-    for node in level:
-        q = p_next.value_at(tree, node) if p_next.depth == N + 1 else None
-        if q is not None:
-            pre_member = max(pre_member, -dual_cone_residual(market, q, node))
-    if p_next.depth != N + 1:
-        for node in tree.level(t + 1):
-            pre_norm = max(
-                pre_norm,
-                abs(float(p_next.value_at(tree, node)
-                          @ x_curr.value_at(tree, tree.parent(node))) - 1.0),
-            )
-            pre_member = max(
-                pre_member,
-                -dual_cone_residual(
-                    market, p_next.value_at(tree, node), tree.parent(node)
-                ),
-            )
+    P = p_t.values
+    norms = [np.vecdot(P, x_prev.values[up])]
+    members = [dual_cone_residual(market, P, tree.parents[idx])]
+    if p_next.depth == N + 1:
+        members.append(dual_cone_residual(market, p_next.values, idx))
+    else:
+        below = tree.indices(t + 1)
+        norms.append(np.vecdot(p_next.values, x_curr.values[tree.up(t + 1)]))
+        members.append(dual_cone_residual(market, p_next.values, tree.parents[below]))
+    pre_norm = max(0.0, float(np.abs(np.concatenate(norms) - 1.0).max()))
+    pre_member = max(0.0, -float(np.concatenate(members).min()))
 
     # (IV): exact per-node value, collecting LP witnesses for the sampled forms.
-    checks, _ = _transition_level(market, level, p_t.values, bar.values, tol)
+    checks, _ = _transition_level(market, idx, P, bar.values, tol)
     value_iv = max(check.value for check in checks)
-    witnesses = {
-        node.index: (check.witness_a, check.witness_b)
-        for node, check in zip(level, checks)
-        if check.witness_a is not None
-    }
 
-    equality_pairs = {
-        node.index: (
-            x_prev.value_at(tree, tree.parent(node)).copy(),
-            x_curr.value_at(tree, node).copy(),
-        )
-        for node in level
-    }
+    # Sampled transition pairs, one (n, m) row block per sample: the solved
+    # pair, the LP witnesses added to it, then random pairs.
+    eq_a, eq_b = x_prev.values[up], x_curr.values
+    samples = [(eq_a, eq_b)]
+    lp_hit = [k for k, check in enumerate(checks) if check.witness_a is not None]
+    if lp_hit:
+        mix_a, mix_b = eq_a.copy(), eq_b.copy()
+        for k in lp_hit:
+            mix_a[k] = checks[k].witness_a + eq_a[k]
+            mix_b[k] = checks[k].witness_b + eq_b[k]
+        samples.append((mix_a, mix_b))
+    for _ in range(max(1, n_samples - 2)):
+        a, b = sample_transition_pairs(market, idx, rng)
+        # keep the denominator positive where the dual allows it
+        flip = np.vecdot(P, a) <= 0.0
+        a[flip] += eq_a[flip]
+        b[flip] += eq_b[flip]
+        samples.append((a, b))
 
-    def assignments():
-        yield equality_pairs
-        if witnesses:
-            mixed = dict(equality_pairs)
-            for idx, (wa, wb) in witnesses.items():
-                ea, eb = equality_pairs[idx]
-                mixed[idx] = (wa + ea, wb + eb)
-            yield mixed
-        n_rand = max(1, n_samples - 2)
-        for _ in range(n_rand):
-            sample = {}
-            for node in level:
-                a, b = sample_transition_pair(market, node, rng)
-                ea, eb = equality_pairs[node.index]
-                # keep the denominator positive where the dual allows it
-                if float(p_t.value_at(tree, node) @ a) <= 0.0:
-                    a, b = a + ea, b + eb
-                sample[node.index] = (a, b)
-            yield sample
-
-    value_i = -np.inf
-    value_ii = -np.inf
-    value_iii = -np.inf
-    dropped = set()
-    count = 0
-    for sample in assignments():
-        count += 1
-        e_ratio = 0.0
-        e_log = 0.0
-        e_diff = 0.0
-        for node in level:
-            a, b = sample[node.index]
-            prob = node_probability(tree, node)
-            pa = float(p_t.value_at(tree, node) @ a)
-            pb = float(bar.value_at(tree, node) @ b)
-            e_diff += prob * (pb - pa)
-            if pa <= 0.0:
-                dropped.add(node.index)
-                continue
-            ratio = pb / pa
-            e_ratio += prob * ratio
-            e_log += prob * (np.log(ratio) if ratio > 0 else -np.inf)
-        value_i = max(value_i, e_ratio - 1.0)
-        value_ii = max(value_ii, e_log)
-        value_iii = max(value_iii, e_diff)
+    pa = np.vecdot(P, np.stack([a for a, _ in samples]))
+    pb = np.vecdot(bar.values, np.stack([b for _, b in samples]))
+    prob = tree.prob[idx]
+    kept = ~(pa <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = pb / pa
+        log_ratio = np.where(ratio > 0, np.log(ratio), -np.inf)
+    e_ratio = _ordered_sum(np.where(kept, prob * ratio, 0.0))
+    e_log = _ordered_sum(np.where(kept, prob * log_ratio, 0.0))
+    e_diff = _ordered_sum(prob * (pb - pa))
+    value_i = max([-np.inf] + (e_ratio - 1.0).tolist())
+    value_ii = max([-np.inf] + e_log.tolist())
+    value_iii = max([-np.inf] + e_diff.tolist())
 
     return EquivalenceReport(
         t=t,
@@ -569,8 +509,8 @@ def check_equivalences(
         value_III=float(value_iii),
         value_IV=float(value_iv),
         tol=tol,
-        samples=count,
-        dropped_nodes=len(dropped),
+        samples=len(samples),
+        dropped_nodes=int((~kept.all(axis=0)).sum()),
         precondition_normalization=pre_norm,
         precondition_membership=max(0.0, pre_member),
     )
@@ -591,29 +531,24 @@ def prop4_reconstruct(
     positive.
     """
     N = tree.horizon
-    prices: dict[int, AdaptedVector] = {}
-    for t in range(1, N + 1):
-        src = l_seq.price(t, N)
-        rows = np.zeros_like(src.values)
-        for pos, node in enumerate(tree.level(t)):
-            denom = float(
-                src.value_at(tree, node) @ path[t - 1].value_at(tree, tree.parent(node))
-            )
-            if denom <= 1e-300:
-                raise ZeroDenominator(
-                    f"l_{t} . x_{t - 1} = {denom!r} at node {node.node_id!r}"
-                )
-            rows[pos] = src.values[pos] / denom
-        prices[t] = AdaptedVector(t, rows)
-    term_rows = np.zeros_like(l_seq.terminal.values)
-    for pos, leaf in enumerate(tree.leaves()):
-        denom = float(l_seq.terminal.values[pos] @ path[N].values[pos])
-        if denom <= 1e-300:
+
+    def normalized(t: int, src: np.ndarray, x_prev: np.ndarray) -> AdaptedVector:
+        denom = np.vecdot(src, x_prev)
+        bad = np.flatnonzero(denom <= 1e-300)
+        if bad.size:
+            node = tree.level(min(t, N))[bad[0]]
             raise ZeroDenominator(
-                f"l_{N + 1} . x_{N} = {denom!r} at leaf {leaf.node_id!r}"
+                f"l_{t} . x_{t - 1} = {float(denom[bad[0]])!r} at "
+                f"{'leaf' if t > N else 'node'} {node.node_id!r}"
             )
-        term_rows[pos] = l_seq.terminal.values[pos] / denom
-    dual = DualPath(prices=prices, terminal=AdaptedVector(N + 1, term_rows))
+        return AdaptedVector(t, src / denom[:, None])
+
+    prices = {
+        t: normalized(t, l_seq.price(t, N).values, path[t - 1].values[tree.up(t)])
+        for t in range(1, N + 1)
+    }
+    terminal = normalized(N + 1, l_seq.terminal.values, path[N].values)
+    dual = DualPath(prices=prices, terminal=terminal)
     return dual, verify_rapid(path, dual, tree, market, tol)
 
 
@@ -630,23 +565,27 @@ def sample_competitor_paths(
     """``count`` random feasible paths from ``start``.
 
     At every node each path picks a random cone direction and scales it
-    inside the self-financing frontier of its own parent state; the frontier
-    bisections run vectorized across paths.
+    inside the self-financing frontier of its own parent state.  The draws go
+    node by node; the frontier bisection runs once per level, over every
+    path and node of it.
     """
     start = np.asarray(start, dtype=float)
+    m = market.m
     levels: list[np.ndarray] = [np.tile(start, (count, 1, 1))]
     constants = market.constants()
     for t in range(1, tree.horizon + 1):
-        nodes = tree.level(t)
-        rows = np.zeros((count, len(nodes), market.m))
-        for pos, node in enumerate(nodes):
-            parent_pos = tree.level_position(tree.parent(node))
-            A = levels[t - 1][:, parent_pos, :]
-            D = sample_cone_batch(market, node, rng, count)
-            c_max = transition_frontier_batch(market, A, D, node, constants)
-            fill = rng.uniform(0.0, max_fill, count)
-            rows[:, pos, :] = (fill * c_max)[:, None] * D
-        levels.append(rows)
+        idx = tree.indices(t)
+        D = np.zeros((count, len(idx), m))
+        fill = np.zeros((count, len(idx)))
+        for k, i in enumerate(idx):  # draws node by node: direction, then fill
+            D[:, k] = sample_cone_batch(market, i, rng, count)
+            fill[:, k] = rng.uniform(0.0, max_fill, count)
+        c_max = transition_frontier_batch(
+            market, levels[t - 1][:, tree.up(t)].reshape(-1, m), D.reshape(-1, m),
+            np.tile(idx, count), constants,
+        )
+        rows = (fill.ravel() * c_max)[:, None] * D.reshape(-1, m)
+        levels.append(rows.reshape(count, len(idx), m))
     return [
         [AdaptedVector(t, levels[t][k]) for t in range(tree.horizon + 1)]
         for k in range(count)
@@ -670,11 +609,8 @@ def buy_and_hold_path(
     """Hold the initial positions; values compound by the nodewise returns."""
     path = [AdaptedVector(0, np.asarray(start, float)[None, :])]
     for t in range(1, tree.horizon + 1):
-        rows = np.zeros((len(tree.level(t)), market.m))
-        for pos, node in enumerate(tree.level(t)):
-            a = path[t - 1].value_at(tree, tree.parent(node))
-            rows[pos] = market.returns[node.index] * a
-        path.append(AdaptedVector(t, rows))
+        held = path[t - 1].values[tree.up(t)]
+        path.append(AdaptedVector(t, market.returns[tree.span(t)] * held))
     return path
 
 
@@ -689,10 +625,9 @@ def fixed_fraction_path(
     weights = np.asarray(weights, dtype=float)
     path = [AdaptedVector(0, np.asarray(start, float)[None, :])]
     for t in range(1, tree.horizon + 1):
-        rows = np.zeros((len(tree.level(t)), market.m))
-        for pos, node in enumerate(tree.level(t)):
-            a = path[t - 1].value_at(tree, tree.parent(node))
-            c = transition_frontier(market, a, weights, node)
-            rows[pos] = fill * c * weights
-        path.append(AdaptedVector(t, rows))
+        A = path[t - 1].values[tree.up(t)]
+        c = transition_frontier_batch(
+            market, A, np.tile(weights, (len(A), 1)), tree.indices(t)
+        )
+        path.append(AdaptedVector(t, (fill * c)[:, None] * weights))
     return path

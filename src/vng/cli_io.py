@@ -60,7 +60,7 @@ from .objectives import (
     TerminalObjective,
     log_objective,
 )
-from .scenario_tree import AdaptedVector, ScenarioTree, build_tree, node_probability
+from .scenario_tree import AdaptedVector, ScenarioTree, build_tree
 from .solver import (
     KktResiduals,
     PathProblem,
@@ -83,20 +83,56 @@ EXIT_LP = 6
 
 # --- parsing helpers -------------------------------------------------------------
 
-def _need(section: dict, key: str, where: str):
+def _need(section, key: str, where: str, kind: type | None = None):
+    """``section[key]``, which must exist (and be a ``kind`` when given)."""
+    if not isinstance(section, dict):
+        raise ParseError(f"{where}: expected an object, got {type(section).__name__}")
     if key not in section:
         raise ParseError(f"{where}: missing field {key!r}")
-    return section[key]
+    value = section[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ParseError(
+            f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
-def _vector(value, m: int, where: str) -> np.ndarray:
+def _number(value, where: str, kind: type = float):
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: expected a number: {exc}") from exc
+    if not np.isfinite(out):
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    return out
+
+
+def _array(value, where: str) -> np.ndarray:
+    """Finite floats; null entries (which numpy reads as nan) are rejected."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: expected {m} numbers: {exc}") from exc
+        raise ParseError(f"{where}: expected numbers: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{where}: expected finite numbers")
+    return arr
+
+
+def _vector(value, m: int, where: str) -> np.ndarray:
+    arr = _array(value, where)
     if arr.shape != (m,):
         raise ParseError(f"{where}: expected {m} numbers, got shape {arr.shape}")
     return arr
+
+
+def _read_json(path: str, what: str):
+    """Raw bytes and parsed document of a JSON file; unreadable files are parse errors."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return raw, json.loads(raw.decode("utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _per_node_table(
@@ -108,10 +144,12 @@ def _per_node_table(
         for node in nodes:
             if node.node_id not in spec:
                 raise ParseError(f"{where}: node {node.node_id!r}: missing entry")
-            val = np.asarray(spec[node.node_id], dtype=float)
-            out[node.index] = val if val.shape == (m,) else np.full(m, float(val))
+            val = _array(spec[node.node_id], f"{where}[{node.node_id}]")
+            if val.shape != (m,) and val.size != 1:
+                raise ParseError(f"{where}[{node.node_id}]: expected scalar or {m}-vector")
+            out[node.index] = val if val.shape == (m,) else val.item()
         return out
-    val = np.asarray(spec, dtype=float)
+    val = _array(spec, where)
     if val.ndim == 0:
         out[:] = float(val)
     elif val.shape == (m,):
@@ -124,7 +162,7 @@ def _per_node_table(
 def build_objective(
     tree: ScenarioTree, market: MarketData, section: dict
 ) -> TerminalObjective:
-    variant = _need(section, "variant", "objective").lower()
+    variant = _need(section, "variant", "objective", str).lower()
     if variant == "linear":
         return LinearObjective(tree, market, q=section.get("q"))
     if variant == "liquidation":
@@ -143,27 +181,30 @@ def build_objective(
 
 def parse_problem_dict(doc: dict) -> PathProblem:
     """Validate a problem document; errors carry node id and field."""
+    if not isinstance(doc, dict):
+        raise ParseError("problem: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )
-    tree_sec = _need(doc, "tree", "problem")
+    tree_sec = _need(doc, "tree", "problem", dict)
     raw_nodes = []
-    for entry in _need(tree_sec, "nodes", "tree"):
-        nid = _need(entry, "id", "tree.nodes[]")
-        raw_nodes.append((str(nid), entry.get("parent"), float(entry.get("prob", 1.0))))
+    for entry in _need(tree_sec, "nodes", "tree", list):
+        nid = str(_need(entry, "id", "tree.nodes[]"))
+        parent = entry.get("parent")
+        if parent is not None and not isinstance(parent, str):
+            raise ParseError(f"tree.nodes[{nid}]: parent must be a node id")
+        prob = _number(entry.get("prob", 1.0), f"tree.nodes[{nid}].prob")
+        raw_nodes.append((nid, parent, prob))
 
-    market_sec = _need(doc, "market", "problem")
-    m = int(_need(market_sec, "assets", "market"))
+    market_sec = _need(doc, "market", "problem", dict)
+    m = _number(_need(market_sec, "assets", "market"), "market.assets", int)
     try:
         tree = build_tree(raw_nodes, m)
-    except MarginTooTight:
-        raise
     except VngError as exc:
         raise ParseError(f"tree: {exc}") from exc
 
-    margins_spec = _need(market_sec, "margins", "market")
-    margins = np.asarray(margins_spec, dtype=float)
+    margins = _array(_need(market_sec, "margins", "market"), "market.margins")
     if margins.ndim == 0:
         margins = np.full(tree.horizon + 1, float(margins))
     if margins.shape != (tree.horizon + 1,):
@@ -175,7 +216,7 @@ def parse_problem_dict(doc: dict) -> PathProblem:
     try:
         if "returns" in market_sec:
             returns = np.full((tree.n_nodes, m), np.nan)
-            table = market_sec["returns"]
+            table = _need(market_sec, "returns", "market", dict)
             for node in non_root:
                 if node.node_id not in table:
                     raise ParseError(
@@ -186,7 +227,7 @@ def parse_problem_dict(doc: dict) -> PathProblem:
                 )
         elif "prices" in market_sec:
             prices = np.zeros((tree.n_nodes, m))
-            table = market_sec["prices"]
+            table = _need(market_sec, "prices", "market", dict)
             for node in tree.nodes:
                 if node.node_id not in table:
                     raise ParseError(
@@ -211,7 +252,9 @@ def parse_problem_dict(doc: dict) -> PathProblem:
             tree=tree, m=m, returns=returns,
             lam_plus=lam_plus, lam_minus=lam_minus, margins=margins,
         )
-        objective = build_objective(tree, market, _need(doc, "objective", "problem"))
+        objective = build_objective(
+            tree, market, _need(doc, "objective", "problem", dict)
+        )
         x0 = _vector(
             _need(doc, "initial_portfolio", "problem"), m, "initial_portfolio"
         )
@@ -220,31 +263,31 @@ def parse_problem_dict(doc: dict) -> PathProblem:
         raise
     except InfeasibleStart as exc:
         raise ParseError(f"initial_portfolio: {exc}") from exc
-    except (VngError, ValueError) as exc:
+    except (VngError, ValueError, TypeError) as exc:  # objective options of a wrong type
         raise ParseError(str(exc)) from exc
 
 
 def load_problem(path: str) -> tuple[PathProblem, bytes, dict]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        doc = json.loads(raw.decode("utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    raw, doc = _read_json(path, "problem")
     return parse_problem_dict(doc), raw, doc
 
 
 def solve_options_from(doc: dict, args: argparse.Namespace) -> SolveOptions:
     section = doc.get("solver", {})
-    tol = args.tol if getattr(args, "tol", None) is not None else section.get("tol", 1e-8)
-    max_iter = (
-        args.max_iter if getattr(args, "max_iter", None) is not None
-        else section.get("max_iter", 2000)
+    if not isinstance(section, dict):
+        raise ParseError("solver: expected an object")
+
+    def option(name: str, default, kind: type):
+        value = getattr(args, name, None)
+        if value is None:
+            value = section.get(name, default)
+        return _number(value, f"solver.{name}", kind)
+
+    return SolveOptions(
+        tol=option("tol", 1e-8, float),
+        max_iter=option("max_iter", 2000, int),
+        seed=option("seed", 0, int),
     )
-    seed = args.seed if getattr(args, "seed", None) is not None else section.get("seed", 0)
-    return SolveOptions(tol=float(tol), max_iter=int(max_iter), seed=int(seed))
 
 
 # --- serialization ----------------------------------------------------------------
@@ -341,8 +384,8 @@ def solution_from_doc(doc: dict, problem: PathProblem) -> Solution:
     return Solution(
         path=_path_from_dict(tree, doc["path"], m),
         objective_value=float(doc["objective_value"]),
-        z=np.asarray(doc["z"], dtype=float),
-        multipliers=np.asarray(doc["multipliers"], dtype=float),
+        z=_array(doc["z"], "solution.z"),
+        multipliers=_array(doc["multipliers"], "solution.multipliers"),
         residuals=KktResiduals(
             primal=float(res["primal"]),
             stationarity=float(res["stationarity"]),
@@ -491,11 +534,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _load_solution(args, problem: PathProblem, raw: bytes) -> tuple[Solution, str]:
-    try:
-        with open(args.solution, "rb") as fh:
-            sdoc = json.loads(fh.read().decode("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read solution {args.solution}: {exc}") from exc
+    _, sdoc = _read_json(args.solution, "solution")
     try:
         opts = sdoc["options"]
         options = SolveOptions(
@@ -568,7 +607,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def _strategy_path(
     spec: dict, problem: PathProblem, rapid: list[AdaptedVector]
 ) -> list[AdaptedVector]:
-    kind = _need(spec, "type", "strategy").lower()
+    kind = _need(spec, "type", "strategy", str).lower()
     tree, market = problem.tree, problem.market
     if kind == "rapid":
         return rapid
@@ -580,28 +619,24 @@ def _strategy_path(
         )
         return fixed_fraction_path(tree, market, problem.x0, weights)
     if kind == "path":
-        return _path_from_dict(tree, _need(spec, "values", "strategy"), market.m)
+        return _path_from_dict(tree, _need(spec, "values", "strategy", dict), market.m)
     raise ParseError(f"strategy: unknown type {kind!r}")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     problem, raw, doc = load_problem(args.problem)
-    try:
-        with open(args.strategies, "rb") as fh:
-            strat_doc = json.loads(fh.read().decode("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read strategies {args.strategies}: {exc}") from exc
+    _, strat_doc = _read_json(args.strategies, "strategies")
+    if not isinstance(strat_doc, dict):
+        raise ParseError(f"strategies {args.strategies}: expected a JSON object")
     strategies = strat_doc.get("strategies", [])
+    if not isinstance(strategies, list):
+        raise ParseError(f"strategies {args.strategies}: 'strategies' is not a list")
 
     options = solve_options_from(doc, args)
     if args.certificate:
-        try:
-            with open(args.certificate, "rb") as fh:
-                cdoc = json.loads(fh.read().decode("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(
-                f"cannot read certificate {args.certificate}: {exc}"
-            ) from exc
+        _, cdoc = _read_json(args.certificate, "certificate")
+        if not isinstance(cdoc, dict):
+            raise ParseError(f"certificate {args.certificate}: expected a JSON object")
         if cdoc.get("digest") != digest_of(raw, options):
             raise DigestMismatch("certificate does not match this problem file")
         if cdoc.get("verdict") != "certified":
@@ -637,9 +672,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for t in range(1, problem.tree.horizon + 1):
             level = [e for e in entries if e.t == t]
             ratios = np.array([e.ratio for e in level])
-            probs = np.array(
-                [node_probability(problem.tree, e.node_id) for e in level]
-            )
+            probs = problem.tree.prob[problem.tree.span(t)]
             cond = probs / probs.sum()
             rows.append(
                 (

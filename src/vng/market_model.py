@@ -19,8 +19,10 @@ componentwise-minimal split attains the defining value.  The lifts pose the
 dual transition inequality as a small linear program; ``transition_proved``
 settles it in closed form wherever the prices allow.
 
-Everything here is a pure function of immutable data; per-node operations are
-independent.  The LP sub-solver (scipy's HiGHS) is re-entrant.
+Everything here is a pure function of immutable data.  The cone tests work on
+rows: an ``(n, m)`` array of portfolios or prices together with the ``n``
+node indices they sit at, so a whole tree level (or any mix of nodes) is one
+call.  The LP sub-solver (scipy's HiGHS) is re-entrant.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import (
     NonpositivePrice,
     NotInCone,
     PreconditionViolated,
+    UnknownNode,
 )
 from .scenario_tree import AdaptedVector, Node, ScenarioTree
 
@@ -87,9 +90,7 @@ class MarketData:
             raise ValueError("selling cost rates must lie in [0, 1)")
         if np.any(self.lam_minus < 0):
             raise ValueError("buying cost rates must be nonnegative")
-        root = self.tree.root.index
-        non_root = [i for i in range(n) if i != root]
-        if non_root and np.any(self.returns[non_root] <= 0):
+        if np.any(self.returns[self.tree.parents >= 0] <= 0):
             raise NonpositivePrice("gross returns must be strictly positive")
         bad = [t for t, mu in enumerate(margins) if not mu > 1.0]
         if bad:
@@ -117,7 +118,7 @@ class MarketData:
             L_lo = np.zeros(N + 1)
             L_hi = np.zeros(N + 1)
             for t in range(N + 1):
-                idx = [n.index for n in self.tree.level(t)]
+                idx = self.tree.span(t)
                 L_lo[t] = self.Lp[idx].min()
                 L_hi[t] = self.Lm[idx].max()
                 if t >= 1:
@@ -133,12 +134,24 @@ class MarketData:
             self._cache["constants"] = market_constants(self)
         return self._cache["constants"]
 
-    def _check_dim(self, *vecs: np.ndarray) -> None:
-        for v in vecs:
-            if np.shape(v) != (self.m,):
+    def _rows(self, nodes, *arrays) -> tuple[np.ndarray, ...]:
+        """Node indices and ``(n, m)`` float arrays, one row per index."""
+        idx = np.asarray(nodes, dtype=int)
+        if idx.ndim != 1 or (
+            idx.size and (idx.min() < 0 or idx.max() >= self.tree.n_nodes)
+        ):
+            raise UnknownNode(f"expected a vector of node indices, got {nodes!r}")
+        out = [np.asarray(a, dtype=float) for a in arrays]
+        for a in out:
+            if a.shape != (len(idx), self.m):
                 raise DimensionMismatch(
-                    f"expected vectors of length {self.m}, got shape {np.shape(v)}"
+                    f"expected ({len(idx)}, {self.m}) rows, got shape {a.shape}"
                 )
+        return (idx, *out)
+
+    def _non_root(self, idx: np.ndarray) -> None:
+        if np.any(self.tree.parents[idx] < 0):
+            raise DimensionMismatch("transition cones live on depth >= 1 nodes")
 
 
 def returns_from_prices(tree: ScenarioTree, prices: np.ndarray) -> np.ndarray:
@@ -150,61 +163,55 @@ def returns_from_prices(tree: ScenarioTree, prices: np.ndarray) -> np.ndarray:
     if np.any(prices <= 0):
         raise NonpositivePrice("all prices must be strictly positive")
     out = np.full_like(prices, np.nan)
-    for node in tree.nodes:
-        if node.parent is not None:
-            out[node.index] = prices[node.index] / prices[node.parent]
+    out[1:] = prices[1:] / prices[tree.parents[1:]]
     return out
 
 
-def margin_residual(market: MarketData, a: np.ndarray, node: int | str | Node) -> float:
-    """Margin slack of ``a`` at the node's cone; ``a`` is a member iff >= 0."""
-    node = market.tree.node(node)
-    a = np.asarray(a, dtype=float)
-    market._check_dim(a)
-    mu = market.margins[node.depth]
-    i = node.index
-    return float(market.Lp[i] @ _pos(a) - mu * (market.Lm[i] @ _neg(a)))
+# Row dots use np.vecdot: it rounds like one ``x @ y`` per row.
+
+def margin_residual(market: MarketData, A: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Margin slack of each row of ``A`` at its node's cone; members read >= 0.
+
+    ``A`` is ``(n, m)`` and ``nodes`` holds the ``n`` node indices.
+    """
+    idx, A = market._rows(nodes, A)
+    mu = market.margins[market.tree.depth[idx]]
+    return np.vecdot(market.Lp[idx], _pos(A)) - mu * np.vecdot(market.Lm[idx], _neg(A))
 
 
 def self_financing_value(
-    market: MarketData, a: np.ndarray, b: np.ndarray, node: int | str | Node
-) -> float:
-    """psi_t(a, b) at the node: cash released by rebalancing a into b."""
-    node = market.tree.node(node)
-    if node.parent is None:
-        raise DimensionMismatch("self-financing values live on depth >= 1 nodes")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    market._check_dim(a, b)
-    i = node.index
-    d = market.returns[i] * a - b
-    return float(market.Lp[i] @ _pos(d) - market.Lm[i] @ _neg(d))
+    market: MarketData, A: np.ndarray, B: np.ndarray, nodes: np.ndarray
+) -> np.ndarray:
+    """psi_t(a, b) per row: cash released by rebalancing row a into row b."""
+    idx, A, B = market._rows(nodes, A, B)
+    market._non_root(idx)
+    d = market.returns[idx] * A - B
+    return np.vecdot(market.Lp[idx], _pos(d)) - np.vecdot(market.Lm[idx], _neg(d))
 
 
 @dataclass(frozen=True)
 class ZMembership:
-    member: bool
-    parent_margin: float
-    child_margin: float
-    psi: float
+    """Per-row transition-cone membership and its raw residual triple."""
+
+    member: np.ndarray
+    parent_margin: np.ndarray
+    child_margin: np.ndarray
+    psi: np.ndarray
 
 
 def in_Z(
     market: MarketData,
-    a: np.ndarray,
-    b: np.ndarray,
-    node: int | str | Node,
+    A: np.ndarray,
+    B: np.ndarray,
+    nodes: np.ndarray,
     tol: float = MEMBERSHIP_TOL,
 ) -> ZMembership:
-    """Transition-cone membership with the raw residual triple."""
-    node = market.tree.node(node)
-    parent = market.tree.parent(node)
-    if parent is None:
-        raise DimensionMismatch("transition cones live on depth >= 1 nodes")
-    pm = margin_residual(market, a, parent)
-    cm = margin_residual(market, b, node)
-    psi = self_financing_value(market, a, b, node)
-    return ZMembership(pm >= -tol and cm >= -tol and psi >= -tol, pm, cm, psi)
+    """Rowwise membership of (A_k, B_k) in the transition cone into node k."""
+    idx = np.asarray(nodes, dtype=int)
+    psi = self_financing_value(market, A, B, idx)
+    pm = margin_residual(market, A, market.tree.parents[idx])
+    cm = margin_residual(market, B, idx)
+    return ZMembership((pm >= -tol) & (cm >= -tol) & (psi >= -tol), pm, cm, psi)
 
 
 # --- polyhedral lifts ---------------------------------------------------------
@@ -308,9 +315,7 @@ def dual_cone_violation(
     node = market.tree.node(node)
     lift = lift_Z(market, node)
     m = market.m
-    p = np.asarray(p_parent, dtype=float)
-    pb = np.asarray(p_bar_child, dtype=float)
-    market._check_dim(p, pb)
+    _, (p,), (pb,) = market._rows([node.index], [p_parent], [p_bar_child])
 
     # maximize pb.(u_b - v_b) - p.(u_a - v_a)  ->  minimize the negation
     c = np.concatenate([p, -p, -pb, pb, np.zeros(2 * m)])
@@ -361,16 +366,9 @@ def transition_proved(
     No tolerance applies: a node counts only when every comparison holds in
     floating point, and every other node needs :func:`dual_cone_violation`.
     """
-    idx = np.asarray(nodes, dtype=int)
-    p = np.asarray(p, dtype=float)
-    p_bar = np.asarray(p_bar, dtype=float)
-    if p.shape != (len(idx), market.m) or p_bar.shape != p.shape:
-        raise DimensionMismatch(
-            f"expected ({len(idx)}, {market.m}) price arrays, "
-            f"got {p.shape} and {p_bar.shape}"
-        )
+    idx, p, p_bar = market._rows(nodes, p, p_bar)
     Lp, Lm = market.Lp[idx], market.Lm[idx]
-    mu = market.margins[[market.tree.nodes[i].depth for i in idx]]
+    mu = market.margins[market.tree.depth[idx]]
     sigma = p / market.returns[idx]
     y_b = sigma - p_bar
     finite = np.isfinite(sigma).all(axis=1) & np.isfinite(y_b).all(axis=1)
@@ -384,23 +382,35 @@ def transition_proved(
 # --- cone sections and the (B2) constants --------------------------------------
 
 def section_vertices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Vertices of {a in X : |a|_1 = 1} for X = {alpha . a+ >= beta . a-}.
+    """Stacked vertices of {a in X_k : |a|_1 = 1} for X_k = {alpha_k . a+ >= beta_k . a-}.
 
-    They are the coordinate directions e_i and, per ordered pair (i, j), the
-    point with one long and one short leg sitting on the margin boundary.  Any
-    function that is linear on each orthant attains its section minimum here.
+    ``alpha`` and ``beta`` are ``(n, m)``; the result is ``(n, m * m, m)``.
+    Each row holds the coordinate directions e_i and, per ordered pair
+    (i, j), the point with one long and one short leg sitting on the margin
+    boundary.  Any function that is linear on each orthant attains its
+    section minimum here.
     """
-    m = len(alpha)
-    verts = [np.eye(m)[i] for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            v = np.zeros(m)
-            v[i] = beta[j] / (alpha[i] + beta[j])
-            v[j] = -alpha[i] / (alpha[i] + beta[j])
-            verts.append(v)
-    return np.array(verts)
+    n, m = alpha.shape
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    den = alpha[:, i] + beta[:, j]
+    pairs = np.zeros((n, len(i), m))
+    k = np.arange(len(i))
+    pairs[:, k, i] = beta[:, j] / den
+    pairs[:, k, j] = -alpha[:, i] / den
+    return np.concatenate([np.broadcast_to(np.eye(m), (n, m, m)), pairs], axis=1)
+
+
+def section_values(market: MarketData, P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``(n, m * m)`` values of each price row at its node's section vertices.
+
+    Their minimum is the dual-cone residual, their maximum the price's upper
+    value bound on the section.  The stacked matrix product rounds like one
+    ``vertices @ p`` per node.
+    """
+    idx, P = market._rows(nodes, P)
+    mu = market.margins[market.tree.depth[idx]]
+    verts = section_vertices(market.Lp[idx], mu[:, None] * market.Lm[idx])
+    return (verts @ P[:, :, None])[:, :, 0]
 
 
 def _min_over_ideal_section(
@@ -411,7 +421,7 @@ def _min_over_ideal_section(
     Exact: the function is linear on each orthant, so the minimum sits at a
     section vertex.
     """
-    verts = section_vertices(np.ones(m), np.full(m, mu))
+    verts = section_vertices(np.ones((1, m)), np.full((1, m), mu))[0]
     vals = weight_pos * _pos(verts).sum(axis=1) - weight_neg * _neg(verts).sum(axis=1)
     return float(vals.min())
 
@@ -479,54 +489,44 @@ def market_constants(market: MarketData) -> MarketConstants:
 
 
 def dual_cone_residual(
-    market: MarketData, p: np.ndarray, node: int | str | Node
-) -> float:
-    """min of p . a over the node cone's unit section; membership iff >= 0.
+    market: MarketData, P: np.ndarray, nodes: np.ndarray
+) -> np.ndarray:
+    """Per row, min of p . a over its node cone's unit section; members read >= 0.
 
     Exact: the margin cone is generated by the axis rays and the one-long,
     one-short boundary rays, and a linear functional attains its section
     minimum at those vertices.
     """
-    node = market.tree.node(node)
-    p = np.asarray(p, dtype=float)
-    market._check_dim(p)
-    i = node.index
-    mu = market.margins[node.depth]
-    verts = section_vertices(market.Lp[i], mu * market.Lm[i])
-    return float((verts @ p).min())
+    return section_values(market, P, nodes).min(axis=1)
 
 
 # --- interior machinery: completion, Slater path, dominating path ---------------
 
 def feasible_completion(
     market: MarketData,
-    a: np.ndarray,
-    node: int | str | Node,
+    A: np.ndarray,
+    nodes: np.ndarray,
     constants: MarketConstants | None = None,
     tol: float = MEMBERSHIP_TOL,
 ) -> np.ndarray:
-    """A child portfolio b with (a, b) in the node's transition cone.
+    """Child portfolios B with each (A_k, B_k) in node k's transition cone.
 
     Default is the strictly interior scaled all-ones completion with
     |b| = (C2_t / 2) |a|; falls back to b = 0 (always admissible under (B2)).
     """
-    node = market.tree.node(node)
-    parent = market.tree.parent(node)
-    if parent is None:
-        raise DimensionMismatch("completions live on depth >= 1 nodes")
-    a = np.asarray(a, dtype=float)
-    market._check_dim(a)
-    if margin_residual(market, a, parent) < -tol:
+    idx, A = market._rows(nodes, A)
+    market._non_root(idx)
+    bad = np.flatnonzero(margin_residual(market, A, market.tree.parents[idx]) < -tol)
+    if bad.size:
         raise NotInCone(
-            f"vector fails the margin test at parent of {node.node_id!r}"
+            "vector fails the margin test at parent of "
+            f"{market.tree.nodes[idx[bad[0]]].node_id!r}"
         )
     constants = constants or market.constants()
-    t = node.depth
-    norm_a = float(np.abs(a).sum())
-    b = (constants.C2[t] / 2.0) * norm_a * np.ones(market.m) / market.m
-    if not in_Z(market, a, b, node, tol).member:
-        b = np.zeros(market.m)
-    return b
+    size = constants.C2[market.tree.depth[idx]] / 2.0 * np.abs(A).sum(axis=1)
+    B = size[:, None] * np.ones(market.m) / market.m
+    B[~in_Z(market, A, B, idx, tol).member] = 0.0
+    return B
 
 
 @dataclass(frozen=True)
@@ -546,14 +546,10 @@ class SlaterPath:
 
 def _ones_radius(market: MarketData, t: int, scale: float) -> float:
     """1-norm interiority radius of scale * (1, ..., 1) at depth t."""
-    rad = np.inf
-    mu = market.margins[t]
-    for node in market.tree.level(t):
-        i = node.index
-        resid = scale * float(market.Lp[i].sum())
-        lip = float(max(market.Lp[i].max(), mu * market.Lm[i].max()))
-        rad = min(rad, resid / lip)
-    return rad
+    lev = market.tree.span(t)
+    Lp, Lm = market.Lp[lev], market.Lm[lev]
+    lip = np.maximum(Lp.max(axis=1), market.margins[t] * Lm.max(axis=1))
+    return float((scale * Lp.sum(axis=1) / lip).min())
 
 
 def slater_path(
@@ -593,10 +589,11 @@ def slater_path(
     radii = [_ones_radius(market, t, y_scale[t]) for t in range(N + 1)]
     psi_slack = [np.inf]
     for t in range(1, N + 1):
-        slack = min(
-            self_financing_value(market, values[t - 1], values[t], node)
-            for node in tree.level(t)
-        )
+        lev = tree.indices(t)
+        slack = float(self_financing_value(
+            market, np.tile(values[t - 1], (len(lev), 1)),
+            np.tile(values[t], (len(lev), 1)), lev,
+        ).min())
         psi_slack.append(slack)
         if slack <= 0:
             raise MarginTooTight(
@@ -628,42 +625,27 @@ def dominating_path(
         )
     constants = constants or market.constants()
 
-    def u_t(t: int) -> AdaptedVector:
-        return us[t - 1]
+    def require(ok: np.ndarray, t: int, what: str) -> None:
+        if not ok.all():
+            node = tree.level(t)[int(np.argmin(ok))]
+            raise PreconditionViolated(f"{what} at node {node.node_id!r}")
 
     for t in range(1, N + 1):
-        for node in tree.level(t):
-            parent = tree.parent(node)
-            u_val = u_t(t).value_at(tree, node)
-            v_val = vs[t].value_at(tree, node)
-            if not in_Z(market, u_val, v_val, node, tol).member:
-                raise PreconditionViolated(
-                    f"(u_{t}, v_{t}) leaves the transition cone at node "
-                    f"{node.node_id!r}"
-                )
-            slack = vs[t - 1].value_at(tree, parent) - u_val
-            if margin_residual(market, slack, parent) < -tol:
-                raise PreconditionViolated(
-                    f"v_{t - 1} - u_{t} leaves the margin cone at node "
-                    f"{node.node_id!r}"
-                )
-    for leaf in tree.leaves():
-        slack = vs[N].value_at(tree, leaf) - u_t(N + 1).value_at(tree, leaf)
-        if margin_residual(market, slack, leaf) < -tol:
-            raise PreconditionViolated(
-                f"v_{N} - u_{N + 1} leaves the margin cone at leaf "
-                f"{leaf.node_id!r}"
-            )
+        lev, u = tree.indices(t), us[t - 1].values
+        require(in_Z(market, u, vs[t].values, lev, tol).member, t,
+                f"(u_{t}, v_{t}) leaves the transition cone")
+        slack = vs[t - 1].values[tree.up(t)] - u
+        require(margin_residual(market, slack, tree.parents[lev]) >= -tol, t,
+                f"v_{t - 1} - u_{t} leaves the margin cone")
+    slack = vs[N].values - us[N].values
+    require(margin_residual(market, slack, tree.indices(N)) >= -tol, N,
+            f"v_{N} - u_{N + 1} leaves the margin cone")
 
     path = [AdaptedVector(0, vs[0].values.copy())]
     for t in range(1, N + 1):
-        rows = np.zeros((len(tree.level(t)), market.m))
-        for pos, node in enumerate(tree.level(t)):
-            parent = tree.parent(node)
-            g = path[t - 1].value_at(tree, parent) - u_t(t).value_at(tree, node)
-            h = feasible_completion(market, g, node, constants, tol)
-            rows[pos] = vs[t].value_at(tree, node) + h
-        path.append(AdaptedVector(t, rows))
+        g = path[t - 1].values[tree.up(t)] - us[t - 1].values
+        h = feasible_completion(market, g, tree.indices(t), constants, tol)
+        path.append(AdaptedVector(t, vs[t].values + h))
     return path
 
 
@@ -719,18 +701,21 @@ def transition_frontier_batch(
     market: MarketData,
     A: np.ndarray,
     D: np.ndarray,
-    node: int | str | Node,
+    nodes: np.ndarray,
     constants: MarketConstants | None = None,
 ) -> np.ndarray:
-    """Rowwise largest c >= 0 with (A_k, c_k D_k) self-financing at the node.
+    """Rowwise largest c >= 0 with (A_k, c_k D_k) self-financing at node k.
 
-    Finite under (B1)/(B2) because admissible transitions satisfy the
-    |b| <= K_t |a| bound; located by bisection on the concave psi.
+    ``A`` and ``D`` are ``(n, m)`` and ``nodes`` holds one non-root node
+    index per row; rows may come from any mix of nodes and each row's result
+    depends on its own row only.  Finite under (B1)/(B2) because admissible
+    transitions satisfy the |b| <= K_t |a| bound; located by bisection on the
+    concave psi.
     """
-    node = market.tree.node(node)
+    idx, A, D = market._rows(nodes, A, D)
+    market._non_root(idx)
     constants = constants or market.constants()
-    i = node.index
-    R, Lp, Lm = market.returns[i], market.Lp[i], market.Lm[i]
+    R, Lp, Lm = market.returns[idx], market.Lp[idx], market.Lm[idx]
 
     def psi(c: np.ndarray) -> np.ndarray:
         diff = A * R - c[:, None] * D
@@ -741,16 +726,15 @@ def transition_frontier_batch(
     active = (norm_a > 0.0) & (norm_d > 0.0)
     hi = np.where(
         active,
-        2.0 * constants.K[node.depth] * norm_a / np.where(active, norm_d, 1.0),
+        2.0 * constants.K[market.tree.depth[idx]] * norm_a
+        / np.where(active, norm_d, 1.0),
         0.0,
     )
     lo = np.zeros(len(hi))
     cap = psi(hi) >= 0.0
     lo[cap & active] = hi[cap & active]
     work = active & ~cap
-    for _ in range(60):
-        if not work.any():
-            break
+    for _ in range(60 if work.any() else 0):
         mid = 0.5 * (lo + hi)
         ok = psi(mid) >= 0.0
         lo = np.where(work & ok, mid, lo)
@@ -758,34 +742,25 @@ def transition_frontier_batch(
     return lo
 
 
-def transition_frontier(
+def sample_transition_pairs(
     market: MarketData,
-    a: np.ndarray,
-    direction: np.ndarray,
-    node: int | str | Node,
-    constants: MarketConstants | None = None,
-) -> float:
-    """Scalar form of :func:`transition_frontier_batch`."""
-    return float(
-        transition_frontier_batch(
-            market, np.asarray(a, float)[None, :],
-            np.asarray(direction, float)[None, :], node, constants,
-        )[0]
-    )
-
-
-def sample_transition_pair(
-    market: MarketData,
-    node: int | str | Node,
+    nodes: np.ndarray,
     rng: np.random.Generator,
-    a: np.ndarray | None = None,
     max_fill: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random (a, b) in the node's transition cone."""
-    node = market.tree.node(node)
-    parent = market.tree.parent(node)
-    if a is None:
-        a = sample_cone_point(market, parent, rng)
-    direction = sample_cone_point(market, node, rng)
-    c_max = transition_frontier(market, a, direction, node)
-    return a, rng.uniform(0.0, max_fill) * c_max * direction
+    """One random (a, b) in each listed node's transition cone, as ``(n, m)`` rows.
+
+    Draws node by node (a parent-cone point, a cone direction, a fill in
+    [0, max_fill)), then scales every direction to its frontier in one call.
+    """
+    (idx,) = market._rows(nodes)
+    market._non_root(idx)
+    A = np.zeros((len(idx), market.m))
+    D = np.zeros_like(A)
+    fill = np.zeros(len(idx))
+    for k, i in enumerate(idx):
+        A[k] = sample_cone_point(market, market.tree.parents[i], rng)
+        D[k] = sample_cone_point(market, i, rng)
+        fill[k] = rng.uniform(0.0, max_fill)
+    c_max = transition_frontier_batch(market, A, D, idx)
+    return A, (fill * c_max)[:, None] * D

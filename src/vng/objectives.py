@@ -33,9 +33,9 @@ from .market_model import (
     MarketData,
     margin_residual,
     sample_cone_point,
-    section_vertices,
+    section_values,
 )
-from .scenario_tree import AdaptedVector, Node, ScenarioTree, node_probability
+from .scenario_tree import AdaptedVector, Node, ScenarioTree
 
 
 def _leaf_matrix(tree: ScenarioTree, m: int, data, name: str) -> np.ndarray:
@@ -113,11 +113,14 @@ class TerminalObjective:
         """Reported two-sided bound constant at a leaf."""
         return float(self._h_psi[self._leaf_pos(leaf)])
 
+    def _check_member(self, node: Node, a: np.ndarray) -> None:
+        if margin_residual(self.market, a[None], [node.index])[0] < -MEMBERSHIP_TOL:
+            raise NotInCone(f"portfolio outside the margin cone at {node.node_id!r}")
+
     def evaluate(self, leaf: int | str | Node, a: np.ndarray) -> float:
         node = self.tree.node(leaf)
         a = np.asarray(a, dtype=float)
-        if margin_residual(self.market, a, node) < -MEMBERSHIP_TOL:
-            raise NotInCone(f"portfolio outside the margin cone at {node.node_id!r}")
+        self._check_member(node, a)
         val = self._value(self._leaf_pos(node), a)
         if val < -1e-12 * max(1.0, float(np.abs(a).sum())):
             raise NegativeValue(
@@ -130,8 +133,7 @@ class TerminalObjective:
         """Supergradient at ``a``; kinks resolve by the sign convention (0 -> +)."""
         node = self.tree.node(leaf)
         a = np.asarray(a, dtype=float)
-        if margin_residual(self.market, a, node) < -MEMBERSHIP_TOL:
-            raise NotInCone(f"portfolio outside the margin cone at {node.node_id!r}")
+        self._check_member(node, a)
         pos = self._leaf_pos(node)
         if self._value(pos, a) <= 0.0:
             raise ZeroValue(f"objective vanishes at {node.node_id!r}")
@@ -146,16 +148,8 @@ class LinearObjective(TerminalObjective):
         if q is None:
             q = np.ones(self.m)
         self.q = _leaf_matrix(tree, self.m, q, "q")
-        h = np.zeros(len(tree.leaves()))
-        for pos, leaf in enumerate(tree.leaves()):
-            c_min, c_max = _dual_range(market, leaf, self.q[pos])
-            if c_min <= 0:
-                raise NotInCone(
-                    f"price vector at leaf {leaf.node_id!r} is not strictly "
-                    f"inside the dual cone (section minimum {c_min!r})"
-                )
-            h[pos] = max(c_max, 1.0 / c_min, 1.0)
-        self._h_psi = h
+        c_min, c_max = _dual_range(market, self.q)
+        self._h_psi = np.maximum(np.maximum(c_max, 1.0 / c_min), 1.0)
         self.form = LeafForm.unlifted(self.q)
 
     def _value(self, pos: int, a: np.ndarray) -> float:
@@ -171,39 +165,29 @@ class LiquidationObjective(TerminalObjective):
     def __init__(self, tree: ScenarioTree, market: MarketData):
         super().__init__(tree, market)
         c1_N = market.constants().C1[tree.horizon]
-        h = np.zeros(len(tree.leaves()))
-        for pos, leaf in enumerate(tree.leaves()):
-            i = leaf.index
-            h[pos] = max(
-                float(market.Lm[i].max()),
-                1.0 / (c1_N * float(market.Lp[i].min())),
-                1.0,
-            )
-        self._h_psi = h
+        leaves = tree.span(tree.horizon)
+        Lp, Lm = market.Lp[leaves], market.Lm[leaves]
+        self._h_psi = np.maximum(
+            np.maximum(Lm.max(axis=1), 1.0 / (c1_N * Lp.min(axis=1))), 1.0
+        )
         # value = sum_j min(Lp_j x_j, Lm_j x_j): w sits below both forms
-        nodes = [leaf.index for leaf in tree.leaves()]
-        n_leaves = len(nodes)
+        n_leaves = len(Lp)
         self.form = LeafForm(
             cx=np.zeros((n_leaves, self.m)),
             lifted=np.arange(n_leaves),
             cw=np.ones((n_leaves, self.m)),
-            c1=market.Lp[nodes],
-            c2=market.Lm[nodes],
+            c1=Lp,
+            c2=Lm,
             d=-1.0,
             l2=np.zeros(n_leaves),
         )
 
-    def _leaf_cost(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
-        i = self.tree.leaves()[pos].index
-        return self.market.Lp[i], self.market.Lm[i]
-
     def _value(self, pos: int, a: np.ndarray) -> float:
-        lp, lm = self._leaf_cost(pos)
+        lp, lm = self.form.c1[pos], self.form.c2[pos]
         return float(lp @ np.maximum(a, 0.0) - lm @ np.maximum(-a, 0.0))
 
     def _grad(self, pos: int, a: np.ndarray) -> np.ndarray:
-        lp, lm = self._leaf_cost(pos)
-        return np.where(a >= 0.0, lp, lm)
+        return np.where(a >= 0.0, self.form.c1[pos], self.form.c2[pos])
 
 
 class NormPenalizedObjective(TerminalObjective):
@@ -248,25 +232,18 @@ class NormPenalizedObjective(TerminalObjective):
         self.theta = theta_arr
         self.h_hat = 1.0 if norm == "l1" else float(np.sqrt(self.m))
 
-        h = np.zeros(n_leaves)
-        self.theta_bound = np.zeros(n_leaves)
-        for pos, leaf in enumerate(tree.leaves()):
-            c_min, c_max = _dual_range(market, leaf, self.q[pos])
-            if c_min <= 0:
-                raise NotInCone(
-                    f"price vector at leaf {leaf.node_id!r} is not strictly "
-                    f"inside the dual cone"
-                )
-            h_q = max(1.0 / c_min, c_max)
-            self.theta_bound[pos] = (1.0 - delta) / (h_q * self.h_hat)
-            if enforce_bound and self.theta[pos] > self.theta_bound[pos] + 1e-15:
-                raise ValueError(
-                    f"penalty weight {self.theta[pos]!r} at leaf "
-                    f"{leaf.node_id!r} exceeds the admissible bound "
-                    f"{self.theta_bound[pos]!r}"
-                )
-            h[pos] = max(c_max, 1.0 / (delta * c_min), 1.0)
-        self._h_psi = h
+        c_min, c_max = _dual_range(market, self.q)
+        h_q = np.maximum(1.0 / c_min, c_max)
+        self.theta_bound = (1.0 - delta) / (h_q * self.h_hat)
+        over = np.flatnonzero(self.theta > self.theta_bound + 1e-15)
+        if enforce_bound and over.size:
+            k = over[0]
+            raise ValueError(
+                f"penalty weight {self.theta[k]!r} at leaf "
+                f"{tree.leaves()[k].node_id!r} exceeds the admissible bound "
+                f"{self.theta_bound[k]!r}"
+            )
+        self._h_psi = np.maximum(np.maximum(c_max, 1.0 / (delta * c_min)), 1.0)
         if norm == "l2":
             self.form = LeafForm.unlifted(self.q, l2=self.theta)
         else:
@@ -297,15 +274,22 @@ class NormPenalizedObjective(TerminalObjective):
         return self.q[pos] - self.theta[pos] * a / nrm
 
 
-def _dual_range(
-    market: MarketData, leaf: Node, q: np.ndarray
-) -> tuple[float, float]:
-    """Min and max of q . a over the leaf cone's unit section (exact)."""
-    i = leaf.index
-    mu = market.margins[leaf.depth]
-    verts = section_vertices(market.Lp[i], mu * market.Lm[i])
-    vals = verts @ q
-    return float(vals.min()), float(vals.max())
+def _dual_range(market: MarketData, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per leaf, min and max of q . a over the leaf cone's unit section (exact).
+
+    Raises NotInCone at the first leaf whose q is not strictly inside the
+    dual cone.
+    """
+    tree = market.tree
+    vals = section_values(market, q, tree.indices(tree.horizon))
+    c_min, c_max = vals.min(axis=1), vals.max(axis=1)
+    bad = np.flatnonzero(~(c_min > 0))
+    if bad.size:
+        raise NotInCone(
+            f"price vector at leaf {tree.leaves()[bad[0]].node_id!r} is not "
+            f"strictly inside the dual cone (section minimum {float(c_min[bad[0]])!r})"
+        )
+    return c_min, c_max
 
 
 def log_objective(
@@ -318,11 +302,11 @@ def log_objective(
             f"terminal layer must sit at depth {tree.horizon}, got {x_N.depth}"
         )
     total = 0.0
-    for pos, leaf in enumerate(tree.leaves()):
+    for pos, prob in enumerate(tree.prob[tree.span(tree.horizon)]):
         val = objective._value(pos, x_N.values[pos])
         if val <= 0.0:
             return float("-inf")
-        total += node_probability(tree, leaf) * np.log(val)
+        total += prob * np.log(val)
     return float(total)
 
 

@@ -6,6 +6,13 @@ are stored as one value per node of their depth.  By convention F_{N+1} = F_N,
 so data of logical depth ``N + 1`` (terminal dual prices) is stored on the
 leaves; conditional expectation acts as the identity on that layer.
 
+Tree algebra works on whole levels.  Nodes are indexed by depth, then input
+order, so level t is the contiguous index range ``tree.span(t)`` and per-node
+market arrays are sliced per level.  An :class:`AdaptedVector` of depth t has
+its rows in that index order, and ``tree.up(t)`` maps each depth-t row to its
+parent's row in level t - 1: a parent gather is ``values[tree.up(t)]`` and a
+conditional expectation is one ordered ``np.add.at`` over the children.
+
 All types are immutable after construction and every operation is a pure
 function, so concurrent read access is safe.
 """
@@ -39,18 +46,26 @@ class Node:
     cond_prob: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioTree:
-    """Validated rooted tree; build with :func:`build_tree`."""
+    """Validated rooted tree; build with :func:`build_tree`.
+
+    Nodes are indexed by depth, then input order, so level t is the index
+    range ``offsets[t]:offsets[t + 1]`` and whole levels are array slices.
+    ``parents``, ``depth``, ``cond_prob`` and ``prob`` (unconditional) hold one
+    entry per node index; the root is index 0, with parent -1.
+    """
 
     horizon: int
     nodes: tuple[Node, ...]
-    state_dims: tuple[int, ...]
-    _children: tuple[tuple[int, ...], ...] = field(repr=False)
-    _levels: tuple[tuple[Node, ...], ...] = field(repr=False)
-    _probs: tuple[float, ...] = field(repr=False)
+    state_dim: int
+    parents: np.ndarray = field(repr=False)
+    depth: np.ndarray = field(repr=False)
+    cond_prob: np.ndarray = field(repr=False)
+    prob: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     _id_index: dict[str, int] = field(repr=False)
-    _level_pos: tuple[int, ...] = field(repr=False)
+    _up: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -58,7 +73,7 @@ class ScenarioTree:
 
     @property
     def root(self) -> Node:
-        return self._levels[0][0]
+        return self.nodes[0]
 
     def node(self, ref: int | str | Node) -> Node:
         """Resolve an index, id or Node to the tree's Node."""
@@ -74,35 +89,54 @@ class ScenarioTree:
 
     def children(self, ref: int | str | Node) -> tuple[Node, ...]:
         node = self.node(ref)
-        return tuple(self.nodes[i] for i in self._children[node.index])
+        return tuple(self.nodes[i] for i in np.flatnonzero(self.parents == node.index))
 
     def parent(self, ref: int | str | Node) -> Node | None:
         node = self.node(ref)
         return None if node.parent is None else self.nodes[node.parent]
 
-    def level(self, depth: int) -> tuple[Node, ...]:
-        """Nodes at a given depth, in stable construction order."""
+    def span(self, depth: int) -> slice:
+        """Index range of the depth-t level."""
         if not 0 <= depth <= self.horizon:
             raise DepthMismatch(f"depth {depth} outside 0..{self.horizon}")
-        return self._levels[depth]
+        return slice(int(self.offsets[depth]), int(self.offsets[depth + 1]))
+
+    def indices(self, depth: int) -> np.ndarray:
+        """Node indices of the depth-t level."""
+        lev = self.span(depth)
+        return np.arange(lev.start, lev.stop)
+
+    def level(self, depth: int) -> tuple[Node, ...]:
+        """Nodes at a given depth, in index order."""
+        return self.nodes[self.span(depth)]
 
     def leaves(self) -> tuple[Node, ...]:
         return self.level(self.horizon)
 
+    def up(self, depth: int) -> np.ndarray:
+        """Row of each depth-t node's parent within level t - 1 (t >= 1).
+
+        A parent gather of a depth-(t-1) array is ``values[tree.up(t)]``.
+        """
+        if not 1 <= depth <= self.horizon:
+            raise DepthMismatch(f"depth {depth} outside 1..{self.horizon}")
+        return self._up[depth - 1]
+
     def level_position(self, ref: int | str | Node) -> int:
         """Position of a node within its depth level."""
-        return self._level_pos[self.node(ref).index]
+        node = self.node(ref)
+        return node.index - int(self.offsets[node.depth])
 
 
 def build_tree(
     raw_nodes: list[tuple[str, str | None, float]],
-    dimensions: int | list[int],
+    dimension: int,
 ) -> ScenarioTree:
     """Validate a raw node list and build a :class:`ScenarioTree`.
 
     ``raw_nodes`` holds ``(id, parent_id_or_None, cond_prob)`` triples; the
-    root's probability entry is ignored (taken as 1).  ``dimensions`` is the
-    per-depth state dimension, broadcast if given as a single int.
+    root's probability entry is ignored (taken as 1).  ``dimension`` is the
+    state dimension at every node.
     """
     if not raw_nodes:
         raise CycleOrForest("empty node list")
@@ -175,47 +209,41 @@ def build_tree(
         )
         for nid in order
     )
-    children = tuple(
-        tuple(new_index[c] for c in children_ids[nid]) for nid in order
+    parents = np.array([-1 if n.parent is None else n.parent for n in nodes])
+    depths = np.array([n.depth for n in nodes])
+    cond_prob = np.array([n.cond_prob for n in nodes])
+    offsets = np.searchsorted(depths, np.arange(horizon + 2))
+    prob = cond_prob.copy()
+    for t in range(1, horizon + 1):
+        lev = slice(offsets[t], offsets[t + 1])
+        prob[lev] = prob[parents[lev]] * cond_prob[lev]
+    up = tuple(
+        parents[offsets[t]:offsets[t + 1]] - offsets[t - 1]
+        for t in range(1, horizon + 1)
     )
-    levels: list[list[Node]] = [[] for _ in range(horizon + 1)]
-    for n in nodes:
-        levels[n.depth].append(n)
+    for arr in (parents, depths, cond_prob, prob, offsets, *up):
+        arr.flags.writeable = False
 
-    probs = [0.0] * len(nodes)
-    level_pos = [0] * len(nodes)
-    for n in nodes:
-        probs[n.index] = n.cond_prob if n.parent is None else probs[n.parent] * n.cond_prob
-    for lev in levels:
-        for pos, n in enumerate(lev):
-            level_pos[n.index] = pos
-
-    if isinstance(dimensions, int):
-        dims = (dimensions,) * (horizon + 1)
-    else:
-        dims = tuple(int(d) for d in dimensions)
-        if len(dims) != horizon + 1:
-            raise DimensionMismatch(
-                f"need {horizon + 1} per-depth dimensions, got {len(dims)}"
-            )
-    if any(d < 1 for d in dims):
-        raise DimensionMismatch("state dimensions must be positive")
+    if dimension < 1:
+        raise DimensionMismatch("state dimension must be positive")
 
     return ScenarioTree(
         horizon=horizon,
         nodes=nodes,
-        state_dims=dims,
-        _children=children,
-        _levels=tuple(tuple(lev) for lev in levels),
-        _probs=tuple(probs),
+        state_dim=int(dimension),
+        parents=parents,
+        depth=depths,
+        cond_prob=cond_prob,
+        prob=prob,
+        offsets=offsets,
         _id_index={nid: new_index[nid] for nid in ids},
-        _level_pos=tuple(level_pos),
+        _up=up,
     )
 
 
 def node_probability(tree: ScenarioTree, ref: int | str | Node) -> float:
     """Unconditional probability of a node's atom (product along the root path)."""
-    return tree._probs[tree.node(ref).index]
+    return float(tree.prob[tree.node(ref).index])
 
 
 @dataclass(frozen=True)
@@ -223,7 +251,8 @@ class AdaptedVector:
     """An F_t-measurable random vector: one row per depth-t node.
 
     ``depth`` may be ``N + 1`` (the F_{N+1} = F_N convention); the rows are
-    then aligned with the leaves.  Row order follows ``tree.level(t)``.
+    then aligned with the leaves.  Rows are in node index order: row k of a
+    depth-t vector belongs to node ``tree.span(t).start + k``.
     """
 
     depth: int
@@ -248,7 +277,8 @@ class AdaptedVector:
         t = self.depth
         if not 0 <= t <= tree.horizon + 1:
             raise DepthMismatch(f"depth {t} outside 0..{tree.horizon + 1}")
-        rows = len(tree.level(self.storage_depth(tree)))
+        lev = tree.span(self.storage_depth(tree))
+        rows = lev.stop - lev.start
         if self.values.shape[0] != rows:
             raise DepthMismatch(
                 f"expected {rows} rows at depth {t}, got {self.values.shape[0]}"
@@ -281,17 +311,12 @@ class AdaptedVector:
         return AdaptedVector(depth, rows)
 
 
-def level_probabilities(tree: ScenarioTree, depth: int) -> np.ndarray:
-    return np.array([node_probability(tree, n) for n in tree.level(depth)])
-
-
 def expectation(tree: ScenarioTree, av: AdaptedVector) -> float:
     """E[X] of a scalar adapted field: probability-weighted sum over its depth."""
     av.check_against(tree)
     if av.dim != 1:
         raise DimensionMismatch("expectation is defined for scalar fields")
-    probs = level_probabilities(tree, av.storage_depth(tree))
-    return float(probs @ av.values[:, 0])
+    return float(tree.prob[tree.span(av.storage_depth(tree))] @ av.values[:, 0])
 
 
 def conditional_expectation(tree: ScenarioTree, av: AdaptedVector) -> AdaptedVector:
@@ -307,7 +332,6 @@ def conditional_expectation(tree: ScenarioTree, av: AdaptedVector) -> AdaptedVec
         raise DepthMismatch("cannot condition a depth-0 field further")
     t = av.depth - 1
     out = np.zeros((len(tree.level(t)), av.dim))
-    for pos, node in enumerate(tree.level(t)):
-        for child in tree.children(node):
-            out[pos] += child.cond_prob * av.value_at(tree, child)
+    weights = tree.cond_prob[tree.span(av.depth), None]
+    np.add.at(out, tree.up(av.depth), weights * av.values)  # in child order
     return AdaptedVector(t, out)

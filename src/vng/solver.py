@@ -38,13 +38,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, InfeasibleStart
-from .market_model import (
-    MarketData,
-    margin_residual,
-    transition_frontier,
-)
+from .market_model import MarketData, margin_residual, transition_frontier_batch
 from .objectives import TerminalObjective, log_objective
-from .scenario_tree import AdaptedVector, ScenarioTree, node_probability
+from .scenario_tree import AdaptedVector, ScenarioTree
 
 log = logging.getLogger(__name__)
 
@@ -70,9 +66,10 @@ class PathProblem:
     def __post_init__(self) -> None:
         if self.market.tree is not self.tree:
             raise DimensionMismatch("market does not belong to the tree")
-        if any(d != self.market.m for d in self.tree.state_dims):
+        if self.tree.state_dim != self.market.m:
             raise DimensionMismatch(
-                "this market model requires a uniform state dimension"
+                f"tree state dimension {self.tree.state_dim} does not match "
+                f"the market's {self.market.m} assets"
             )
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.market.m,):
@@ -88,9 +85,8 @@ class PathProblem:
 
     def epsilon0(self) -> float:
         """1-norm interiority radius of x0 at the root cone."""
-        root = self.tree.root
-        resid = margin_residual(self.market, self.x0, root)
-        i = root.index
+        i = self.tree.root.index
+        resid = float(margin_residual(self.market, self.x0[None], [i])[0])
         lip = float(
             max(self.market.Lp[i].max(),
                 self.market.margins[0] * self.market.Lm[i].max())
@@ -100,6 +96,12 @@ class PathProblem:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Solver settings.
+
+    ``seed`` is reserved: it is part of a solution file's digest, but the
+    solver is deterministic and never reads it.
+    """
+
     tol: float = 1e-8
     max_iter: int = 2000
     seed: int = 0
@@ -157,11 +159,12 @@ class AssembledProgram:
     n_cons: int
     A: sp.csr_matrix          # constraints g(z) = A z + b >= 0
     b: np.ndarray
-    non_root: list[int]       # node indices, tree order
-    x_off: dict[int, int]     # node index -> column offset of its x block
-    v_off: dict[int, int]
-    s_off: dict[int, int]
-    row_base: dict[int, int]  # node index -> first row of its constraint block
+    # Per node index (the root's entries are unused): column offsets of the
+    # x, v and s blocks, and the first row of the node's constraint block.
+    x_off: np.ndarray
+    v_off: np.ndarray
+    s_off: np.ndarray
+    row_base: np.ndarray
     leaf_x: np.ndarray        # (n_leaves, m) x columns of each leaf
     leaf_w: np.ndarray        # (n_lifted, m) w columns of each lifted leaf
     row_owner: np.ndarray     # node index owning each constraint row
@@ -179,37 +182,26 @@ class AssembledProgram:
 
     @property
     def n_edge_blocks(self) -> int:
-        return len(self.non_root)
+        return self.problem.tree.n_nodes - 1
 
     # row layout within a node block: v, u, margin, min-plus, min-minus, psi
-    def rows_min_plus(self, node_index: int) -> slice:
-        m = self.m
-        base = self.row_base[node_index]
-        return slice(base + 2 * m + 1, base + 3 * m + 1)
+    def rows_min_plus(self, idx: np.ndarray) -> np.ndarray:
+        """``(n, m)`` rows Lp (R x_par - x) - s >= 0 of the given nodes."""
+        return self.row_base[idx, None] + 2 * self.m + 1 + np.arange(self.m)
 
-    def rows_min_minus(self, node_index: int) -> slice:
-        m = self.m
-        base = self.row_base[node_index]
-        return slice(base + 3 * m + 1, base + 4 * m + 1)
-
-    def row_psi(self, node_index: int) -> int:
-        return self.row_base[node_index] + 4 * self.m + 1
+    def rows_min_minus(self, idx: np.ndarray) -> np.ndarray:
+        """``(n, m)`` rows Lm (R x_par - x) - s >= 0 of the given nodes."""
+        return self.rows_min_plus(idx) + self.m
 
     def g(self, z: np.ndarray) -> np.ndarray:
         return self.A @ z + self.b
-
-    def x_of(self, z: np.ndarray, node_index: int) -> np.ndarray:
-        if node_index == self.problem.tree.root.index:
-            return self.problem.x0
-        off = self.x_off[node_index]
-        return z[off:off + self.m]
 
     def path_values(self, z: np.ndarray) -> list[AdaptedVector]:
         tree = self.problem.tree
         out = [AdaptedVector(0, self.problem.x0[None, :].copy())]
         for t in range(1, tree.horizon + 1):
-            rows = np.vstack([self.x_of(z, n.index) for n in tree.level(t)])
-            out.append(AdaptedVector(t, rows))
+            cols = self.x_off[tree.span(t), None] + np.arange(self.m)
+            out.append(AdaptedVector(t, z[cols]))
         return out
 
     # -- objective: f(z) = sum_l P_l ln sigma_l ---------------------------------
@@ -292,24 +284,21 @@ def assemble(problem: PathProblem) -> AssembledProgram:
     form = problem.objective.form
     m = market.m
     root = tree.root.index
-    non_root = [n.index for n in tree.nodes if n.index != root]
-    leaves = tree.leaves()
+    non_root = range(1, tree.n_nodes)  # the root is index 0
+    leaves = tree.span(tree.horizon)
     n_lifted = len(form.lifted)
 
-    x_off: dict[int, int] = {}
-    v_off: dict[int, int] = {}
-    s_off: dict[int, int] = {}
-    for k, i in enumerate(non_root):
-        x_off[i] = k * 3 * m
-        v_off[i] = x_off[i] + m
-        s_off[i] = x_off[i] + 2 * m
+    # node i >= 1 owns columns x, v, s at (i - 1) * 3m and block rows at (i - 1) * block
+    x_off = (np.arange(tree.n_nodes) - 1) * 3 * m
+    v_off = x_off + m
+    s_off = x_off + 2 * m
     n_vars = len(non_root) * 3 * m
-    leaf_x = np.array([x_off[n.index] for n in leaves])[:, None] + np.arange(m)
+    leaf_x = x_off[leaves, None] + np.arange(m)
     leaf_w = n_vars + np.arange(n_lifted * m).reshape(n_lifted, m)
     n_vars += n_lifted * m
 
     block = 4 * m + 2
-    row_base = {i: k * block for k, i in enumerate(non_root)}
+    row_base = (np.arange(tree.n_nodes) - 1) * block
     n_cons = len(non_root) * block
     # per lifted leaf: m rows c1 * x + d * w >= 0, then m rows c2 * x + d * w >= 0
     leaf_rows = n_cons + np.arange(n_lifted * 2 * m).reshape(n_lifted, 2, m)
@@ -363,7 +352,7 @@ def assemble(problem: PathProblem) -> AssembledProgram:
                 put(r_plus + j, x_off[parent.index] + j, Lp[j] * R[j])
                 put(r_minus + j, x_off[parent.index] + j, Lm[j] * R[j])
 
-    lifted_index = np.array([n.index for n in leaves], dtype=int)[form.lifted]
+    lifted_index = np.arange(tree.n_nodes)[leaves][form.lifted]
     row_owner[leaf_rows] = lifted_index[:, None, None]
     col_owner[leaf_w] = lifted_index[:, None]
     x_lifted = leaf_x[form.lifted]
@@ -378,18 +367,16 @@ def assemble(problem: PathProblem) -> AssembledProgram:
     A = sp.csr_matrix(
         (np.array(data), (np.array(rows), np.array(cols))), shape=(n_cons, n_vars)
     )
-    leaf_prob = np.array([node_probability(tree, n) for n in leaves])
+    leaf_prob = tree.prob[leaves]
 
     # Complementarity budget: the dual layer divides block-wise products by
     # node probabilities and telescopes them across descendants, so the final
     # barrier parameter must undercut the worst (1 + descendants) / P(node).
-    desc = {i: 0 for i in range(tree.n_nodes)}
-    for node in reversed(tree.nodes):
-        if node.parent is not None:
-            desc[node.parent] += 1 + desc[node.index]
-    factor = max(
-        (1.0 + desc[i]) / node_probability(tree, i) for i in non_root
-    )
+    desc = np.zeros(tree.n_nodes, dtype=int)
+    for t in range(tree.horizon, 0, -1):
+        lev = tree.span(t)
+        np.add.at(desc, tree.parents[lev], 1 + desc[lev])
+    factor = float(((1.0 + desc[1:]) / tree.prob[1:]).max())
     mu_auto = COMPLEMENTARITY_HEADROOM / ((6 * m + 2) * factor)
 
     return AssembledProgram(
@@ -398,7 +385,6 @@ def assemble(problem: PathProblem) -> AssembledProgram:
         n_cons=n_cons,
         A=A,
         b=b,
-        non_root=non_root,
         x_off=x_off,
         v_off=v_off,
         s_off=s_off,
@@ -429,43 +415,47 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     constants = market.constants()
     ones = np.ones(m)
 
-    x_val: dict[int, np.ndarray] = {tree.root.index: problem.x0.copy()}
-    for node in tree.nodes:
-        if node.parent is None:
-            continue
-        a = x_val[node.parent]
-        c_star = transition_frontier(market, a, ones, node, constants)
-        if c_star <= 0.0:
+    states = np.zeros((tree.n_nodes, m))  # one per node index
+    states[0] = problem.x0
+    for t in range(1, tree.horizon + 1):
+        lev = tree.indices(t)
+        c_star = transition_frontier_batch(
+            market, states[tree.parents[lev]], np.tile(ones, (len(lev), 1)), lev,
+            constants,
+        )
+        stuck = np.flatnonzero(c_star <= 0.0)
+        if stuck.size:
             raise InfeasibleStart(
                 f"no strictly positive transition from node "
-                f"{tree.nodes[node.parent].node_id!r}"
+                f"{tree.nodes[tree.parents[lev[stuck[0]]]].node_id!r}"
             )
-        x_val[node.index] = 0.5 * c_star * ones
+        states[lev] = (0.5 * c_star)[:, None] * ones
+
+    # Per non-root node: its state x, its parent's state a, and the slacks
+    # of its margin and cash rows at that state.
+    x, a = states[1:], states[tree.parents[1:]]
+    idx = np.arange(1, tree.n_nodes)
+    mu = market.margins[tree.depth[idx], None]
+    Lp, Lm, R = market.Lp[idx], market.Lm[idx], market.returns[idx]
+    x_scale = np.abs(x).sum(axis=1) / m
+    margin_min = np.vecdot(Lp, np.maximum(x, 0.0)) - mu[:, 0] * np.vecdot(
+        Lm, np.maximum(-x, 0.0)
+    )
+    den_v = (mu * Lm - Lp).sum(axis=1)
+    mins = np.minimum(Lp * (R * a - x), Lm * (R * a - x))
+    psi_min = mins.sum(axis=1)
+    cols = np.arange(m)
 
     for shrink in range(60):
         pad_frac = 0.1 * 0.5 ** shrink
         z = np.zeros(prog.n_vars)
-        for i in prog.non_root:
-            node = tree.nodes[i]
-            x = x_val[i]
-            a = x_val[node.parent]
-            mu = market.margins[node.depth]
-            Lp, Lm, R = market.Lp[i], market.Lm[i], market.returns[i]
-            scale = float(np.abs(x).sum()) / m
-
-            margin_min = float(Lp @ np.maximum(x, 0.0)) - mu * float(
-                Lm @ np.maximum(-x, 0.0)
-            )
-            den_v = float((mu * Lm - Lp).sum())
-            pad_v = min(pad_frac * scale, 0.4 * margin_min / max(den_v, 1e-30))
-            z[prog.v_off[i]:prog.v_off[i] + m] = np.maximum(-x, 0.0) + pad_v
-
-            dvec = R * a - x
-            mins = np.minimum(Lp * dvec, Lm * dvec)
-            psi_min = float(mins.sum())
-            pad_s = min(pad_frac * scale, 0.4 * psi_min / m)
-            z[prog.s_off[i]:prog.s_off[i] + m] = mins - pad_s
-            z[prog.x_off[i]:prog.x_off[i] + m] = x
+        pad_v = np.minimum(
+            pad_frac * x_scale, 0.4 * margin_min / np.maximum(den_v, 1e-30)
+        )
+        z[prog.v_off[idx, None] + cols] = np.maximum(-x, 0.0) + pad_v[:, None]
+        pad_s = np.minimum(pad_frac * x_scale, 0.4 * psi_min / m)
+        z[prog.s_off[idx, None] + cols] = mins - pad_s[:, None]
+        z[prog.x_off[idx, None] + cols] = x
 
         # w on the tighter of its two rows, then pad_w inside it (in direction d)
         X = z[prog.leaf_x[form.lifted]]

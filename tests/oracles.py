@@ -191,3 +191,146 @@ def exact_transition_proof(market, node, p, bar_terms) -> bool:
         for k in range(m) for j in range(m) if j != k
     )
     return kappa_lo <= kappa_hi and in_dual
+
+
+# --- per-node references for the whole-level tree algebra ----------------------
+# The loops below walk one node at a time with the library's earlier per-node
+# arithmetic (one ``x @ y`` per node, Python accumulation in child order); the
+# array versions must reproduce them exactly.
+
+def conditional_expectation_loop(tree, av):
+    """E[av | F_{t-1}] as one child-weighted sum per parent node."""
+    t = av.depth - 1
+    out = np.zeros((len(tree.level(t)), av.dim))
+    for pos, node in enumerate(tree.level(t)):
+        for child in tree.children(node):
+            out[pos] += child.cond_prob * av.value_at(tree, child)
+    return out
+
+
+def supermartingale_loop(dual, y, tree):
+    """(first form, second form, equality gap) node by node."""
+    N = tree.horizon
+    worst1 = worst2 = gap = 0.0
+    for t in range(1, N + 1):
+        p_t = dual.price(t, N)
+        bar_next = dual.bar(tree, t)
+        for node in tree.level(t):
+            lhs = float(bar_next.value_at(tree, node) @ y[t].value_at(tree, node))
+            rhs = float(
+                p_t.value_at(tree, node) @ y[t - 1].value_at(tree, tree.parent(node))
+            )
+            worst1 = max(worst1, lhs - rhs)
+            gap = max(gap, abs(lhs - rhs))
+        bar_t = dual.bar(tree, t - 1)
+        for q in tree.level(t - 1):
+            lhs = sum(
+                child.cond_prob
+                * float(bar_next.value_at(tree, child) @ y[t].value_at(tree, child))
+                for child in tree.children(q)
+            )
+            rhs = float(bar_t.value_at(tree, q) @ y[t - 1].value_at(tree, q))
+            worst2 = max(worst2, lhs - rhs)
+    return worst1, worst2, gap
+
+
+def growth_table_loop(dual, y, tree):
+    """(t, node id, ratio) per node; nan where the denominator is not positive."""
+    N = tree.horizon
+    rows = []
+    for t in range(1, N + 1):
+        p_t = dual.price(t, N)
+        bar_next = dual.bar(tree, t)
+        for node in tree.level(t):
+            den = float(
+                p_t.value_at(tree, node) @ y[t - 1].value_at(tree, tree.parent(node))
+            )
+            num = float(bar_next.value_at(tree, node) @ y[t].value_at(tree, node))
+            rows.append((t, node.node_id, num / den if den > 0.0 else float("nan")))
+    return rows
+
+
+def competitor_paths_loop(tree, market, rng, start, count, max_fill=0.95):
+    """The competitor sampler with one frontier call per node."""
+    from vng.market_model import sample_cone_batch, transition_frontier_batch
+
+    levels = [np.tile(np.asarray(start, dtype=float), (count, 1, 1))]
+    for t in range(1, tree.horizon + 1):
+        nodes = tree.level(t)
+        rows = np.zeros((count, len(nodes), market.m))
+        for pos, node in enumerate(nodes):
+            A = levels[t - 1][:, tree.level_position(tree.parent(node)), :]
+            D = sample_cone_batch(market, node, rng, count)
+            c_max = transition_frontier_batch(
+                market, A, D, np.full(count, node.index)
+            )
+            fill = rng.uniform(0.0, max_fill, count)
+            rows[:, pos, :] = (fill * c_max)[:, None] * D
+        levels.append(rows)
+    return levels
+
+
+def _node_margin(market, a, node):
+    i, mu = node.index, market.margins[node.depth]
+    return float(
+        market.Lp[i] @ np.maximum(a, 0.0) - mu * (market.Lm[i] @ np.maximum(-a, 0.0))
+    )
+
+
+def _node_section_min(market, p, node):
+    i, m = node.index, market.m
+    alpha, beta = market.Lp[i], market.margins[node.depth] * market.Lm[i]
+    verts = [np.eye(m)[k] for k in range(m)]
+    for k in range(m):
+        for j in range(m):
+            if k != j:
+                v = np.zeros(m)
+                v[k] = beta[j] / (alpha[k] + beta[j])
+                v[j] = -alpha[k] / (alpha[k] + beta[j])
+                verts.append(v)
+    return float((np.array(verts) @ p).min())
+
+
+def verify_loops(path, dual, tree, market, tol):
+    """verify_rapid's feasibility, membership and normalization, node by node.
+
+    Returns the feasibility and membership tables, the normalization list and
+    the first witness among those three criteria (None if all hold).
+    """
+    N = tree.horizon
+    feasibility, membership = {}, {}
+    normalization = [0.0] * (N + 1)
+    witness = None
+
+    def note(kind, node_id, value, **extra):
+        nonlocal witness
+        if witness is None and value > tol:
+            witness = {"kind": kind, "node": node_id, "value": value, **extra}
+
+    for t in range(1, N + 1):
+        for node in tree.level(t):
+            parent = tree.parent(node)
+            a = path[t - 1].value_at(tree, parent)
+            b = path[t].value_at(tree, node)
+            d = market.returns[node.index] * a - b
+            psi = float(
+                market.Lp[node.index] @ np.maximum(d, 0.0)
+                - market.Lm[node.index] @ np.maximum(-d, 0.0)
+            )
+            worst = min(_node_margin(market, a, parent), _node_margin(market, b, node), psi)
+            viol = max(0.0, -worst)
+            feasibility[node.node_id] = viol
+            note("path_feasibility", node.node_id, viol, layer=t)
+    for t in range(1, N + 2):
+        p_t = dual.price(t, N)
+        for node in tree.level(min(t, N)):
+            p = p_t.value_at(tree, node)
+            cone_node = node if t == N + 1 else tree.parent(node)
+            viol = max(0.0, -_node_section_min(market, p, cone_node))
+            membership[f"p_{t}@{node.node_id}"] = viol
+            note("dual_cone_membership", node.node_id, viol, layer=t)
+            x_prev = path[t - 1].value_at(tree, cone_node)
+            resid = abs(float(p @ x_prev) - 1.0)
+            normalization[t - 1] = max(normalization[t - 1], resid)
+            note("normalization", node.node_id, resid, layer=t)
+    return feasibility, membership, normalization, witness

@@ -8,7 +8,14 @@ import pytest
 import vng
 import vng.cli_io as cli
 from conftest import make_instance
-from oracles import exact_transition_proof
+from oracles import (
+    competitor_paths_loop,
+    conditional_expectation_loop,
+    exact_transition_proof,
+    growth_table_loop,
+    supermartingale_loop,
+    verify_loops,
+)
 from vng.errors import (
     NonpositiveDenominator,
     NotCertified,
@@ -125,6 +132,16 @@ class TestVerifyRapid:
         assert not cert.certified
         assert cert.max_membership > 1e-6
         assert cert.witness is not None
+
+
+    def test_nan_path_entry_refuted(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        path = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
+        path[-1].values[-1, 0] = np.nan
+        cert = vng.verify_rapid(path, dual, problem.tree, problem.market)
+        assert not cert.certified
+        assert cert.max_feasibility == np.inf
+        assert cert.witness["kind"] == "path_feasibility"
 
 
 class TestSupermartingale:
@@ -456,3 +473,88 @@ class TestTransitionProof:
         )
         assert report.value_IV == lp.value
         assert not report.passes["IV"] and report.consistent
+
+
+def negated_first_price(dual):
+    """The dual with the first date-1 price negated: refuted with a witness."""
+    prices = {t: vng.AdaptedVector(t, av.values.copy()) for t, av in dual.prices.items()}
+    prices[1].values[0] *= -1.0
+    return vng.DualPath(prices=prices, terminal=dual.terminal)
+
+
+class TestLevelAlgebraMatchesNodeLoops:
+    """Whole-level array forms equal the per-node references bit for bit."""
+
+    def test_certification_outputs(self, solved_set):
+        witnesses = 0
+        for k, (problem, solution, dual) in enumerate(solved_set):
+            tree, market = problem.tree, problem.market
+            competitors = vng.sample_competitor_paths(
+                tree, market, np.random.default_rng(k), problem.x0, 3
+            )
+            strategies = [
+                solution.path,
+                vng.buy_and_hold_path(tree, market, problem.x0),
+                *competitors,
+            ]
+            for d in (dual, negated_first_price(dual)):
+                for t in range(1, tree.horizon + 1):
+                    av = d.price(t + 1, tree.horizon)
+                    if av.depth <= tree.horizon:
+                        assert np.array_equal(
+                            vng.conditional_expectation(tree, av).values,
+                            conditional_expectation_loop(tree, av),
+                        )
+                for y in strategies:
+                    report = vng.supermartingale_check(d, y, tree)
+                    assert (
+                        report.first_form, report.second_form, report.equality_gap
+                    ) == supermartingale_loop(d, y, tree)
+                    table = vng.growth_dominance(d, solution.path, y, tree, "mark")
+                    assert np.array_equal(
+                        [e.ratio for e in table],
+                        [r for _, _, r in growth_table_loop(d, y, tree)],
+                        equal_nan=True,
+                    )
+                cert = vng.verify_rapid(solution.path, d, tree, market)
+                feas, member, norm, witness = verify_loops(
+                    solution.path, d, tree, market, cert.tol
+                )
+                assert cert.feasibility_by_node == feas
+                assert cert.membership_by_node == member
+                assert cert.normalization_by_t == norm
+                if witness is not None:
+                    witnesses += 1
+                    assert cert.witness == witness
+                else:
+                    assert cert.witness is None or cert.witness["kind"] == "transition"
+        assert witnesses >= len(solved_set)
+
+    def test_sampler_matches_per_node_frontier_calls(self, solved_set):
+        for k, (problem, _, _) in enumerate(solved_set):
+            tree, market = problem.tree, problem.market
+            paths = vng.sample_competitor_paths(
+                tree, market, np.random.default_rng(k), problem.x0, 4
+            )
+            levels = competitor_paths_loop(
+                tree, market, np.random.default_rng(k), problem.x0, 4
+            )
+            for t in range(tree.horizon + 1):
+                assert np.array_equal(np.stack([y[t].values for y in paths]), levels[t])
+
+    def test_frontier_rows_from_mixed_nodes(self, solved_set):
+        rng = np.random.default_rng(3)
+        for problem, _, _ in solved_set:
+            market = problem.market
+            nodes = rng.permutation(np.repeat(np.arange(1, problem.tree.n_nodes), 3))
+            A = np.array([
+                vng.sample_cone_point(market, problem.tree.parents[i], rng) for i in nodes
+            ])
+            D = np.array([vng.sample_cone_point(market, i, rng) for i in nodes])
+            D[::7] = 0.0  # rows without a direction stay at 0
+            batch = vng.transition_frontier_batch(market, A, D, nodes)
+            single = [
+                vng.transition_frontier_batch(market, A[[k]], D[[k]], [i])[0]
+                for k, i in enumerate(nodes)
+            ]
+            assert np.array_equal(batch, single)

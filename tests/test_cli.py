@@ -1,11 +1,14 @@
 """Command-line surface: parsing, exit codes, file round-trips, referees."""
 
+import copy
 import json
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import vng.cli_io as cli
 from vng.errors import LPFailure
@@ -110,14 +113,16 @@ class TestSolveCertify:
         assert cert["verdict"] == "refuted"
         assert cert["witness"] is not None
 
-    @pytest.mark.parametrize("damage", ["no_residuals", "short_z"])
+    @pytest.mark.parametrize("damage", ["no_residuals", "short_z", "null_multiplier"])
     def test_malformed_solution_is_parse_error(self, workdir, damage):
         run("solve", "kelly.json")
         doc = json.loads((workdir / "kelly.solution.json").read_text())
         if damage == "no_residuals":
             del doc["residuals"]
-        else:
+        elif damage == "short_z":
             doc["z"] = doc["z"][:-1]
+        else:
+            doc["multipliers"][5] = None
         (workdir / "kelly.solution.json").write_text(json.dumps(doc))
         assert (
             run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_PARSE
@@ -222,6 +227,15 @@ class TestCompare:
         ]}))
         assert run("compare", "kelly.json", "bad_weights.json") == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("doc", [
+        [{"id": "rapid", "type": "rapid"}],
+        {"strategies": [{"id": "rapid", "type": 3}]},
+        {"strategies": ["rapid"]},
+    ], ids=["document_is_list", "type_is_int", "entry_is_string"])
+    def test_malformed_strategies_are_parse_errors(self, workdir, doc):
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        assert run("compare", "kelly.json", "bad.json") == cli.EXIT_PARSE
+
     def test_lp_failure_exit_code(self, workdir, monkeypatch):
         def boom(*args, **kwargs):
             raise LPFailure("synthetic breakdown")
@@ -253,3 +267,73 @@ class TestGolden:
             assert out == fh.read()
         with open(self._golden(f"{fixture}.compare.csv"), "rb") as fh:
             assert (workdir / f"{fixture}.compare.csv").read_bytes() == fh.read()
+
+
+# --- exit-code fuzz -----------------------------------------------------------------
+
+EXIT_CODES = {
+    cli.EXIT_OK, cli.EXIT_REFUTED, cli.EXIT_PARSE, cli.EXIT_MARGIN,
+    cli.EXIT_NONCONVERGENCE, cli.EXIT_DIGEST, cli.EXIT_LP,
+}
+# wrong container types and non-string scalars for any field
+WRONG_VALUES = [None, 7, "x", [], {}, [0.5], {"k": [0.5]}, True]
+
+
+def json_paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from json_paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from json_paths(value, prefix + (k,))
+
+
+@st.composite
+def mutations(draw, doc):
+    """``doc`` with one field replaced by a wrong value, deleted, or truncated."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    if not path:
+        return draw(st.sampled_from(WRONG_VALUES))
+    *outer, key = path
+    owner = doc
+    for step in outer:
+        owner = owner[step]
+    ops = ["replace", "delete"] + (["truncate"] if isinstance(owner[key], list) else [])
+    op = draw(st.sampled_from(ops))
+    if op == "replace":
+        owner[key] = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+    elif op == "truncate":
+        owner[key] = owner[key][:draw(st.integers(0, max(0, len(owner[key]) - 1)))]
+    else:
+        del owner[key]
+    return doc
+
+
+def fixture_doc(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return json.load(fh)
+
+
+FUZZ = settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestExitCodeFuzz:
+    """Mutated inputs may only produce documented exit codes, never a traceback."""
+
+    @FUZZ
+    @given(doc=mutations(fixture_doc("strategies.json")))
+    def test_mutated_strategies(self, workdir, doc):
+        (workdir / "fuzz.json").write_text(json.dumps(doc))
+        assert run("compare", "kelly.json", "fuzz.json") in EXIT_CODES
+
+    @FUZZ
+    @given(doc=mutations(fixture_doc("kelly.json")))
+    def test_mutated_problem(self, workdir, doc):
+        (workdir / "fuzz.json").write_text(json.dumps(doc))
+        assert run("validate", "fuzz.json") in EXIT_CODES
+        assert run("compare", "fuzz.json", "strategies.json") in EXIT_CODES

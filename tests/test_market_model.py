@@ -15,7 +15,7 @@ from vng.errors import (
 from vng.market_model import (
     _min_over_ideal_section,
     section_vertices,
-    transition_frontier,
+    transition_frontier_batch,
 )
 
 MEMBER_TOL = 1e-9
@@ -68,29 +68,26 @@ class TestReturnsFromPrices:
 class TestMarginResidual:
     def test_long_covers_short(self):
         _, market = frictionless_market(2, [[1.0, 1.0]], [1.5, 1.5])
-        assert vng.margin_residual(market, np.array([3.0, -1.0]), "r") == pytest.approx(1.5)
+        assert vng.margin_residual(market, [[3.0, -1.0]], [0])[0] == pytest.approx(1.5)
 
     def test_short_too_large(self):
         _, market = frictionless_market(2, [[1.0, 1.0]], [1.5, 1.5])
-        assert vng.margin_residual(market, np.array([1.0, -1.0]), "r") == pytest.approx(-0.5)
+        assert vng.margin_residual(market, [[1.0, -1.0]], [0])[0] == pytest.approx(-0.5)
 
     def test_nonnegative_orthant_always_member(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(0)
-        for node in market.tree.nodes:
-            a = rng.uniform(0.0, 2.0, 2)
-            resid = vng.margin_residual(market, a, node)
-            assert resid == pytest.approx(float(market.Lp[node.index] @ a))
-            assert resid >= 0.0
+        A = rng.uniform(0.0, 2.0, (market.tree.n_nodes, 2))
+        resid = vng.margin_residual(market, A, np.arange(market.tree.n_nodes))
+        np.testing.assert_allclose(resid, np.vecdot(market.Lp, A))
+        assert (resid >= 0.0).all()
 
 
 class TestSelfFinancing:
     def test_frictionless_rebalance_at_par(self):
         _, market = frictionless_market(2, [[1.1, 0.9]], [1.5, 1.5])
-        psi = vng.self_financing_value(
-            market, np.array([1.0, 1.0]), np.array([1.0, 1.0]), "l0"
-        )
-        assert psi == pytest.approx(0.0, abs=1e-15)
+        psi = vng.self_financing_value(market, [[1.0, 1.0]], [[1.0, 1.0]], [1])
+        assert psi[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_costs_make_par_rebalance_lossy(self):
         # 1% both ways on the same (1.1, 0.9) move: 0.99*0.1 - 1.01*0.1
@@ -101,10 +98,8 @@ class TestSelfFinancing:
             lam_plus=np.full((2, 2), 0.01), lam_minus=np.full((2, 2), 0.01),
             margins=np.array([1.5, 1.5]),
         )
-        psi = vng.self_financing_value(
-            market, np.array([1.0, 1.0]), np.array([1.0, 1.0]), "l"
-        )
-        assert psi == pytest.approx(-0.002, abs=1e-15)
+        psi = vng.self_financing_value(market, [[1.0, 1.0]], [[1.0, 1.0]], [1])
+        assert psi[0] == pytest.approx(-0.002, abs=1e-15)
 
     def test_liquidation_is_admissible_from_any_member(self):
         market = two_asset_margin_market()
@@ -114,8 +109,8 @@ class TestSelfFinancing:
                 continue
             for _ in range(50):
                 a = vng.sample_cone_point(market, market.tree.parent(node), rng)
-                psi = vng.self_financing_value(market, a, np.zeros(2), node)
-                assert psi >= -MEMBER_TOL
+                psi = vng.self_financing_value(market, [a], [np.zeros(2)], [node.index])
+                assert psi[0] >= -MEMBER_TOL
 
 
 class TestInZ:
@@ -124,23 +119,23 @@ class TestInZ:
         rng = np.random.default_rng(2)
         node = market.tree.node("aa")
         a = vng.sample_cone_point(market, market.tree.parent(node), rng)
-        res = vng.in_Z(market, a, np.zeros(2), node)
-        assert res.member
+        res = vng.in_Z(market, [a], [np.zeros(2)], [node.index])
+        assert res.member.all()
 
     def test_full_reinvestment_single_asset(self):
         _, market = frictionless_market(1, [[1.2]], [1.5, 1.5])
-        res = vng.in_Z(market, np.array([1.0]), np.array([1.2]), "l0")
-        assert res.member
-        assert res.psi == pytest.approx(0.0, abs=1e-15)
+        res = vng.in_Z(market, [[1.0]], [[1.2]], [1])
+        assert res.member.all()
+        assert res.psi[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_cone_homogeneity_doubles_residuals(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(3)
         node = market.tree.node("ab")
-        a, b = vng.sample_transition_pair(market, node, rng)
-        r1 = vng.in_Z(market, a, b, node)
-        r2 = vng.in_Z(market, 2.0 * a, 2.0 * b, node)
-        assert r2.member
+        a, b = vng.sample_transition_pairs(market, [node.index], rng)
+        r1 = vng.in_Z(market, a, b, [node.index])
+        r2 = vng.in_Z(market, 2.0 * a, 2.0 * b, [node.index])
+        assert r2.member.all()
         assert r2.parent_margin == pytest.approx(2.0 * r1.parent_margin, rel=1e-12)
         assert r2.child_margin == pytest.approx(2.0 * r1.child_margin, rel=1e-12)
         assert r2.psi == pytest.approx(2.0 * r1.psi, rel=1e-12, abs=1e-15)
@@ -152,11 +147,11 @@ class TestConeAxioms:
     def test_membership_closed_under_cone_operations(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(4)
-        node = market.tree.node("ba")
+        node = [market.tree.node("ba").index]
         failures = 0
         for _ in range(1000):
-            a1, b1 = vng.sample_transition_pair(market, node, rng)
-            a2, b2 = vng.sample_transition_pair(market, node, rng)
+            a1, b1 = vng.sample_transition_pairs(market, node, rng)
+            a2, b2 = vng.sample_transition_pairs(market, node, rng)
             lam = rng.uniform(0.0, 4.0)
             th = rng.uniform(0.0, 1.0)
             scaled = vng.in_Z(market, lam * a1, lam * b1, node)
@@ -166,7 +161,7 @@ class TestConeAxioms:
                 th * b1 + (1 - th) * b2,
                 node,
             )
-            if not (scaled.member and mixed.member):
+            if not (scaled.member[0] and mixed.member[0]):
                 failures += 1
         assert failures == 0
 
@@ -178,7 +173,7 @@ class TestConeAxioms:
             a = vng.sample_cone_point(market, node, rng, tightness=1.0)
             if np.abs(a).sum() < 1e-12:
                 continue
-            assert vng.margin_residual(market, -a, node) < 0.0
+            assert vng.margin_residual(market, [-a], [node.index])[0] < 0.0
 
 
 class TestLifts:
@@ -193,7 +188,7 @@ class TestLifts:
                 a = vng.sample_cone_point(market, node, rng)
             else:
                 a = rng.normal(scale=1.0, size=2)
-            resid = vng.margin_residual(market, a, node)
+            resid = vng.margin_residual(market, [a], [node.index])[0]
             if abs(resid) < 1e-7:
                 continue
             assert lift_contains(lift, a) == (resid > 0)
@@ -209,15 +204,15 @@ class TestLifts:
         for _ in range(1300):
             a = vng.sample_cone_point(market, market.tree.parent(node), rng)
             direction = vng.sample_cone_point(market, node, rng)
-            c_star = transition_frontier(market, a, direction, node)
+            c_star = transition_frontier_batch(market, [a], [direction], [node.index])[0]
             b = rng.uniform(0.0, 1.6) * c_star * direction
             if rng.random() < 0.3:
                 b = b - rng.uniform(0.1, 0.5) * np.abs(b).sum() * np.ones(2)
-            verdict = vng.in_Z(market, a, b, node, tol=0.0)
-            margin = min(verdict.parent_margin, verdict.child_margin, verdict.psi)
+            verdict = vng.in_Z(market, [a], [b], [node.index], tol=0.0)
+            margin = min(verdict.parent_margin[0], verdict.child_margin[0], verdict.psi[0])
             if abs(margin) < 1e-7:
                 continue
-            assert lift_contains(lift, np.concatenate([a, b])) == verdict.member
+            assert lift_contains(lift, np.concatenate([a, b])) == verdict.member[0]
             agree += 1
         assert agree > 1000
 
@@ -263,7 +258,7 @@ class TestDualConeViolation:
         node = market.tree.node("a")
         for _ in range(200):
             p = rng.normal(size=2)
-            resid = vng.dual_cone_residual(market, p, node)
+            resid = vng.dual_cone_residual(market, [p], [node.index])[0]
             if abs(resid) < 1e-8:
                 continue
             # p in X* iff min over sampled members of p.a is nonnegative
@@ -276,9 +271,9 @@ class TestDualConeViolation:
             else:
                 sampled_min = min(
                     float(p @ v) for v in section_vertices(
-                        market.Lp[node.index],
-                        market.margins[node.depth] * market.Lm[node.index],
-                    )
+                        market.Lp[[node.index]],
+                        market.margins[node.depth] * market.Lm[[node.index]],
+                    )[0]
                 )
                 assert sampled_min < 0
 
@@ -286,19 +281,20 @@ class TestDualConeViolation:
 class TestFeasibleCompletion:
     def test_zero_maps_to_zero(self):
         market = two_asset_margin_market()
-        b = vng.feasible_completion(market, np.zeros(2), "aa")
-        np.testing.assert_allclose(b, np.zeros(2))
+        aa = [market.tree.node("aa").index]
+        b = vng.feasible_completion(market, [np.zeros(2)], aa)
+        np.testing.assert_allclose(b, np.zeros((1, 2)))
 
     def test_ones_completion_size_and_membership(self):
         market = two_asset_margin_market()
         constants = market.constants()
         node = market.tree.node("ba")
         a = np.ones(2)
-        b = vng.feasible_completion(market, a, node)
+        b = vng.feasible_completion(market, [a], [node.index])
         assert np.abs(b).sum() == pytest.approx(
             constants.C2[node.depth] / 2.0 * np.abs(a).sum()
         )
-        assert vng.in_Z(market, a, b, node).member
+        assert vng.in_Z(market, [a], b, [node.index]).member.all()
 
     def test_property_over_samples(self):
         market = two_asset_margin_market()
@@ -307,13 +303,15 @@ class TestFeasibleCompletion:
         parent = market.tree.parent(node)
         for _ in range(500):
             a = vng.sample_cone_point(market, parent, rng)
-            b = vng.feasible_completion(market, a, node)
-            assert vng.in_Z(market, a, b, node).member
+            b = vng.feasible_completion(market, [a], [node.index])
+            assert vng.in_Z(market, [a], b, [node.index]).member.all()
 
     def test_rejects_nonmember(self):
         market = two_asset_margin_market()
         with pytest.raises(NotInCone):
-            vng.feasible_completion(market, np.array([1.0, -1.0]), "aa")
+            vng.feasible_completion(
+                market, [[1.0, -1.0]], [market.tree.node("aa").index]
+            )
 
 
 class TestSlaterPath:
@@ -328,11 +326,12 @@ class TestSlaterPath:
         market = two_asset_margin_market()
         witness = vng.slater_path(market.tree, market)
         for t in range(1, market.tree.horizon + 1):
-            for node in market.tree.level(t):
-                res = vng.in_Z(
-                    market, witness.values[t - 1], witness.values[t], node, tol=0.0
-                )
-                assert res.member and res.psi > 0
+            lev = market.tree.indices(t)
+            res = vng.in_Z(
+                market, np.tile(witness.values[t - 1], (len(lev), 1)),
+                np.tile(witness.values[t], (len(lev), 1)), lev, tol=0.0,
+            )
+            assert res.member.all() and (res.psi > 0).all()
 
     def test_perturbations_stay_inside(self):
         market = two_asset_margin_market()
@@ -342,11 +341,11 @@ class TestSlaterPath:
             for _ in range(200):
                 e = rng.normal(size=2)
                 e *= rng.uniform(0.0, 1.0) * witness.radii[t] / np.abs(e).sum()
-                for node in market.tree.level(t):
-                    assert (
-                        vng.margin_residual(market, witness.values[t] + e, node)
-                        >= -1e-12
-                    )
+                lev = market.tree.indices(t)
+                resid = vng.margin_residual(
+                    market, np.tile(witness.values[t] + e, (len(lev), 1)), lev
+                )
+                assert (resid >= -1e-12).all()
 
     def test_too_tight_margin_raises(self):
         tree = vng.build_tree(
@@ -387,11 +386,10 @@ class TestDominatingPath:
         vs, us = self._relaxed_from_slater(market, 1.0)
         ys = vng.dominating_path(market.tree, market, vs, us)
         for t, v in enumerate(vs):
-            for node in market.tree.level(t):
-                slack = ys[t].value_at(market.tree, node) - v.value_at(
-                    market.tree, node
-                )
-                assert vng.margin_residual(market, slack, node) >= -MEMBER_TOL
+            resid = vng.margin_residual(
+                market, ys[t].values - v.values, market.tree.indices(t)
+            )
+            assert (resid >= -MEMBER_TOL).all()
 
     def test_half_slater_sequence_dominated(self):
         market = two_asset_margin_market()
@@ -399,10 +397,10 @@ class TestDominatingPath:
         ys = vng.dominating_path(market.tree, market, vs, us)
         tree = market.tree
         for t in range(1, tree.horizon + 1):
-            for node in tree.level(t):
-                a = ys[t - 1].value_at(tree, tree.parent(node))
-                b = ys[t].value_at(tree, node)
-                assert vng.in_Z(market, a, b, node).member
+            res = vng.in_Z(
+                market, ys[t - 1].values[tree.up(t)], ys[t].values, tree.indices(t)
+            )
+            assert res.member.all()
 
     def test_violated_precondition_raises(self):
         market = two_asset_margin_market()
@@ -486,12 +484,11 @@ class TestPaperBounds:
         for node in market.tree.nodes:
             if node.parent is None:
                 continue
-            for _ in range(200):
-                a, b = vng.sample_transition_pair(market, node, rng)
-                assert (
-                    np.abs(b).sum()
-                    <= constants.K[node.depth] * np.abs(a).sum() + 1e-9
-                )
+            a, b = vng.sample_transition_pairs(market, np.full(200, node.index), rng)
+            assert (
+                np.abs(b).sum(axis=1)
+                <= constants.K[node.depth] * np.abs(a).sum(axis=1) + 1e-9
+            ).all()
 
     def test_lemma_positive_part_bound(self):
         market = two_asset_margin_market()
@@ -519,7 +516,7 @@ class TestPaperBounds:
                 if norm_b == 0.0:
                     continue
                 b *= rng.uniform(0.0, 1.0) * constants.C2[node.depth] * np.abs(a).sum() / norm_b
-                assert vng.in_Z(market, a, b, node).member
+                assert vng.in_Z(market, [a], [b], [node.index]).member.all()
 
     def test_psi_upper_bound_chain(self):
         market = two_asset_margin_market()
@@ -530,11 +527,10 @@ class TestPaperBounds:
             if node.parent is None:
                 continue
             t = node.depth
-            for _ in range(200):
-                a, b = vng.sample_transition_pair(market, node, rng)
-                lhs = constants.C1[t] * b_bounds["L_lo"][t] * np.abs(b).sum()
-                rhs = 2.0 * b_bounds["L_hi"][t] * b_bounds["R_hi"][t] * np.abs(a).sum()
-                assert lhs <= rhs + 1e-9
+            a, b = vng.sample_transition_pairs(market, np.full(200, node.index), rng)
+            lhs = constants.C1[t] * b_bounds["L_lo"][t] * np.abs(b).sum(axis=1)
+            rhs = 2.0 * b_bounds["L_hi"][t] * b_bounds["R_hi"][t] * np.abs(a).sum(axis=1)
+            assert (lhs <= rhs + 1e-9).all()
 
 
 def test_random_instances_have_positive_constants():

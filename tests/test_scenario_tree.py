@@ -10,6 +10,7 @@ from vng.errors import (
     BadProbability,
     CycleOrForest,
     DepthMismatch,
+    DimensionMismatch,
     RaggedDepth,
     UnknownNode,
 )
@@ -79,11 +80,35 @@ class TestBuildTree:
         with pytest.raises(RaggedDepth):
             vng.build_tree(raw, 1)
 
-    def test_per_depth_dimensions(self):
-        tree = vng.build_tree(
-            [("r", None, 1.0), ("u", "r", 0.5), ("d", "r", 0.5)], [3, 2]
-        )
-        assert tree.state_dims == (3, 2)
+    @pytest.mark.parametrize("dimension", [0, -2])
+    def test_nonpositive_dimension_rejected(self, dimension):
+        with pytest.raises(DimensionMismatch):
+            vng.build_tree(
+                [("r", None, 1.0), ("u", "r", 0.5), ("d", "r", 0.5)], dimension
+            )
+
+    def test_level_layout(self):
+        # children of a and b interleave in the input, so level 2 is not
+        # grouped by parent
+        raw = [("r", None, 1.0), ("a", "r", 0.3), ("b", "r", 0.7),
+               ("ba", "b", 0.2), ("aa", "a", 0.5), ("bb", "b", 0.8),
+               ("ab", "a", 0.5)]
+        tree = vng.build_tree(raw, 2)
+        assert tree.state_dim == 2
+        assert [n.node_id for n in tree.nodes] == [nid for nid, _, _ in raw]
+        for t in range(tree.horizon + 1):
+            lev = tree.span(t)
+            assert [n.index for n in tree.level(t)] == list(range(lev.start, lev.stop))
+            assert tree.indices(t).tolist() == list(range(lev.start, lev.stop))
+            assert all(n.depth == t for n in tree.level(t))
+        assert tree.up(1).tolist() == [0, 0]
+        assert tree.up(2).tolist() == [1, 0, 1, 0]
+        for node in tree.nodes:
+            parent = tree.parent(node)
+            assert tree.parents[node.index] == (-1 if parent is None else parent.index)
+            assert tree.prob[node.index] == vng.node_probability(tree, node)
+            assert tree.level_position(node) == node.index - tree.span(node.depth).start
+        assert [n.node_id for n in tree.children("a")] == ["aa", "ab"]
 
     def test_unknown_node_lookup(self):
         tree = minimal_binary()
@@ -169,6 +194,20 @@ class TestConditionalExpectation:
         out = vng.conditional_expectation(tree, av)
         assert out.depth == tree.horizon
         np.testing.assert_allclose(out.values, values)
+
+    def test_interleaved_children_match_per_node_sums(self):
+        raw = [("r", None, 1.0), ("a", "r", 0.3), ("b", "r", 0.7),
+               ("ba", "b", 0.2), ("aa", "a", 0.5), ("bb", "b", 0.8),
+               ("ab", "a", 0.5)]
+        tree = vng.build_tree(raw, 2)
+        av = vng.AdaptedVector(2, np.arange(8.0).reshape(4, 2))
+        out = vng.conditional_expectation(tree, av)
+        for node in tree.level(1):
+            expected = sum(
+                child.cond_prob * av.value_at(tree, child)
+                for child in tree.children(node)
+            )
+            assert np.array_equal(out.value_at(tree, node), expected)
 
     def test_positivity_and_linearity(self):
         tree = three_level()
