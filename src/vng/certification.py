@@ -173,15 +173,23 @@ def _transition_level(
     market: MarketData,
     idx: np.ndarray,
     p: np.ndarray,
-    p_bar: np.ndarray,
+    p_next: AdaptedVector,
     tol: float,
 ) -> tuple[list[DualConeCheck], np.ndarray]:
     """Transition checks of one tree level and the mask of proved nodes.
 
-    The closed-form proof runs on the whole level; each node it leaves open
-    gets the LP, which yields its value and any witness.  Proved nodes read 0.
+    ``p_next`` is the price layer after ``p``.  The closed-form proof runs on
+    the whole level, with the same conditional sums over |p_next| bounding
+    the rounding of p_bar (they are p_bar itself when p_next >= 0); each
+    node it leaves open gets the LP, which yields its value and any witness.
+    Proved nodes read 0.
     """
-    proved = transition_proved(market, idx, p, p_bar)
+    tree = market.tree
+    p_bar = conditional_expectation(tree, p_next).values
+    bar_abs = None if (p_next.values >= 0.0).all() else conditional_expectation(
+        tree, AdaptedVector(p_next.depth, np.abs(p_next.values))
+    ).values
+    proved = transition_proved(market, idx, p, p_bar, bar_abs)
     checks = [
         DualConeCheck(0.0, None, None) if ok
         else dual_cone_violation(market, p[k], p_bar[k], int(idx[k]), tol=tol)
@@ -273,7 +281,7 @@ def verify_rapid(
         level = tree.level(t)
         checks, proved = _transition_level(
             market, tree.indices(t), dual.price(t, N).values,
-            dual.bar(tree, t).values, tol,
+            dual.price(t + 1, N), tol,
         )
         lp_nodes += [node.node_id for node, ok in zip(level, proved) if not ok]
         transition.update((node.node_id, c.value) for node, c in zip(level, checks))
@@ -466,7 +474,7 @@ def check_equivalences(
     pre_member = max(0.0, -float(np.concatenate(members).min()))
 
     # (IV): exact per-node value, collecting LP witnesses for the sampled forms.
-    checks, _ = _transition_level(market, idx, P, bar.values, tol)
+    checks, _ = _transition_level(market, idx, P, p_next, tol)
     value_iv = max(check.value for check in checks)
 
     # Sampled transition pairs, one (n, m) row block per sample: the solved

@@ -10,7 +10,8 @@ the target directory, then rename).  The command set is
     vng compare  PROBLEM STRATEGIES [--certificate --out]
 
 Exit codes: 0 success/certified, 1 verification refuted, 2 parse error,
-3 margin too tight, 4 solver not converged, 5 digest mismatch, 6 LP failure.
+3 margin too tight, 4 solver not converged, 5 digest mismatch, 6 LP failure,
+7 any other library error (a ``VngError`` or a ``FloatingPointError``).
 Verbosity follows the VNG_LOG environment variable (error|warn|info|debug).
 """
 
@@ -79,6 +80,7 @@ EXIT_MARGIN = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_DIGEST = 5
 EXIT_LP = 6
+EXIT_LIBRARY = 7
 
 
 # --- parsing helpers -------------------------------------------------------------
@@ -777,6 +779,9 @@ def main(argv: list[str] | None = None) -> int:
     except LPFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LP
+    except (VngError, FloatingPointError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_LIBRARY
 
 
 if __name__ == "__main__":

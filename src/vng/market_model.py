@@ -343,13 +343,37 @@ def dual_cone_violation(
     return DualConeCheck(value, z[:m] - z[m:2 * m], z[2 * m:3 * m] - z[3 * m:4 * m])
 
 
-def _in_ratio_cone(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Rows of v with v_j in kappa [lo_j, hi_j] for one kappa >= 0 (0 < lo <= hi)."""
-    return np.maximum((v / hi).max(axis=1), 0.0) <= (v / lo).min(axis=1)
+# Unit roundoff u, and the smallest normal float: the error bounds of the
+# transition proof add it, which covers gradual underflow in any division.
+_U = 0.5 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _in_ratio_cone(
+    v: np.ndarray, err: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Rows whose exact values lie in kappa [lo_j, hi_j] for one kappa >= 0.
+
+    ``v`` approximates the exact row within ``|v' - v| <= err``; ``lo`` and
+    ``hi`` carry at most one rounding each, and their exact values satisfy
+    0 < LO <= HI.  The row passes when max(max_j v'_j / HI_j, 0) <=
+    min_k v'_k / LO_k is guaranteed, i.e. v'_j / HI_j <= v'_k / LO_k for
+    j != k and v'_k >= 0 (which settles j = k without slack); see
+    :func:`transition_proved` for the bounds behind the slack terms.
+    """
+    slack = 8.0 * _U * np.abs(v) + 2.0 * err
+    upper = v / hi + slack / hi
+    lower = v / lo - slack / lo
+    pairs = (upper[:, :, None] <= lower[:, None, :]) | np.eye(v.shape[1], dtype=bool)
+    return pairs.all(axis=(1, 2)) & (lower.min(axis=1) >= 0.0)
 
 
 def transition_proved(
-    market: MarketData, nodes: np.ndarray, p: np.ndarray, p_bar: np.ndarray
+    market: MarketData,
+    nodes: np.ndarray,
+    p: np.ndarray,
+    p_bar: np.ndarray,
+    bar_abs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mask of the nodes whose dual transition inequality holds in closed form.
 
@@ -363,19 +387,56 @@ def transition_proved(
     kappa >= 0 and sigma - p_bar lies in X*.  The second test has the same
     form with the bounds [Lp_j, mu Lm_j]: it is the sign test at the section
     vertices of X, divided through.  A proved node's LP value is exactly 0.
-    No tolerance applies: a node counts only when every comparison holds in
-    floating point, and every other node needs :func:`dual_cone_violation`.
+
+    The proof holds in exact arithmetic for the stored floats, with p_bar
+    the exact child sum sum_k w_k v_k (w_k the conditional probabilities, v_k
+    the child prices; a leaf's p_bar is its terminal price itself).  Every
+    computed quantity is bounded against its exact value with the standard
+    model fl(x op y) = (x op y)(1 + delta), |delta| <= u = 2^-53:
+
+    - sigma^ = fl(p / R) gives |sigma - sigma^| <= u / (1 - u) |sigma^|,
+      bounded by e_s = 2u |sigma^| (plus the smallest normal float for
+      underflow);
+    - p_bar^ is a dot product over the node's n children, so
+      |p_bar - p_bar^| <= gamma_n S with S = sum_k w_k |v_k| and
+      gamma_n = nu / (1 - nu) (Higham, Accuracy and Stability of Numerical
+      Algorithms, eq. 3.5).  The same sum over |v_k| is computed as S^ >=
+      (1 - gamma_n) S, so e_bar = 2nu S^ bounds the error for any nu <= 0.01;
+      ``bar_abs`` is S^, and its default |p_bar| is S^ whenever the child
+      prices are nonnegative;
+    - y^ = fl(sigma^ - p_bar^) gives |y - y^| <= e_s + e_bar + 2u |y^|.
+
+    A row v with absolute error bound e passes :func:`_in_ratio_cone` when
+    upper_j = fl(v_j / hi_j) + s_j / hi_j is at most
+    lower_k = fl(v_k / lo_k) - s_k / lo_k for all j != k and every lower_k
+    is >= 0, with slack s = 8u |v| + 2e.  The exact ratio differs from
+    a^ = fl(v / hi) by at most 2u / (1 - u) |a^| <= 2u(1 + 2u) |v| / hi (one
+    rounding in the division and at most one in hi, as in mu Lm) plus
+    (1 + u) e' / hi, where e' <= e / (1 - gamma_2) is the exact bound behind
+    the computed sum e.  The slack evaluates with a few roundings of relative
+    size u (one in s, one in s / hi and one in the sum), which the factors
+    8u (against 2u) and 2 (against 1 + 3u) absorb; the bound on b^ is
+    symmetric.  So the float comparisons imply the exact ones.  Two frictionless coordinates (Lp = Lm) leave the sigma test no
+    slack, so such nodes go to :func:`dual_cone_violation` by design; a
+    single asset needs none.
     """
-    idx, p, p_bar = market._rows(nodes, p, p_bar)
+    idx, p, p_bar, bar_abs = market._rows(
+        nodes, p, p_bar, np.abs(p_bar) if bar_abs is None else bar_abs
+    )
+    tree = market.tree
     Lp, Lm = market.Lp[idx], market.Lm[idx]
-    mu = market.margins[market.tree.depth[idx]]
+    mu = market.margins[tree.depth[idx]]
+    n_children = np.bincount(tree.parents[1:], minlength=tree.n_nodes)[idx]
     sigma = p / market.returns[idx]
     y_b = sigma - p_bar
+    err_sigma = 2.0 * _U * np.abs(sigma) + _TINY
+    err_bar = (2.0 * _U * n_children)[:, None] * bar_abs
+    err_y = err_sigma + err_bar + 2.0 * _U * np.abs(y_b)
     finite = np.isfinite(sigma).all(axis=1) & np.isfinite(y_b).all(axis=1)
     return (
         finite
-        & _in_ratio_cone(sigma, Lp, Lm)
-        & _in_ratio_cone(y_b, Lp, mu[:, None] * Lm)
+        & _in_ratio_cone(sigma, err_sigma, Lp, Lm)
+        & _in_ratio_cone(y_b, err_y, Lp, mu[:, None] * Lm)
     )
 
 

@@ -16,12 +16,12 @@ maximizing drives each auxiliary scalar to the true value.  The objective
 reaches the program through its array form (:class:`~vng.objectives.LeafForm`):
 its value and derivatives are whole-array expressions over all leaves.
 
-The solve follows the log-barrier central path (barrier parameter cut by 0.2
-per outer iteration, damped Newton with Armijo backtracking at 1e-4 / 0.5)
-carrying explicit multiplier iterates, i.e. Newton acts on the perturbed KKT
-system rather than the primal composite.  That keeps the complementarity
-products accurate enough for the certificate layer, which divides multipliers
-by node probabilities.
+Newton acts on the perturbed KKT system with explicit multipliers, centered
+on lambda_i g_i = mu P_i, P_i the probability of the node owning row i: a
+probability-weighted central path (Jansen, Roos, Terlaky and Vial, Ann. Oper.
+Res. 62, 1996).  The certificate layer divides each node's multipliers by
+P(node), so every node's price then carries an error of order mu, and a final
+mu of 1e-2 * tol serves every tree.  Centering and merit measure r_c / P.
 
 A solve owns its workspace; problems are immutable and may be solved
 concurrently.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,10 +44,9 @@ from .scenario_tree import AdaptedVector, ScenarioTree
 
 log = logging.getLogger(__name__)
 
-MU_FLOOR = 1e-13
-# Complementarity budget: sized so the rapid path's supermartingale equality
-# gap (the tightest certificate criterion, 1e-8) keeps an order of headroom.
-COMPLEMENTARITY_HEADROOM = 1e-9
+# Newton steps shorter than this are retried with more proximal damping
+# (measured: 1e-10 to 1e-6 all serve; without the retry some m = 4 trees jam).
+MIN_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 2000
     seed: int = 0
-    mu_target: float | None = None  # default: derived from tree probabilities
+    mu_target: float | None = None  # final weighted-path mu; default 1e-2 * tol
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,6 @@ class AssembledProgram:
     row_owner: np.ndarray     # node index owning each constraint row
     col_owner: np.ndarray     # node index owning each variable column
     leaf_prob: np.ndarray
-    mu_target_auto: float = field(default=0.0)
 
     @property
     def m(self) -> int:
@@ -367,18 +365,6 @@ def assemble(problem: PathProblem) -> AssembledProgram:
     A = sp.csr_matrix(
         (np.array(data), (np.array(rows), np.array(cols))), shape=(n_cons, n_vars)
     )
-    leaf_prob = tree.prob[leaves]
-
-    # Complementarity budget: the dual layer divides block-wise products by
-    # node probabilities and telescopes them across descendants, so the final
-    # barrier parameter must undercut the worst (1 + descendants) / P(node).
-    desc = np.zeros(tree.n_nodes, dtype=int)
-    for t in range(tree.horizon, 0, -1):
-        lev = tree.span(t)
-        np.add.at(desc, tree.parents[lev], 1 + desc[lev])
-    factor = float(((1.0 + desc[1:]) / tree.prob[1:]).max())
-    mu_auto = COMPLEMENTARITY_HEADROOM / ((6 * m + 2) * factor)
-
     return AssembledProgram(
         problem=problem,
         n_vars=n_vars,
@@ -393,8 +379,7 @@ def assemble(problem: PathProblem) -> AssembledProgram:
         leaf_w=leaf_w,
         row_owner=row_owner,
         col_owner=col_owner,
-        leaf_prob=leaf_prob,
-        mu_target_auto=max(MU_FLOOR, mu_auto),
+        leaf_prob=tree.prob[leaves],
     )
 
 
@@ -511,30 +496,31 @@ def solve_log_optimal(
 ) -> Solution:
     """Interior-point solve; returns the best iterate flagged when not converged.
 
-    The barrier parameter follows mu <- 0.2 mu down to an auto-derived target
-    (or ``options.mu_target``); each stage is centered by damped Newton steps
-    on the perturbed KKT system with fraction-to-boundary safeguards and an
-    Armijo (1e-4, 0.5) backtracking line search on the KKT residual norm.
+    The barrier parameter follows mu <- 0.2 mu down to 1e-2 * tol (or
+    ``options.mu_target``); each stage is centered by damped Newton steps
+    with fraction-to-boundary safeguards and an Armijo (1e-4, 0.5)
+    backtracking line search on the weighted KKT residual norm.  Only a
+    centered final stage within tol counts as converged.
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
     prog = assemble(problem)
     mu_target = options.mu_target
     if mu_target is None:
-        mu_target = min(prog.mu_target_auto, 1e-2 * options.tol)
-    mu_target = max(mu_target, MU_FLOOR)
+        mu_target = 1e-2 * options.tol
+    w = problem.tree.prob[prog.row_owner]  # central-path weight of each row
 
     z = _interior_start(prog)
     g = prog.g(z)
     mu = 1.0
-    lam = mu / g
+    lam = mu * w / g
 
     iters = 0
     outer = 0
     trace: list[float] = []
-    stalled = False
     stage_best_rd = np.inf
     stage_no_progress = 0
+    stop = ""  # why the loop must end before its final stage centers
 
     abs_A_T = abs(prog.A).T.tocsr()
 
@@ -542,13 +528,14 @@ def solve_log_optimal(
     # iteration is covariant under rescaling the problem (cone homogeneity).
     def merit(r_d: np.ndarray, r_c: np.ndarray, gscale: float) -> float:
         rd = r_d / gscale
-        return float(rd @ rd + r_c @ r_c)
+        rc = r_c / w
+        return float(rd @ rd + rc @ rc)
 
     while True:
         gf = prog.grad_f(z)
         g = prog.g(z)
         r_d = gf + prog.A.T @ lam
-        r_c = lam * g - mu
+        r_c = lam * g - mu * w
         gscale = float(np.abs(gf).max())
         # cancellation noise floor of the stationarity residual in float64
         noise_d = 64.0 * np.finfo(float).eps * (
@@ -557,7 +544,7 @@ def solve_log_optimal(
         final_stage = mu <= mu_target * (1.0 + 1e-12)
         c_center = 0.01 if final_stage else 0.1
         rd_max = float(np.abs(r_d).max())
-        rc_max = float(np.abs(r_c).max())
+        rc_max = float(np.abs(r_c / w).max())
         centered = (
             rd_max <= max(c_center * mu * gscale, noise_d)
             and rc_max <= 2.0 * c_center * mu
@@ -568,7 +555,7 @@ def solve_log_optimal(
         else:
             stage_no_progress += 1
         if not centered and rc_max <= 0.5 * mu and (
-            stalled or stage_no_progress >= 8
+            stop or stage_no_progress >= 8
         ):
             # The stationarity residual sits at its floating-point plateau for
             # this stage; its level only perturbs the certificates through a
@@ -577,8 +564,8 @@ def solve_log_optimal(
                 "accepting stage at plateau: mu=%.3e rd=%.3e", mu, rd_max
             )
             centered = True
-            stalled = False
         if centered:
+            stop = ""
             outer += 1
             trace.append(log_objective(problem.tree, problem.objective,
                                        prog.path_values(z)[-1]))
@@ -588,14 +575,17 @@ def solve_log_optimal(
             stage_best_rd = np.inf
             stage_no_progress = 0
             continue
-        if iters >= options.max_iter or stalled:
+        if stop or iters >= options.max_iter:
+            stop = stop or f"max_iter={options.max_iter} reached"
             break
 
-        # Plain Newton first; on a failed line search retry with increasing
-        # proximal damping, which suppresses noise-driven motion along flat
-        # (degenerate) faces of the optimal set near the end of the path.
+        # Plain Newton first.  A failed line search, or a step shorter than
+        # MIN_STEP, retries with increasing proximal damping, which suppresses
+        # motion along flat (degenerate) faces of the optimal set: there the
+        # undamped direction is huge and the boundary cuts it to nothing.  A
+        # short step is still taken when no damped one goes further.
         phi0 = merit(r_d, r_c, gscale)
-        accepted = False
+        step = None
         for ridge_scale in (0.0, 1e-4, 1e-1):
             try:
                 dz, dlam = _newton_step(
@@ -621,18 +611,22 @@ def solve_log_optimal(
                     g2 = prog.g(z_try)
                     if g2.min() > 0.0:
                         r_d2 = prog.grad_f(z_try) + prog.A.T @ lam_try
-                        r_c2 = lam_try * g2 - mu
+                        r_c2 = lam_try * g2 - mu * w
                         if merit(r_d2, r_c2, gscale) <= (1.0 - 1e-4 * alpha) * phi0:
-                            z, lam, g = z_try, lam_try, g2
-                            accepted = True
                             break
                 alpha *= 0.5
-            if accepted:
+            else:
+                continue
+            if step is None or alpha >= MIN_STEP:
+                step = (z_try, lam_try, g2)
+            if alpha >= MIN_STEP:
                 break
         iters += 1
-        if not accepted:
+        if step is None:
             log.debug("line search stalled at mu=%.3e iter=%d", mu, iters)
-            stalled = True
+            stop = "line search stalled"
+        else:
+            z, lam, g = step
 
     gf = prog.grad_f(z)
     g = prog.g(z)
@@ -644,11 +638,11 @@ def solve_log_optimal(
         duality_gap=float(lam @ g),
     )
     path = prog.path_values(z)
-    converged = residuals.within(options.tol) and mu <= mu_target * (1.0 + 1e-9)
+    converged = not stop and residuals.within(options.tol)
     if not converged:
         log.warning(
-            "solve did not converge: iters=%d mu=%.3e residuals=%s",
-            iters, mu, residuals,
+            "solve did not converge (%s): iters=%d mu=%.3e residuals=%s",
+            stop or "residuals above tol", iters, mu, residuals,
         )
     return Solution(
         path=path,

@@ -417,6 +417,63 @@ class TestTransitionProof:
                     check(market, level, market.returns[idx] * sigma, sigma - y)
         assert accepted > 100 and rejected > 100
 
+    def test_float_boundary_pairs_never_accepted_against_exact_arithmetic(
+        self, solved_set
+    ):
+        """sigma and sigma - p_bar placed on their ratio-cone boundaries.
+
+        Each coordinate sits at an end of its interval (or inside it), and
+        p_bar is the float child sum of equal child prices, so the pairs sit
+        within a few ulps of the boundary.  The proof may leave such a pair
+        to the LP, but must never accept one that exact arithmetic rejects.
+        """
+        rng = np.random.default_rng(41)
+        proved_total = float_only = 0
+        for problem, _, _ in solved_set[::3] + solved_set[50:]:
+            tree, market = problem.tree, problem.market
+            m = market.m
+            for t in range(1, tree.horizon + 1):
+                level = tree.level(t)
+                idx = tree.indices(t)
+                Lp, Lm = market.Lp[idx], market.Lm[idx]
+                beta = market.margins[t] * Lm
+                for _ in range(4):
+                    shape = (len(idx), m)
+                    u = np.where(rng.random(shape) < 0.5,
+                                 rng.integers(0, 2, shape), rng.random(shape))
+                    w = rng.integers(0, 2, shape)
+                    sigma = rng.uniform(0.5, 2.0, (len(idx), 1)) * (Lp + u * (Lm - Lp))
+                    y = rng.uniform(1e-3, 0.1, (len(idx), 1)) * (Lp + w * (beta - Lp))
+                    target = sigma - y
+                    if t == tree.horizon:
+                        p_bar = target
+                        terms = [[(1.0, row)] for row in target]
+                    else:
+                        child = target[tree.up(t + 1)]
+                        p_bar = vng.conditional_expectation(
+                            tree, vng.AdaptedVector(t + 1, child)
+                        ).values
+                        terms = [
+                            [(c.cond_prob, child[c.index - tree.offsets[t + 1]])
+                             for c in tree.children(node)]
+                            for node in level
+                        ]
+                    p = market.returns[idx] * sigma
+                    proved = vng.transition_proved(market, idx, p, p_bar)
+                    for k, node in enumerate(level):
+                        exact = exact_transition_proof(market, node, p[k], terms[k])
+                        assert exact or not proved[k], node.node_id
+                        proved_total += int(proved[k])
+                        s = p[k] / market.returns[idx[k]]
+                        yb = s - p_bar[k]
+                        plain = (max(max(s / Lm[k]), 0.0) <= min(s / Lp[k])
+                                 and max(max(yb / beta[k]), 0.0) <= min(yb / Lp[k]))
+                        float_only += int(plain and not exact)
+        # the draws do reach the proof's territory, and they sit close enough
+        # to the boundary that a comparison without slack accepts wrong pairs
+        assert proved_total > 100
+        assert float_only > 0
+
     def test_certificate_lists_the_nodes_the_lp_decided(self, solved_set):
         listed = []
         for problem, solution, dual in solved_set:

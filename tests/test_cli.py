@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import vng.cli_io as cli
-from vng.errors import LPFailure
+from vng.errors import InfeasibleStart, LPFailure, NotCertified
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -84,6 +84,16 @@ class TestSolveCertify:
             run("certify", "kelly.json", "kelly.solution.json")
             == cli.EXIT_NONCONVERGENCE
         )
+
+    def test_iteration_cap_below_need_exits_nonconvergence(self, workdir):
+        assert run("solve", "kelly.json") == 0
+        needed = json.loads((workdir / "kelly.solution.json").read_text())["iterations"]
+        assert (
+            run("solve", "kelly.json", "--max-iter", str(needed - 1))
+            == cli.EXIT_NONCONVERGENCE
+        )
+        doc = json.loads((workdir / "kelly.solution.json").read_text())
+        assert doc["converged"] is False
 
     def test_digest_mismatch(self, workdir):
         run("solve", "kelly.json")
@@ -242,6 +252,20 @@ class TestCompare:
 
         monkeypatch.setattr("vng.certification.dual_cone_violation", boom)
         assert run("compare", "kelly.json", "strategies.json") == cli.EXIT_LP
+
+    @pytest.mark.parametrize("error", [
+        InfeasibleStart("no interior start"),
+        NotCertified("refused"),
+        FloatingPointError("newton system could not be factorized"),
+    ], ids=lambda e: type(e).__name__)
+    def test_other_library_errors_exit_library(self, workdir, monkeypatch, capsys, error):
+        def boom(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("vng.cli_io.solve_log_optimal", boom)
+        assert run("solve", "kelly.json") == cli.EXIT_LIBRARY
+        assert run("compare", "kelly.json", "strategies.json") == cli.EXIT_LIBRARY
+        assert type(error).__name__ in capsys.readouterr().err
 
 
 class TestGolden:

@@ -179,6 +179,80 @@ class TestSolveProperties:
         assert not solution.converged
         assert solution.iterations <= 3
 
+    def test_iteration_cap_flagged_even_with_small_residuals(self, kelly):
+        needed = vng.solve_log_optimal(kelly).iterations
+        capped = vng.solve_log_optimal(kelly, vng.SolveOptions(max_iter=needed - 1))
+        # the last stage is reached and the residuals are within tol, but
+        # the stage never centered
+        assert capped.mu_final == 1e-2 * capped.options.tol
+        assert capped.residuals.within(capped.options.tol)
+        assert not capped.converged
+
+
+def regular_problem(branching: int, depth: int, m: int, seed: int) -> vng.PathProblem:
+    """Regular tree with liquidation value, drawn from a fixed seed.
+
+    Random conditional probabilities, returns and cost rates up to 5%; the
+    margins sit 0.1 to 0.6 above the market's (B2) floor.
+    """
+    rng = np.random.default_rng(seed)
+    raw = [("r", None, 1.0)]
+    level = ["r"]
+    for _ in range(depth):
+        new = []
+        for parent in level:
+            probs = rng.uniform(1.0, 2.0, branching)
+            probs /= probs.sum()
+            for j in range(branching):
+                raw.append((f"{parent}{j}", parent, float(probs[j])))
+                new.append(f"{parent}{j}")
+        level = new
+    tree = vng.build_tree(raw, m)
+    returns = np.full((tree.n_nodes, m), np.nan)
+    returns[1:] = rng.uniform(0.85, 1.2, (tree.n_nodes - 1, m))
+    lam_plus = rng.uniform(0.0, 0.05, (tree.n_nodes, m))
+    lam_minus = rng.uniform(0.0, 0.05, (tree.n_nodes, m))
+    probe = vng.MarketData(
+        tree=tree, m=m, returns=returns, lam_plus=lam_plus, lam_minus=lam_minus,
+        margins=np.full(depth + 1, 1e6),
+    )
+    margins = vng.market_constants(probe).nu + 0.1 + rng.uniform(0.0, 0.5, depth + 1)
+    market = vng.MarketData(
+        tree=tree, m=m, returns=returns, lam_plus=lam_plus, lam_minus=lam_minus,
+        margins=margins,
+    )
+    return vng.PathProblem(
+        tree=tree, market=market, objective=vng.LiquidationObjective(tree, market),
+        x0=rng.uniform(0.3, 1.5, m),
+    )
+
+
+class TestWeightedCentralPath:
+    """The solve centers on lambda_i g_i = mu P(owner node of row i)."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 13, 21])
+    def test_returned_iterate_is_weighted_centered(self, seed):
+        problem = make_instance(seed)
+        solution = vng.solve_log_optimal(problem)
+        assert solution.converged
+        prog = assemble(problem)
+        w = problem.tree.prob[prog.row_owner]
+        mu = solution.mu_final
+        assert mu == 1e-2 * solution.options.tol
+        spread = np.abs(solution.multipliers * prog.g(solution.z) / w - mu).max()
+        assert spread <= 0.02 * mu
+
+    @pytest.mark.parametrize("shape, cap", [((2, 6, 2), 150), ((3, 4, 4), 300)],
+                             ids=["127-node-m2", "121-node-m4"])
+    def test_regular_trees_converge_and_certify(self, shape, cap):
+        problem = regular_problem(*shape, seed=0)
+        solution = vng.solve_log_optimal(problem)
+        assert solution.converged
+        assert solution.iterations <= cap
+        dual = vng.extract_dual(solution, problem)
+        cert = vng.verify_rapid(solution.path, dual, problem.tree, problem.market)
+        assert cert.certified
+
 
 class TestKktReport:
     def test_converged_solution_within_tolerance(self, kelly):
