@@ -23,6 +23,14 @@ Res. 62, 1996).  The certificate layer divides each node's multipliers by
 P(node), so every node's price then carries an error of order mu, and a final
 mu of 1e-2 * tol serves every tree.  Centering and merit measure r_c / P.
 
+Each Newton system is solved on the scenario tree's block structure: the
+rows of a node read only its own columns and its parent's state, so the
+system is eliminated from the leaves to the root, one whole level of
+stacked dense blocks at a time (Steinbach, Math. Methods OR 56, 2002;
+Blomvall and Lindberg, EJOR 143, 2002).  Rows whose barrier weight has grown
+past the Hessian scale stay in augmented form, which keeps the blocks
+nonsingular in floating point down to the final mu (see :func:`_newton_step`).
+
 A solve owns its workspace; problems are immutable and may be solved
 concurrently.
 """
@@ -35,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, InfeasibleStart
 from .market_model import MarketData, margin_residual, transition_frontier_batch
@@ -142,6 +149,51 @@ class Solution:
 
 # --- program assembly -----------------------------------------------------------
 
+@dataclass(frozen=True)
+class Level:
+    """One level of the program's block tree, stacked over its blocks.
+
+    Block k owns ``n_cols`` consecutive columns and ``n_rows`` consecutive
+    rows; its rows read its own columns through ``loc[k]`` and, below the
+    first level, the first ``m`` columns (the state x) of its parent block
+    ``up[k]`` in the previous level through ``par[k]``.  The node levels hold
+    one block per node of depth t; a lifted objective adds a last level, one
+    block per lifted leaf, holding that leaf's w and its 2m rows.
+    """
+
+    rows: slice
+    cols: slice
+    loc: np.ndarray           # (n, n_rows, n_cols)
+    par: np.ndarray | None    # (n, n_rows, m); None on the first level
+    up: np.ndarray | None     # (n,) parent block within the previous level
+
+
+def _node_blocks(
+    Lp: np.ndarray, Lm: np.ndarray, R: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient blocks of the node rows: (k, 4m + 2, 3m) and (k, 4m + 2, m).
+
+    Columns x, v, s of the node, then x of its parent; rows v >= 0,
+    u = x + v >= 0, margin >= 0, Lp (R x_par - x) - s >= 0,
+    Lm (R x_par - x) - s >= 0 and sum(s) >= 0.
+    """
+    k, m = Lp.shape
+    j = np.arange(m)
+    loc = np.zeros((k, 4 * m + 2, 3 * m))
+    par = np.zeros((k, 4 * m + 2, m))
+    loc[:, j, m + j] = 1.0
+    loc[:, m + j, j] = 1.0
+    loc[:, m + j, m + j] = 1.0
+    loc[:, 2 * m, :m] = Lp
+    loc[:, 2 * m, m:2 * m] = Lp - mu[:, None] * Lm
+    for first, L in ((2 * m + 1, Lp), (3 * m + 1, Lm)):
+        loc[:, first + j, j] = -L
+        loc[:, first + j, 2 * m + j] = -1.0
+        par[:, first + j, j] = L * R
+    loc[:, 4 * m + 1, 2 * m:] = 1.0
+    return loc, par
+
+
 @dataclass
 class AssembledProgram:
     """Lifted deterministic equivalent with index maps for the dual layer.
@@ -151,13 +203,17 @@ class AssembledProgram:
     u >= 0, margin >= 0, Lp(R x_par - x) - s >= 0, Lm(R x_par - x) - s >= 0,
     and sum(s) >= 0.  Lifted objective leaves append auxiliary scalars w with
     two coordinatewise rows each (see :class:`~vng.objectives.LeafForm`).
+    ``levels`` holds the same coefficients as ``A`` as stacked dense blocks.
     """
 
     problem: PathProblem
     n_vars: int
     n_cons: int
     A: sp.csr_matrix          # constraints g(z) = A z + b >= 0
+    A_T: sp.csr_matrix        # A.T, and abs(A).T, stored row-major
+    abs_A_T: sp.csr_matrix
     b: np.ndarray
+    levels: list[Level]
     # Per node index (the root's entries are unused): column offsets of the
     # x, v and s blocks, and the first row of the node's constraint block.
     x_off: np.ndarray
@@ -238,12 +294,15 @@ class AssembledProgram:
         grad[self.leaf_w] = P[form.lifted] * form.cw / s[form.lifted]
         return grad
 
-    def neg_hess_f(self, z: np.ndarray) -> sp.csr_matrix:
-        """W = -hess f(z), positive semidefinite, supported on leaf blocks.
+    def neg_hess_f(
+        self, z: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """W = -hess f(z), positive semidefinite, as stacked leaf blocks.
 
         Each leaf contributes P (g g^T) / sigma^2 over its columns, g the
         gradient of sigma, plus P * curv / sigma on its x block, curv the
-        curvature of the Euclidean penalty.
+        curvature of the Euclidean penalty.  Returns the (n_leaves, m, m)
+        x-x blocks and the (n_lifted, m, m) x-w and w-w blocks.
         """
         form = self.problem.objective.form
         X, nrm, G, sigma = self._leaf_state(z)
@@ -255,125 +314,125 @@ class AssembledProgram:
             np.eye(self.m) - xhat[:, :, None] * xhat[:, None, :]
         )
         lw = form.lifted
+        xx = P * (G[:, :, None] * G[:, None, :]) / s2 + P * (curv / s)
         xw = P[lw] * (G[lw][:, :, None] * form.cw[:, None, :]) / s2[lw]
-        blocks = [
-            (self.leaf_x, self.leaf_x,
-             P * (G[:, :, None] * G[:, None, :]) / s2 + P * (curv / s)),
-            (self.leaf_x[lw], self.leaf_w, xw),
-            (self.leaf_w, self.leaf_x[lw], xw.transpose(0, 2, 1)),
-            (self.leaf_w, self.leaf_w,
-             P[lw] * (form.cw[:, :, None] * form.cw[:, None, :]) / s2[lw]),
-        ]
-        rows = [np.broadcast_to(r[:, :, None], v.shape).ravel() for r, _, v in blocks]
-        cols = [np.broadcast_to(c[:, None, :], v.shape).ravel() for _, c, v in blocks]
-        return sp.csr_matrix(
-            (
-                np.concatenate([v.ravel() for _, _, v in blocks]),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
-            shape=(self.n_vars, self.n_vars),
-        )
+        ww = P[lw] * (form.cw[:, :, None] * form.cw[:, None, :]) / s2[lw]
+        return xx, xw, ww
+
+
+def _block_entries(
+    rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, pattern: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of the ``pattern`` entries of stacked blocks."""
+    return (
+        np.broadcast_to(rows[:, :, None], blocks.shape)[:, pattern].ravel(),
+        np.broadcast_to(cols[:, None, :], blocks.shape)[:, pattern].ravel(),
+        blocks[:, pattern].ravel(),
+    )
 
 
 def assemble(problem: PathProblem) -> AssembledProgram:
-    """Build the lifted deterministic-equivalent program."""
+    """Build the lifted deterministic-equivalent program, one level at a time."""
     tree = problem.tree
     market = problem.market
     form = problem.objective.form
     m = market.m
-    root = tree.root.index
-    non_root = range(1, tree.n_nodes)  # the root is index 0
-    leaves = tree.span(tree.horizon)
+    N = tree.horizon
+    leaves = tree.span(N)
     n_lifted = len(form.lifted)
+    nodes = np.arange(tree.n_nodes)
 
-    # node i >= 1 owns columns x, v, s at (i - 1) * 3m and block rows at (i - 1) * block
-    x_off = (np.arange(tree.n_nodes) - 1) * 3 * m
-    v_off = x_off + m
-    s_off = x_off + 2 * m
-    n_vars = len(non_root) * 3 * m
-    leaf_x = x_off[leaves, None] + np.arange(m)
-    leaf_w = n_vars + np.arange(n_lifted * m).reshape(n_lifted, m)
-    n_vars += n_lifted * m
-
+    # node i >= 1 owns columns x, v, s at (i - 1) 3m and block rows at (i - 1) block
     block = 4 * m + 2
-    row_base = (np.arange(tree.n_nodes) - 1) * block
-    n_cons = len(non_root) * block
+    x_off = (nodes - 1) * 3 * m
+    row_base = (nodes - 1) * block
+    n_node_vars = (tree.n_nodes - 1) * 3 * m
+    n_node_rows = (tree.n_nodes - 1) * block
+    leaf_x = x_off[leaves, None] + np.arange(m)
+    leaf_w = n_node_vars + np.arange(n_lifted * m).reshape(n_lifted, m)
+    n_vars = n_node_vars + n_lifted * m
     # per lifted leaf: m rows c1 * x + d * w >= 0, then m rows c2 * x + d * w >= 0
-    leaf_rows = n_cons + np.arange(n_lifted * 2 * m).reshape(n_lifted, 2, m)
-    n_cons += n_lifted * 2 * m
+    n_cons = n_node_rows + n_lifted * 2 * m
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
+    idx = nodes[1:]
+    loc, par = _node_blocks(
+        market.Lp[idx], market.Lm[idx], market.returns[idx],
+        market.margins[tree.depth[idx]],
+    )
+    # the root's state is the constant x0: its terms move into b
     b = np.zeros(n_cons)
+    first = tree.indices(1)
+    plus = row_base[first, None] + 2 * m + 1 + np.arange(m)
+    b[plus] = market.Lp[first] * market.returns[first] * problem.x0
+    b[plus + m] = market.Lm[first] * market.returns[first] * problem.x0
+
+    levels = []
+    for t in range(1, N + 1):
+        lo, hi = tree.span(t).start, tree.span(t).stop
+        levels.append(Level(
+            rows=slice((lo - 1) * block, (hi - 1) * block),
+            cols=slice((lo - 1) * 3 * m, (hi - 1) * 3 * m),
+            loc=loc[lo - 1:hi - 1],
+            par=None if t == 1 else par[lo - 1:hi - 1],
+            up=None if t == 1 else tree.up(t),
+        ))
+    if n_lifted:
+        j = np.arange(m)
+        w_loc = np.zeros((n_lifted, 2 * m, m))
+        w_par = np.zeros((n_lifted, 2 * m, m))
+        w_loc[:, j, j] = w_loc[:, m + j, j] = form.d
+        w_par[:, j, j] = form.c1
+        w_par[:, m + j, j] = form.c2
+        levels.append(Level(
+            rows=slice(n_node_rows, n_cons), cols=slice(n_node_vars, n_vars),
+            loc=w_loc, par=w_par, up=form.lifted,
+        ))
+
+    # A from the same blocks: every structural entry of a node block (the
+    # pattern of generic coefficients), and the two diagonals of a leaf's w rows
+    ones = np.ones((1, m))
+    generic = _node_blocks(ones, ones, ones, np.array([0.5]))  # Lp - mu Lm != 0
+    pat_loc, pat_par = (blk[0] != 0.0 for blk in generic)
+    row = row_base[idx, None] + np.arange(block)
+    col_loc = x_off[idx, None] + np.arange(3 * m)
+    col_par = x_off[tree.parents[idx], None] + np.arange(m)
+    deep = tree.depth[idx] > 1
+    parts = [
+        _block_entries(row, col_loc, loc, pat_loc),
+        _block_entries(row[deep], col_par[deep], par[deep], pat_par),
+    ]
+    if n_lifted:
+        w_rows = n_node_rows + np.arange(n_lifted * 2 * m).reshape(n_lifted, 2 * m)
+        diagonals = np.tile(np.eye(m, dtype=bool), (2, 1))
+        parts += [
+            _block_entries(w_rows, leaf_w, w_loc, diagonals),
+            _block_entries(w_rows, leaf_x[form.lifted], w_par, diagonals),
+        ]
+    rows, cols, data = (np.concatenate([p[k] for p in parts]) for k in range(3))
+    A = sp.csr_matrix((data, (rows, cols)), shape=(n_cons, n_vars))
+    A_T = sp.csr_matrix((data, (cols, rows)), shape=(n_vars, n_cons))
+
     row_owner = np.zeros(n_cons, dtype=int)
     col_owner = np.zeros(n_vars, dtype=int)
-
-    def put(r: int, c: int, val: float) -> None:
-        rows.append(r)
-        cols.append(c)
-        data.append(val)
-
-    for i in non_root:
-        node = tree.nodes[i]
-        parent = tree.nodes[node.parent]
-        mu = market.margins[node.depth]
-        Lp, Lm, R = market.Lp[i], market.Lm[i], market.returns[i]
-        base = row_base[i]
-        row_owner[base:base + block] = i
-        col_owner[x_off[i]:x_off[i] + 3 * m] = i
-
-        for j in range(m):
-            put(base + j, v_off[i] + j, 1.0)                   # v >= 0
-            put(base + m + j, x_off[i] + j, 1.0)               # u = x + v >= 0
-            put(base + m + j, v_off[i] + j, 1.0)
-        r_margin = base + 2 * m
-        for j in range(m):
-            put(r_margin, x_off[i] + j, Lp[j])
-            put(r_margin, v_off[i] + j, Lp[j] - mu * Lm[j])
-
-        # Lp (R x_par - x) - s >= 0, Lm (R x_par - x) - s >= 0, sum s >= 0
-        r_plus = base + 2 * m + 1
-        r_minus = base + 3 * m + 1
-        r_psi = base + 4 * m + 1
-        for j in range(m):
-            put(r_plus + j, x_off[i] + j, -Lp[j])
-            put(r_plus + j, s_off[i] + j, -1.0)
-            put(r_minus + j, x_off[i] + j, -Lm[j])
-            put(r_minus + j, s_off[i] + j, -1.0)
-            put(r_psi, s_off[i] + j, 1.0)
-        if parent.index == root:
-            b[r_plus:r_plus + m] += Lp * R * problem.x0
-            b[r_minus:r_minus + m] += Lm * R * problem.x0
-        else:
-            for j in range(m):
-                put(r_plus + j, x_off[parent.index] + j, Lp[j] * R[j])
-                put(r_minus + j, x_off[parent.index] + j, Lm[j] * R[j])
-
-    lifted_index = np.arange(tree.n_nodes)[leaves][form.lifted]
-    row_owner[leaf_rows] = lifted_index[:, None, None]
-    col_owner[leaf_w] = lifted_index[:, None]
-    x_lifted = leaf_x[form.lifted]
-    d = np.full((n_lifted, m), form.d)
-    r1, r2 = leaf_rows[:, 0], leaf_rows[:, 1]
-    for r, c, v in ((r1, x_lifted, form.c1), (r1, leaf_w, d),
-                    (r2, x_lifted, form.c2), (r2, leaf_w, d)):
-        rows.extend(r.ravel())
-        cols.extend(c.ravel())
-        data.extend(v.ravel())
-
-    A = sp.csr_matrix(
-        (np.array(data), (np.array(rows), np.array(cols))), shape=(n_cons, n_vars)
-    )
+    row_owner[:n_node_rows] = np.repeat(idx, block)
+    col_owner[:n_node_vars] = np.repeat(idx, 3 * m)
+    lifted_index = nodes[leaves][form.lifted]
+    row_owner[n_node_rows:] = np.repeat(lifted_index, 2 * m)
+    col_owner[n_node_vars:] = np.repeat(lifted_index, m)
     return AssembledProgram(
         problem=problem,
         n_vars=n_vars,
         n_cons=n_cons,
         A=A,
+        A_T=A_T,
+        abs_A_T=sp.csr_matrix(
+            (np.abs(A_T.data), A_T.indices, A_T.indptr), shape=A_T.shape
+        ),
         b=b,
+        levels=levels,
         x_off=x_off,
-        v_off=v_off,
-        s_off=s_off,
+        v_off=x_off + m,
+        s_off=x_off + 2 * m,
         row_base=row_base,
         leaf_x=leaf_x,
         leaf_w=leaf_w,
@@ -468,26 +527,140 @@ def _newton_step(
     g: np.ndarray,
     r_d: np.ndarray,
     r_c: np.ndarray,
+    hscale: float,
     ridge: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    W = prog.neg_hess_f(z)
+    """Newton direction of the perturbed KKT system, eliminated leaves to root.
+
+    The system is (W + A^T D A + ridge I) dz = r_d - A^T (r_c / g), with
+    D = lam / g.  Near the end of the path the active rows' D grows like
+    1 / mu and swamps everything else in their block, which then turns
+    singular in floating point.  So a row whose D exceeds ``hscale`` (h, the
+    Hessian scale gscale^2) keeps its multiplier step as an unknown y, in the
+    augmented quasidefinite form (Vanderbei, SIAM J. Optim. 5(1), 1995),
+    scaled by h so that every entry scales like the Hessian:
+
+        [ H     h a^T    ] [ dz ]   [ r_d - sum_cond a r_c / g ]
+        [ h a  -h^2 / D  ] [ y  ] = [ -h r_c / lam             ]
+
+    with H = W + ridge I + the other rows' a^T D a, and dlam = -h y.
+
+    The rows of a node read only its own columns and its parent's x, so K is
+    block-tree structured.  A level's blocks are stacked: each holds the
+    node's columns, then one slot per augmented row (padded to the level's
+    most augmented node with decoupled -h slots).  Leaves to root, one
+    batched LU solve per level gives K^-1 [B | r], and ``np.add.at`` folds
+    the Schur complements C - B^T K^-1 B into the parents' x-x blocks;
+    substitution runs root to leaves.  One refinement pass solves again for
+    the residual of the full system, computed through A.  A singular block
+    raises FloatingPointError, and the caller retries with a ridge.
+    """
+    m = prog.m
+    levels = prog.levels
     D = lam / g
-    ADA = prog.A.T @ prog.A.multiply(D[:, None])
-    K = (W + ADA).tocsc()
-    rhs = r_d - prog.A.T @ (r_c / g)
-    for _ in range(6):
-        try:
-            lu = splu(K if ridge == 0.0 else (K + ridge * sp.eye(prog.n_vars)).tocsc())
-            dz = lu.solve(rhs)
-            dz += lu.solve(rhs - K @ dz)  # one refinement pass
-            if np.all(np.isfinite(dz)):
-                break
-        except RuntimeError:
-            pass
-        ridge = max(ridge * 100.0, 1e-12 * (abs(K.diagonal()).max() + 1.0))
-    else:
-        raise FloatingPointError("newton system could not be factorized")
-    dlam = -(r_c + lam * (prog.A @ dz)) / g
+    big = D > hscale
+    Dc = np.where(big, 0.0, D)
+    slot_diag = -hscale * np.where(big, hscale / D, 1.0)
+    bs = hscale * big
+    xx, xw, ww = prog.neg_hess_f(z)
+    rhs_p = r_d - prog.A_T @ np.where(big, 0.0, r_c / g)
+    rhs_s = np.where(big, -hscale * r_c / lam, 0.0)
+    lifted = len(prog.leaf_w) > 0
+    leaf_level = len(levels) - 1 - lifted
+
+    # Per level: the blocks K, their coupling B to the parent's x, the C
+    # they add to the parent's x-x block, and the global row of each slot
+    # (a level's blocks carry as many slots as its most augmented node).
+    Ks, Bs, Cs, slots = [], [], [], []
+    for t, lev in enumerate(levels):
+        n, nr, nc = lev.loc.shape
+        Dl = Dc[lev.rows].reshape(n, nr, 1)
+        bl = big[lev.rows].reshape(n, nr)
+        order = np.argsort(~bl, axis=1, kind="stable")[:, :bl.sum(axis=1).max()]
+        node = np.arange(n)[:, None]
+        slot = lev.rows.start + nr * node + order
+        ns = slot.shape[1]
+        bsl = bs[slot][:, :, None]
+        LtD = (lev.loc * Dl).transpose(0, 2, 1)
+        E = lev.loc[node, order] * bsl
+        K = np.zeros((n, nc + ns, nc + ns))
+        K[:, :nc, :nc] = LtD @ lev.loc
+        K[:, nc:, :nc] = E
+        K[:, :nc, nc:] = E.transpose(0, 2, 1)
+        diag = K.reshape(n, -1)[:, ::nc + ns + 1]
+        diag[:, :nc] += ridge
+        diag[:, nc:] = slot_diag[slot]
+        if t == leaf_level:
+            K[:, :m, :m] += xx
+        B = C = None
+        if lev.par is not None:
+            B = np.concatenate([LtD @ lev.par, lev.par[node, order] * bsl], axis=1)
+            C = (lev.par * Dl).transpose(0, 2, 1) @ lev.par
+        if lifted and t == len(levels) - 1:
+            K[:, :m, :m] += ww
+            B[:, :m] += xw.transpose(0, 2, 1)
+        Ks.append(K)
+        Bs.append(B)
+        Cs.append(C)
+        slots.append(slot)
+
+    Ys = [None] * len(levels)  # K^-1 B per level, from the first pass
+
+    def eliminate(rp: np.ndarray, rq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve K [dz; y] = [rp; rq]: leaves to root, then root to leaves.
+
+        The first call factors each level's (already reduced) blocks against
+        [B | r] and folds C - B^T K^-1 B into the parents.
+        """
+        rs = [np.concatenate([rp[lev.cols].reshape(len(slot), -1), rq[slot]], axis=1)
+              for lev, slot in zip(levels, slots)]
+        X = [None] * len(levels)
+        for t in reversed(range(len(levels))):
+            K, B, r = Ks[t], Bs[t], rs[t][:, :, None]
+            first = B is not None and Ys[t] is None
+            sol = np.linalg.solve(K, np.concatenate([B, r], axis=2) if first else r)
+            X[t] = sol[:, :, -1]
+            if B is None:
+                continue
+            BtS, up = B.transpose(0, 2, 1) @ sol, levels[t].up
+            if first:
+                Ys[t] = sol[:, :, :m]
+                np.add.at(Ks[t - 1][:, :m, :m], up, Cs[t] - BtS[:, :, :m])
+            np.add.at(rs[t - 1][:, :m], up, -BtS[:, :, -1])
+        dz = np.empty(prog.n_vars)
+        y = np.zeros(prog.n_cons)
+        for t, (lev, slot) in enumerate(zip(levels, slots)):
+            if t:
+                X[t] -= (Ys[t] @ X[t - 1][lev.up, :m, None])[:, :, 0]
+            nc = lev.loc.shape[2]
+            dz[lev.cols] = X[t][:, :nc].ravel()
+            y[slot] = X[t][:, nc:]
+        return dz, y
+
+    try:
+        dz, y = eliminate(rhs_p, rhs_s)
+        # one refinement pass against the full system
+        Adz = prog.A @ dz
+        Wdz = np.zeros(prog.n_vars)
+        xl = dz[prog.leaf_x][:, :, None]
+        Wdz[prog.leaf_x] = (xx @ xl)[:, :, 0]
+        if lifted:
+            form = prog.problem.objective.form
+            wl = dz[prog.leaf_w][:, :, None]
+            Wdz[prog.leaf_x[form.lifted]] += (xw @ wl)[:, :, 0]
+            xt = xw.transpose(0, 2, 1)
+            Wdz[prog.leaf_w] = (ww @ wl + xt @ xl[form.lifted])[:, :, 0]
+        ddz, dy = eliminate(
+            rhs_p - (Wdz + ridge * dz + prog.A_T @ (Dc * Adz + bs * y)),
+            rhs_s - (bs * Adz + slot_diag * y),
+        )
+    except np.linalg.LinAlgError as exc:
+        raise FloatingPointError(f"newton block: {exc}") from None
+    dz += ddz
+    y += dy
+    if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(y))):
+        raise FloatingPointError("newton direction is not finite")
+    dlam = np.where(big, -hscale * y, -(r_c + lam * (prog.A @ dz)) / g)
     return dz, dlam
 
 
@@ -518,11 +691,7 @@ def solve_log_optimal(
     iters = 0
     outer = 0
     trace: list[float] = []
-    stage_best_rd = np.inf
-    stage_no_progress = 0
     stop = ""  # why the loop must end before its final stage centers
-
-    abs_A_T = abs(prog.A).T.tocsr()
 
     # All thresholds are relative to the objective-gradient scale so the whole
     # iteration is covariant under rescaling the problem (cone homogeneity).
@@ -534,12 +703,12 @@ def solve_log_optimal(
     while True:
         gf = prog.grad_f(z)
         g = prog.g(z)
-        r_d = gf + prog.A.T @ lam
+        r_d = gf + prog.A_T @ lam
         r_c = lam * g - mu * w
         gscale = float(np.abs(gf).max())
         # cancellation noise floor of the stationarity residual in float64
         noise_d = 64.0 * np.finfo(float).eps * (
-            gscale + float((abs_A_T @ lam).max())
+            gscale + float((prog.abs_A_T @ lam).max())
         )
         final_stage = mu <= mu_target * (1.0 + 1e-12)
         c_center = 0.01 if final_stage else 0.1
@@ -549,31 +718,13 @@ def solve_log_optimal(
             rd_max <= max(c_center * mu * gscale, noise_d)
             and rc_max <= 2.0 * c_center * mu
         )
-        if rd_max < 0.9 * stage_best_rd:
-            stage_best_rd = rd_max
-            stage_no_progress = 0
-        else:
-            stage_no_progress += 1
-        if not centered and rc_max <= 0.5 * mu and (
-            stop or stage_no_progress >= 8
-        ):
-            # The stationarity residual sits at its floating-point plateau for
-            # this stage; its level only perturbs the certificates through a
-            # division by node probabilities, orders below their tolerances.
-            log.debug(
-                "accepting stage at plateau: mu=%.3e rd=%.3e", mu, rd_max
-            )
-            centered = True
         if centered:
-            stop = ""
             outer += 1
             trace.append(log_objective(problem.tree, problem.objective,
                                        prog.path_values(z)[-1]))
             if final_stage:
                 break
             mu = max(0.2 * mu, mu_target)
-            stage_best_rd = np.inf
-            stage_no_progress = 0
             continue
         if stop or iters >= options.max_iter:
             stop = stop or f"max_iter={options.max_iter} reached"
@@ -583,15 +734,19 @@ def solve_log_optimal(
         # MIN_STEP, retries with increasing proximal damping, which suppresses
         # motion along flat (degenerate) faces of the optimal set: there the
         # undamped direction is huge and the boundary cuts it to nothing.  A
-        # short step is still taken when no damped one goes further.
+        # short step is still taken when no damped one goes further.  A
+        # singular Newton block retries with the next damping, logged.
         phi0 = merit(r_d, r_c, gscale)
         step = None
         for ridge_scale in (0.0, 1e-4, 1e-1):
             try:
                 dz, dlam = _newton_step(
-                    prog, z, lam, g, r_d, r_c, ridge_scale * gscale * gscale
+                    prog, z, lam, g, r_d, r_c, gscale * gscale,
+                    ridge_scale * gscale * gscale,
                 )
-            except FloatingPointError:
+            except FloatingPointError as exc:
+                log.debug("newton step failed at mu=%.3e ridge=%.1e: %s",
+                          mu, ridge_scale, exc)
                 continue
 
             tau = max(0.995, 1.0 - 1e4 * mu)
@@ -610,7 +765,7 @@ def solve_log_optimal(
                 if np.all(np.isfinite(z_try)) and np.all(prog.sigmas(z_try) > 0.0):
                     g2 = prog.g(z_try)
                     if g2.min() > 0.0:
-                        r_d2 = prog.grad_f(z_try) + prog.A.T @ lam_try
+                        r_d2 = prog.grad_f(z_try) + prog.A_T @ lam_try
                         r_c2 = lam_try * g2 - mu * w
                         if merit(r_d2, r_c2, gscale) <= (1.0 - 1e-4 * alpha) * phi0:
                             break
@@ -630,7 +785,7 @@ def solve_log_optimal(
 
     gf = prog.grad_f(z)
     g = prog.g(z)
-    r_d = gf + prog.A.T @ lam
+    r_d = gf + prog.A_T @ lam
     residuals = KktResiduals(
         primal=max(0.0, -float(g.min())),
         stationarity=float(np.abs(r_d).max()),
@@ -687,7 +842,7 @@ def _kkt_report(solution: Solution, prog: AssembledProgram) -> KktReport:
         raise DimensionMismatch("stored iterate does not match the problem")
 
     g = prog.g(z)
-    r_d = prog.grad_f(z) + prog.A.T @ lam
+    r_d = prog.grad_f(z) + prog.A_T @ lam
     comp = lam * g
     tree = prog.problem.tree
 

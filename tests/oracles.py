@@ -69,6 +69,29 @@ def central_difference_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray
     return g
 
 
+def dense_neg_hess(prog, z: np.ndarray) -> np.ndarray:
+    """-hess f(z) as a dense matrix, scattering the stacked blocks leaf by leaf."""
+    xx, xw, ww = prog.neg_hess_f(z)
+    W = np.zeros((prog.n_vars, prog.n_vars))
+    lifted = list(prog.problem.objective.form.lifted)
+    for leaf, cols in enumerate(prog.leaf_x):
+        W[np.ix_(cols, cols)] += xx[leaf]
+        if leaf in lifted:
+            k = lifted.index(leaf)
+            w = prog.leaf_w[k]
+            W[np.ix_(cols, w)] += xw[k]
+            W[np.ix_(w, cols)] += xw[k].T
+            W[np.ix_(w, w)] += ww[k]
+    return W
+
+
+def dense_newton_matrix(prog, z, lam, g, ridge: float = 0.0) -> np.ndarray:
+    """K = W + A^T diag(lam / g) A + ridge I, dense, from the sparse A."""
+    A = prog.A.toarray()
+    return (dense_neg_hess(prog, z) + A.T @ (A * (lam / g)[:, None])
+            + ridge * np.eye(prog.n_vars))
+
+
 def batch_transition_members(market, node, rng, count):
     """Vectorized sampler of transition-cone members at one node.
 

@@ -346,6 +346,18 @@ FUZZ = settings(
 )
 
 
+@pytest.fixture(scope="module")
+def kelly_outputs(tmp_path_factory):
+    """The kelly fixture's solution and certificate documents, made once."""
+    out = tmp_path_factory.mktemp("kelly_outputs")
+    shutil.copy(os.path.join(FIXTURES, "kelly.json"), out / "kelly.json")
+    assert run("solve", str(out / "kelly.json")) == cli.EXIT_OK
+    assert run("certify", str(out / "kelly.json"),
+               str(out / "kelly.solution.json")) == cli.EXIT_OK
+    return (json.loads((out / "kelly.solution.json").read_text()),
+            json.loads((out / "kelly.certificate.json").read_text()))
+
+
 class TestExitCodeFuzz:
     """Mutated inputs may only produce documented exit codes, never a traceback."""
 
@@ -361,3 +373,21 @@ class TestExitCodeFuzz:
         (workdir / "fuzz.json").write_text(json.dumps(doc))
         assert run("validate", "fuzz.json") in EXIT_CODES
         assert run("compare", "fuzz.json", "strategies.json") in EXIT_CODES
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_solution(self, workdir, kelly_outputs, capsys, data):
+        doc = data.draw(mutations(kelly_outputs[0]))
+        (workdir / "fuzz.solution.json").write_text(json.dumps(doc))
+        assert run("certify", "kelly.json", "fuzz.solution.json") in EXIT_CODES
+        assert "Traceback" not in capsys.readouterr().err
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_certificate(self, workdir, kelly_outputs, capsys, data):
+        doc = data.draw(mutations(kelly_outputs[1]))
+        (workdir / "fuzz.certificate.json").write_text(json.dumps(doc))
+        code = run("compare", "kelly.json", "strategies.json",
+                   "--certificate", "fuzz.certificate.json")
+        assert code in EXIT_CODES
+        assert "Traceback" not in capsys.readouterr().err

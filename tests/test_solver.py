@@ -1,5 +1,7 @@
 """Program assembly, the interior-point solve, and the KKT report."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ import vng
 from conftest import make_instance, two_asset_margin_market
 from oracles import (
     central_difference_gradient,
+    dense_neg_hess,
+    dense_newton_matrix,
     golden_section_max,
     kelly_oracle,
     retained_fraction_oracle,
 )
+from vng.cli_io import load_problem
 from vng.errors import InfeasibleStart
-from vng.solver import _interior_start, assemble
+from vng.solver import _interior_start, _newton_step, assemble
 
 
 class TestAssemble:
@@ -254,6 +259,86 @@ class TestWeightedCentralPath:
         assert cert.certified
 
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _fixture_problem(name: str) -> vng.PathProblem:
+    return load_problem(os.path.join(FIXTURES, f"{name}.json"))[0]
+
+
+def _l1_alternating_problem() -> vng.PathProblem:
+    """One asset, l1 penalty on every other leaf: lifted and plain leaves mix."""
+    base = regular_problem(2, 3, 1, seed=4)
+    bound = vng.NormPenalizedObjective(base.tree, base.market, norm="l1").theta_bound
+    theta = 0.3 * bound
+    theta[::2] = 0.0
+    objective = vng.NormPenalizedObjective(base.tree, base.market, theta=theta, norm="l1")
+    return vng.PathProblem(
+        tree=base.tree, market=base.market, objective=objective, x0=base.x0
+    )
+
+
+def _newton_relative_residual(problem, mid_path: bool, ridge_scale: float = 0.0):
+    """||K dz - rhs|| / ||rhs|| of the block direction, K and rhs built densely.
+
+    At the interior start (mu = 1), or at the iterate centered at mu = 1e-4
+    stepping toward the next stage's 0.2 mu.
+    """
+    prog = assemble(problem)
+    w = problem.tree.prob[prog.row_owner]
+    if mid_path:
+        solution = vng.solve_log_optimal(problem, vng.SolveOptions(mu_target=1e-4))
+        z, lam, mu = solution.z, solution.multipliers, 0.2e-4
+    else:
+        z = _interior_start(prog)
+        lam, mu = w / prog.g(z), 1.0
+    g = prog.g(z)
+    gf = prog.grad_f(z)
+    r_d = gf + prog.A.T @ lam
+    r_c = lam * g - mu * w
+    gscale = float(np.abs(gf).max())
+    ridge = ridge_scale * gscale**2
+    dz, _ = _newton_step(prog, z, lam, g, r_d, r_c, gscale**2, ridge)
+    K = dense_newton_matrix(prog, z, lam, g, ridge)
+    rhs = r_d - prog.A.T @ (r_c / g)
+    return np.abs(K @ dz - rhs).max() / np.abs(rhs).max()
+
+
+NEWTON_CASES = (
+    [pytest.param(lambda s=s: make_instance(s), id=f"seed{s}") for s in range(50)]
+    + [pytest.param(lambda n=n: _fixture_problem(n), id=n)
+       for n in ("kelly", "single_asset", "two_asset_margin")]
+)
+
+
+class TestBlockNewtonStep:
+    """The leaves-to-root block elimination solves the full Newton system."""
+
+    @pytest.mark.parametrize("make", NEWTON_CASES)
+    @pytest.mark.parametrize("mid_path", [False, True], ids=["start", "mu1e-4"])
+    def test_direction_solves_dense_system(self, make, mid_path):
+        assert _newton_relative_residual(make(), mid_path) <= 1e-11
+
+    @pytest.mark.parametrize("mid_path", [False, True], ids=["start", "mu1e-4"])
+    def test_mixed_lifted_leaves_with_ridge(self, mid_path):
+        problem = _l1_alternating_problem()
+        lifted = problem.objective.form.lifted
+        assert problem.market.m == 1
+        assert 0 < len(lifted) < len(problem.tree.leaves())
+        assert _newton_relative_residual(problem, mid_path, ridge_scale=1e-4) <= 1e-11
+
+    def test_large_tree_converges(self):
+        """A deep tree: 3^6 = 1,093 nodes at m = 2, within 150 iterations."""
+        problem = regular_problem(3, 6, 2, seed=0)
+        assert problem.tree.n_nodes == 1093
+        solution = vng.solve_log_optimal(problem)
+        assert solution.converged
+        assert solution.iterations <= 150
+        dual = vng.extract_dual(solution, problem)
+        cert = vng.verify_rapid(solution.path, dual, problem.tree, problem.market)
+        assert cert.certified
+
+
 class TestKktReport:
     def test_converged_solution_within_tolerance(self, kelly):
         solution = vng.solve_log_optimal(kelly)
@@ -349,7 +434,7 @@ class TestAssembledDerivatives:
             -central_difference_gradient(lambda z: prog.grad_f(z)[k], z0)
             for k in range(prog.n_vars)
         ])
-        W = prog.neg_hess_f(z0).toarray()
+        W = dense_neg_hess(prog, z0)
         assert W == pytest.approx(hess, rel=1e-6, abs=1e-8 * np.abs(W).max())
         assert np.allclose(W, W.T)
 
