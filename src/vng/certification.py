@@ -574,8 +574,8 @@ def sample_competitor_paths(
 
     At every node each path picks a random cone direction and scales it
     inside the self-financing frontier of its own parent state.  The draws go
-    node by node; the frontier bisection runs once per level, over every
-    path and node of it.
+    node by node; the frontier is found once per level, over every path and
+    node of it.
     """
     start = np.asarray(start, dtype=float)
     m = market.m

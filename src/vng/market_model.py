@@ -770,16 +770,22 @@ def transition_frontier_batch(
     ``A`` and ``D`` are ``(n, m)`` and ``nodes`` holds one non-root node
     index per row; rows may come from any mix of nodes and each row's result
     depends on its own row only.  Finite under (B1)/(B2) because admissible
-    transitions satisfy the |b| <= K_t |a| bound; located by bisection on the
-    concave psi.
+    transitions satisfy the |b| <= K_t |a| bound, and capped at twice it.
+
+    psi(c) = sum_j min(Lp_j u_j, Lm_j u_j), u_j = R_j a_j - c d_j, is concave
+    and piecewise linear in c with breakpoints R_j a_j / d_j.  Evaluated at
+    0, the breakpoints and the cap, it is linear between the last knot where
+    it is >= 0 and the next, which gives the root in closed form; the root
+    then steps down by ulps until psi(c) >= 0 holds in floating point.
     """
     idx, A, D = market._rows(nodes, A, D)
     market._non_root(idx)
     constants = constants or market.constants()
     R, Lp, Lm = market.returns[idx], market.Lp[idx], market.Lm[idx]
+    AR = A * R
 
     def psi(c: np.ndarray) -> np.ndarray:
-        diff = A * R - c[:, None] * D
+        diff = AR - c[:, None] * D
         return np.minimum(Lp * diff, Lm * diff).sum(axis=1)
 
     norm_a = np.abs(A).sum(axis=1)
@@ -790,17 +796,27 @@ def transition_frontier_batch(
         2.0 * constants.K[market.tree.depth[idx]] * norm_a
         / np.where(active, norm_d, 1.0),
         0.0,
-    )
-    lo = np.zeros(len(hi))
-    cap = psi(hi) >= 0.0
-    lo[cap & active] = hi[cap & active]
-    work = active & ~cap
-    for _ in range(60 if work.any() else 0):
-        mid = 0.5 * (lo + hi)
-        ok = psi(mid) >= 0.0
-        lo = np.where(work & ok, mid, lo)
-        hi = np.where(work & ~ok, mid, hi)
-    return lo
+    )[:, None]
+    brk = np.divide(AR, D, out=np.zeros_like(D), where=D != 0.0)
+    knots = np.sort(np.concatenate(
+        [np.zeros_like(hi), np.clip(brk, 0.0, hi), hi], axis=1
+    ), axis=1)
+    vals = np.column_stack([psi(col) for col in knots.T])
+    ok = vals >= 0.0
+    last = knots.shape[1] - 1
+    k = np.where(ok.any(axis=1), last - np.argmax(ok[:, ::-1], axis=1), 0)
+    rows, nxt = np.arange(len(k)), np.minimum(k + 1, last)
+    base, top = knots[rows, k], knots[rows, nxt]
+    v0, v1 = vals[rows, k], vals[rows, nxt]
+    inside = ok[rows, k] & (k < last)
+    c = base + np.divide(v0 * (top - base), v0 - v1, out=np.zeros_like(base),
+                         where=inside)
+    for i in range(64):  # psi(base) >= 0 was evaluated, so this ends there
+        low = (psi(c) < 0.0) & (c > base)
+        if not low.any():
+            break
+        c[low] = np.maximum(base[low], c[low] - 2.0 ** i * np.spacing(c[low]))
+    return c
 
 
 def sample_transition_pairs(

@@ -9,15 +9,15 @@ ways by a multiple of the 1-norm.  Three variants ship:
 * ``norm_penalized`` -- q . a minus a small norm penalty (1-norm or Euclidean).
 
 Degree-one homogeneity yields the Euler identity g . a = value(a) for the
-supergradient g, which the dual extraction leans on.  Every variant also
-carries its leaf values as one :class:`LeafForm`, built at construction: the
-arrays the solver reads for all leaves at once.  The per-leaf ``_value`` and
-``_grad`` stay as the reference that evaluation and the axiom checks use.
+supergradient g, which the dual extraction leans on.  Every variant carries
+its leaf values as one :class:`LeafForm`, built at construction: the arrays
+the solver reads for all leaves at once, and the one place that evaluation,
+supergradients, the log functional and the axiom checks compute them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,12 @@ class LeafForm:
     c2: np.ndarray      # (n_lifted, m)
     d: float            # -1: w sits below both forms; +1: w sits above both
     l2: np.ndarray      # (n_leaves,) Euclidean penalty weight
+    lift_index: np.ndarray = field(init=False)  # per leaf: row in cw, or -1
+
+    def __post_init__(self) -> None:
+        index = np.full(len(self.cx), -1)
+        index[self.lifted] = np.arange(len(self.lifted))
+        object.__setattr__(self, "lift_index", index)
 
     @staticmethod
     def unlifted(cx: np.ndarray, l2: np.ndarray | None = None) -> "LeafForm":
@@ -78,6 +84,33 @@ class LeafForm:
         if l2 is None:
             l2 = np.zeros(n_leaves)
         return LeafForm(cx, np.zeros(0, dtype=int), none, none, none, 1.0, l2)
+
+    # The two methods below take (n, m) rows X, row k at leaf position pos[k]
+    # (default: every leaf in order).  On a lifted leaf w sits at its binding
+    # row, w = -d min(c1 x, c2 x) coordinatewise.
+
+    def values(self, X: np.ndarray, pos=slice(None)) -> np.ndarray:
+        """Leaf value of each row."""
+        val = np.vecdot(self.cx[pos], X) - self.l2[pos] * np.sqrt(np.vecdot(X, X))
+        k = self.lift_index[pos]
+        on = k >= 0
+        k, Xl = k[on], X[on]
+        val[on] += np.vecdot(self.cw[k], -self.d * np.minimum(self.c1[k] * Xl,
+                                                              self.c2[k] * Xl))
+        return val
+
+    def supergradients(self, X: np.ndarray, pos=slice(None)) -> np.ndarray:
+        """Supergradient of each row; a kink takes the c1 side (0 -> +)."""
+        l2 = self.l2[pos]
+        nrm = np.sqrt(np.vecdot(X, X))
+        scale = np.divide(l2, nrm, out=np.zeros_like(nrm), where=l2 > 0.0)
+        G = self.cx[pos] - scale[:, None] * X
+        k = self.lift_index[pos]
+        on = k >= 0
+        k, Xl = k[on], X[on]
+        c1, c2 = self.c1[k], self.c2[k]
+        G[on] -= self.d * self.cw[k] * np.where(c1 * Xl <= c2 * Xl, c1, c2)
+        return G
 
 
 class TerminalObjective:
@@ -92,14 +125,6 @@ class TerminalObjective:
         self.market = market
         self.m = market.m
         self._h_psi = np.ones(len(tree.leaves()))
-
-    # -- variant internals: raw value and supergradient, no validation --------
-
-    def _value(self, pos: int, a: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def _grad(self, pos: int, a: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     # -- public surface --------------------------------------------------------
 
@@ -121,7 +146,7 @@ class TerminalObjective:
         node = self.tree.node(leaf)
         a = np.asarray(a, dtype=float)
         self._check_member(node, a)
-        val = self._value(self._leaf_pos(node), a)
+        val = float(self.form.values(a[None], [self._leaf_pos(node)])[0])
         if val < -1e-12 * max(1.0, float(np.abs(a).sum())):
             raise NegativeValue(
                 f"objective is negative ({val!r}) on a cone member at "
@@ -134,10 +159,10 @@ class TerminalObjective:
         node = self.tree.node(leaf)
         a = np.asarray(a, dtype=float)
         self._check_member(node, a)
-        pos = self._leaf_pos(node)
-        if self._value(pos, a) <= 0.0:
+        pos = [self._leaf_pos(node)]
+        if self.form.values(a[None], pos)[0] <= 0.0:
             raise ZeroValue(f"objective vanishes at {node.node_id!r}")
-        return self._grad(pos, a)
+        return self.form.supergradients(a[None], pos)[0]
 
 
 class LinearObjective(TerminalObjective):
@@ -151,12 +176,6 @@ class LinearObjective(TerminalObjective):
         c_min, c_max = _dual_range(market, self.q)
         self._h_psi = np.maximum(np.maximum(c_max, 1.0 / c_min), 1.0)
         self.form = LeafForm.unlifted(self.q)
-
-    def _value(self, pos: int, a: np.ndarray) -> float:
-        return float(self.q[pos] @ a)
-
-    def _grad(self, pos: int, a: np.ndarray) -> np.ndarray:
-        return self.q[pos].copy()
 
 
 class LiquidationObjective(TerminalObjective):
@@ -181,13 +200,6 @@ class LiquidationObjective(TerminalObjective):
             d=-1.0,
             l2=np.zeros(n_leaves),
         )
-
-    def _value(self, pos: int, a: np.ndarray) -> float:
-        lp, lm = self.form.c1[pos], self.form.c2[pos]
-        return float(lp @ np.maximum(a, 0.0) - lm @ np.maximum(-a, 0.0))
-
-    def _grad(self, pos: int, a: np.ndarray) -> np.ndarray:
-        return np.where(a >= 0.0, self.form.c1[pos], self.form.c2[pos])
 
 
 class NormPenalizedObjective(TerminalObjective):
@@ -260,19 +272,6 @@ class NormPenalizedObjective(TerminalObjective):
                 l2=np.zeros(n_leaves),
             )
 
-    def _norm(self, a: np.ndarray) -> float:
-        return float(np.abs(a).sum() if self.norm == "l1" else np.linalg.norm(a))
-
-    def _value(self, pos: int, a: np.ndarray) -> float:
-        return float(self.q[pos] @ a - self.theta[pos] * self._norm(a))
-
-    def _grad(self, pos: int, a: np.ndarray) -> np.ndarray:
-        if self.norm == "l1":
-            sign = np.where(a >= 0.0, 1.0, -1.0)
-            return self.q[pos] - self.theta[pos] * sign
-        nrm = float(np.linalg.norm(a))
-        return self.q[pos] - self.theta[pos] * a / nrm
-
 
 def _dual_range(market: MarketData, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per leaf, min and max of q . a over the leaf cone's unit section (exact).
@@ -301,13 +300,10 @@ def log_objective(
         raise DepthMismatch(
             f"terminal layer must sit at depth {tree.horizon}, got {x_N.depth}"
         )
-    total = 0.0
-    for pos, prob in enumerate(tree.prob[tree.span(tree.horizon)]):
-        val = objective._value(pos, x_N.values[pos])
-        if val <= 0.0:
-            return float("-inf")
-        total += prob * np.log(val)
-    return float(total)
+    vals = objective.form.values(x_N.values)
+    if np.any(vals <= 0.0):
+        return float("-inf")
+    return float(tree.prob[tree.span(tree.horizon)] @ np.log(vals))
 
 
 @dataclass(frozen=True)
@@ -368,35 +364,36 @@ def check_psi_class(
         for name in ("psi2", "psi3", "psi4", "mono", "conc")
     }
 
-    def record(name: str, violation: float) -> None:
+    def record(name: str, violation: np.ndarray) -> None:
         c = counters[name]
-        c[0] += 1
-        if violation > 0.0:
-            c[1] += 1
-        c[2] = max(c[2], violation)
+        c[0] += len(violation)
+        c[1] += int(np.count_nonzero(violation > 0.0))
+        c[2] = max(c[2], float(violation.max()))
 
     for pos, leaf in enumerate(leaves):
         h = float(objective._h_psi[pos])
+        draws = []  # per sample: a, a2, a scaling, a bump of a, a mixing weight
         for _ in range(per_leaf):
             a = sample_cone_point(market, leaf, rng)
             a2 = sample_cone_point(market, leaf, rng)
-            va, va2 = objective._value(pos, a), objective._value(pos, a2)
-            scale = tol * (1.0 + abs(va) + abs(va2))
-
-            record("psi2", va + va2 - objective._value(pos, a + a2) - scale)
-
             lam = rng.uniform(0.0, 3.0)
-            record("psi3", abs(objective._value(pos, lam * a) - lam * va) - scale)
-
-            nrm = float(np.abs(a).sum())
-            record("psi4", max(nrm / h - va, va - h * nrm) - scale)
-
             bump = sample_cone_point(market, leaf, rng, scale=rng.uniform(0.1, 1.0))
-            record("mono", va - objective._value(pos, a + bump) - scale)
+            draws.append((a, a2, lam, bump, rng.uniform(0.0, 1.0)))
+        A, A2, lam, bump, th = (np.array(col) for col in zip(*draws))
+        lam, th = lam[:, None], th[:, None]
 
-            th = rng.uniform(0.0, 1.0)
-            mix = objective._value(pos, th * a + (1.0 - th) * a2)
-            record("conc", th * va + (1.0 - th) * va2 - mix - scale)
+        def value(X: np.ndarray) -> np.ndarray:
+            return objective.form.values(X, np.full(len(X), pos))
+
+        va, va2 = value(A), value(A2)
+        scale = tol * (1.0 + np.abs(va) + np.abs(va2))
+        nrm = np.abs(A).sum(axis=1)
+        record("psi2", va + va2 - value(A + A2) - scale)
+        record("psi3", np.abs(value(lam * A) - lam[:, 0] * va) - scale)
+        record("psi4", np.maximum(nrm / h - va, va - h * nrm) - scale)
+        record("mono", va - value(A + bump) - scale)
+        mix = value(th * A + (1.0 - th) * A2)
+        record("conc", th[:, 0] * va + (1.0 - th[:, 0]) * va2 - mix - scale)
 
     def result(name: str) -> AxiomResult:
         c = counters[name]

@@ -23,13 +23,26 @@ Res. 62, 1996).  The certificate layer divides each node's multipliers by
 P(node), so every node's price then carries an error of order mu, and a final
 mu of 1e-2 * tol serves every tree.  Centering and merit measure r_c / P.
 
+Down to 100 times that final mu, each iteration is a Mehrotra
+predictor-corrector step (S. Mehrotra, SIAM J. Optim. 2(4), 1992): the
+affine and centering directions come out of one factorization, the step
+picks its own mu from how far the affine direction can go, and the
+second-order corrector rides on the refinement pass, so a step costs the
+same two elimination passes as a plain Newton step.  The last stretch is
+followed by centered stages, mu <- 0.2 mu, each centered before mu moves:
+the certificate and the split along flat faces of the optimal set (the
+homogeneity check scales x0 and compares that split) are read off the
+central path, and a predictor-corrector run all the way down leaves the
+iterate off center by more than they tolerate.
+
 Each Newton system is solved on the scenario tree's block structure: the
 rows of a node read only its own columns and its parent's state, so the
 system is eliminated from the leaves to the root, one whole level of
 stacked dense blocks at a time (Steinbach, Math. Methods OR 56, 2002;
 Blomvall and Lindberg, EJOR 143, 2002).  Rows whose barrier weight has grown
 past the Hessian scale stay in augmented form, which keeps the blocks
-nonsingular in floating point down to the final mu (see :func:`_newton_step`).
+nonsingular in floating point down to the final mu (see
+:class:`_NewtonSystem`).
 
 A solve owns its workspace; problems are immutable and may be solved
 concurrently.
@@ -54,6 +67,15 @@ log = logging.getLogger(__name__)
 # Newton steps shorter than this are retried with more proximal damping
 # (measured: 1e-10 to 1e-6 all serve; without the retry some m = 4 trees jam).
 MIN_STEP = 1e-8
+
+# Above HANDOVER times the final mu every iteration is a Mehrotra
+# predictor-corrector step, whose centering weight is
+# sigma = (mu_aff / mu_avg)^SIGMA_POWER; below it, centered stages finish.
+HANDOVER = 100.0
+SIGMA_POWER = 3
+
+# Leaf states X, their Euclidean norms, d sigma / d x and sigma per leaf.
+LeafState = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -263,9 +285,7 @@ class AssembledProgram:
     # rounds like one dot product per leaf, which einsum, (C * X).sum(1) and a
     # sparse product do not, and the central path's end is sensitive to that.
 
-    def _leaf_state(
-        self, z: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _leaf_state(self, z: np.ndarray) -> LeafState:
         """Leaf states X, their Euclidean norms, d sigma / d x and sigma per leaf."""
         form = self.problem.objective.form
         X = z[self.leaf_x]
@@ -284,9 +304,11 @@ class AssembledProgram:
             return float("-inf")
         return float(self.leaf_prob @ np.log(s))
 
-    def grad_f(self, z: np.ndarray) -> np.ndarray:
+    # ``state``, when given, is the :meth:`_leaf_state` of z.
+
+    def grad_f(self, z: np.ndarray, state: LeafState | None = None) -> np.ndarray:
         form = self.problem.objective.form
-        _, _, G, sigma = self._leaf_state(z)
+        _, _, G, sigma = state or self._leaf_state(z)
         P = self.leaf_prob[:, None]
         s = sigma[:, None]
         grad = np.zeros(self.n_vars)
@@ -295,7 +317,7 @@ class AssembledProgram:
         return grad
 
     def neg_hess_f(
-        self, z: np.ndarray
+        self, z: np.ndarray, state: LeafState | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """W = -hess f(z), positive semidefinite, as stacked leaf blocks.
 
@@ -305,7 +327,7 @@ class AssembledProgram:
         x-x blocks and the (n_lifted, m, m) x-w and w-w blocks.
         """
         form = self.problem.objective.form
-        X, nrm, G, sigma = self._leaf_state(z)
+        X, nrm, G, sigma = state or self._leaf_state(z)
         P = self.leaf_prob[:, None, None]
         s = sigma[:, None, None]
         s2 = np.float_power(s, 2)  # pow(), as a scalar s ** 2; array s ** 2 is s * s
@@ -520,17 +542,8 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
 
 # --- the primal-dual barrier loop -------------------------------------------------
 
-def _newton_step(
-    prog: AssembledProgram,
-    z: np.ndarray,
-    lam: np.ndarray,
-    g: np.ndarray,
-    r_d: np.ndarray,
-    r_c: np.ndarray,
-    hscale: float,
-    ridge: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newton direction of the perturbed KKT system, eliminated leaves to root.
+class _NewtonSystem:
+    """The Newton matrix of one iterate as stacked level blocks, and its solves.
 
     The system is (W + A^T D A + ridge I) dz = r_d - A^T (r_c / g), with
     D = lam / g.  Near the end of the path the active rows' D grows like
@@ -551,117 +564,224 @@ def _newton_step(
     most augmented node with decoupled -h slots).  Leaves to root, one
     batched LU solve per level gives K^-1 [B | r], and ``np.add.at`` folds
     the Schur complements C - B^T K^-1 B into the parents' x-x blocks;
-    substitution runs root to leaves.  One refinement pass solves again for
-    the residual of the full system, computed through A.  A singular block
-    raises FloatingPointError, and the caller retries with a ridge.
+    substitution runs root to leaves.  A singular block raises
+    FloatingPointError, and the caller retries with a ridge.
     """
-    m = prog.m
-    levels = prog.levels
-    D = lam / g
-    big = D > hscale
-    Dc = np.where(big, 0.0, D)
-    slot_diag = -hscale * np.where(big, hscale / D, 1.0)
-    bs = hscale * big
-    xx, xw, ww = prog.neg_hess_f(z)
-    rhs_p = r_d - prog.A_T @ np.where(big, 0.0, r_c / g)
-    rhs_s = np.where(big, -hscale * r_c / lam, 0.0)
-    lifted = len(prog.leaf_w) > 0
-    leaf_level = len(levels) - 1 - lifted
 
-    # Per level: the blocks K, their coupling B to the parent's x, the C
-    # they add to the parent's x-x block, and the global row of each slot
-    # (a level's blocks carry as many slots as its most augmented node).
-    Ks, Bs, Cs, slots = [], [], [], []
-    for t, lev in enumerate(levels):
-        n, nr, nc = lev.loc.shape
-        Dl = Dc[lev.rows].reshape(n, nr, 1)
-        bl = big[lev.rows].reshape(n, nr)
-        order = np.argsort(~bl, axis=1, kind="stable")[:, :bl.sum(axis=1).max()]
-        node = np.arange(n)[:, None]
-        slot = lev.rows.start + nr * node + order
-        ns = slot.shape[1]
-        bsl = bs[slot][:, :, None]
-        LtD = (lev.loc * Dl).transpose(0, 2, 1)
-        E = lev.loc[node, order] * bsl
-        K = np.zeros((n, nc + ns, nc + ns))
-        K[:, :nc, :nc] = LtD @ lev.loc
-        K[:, nc:, :nc] = E
-        K[:, :nc, nc:] = E.transpose(0, 2, 1)
-        diag = K.reshape(n, -1)[:, ::nc + ns + 1]
-        diag[:, :nc] += ridge
-        diag[:, nc:] = slot_diag[slot]
-        if t == leaf_level:
-            K[:, :m, :m] += xx
-        B = C = None
-        if lev.par is not None:
-            B = np.concatenate([LtD @ lev.par, lev.par[node, order] * bsl], axis=1)
-            C = (lev.par * Dl).transpose(0, 2, 1) @ lev.par
-        if lifted and t == len(levels) - 1:
-            K[:, :m, :m] += ww
-            B[:, :m] += xw.transpose(0, 2, 1)
-        Ks.append(K)
-        Bs.append(B)
-        Cs.append(C)
-        slots.append(slot)
+    def __init__(
+        self,
+        prog: AssembledProgram,
+        z: np.ndarray,
+        lam: np.ndarray,
+        g: np.ndarray,
+        hscale: float,
+        ridge: float,
+        state: LeafState | None = None,
+    ) -> None:
+        self.prog, self.lam, self.g = prog, lam, g
+        self.hscale, self.ridge = hscale, ridge
+        m = prog.m
+        levels = prog.levels
+        D = lam / g
+        self.big = big = D > hscale
+        self.Dc = Dc = np.where(big, 0.0, D)
+        self.slot_diag = -hscale * np.where(big, hscale / D, 1.0)
+        self.bs = bs = hscale * big
+        self.hess = xx, xw, ww = prog.neg_hess_f(z, state)
+        self.lifted = lifted = len(prog.leaf_w) > 0
+        leaf_level = len(levels) - 1 - lifted
 
-    Ys = [None] * len(levels)  # K^-1 B per level, from the first pass
+        # Per level: the blocks K, their coupling B to the parent's x, the C
+        # they add to the parent's x-x block, and the global row of each slot
+        # (a level's blocks carry as many slots as its most augmented node).
+        Ks, Bs, Cs, slots = [], [], [], []
+        for t, lev in enumerate(levels):
+            n, nr, nc = lev.loc.shape
+            Dl = Dc[lev.rows].reshape(n, nr, 1)
+            bl = big[lev.rows].reshape(n, nr)
+            order = np.argsort(~bl, axis=1, kind="stable")[:, :bl.sum(axis=1).max()]
+            node = np.arange(n)[:, None]
+            slot = lev.rows.start + nr * node + order
+            ns = slot.shape[1]
+            bsl = bs[slot][:, :, None]
+            LtD = (lev.loc * Dl).transpose(0, 2, 1)
+            E = lev.loc[node, order] * bsl
+            K = np.zeros((n, nc + ns, nc + ns))
+            K[:, :nc, :nc] = LtD @ lev.loc
+            K[:, nc:, :nc] = E
+            K[:, :nc, nc:] = E.transpose(0, 2, 1)
+            diag = K.reshape(n, -1)[:, ::nc + ns + 1]
+            diag[:, :nc] += ridge
+            diag[:, nc:] = self.slot_diag[slot]
+            if t == leaf_level:
+                K[:, :m, :m] += xx
+            B = C = None
+            if lev.par is not None:
+                B = np.concatenate([LtD @ lev.par, lev.par[node, order] * bsl], axis=1)
+                C = (lev.par * Dl).transpose(0, 2, 1) @ lev.par
+            if lifted and t == len(levels) - 1:
+                K[:, :m, :m] += ww
+                B[:, :m] += xw.transpose(0, 2, 1)
+            Ks.append(K)
+            Bs.append(B)
+            Cs.append(C)
+            slots.append(slot)
+        self.Ks, self.Bs, self.Cs, self.slots = Ks, Bs, Cs, slots
+        self.Ys = [None] * len(levels)  # K^-1 B per level, from the first pass
 
-    def eliminate(rp: np.ndarray, rq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve K [dz; y] = [rp; rq]: leaves to root, then root to leaves.
+    def rhs(self, r_d: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Right-hand side [rp; rq] of the system for the residuals (r_d, r_c)."""
+        big = self.big
+        rp = r_d - self.prog.A_T @ np.where(big, 0.0, r_c / self.g)
+        rq = np.where(big, -self.hscale * r_c / self.lam, 0.0)
+        return rp, rq
 
-        The first call factors each level's (already reduced) blocks against
-        [B | r] and folds C - B^T K^-1 B into the parents.
+    def solve(self, rp: np.ndarray, rq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve K [dz; y] = [rp; rq] for k columns: leaves to root, then back.
+
+        ``rp`` is (n_vars, k) and ``rq`` (n_cons, k).  The first call factors
+        each level's (already reduced) blocks against [B | r] and folds
+        C - B^T K^-1 B into the parents; later calls reuse K^-1 B.
         """
-        rs = [np.concatenate([rp[lev.cols].reshape(len(slot), -1), rq[slot]], axis=1)
-              for lev, slot in zip(levels, slots)]
+        prog, levels, m = self.prog, self.prog.levels, self.prog.m
+        k = rp.shape[1]
+        rs = [np.concatenate([rp[lev.cols].reshape(len(slot), -1, k), rq[slot]], axis=1)
+              for lev, slot in zip(levels, self.slots)]
         X = [None] * len(levels)
-        for t in reversed(range(len(levels))):
-            K, B, r = Ks[t], Bs[t], rs[t][:, :, None]
-            first = B is not None and Ys[t] is None
-            sol = np.linalg.solve(K, np.concatenate([B, r], axis=2) if first else r)
-            X[t] = sol[:, :, -1]
-            if B is None:
-                continue
-            BtS, up = B.transpose(0, 2, 1) @ sol, levels[t].up
-            if first:
-                Ys[t] = sol[:, :, :m]
-                np.add.at(Ks[t - 1][:, :m, :m], up, Cs[t] - BtS[:, :, :m])
-            np.add.at(rs[t - 1][:, :m], up, -BtS[:, :, -1])
-        dz = np.empty(prog.n_vars)
-        y = np.zeros(prog.n_cons)
-        for t, (lev, slot) in enumerate(zip(levels, slots)):
+        try:
+            for t in reversed(range(len(levels))):
+                K, B, r = self.Ks[t], self.Bs[t], rs[t]
+                first = B is not None and self.Ys[t] is None
+                sol = np.linalg.solve(K, np.concatenate([B, r], axis=2) if first else r)
+                X[t] = sol[:, :, -k:]
+                if B is None:
+                    continue
+                BtS, up = B.transpose(0, 2, 1) @ sol, levels[t].up
+                if first:
+                    self.Ys[t] = sol[:, :, :m]
+                    np.add.at(self.Ks[t - 1][:, :m, :m], up, self.Cs[t] - BtS[:, :, :m])
+                np.add.at(rs[t - 1][:, :m], up, -BtS[:, :, -k:])
+        except np.linalg.LinAlgError as exc:
+            raise FloatingPointError(f"newton block: {exc}") from None
+        dz = np.empty((prog.n_vars, k))
+        y = np.zeros((prog.n_cons, k))
+        for t, (lev, slot) in enumerate(zip(levels, self.slots)):
             if t:
-                X[t] -= (Ys[t] @ X[t - 1][lev.up, :m, None])[:, :, 0]
+                X[t] -= self.Ys[t] @ X[t - 1][lev.up, :m]
             nc = lev.loc.shape[2]
-            dz[lev.cols] = X[t][:, :nc].ravel()
+            dz[lev.cols] = X[t][:, :nc].reshape(-1, k)
             y[slot] = X[t][:, nc:]
         return dz, y
 
-    try:
-        dz, y = eliminate(rhs_p, rhs_s)
-        # one refinement pass against the full system
-        Adz = prog.A @ dz
+    def refine(
+        self, dz: np.ndarray, y: np.ndarray, Adz: np.ndarray,
+        rp: np.ndarray, rq: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One pass against the full system: add the solve of its residual."""
+        prog = self.prog
+        xx, xw, ww = self.hess
         Wdz = np.zeros(prog.n_vars)
         xl = dz[prog.leaf_x][:, :, None]
         Wdz[prog.leaf_x] = (xx @ xl)[:, :, 0]
-        if lifted:
+        if self.lifted:
             form = prog.problem.objective.form
             wl = dz[prog.leaf_w][:, :, None]
             Wdz[prog.leaf_x[form.lifted]] += (xw @ wl)[:, :, 0]
             xt = xw.transpose(0, 2, 1)
             Wdz[prog.leaf_w] = (ww @ wl + xt @ xl[form.lifted])[:, :, 0]
-        ddz, dy = eliminate(
-            rhs_p - (Wdz + ridge * dz + prog.A_T @ (Dc * Adz + bs * y)),
-            rhs_s - (bs * Adz + slot_diag * y),
-        )
-    except np.linalg.LinAlgError as exc:
-        raise FloatingPointError(f"newton block: {exc}") from None
-    dz += ddz
-    y += dy
-    if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(y))):
-        raise FloatingPointError("newton direction is not finite")
-    dlam = np.where(big, -hscale * y, -(r_c + lam * (prog.A @ dz)) / g)
-    return dz, dlam
+        Kp = Wdz + self.ridge * dz + prog.A_T @ (self.Dc * Adz + self.bs * y)
+        Kq = self.bs * Adz + self.slot_diag * y
+        ddz, dy = self.solve((rp - Kp)[:, None], (rq - Kq)[:, None])
+        dz = dz + ddz[:, 0]
+        y = y + dy[:, 0]
+        if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(y))):
+            raise FloatingPointError("newton direction is not finite")
+        return dz, y
+
+    def dlam(self, r_c: np.ndarray, y: np.ndarray, Adz: np.ndarray) -> np.ndarray:
+        """Multiplier step: -h y on augmented rows, condensed elsewhere."""
+        return np.where(self.big, -self.hscale * y, -(r_c + self.lam * Adz) / self.g)
+
+
+def _max_step(
+    g: np.ndarray, Adz: np.ndarray, lam: np.ndarray, dlam: np.ndarray, tau: float
+) -> float:
+    """Largest alpha <= 1 within the fraction tau of the way to the boundary."""
+    alpha = 1.0
+    for v, dv in ((g, Adz), (lam, dlam)):
+        neg = dv < 0
+        if np.any(neg):
+            alpha = min(alpha, tau * float((-v[neg] / dv[neg]).min()))
+    return alpha
+
+
+def _newton_step(
+    prog: AssembledProgram,
+    z: np.ndarray,
+    lam: np.ndarray,
+    g: np.ndarray,
+    r_d: np.ndarray,
+    r_c: np.ndarray,
+    hscale: float,
+    ridge: float = 0.0,
+    state: LeafState | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton direction (dz, dlam, A dz) for the residuals (r_d, r_c).
+
+    One elimination over the blocks of :class:`_NewtonSystem`, then one
+    refinement pass against the full system.
+    """
+    system = _NewtonSystem(prog, z, lam, g, hscale, ridge, state)
+    rp, rq = system.rhs(r_d, r_c)
+    dz, y = system.solve(rp[:, None], rq[:, None])
+    dz, y = system.refine(dz[:, 0], y[:, 0], prog.A @ dz[:, 0], rp, rq)
+    Adz = prog.A @ dz
+    return dz, system.dlam(r_c, y, Adz), Adz
+
+
+def _predictor_corrector(
+    prog: AssembledProgram,
+    z: np.ndarray,
+    lam: np.ndarray,
+    g: np.ndarray,
+    r_d: np.ndarray,
+    w: np.ndarray,
+    mu_floor: float,
+    hscale: float,
+    ridge: float = 0.0,
+    state: LeafState | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+    """Mehrotra's predictor-corrector direction on the weighted central path.
+
+    The pass that factors the blocks solves two columns: the affine
+    direction (r_c = lam g) and the centering direction (r_c = -w, r_d = 0),
+    so the Newton direction toward any mu is d_aff + mu d_cen.  With
+    mu_avg = lam^T g / sum(w) and mu_aff the same average after the largest
+    feasible affine step, mu = max(sigma mu_avg, mu_floor) for
+    sigma = (mu_aff / mu_avg)^3.  The refinement pass then solves for the
+    residual of d_aff + mu d_cen against the corrector's right-hand side,
+    r_c = lam g - mu w + dlam_aff dg_aff, so the corrector costs no third
+    solve.  Returns dz, dlam, A dz, mu and that r_c.
+    """
+    system = _NewtonSystem(prog, z, lam, g, hscale, ridge, state)
+    lg = lam * g
+    rp_aff, rq_aff = system.rhs(r_d, lg)
+    rp_cen, rq_cen = system.rhs(np.zeros(prog.n_vars), -w)
+    dz, y = system.solve(np.column_stack([rp_aff, rp_cen]),
+                         np.column_stack([rq_aff, rq_cen]))
+    Adz = prog.A @ dz
+    dlam_aff = system.dlam(lg, y[:, 0], Adz[:, 0])
+    alpha = _max_step(g, Adz[:, 0], lam, dlam_aff, 1.0)
+    w_sum = float(w.sum())
+    mu_avg = float(lam @ g) / w_sum
+    mu_aff = float((lam + alpha * dlam_aff) @ (g + alpha * Adz[:, 0])) / w_sum
+    mu = max((mu_aff / mu_avg) ** SIGMA_POWER * mu_avg, mu_floor)
+    r_c = lg - mu * w + dlam_aff * Adz[:, 0]
+    rp, rq = system.rhs(r_d, r_c)
+    dz = dz[:, 0] + mu * dz[:, 1]
+    dz, y = system.refine(dz, y[:, 0] + mu * y[:, 1], prog.A @ dz, rp, rq)
+    Adz = prog.A @ dz
+    return dz, system.dlam(r_c, y, Adz), Adz, mu, r_c
 
 
 def solve_log_optimal(
@@ -669,11 +789,18 @@ def solve_log_optimal(
 ) -> Solution:
     """Interior-point solve; returns the best iterate flagged when not converged.
 
-    The barrier parameter follows mu <- 0.2 mu down to 1e-2 * tol (or
-    ``options.mu_target``); each stage is centered by damped Newton steps
-    with fraction-to-boundary safeguards and an Armijo (1e-4, 0.5)
-    backtracking line search on the weighted KKT residual norm.  Only a
-    centered final stage within tol counts as converged.
+    From the interior start at mu = 1, every iteration is a Mehrotra
+    predictor-corrector step (:func:`_predictor_corrector`) that picks its
+    own mu, down to HANDOVER times the final mu, 1e-2 * tol (or
+    ``options.mu_target``).  From there centered stages mu <- 0.2 mu finish
+    the path: each stage is centered by Newton steps before mu moves, and
+    the final one to c = 0.01, so the returned iterate sits on the central
+    path (the certificate's prices, and the split along flat faces of the
+    optimal set, are read off that center).  Both kinds of step share the
+    fraction-to-boundary safeguard, the Armijo (1e-4, 0.5) backtracking line
+    search on the weighted KKT residual norm and the ridge retries.  Only a
+    centered final stage within tol counts as converged; ``outer_iterations``
+    and ``objective_trace`` count the centered stages.
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
@@ -681,12 +808,18 @@ def solve_log_optimal(
     mu_target = options.mu_target
     if mu_target is None:
         mu_target = 1e-2 * options.tol
+    handover = HANDOVER * mu_target
     w = problem.tree.prob[prog.row_owner]  # central-path weight of each row
 
     z = _interior_start(prog)
     g = prog.g(z)
     mu = 1.0
     lam = mu * w / g
+    # the iterate's leaf state, gradient and dual residual carry over from
+    # the line search that accepted it
+    state = prog._leaf_state(z)
+    gf = prog.grad_f(z, state)
+    r_d = gf + prog.A_T @ lam
 
     iters = 0
     outer = 0
@@ -701,79 +834,79 @@ def solve_log_optimal(
         return float(rd @ rd + rc @ rc)
 
     while True:
-        gf = prog.grad_f(z)
-        g = prog.g(z)
-        r_d = gf + prog.A_T @ lam
-        r_c = lam * g - mu * w
         gscale = float(np.abs(gf).max())
-        # cancellation noise floor of the stationarity residual in float64
-        noise_d = 64.0 * np.finfo(float).eps * (
-            gscale + float((prog.abs_A_T @ lam).max())
-        )
-        final_stage = mu <= mu_target * (1.0 + 1e-12)
-        c_center = 0.01 if final_stage else 0.1
-        rd_max = float(np.abs(r_d).max())
-        rc_max = float(np.abs(r_c / w).max())
-        centered = (
-            rd_max <= max(c_center * mu * gscale, noise_d)
-            and rc_max <= 2.0 * c_center * mu
-        )
-        if centered:
-            outer += 1
-            trace.append(log_objective(problem.tree, problem.objective,
-                                       prog.path_values(z)[-1]))
-            if final_stage:
-                break
-            mu = max(0.2 * mu, mu_target)
-            continue
+        predictor = mu > handover
+        if not predictor:
+            r_c = lam * g - mu * w
+            final_stage = mu <= mu_target * (1.0 + 1e-12)
+            c_center = 0.01 if final_stage else 0.1
+            rd_max = float(np.abs(r_d).max())
+            centered = (
+                float(np.abs(r_c / w).max()) <= 2.0 * c_center * mu
+                and (
+                    rd_max <= c_center * mu * gscale
+                    # cancellation noise floor of the stationarity residual
+                    or rd_max <= 64.0 * np.finfo(float).eps * (
+                        gscale + float((prog.abs_A_T @ lam).max())
+                    )
+                )
+            )
+            if centered:
+                outer += 1
+                trace.append(log_objective(problem.tree, problem.objective,
+                                           prog.path_values(z)[-1]))
+                if final_stage:
+                    break
+                mu = max(0.2 * mu, mu_target)
+                continue
         if stop or iters >= options.max_iter:
             stop = stop or f"max_iter={options.max_iter} reached"
             break
 
-        # Plain Newton first.  A failed line search, or a step shorter than
-        # MIN_STEP, retries with increasing proximal damping, which suppresses
-        # motion along flat (degenerate) faces of the optimal set: there the
-        # undamped direction is huge and the boundary cuts it to nothing.  A
-        # short step is still taken when no damped one goes further.  A
-        # singular Newton block retries with the next damping, logged.
-        phi0 = merit(r_d, r_c, gscale)
+        # The undamped direction first.  A failed line search, or a step
+        # shorter than MIN_STEP, retries with increasing proximal damping,
+        # which suppresses motion along flat (degenerate) faces of the optimal
+        # set: there the undamped direction is huge and the boundary cuts it
+        # to nothing.  A short step is still taken when no damped one goes
+        # further.  A singular Newton block retries with the next damping,
+        # logged.  A predictor-corrector step picks its mu with its direction.
         step = None
         for ridge_scale in (0.0, 1e-4, 1e-1):
+            hscale, ridge = gscale * gscale, ridge_scale * gscale * gscale
             try:
-                dz, dlam = _newton_step(
-                    prog, z, lam, g, r_d, r_c, gscale * gscale,
-                    ridge_scale * gscale * gscale,
-                )
+                if predictor:
+                    dz, dlam, Adz, mu_step, _ = _predictor_corrector(
+                        prog, z, lam, g, r_d, w, handover, hscale, ridge, state
+                    )
+                else:
+                    dz, dlam, Adz = _newton_step(
+                        prog, z, lam, g, r_d, r_c, hscale, ridge, state
+                    )
+                    mu_step = mu
             except FloatingPointError as exc:
                 log.debug("newton step failed at mu=%.3e ridge=%.1e: %s",
                           mu, ridge_scale, exc)
                 continue
 
-            tau = max(0.995, 1.0 - 1e4 * mu)
-            alpha = 1.0
-            Adz = prog.A @ dz
-            neg = Adz < 0
-            if np.any(neg):
-                alpha = min(alpha, tau * float((-g[neg] / Adz[neg]).min()))
-            neg = dlam < 0
-            if np.any(neg):
-                alpha = min(alpha, tau * float((-lam[neg] / dlam[neg]).min()))
-
+            phi0 = merit(r_d, lam * g - mu_step * w, gscale)
+            alpha = _max_step(g, Adz, lam, dlam, max(0.995, 1.0 - 1e4 * mu_step))
             for _ in range(40):
                 z_try = z + alpha * dz
                 lam_try = lam + alpha * dlam
-                if np.all(np.isfinite(z_try)) and np.all(prog.sigmas(z_try) > 0.0):
+                if np.all(np.isfinite(z_try)):
+                    state2 = prog._leaf_state(z_try)
                     g2 = prog.g(z_try)
-                    if g2.min() > 0.0:
-                        r_d2 = prog.grad_f(z_try) + prog.A_T @ lam_try
-                        r_c2 = lam_try * g2 - mu * w
+                    if np.all(state2[3] > 0.0) and g2.min() > 0.0:
+                        gf2 = prog.grad_f(z_try, state2)
+                        r_d2 = gf2 + prog.A_T @ lam_try
+                        r_c2 = lam_try * g2 - mu_step * w
                         if merit(r_d2, r_c2, gscale) <= (1.0 - 1e-4 * alpha) * phi0:
                             break
                 alpha *= 0.5
             else:
                 continue
             if step is None or alpha >= MIN_STEP:
-                step = (z_try, lam_try, g2)
+                step = (z_try, lam_try, g2, state2, gf2, r_d2, mu_step)
             if alpha >= MIN_STEP:
                 break
         iters += 1
@@ -781,11 +914,8 @@ def solve_log_optimal(
             log.debug("line search stalled at mu=%.3e iter=%d", mu, iters)
             stop = "line search stalled"
         else:
-            z, lam, g = step
+            z, lam, g, state, gf, r_d, mu = step
 
-    gf = prog.grad_f(z)
-    g = prog.g(z)
-    r_d = gf + prog.A_T @ lam
     residuals = KktResiduals(
         primal=max(0.0, -float(g.min())),
         stationarity=float(np.abs(r_d).max()),

@@ -69,6 +69,50 @@ def central_difference_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray
     return g
 
 
+# --- per-leaf objective references ------------------------------------------
+# Each variant's value and supergradient at one leaf, written from its own
+# definition; the library computes both through its ``LeafForm`` arrays.
+
+def leaf_value(objective, pos: int, a: np.ndarray) -> float:
+    """The objective's value at the leaf in level position ``pos``."""
+    import vng
+
+    if isinstance(objective, vng.LiquidationObjective):
+        leaf = objective.tree.leaves()[pos].index
+        lp, lm = objective.market.Lp[leaf], objective.market.Lm[leaf]
+        return float(lp @ np.maximum(a, 0.0) - lm @ np.maximum(-a, 0.0))
+    if isinstance(objective, vng.NormPenalizedObjective):
+        norm = np.abs(a).sum() if objective.norm == "l1" else np.linalg.norm(a)
+        return float(objective.q[pos] @ a - objective.theta[pos] * norm)
+    return float(objective.q[pos] @ a)
+
+
+def leaf_grad(objective, pos: int, a: np.ndarray) -> np.ndarray:
+    """Its supergradient; kinks resolve by the sign convention (0 -> +)."""
+    import vng
+
+    if isinstance(objective, vng.LiquidationObjective):
+        leaf = objective.tree.leaves()[pos].index
+        return np.where(a >= 0.0, objective.market.Lp[leaf], objective.market.Lm[leaf])
+    if isinstance(objective, vng.NormPenalizedObjective):
+        if objective.norm == "l1":
+            sign = np.where(a >= 0.0, 1.0, -1.0)
+            return objective.q[pos] - objective.theta[pos] * sign
+        return objective.q[pos] - objective.theta[pos] * a / np.linalg.norm(a)
+    return objective.q[pos].copy()
+
+
+def log_objective_loop(tree, objective, rows: np.ndarray) -> float:
+    """E log value of terminal rows, one leaf at a time."""
+    total = 0.0
+    for pos, prob in enumerate(tree.prob[tree.span(tree.horizon)]):
+        val = leaf_value(objective, pos, rows[pos])
+        if val <= 0.0:
+            return float("-inf")
+        total += prob * np.log(val)
+    return float(total)
+
+
 def dense_neg_hess(prog, z: np.ndarray) -> np.ndarray:
     """-hess f(z) as a dense matrix, scattering the stacked blocks leaf by leaf."""
     xx, xw, ww = prog.neg_hess_f(z)
@@ -90,6 +134,36 @@ def dense_newton_matrix(prog, z, lam, g, ridge: float = 0.0) -> np.ndarray:
     A = prog.A.toarray()
     return (dense_neg_hess(prog, z) + A.T @ (A * (lam / g)[:, None])
             + ridge * np.eye(prog.n_vars))
+
+
+def frontier_bisection(market, A, D, nodes):
+    """Rowwise largest c >= 0 with psi(A_k, c D_k) >= 0, by 60 bisection steps.
+
+    The bracket is [0, 2 K_t |a| / |d|]; a row whose psi is still >= 0 at the
+    top returns the top, a row without a direction returns 0.
+    """
+    idx = np.asarray(nodes)
+    A, D = np.asarray(A, dtype=float), np.asarray(D, dtype=float)
+    R, Lp, Lm = market.returns[idx], market.Lp[idx], market.Lm[idx]
+
+    def psi(c):
+        diff = A * R - c[:, None] * D
+        return np.minimum(Lp * diff, Lm * diff).sum(axis=1)
+
+    norm_a, norm_d = np.abs(A).sum(axis=1), np.abs(D).sum(axis=1)
+    active = (norm_a > 0.0) & (norm_d > 0.0)
+    K = market.constants().K[market.tree.depth[idx]]
+    hi = np.where(active, 2.0 * K * norm_a / np.where(active, norm_d, 1.0), 0.0)
+    lo = np.zeros(len(hi))
+    cap = psi(hi) >= 0.0
+    lo[cap & active] = hi[cap & active]
+    work = active & ~cap
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = psi(mid) >= 0.0
+        lo = np.where(work & ok, mid, lo)
+        hi = np.where(work & ~ok, mid, hi)
+    return lo
 
 
 def batch_transition_members(market, node, rng, count):

@@ -5,7 +5,7 @@ import pytest
 
 import vng
 from conftest import make_instance, two_asset_margin_market
-from oracles import lift_contains, section_grid_min
+from oracles import frontier_bisection, lift_contains, section_grid_min
 from vng.errors import (
     MarginTooTight,
     NonpositivePrice,
@@ -111,6 +111,39 @@ class TestSelfFinancing:
                 a = vng.sample_cone_point(market, market.tree.parent(node), rng)
                 psi = vng.self_financing_value(market, [a], [np.zeros(2)], [node.index])
                 assert psi[0] >= -MEMBER_TOL
+
+
+def _psi_min_form(market, A, B, nodes):
+    """psi as the frontier evaluates it: sum_j min(Lp_j d_j, Lm_j d_j)."""
+    diff = A * market.returns[nodes] - B
+    return np.minimum(market.Lp[nodes] * diff, market.Lm[nodes] * diff).sum(axis=1)
+
+
+class TestTransitionFrontier:
+    """The closed-form frontier against 60-step bisection on random draws."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 6])
+    def test_matches_bisection_and_stays_feasible(self, seed):
+        problem = make_instance(seed)
+        market, tree = problem.market, problem.tree
+        rng = np.random.default_rng(seed)
+        nodes = rng.permutation(np.repeat(np.arange(1, tree.n_nodes), 40))
+        A = np.array([vng.sample_cone_point(market, tree.parents[i], rng) for i in nodes])
+        D = np.array([vng.sample_cone_point(market, i, rng) for i in nodes])
+        D[::9] = 0.0
+        c = transition_frontier_batch(market, A, D, nodes)
+        ref = frontier_bisection(market, A, D, nodes)
+        assert np.all(c >= 0.0)
+        assert np.all(_psi_min_form(market, A, c[:, None] * D, nodes) >= 0.0)
+        assert np.all(c[::9] == 0.0)
+        np.testing.assert_allclose(c, ref, rtol=1e-12, atol=0.0)
+        # maximal: a relative step of 1e-9 past an uncapped root is infeasible
+        K = market.constants().K[tree.depth[nodes]]
+        norm_a, norm_d = np.abs(A).sum(axis=1), np.abs(D).sum(axis=1)
+        uncapped = (norm_d > 0.0) & (c < 2.0 * K * norm_a / np.where(norm_d > 0, norm_d, 1.0))
+        assert uncapped.sum() > 0.5 * len(c)
+        past = (1.0 + 1e-9) * c[uncapped, None] * D[uncapped]
+        assert np.all(_psi_min_form(market, A[uncapped], past, nodes[uncapped]) < 0.0)
 
 
 class TestInZ:

@@ -5,7 +5,7 @@ import pytest
 
 import vng
 from conftest import two_asset_margin_market
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, leaf_grad, leaf_value, log_objective_loop
 from vng.errors import NegativeValue, NotInCone, ZeroValue
 
 
@@ -101,7 +101,7 @@ class TestGradient:
                     continue
                 pos = tree.level_position(leaf)
                 g = obj.gradient(leaf, a)
-                fd = central_difference_gradient(lambda x: obj._value(pos, x), a)
+                fd = central_difference_gradient(lambda x: leaf_value(obj, pos, x), a)
                 rel = np.abs(g - fd).max() / max(1.0, np.abs(g).max())
                 assert rel < 1e-5
                 checked += 1
@@ -123,6 +123,47 @@ class TestGradient:
         obj = vng.LiquidationObjective(tree, market)
         with pytest.raises(ZeroValue):
             obj.gradient("aa", np.zeros(2))
+
+
+def _four_variants(tree, market):
+    return [
+        vng.LinearObjective(tree, market, q=np.array([1.0, 1.1])),
+        vng.LiquidationObjective(tree, market),
+        vng.NormPenalizedObjective(tree, market, theta=0.01, norm="l1"),
+        vng.NormPenalizedObjective(tree, market, theta=0.01, norm="l2"),
+    ]
+
+
+class TestLeafFormAgreement:
+    """Value, supergradient and log functional through ``LeafForm`` agree
+    with the per-leaf references, kinks included."""
+
+    def test_agrees_with_per_leaf_reference(self, tree, market):
+        rng = np.random.default_rng(11)
+        leaves = tree.leaves()
+        for obj in _four_variants(tree, market):
+            for pos, leaf in enumerate(leaves):
+                for k in range(200):
+                    a = vng.sample_cone_point(market, leaf, rng)
+                    if k % 4 == 0:
+                        a[np.argmin(a)] = 0.0  # on a kink of |.| and min
+                    assert obj.evaluate(leaf, a) == pytest.approx(
+                        leaf_value(obj, pos, a), rel=1e-12, abs=1e-300
+                    )
+                    if leaf_value(obj, pos, a) > 0.0:
+                        g = obj.gradient(leaf, a)
+                        np.testing.assert_allclose(
+                            g, leaf_grad(obj, pos, a), rtol=1e-12, atol=0.0
+                        )
+            for _ in range(20):
+                rows = np.vstack(
+                    [vng.sample_cone_point(market, leaf, rng) for leaf in leaves]
+                )
+                assert vng.log_objective(
+                    tree, obj, vng.AdaptedVector(2, rows)
+                ) == pytest.approx(
+                    log_objective_loop(tree, obj, rows), rel=1e-12, abs=1e-15
+                )
 
 
 class TestLogObjective:

@@ -17,7 +17,13 @@ from oracles import (
 )
 from vng.cli_io import load_problem
 from vng.errors import InfeasibleStart
-from vng.solver import _interior_start, _newton_step, assemble
+from vng.solver import (
+    HANDOVER,
+    _interior_start,
+    _newton_step,
+    _predictor_corrector,
+    assemble,
+)
 
 
 class TestAssemble:
@@ -138,8 +144,14 @@ class TestSolveOracles:
 
 class TestSolveProperties:
     def test_homogeneity_in_x0(self, kelly):
+        """Scaling x0 by c scales the path by c and shifts F by ln c.
+
+        At ten scalings, with acceptance 08's bound on the path error (the
+        split of kelly's frictionless leaf along a flat face of the optimal
+        set, which only the central path's barrier fixes) and elementwise.
+        """
         base = vng.solve_log_optimal(kelly)
-        for c in (0.5, 2.0, 10.0):
+        for c in (0.1, 0.3, 0.5, 0.7, 2.0, 3.0, 5.0, 7.0, 10.0, 33.0):
             scaled_problem = vng.PathProblem(
                 tree=kelly.tree, market=kelly.market,
                 objective=kelly.objective, x0=c * kelly.x0,
@@ -150,10 +162,12 @@ class TestSolveProperties:
                 np.log(c), abs=1e-9
             )
             for t in range(kelly.tree.horizon + 1):
+                ref = c * base.path[t].values
                 np.testing.assert_allclose(
-                    scaled.path[t].values, c * base.path[t].values,
-                    rtol=1e-6, atol=1e-9 * c,
+                    scaled.path[t].values, ref, rtol=1e-6, atol=1e-9 * c,
                 )
+                rel = np.abs(scaled.path[t].values - ref).max() / np.abs(ref).max()
+                assert rel <= 1e-6
 
     def test_determinism(self, kelly):
         a = vng.solve_log_optimal(kelly, vng.SolveOptions(seed=7))
@@ -247,13 +261,13 @@ class TestWeightedCentralPath:
         spread = np.abs(solution.multipliers * prog.g(solution.z) / w - mu).max()
         assert spread <= 0.02 * mu
 
-    @pytest.mark.parametrize("shape, cap", [((2, 6, 2), 150), ((3, 4, 4), 300)],
+    @pytest.mark.parametrize("shape", [(2, 6, 2), (3, 4, 4)],
                              ids=["127-node-m2", "121-node-m4"])
-    def test_regular_trees_converge_and_certify(self, shape, cap):
+    def test_regular_trees_converge_and_certify(self, shape):
         problem = regular_problem(*shape, seed=0)
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= cap
+        assert solution.iterations <= 75
         dual = vng.extract_dual(solution, problem)
         cert = vng.verify_rapid(solution.path, dual, problem.tree, problem.market)
         assert cert.certified
@@ -278,11 +292,15 @@ def _l1_alternating_problem() -> vng.PathProblem:
     )
 
 
-def _newton_relative_residual(problem, mid_path: bool, ridge_scale: float = 0.0):
+def _newton_relative_residual(
+    problem, mid_path: bool, ridge_scale: float = 0.0, mehrotra: bool = False
+):
     """||K dz - rhs|| / ||rhs|| of the block direction, K and rhs built densely.
 
-    At the interior start (mu = 1), or at the iterate centered at mu = 1e-4
-    stepping toward the next stage's 0.2 mu.
+    At the interior start (mu = 1), or at the iterate centered at mu = 1e-4,
+    either the Newton direction toward the next stage's 0.2 mu or the
+    predictor-corrector direction; the latter is checked against the
+    corrector's right-hand side, r_c = lam g - mu w + dlam_aff dg_aff.
     """
     prog = assemble(problem)
     w = problem.tree.prob[prog.row_owner]
@@ -295,10 +313,25 @@ def _newton_relative_residual(problem, mid_path: bool, ridge_scale: float = 0.0)
     g = prog.g(z)
     gf = prog.grad_f(z)
     r_d = gf + prog.A.T @ lam
-    r_c = lam * g - mu * w
     gscale = float(np.abs(gf).max())
     ridge = ridge_scale * gscale**2
-    dz, _ = _newton_step(prog, z, lam, g, r_d, r_c, gscale**2, ridge)
+    if mehrotra:
+        mu_floor = HANDOVER * 1e-2 * vng.SolveOptions().tol
+        dz, _, _, mu, r_c = _predictor_corrector(
+            prog, z, lam, g, r_d, w, mu_floor, gscale**2, ridge
+        )
+        assert mu_floor <= mu <= float(lam @ g) / w.sum()
+        # the corrector term is the affine direction's dlam * A dz
+        aff_dz, aff_dlam, aff_Adz = _newton_step(
+            prog, z, lam, g, r_d, lam * g, gscale**2, ridge
+        )
+        term = aff_dlam * aff_Adz
+        assert np.abs(r_c - (lam * g - mu * w) - term).max() <= (
+            1e-6 * np.abs(term).max()
+        )
+    else:
+        r_c = lam * g - mu * w
+        dz = _newton_step(prog, z, lam, g, r_d, r_c, gscale**2, ridge)[0]
     K = dense_newton_matrix(prog, z, lam, g, ridge)
     rhs = r_d - prog.A.T @ (r_c / g)
     return np.abs(K @ dz - rhs).max() / np.abs(rhs).max()
@@ -319,6 +352,11 @@ class TestBlockNewtonStep:
     def test_direction_solves_dense_system(self, make, mid_path):
         assert _newton_relative_residual(make(), mid_path) <= 1e-11
 
+    @pytest.mark.parametrize("make", NEWTON_CASES)
+    @pytest.mark.parametrize("mid_path", [False, True], ids=["start", "mu1e-4"])
+    def test_predictor_corrector_solves_dense_system(self, make, mid_path):
+        assert _newton_relative_residual(make(), mid_path, mehrotra=True) <= 1e-11
+
     @pytest.mark.parametrize("mid_path", [False, True], ids=["start", "mu1e-4"])
     def test_mixed_lifted_leaves_with_ridge(self, mid_path):
         problem = _l1_alternating_problem()
@@ -328,12 +366,12 @@ class TestBlockNewtonStep:
         assert _newton_relative_residual(problem, mid_path, ridge_scale=1e-4) <= 1e-11
 
     def test_large_tree_converges(self):
-        """A deep tree: 3^6 = 1,093 nodes at m = 2, within 150 iterations."""
+        """A deep tree: 3^6 = 1,093 nodes at m = 2, within 75 iterations."""
         problem = regular_problem(3, 6, 2, seed=0)
         assert problem.tree.n_nodes == 1093
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= 150
+        assert solution.iterations <= 75
         dual = vng.extract_dual(solution, problem)
         cert = vng.verify_rapid(solution.path, dual, problem.tree, problem.market)
         assert cert.certified
