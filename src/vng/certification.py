@@ -328,23 +328,33 @@ class SupermartingaleReport:
 def supermartingale_check(
     dual: DualPath, y: list[AdaptedVector], tree: ScenarioTree
 ) -> SupermartingaleReport:
+    return _supermartingale_checks(dual, [y], tree)[0]
+
+
+def _supermartingale_checks(
+    dual: DualPath, paths: list[list[AdaptedVector]], tree: ScenarioTree
+) -> list[SupermartingaleReport]:
+    """:func:`supermartingale_check` of each path, building E_t p_{t+1} once."""
     N = tree.horizon
-    if len(y) != N + 1:
-        raise ShapeMismatch(f"path must have {N + 1} layers, got {len(y)}")
     bars = [dual.bar(tree, t).values for t in range(N + 1)]
-    worst1 = worst2 = gap = 0.0
-    for t in range(1, N + 1):
-        up = tree.up(t)
-        lhs = np.vecdot(bars[t], y[t].values)
-        diff = lhs - np.vecdot(dual.price(t, N).values, y[t - 1].values[up])
-        worst1 = max(worst1, float(diff.max()))
-        gap = max(gap, float(np.abs(diff).max()))
-        # one date earlier: E_{t-1}[p_bar_{t+1} y_t] against p_bar_t y_{t-1}
-        lhs_prev = np.zeros(len(bars[t - 1]))
-        np.add.at(lhs_prev, up, tree.cond_prob[tree.span(t)] * lhs)
-        diff = lhs_prev - np.vecdot(bars[t - 1], y[t - 1].values)
-        worst2 = max(worst2, float(diff.max()))
-    return SupermartingaleReport(first_form=worst1, second_form=worst2, equality_gap=gap)
+    reports = []
+    for y in paths:
+        if len(y) != N + 1:
+            raise ShapeMismatch(f"path must have {N + 1} layers, got {len(y)}")
+        worst1 = worst2 = gap = 0.0
+        for t in range(1, N + 1):
+            up = tree.up(t)
+            lhs = np.vecdot(bars[t], y[t].values)
+            diff = lhs - np.vecdot(dual.price(t, N).values, y[t - 1].values[up])
+            worst1 = max(worst1, float(diff.max()))
+            gap = max(gap, float(np.abs(diff).max()))
+            # one date earlier: E_{t-1}[p_bar_{t+1} y_t] against p_bar_t y_{t-1}
+            lhs_prev = np.zeros(len(bars[t - 1]))
+            np.add.at(lhs_prev, up, tree.cond_prob[tree.span(t)] * lhs)
+            diff = lhs_prev - np.vecdot(bars[t - 1], y[t - 1].values)
+            worst2 = max(worst2, float(diff.max()))
+        reports.append(SupermartingaleReport(worst1, worst2, gap))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,12 @@ from .certification import (
     DualPath,
     RapidityCertificate,
     SupermartingaleReport,
+    _supermartingale_checks,
     buy_and_hold_path,
     extract_dual,
     fixed_fraction_path,
     growth_dominance,
     sample_competitor_paths,
-    supermartingale_check,
     verify_rapid,
 )
 from .errors import (
@@ -576,17 +576,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
     )
     if args.competitors > 0 and cert.certified:
         rng = np.random.default_rng(args.seed)
-        rapid = supermartingale_check(dual, solution.path, problem.tree)
-        worst = SupermartingaleReport(0.0, 0.0, rapid.equality_gap)
-        for y in sample_competitor_paths(
+        paths = sample_competitor_paths(
             problem.tree, problem.market, rng, problem.x0, args.competitors
-        ):
-            rep = supermartingale_check(dual, y, problem.tree)
-            worst = SupermartingaleReport(
-                max(worst.first_form, rep.first_form),
-                max(worst.second_form, rep.second_form),
-                rapid.equality_gap,
-            )
+        )
+        rapid, *reports = _supermartingale_checks(
+            dual, [solution.path, *paths], problem.tree
+        )
+        worst = SupermartingaleReport(
+            max([0.0] + [r.first_form for r in reports]),
+            max([0.0] + [r.second_form for r in reports]),
+            rapid.equality_gap,
+        )
         cert = dataclasses.replace(cert, supermartingale=worst)
 
     out = args.out or _default_out(args.problem, ".certificate.json")

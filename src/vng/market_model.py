@@ -22,7 +22,10 @@ settles it in closed form wherever the prices allow.
 Everything here is a pure function of immutable data.  The cone tests work on
 rows: an ``(n, m)`` array of portfolios or prices together with the ``n``
 node indices they sit at, so a whole tree level (or any mix of nodes) is one
-call.  The LP sub-solver (scipy's HiGHS) is re-entrant.
+call.  The LP sub-solver (scipy's HiGHS) is re-entrant, and it loads on the
+first LP, not at import: only a node the closed-form proof leaves open needs
+one, which is a node with two frictionless coordinates (Lp = Lm) or a node
+whose transition inequality may fail, where the LP also builds the witness.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
@@ -179,14 +181,23 @@ def margin_residual(market: MarketData, A: np.ndarray, nodes: np.ndarray) -> np.
     return np.vecdot(market.Lp[idx], _pos(A)) - mu * np.vecdot(market.Lm[idx], _neg(A))
 
 
+def _psi_rows(Lp: np.ndarray, Lm: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """psi per row of rebalances d = R a - b: sum_j min(Lp_j d_j, Lm_j d_j).
+
+    Equal to Lp . d+ - Lm . d- since Lp <= Lm.  The min-form is how the
+    frontier and the solver's lifted rows round psi, so a point the frontier
+    returns as self-financing reads psi >= 0 everywhere.
+    """
+    return np.minimum(Lp * d, Lm * d).sum(axis=1)
+
+
 def self_financing_value(
     market: MarketData, A: np.ndarray, B: np.ndarray, nodes: np.ndarray
 ) -> np.ndarray:
     """psi_t(a, b) per row: cash released by rebalancing row a into row b."""
     idx, A, B = market._rows(nodes, A, B)
     market._non_root(idx)
-    d = market.returns[idx] * A - B
-    return np.vecdot(market.Lp[idx], _pos(d)) - np.vecdot(market.Lm[idx], _neg(d))
+    return _psi_rows(market.Lp[idx], market.Lm[idx], market.returns[idx] * A - B)
 
 
 @dataclass(frozen=True)
@@ -312,6 +323,8 @@ def dual_cone_violation(
     larger value comes with the violating pair as witness.  Verification runs
     it only where :func:`transition_proved` leaves a node open.
     """
+    from scipy.optimize import linprog  # loads HiGHS on the first LP only
+
     node = market.tree.node(node)
     lift = lift_Z(market, node)
     m = market.m
@@ -785,8 +798,7 @@ def transition_frontier_batch(
     AR = A * R
 
     def psi(c: np.ndarray) -> np.ndarray:
-        diff = AR - c[:, None] * D
-        return np.minimum(Lp * diff, Lm * diff).sum(axis=1)
+        return _psi_rows(Lp, Lm, AR - c[:, None] * D)
 
     norm_a = np.abs(A).sum(axis=1)
     norm_d = np.abs(D).sum(axis=1)

@@ -64,10 +64,6 @@ from .scenario_tree import AdaptedVector, ScenarioTree
 
 log = logging.getLogger(__name__)
 
-# Newton steps shorter than this are retried with more proximal damping
-# (measured: 1e-10 to 1e-6 all serve; without the retry some m = 4 trees jam).
-MIN_STEP = 1e-8
-
 # Above HANDOVER times the final mu every iteration is a Mehrotra
 # predictor-corrector step, whose centering weight is
 # sigma = (mu_aff / mu_avg)^SIGMA_POWER; below it, centered stages finish.
@@ -798,9 +794,10 @@ def solve_log_optimal(
     path (the certificate's prices, and the split along flat faces of the
     optimal set, are read off that center).  Both kinds of step share the
     fraction-to-boundary safeguard, the Armijo (1e-4, 0.5) backtracking line
-    search on the weighted KKT residual norm and the ridge retries.  Only a
-    centered final stage within tol counts as converged; ``outer_iterations``
-    and ``objective_trace`` count the centered stages.
+    search on the weighted KKT residual norm and the ridge retry for a
+    singular Newton block.  Only a centered final stage within tol counts as
+    converged; ``outer_iterations`` and ``objective_trace`` count the
+    centered stages.
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
@@ -863,13 +860,9 @@ def solve_log_optimal(
             stop = stop or f"max_iter={options.max_iter} reached"
             break
 
-        # The undamped direction first.  A failed line search, or a step
-        # shorter than MIN_STEP, retries with increasing proximal damping,
-        # which suppresses motion along flat (degenerate) faces of the optimal
-        # set: there the undamped direction is huge and the boundary cuts it
-        # to nothing.  A short step is still taken when no damped one goes
-        # further.  A singular Newton block retries with the next damping,
-        # logged.  A predictor-corrector step picks its mu with its direction.
+        # The undamped direction; a singular Newton block retries with the
+        # next proximal damping, logged.  A predictor-corrector step picks its
+        # mu with its direction.
         step = None
         for ridge_scale in (0.0, 1e-4, 1e-1):
             hscale, ridge = gscale * gscale, ridge_scale * gscale * gscale
@@ -901,14 +894,10 @@ def solve_log_optimal(
                         r_d2 = gf2 + prog.A_T @ lam_try
                         r_c2 = lam_try * g2 - mu_step * w
                         if merit(r_d2, r_c2, gscale) <= (1.0 - 1e-4 * alpha) * phi0:
+                            step = (z_try, lam_try, g2, state2, gf2, r_d2, mu_step)
                             break
                 alpha *= 0.5
-            else:
-                continue
-            if step is None or alpha >= MIN_STEP:
-                step = (z_try, lam_try, g2, state2, gf2, r_d2, mu_step)
-            if alpha >= MIN_STEP:
-                break
+            break
         iters += 1
         if step is None:
             log.debug("line search stalled at mu=%.3e iter=%d", mu, iters)

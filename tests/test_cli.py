@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import vng
 import vng.cli_io as cli
 from vng.errors import InfeasibleStart, LPFailure, NotCertified
 
@@ -68,6 +69,31 @@ class TestSolveCertify:
         assert "supermartingale" in cert
         # frictionless nodes are the ones the closed-form proof leaves open
         assert cert["transition_lp_nodes"] == ["mid", "up", "down"]
+
+    @pytest.mark.parametrize("stem", ["kelly", "two_asset_margin"])
+    def test_supermartingale_report_is_worst_library_check(self, workdir, stem):
+        """certify's report folds supermartingale_check over its competitors."""
+        assert run("solve", f"{stem}.json") == 0
+        assert run("certify", f"{stem}.json", f"{stem}.solution.json",
+                   "--competitors", "20", "--seed", "3") == 0
+        problem = cli.load_problem(f"{stem}.json")[0]
+        sdoc = json.loads((workdir / f"{stem}.solution.json").read_text())
+        path = cli.solution_from_doc(sdoc, problem).path
+        cert = json.loads((workdir / f"{stem}.certificate.json").read_text())
+        dual = cli.dual_from_doc(problem.tree, cert["dual"], problem.market.m)
+        rng = np.random.default_rng(3)
+        reports = [
+            vng.supermartingale_check(dual, y, problem.tree)
+            for y in vng.sample_competitor_paths(
+                problem.tree, problem.market, rng, problem.x0, 20
+            )
+        ]
+        assert cert["supermartingale"] == {
+            "first_form": max([0.0] + [r.first_form for r in reports]),
+            "second_form": max([0.0] + [r.second_form for r in reports]),
+            "rapid_equality_gap":
+                vng.supermartingale_check(dual, path, problem.tree).equality_gap,
+        }
 
     def test_solution_roundtrip_lossless(self, workdir):
         run("solve", "single_asset.json")

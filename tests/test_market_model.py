@@ -145,6 +145,19 @@ class TestTransitionFrontier:
         past = (1.0 + 1e-9) * c[uncapped, None] * D[uncapped]
         assert np.all(_psi_min_form(market, A[uncapped], past, nodes[uncapped]) < 0.0)
 
+    def test_frontier_points_are_members_without_tolerance(self):
+        """psi rounds one way: in_Z(tol=0) accepts every frontier point."""
+        for seed in range(50):
+            problem = make_instance(seed)
+            market, tree = problem.market, problem.tree
+            rng = np.random.default_rng(seed)
+            nodes = np.repeat(np.arange(1, tree.n_nodes), 10)
+            A = np.array([vng.sample_cone_point(market, tree.parents[i], rng) for i in nodes])
+            D = np.array([vng.sample_cone_point(market, i, rng) for i in nodes])
+            B = transition_frontier_batch(market, A, D, nodes)[:, None] * D
+            res = vng.in_Z(market, A, B, nodes, tol=0.0)
+            assert res.member.all(), f"seed {seed}: psi {res.psi[~res.member]}"
+
 
 class TestInZ:
     def test_liquidation_pair_is_member(self):

@@ -1,5 +1,6 @@
 """Program assembly, the interior-point solve, and the KKT report."""
 
+import logging
 import os
 
 import numpy as np
@@ -20,6 +21,7 @@ from vng.errors import InfeasibleStart
 from vng.solver import (
     HANDOVER,
     _interior_start,
+    _NewtonSystem,
     _newton_step,
     _predictor_corrector,
     assemble,
@@ -197,6 +199,35 @@ class TestSolveProperties:
         solution = vng.solve_log_optimal(kelly, vng.SolveOptions(max_iter=3))
         assert not solution.converged
         assert solution.iterations <= 3
+
+    def test_singular_block_retries_with_ridge(self, kelly, monkeypatch, caplog):
+        """A singular Newton block is logged and its step retried with a ridge."""
+        base = vng.solve_log_optimal(kelly)
+        lu, factored = np.linalg.solve, []
+
+        def singular_once(*args):
+            if not factored:
+                factored.append(True)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return lu(*args)
+
+        ridges, elimination = [], _NewtonSystem.solve
+
+        def solve(self, rp, rq):
+            ridges.append(self.ridge)
+            return elimination(self, rp, rq)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        monkeypatch.setattr(_NewtonSystem, "solve", solve)
+        with caplog.at_level(logging.DEBUG, logger="vng.solver"):
+            solution = vng.solve_log_optimal(kelly)
+        failed = [r for r in caplog.records if r.msg.startswith("newton step failed")]
+        assert len(failed) == 1 and failed[0].args[1] == 0.0
+        assert ridges[0] == 0.0 and ridges[1] > 0.0  # the same step, damped
+        assert solution.converged
+        assert solution.objective_value == pytest.approx(base.objective_value, abs=1e-9)
+        dual = vng.extract_dual(solution, kelly)
+        assert vng.verify_rapid(solution.path, dual, kelly.tree, kelly.market).certified
 
     def test_iteration_cap_flagged_even_with_small_residuals(self, kelly):
         needed = vng.solve_log_optimal(kelly).iterations
