@@ -4,6 +4,8 @@ import copy
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,6 +319,66 @@ class TestGolden:
             assert out == fh.read()
         with open(self._golden(f"{fixture}.compare.csv"), "rb") as fh:
             assert (workdir / f"{fixture}.compare.csv").read_bytes() == fh.read()
+
+
+# --- start-up: HiGHS (scipy.optimize) loads only for an LP ---------------------------
+
+# Imports vng, runs the CLI commands given on argv (a JSON list of argument
+# lists) and prints whether scipy.optimize was loaded after the import and
+# at the end.  Each test needs a fresh interpreter: this session has long
+# since imported everything.
+STARTUP_PROBE = """
+import json, sys
+import vng, vng.cli_io
+loaded_at_import = "scipy.optimize" in sys.modules
+codes = [vng.cli_io.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"import": loaded_at_import, "codes": codes,
+                  "after": "scipy.optimize" in sys.modules}))
+"""
+
+
+class TestStartup:
+    SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+    def probe(self, cwd, commands: list[list[str]]) -> dict:
+        path = os.pathsep.join(filter(None, [self.SRC, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, json.dumps(commands)],
+            cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        return json.loads(out.stdout.strip().splitlines()[-1])
+
+    @staticmethod
+    def pipeline(stem: str, strategies: str) -> list[list[str]]:
+        return [
+            ["validate", f"{stem}.json"],
+            ["solve", f"{stem}.json"],
+            ["certify", f"{stem}.json", f"{stem}.solution.json"],
+            ["compare", f"{stem}.json", strategies,
+             "--certificate", f"{stem}.certificate.json"],
+        ]
+
+    def test_import_does_not_load_highs(self, workdir):
+        assert self.probe(workdir, []) == {"import": False, "codes": [], "after": False}
+
+    def test_pipelines_without_lp_never_load_highs(self, workdir):
+        commands = (self.pipeline("two_asset_margin", "strategies.json")
+                    + self.pipeline("single_asset", "single_strategies.json"))
+        result = self.probe(workdir, commands)
+        assert result["codes"] == [0] * len(commands)
+        assert not result["import"] and not result["after"]
+        for stem in ("two_asset_margin", "single_asset"):
+            cert = json.loads((workdir / f"{stem}.certificate.json").read_text())
+            assert cert["transition_lp_nodes"] == []
+
+    def test_kelly_certify_loads_highs_for_its_frictionless_nodes(self, workdir):
+        result = self.probe(workdir, self.pipeline("kelly", "strategies.json")[1:3])
+        assert result["codes"] == [0, 0]
+        assert not result["import"] and result["after"]
+        cert = json.loads((workdir / "kelly.certificate.json").read_text())
+        assert cert["verdict"] == "certified"
+        assert cert["transition_lp_nodes"] == ["mid", "up", "down"]
 
 
 # --- exit-code fuzz -----------------------------------------------------------------
