@@ -334,27 +334,36 @@ def supermartingale_check(
 def _supermartingale_checks(
     dual: DualPath, paths: list[list[AdaptedVector]], tree: ScenarioTree
 ) -> list[SupermartingaleReport]:
-    """:func:`supermartingale_check` of each path, building E_t p_{t+1} once."""
+    """:func:`supermartingale_check` of each path, building E_t p_{t+1} once.
+
+    The paths are stacked per date, (count, n_t, m).  The running maxima start
+    at 0, and a date whose residuals hold a NaN leaves them as they are
+    (``np.fmax``).
+    """
     N = tree.horizon
-    bars = [dual.bar(tree, t).values for t in range(N + 1)]
-    reports = []
     for y in paths:
         if len(y) != N + 1:
             raise ShapeMismatch(f"path must have {N + 1} layers, got {len(y)}")
-        worst1 = worst2 = gap = 0.0
-        for t in range(1, N + 1):
-            up = tree.up(t)
-            lhs = np.vecdot(bars[t], y[t].values)
-            diff = lhs - np.vecdot(dual.price(t, N).values, y[t - 1].values[up])
-            worst1 = max(worst1, float(diff.max()))
-            gap = max(gap, float(np.abs(diff).max()))
-            # one date earlier: E_{t-1}[p_bar_{t+1} y_t] against p_bar_t y_{t-1}
-            lhs_prev = np.zeros(len(bars[t - 1]))
-            np.add.at(lhs_prev, up, tree.cond_prob[tree.span(t)] * lhs)
-            diff = lhs_prev - np.vecdot(bars[t - 1], y[t - 1].values)
-            worst2 = max(worst2, float(diff.max()))
-        reports.append(SupermartingaleReport(worst1, worst2, gap))
-    return reports
+    bars = [dual.bar(tree, t).values for t in range(N + 1)]
+    worst1, worst2, gap = (np.zeros(len(paths)) for _ in range(3))
+    Y_prev = np.stack([y[0].values for y in paths])
+    for t in range(1, N + 1):
+        up = tree.up(t)
+        Y = np.stack([y[t].values for y in paths])
+        lhs = np.vecdot(bars[t], Y)
+        diff = lhs - np.vecdot(dual.price(t, N).values, Y_prev[:, up])
+        worst1 = np.fmax(worst1, diff.max(axis=1))
+        gap = np.fmax(gap, np.abs(diff).max(axis=1))
+        # one date earlier: E_{t-1}[p_bar_{t+1} y_t] against p_bar_t y_{t-1}
+        lhs_prev = np.zeros((len(paths), len(bars[t - 1])))
+        np.add.at(lhs_prev, (slice(None), up), tree.cond_prob[tree.span(t)] * lhs)
+        diff = lhs_prev - np.vecdot(bars[t - 1], Y_prev)
+        worst2 = np.fmax(worst2, diff.max(axis=1))
+        Y_prev = Y
+    return [
+        SupermartingaleReport(float(a), float(b), float(c))
+        for a, b, c in zip(worst1, worst2, gap)
+    ]
 
 
 @dataclass(frozen=True)

@@ -137,13 +137,11 @@ def _read_json(path: str, what: str):
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _per_node_table(
-    spec, tree: ScenarioTree, m: int, where: str, nodes: list
-) -> np.ndarray:
+def _per_node_table(spec, tree: ScenarioTree, m: int, where: str) -> np.ndarray:
     """Scalar, per-asset vector, or {node_id: scalar|vector} to (n_nodes, m)."""
     out = np.zeros((tree.n_nodes, m))
     if isinstance(spec, dict):
-        for node in nodes:
+        for node in tree.nodes:
             if node.node_id not in spec:
                 raise ParseError(f"{where}: node {node.node_id!r}: missing entry")
             val = _array(spec[node.node_id], f"{where}[{node.node_id}]")
@@ -243,12 +241,10 @@ def parse_problem_dict(doc: dict) -> PathProblem:
             raise ParseError("market: need either 'returns' or 'prices'")
 
         lam_plus = _per_node_table(
-            market_sec.get("lambda_plus", 0.0), tree, m, "market.lambda_plus",
-            list(tree.nodes),
+            market_sec.get("lambda_plus", 0.0), tree, m, "market.lambda_plus"
         )
         lam_minus = _per_node_table(
-            market_sec.get("lambda_minus", 0.0), tree, m, "market.lambda_minus",
-            list(tree.nodes),
+            market_sec.get("lambda_minus", 0.0), tree, m, "market.lambda_minus"
         )
         market = MarketData(
             tree=tree, m=m, returns=returns,
@@ -345,10 +341,7 @@ def _path_from_dict(tree: ScenarioTree, table: dict, m: int) -> list[AdaptedVect
     return path
 
 
-def solution_to_doc(
-    solution: Solution, digest: str
-) -> dict:
-    tree_path = solution.path
+def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict:
     r = solution.residuals
     return {
         "schema_version": SCHEMA_VERSION,
@@ -372,7 +365,7 @@ def solution_to_doc(
             "seed": solution.options.seed,
         },
         "objective_trace": list(solution.objective_trace),
-        "path": None,  # filled by caller with node map
+        "path": _path_to_dict(tree, solution.path),
         "z": [float(v) for v in solution.z],
         "multipliers": [float(v) for v in solution.multipliers],
     }
@@ -525,9 +518,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     solution = solve_log_optimal(problem, options)
     digest = digest_of(raw, options)
     out = args.out or _default_out(args.problem, ".solution.json")
-    sdoc = solution_to_doc(solution, digest)
-    sdoc["path"] = _path_to_dict(problem.tree, solution.path)
-    write_json(out, sdoc)
+    write_json(out, solution_to_doc(solution, problem.tree, digest))
     print(
         f"solve: F={solution.objective_value!r} "
         f"iterations={solution.iterations} converged={solution.converged}"

@@ -55,7 +55,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, InfeasibleStart
 from .market_model import MarketData, margin_residual, transition_frontier_batch
@@ -129,7 +128,6 @@ class SolveOptions:
     tol: float = 1e-8
     max_iter: int = 2000
     seed: int = 0
-    mu_target: float | None = None  # final weighted-path mu; default 1e-2 * tol
 
 
 @dataclass(frozen=True)
@@ -221,15 +219,19 @@ class AssembledProgram:
     u >= 0, margin >= 0, Lp(R x_par - x) - s >= 0, Lm(R x_par - x) - s >= 0,
     and sum(s) >= 0.  Lifted objective leaves append auxiliary scalars w with
     two coordinatewise rows each (see :class:`~vng.objectives.LeafForm`).
-    ``levels`` holds the same coefficients as ``A`` as stacked dense blocks.
+
+    The constraints are g(z) = A z + b >= 0.  ``levels`` holds A as stacked
+    dense blocks, for the Newton elimination; ``A_rows``, ``A_cols`` and
+    ``A_vals`` hold its structural entries, sorted by row and then column, for
+    the products :meth:`A_dot` and :meth:`A_T_dot`.
     """
 
     problem: PathProblem
     n_vars: int
     n_cons: int
-    A: sp.csr_matrix          # constraints g(z) = A z + b >= 0
-    A_T: sp.csr_matrix        # A.T, and abs(A).T, stored row-major
-    abs_A_T: sp.csr_matrix
+    A_rows: np.ndarray        # entries of A, sorted by row, then column
+    A_cols: np.ndarray
+    A_vals: np.ndarray
     b: np.ndarray
     levels: list[Level]
     # Per node index (the root's entries are unused): column offsets of the
@@ -265,8 +267,16 @@ class AssembledProgram:
         """``(n, m)`` rows Lm (R x_par - x) - s >= 0 of the given nodes."""
         return self.rows_min_plus(idx) + self.m
 
+    def A_dot(self, z: np.ndarray) -> np.ndarray:
+        """A z, for a (n_vars,) vector or a (n_vars, k) stack."""
+        return _entry_product(self.A_rows, self.A_cols, self.A_vals, z, self.n_cons)
+
+    def A_T_dot(self, y: np.ndarray) -> np.ndarray:
+        """A^T y, for a (n_cons,) vector or a (n_cons, k) stack."""
+        return _entry_product(self.A_cols, self.A_rows, self.A_vals, y, self.n_vars)
+
     def g(self, z: np.ndarray) -> np.ndarray:
-        return self.A @ z + self.b
+        return self.A_dot(z) + self.b
 
     def path_values(self, z: np.ndarray) -> list[AdaptedVector]:
         tree = self.problem.tree
@@ -336,6 +346,23 @@ class AssembledProgram:
         xw = P[lw] * (G[lw][:, :, None] * form.cw[:, None, :]) / s2[lw]
         ww = P[lw] * (form.cw[:, :, None] * form.cw[:, None, :]) / s2[lw]
         return xx, xw, ww
+
+
+def _entry_product(
+    out_idx: np.ndarray, in_idx: np.ndarray, vals: np.ndarray, x: np.ndarray, n: int
+) -> np.ndarray:
+    """y[out_idx[e]] += vals[e] x[in_idx[e]] over the entries e, in list order.
+
+    On the row-sorted entry list each output of A z and of A^T y sums its
+    products in ascending index order, as a CSR product does (the end of the
+    central path is sensitive to rounding order).  A (len, k) stack is taken
+    one column at a time.
+    """
+    if x.ndim == 2:
+        return np.column_stack(
+            [_entry_product(out_idx, in_idx, vals, c, n) for c in x.T]
+        )
+    return np.bincount(out_idx, vals * x[in_idx], n)
 
 
 def _block_entries(
@@ -426,9 +453,8 @@ def assemble(problem: PathProblem) -> AssembledProgram:
             _block_entries(w_rows, leaf_w, w_loc, diagonals),
             _block_entries(w_rows, leaf_x[form.lifted], w_par, diagonals),
         ]
-    rows, cols, data = (np.concatenate([p[k] for p in parts]) for k in range(3))
-    A = sp.csr_matrix((data, (rows, cols)), shape=(n_cons, n_vars))
-    A_T = sp.csr_matrix((data, (cols, rows)), shape=(n_vars, n_cons))
+    rows, cols, vals = (np.concatenate([p[k] for p in parts]) for k in range(3))
+    order = np.lexsort((cols, rows))
 
     row_owner = np.zeros(n_cons, dtype=int)
     col_owner = np.zeros(n_vars, dtype=int)
@@ -441,11 +467,9 @@ def assemble(problem: PathProblem) -> AssembledProgram:
         problem=problem,
         n_vars=n_vars,
         n_cons=n_cons,
-        A=A,
-        A_T=A_T,
-        abs_A_T=sp.csr_matrix(
-            (np.abs(A_T.data), A_T.indices, A_T.indptr), shape=A_T.shape
-        ),
+        A_rows=rows[order],
+        A_cols=cols[order],
+        A_vals=vals[order],
         b=b,
         levels=levels,
         x_off=x_off,
@@ -628,7 +652,7 @@ class _NewtonSystem:
     def rhs(self, r_d: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand side [rp; rq] of the system for the residuals (r_d, r_c)."""
         big = self.big
-        rp = r_d - self.prog.A_T @ np.where(big, 0.0, r_c / self.g)
+        rp = r_d - self.prog.A_T_dot(np.where(big, 0.0, r_c / self.g))
         rq = np.where(big, -self.hscale * r_c / self.lam, 0.0)
         return rp, rq
 
@@ -685,7 +709,7 @@ class _NewtonSystem:
             Wdz[prog.leaf_x[form.lifted]] += (xw @ wl)[:, :, 0]
             xt = xw.transpose(0, 2, 1)
             Wdz[prog.leaf_w] = (ww @ wl + xt @ xl[form.lifted])[:, :, 0]
-        Kp = Wdz + self.ridge * dz + prog.A_T @ (self.Dc * Adz + self.bs * y)
+        Kp = Wdz + self.ridge * dz + prog.A_T_dot(self.Dc * Adz + self.bs * y)
         Kq = self.bs * Adz + self.slot_diag * y
         ddz, dy = self.solve((rp - Kp)[:, None], (rq - Kq)[:, None])
         dz = dz + ddz[:, 0]
@@ -730,8 +754,8 @@ def _newton_step(
     system = _NewtonSystem(prog, z, lam, g, hscale, ridge, state)
     rp, rq = system.rhs(r_d, r_c)
     dz, y = system.solve(rp[:, None], rq[:, None])
-    dz, y = system.refine(dz[:, 0], y[:, 0], prog.A @ dz[:, 0], rp, rq)
-    Adz = prog.A @ dz
+    dz, y = system.refine(dz[:, 0], y[:, 0], prog.A_dot(dz[:, 0]), rp, rq)
+    Adz = prog.A_dot(dz)
     return dz, system.dlam(r_c, y, Adz), Adz
 
 
@@ -765,7 +789,7 @@ def _predictor_corrector(
     rp_cen, rq_cen = system.rhs(np.zeros(prog.n_vars), -w)
     dz, y = system.solve(np.column_stack([rp_aff, rp_cen]),
                          np.column_stack([rq_aff, rq_cen]))
-    Adz = prog.A @ dz
+    Adz = prog.A_dot(dz)
     dlam_aff = system.dlam(lg, y[:, 0], Adz[:, 0])
     alpha = _max_step(g, Adz[:, 0], lam, dlam_aff, 1.0)
     w_sum = float(w.sum())
@@ -775,8 +799,8 @@ def _predictor_corrector(
     r_c = lg - mu * w + dlam_aff * Adz[:, 0]
     rp, rq = system.rhs(r_d, r_c)
     dz = dz[:, 0] + mu * dz[:, 1]
-    dz, y = system.refine(dz, y[:, 0] + mu * y[:, 1], prog.A @ dz, rp, rq)
-    Adz = prog.A @ dz
+    dz, y = system.refine(dz, y[:, 0] + mu * y[:, 1], prog.A_dot(dz), rp, rq)
+    Adz = prog.A_dot(dz)
     return dz, system.dlam(r_c, y, Adz), Adz, mu, r_c
 
 
@@ -787,24 +811,22 @@ def solve_log_optimal(
 
     From the interior start at mu = 1, every iteration is a Mehrotra
     predictor-corrector step (:func:`_predictor_corrector`) that picks its
-    own mu, down to HANDOVER times the final mu, 1e-2 * tol (or
-    ``options.mu_target``).  From there centered stages mu <- 0.2 mu finish
-    the path: each stage is centered by Newton steps before mu moves, and
-    the final one to c = 0.01, so the returned iterate sits on the central
-    path (the certificate's prices, and the split along flat faces of the
-    optimal set, are read off that center).  Both kinds of step share the
-    fraction-to-boundary safeguard, the Armijo (1e-4, 0.5) backtracking line
-    search on the weighted KKT residual norm and the ridge retry for a
-    singular Newton block.  Only a centered final stage within tol counts as
-    converged; ``outer_iterations`` and ``objective_trace`` count the
-    centered stages.
+    own mu, down to HANDOVER times the final mu, 1e-2 * tol.  From there
+    centered stages mu <- 0.2 mu finish the path: each stage is centered by
+    Newton steps before mu moves, and the final one to c = 0.01, so the
+    returned iterate sits on the central path (the certificate's prices, and
+    the split along flat faces of the optimal set, are read off that center).
+    Both kinds of step share the fraction-to-boundary safeguard, the Armijo
+    (1e-4, 0.5) backtracking line search on the weighted KKT residual norm
+    and the ridge retry for a singular Newton block.  ``tol`` sets the final
+    mu and the convergence test, nothing else.  Only a centered final stage
+    within tol counts as converged; ``outer_iterations`` and
+    ``objective_trace`` count the centered stages.
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
     prog = assemble(problem)
-    mu_target = options.mu_target
-    if mu_target is None:
-        mu_target = 1e-2 * options.tol
+    mu_target = 1e-2 * options.tol
     handover = HANDOVER * mu_target
     w = problem.tree.prob[prog.row_owner]  # central-path weight of each row
 
@@ -816,7 +838,7 @@ def solve_log_optimal(
     # the line search that accepted it
     state = prog._leaf_state(z)
     gf = prog.grad_f(z, state)
-    r_d = gf + prog.A_T @ lam
+    r_d = gf + prog.A_T_dot(lam)
 
     iters = 0
     outer = 0
@@ -843,9 +865,10 @@ def solve_log_optimal(
                 and (
                     rd_max <= c_center * mu * gscale
                     # cancellation noise floor of the stationarity residual
-                    or rd_max <= 64.0 * np.finfo(float).eps * (
-                        gscale + float((prog.abs_A_T @ lam).max())
-                    )
+                    or rd_max <= 64.0 * np.finfo(float).eps * (gscale + float(
+                        _entry_product(prog.A_cols, prog.A_rows, np.abs(prog.A_vals),
+                                       lam, prog.n_vars).max()  # |A|^T lam
+                    ))
                 )
             )
             if centered:
@@ -891,7 +914,7 @@ def solve_log_optimal(
                     g2 = prog.g(z_try)
                     if np.all(state2[3] > 0.0) and g2.min() > 0.0:
                         gf2 = prog.grad_f(z_try, state2)
-                        r_d2 = gf2 + prog.A_T @ lam_try
+                        r_d2 = gf2 + prog.A_T_dot(lam_try)
                         r_c2 = lam_try * g2 - mu_step * w
                         if merit(r_d2, r_c2, gscale) <= (1.0 - 1e-4 * alpha) * phi0:
                             step = (z_try, lam_try, g2, state2, gf2, r_d2, mu_step)
@@ -961,7 +984,7 @@ def _kkt_report(solution: Solution, prog: AssembledProgram) -> KktReport:
         raise DimensionMismatch("stored iterate does not match the problem")
 
     g = prog.g(z)
-    r_d = prog.grad_f(z) + prog.A_T @ lam
+    r_d = prog.grad_f(z) + prog.A_T_dot(lam)
     comp = lam * g
     tree = prog.problem.tree
 

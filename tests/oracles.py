@@ -129,9 +129,53 @@ def dense_neg_hess(prog, z: np.ndarray) -> np.ndarray:
     return W
 
 
+def dense_constraint_matrix(problem) -> np.ndarray:
+    """The program's constraint matrix A, dense, written node by node.
+
+    Layout: non-root node i owns columns x, v, s from (i - 1) 3m and rows
+    from (i - 1)(4m + 2): v >= 0, u = x + v >= 0, the margin
+    Lp x + (Lp - mu Lm) v >= 0, Lp (R x_par - x) - s >= 0,
+    Lm (R x_par - x) - s >= 0 and sum(s) >= 0; the root's x0 is a constant.
+    Lifted leaf k then owns m columns w and 2m rows c1 x + d w >= 0,
+    c2 x + d w >= 0 after all node columns and rows.
+    """
+    tree, market = problem.tree, problem.market
+    form = problem.objective.form
+    m, n = market.m, tree.n_nodes
+    n_lifted = len(form.lifted)
+    node_vars, node_rows = (n - 1) * 3 * m, (n - 1) * (4 * m + 2)
+    A = np.zeros((node_rows + n_lifted * 2 * m, node_vars + n_lifted * m))
+    for i in range(1, n):
+        x, v, s = ((i - 1) * 3 * m + k * m + np.arange(m) for k in range(3))
+        r = (i - 1) * (4 * m + 2)
+        Lp, Lm, R = market.Lp[i], market.Lm[i], market.returns[i]
+        parent = tree.parents[i]
+        for j in range(m):
+            A[r + j, v[j]] = 1.0
+            A[r + m + j, x[j]] = A[r + m + j, v[j]] = 1.0
+            A[r + 2 * m, x[j]] = Lp[j]
+            A[r + 2 * m, v[j]] = Lp[j] - market.margins[tree.depth[i]] * Lm[j]
+            for row, L in ((r + 2 * m + 1 + j, Lp[j]), (r + 3 * m + 1 + j, Lm[j])):
+                A[row, x[j]] = -L
+                A[row, s[j]] = -1.0
+                if parent != 0:
+                    A[row, (parent - 1) * 3 * m + j] = L * R[j]
+            A[r + 4 * m + 1, s[j]] = 1.0
+    leaves = [leaf.index for leaf in tree.leaves()]
+    for k, pos in enumerate(form.lifted):
+        x = (leaves[pos] - 1) * 3 * m
+        for j in range(m):
+            w = node_vars + k * m + j
+            for row, c in ((node_rows + k * 2 * m + j, form.c1[k, j]),
+                           (node_rows + k * 2 * m + m + j, form.c2[k, j])):
+                A[row, x + j] = c
+                A[row, w] = form.d
+    return A
+
+
 def dense_newton_matrix(prog, z, lam, g, ridge: float = 0.0) -> np.ndarray:
-    """K = W + A^T diag(lam / g) A + ridge I, dense, from the sparse A."""
-    A = prog.A.toarray()
+    """K = W + A^T diag(lam / g) A + ridge I, dense, A from the node-by-node oracle."""
+    A = dense_constraint_matrix(prog.problem)
     return (dense_neg_hess(prog, z) + A.T @ (A * (lam / g)[:, None])
             + ridge * np.eye(prog.n_vars))
 

@@ -16,9 +16,11 @@ from oracles import (
     supermartingale_loop,
     verify_loops,
 )
+from vng.certification import _supermartingale_checks
 from vng.errors import (
     NonpositiveDenominator,
     NotCertified,
+    ShapeMismatch,
     ZeroDenominator,
 )
 
@@ -170,6 +172,15 @@ class TestSupermartingale:
         y2 = [vng.AdaptedVector(av.depth, 3.0 * av.values) for av in y]
         r2 = vng.supermartingale_check(dual, y2, problem.tree)
         assert r2.first_form == pytest.approx(3.0 * r1.first_form, rel=1e-9, abs=1e-12)
+
+    def test_path_of_wrong_length_raises(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        with pytest.raises(ShapeMismatch):
+            vng.supermartingale_check(dual, solution.path[:-1], problem.tree)
+        with pytest.raises(ShapeMismatch):
+            _supermartingale_checks(
+                dual, [solution.path, solution.path[:-1]], problem.tree
+            )
 
 
 class TestGrowthDominance:
@@ -573,6 +584,11 @@ class TestLevelAlgebraMatchesNodeLoops:
                         [r for _, _, r in growth_table_loop(d, y, tree)],
                         equal_nan=True,
                     )
+                # all paths at once, stacked per date
+                assert [
+                    (r.first_form, r.second_form, r.equality_gap)
+                    for r in _supermartingale_checks(d, strategies, tree)
+                ] == [supermartingale_loop(d, y, tree) for y in strategies]
                 cert = vng.verify_rapid(solution.path, d, tree, market)
                 feas, member, norm, witness = verify_loops(
                     solution.path, d, tree, market, cert.tol

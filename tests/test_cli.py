@@ -321,19 +321,23 @@ class TestGolden:
             assert (workdir / f"{fixture}.compare.csv").read_bytes() == fh.read()
 
 
-# --- start-up: HiGHS (scipy.optimize) loads only for an LP ---------------------------
+# --- start-up: no scipy at import; HiGHS (scipy.optimize) loads only for an LP -------
 
 # Imports vng, runs the CLI commands given on argv (a JSON list of argument
-# lists) and prints whether scipy.optimize was loaded after the import and
-# at the end.  Each test needs a fresh interpreter: this session has long
-# since imported everything.
+# lists) and prints the scipy modules loaded after the import and at the
+# end.  Each test needs a fresh interpreter: this session has long since
+# imported everything.
 STARTUP_PROBE = """
 import json, sys
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+
 import vng, vng.cli_io
-loaded_at_import = "scipy.optimize" in sys.modules
+loaded_at_import = scipy_modules()
 codes = [vng.cli_io.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"import": loaded_at_import, "codes": codes,
-                  "after": "scipy.optimize" in sys.modules}))
+                  "after": scipy_modules()}))
 """
 
 
@@ -359,15 +363,15 @@ class TestStartup:
              "--certificate", f"{stem}.certificate.json"],
         ]
 
-    def test_import_does_not_load_highs(self, workdir):
-        assert self.probe(workdir, []) == {"import": False, "codes": [], "after": False}
+    def test_import_loads_no_scipy(self, workdir):
+        assert self.probe(workdir, []) == {"import": [], "codes": [], "after": []}
 
-    def test_pipelines_without_lp_never_load_highs(self, workdir):
+    def test_pipelines_without_lp_load_no_scipy(self, workdir):
         commands = (self.pipeline("two_asset_margin", "strategies.json")
                     + self.pipeline("single_asset", "single_strategies.json"))
         result = self.probe(workdir, commands)
         assert result["codes"] == [0] * len(commands)
-        assert not result["import"] and not result["after"]
+        assert result["import"] == [] and result["after"] == []
         for stem in ("two_asset_margin", "single_asset"):
             cert = json.loads((workdir / f"{stem}.certificate.json").read_text())
             assert cert["transition_lp_nodes"] == []
@@ -375,7 +379,7 @@ class TestStartup:
     def test_kelly_certify_loads_highs_for_its_frictionless_nodes(self, workdir):
         result = self.probe(workdir, self.pipeline("kelly", "strategies.json")[1:3])
         assert result["codes"] == [0, 0]
-        assert not result["import"] and result["after"]
+        assert result["import"] == [] and "scipy.optimize" in result["after"]
         cert = json.loads((workdir / "kelly.certificate.json").read_text())
         assert cert["verdict"] == "certified"
         assert cert["transition_lp_nodes"] == ["mid", "up", "down"]

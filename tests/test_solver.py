@@ -5,11 +5,13 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import vng
 from conftest import make_instance, two_asset_margin_market
 from oracles import (
     central_difference_gradient,
+    dense_constraint_matrix,
     dense_neg_hess,
     dense_newton_matrix,
     golden_section_max,
@@ -21,6 +23,7 @@ from vng.errors import InfeasibleStart
 from vng.solver import (
     HANDOVER,
     _interior_start,
+    _entry_product,
     _NewtonSystem,
     _newton_step,
     _predictor_corrector,
@@ -334,16 +337,18 @@ def _newton_relative_residual(
     corrector's right-hand side, r_c = lam g - mu w + dlam_aff dg_aff.
     """
     prog = assemble(problem)
+    A = dense_constraint_matrix(problem)
     w = problem.tree.prob[prog.row_owner]
     if mid_path:
-        solution = vng.solve_log_optimal(problem, vng.SolveOptions(mu_target=1e-4))
+        # final mu = 1e-2 * tol = 1e-4
+        solution = vng.solve_log_optimal(problem, vng.SolveOptions(tol=1e-2))
         z, lam, mu = solution.z, solution.multipliers, 0.2e-4
     else:
         z = _interior_start(prog)
         lam, mu = w / prog.g(z), 1.0
     g = prog.g(z)
     gf = prog.grad_f(z)
-    r_d = gf + prog.A.T @ lam
+    r_d = gf + A.T @ lam
     gscale = float(np.abs(gf).max())
     ridge = ridge_scale * gscale**2
     if mehrotra:
@@ -364,7 +369,7 @@ def _newton_relative_residual(
         r_c = lam * g - mu * w
         dz = _newton_step(prog, z, lam, g, r_d, r_c, gscale**2, ridge)[0]
     K = dense_newton_matrix(prog, z, lam, g, ridge)
-    rhs = r_d - prog.A.T @ (r_c / g)
+    rhs = r_d - A.T @ (r_c / g)
     return np.abs(K @ dz - rhs).max() / np.abs(rhs).max()
 
 
@@ -373,6 +378,36 @@ NEWTON_CASES = (
     + [pytest.param(lambda n=n: _fixture_problem(n), id=n)
        for n in ("kelly", "single_asset", "two_asset_margin")]
 )
+
+
+class TestConstraintProducts:
+    """A z and A^T y from the sorted entry list, against the dense oracle A."""
+
+    @staticmethod
+    def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("make", NEWTON_CASES)
+    def test_products_match_oracle(self, make):
+        problem = make()
+        prog = assemble(problem)
+        A = dense_constraint_matrix(problem)
+        assert np.array_equal(prog.A_dot(np.eye(prog.n_vars)), A)
+        assert np.array_equal(prog.A_T_dot(np.eye(prog.n_cons)), A.T)
+
+        # every output entry adds its products in the order a CSR product does
+        rng = np.random.default_rng(0)
+        csr, csr_T, abs_T = (sp.csr_matrix(M) for M in (A, A.T, np.abs(A.T)))
+        for shape in ((), (2,)):  # a vector and an (n, 2) stack
+            z = rng.standard_normal((prog.n_vars, *shape))
+            y = rng.standard_normal((prog.n_cons, *shape))
+            assert self.same_bits(prog.A_dot(z), csr @ z)
+            assert self.same_bits(prog.A_T_dot(y), csr_T @ y)
+            # |A|^T y, as the noise floor of solve_log_optimal takes it
+            abs_At_y = _entry_product(
+                prog.A_cols, prog.A_rows, np.abs(prog.A_vals), y, prog.n_vars
+            )
+            assert self.same_bits(abs_At_y, abs_T @ y)
 
 
 class TestBlockNewtonStep:
