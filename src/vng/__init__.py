@@ -35,7 +35,6 @@ from .market_model import (
     dual_cone_violation,
     feasible_completion,
     in_Z,
-    lift_X,
     lift_Z,
     margin_residual,
     market_constants,
@@ -66,7 +65,6 @@ from .scenario_tree import (
     build_tree,
     conditional_expectation,
     expectation,
-    node_probability,
 )
 from .solver import (
     KktReport,

@@ -243,26 +243,6 @@ class ConeLift:
     proj: np.ndarray
 
 
-def lift_X(market: MarketData, node: int | str | Node) -> ConeLift:
-    """Split-variable lift of the node's margin cone: a = u - v, u, v >= 0."""
-    node = market.tree.node(node)
-    m = market.m
-    i = node.index
-    mu = market.margins[node.depth]
-    eye = np.eye(m)
-    # -(Lp . u - mu Lm . v) <= 0
-    A_ub = np.concatenate([-market.Lp[i], mu * market.Lm[i]])[None, :]
-    return ConeLift(
-        description=f"X at node {node.node_id}",
-        n_vars=2 * m,
-        A_ub=A_ub,
-        b_ub=np.zeros(1),
-        A_eq=None,
-        b_eq=None,
-        proj=np.hstack([eye, -eye]),
-    )
-
-
 def lift_Z(market: MarketData, node: int | str | Node) -> ConeLift:
     """Lift of the transition cone into the node, in (u_a, v_a, u_b, v_b, d+, d-)."""
     node = market.tree.node(node)

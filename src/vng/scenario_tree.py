@@ -241,11 +241,6 @@ def build_tree(
     )
 
 
-def node_probability(tree: ScenarioTree, ref: int | str | Node) -> float:
-    """Unconditional probability of a node's atom (product along the root path)."""
-    return float(tree.prob[tree.node(ref).index])
-
-
 @dataclass(frozen=True)
 class AdaptedVector:
     """An F_t-measurable random vector: one row per depth-t node.

@@ -39,9 +39,12 @@ Each Newton system is solved on the scenario tree's block structure: the
 rows of a node read only its own columns and its parent's state, so the
 system is eliminated from the leaves to the root, one whole level of
 stacked dense blocks at a time (Steinbach, Math. Methods OR 56, 2002;
-Blomvall and Lindberg, EJOR 143, 2002).  Rows whose barrier weight has grown
-past the Hessian scale stay in augmented form, which keeps the blocks
-nonsingular in floating point down to the final mu (see
+Blomvall and Lindberg, EJOR 143, 2002).  A row whose barrier weight D has
+grown past 1e4 times the leaves' Hessian scale stays in augmented form, which
+keeps the blocks nonsingular in floating point down to the final mu; the
+other rows are condensed, so mid-path most blocks are only their node's 3m
+columns wide.  D scales like the probability of the row's node and the
+Hessian scale like that of a leaf, which is what the threshold compares (see
 :class:`_NewtonSystem`).
 
 A solve owns its workspace; problems are immutable and may be solved
@@ -68,6 +71,10 @@ log = logging.getLogger(__name__)
 # sigma = (mu_aff / mu_avg)^SIGMA_POWER; below it, centered stages finish.
 HANDOVER = 100.0
 SIGMA_POWER = 3
+
+# A Newton row stays augmented once its barrier weight exceeds AUGMENT times
+# the leaves' Hessian scale (see _NewtonSystem).
+AUGMENT = 1e4
 
 # Leaf states X, their Euclidean norms, d sigma / d x and sigma per leaf.
 LeafState = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -336,7 +343,7 @@ class AssembledProgram:
         X, nrm, G, sigma = state or self._leaf_state(z)
         P = self.leaf_prob[:, None, None]
         s = sigma[:, None, None]
-        s2 = np.float_power(s, 2)  # pow(), as a scalar s ** 2; array s ** 2 is s * s
+        s2 = s * s  # exact under scaling by 2^k, which pow() is not
         xhat = X / nrm[:, None]
         curv = (form.l2 / nrm)[:, None, None] * (
             np.eye(self.m) - xhat[:, :, None] * xhat[:, None, :]
@@ -568,24 +575,39 @@ class _NewtonSystem:
     The system is (W + A^T D A + ridge I) dz = r_d - A^T (r_c / g), with
     D = lam / g.  Near the end of the path the active rows' D grows like
     1 / mu and swamps everything else in their block, which then turns
-    singular in floating point.  So a row whose D exceeds ``hscale`` (h, the
-    Hessian scale gscale^2) keeps its multiplier step as an unknown y, in the
-    augmented quasidefinite form (Vanderbei, SIAM J. Optim. 5(1), 1995),
-    scaled by h so that every entry scales like the Hessian:
+    singular in floating point.  Such a row keeps its multiplier step as an
+    unknown y, in the augmented quasidefinite form (Vanderbei, SIAM J. Optim.
+    5(1), 1995), scaled by h = gscale^2 (``hscale``) so that every entry
+    scales like the Hessian:
 
         [ H     h a^T    ] [ dz ]   [ r_d - sum_cond a r_c / g ]
         [ h a  -h^2 / D  ] [ y  ] = [ -h r_c / lam             ]
 
     with H = W + ridge I + the other rows' a^T D a, and dlam = -h y.
 
+    A row is augmented when D > AUGMENT h / max P(leaf).  On the central path
+    D = mu P(node) / g^2 scales like the probability of the row's node.  The
+    objective's Hessian on a leaf is P(leaf) G G^T / sigma^2 and its gradient
+    P(leaf) G / sigma, so h scales like P(leaf)^2 and h / max P(leaf) is the
+    Hessian's own scale, at any depth.  Against h alone, a tree whose leaves
+    carry 1e-3 of the mass has nearly every row augmented from the first
+    iteration on, and its blocks are 3m + 4m + 2 wide where 3m would do.
+    With AUGMENT = 1e4 the condensed rows raise a block's condition number
+    by about 1e4 at most, 4 of its 16 digits.  The margin matters: from 1e6
+    on, the largest trees take more Newton iterations, and at 1e8 blocks
+    holding such rows need ridge retries and a 3,280-node tree takes 72 or
+    more iterations against 52.  Scaling x0 by 2^k scales D, h and W by 4^-k
+    exactly, so the flags, and the solve, repeat bit for bit.
+
     The rows of a node read only its own columns and its parent's x, so K is
     block-tree structured.  A level's blocks are stacked: each holds the
     node's columns, then one slot per augmented row (padded to the level's
-    most augmented node with decoupled -h slots).  Leaves to root, one
-    batched LU solve per level gives K^-1 [B | r], and ``np.add.at`` folds
-    the Schur complements C - B^T K^-1 B into the parents' x-x blocks;
-    substitution runs root to leaves.  A singular block raises
-    FloatingPointError, and the caller retries with a ridge.
+    most augmented node with decoupled -h slots; a level with none has no
+    slots).  Leaves to root, one batched LU solve per level gives
+    K^-1 [B | r], and ``np.add.at`` folds the Schur complements
+    C - B^T K^-1 B into the parents' x-x blocks; substitution runs root to
+    leaves.  A singular block raises FloatingPointError, and the caller
+    retries with a ridge.
     """
 
     def __init__(
@@ -603,7 +625,7 @@ class _NewtonSystem:
         m = prog.m
         levels = prog.levels
         D = lam / g
-        self.big = big = D > hscale
+        self.big = big = D > AUGMENT * hscale / prog.leaf_prob.max()
         self.Dc = Dc = np.where(big, 0.0, D)
         self.slot_diag = -hscale * np.where(big, hscale / D, 1.0)
         self.bs = bs = hscale * big
@@ -618,27 +640,32 @@ class _NewtonSystem:
         for t, lev in enumerate(levels):
             n, nr, nc = lev.loc.shape
             Dl = Dc[lev.rows].reshape(n, nr, 1)
-            bl = big[lev.rows].reshape(n, nr)
-            order = np.argsort(~bl, axis=1, kind="stable")[:, :bl.sum(axis=1).max()]
-            node = np.arange(n)[:, None]
-            slot = lev.rows.start + nr * node + order
-            ns = slot.shape[1]
-            bsl = bs[slot][:, :, None]
             LtD = (lev.loc * Dl).transpose(0, 2, 1)
-            E = lev.loc[node, order] * bsl
-            K = np.zeros((n, nc + ns, nc + ns))
-            K[:, :nc, :nc] = LtD @ lev.loc
-            K[:, nc:, :nc] = E
-            K[:, :nc, nc:] = E.transpose(0, 2, 1)
+            K = LtD @ lev.loc
+            B = C = None
+            if lev.par is not None:
+                B = LtD @ lev.par
+                C = (lev.par * Dl).transpose(0, 2, 1) @ lev.par
+            bl = big[lev.rows].reshape(n, nr)
+            ns = int(bl.sum(axis=1).max())
+            slot = np.empty((n, 0), dtype=int)
+            if ns:
+                node = np.arange(n)[:, None]
+                order = np.argsort(~bl, axis=1, kind="stable")[:, :ns]
+                slot = lev.rows.start + nr * node + order
+                bsl = bs[slot][:, :, None]
+                E = lev.loc[node, order] * bsl
+                Kc, K = K, np.zeros((n, nc + ns, nc + ns))
+                K[:, :nc, :nc] = Kc
+                K[:, nc:, :nc] = E
+                K[:, :nc, nc:] = E.transpose(0, 2, 1)
+                if B is not None:
+                    B = np.concatenate([B, lev.par[node, order] * bsl], axis=1)
             diag = K.reshape(n, -1)[:, ::nc + ns + 1]
             diag[:, :nc] += ridge
             diag[:, nc:] = self.slot_diag[slot]
             if t == leaf_level:
                 K[:, :m, :m] += xx
-            B = C = None
-            if lev.par is not None:
-                B = np.concatenate([LtD @ lev.par, lev.par[node, order] * bsl], axis=1)
-                C = (lev.par * Dl).transpose(0, 2, 1) @ lev.par
             if lifted and t == len(levels) - 1:
                 K[:, :m, :m] += ww
                 B[:, :m] += xw.transpose(0, 2, 1)

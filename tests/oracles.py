@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
+from vng.market_model import ConeLift
+
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
     """Maximize a unimodal function on [lo, hi]; returns (argmax, max)."""
@@ -283,6 +285,37 @@ def section_grid_min(mu: float, m: int, weight_pos: float, weight_neg: float) ->
         - weight_neg * np.maximum(-dirs, 0.0).sum(axis=1)
     )
     return float(vals.min())
+
+
+def node_probability(tree, ref) -> float:
+    """Unconditional probability of a node's atom: the product along its root path."""
+    chain = [tree.node(ref)]
+    while chain[-1].parent is not None:
+        chain.append(tree.parent(chain[-1]))
+    prob = 1.0
+    for node in reversed(chain):  # root first, as the tree's own product runs
+        prob *= node.cond_prob
+    return prob
+
+
+def lift_X(market, node) -> ConeLift:
+    """Split-variable lift of the node's margin cone: a = u - v, u, v >= 0."""
+    node = market.tree.node(node)
+    m = market.m
+    i = node.index
+    mu = market.margins[node.depth]
+    eye = np.eye(m)
+    # -(Lp . u - mu Lm . v) <= 0
+    A_ub = np.concatenate([-market.Lp[i], mu * market.Lm[i]])[None, :]
+    return ConeLift(
+        description=f"X at node {node.node_id}",
+        n_vars=2 * m,
+        A_ub=A_ub,
+        b_ub=np.zeros(1),
+        A_eq=None,
+        b_eq=None,
+        proj=np.hstack([eye, -eye]),
+    )
 
 
 def lift_contains(lift, vec) -> bool:

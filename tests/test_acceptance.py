@@ -17,7 +17,12 @@ import pytest
 import vng
 import vng.cli_io as cli
 from conftest import kelly_problem, make_instance, two_asset_margin_market
-from oracles import batch_transition_members, kelly_oracle, section_grid_min
+from oracles import (
+    batch_transition_members,
+    kelly_oracle,
+    node_probability,
+    section_grid_min,
+)
 from vng.market_model import _min_over_ideal_section
 
 N_INSTANCES = 50
@@ -133,7 +138,7 @@ def _expectation_form_violation(problem, dual, path) -> float:
         bar = dual.bar(tree, t)
         lhs = rhs = 0.0
         for node in tree.level(t):
-            prob = vng.node_probability(tree, node)
+            prob = node_probability(tree, node)
             lhs += prob * float(bar.value_at(tree, node) @ path[t].value_at(tree, node))
             rhs += prob * float(
                 p_t.value_at(tree, node)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vng
+from oracles import node_probability
 from vng.errors import (
     BadProbability,
     CycleOrForest,
@@ -106,7 +107,7 @@ class TestBuildTree:
         for node in tree.nodes:
             parent = tree.parent(node)
             assert tree.parents[node.index] == (-1 if parent is None else parent.index)
-            assert tree.prob[node.index] == vng.node_probability(tree, node)
+            assert tree.prob[node.index] == node_probability(tree, node)
             assert tree.level_position(node) == node.index - tree.span(node.depth).start
         assert [n.node_id for n in tree.children("a")] == ["aa", "ab"]
 
@@ -118,24 +119,24 @@ class TestBuildTree:
 
 class TestNodeProbability:
     def test_root_is_one(self):
-        assert vng.node_probability(minimal_binary(), "r") == 1.0
+        assert node_probability(minimal_binary(), "r") == 1.0
 
     def test_child_probability(self):
         tree = vng.build_tree(
             [("r", None, 1.0), ("u", "r", 0.3), ("d", "r", 0.7)], 1
         )
-        assert vng.node_probability(tree, "u") == pytest.approx(0.3, abs=TOL)
+        assert node_probability(tree, "u") == pytest.approx(0.3, abs=TOL)
 
     def test_grandchild_product(self):
         raw = [("r", None, 1.0), ("a", "r", 0.5), ("b", "r", 0.5),
                ("aa", "a", 0.2), ("ab", "a", 0.8), ("ba", "b", 0.5), ("bb", "b", 0.5)]
         tree = vng.build_tree(raw, 1)
-        assert vng.node_probability(tree, "aa") == pytest.approx(0.1, abs=TOL)
+        assert node_probability(tree, "aa") == pytest.approx(0.1, abs=TOL)
 
     def test_each_depth_sums_to_one(self):
         tree = three_level()
         for t in range(tree.horizon + 1):
-            total = sum(vng.node_probability(tree, n) for n in tree.level(t))
+            total = sum(node_probability(tree, n) for n in tree.level(t))
             assert total == pytest.approx(1.0, abs=TOL)
 
 

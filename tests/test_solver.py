@@ -326,26 +326,40 @@ def _l1_alternating_problem() -> vng.PathProblem:
     )
 
 
-def _newton_relative_residual(
-    problem, mid_path: bool, ridge_scale: float = 0.0, mehrotra: bool = False
-):
-    """||K dz - rhs|| / ||rhs|| of the block direction, K and rhs built densely.
+# Where a Newton direction is checked: the solve options whose centered end
+# gives the iterate (None: the interior start at mu = 1) and the mu the
+# direction aims at, 0.2 times the centered mu as a centered stage takes it.
+NEWTON_POINTS = {
+    "start": (None, 1.0),
+    "mu1e-4": (vng.SolveOptions(tol=1e-2), 0.2e-4),   # final mu 1e-2 * tol
+    "final": (vng.SolveOptions(), 0.2e-10),
+}
 
-    At the interior start (mu = 1), or at the iterate centered at mu = 1e-4,
-    either the Newton direction toward the next stage's 0.2 mu or the
-    predictor-corrector direction; the latter is checked against the
-    corrector's right-hand side, r_c = lam g - mu w + dlam_aff dg_aff.
+
+def _newton_residuals(
+    problem, point: str, ridge_scale: float = 0.0, mehrotra: bool = False
+) -> tuple[float, float]:
+    """Relative residual and backward error of the block direction.
+
+    K and rhs are built densely; the relative residual is
+    ||K dz - rhs|| / ||rhs||, the normwise backward error
+    ||K dz - rhs|| / (||K|| ||dz|| + ||rhs||), both in the max norm.  At one
+    of the ``NEWTON_POINTS``: the interior start, or the iterate centered at
+    mu = 1e-4 or at the default final mu, 1e-10.  Either the Newton
+    direction toward the point's mu or the predictor-corrector direction;
+    the latter is checked against the corrector's right-hand side,
+    r_c = lam g - mu w + dlam_aff dg_aff.
     """
     prog = assemble(problem)
     A = dense_constraint_matrix(problem)
     w = problem.tree.prob[prog.row_owner]
-    if mid_path:
-        # final mu = 1e-2 * tol = 1e-4
-        solution = vng.solve_log_optimal(problem, vng.SolveOptions(tol=1e-2))
-        z, lam, mu = solution.z, solution.multipliers, 0.2e-4
-    else:
+    options, mu = NEWTON_POINTS[point]
+    if options is None:
         z = _interior_start(prog)
-        lam, mu = w / prog.g(z), 1.0
+        lam = w / prog.g(z)
+    else:
+        solution = vng.solve_log_optimal(problem, options)
+        z, lam = solution.z, solution.multipliers
     g = prog.g(z)
     gf = prog.grad_f(z)
     r_d = gf + A.T @ lam
@@ -370,7 +384,8 @@ def _newton_relative_residual(
         dz = _newton_step(prog, z, lam, g, r_d, r_c, gscale**2, ridge)[0]
     K = dense_newton_matrix(prog, z, lam, g, ridge)
     rhs = r_d - A.T @ (r_c / g)
-    return np.abs(K @ dz - rhs).max() / np.abs(rhs).max()
+    resid, scale = np.abs(K @ dz - rhs).max(), np.abs(rhs).max()
+    return resid / scale, resid / (np.abs(K).sum(axis=1).max() * np.abs(dz).max() + scale)
 
 
 NEWTON_CASES = (
@@ -414,22 +429,33 @@ class TestBlockNewtonStep:
     """The leaves-to-root block elimination solves the full Newton system."""
 
     @pytest.mark.parametrize("make", NEWTON_CASES)
-    @pytest.mark.parametrize("mid_path", [False, True], ids=["start", "mu1e-4"])
-    def test_direction_solves_dense_system(self, make, mid_path):
-        assert _newton_relative_residual(make(), mid_path) <= 1e-11
+    @pytest.mark.parametrize("point", ["start", "mu1e-4"])
+    def test_direction_solves_dense_system(self, make, point):
+        assert _newton_residuals(make(), point)[0] <= 1e-11
 
     @pytest.mark.parametrize("make", NEWTON_CASES)
-    @pytest.mark.parametrize("mid_path", [False, True], ids=["start", "mu1e-4"])
-    def test_predictor_corrector_solves_dense_system(self, make, mid_path):
-        assert _newton_relative_residual(make(), mid_path, mehrotra=True) <= 1e-11
+    @pytest.mark.parametrize("point", ["start", "mu1e-4"])
+    def test_predictor_corrector_solves_dense_system(self, make, point):
+        assert _newton_residuals(make(), point, mehrotra=True)[0] <= 1e-11
 
-    @pytest.mark.parametrize("mid_path", [False, True], ids=["start", "mu1e-4"])
-    def test_mixed_lifted_leaves_with_ridge(self, mid_path):
+    @pytest.mark.parametrize("make", NEWTON_CASES)
+    def test_direction_backward_stable_at_final_mu(self, make):
+        """At the final mu, the centered stages' Newton direction.
+
+        Only centered steps run below HANDOVER times the final mu.  There the
+        active rows' D is about 1e10 times the Hessian scale, so ||K|| ||dz||
+        dwarfs ||rhs||: the relative residual reads up to 5.6e-10 on these
+        instances, while the backward error stays near eps (7.7e-17).
+        """
+        assert _newton_residuals(make(), "final")[1] <= 1e-15
+
+    @pytest.mark.parametrize("point", ["start", "mu1e-4"])
+    def test_mixed_lifted_leaves_with_ridge(self, point):
         problem = _l1_alternating_problem()
         lifted = problem.objective.form.lifted
         assert problem.market.m == 1
         assert 0 < len(lifted) < len(problem.tree.leaves())
-        assert _newton_relative_residual(problem, mid_path, ridge_scale=1e-4) <= 1e-11
+        assert _newton_residuals(problem, point, ridge_scale=1e-4)[0] <= 1e-11
 
     def test_large_tree_converges(self):
         """A deep tree: 3^6 = 1,093 nodes at m = 2, within 75 iterations."""
@@ -441,6 +467,68 @@ class TestBlockNewtonStep:
         dual = vng.extract_dual(solution, problem)
         cert = vng.verify_rapid(solution.path, dual, problem.tree, problem.market)
         assert cert.certified
+
+
+def _record_systems(monkeypatch, record) -> list:
+    """``record(system)`` for every Newton system a solve builds, in order."""
+    seen, build = [], _NewtonSystem.__init__
+
+    def init(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        seen.append(record(self))
+
+    monkeypatch.setattr(_NewtonSystem, "__init__", init)
+    return seen
+
+
+class TestAugmentedRows:
+    """Which rows the Newton blocks keep in augmented form."""
+
+    @pytest.mark.parametrize("shape", [(2, 5, 2), (3, 3, 4)],
+                             ids=["63-node-m2", "40-node-m4"])
+    def test_median_block_is_narrow(self, shape, monkeypatch):
+        """At the median iteration, at most half of a node's rows are augmented.
+
+        A node's block is its 3m columns plus one slot per augmented row, so
+        at most 3m + 4m + 2 wide.  Comparing D with gscale^2, that is P(node)
+        with P(leaf)^2, augments nearly all rows of these trees (median
+        widths 14 of 16 at m = 2, 28 of 30 at m = 4).
+        """
+        problem = regular_problem(*shape, seed=0)
+        m = problem.market.m
+        widths = _record_systems(monkeypatch, lambda system: max(
+            K.shape[-1] for K in system.Ks[:len(system.Ks) - 1 - system.lifted]
+        ))  # the widest block above the leaves
+        solution = vng.solve_log_optimal(problem)
+        assert solution.converged
+        assert len(widths) == solution.iterations
+        median = sorted(widths)[len(widths) // 2]
+        assert median <= 3 * m + (4 * m + 2) // 2 < 3 * m + 4 * m + 2
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: _fixture_problem("kelly"), id="kelly"),
+        pytest.param(lambda: regular_problem(2, 4, 2, seed=0), id="31-node-m2"),
+    ])
+    def test_flags_reproduce_under_power_of_two_scaling(self, make, k, monkeypatch):
+        """Scaling x0 by 2^k leaves every augmentation flag of the solve as is.
+
+        D scales by 4^-k and gscale^2 with it, so the threshold is covariant
+        and the scaled solve repeats the original bit for bit.
+        """
+        problem = make()
+        flags = _record_systems(monkeypatch, lambda system: system.big.copy())
+        base = vng.solve_log_optimal(problem)
+        count = len(flags)
+        scaled = vng.solve_log_optimal(vng.PathProblem(
+            tree=problem.tree, market=problem.market,
+            objective=problem.objective, x0=2.0**k * problem.x0,
+        ))
+        assert len(flags) == 2 * count
+        assert any(f.any() for f in flags) and not all(f.all() for f in flags)
+        assert all(np.array_equal(a, b) for a, b in zip(flags[:count], flags[count:]))
+        for t in range(problem.tree.horizon + 1):
+            assert np.array_equal(scaled.path[t].values, 2.0**k * base.path[t].values)
 
 
 class TestKktReport:
