@@ -4,7 +4,8 @@ The package solves finite-horizon log-optimal portfolio problems over
 margin-constrained markets with transaction costs, encoded on scenario trees,
 and verifies optimality by constructing a supporting dual price path whose
 defining inequalities are checked exactly (inner products, section vertices,
-and a closed-form transition proof, with a small LP per node it leaves open).
+and a closed-form transition proof or a rigorous bound, with a small LP only
+where the bound exceeds the tolerance).
 """
 
 __version__ = "0.1.0"
@@ -22,7 +23,6 @@ from .certification import (
     fixed_fraction_path,
     growth_dominance,
     prop4_reconstruct,
-    sample_competitor_path,
     sample_competitor_paths,
     supermartingale_check,
     verify_rapid,
@@ -43,6 +43,7 @@ from .market_model import (
     sample_cone_point,
     sample_transition_pairs,
     section_values,
+    transition_bound,
     transition_frontier_batch,
     transition_proved,
     self_financing_value,

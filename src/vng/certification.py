@@ -13,10 +13,11 @@ Euler identity makes the last normalization exact by construction.
 
 Verification never trusts the solver: memberships use the exact section-vertex
 test, normalizations are plain inner products, and each transition inequality
-is proved in closed form from the dual path alone, a whole tree level at a
-time.  Only the nodes that proof leaves open go to one small LP each over the
-cone lift, which decides them and supplies the refutation witness; the
-certificate lists those nodes.
+is settled from the dual path alone, a whole tree level at a time: 0 where a
+closed-form proof holds, a rigorous upper bound on the LP value where that
+bound is within tolerance.  Only a node whose bound exceeds the tolerance goes
+to one small LP over the cone lift, which decides it and supplies the
+refutation witness; the certificate lists those nodes.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .market_model import (
     in_Z,
     sample_cone_batch,
     sample_transition_pairs,
+    transition_bound,
     transition_frontier_batch,
-    transition_proved,
 )
 from .scenario_tree import AdaptedVector, ScenarioTree, conditional_expectation
 from .solver import PathProblem, Solution, _kkt_report, assemble
@@ -137,16 +138,17 @@ class RapidityCertificate:
 
     ``certified`` means every residual is within ``tol``: unit normalization
     at all dates, dual-cone membership of every price vector, and the per-node
-    bound on expected growth across the transition cones.  That bound is 0 at
-    nodes the closed-form proof settles; ``transition_lp_nodes`` names the
-    nodes whose value the LP decided instead.
+    bound on expected growth across the transition cones.  A node's transition
+    value is 0 where the closed-form proof holds, a rigorous upper bound on its
+    LP value where that bound is within ``tol``, and the LP value itself
+    elsewhere; ``transition_lp_nodes`` names the nodes the LP decided.
     """
 
     tol: float
     certified: bool
     normalization_by_t: list[float]          # index t: max |p_{t+1} x_t - 1|
     membership_by_node: dict[str, float]     # positive = violation
-    transition_by_node: dict[str, float]     # dual-cone LP value; 0 where proved
+    transition_by_node: dict[str, float]     # LP value or a bound on it; 0 where proved
     feasibility_by_node: dict[str, float]    # primal cone violations of the path
     witness: dict | None = None
     supermartingale: "SupermartingaleReport | None" = None
@@ -168,6 +170,20 @@ class RapidityCertificate:
     def max_feasibility(self) -> float:
         return max(self.feasibility_by_node.values())
 
+    def tightest(self) -> dict[str, dict]:
+        """Per criterion, its worst entry (a date for normalization, a node
+        otherwise), the value there and the slack ``tol - value``."""
+        out = {}
+        for name, label, table in (
+            ("normalization", "date", dict(enumerate(self.normalization_by_t))),
+            ("membership", "node", self.membership_by_node),
+            ("transition", "node", self.transition_by_node),
+            ("feasibility", "node", self.feasibility_by_node),
+        ):
+            at = max(table, key=table.__getitem__)
+            out[name] = {label: at, "value": table[at], "slack": self.tol - table[at]}
+        return out
+
 
 def _transition_level(
     market: MarketData,
@@ -176,26 +192,28 @@ def _transition_level(
     p_next: AdaptedVector,
     tol: float,
 ) -> tuple[list[DualConeCheck], np.ndarray]:
-    """Transition checks of one tree level and the mask of proved nodes.
+    """Transition checks of one tree level and the mask of nodes the LP decided.
 
-    ``p_next`` is the price layer after ``p``.  The closed-form proof runs on
-    the whole level, with the same conditional sums over |p_next| bounding
-    the rounding of p_bar (they are p_bar itself when p_next >= 0); each
-    node it leaves open gets the LP, which yields its value and any witness.
-    Proved nodes read 0.
+    ``p_next`` is the price layer after ``p``.  :func:`transition_bound` runs
+    on the whole level, with the same conditional sums over |p_next| bounding
+    the rounding of p_bar (they are p_bar itself when p_next >= 0).  A node
+    reads 0 where the closed-form proof holds and its rigorous bound where
+    that bound is within ``tol``.  Only a node whose bound exceeds ``tol``
+    gets the LP, which yields its value and any witness.
     """
     tree = market.tree
     p_bar = conditional_expectation(tree, p_next).values
     bar_abs = None if (p_next.values >= 0.0).all() else conditional_expectation(
         tree, AdaptedVector(p_next.depth, np.abs(p_next.values))
     ).values
-    proved = transition_proved(market, idx, p, p_bar, bar_abs)
+    bound = transition_bound(market, idx, p, p_bar, bar_abs)
+    lp = bound > tol
     checks = [
-        DualConeCheck(0.0, None, None) if ok
-        else dual_cone_violation(market, p[k], p_bar[k], int(idx[k]), tol=tol)
-        for k, ok in enumerate(proved)
+        dual_cone_violation(market, p[k], p_bar[k], int(idx[k]), tol=tol) if lp[k]
+        else DualConeCheck(float(bound[k]), None, None)
+        for k in range(len(idx))
     ]
-    return checks, proved
+    return checks, lp
 
 
 def verify_rapid(
@@ -275,15 +293,15 @@ def verify_rapid(
         )
 
     # (dual-path): certify sup { p_bar b - p a } <= 0 at every node, in closed
-    # form where the proof holds and by LP elsewhere.
+    # form where the proof or the bound settles it and by LP elsewhere.
     lp_nodes: list[str] = []
     for t in range(1, N + 1):
         level = tree.level(t)
-        checks, proved = _transition_level(
+        checks, lp = _transition_level(
             market, tree.indices(t), dual.price(t, N).values,
             dual.price(t + 1, N), tol,
         )
-        lp_nodes += [node.node_id for node, ok in zip(level, proved) if not ok]
+        lp_nodes += [node.node_id for node, open_ in zip(level, lp) if open_]
         transition.update((node.node_id, c.value) for node, c in zip(level, checks))
         note_witness(
             t, {"transition": np.array([c.value for c in checks])},
@@ -471,7 +489,7 @@ def check_equivalences(
     Samples feasible per-node transition pairs (always including the supplied
     pair itself and, when the LP finds violations, the LP witnesses mixed with
     the supplied pair), then evaluates the ratio, log-ratio and expectation
-    forms against the per-node check (IV), the same closed-form proof and LP
+    forms against the per-node check (IV), the same proof, bound and LP
     fallback as :func:`verify_rapid`.  Nodes where no strictly positive
     denominator exists are dropped from the ratio forms only.
     """
@@ -617,17 +635,6 @@ def sample_competitor_paths(
         [AdaptedVector(t, levels[t][k]) for t in range(tree.horizon + 1)]
         for k in range(count)
     ]
-
-
-def sample_competitor_path(
-    tree: ScenarioTree,
-    market: MarketData,
-    rng: np.random.Generator,
-    start: np.ndarray,
-    max_fill: float = 0.95,
-) -> list[AdaptedVector]:
-    """One random feasible path; see :func:`sample_competitor_paths`."""
-    return sample_competitor_paths(tree, market, rng, start, 1, max_fill)[0]
 
 
 def buy_and_hold_path(

@@ -421,6 +421,7 @@ def certificate_to_doc(
         "feasibility_by_node": cert.feasibility_by_node,
         "witness": cert.witness,
         "transition_lp_nodes": list(cert.transition_lp_nodes),
+        "tightest": cert.tightest(),
         "path": _path_to_dict(tree, path),
         "dual": {
             **{

@@ -16,16 +16,17 @@ cones admit exact polyhedral lifts via split variables: inflating both halves
 of a split strictly decreases each defining expression (the coefficients pair
 a smaller positive weight against a larger negative one), hence the
 componentwise-minimal split attains the defining value.  The lifts pose the
-dual transition inequality as a small linear program; ``transition_proved``
-settles it in closed form wherever the prices allow.
+dual transition inequality as a small linear program.  ``transition_proved``
+settles it in closed form wherever the prices allow (value 0), and
+``transition_bound`` bounds the LP value from above at the other nodes.
 
 Everything here is a pure function of immutable data.  The cone tests work on
 rows: an ``(n, m)`` array of portfolios or prices together with the ``n``
 node indices they sit at, so a whole tree level (or any mix of nodes) is one
 call.  The LP sub-solver (scipy's HiGHS) is re-entrant, and it loads on the
-first LP, not at import: only a node the closed-form proof leaves open needs
-one, which is a node with two frictionless coordinates (Lp = Lm) or a node
-whose transition inequality may fail, where the LP also builds the witness.
+first LP, not at import.  Verification needs one only at a node whose
+rigorous bound exceeds the tolerance, where the transition inequality may
+fail: the LP then decides the node and builds the witness.
 """
 
 from __future__ import annotations
@@ -301,7 +302,7 @@ def dual_cone_violation(
     Maximizes ``p_bar . b - p . a`` over ``(a, b) in Z`` with ``|a| + |b| <= 1``.
     A value within ``tol`` of zero certifies the inequality at this node; a
     larger value comes with the violating pair as witness.  Verification runs
-    it only where :func:`transition_proved` leaves a node open.
+    it only where :func:`transition_bound` exceeds the tolerance.
     """
     from scipy.optimize import linprog  # loads HiGHS on the first LP only
 
@@ -409,28 +410,141 @@ def transition_proved(
     the computed sum e.  The slack evaluates with a few roundings of relative
     size u (one in s, one in s / hi and one in the sum), which the factors
     8u (against 2u) and 2 (against 1 + 3u) absorb; the bound on b^ is
-    symmetric.  So the float comparisons imply the exact ones.  Two frictionless coordinates (Lp = Lm) leave the sigma test no
-    slack, so such nodes go to :func:`dual_cone_violation` by design; a
-    single asset needs none.
+    symmetric.  So the float comparisons imply the exact ones.
+
+    Two frictionless coordinates (Lp = Lm) leave the sigma test no slack, so
+    such a node stays open here however well its prices fit; a single asset
+    needs none.  :func:`transition_bound` bounds the LP value of every open
+    node instead.
+    """
+    idx, sigma, err_sigma, y, err_y = _transition_terms(
+        market, nodes, p, p_bar, bar_abs
+    )
+    Lp, Lm = market.Lp[idx], market.Lm[idx]
+    mu = market.margins[market.tree.depth[idx]]
+    finite = np.isfinite(sigma).all(axis=1) & np.isfinite(y).all(axis=1)
+    return (
+        finite
+        & _in_ratio_cone(sigma, err_sigma, Lp, Lm)
+        & _in_ratio_cone(y, err_y, Lp, mu[:, None] * Lm)
+    )
+
+
+def _transition_terms(
+    market: MarketData,
+    nodes: np.ndarray,
+    p: np.ndarray,
+    p_bar: np.ndarray,
+    bar_abs: np.ndarray | None,
+) -> tuple[np.ndarray, ...]:
+    """Node indices, sigma^, e_s, y^ and e_y of :func:`transition_proved`.
+
+    |sigma - sigma^| <= e_s and |y - y^| <= e_y hold against the exact
+    sigma = p / R and y = sigma - p_bar, row by row.
     """
     idx, p, p_bar, bar_abs = market._rows(
         nodes, p, p_bar, np.abs(p_bar) if bar_abs is None else bar_abs
     )
     tree = market.tree
-    Lp, Lm = market.Lp[idx], market.Lm[idx]
-    mu = market.margins[tree.depth[idx]]
     n_children = np.bincount(tree.parents[1:], minlength=tree.n_nodes)[idx]
     sigma = p / market.returns[idx]
-    y_b = sigma - p_bar
+    y = sigma - p_bar
     err_sigma = 2.0 * _U * np.abs(sigma) + _TINY
     err_bar = (2.0 * _U * n_children)[:, None] * bar_abs
-    err_y = err_sigma + err_bar + 2.0 * _U * np.abs(y_b)
-    finite = np.isfinite(sigma).all(axis=1) & np.isfinite(y_b).all(axis=1)
-    return (
-        finite
-        & _in_ratio_cone(sigma, err_sigma, Lp, Lm)
-        & _in_ratio_cone(y_b, err_y, Lp, mu[:, None] * Lm)
+    err_y = err_sigma + err_bar + 2.0 * _U * np.abs(y)
+    return idx, sigma, err_sigma, y, err_y
+
+
+def _up(x: np.ndarray) -> np.ndarray:
+    """The next float up: at or above the exact value x was rounded from."""
+    return np.nextafter(x, np.inf)
+
+
+def _down(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(x, -np.inf)
+
+
+def _ratio_cone_distance(
+    v: np.ndarray, err: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, a scale k >= 0 and a bound on the exact row's distance from k [lo, HI].
+
+    The distance is in the sup norm.  ``v`` approximates the exact row within
+    ``err``, ``lo`` is exact, and ``hi`` is at most the exact HI.  k is the
+    midpoint of max_j v_j / hi_j and min_j v_j / lo_j, clipped at 0; when the
+    first is the smaller, every k between them puts the row in the cone.
+    Each rounded operation is followed by a step of one float outward
+    (:func:`_up`, :func:`_down`), so the result bounds the exact distance
+    for this k.
+    """
+    k = np.maximum(0.5 * ((v / hi).max(axis=1) + (v / lo).min(axis=1)), 0.0)
+    below = _up(_up(k[:, None] * lo) - _down(v - err))
+    above = _up(_up(v + err) - _down(k[:, None] * hi))
+    return np.maximum(np.maximum(below, above), 0.0).max(axis=1), k
+
+
+def _transition_bound_terms(
+    market: MarketData,
+    nodes: np.ndarray,
+    p: np.ndarray,
+    p_bar: np.ndarray,
+    bar_abs: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """e, f, R_max, kappa and gamma of :func:`transition_bound`, per row."""
+    idx, sigma, err_sigma, y, err_y = _transition_terms(
+        market, nodes, p, p_bar, bar_abs
     )
+    Lp, Lm = market.Lp[idx], market.Lm[idx]
+    mu_Lm = _down(market.margins[market.tree.depth[idx]][:, None] * Lm)
+    e, kappa = _ratio_cone_distance(sigma, err_sigma, Lp, Lm)
+    f, gamma = _ratio_cone_distance(y, err_y, Lp, mu_Lm)
+    return e, f, market.returns[idx].max(axis=1), kappa, gamma
+
+
+def transition_bound(
+    market: MarketData,
+    nodes: np.ndarray,
+    p: np.ndarray,
+    p_bar: np.ndarray,
+    bar_abs: np.ndarray | None = None,
+) -> np.ndarray:
+    """Upper bound on each node's :func:`dual_cone_violation` value; 0 where proved.
+
+    Arguments as in :func:`transition_proved`.  A node that proof settles
+    reads 0.0.  At any other node, with sigma = p / R and d = R a - b,
+
+        p_bar . b - p . a = -sigma . d - (sigma - p_bar) . b.
+
+    Take k >= 0 and g >= 0, and let e and f be the sup-norm distances of sigma
+    from k [Lp, Lm] and of sigma - p_bar from g [Lp, mu Lm].  The nearest
+    point of the first box has an inner product >= k psi(a, b) >= 0 with d,
+    and that of the second one >= g times b's margin >= 0 with b.  So on the
+    transition cone the objective is at most e |d|_1 + f |b|_1 <= e R_max
+    |a|_1 + (e + f) |b|_1, and under |a|_1 + |b|_1 <= 1 the LP value is at
+    most max(e R_max, e + f).  k and g act as an approximate dual, as in the
+    safe LP bounds of A. Neumaier and O. Shcherbina (Math. Prog. 99, 2004)
+    and C. Jansson (SIAM J. Optim. 14(3), 2004).
+
+    e and f come from :func:`_ratio_cone_distance` on the rows and error
+    bounds of :func:`transition_proved` (Higham's gamma_n for p_bar, one
+    rounding for p / R), with mu Lm rounded down, and the final product and
+    sum round outward.  So the bound holds in exact arithmetic over the
+    stored floats, with mu Lm taken exactly or rounded as the lift rounds it.
+    A row with a non-finite price reads inf.  The proof runs on every row;
+    the bound only on the rows it leaves open.
+    """
+    idx, p, p_bar, bar_abs = market._rows(
+        nodes, p, p_bar, np.abs(p_bar) if bar_abs is None else bar_abs
+    )
+    bound = np.zeros(len(idx))
+    rows = np.flatnonzero(~transition_proved(market, idx, p, p_bar, bar_abs))
+    if rows.size:
+        e, f, r_max, _, _ = _transition_bound_terms(
+            market, idx[rows], p[rows], p_bar[rows], bar_abs[rows]
+        )
+        value = np.maximum(_up(e * r_max), _up(e + f))
+        bound[rows] = np.where(np.isnan(value), np.inf, value)
+    return bound
 
 
 # --- cone sections and the (B2) constants --------------------------------------

@@ -32,7 +32,7 @@ from .market_model import (
     MEMBERSHIP_TOL,
     MarketData,
     margin_residual,
-    sample_cone_point,
+    sample_cone_batch,
     section_values,
 )
 from .scenario_tree import AdaptedVector, Node, ScenarioTree
@@ -372,15 +372,11 @@ def check_psi_class(
 
     for pos, leaf in enumerate(leaves):
         h = float(objective._h_psi[pos])
-        draws = []  # per sample: a, a2, a scaling, a bump of a, a mixing weight
-        for _ in range(per_leaf):
-            a = sample_cone_point(market, leaf, rng)
-            a2 = sample_cone_point(market, leaf, rng)
-            lam = rng.uniform(0.0, 3.0)
-            bump = sample_cone_point(market, leaf, rng, scale=rng.uniform(0.1, 1.0))
-            draws.append((a, a2, lam, bump, rng.uniform(0.0, 1.0)))
-        A, A2, lam, bump, th = (np.array(col) for col in zip(*draws))
-        lam, th = lam[:, None], th[:, None]
+        # per sample: a, a2, a bump of a, a scaling and a mixing weight
+        A, A2, bump = (sample_cone_batch(market, leaf, rng, per_leaf) for _ in range(3))
+        bump *= rng.uniform(0.1, 1.0, (per_leaf, 1))
+        lam = rng.uniform(0.0, 3.0, (per_leaf, 1))
+        th = rng.uniform(0.0, 1.0, (per_leaf, 1))
 
         def value(X: np.ndarray) -> np.ndarray:
             return objective.form.values(X, np.full(len(X), pos))

@@ -147,6 +147,49 @@ def make_instance(
     return vng.PathProblem(tree=tree, market=market, objective=objective, x0=x0)
 
 
+def regular_problem(
+    branching: int, depth: int, m: int, seed: int, frictionless: int = 0
+) -> vng.PathProblem:
+    """Regular tree with liquidation value, drawn from a fixed seed.
+
+    Random conditional probabilities, returns and cost rates up to 5%; the
+    margins sit 0.1 to 0.6 above the market's (B2) floor.  The first
+    ``frictionless`` coordinates trade without costs (their rates are drawn,
+    then set to 0, so the other draws do not move).
+    """
+    rng = np.random.default_rng(seed)
+    raw = [("r", None, 1.0)]
+    level = ["r"]
+    for _ in range(depth):
+        new = []
+        for parent in level:
+            probs = rng.uniform(1.0, 2.0, branching)
+            probs /= probs.sum()
+            for j in range(branching):
+                raw.append((f"{parent}{j}", parent, float(probs[j])))
+                new.append(f"{parent}{j}")
+        level = new
+    tree = vng.build_tree(raw, m)
+    returns = np.full((tree.n_nodes, m), np.nan)
+    returns[1:] = rng.uniform(0.85, 1.2, (tree.n_nodes - 1, m))
+    lam_plus = rng.uniform(0.0, 0.05, (tree.n_nodes, m))
+    lam_minus = rng.uniform(0.0, 0.05, (tree.n_nodes, m))
+    lam_plus[:, :frictionless] = lam_minus[:, :frictionless] = 0.0
+    probe = vng.MarketData(
+        tree=tree, m=m, returns=returns, lam_plus=lam_plus, lam_minus=lam_minus,
+        margins=np.full(depth + 1, 1e6),
+    )
+    margins = vng.market_constants(probe).nu + 0.1 + rng.uniform(0.0, 0.5, depth + 1)
+    market = vng.MarketData(
+        tree=tree, m=m, returns=returns, lam_plus=lam_plus, lam_minus=lam_minus,
+        margins=margins,
+    )
+    return vng.PathProblem(
+        tree=tree, market=market, objective=vng.LiquidationObjective(tree, market),
+        x0=rng.uniform(0.3, 1.5, m),
+    )
+
+
 @pytest.fixture
 def kelly() -> vng.PathProblem:
     return kelly_problem()

@@ -367,6 +367,37 @@ def exact_transition_proof(market, node, p, bar_terms) -> bool:
     return kappa_lo <= kappa_hi and in_dual
 
 
+def exact_transition_bound(market, node, p, bar_terms, kappa, gamma):
+    """(bound, e, f): the transition bound at one node, in exact rational arithmetic.
+
+    Inputs as in :func:`exact_transition_proof`, plus the scales ``kappa`` and
+    ``gamma`` the library chose.  e and f are the exact sup-norm distances of
+    sigma = p / R from kappa [Lp, Lm] and of sigma - p_bar from
+    gamma [Lp, mu Lm], with mu Lm the exact product, and the bound is
+    max(e R_max, e + f).  For any kappa, gamma >= 0 that bound is at least
+    the LP value of :func:`vng.dual_cone_violation` over the exact cone.
+    """
+    from fractions import Fraction as F
+
+    node = market.tree.node(node)
+    i = node.index
+    m = market.m
+    R = [F(v) for v in market.returns[i]]
+    lp = [F(v) for v in market.Lp[i]]
+    lm = [F(v) for v in market.Lm[i]]
+    mu_lm = [F(market.margins[node.depth]) * v for v in lm]
+    sigma = [F(p[j]) / R[j] for j in range(m)]
+    p_bar = [sum(F(w) * F(v[j]) for w, v in bar_terms) for j in range(m)]
+    y = [sigma[j] - p_bar[j] for j in range(m)]
+
+    def distance(v, k, lo, hi):
+        return max([F(0)] + [max(k * lo[j] - v[j], v[j] - k * hi[j]) for j in range(m)])
+
+    e = distance(sigma, F(kappa), lp, lm)
+    f = distance(y, F(gamma), lp, mu_lm)
+    return max(e * max(R), e + f), e, f
+
+
 # --- per-node references for the whole-level tree algebra ----------------------
 # The loops below walk one node at a time with the library's earlier per-node
 # arithmetic (one ``x @ y`` per node, Python accumulation in child order); the
@@ -422,6 +453,13 @@ def growth_table_loop(dual, y, tree):
             num = float(bar_next.value_at(tree, node) @ y[t].value_at(tree, node))
             rows.append((t, node.node_id, num / den if den > 0.0 else float("nan")))
     return rows
+
+
+def sample_competitor_path(tree, market, rng, start, max_fill=0.95):
+    """One random feasible path from the library's competitor sampler."""
+    import vng
+
+    return vng.sample_competitor_paths(tree, market, rng, start, 1, max_fill)[0]
 
 
 def competitor_paths_loop(tree, market, rng, start, count, max_fill=0.95):

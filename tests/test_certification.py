@@ -7,12 +7,14 @@ import pytest
 
 import vng
 import vng.cli_io as cli
-from conftest import make_instance
+from conftest import make_instance, regular_problem
 from oracles import (
     competitor_paths_loop,
     conditional_expectation_loop,
+    exact_transition_bound,
     exact_transition_proof,
     growth_table_loop,
+    sample_competitor_path,
     supermartingale_loop,
     verify_loops,
 )
@@ -23,6 +25,7 @@ from vng.errors import (
     ShapeMismatch,
     ZeroDenominator,
 )
+from vng.market_model import _transition_bound_terms
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +160,7 @@ class TestSupermartingale:
         problem, _, dual, _ = pipeline
         rng = np.random.default_rng(0)
         for _ in range(200):
-            y = vng.sample_competitor_path(
+            y = sample_competitor_path(
                 problem.tree, problem.market, rng, problem.x0
             )
             report = vng.supermartingale_check(dual, y, problem.tree)
@@ -167,7 +170,7 @@ class TestSupermartingale:
     def test_scaling_competitor_scales_residuals(self, pipeline):
         problem, _, dual, _ = pipeline
         rng = np.random.default_rng(1)
-        y = vng.sample_competitor_path(problem.tree, problem.market, rng, problem.x0)
+        y = sample_competitor_path(problem.tree, problem.market, rng, problem.x0)
         r1 = vng.supermartingale_check(dual, y, problem.tree)
         y2 = [vng.AdaptedVector(av.depth, 3.0 * av.values) for av in y]
         r2 = vng.supermartingale_check(dual, y2, problem.tree)
@@ -209,7 +212,7 @@ class TestGrowthDominance:
     def test_ratio_scale_invariance(self, pipeline):
         problem, solution, dual, _ = pipeline
         rng = np.random.default_rng(2)
-        y = vng.sample_competitor_path(problem.tree, problem.market, rng, problem.x0)
+        y = sample_competitor_path(problem.tree, problem.market, rng, problem.x0)
         e1 = vng.growth_dominance(dual, solution.path, y, problem.tree,
                                   on_nonpositive="mark")
         y2 = [vng.AdaptedVector(av.depth, 2.0 * av.values) for av in y]
@@ -367,6 +370,51 @@ def lp_value(market, p, p_bar, node) -> float:
     return vng.dual_cone_violation(market, p, p_bar, node, tol=LP_TOL).value
 
 
+def level_bar_abs(dual, tree, t):
+    """The conditional sum over |p_{t+1}| that verification passes, or None."""
+    nxt = dual.price(t + 1, tree.horizon)
+    if (nxt.values >= 0.0).all():
+        return None
+    return vng.conditional_expectation(
+        tree, vng.AdaptedVector(nxt.depth, np.abs(nxt.values))
+    ).values
+
+
+def assert_bound_sound(market, nodes, p, p_bar, terms, bar_abs=None) -> np.ndarray:
+    """``transition_bound`` on these rows, checked node by node; returns it.
+
+    ``terms[k]`` are the (weight, price) pairs whose exact sum is p_bar at
+    node k.  A node reading 0 must pass the exact proof.  At any other node,
+    in exact arithmetic with the library's kappa and gamma:
+
+    - the distances of the exact sigma and sigma - p_bar are at most the
+      library's e and f (the forward-error terms);
+    - max(e R_max, e + f) of those floats is at most the bound (the outward
+      rounding);
+    - so the exact bound, which is at least the exact LP value, is at most
+      the float bound; and the bound is at least HiGHS's value less LP_TOL.
+    """
+    from fractions import Fraction as F
+
+    nodes = [int(i) for i in nodes]
+    bound = vng.transition_bound(market, nodes, p, p_bar, bar_abs)
+    e, f, r_max, kappa, gamma = _transition_bound_terms(
+        market, nodes, p, p_bar, bar_abs
+    )
+    for k, i in enumerate(nodes):
+        if bound[k] == 0.0:
+            assert exact_transition_proof(market, i, p[k], terms[k]), i
+            continue
+        exact, e_exact, f_exact = exact_transition_bound(
+            market, i, p[k], terms[k], kappa[k], gamma[k]
+        )
+        assert e_exact <= F(e[k]) and f_exact <= F(f[k]), i
+        assert max(F(e[k]) * F(r_max[k]), F(e[k]) + F(f[k])) <= F(bound[k]), i
+        assert exact <= F(bound[k]), i
+        assert bound[k] >= lp_value(market, p[k], p_bar[k], i) - LP_TOL, i
+    return bound
+
+
 class TestTransitionProof:
     def test_proved_nodes_pass_the_lp_and_exact_arithmetic(self, solved_set):
         proved_total = nodes_total = 0
@@ -401,6 +449,12 @@ class TestTransitionProof:
                 assert lp_value(market, p[k], p_bar[k], level[k]) <= LP_TOL
             accepted += int(proved.sum())
             rejected += int((~proved).sum())
+            # the drawn p_bar is the exact child sum of a single child
+            bound = assert_bound_sound(
+                market, [node.index for node in level], p, p_bar,
+                [[(1.0, row)] for row in p_bar],
+            )
+            assert np.array_equal(bound == 0.0, proved)
 
         for problem, _, dual in solved_set[::6]:
             tree, market = problem.tree, problem.market
@@ -471,6 +525,8 @@ class TestTransitionProof:
                         ]
                     p = market.returns[idx] * sigma
                     proved = vng.transition_proved(market, idx, p, p_bar)
+                    bound = assert_bound_sound(market, idx, p, p_bar, terms)
+                    assert np.array_equal(bound == 0.0, proved)
                     for k, node in enumerate(level):
                         exact = exact_transition_proof(market, node, p[k], terms[k])
                         assert exact or not proved[k], node.node_id
@@ -486,23 +542,33 @@ class TestTransitionProof:
         assert float_only > 0
 
     def test_certificate_lists_the_nodes_the_lp_decided(self, solved_set):
-        listed = []
+        certified = []
         for problem, solution, dual in solved_set:
             tree, market = problem.tree, problem.market
-            cert = vng.verify_rapid(solution.path, dual, tree, market)
-            assert cert.certified
-            open_nodes = []
-            for t in range(1, tree.horizon + 1):
-                level, p, p_bar = level_prices(dual, tree, t)
-                proved = vng.transition_proved(
-                    market, [node.index for node in level], p, p_bar
-                )
-                open_nodes += [level[k].node_id for k in np.flatnonzero(~proved)]
-            assert cert.transition_lp_nodes == open_nodes
-            listed.append(open_nodes)
-        # frictionless kelly: the kappa interval is one point, so rounding in
-        # p / R leaves all three of its nodes to the LP
-        assert listed[50] == ["mid", "up", "down"]
+            for d in (dual, negated_first_price(dual)):
+                cert = vng.verify_rapid(solution.path, d, tree, market)
+                over_tol = []
+                for t in range(1, tree.horizon + 1):
+                    level, p, p_bar = level_prices(d, tree, t)
+                    bound = vng.transition_bound(
+                        market, [node.index for node in level], p, p_bar,
+                        level_bar_abs(d, tree, t),
+                    )
+                    over_tol += [
+                        level[k].node_id for k in np.flatnonzero(bound > cert.tol)
+                    ]
+                    for node, b in zip(level, bound):
+                        if b <= cert.tol:
+                            assert cert.transition_by_node[node.node_id] == b
+                assert cert.transition_lp_nodes == over_tol
+            certified.append(vng.verify_rapid(solution.path, dual, tree, market))
+        # a certified dual needs no LP at all
+        assert all(c.certified and c.transition_lp_nodes == [] for c in certified)
+        # frictionless kelly: the proof leaves its three nodes open, and their
+        # bounds settle them a few ulps above 0
+        kelly = certified[50].transition_by_node
+        assert list(kelly) == ["mid", "up", "down"]
+        assert all(0.0 < v <= 1e-14 for v in kelly.values())
 
     @pytest.mark.parametrize("cost", [0.0, 0.02])
     def test_transition_only_failure_keeps_lp_witness(self, cost):
@@ -541,6 +607,112 @@ class TestTransitionProof:
         )
         assert report.value_IV == lp.value
         assert not report.passes["IV"] and report.consistent
+
+
+FRICTIONLESS_FAMILY = [  # (branching, depth, m, seed): b 2-3, depth 2-4, m 1-5
+    (2 + k % 2, 2 + k % 3, 1 + k % 5, k) for k in range(12)
+]
+
+
+class TestTransitionBound:
+    """The rigorous bound settles what the proof leaves open, without an LP."""
+
+    def test_solved_and_tampered_duals(self, solved_set):
+        for problem, _, dual in solved_set:
+            tree, market = problem.tree, problem.market
+            for d in (dual, negated_first_price(dual)):
+                for t in range(1, tree.horizon + 1):
+                    level, p, p_bar = level_prices(d, tree, t)
+                    assert_bound_sound(
+                        market, [node.index for node in level], p, p_bar,
+                        [bar_terms(d, tree, t, node) for node in level],
+                        level_bar_abs(d, tree, t),
+                    )
+
+    def test_cancelling_child_sums(self, solved_set):
+        """Child prices of about 1e3 whose weighted sum is of order 1.
+
+        sigma and sigma - p_bar sit on their cone boundaries, as in the
+        float-boundary draws, but p_bar is now a sum with cancellation, so its
+        rounding error (Higham's gamma_n term) dwarfs the ulps of sigma.
+        """
+        from fractions import Fraction as F
+
+        rng = np.random.default_rng(17)
+        reached = 0
+        for problem, _, _ in solved_set:
+            tree, market = problem.tree, problem.market
+            m = market.m
+            for t in range(1, tree.horizon):
+                level, idx = tree.level(t), tree.indices(t)
+                Lp, Lm = market.Lp[idx], market.Lm[idx]
+                beta = market.margins[t] * Lm
+                up, w = tree.up(t + 1), tree.cond_prob[tree.span(t + 1)]
+                for _ in range(3):
+                    shape = (len(idx), m)
+                    sigma = rng.uniform(0.5, 2.0, (len(idx), 1)) * (
+                        Lp + rng.integers(0, 2, shape) * (Lm - Lp)
+                    )
+                    y = rng.uniform(1e-3, 0.1, (len(idx), 1)) * (
+                        Lp + rng.integers(0, 2, shape) * (beta - Lp)
+                    )
+                    # offsets of about 1e3 whose weighted sum per parent is ~0:
+                    # each parent's last child carries the balance
+                    offset = 1e3 * rng.choice([-1.0, 1.0], (len(up), m))
+                    for k in range(len(idx)):
+                        kids = np.flatnonzero(up == k)
+                        rest = kids[:-1]
+                        offset[kids[-1]] = -(w[rest] @ offset[rest]) / w[kids[-1]]
+                    child = (sigma - y)[up] + offset
+                    nxt = vng.AdaptedVector(t + 1, child)
+                    p_bar = vng.conditional_expectation(tree, nxt).values
+                    bar_abs = vng.conditional_expectation(
+                        tree, vng.AdaptedVector(t + 1, np.abs(child))
+                    ).values
+                    terms = [
+                        [(w[c], child[c]) for c in np.flatnonzero(up == k)]
+                        for k in range(len(idx))
+                    ]
+                    p = market.returns[idx] * sigma
+                    assert_bound_sound(market, idx, p, p_bar, terms, bar_abs)
+                    for k in range(len(idx)):
+                        exact = [sum(F(a) * F(v[j]) for a, v in terms[k])
+                                 for j in range(m)]
+                        err = max(abs(F(p_bar[k, j]) - exact[j]) for j in range(m))
+                        reached += int(err > 64 * np.spacing(np.abs(sigma[k]).max()))
+        # the draws do make p_bar's rounding error large against sigma's
+        assert reached > 100
+
+    @pytest.mark.parametrize("kind", ["half", "all"])
+    def test_frictionless_families_certify_without_lp(self, kind, monkeypatch):
+        calls = []
+        lp = vng.certification.dual_cone_violation
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return lp(*args, **kwargs)
+
+        monkeypatch.setattr("vng.certification.dual_cone_violation", counted)
+        open_nodes = 0
+        for branching, depth, m, seed in FRICTIONLESS_FAMILY:
+            problem = regular_problem(
+                branching, depth, m, seed, m if kind == "all" else (m + 1) // 2
+            )
+            tree, market = problem.tree, problem.market
+            solution = vng.solve_log_optimal(problem)
+            dual = vng.extract_dual(solution, problem)
+            cert = vng.verify_rapid(solution.path, dual, tree, market)
+            assert cert.certified and calls == [] and cert.transition_lp_nodes == []
+            for t in range(1, tree.horizon + 1):
+                level, p, p_bar = level_prices(dual, tree, t)
+                bound = assert_bound_sound(
+                    market, [node.index for node in level], p, p_bar,
+                    [bar_terms(dual, tree, t, node) for node in level],
+                )
+                open_nodes += int((bound > 0.0).sum())
+        # two frictionless coordinates leave the proof no slack: these are
+        # the nodes the LP used to decide
+        assert open_nodes > 100
 
 
 def negated_first_price(dual):

@@ -31,6 +31,24 @@ def run(*argv) -> int:
     return cli.main(list(argv))
 
 
+def tilt_kelly_solution(workdir) -> None:
+    """Solve kelly, then tilt p_1 at "mid" by (0.005, -0.005) in its multipliers.
+
+    x_0 = (0.5, 0.5) does not price the tilt, so normalization and
+    membership still hold; but at the frictionless node the tilted price
+    breaks the transition inequality, which only the LP can decide.
+    """
+    assert run("solve", "kelly.json") == cli.EXIT_OK
+    problem = cli.load_problem("kelly.json")[0]
+    m = problem.market.m
+    # the multipliers of mid's min-form rows, asset 0 then asset 1
+    row = vng.assemble(problem).row_base[problem.tree.node("mid").index] + 2 * m + 1
+    doc = json.loads((workdir / "kelly.solution.json").read_text())
+    doc["multipliers"][row] += 0.005
+    doc["multipliers"][row + 1] -= 0.005
+    (workdir / "kelly.solution.json").write_text(json.dumps(doc))
+
+
 class TestValidate:
     def test_kelly_ok(self, workdir, capsys):
         assert run("validate", "kelly.json") == 0
@@ -69,8 +87,36 @@ class TestSolveCertify:
         cert = json.loads((workdir / "kelly.certificate.json").read_text())
         assert cert["verdict"] == "certified"
         assert "supermartingale" in cert
-        # frictionless nodes are the ones the closed-form proof leaves open
-        assert cert["transition_lp_nodes"] == ["mid", "up", "down"]
+        # the proof leaves the frictionless nodes open; their bounds settle them
+        assert cert["transition_lp_nodes"] == []
+
+    @pytest.mark.parametrize("tilt", [False, True], ids=["certified", "refuted"])
+    def test_certificate_names_the_tightest_entries(self, workdir, tilt):
+        if tilt:
+            tilt_kelly_solution(workdir)
+        else:
+            assert run("solve", "kelly.json") == cli.EXIT_OK
+        code = run("certify", "kelly.json", "kelly.solution.json")
+        assert code == (cli.EXIT_REFUTED if tilt else cli.EXIT_OK)
+        cert = json.loads((workdir / "kelly.certificate.json").read_text())
+        tol = cert["tolerance"]
+        tables = {
+            "normalization": ("date", dict(enumerate(cert["normalization_by_t"]))),
+            "membership": ("node", cert["membership_by_node"]),
+            "transition": ("node", cert["transition_by_node"]),
+            "feasibility": ("node", cert["feasibility_by_node"]),
+        }
+        assert set(cert["tightest"]) == set(tables)
+        for name, (label, table) in tables.items():
+            entry = cert["tightest"][name]
+            worst = max(table.values())
+            assert table[entry[label]] == entry["value"] == worst
+            assert entry["slack"] == tol - worst
+        transition = cert["tightest"]["transition"]
+        if tilt:
+            assert transition["node"] == "mid" and transition["slack"] < 0.0
+        else:
+            assert 0.0 < transition["value"] <= 1e-14 and transition["slack"] > 0.0
 
     @pytest.mark.parametrize("stem", ["kelly", "two_asset_margin"])
     def test_supermartingale_report_is_worst_library_check(self, workdir, stem):
@@ -278,8 +324,9 @@ class TestCompare:
         def boom(*args, **kwargs):
             raise LPFailure("synthetic breakdown")
 
+        tilt_kelly_solution(workdir)  # a node whose bound exceeds tol
         monkeypatch.setattr("vng.certification.dual_cone_violation", boom)
-        assert run("compare", "kelly.json", "strategies.json") == cli.EXIT_LP
+        assert run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_LP
 
     @pytest.mark.parametrize("error", [
         InfeasibleStart("no interior start"),
@@ -367,22 +414,35 @@ class TestStartup:
         assert self.probe(workdir, []) == {"import": [], "codes": [], "after": []}
 
     def test_pipelines_without_lp_load_no_scipy(self, workdir):
-        commands = (self.pipeline("two_asset_margin", "strategies.json")
+        commands = (self.pipeline("kelly", "strategies.json")
+                    + self.pipeline("two_asset_margin", "strategies.json")
                     + self.pipeline("single_asset", "single_strategies.json"))
         result = self.probe(workdir, commands)
         assert result["codes"] == [0] * len(commands)
         assert result["import"] == [] and result["after"] == []
-        for stem in ("two_asset_margin", "single_asset"):
+        for stem in ("kelly", "two_asset_margin", "single_asset"):
             cert = json.loads((workdir / f"{stem}.certificate.json").read_text())
+            assert cert["verdict"] == "certified"
             assert cert["transition_lp_nodes"] == []
 
-    def test_kelly_certify_loads_highs_for_its_frictionless_nodes(self, workdir):
-        result = self.probe(workdir, self.pipeline("kelly", "strategies.json")[1:3])
-        assert result["codes"] == [0, 0]
+    def test_refuted_certify_loads_highs_for_its_witness(self, workdir):
+        tilt_kelly_solution(workdir)
+        result = self.probe(workdir, [["certify", "kelly.json", "kelly.solution.json"]])
+        assert result["codes"] == [cli.EXIT_REFUTED]
         assert result["import"] == [] and "scipy.optimize" in result["after"]
         cert = json.loads((workdir / "kelly.certificate.json").read_text())
-        assert cert["verdict"] == "certified"
-        assert cert["transition_lp_nodes"] == ["mid", "up", "down"]
+        assert cert["transition_lp_nodes"] == ["mid"]
+        # the witness is the LP's, as it was before the bound
+        problem = cli.load_problem("kelly.json")[0]
+        dual = cli.dual_from_doc(problem.tree, cert["dual"], problem.market.m)
+        lp = vng.dual_cone_violation(
+            problem.market, dual.prices[1].values[0],
+            dual.bar(problem.tree, 1).values[0], "mid", tol=cert["tolerance"],
+        )
+        assert cert["witness"] == {
+            "kind": "transition", "node": "mid", "value": lp.value,
+            "pair": [lp.witness_a.tolist(), lp.witness_b.tolist()],
+        }
 
 
 # --- exit-code fuzz -----------------------------------------------------------------

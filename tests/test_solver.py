@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import vng
-from conftest import make_instance, two_asset_margin_market
+from conftest import make_instance, regular_problem, two_asset_margin_market
 from oracles import (
     central_difference_gradient,
     dense_constraint_matrix,
@@ -17,6 +17,7 @@ from oracles import (
     golden_section_max,
     kelly_oracle,
     retained_fraction_oracle,
+    sample_competitor_path,
 )
 from vng.cli_io import load_problem
 from vng.errors import InfeasibleStart
@@ -186,7 +187,7 @@ class TestSolveProperties:
         assert solution.converged
         rng = np.random.default_rng(99)
         for _ in range(100):
-            y = vng.sample_competitor_path(
+            y = sample_competitor_path(
                 problem.tree, problem.market, rng, problem.x0
             )
             f_y = vng.log_objective(problem.tree, problem.objective, y[-1])
@@ -240,44 +241,6 @@ class TestSolveProperties:
         assert capped.mu_final == 1e-2 * capped.options.tol
         assert capped.residuals.within(capped.options.tol)
         assert not capped.converged
-
-
-def regular_problem(branching: int, depth: int, m: int, seed: int) -> vng.PathProblem:
-    """Regular tree with liquidation value, drawn from a fixed seed.
-
-    Random conditional probabilities, returns and cost rates up to 5%; the
-    margins sit 0.1 to 0.6 above the market's (B2) floor.
-    """
-    rng = np.random.default_rng(seed)
-    raw = [("r", None, 1.0)]
-    level = ["r"]
-    for _ in range(depth):
-        new = []
-        for parent in level:
-            probs = rng.uniform(1.0, 2.0, branching)
-            probs /= probs.sum()
-            for j in range(branching):
-                raw.append((f"{parent}{j}", parent, float(probs[j])))
-                new.append(f"{parent}{j}")
-        level = new
-    tree = vng.build_tree(raw, m)
-    returns = np.full((tree.n_nodes, m), np.nan)
-    returns[1:] = rng.uniform(0.85, 1.2, (tree.n_nodes - 1, m))
-    lam_plus = rng.uniform(0.0, 0.05, (tree.n_nodes, m))
-    lam_minus = rng.uniform(0.0, 0.05, (tree.n_nodes, m))
-    probe = vng.MarketData(
-        tree=tree, m=m, returns=returns, lam_plus=lam_plus, lam_minus=lam_minus,
-        margins=np.full(depth + 1, 1e6),
-    )
-    margins = vng.market_constants(probe).nu + 0.1 + rng.uniform(0.0, 0.5, depth + 1)
-    market = vng.MarketData(
-        tree=tree, m=m, returns=returns, lam_plus=lam_plus, lam_minus=lam_minus,
-        margins=margins,
-    )
-    return vng.PathProblem(
-        tree=tree, market=market, objective=vng.LiquidationObjective(tree, market),
-        x0=rng.uniform(0.3, 1.5, m),
-    )
 
 
 class TestWeightedCentralPath:
