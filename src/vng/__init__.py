@@ -4,8 +4,9 @@ The package solves finite-horizon log-optimal portfolio problems over
 margin-constrained markets with transaction costs, encoded on scenario trees,
 and verifies optimality by constructing a supporting dual price path whose
 defining inequalities are checked exactly (inner products, section vertices,
-and a closed-form transition proof or a rigorous bound, with a small LP only
-where the bound exceeds the tolerance).
+and a rigorous upper bound on every transition, 0 where both of its
+distances vanish, with a small LP only where the bound exceeds the
+tolerance).
 """
 
 __version__ = "0.1.0"
@@ -40,12 +41,10 @@ from .market_model import (
     market_constants,
     returns_from_prices,
     sample_cone_batch,
-    sample_cone_point,
     sample_transition_pairs,
     section_values,
     transition_bound,
     transition_frontier_batch,
-    transition_proved,
     self_financing_value,
     slater_path,
     dominating_path,

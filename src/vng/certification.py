@@ -13,11 +13,11 @@ Euler identity makes the last normalization exact by construction.
 
 Verification never trusts the solver: memberships use the exact section-vertex
 test, normalizations are plain inner products, and each transition inequality
-is settled from the dual path alone, a whole tree level at a time: 0 where a
-closed-form proof holds, a rigorous upper bound on the LP value where that
-bound is within tolerance.  Only a node whose bound exceeds the tolerance goes
-to one small LP over the cone lift, which decides it and supplies the
-refutation witness; the certificate lists those nodes.
+is settled from the dual path alone, a whole tree level at a time, by a
+rigorous upper bound on its LP value (0 where both of the bound's distances
+vanish).  Only a node whose bound exceeds the tolerance goes to one small LP
+over the cone lift, which decides it and supplies the refutation witness; the
+certificate lists those nodes.
 """
 
 from __future__ import annotations
@@ -139,16 +139,17 @@ class RapidityCertificate:
     ``certified`` means every residual is within ``tol``: unit normalization
     at all dates, dual-cone membership of every price vector, and the per-node
     bound on expected growth across the transition cones.  A node's transition
-    value is 0 where the closed-form proof holds, a rigorous upper bound on its
-    LP value where that bound is within ``tol``, and the LP value itself
-    elsewhere; ``transition_lp_nodes`` names the nodes the LP decided.
+    value is a rigorous upper bound on its LP value (0 where both of the
+    bound's distances vanish) where that bound is within ``tol``, and the LP
+    value itself elsewhere; ``transition_lp_nodes`` names the nodes the LP
+    decided.
     """
 
     tol: float
     certified: bool
     normalization_by_t: list[float]          # index t: max |p_{t+1} x_t - 1|
     membership_by_node: dict[str, float]     # positive = violation
-    transition_by_node: dict[str, float]     # LP value or a bound on it; 0 where proved
+    transition_by_node: dict[str, float]     # a bound on the LP value, or the LP value
     feasibility_by_node: dict[str, float]    # primal cone violations of the path
     witness: dict | None = None
     supermartingale: "SupermartingaleReport | None" = None
@@ -191,29 +192,30 @@ def _transition_level(
     p: np.ndarray,
     p_next: AdaptedVector,
     tol: float,
-) -> tuple[list[DualConeCheck], np.ndarray]:
-    """Transition checks of one tree level and the mask of nodes the LP decided.
+) -> tuple[np.ndarray, dict[int, DualConeCheck]]:
+    """Transition values of one tree level, and the LP checks by level position.
 
     ``p_next`` is the price layer after ``p``.  :func:`transition_bound` runs
     on the whole level, with the same conditional sums over |p_next| bounding
     the rounding of p_bar (they are p_bar itself when p_next >= 0).  A node
-    reads 0 where the closed-form proof holds and its rigorous bound where
-    that bound is within ``tol``.  Only a node whose bound exceeds ``tol``
-    gets the LP, which yields its value and any witness.
+    reads that rigorous upper bound where it is within ``tol``, 0 where both
+    of its distances vanish.  Only a node whose bound exceeds ``tol`` gets the
+    LP, whose value is written in and whose check, with any witness, is
+    returned.
     """
     tree = market.tree
     p_bar = conditional_expectation(tree, p_next).values
     bar_abs = None if (p_next.values >= 0.0).all() else conditional_expectation(
         tree, AdaptedVector(p_next.depth, np.abs(p_next.values))
     ).values
-    bound = transition_bound(market, idx, p, p_bar, bar_abs)
-    lp = bound > tol
-    checks = [
-        dual_cone_violation(market, p[k], p_bar[k], int(idx[k]), tol=tol) if lp[k]
-        else DualConeCheck(float(bound[k]), None, None)
-        for k in range(len(idx))
-    ]
-    return checks, lp
+    values = transition_bound(market, idx, p, p_bar, bar_abs)
+    lp = {
+        int(k): dual_cone_violation(market, p[k], p_bar[k], int(idx[k]), tol=tol)
+        for k in np.flatnonzero(values > tol)
+    }
+    for k, check in lp.items():
+        values[k] = check.value
+    return values, lp
 
 
 def verify_rapid(
@@ -292,22 +294,21 @@ def verify_rapid(
             lambda k, t=t: {"layer": t},
         )
 
-    # (dual-path): certify sup { p_bar b - p a } <= 0 at every node, in closed
-    # form where the proof or the bound settles it and by LP elsewhere.
+    # (dual-path): certify sup { p_bar b - p a } <= 0 at every node, by the
+    # closed-form bound where it is within tol and by LP elsewhere.  A value
+    # above tol is an LP value, which comes with its witness pair.
     lp_nodes: list[str] = []
     for t in range(1, N + 1):
         level = tree.level(t)
-        checks, lp = _transition_level(
+        values, lp = _transition_level(
             market, tree.indices(t), dual.price(t, N).values,
             dual.price(t + 1, N), tol,
         )
-        lp_nodes += [node.node_id for node, open_ in zip(level, lp) if open_]
-        transition.update((node.node_id, c.value) for node, c in zip(level, checks))
+        lp_nodes += [level[k].node_id for k in lp]
+        transition.update(zip((node.node_id for node in level), values.tolist()))
         note_witness(
-            t, {"transition": np.array([c.value for c in checks])},
-            lambda k: {"pair": None if checks[k].witness_a is None else (
-                checks[k].witness_a.tolist(), checks[k].witness_b.tolist()
-            )},
+            t, {"transition": values},
+            lambda k: {"pair": (lp[k].witness_a.tolist(), lp[k].witness_b.tolist())},
         )
 
     certified = (
@@ -489,7 +490,7 @@ def check_equivalences(
     Samples feasible per-node transition pairs (always including the supplied
     pair itself and, when the LP finds violations, the LP witnesses mixed with
     the supplied pair), then evaluates the ratio, log-ratio and expectation
-    forms against the per-node check (IV), the same proof, bound and LP
+    forms against the per-node check (IV), the same rigorous bound and LP
     fallback as :func:`verify_rapid`.  Nodes where no strictly positive
     denominator exists are dropped from the ratio forms only.
     """
@@ -510,20 +511,20 @@ def check_equivalences(
     pre_norm = max(0.0, float(np.abs(np.concatenate(norms) - 1.0).max()))
     pre_member = max(0.0, -float(np.concatenate(members).min()))
 
-    # (IV): exact per-node value, collecting LP witnesses for the sampled forms.
-    checks, _ = _transition_level(market, idx, P, p_next, tol)
-    value_iv = max(check.value for check in checks)
+    # (IV): the per-node values, collecting LP witnesses for the sampled forms.
+    values, lp = _transition_level(market, idx, P, p_next, tol)
+    value_iv = float(values.max())
 
     # Sampled transition pairs, one (n, m) row block per sample: the solved
     # pair, the LP witnesses added to it, then random pairs.
     eq_a, eq_b = x_prev.values[up], x_curr.values
     samples = [(eq_a, eq_b)]
-    lp_hit = [k for k, check in enumerate(checks) if check.witness_a is not None]
+    lp_hit = {k: check for k, check in lp.items() if check.witness_a is not None}
     if lp_hit:
         mix_a, mix_b = eq_a.copy(), eq_b.copy()
-        for k in lp_hit:
-            mix_a[k] = checks[k].witness_a + eq_a[k]
-            mix_b[k] = checks[k].witness_b + eq_b[k]
+        for k, check in lp_hit.items():
+            mix_a[k] = check.witness_a + eq_a[k]
+            mix_b[k] = check.witness_b + eq_b[k]
         samples.append((mix_a, mix_b))
     for _ in range(max(1, n_samples - 2)):
         a, b = sample_transition_pairs(market, idx, rng)
@@ -610,27 +611,22 @@ def sample_competitor_paths(
     """``count`` random feasible paths from ``start``.
 
     At every node each path picks a random cone direction and scales it
-    inside the self-financing frontier of its own parent state.  The draws go
-    node by node; the frontier is found once per level, over every path and
-    node of it.
+    inside the self-financing frontier of its own parent state.  Per level,
+    the directions of every path and node come from one draw, the fills from
+    one more, and the frontier from one call, with rows path by path.
     """
     start = np.asarray(start, dtype=float)
     m = market.m
     levels: list[np.ndarray] = [np.tile(start, (count, 1, 1))]
-    constants = market.constants()
     for t in range(1, tree.horizon + 1):
         idx = tree.indices(t)
-        D = np.zeros((count, len(idx), m))
-        fill = np.zeros((count, len(idx)))
-        for k, i in enumerate(idx):  # draws node by node: direction, then fill
-            D[:, k] = sample_cone_batch(market, i, rng, count)
-            fill[:, k] = rng.uniform(0.0, max_fill, count)
+        nodes = np.tile(idx, count)
+        D = sample_cone_batch(market, nodes, rng)
+        fill = rng.uniform(0.0, max_fill, len(nodes))
         c_max = transition_frontier_batch(
-            market, levels[t - 1][:, tree.up(t)].reshape(-1, m), D.reshape(-1, m),
-            np.tile(idx, count), constants,
+            market, levels[t - 1][:, tree.up(t)].reshape(-1, m), D, nodes
         )
-        rows = (fill.ravel() * c_max)[:, None] * D.reshape(-1, m)
-        levels.append(rows.reshape(count, len(idx), m))
+        levels.append(((fill * c_max)[:, None] * D).reshape(count, len(idx), m))
     return [
         [AdaptedVector(t, levels[t][k]) for t in range(tree.horizon + 1)]
         for k in range(count)

@@ -307,11 +307,19 @@ def write_json(path: str, doc: dict) -> None:
     _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def digest_of(problem_bytes: bytes, options: SolveOptions) -> str:
-    opt = json.dumps(
-        {"tol": options.tol, "max_iter": options.max_iter, "seed": options.seed},
-        sort_keys=True,
+def _options_to_doc(options: SolveOptions) -> dict:
+    """The options section of a solution file; its digest hashes the same map."""
+    return {"tol": options.tol, "max_iter": options.max_iter, "seed": options.seed}
+
+
+def _options_from_doc(opts: dict) -> SolveOptions:
+    return SolveOptions(
+        tol=float(opts["tol"]), max_iter=int(opts["max_iter"]), seed=int(opts["seed"])
     )
+
+
+def digest_of(problem_bytes: bytes, options: SolveOptions) -> str:
+    opt = json.dumps(_options_to_doc(options), sort_keys=True)
     return hashlib.sha256(problem_bytes + b"\x00" + opt.encode()).hexdigest()
 
 
@@ -359,11 +367,7 @@ def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict
             "complementarity": r.complementarity,
             "duality_gap": r.duality_gap,
         },
-        "options": {
-            "tol": solution.options.tol,
-            "max_iter": solution.options.max_iter,
-            "seed": solution.options.seed,
-        },
+        "options": _options_to_doc(solution.options),
         "objective_trace": list(solution.objective_trace),
         "path": _path_to_dict(tree, solution.path),
         "z": [float(v) for v in solution.z],
@@ -375,7 +379,6 @@ def solution_from_doc(doc: dict, problem: PathProblem) -> Solution:
     tree = problem.tree
     m = problem.market.m
     res = doc["residuals"]
-    opts = doc["options"]
     return Solution(
         path=_path_from_dict(tree, doc["path"], m),
         objective_value=float(doc["objective_value"]),
@@ -393,10 +396,7 @@ def solution_from_doc(doc: dict, problem: PathProblem) -> Solution:
         converged=bool(doc["converged"]),
         objective_trace=[float(v) for v in doc["objective_trace"]],
         mu_final=float(doc["mu_final"]),
-        options=SolveOptions(
-            tol=float(opts["tol"]), max_iter=int(opts["max_iter"]),
-            seed=int(opts["seed"]),
-        ),
+        options=_options_from_doc(doc["options"]),
     )
 
 
@@ -465,7 +465,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     problem, _, _ = load_problem(args.problem)
     tree, market = problem.tree, problem.market
     constants = market.constants()
-    witness = slater_path(tree, market, constants)
+    witness = slater_path(tree, market)
     b = market.bounds()
 
     print(
@@ -530,11 +530,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _load_solution(args, problem: PathProblem, raw: bytes) -> tuple[Solution, str]:
     _, sdoc = _read_json(args.solution, "solution")
     try:
-        opts = sdoc["options"]
-        options = SolveOptions(
-            tol=float(opts["tol"]), max_iter=int(opts["max_iter"]),
-            seed=int(opts["seed"]),
-        )
+        options = _options_from_doc(sdoc["options"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"solution file: bad options section: {exc}") from exc
     digest = digest_of(raw, options)

@@ -16,9 +16,9 @@ cones admit exact polyhedral lifts via split variables: inflating both halves
 of a split strictly decreases each defining expression (the coefficients pair
 a smaller positive weight against a larger negative one), hence the
 componentwise-minimal split attains the defining value.  The lifts pose the
-dual transition inequality as a small linear program.  ``transition_proved``
-settles it in closed form wherever the prices allow (value 0), and
-``transition_bound`` bounds the LP value from above at the other nodes.
+dual transition inequality as a small linear program, and
+``transition_bound`` bounds its value from above in closed form at every
+node: a rigorous upper bound, 0 where both of its distances vanish.
 
 Everything here is a pure function of immutable data.  The cone tests work on
 rows: an ``(n, m)`` array of portfolios or prices together with the ``n``
@@ -338,55 +338,25 @@ def dual_cone_violation(
 
 
 # Unit roundoff u, and the smallest normal float: the error bounds of the
-# transition proof add it, which covers gradual underflow in any division.
+# transition terms add it, which covers gradual underflow in any division.
 _U = 0.5 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _in_ratio_cone(
-    v: np.ndarray, err: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Rows whose exact values lie in kappa [lo_j, hi_j] for one kappa >= 0.
-
-    ``v`` approximates the exact row within ``|v' - v| <= err``; ``lo`` and
-    ``hi`` carry at most one rounding each, and their exact values satisfy
-    0 < LO <= HI.  The row passes when max(max_j v'_j / HI_j, 0) <=
-    min_k v'_k / LO_k is guaranteed, i.e. v'_j / HI_j <= v'_k / LO_k for
-    j != k and v'_k >= 0 (which settles j = k without slack); see
-    :func:`transition_proved` for the bounds behind the slack terms.
-    """
-    slack = 8.0 * _U * np.abs(v) + 2.0 * err
-    upper = v / hi + slack / hi
-    lower = v / lo - slack / lo
-    pairs = (upper[:, :, None] <= lower[:, None, :]) | np.eye(v.shape[1], dtype=bool)
-    return pairs.all(axis=(1, 2)) & (lower.min(axis=1) >= 0.0)
-
-
-def transition_proved(
+def _transition_terms(
     market: MarketData,
     nodes: np.ndarray,
     p: np.ndarray,
     p_bar: np.ndarray,
-    bar_abs: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mask of the nodes whose dual transition inequality holds in closed form.
+    bar_abs: np.ndarray | None,
+) -> tuple[np.ndarray, ...]:
+    """Node indices, sigma^, e_s, y^ and e_y of :func:`transition_bound`.
 
-    ``nodes`` are non-root node indices and ``p``, ``p_bar`` their ``(n, m)``
-    prices and next-date conditional expectations.  With sigma = p / R the
-    parent term is sigma . (R a), so for d = R a - b
-
-        p . a - p_bar . b = sigma . d + (sigma - p_bar) . b >= kappa psi(a, b) >= 0
-
-    on the transition cone when sigma_j lies in kappa [Lp_j, Lm_j] for some
-    kappa >= 0 and sigma - p_bar lies in X*.  The second test has the same
-    form with the bounds [Lp_j, mu Lm_j]: it is the sign test at the section
-    vertices of X, divided through.  A proved node's LP value is exactly 0.
-
-    The proof holds in exact arithmetic for the stored floats, with p_bar
-    the exact child sum sum_k w_k v_k (w_k the conditional probabilities, v_k
-    the child prices; a leaf's p_bar is its terminal price itself).  Every
-    computed quantity is bounded against its exact value with the standard
-    model fl(x op y) = (x op y)(1 + delta), |delta| <= u = 2^-53:
+    |sigma - sigma^| <= e_s and |y - y^| <= e_y hold against the exact
+    sigma = p / R and y = sigma - p_bar, row by row, with p_bar the exact
+    child sum sum_k w_k v_k (w_k the conditional probabilities, v_k the child
+    prices; a leaf's p_bar is its terminal price itself).  Each bound follows
+    the standard model fl(x op y) = (x op y)(1 + delta), |delta| <= u = 2^-53:
 
     - sigma^ = fl(p / R) gives |sigma - sigma^| <= u / (1 - u) |sigma^|,
       bounded by e_s = 2u |sigma^| (plus the smallest normal float for
@@ -399,48 +369,6 @@ def transition_proved(
       ``bar_abs`` is S^, and its default |p_bar| is S^ whenever the child
       prices are nonnegative;
     - y^ = fl(sigma^ - p_bar^) gives |y - y^| <= e_s + e_bar + 2u |y^|.
-
-    A row v with absolute error bound e passes :func:`_in_ratio_cone` when
-    upper_j = fl(v_j / hi_j) + s_j / hi_j is at most
-    lower_k = fl(v_k / lo_k) - s_k / lo_k for all j != k and every lower_k
-    is >= 0, with slack s = 8u |v| + 2e.  The exact ratio differs from
-    a^ = fl(v / hi) by at most 2u / (1 - u) |a^| <= 2u(1 + 2u) |v| / hi (one
-    rounding in the division and at most one in hi, as in mu Lm) plus
-    (1 + u) e' / hi, where e' <= e / (1 - gamma_2) is the exact bound behind
-    the computed sum e.  The slack evaluates with a few roundings of relative
-    size u (one in s, one in s / hi and one in the sum), which the factors
-    8u (against 2u) and 2 (against 1 + 3u) absorb; the bound on b^ is
-    symmetric.  So the float comparisons imply the exact ones.
-
-    Two frictionless coordinates (Lp = Lm) leave the sigma test no slack, so
-    such a node stays open here however well its prices fit; a single asset
-    needs none.  :func:`transition_bound` bounds the LP value of every open
-    node instead.
-    """
-    idx, sigma, err_sigma, y, err_y = _transition_terms(
-        market, nodes, p, p_bar, bar_abs
-    )
-    Lp, Lm = market.Lp[idx], market.Lm[idx]
-    mu = market.margins[market.tree.depth[idx]]
-    finite = np.isfinite(sigma).all(axis=1) & np.isfinite(y).all(axis=1)
-    return (
-        finite
-        & _in_ratio_cone(sigma, err_sigma, Lp, Lm)
-        & _in_ratio_cone(y, err_y, Lp, mu[:, None] * Lm)
-    )
-
-
-def _transition_terms(
-    market: MarketData,
-    nodes: np.ndarray,
-    p: np.ndarray,
-    p_bar: np.ndarray,
-    bar_abs: np.ndarray | None,
-) -> tuple[np.ndarray, ...]:
-    """Node indices, sigma^, e_s, y^ and e_y of :func:`transition_proved`.
-
-    |sigma - sigma^| <= e_s and |y - y^| <= e_y hold against the exact
-    sigma = p / R and y = sigma - p_bar, row by row.
     """
     idx, p, p_bar, bar_abs = market._rows(
         nodes, p, p_bar, np.abs(p_bar) if bar_abs is None else bar_abs
@@ -508,10 +436,12 @@ def transition_bound(
     p_bar: np.ndarray,
     bar_abs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Upper bound on each node's :func:`dual_cone_violation` value; 0 where proved.
+    """Rigorous upper bound on each node's :func:`dual_cone_violation` value.
 
-    Arguments as in :func:`transition_proved`.  A node that proof settles
-    reads 0.0.  At any other node, with sigma = p / R and d = R a - b,
+    ``nodes`` are non-root node indices and ``p``, ``p_bar`` their ``(n, m)``
+    prices and next-date conditional expectations; ``bar_abs`` is the same
+    conditional sum over the absolute child prices (see
+    :func:`_transition_terms`).  With sigma = p / R and d = R a - b,
 
         p_bar . b - p . a = -sigma . d - (sigma - p_bar) . b.
 
@@ -526,25 +456,17 @@ def transition_bound(
     and C. Jansson (SIAM J. Optim. 14(3), 2004).
 
     e and f come from :func:`_ratio_cone_distance` on the rows and error
-    bounds of :func:`transition_proved` (Higham's gamma_n for p_bar, one
-    rounding for p / R), with mu Lm rounded down, and the final product and
-    sum round outward.  So the bound holds in exact arithmetic over the
-    stored floats, with mu Lm taken exactly or rounded as the lift rounds it.
-    A row with a non-finite price reads inf.  The proof runs on every row;
-    the bound only on the rows it leaves open.
+    bounds of :func:`_transition_terms`, with mu Lm rounded down, and the
+    final product and sum round outward.  So the bound holds in exact
+    arithmetic over the stored floats, with mu Lm taken exactly or rounded
+    as the lift rounds it.  A row whose e and f are both 0 reads 0.0, since
+    both exact distances then vanish and nothing was rounded.  A row with a
+    non-finite price reads inf.
     """
-    idx, p, p_bar, bar_abs = market._rows(
-        nodes, p, p_bar, np.abs(p_bar) if bar_abs is None else bar_abs
-    )
-    bound = np.zeros(len(idx))
-    rows = np.flatnonzero(~transition_proved(market, idx, p, p_bar, bar_abs))
-    if rows.size:
-        e, f, r_max, _, _ = _transition_bound_terms(
-            market, idx[rows], p[rows], p_bar[rows], bar_abs[rows]
-        )
-        value = np.maximum(_up(e * r_max), _up(e + f))
-        bound[rows] = np.where(np.isnan(value), np.inf, value)
-    return bound
+    e, f, r_max, _, _ = _transition_bound_terms(market, nodes, p, p_bar, bar_abs)
+    value = np.maximum(_up(e * r_max), _up(e + f))
+    value[(e == 0.0) & (f == 0.0)] = 0.0
+    return np.where(np.isnan(value), np.inf, value)
 
 
 # --- cone sections and the (B2) constants --------------------------------------
@@ -674,7 +596,6 @@ def feasible_completion(
     market: MarketData,
     A: np.ndarray,
     nodes: np.ndarray,
-    constants: MarketConstants | None = None,
     tol: float = MEMBERSHIP_TOL,
 ) -> np.ndarray:
     """Child portfolios B with each (A_k, B_k) in node k's transition cone.
@@ -690,8 +611,7 @@ def feasible_completion(
             "vector fails the margin test at parent of "
             f"{market.tree.nodes[idx[bad[0]]].node_id!r}"
         )
-    constants = constants or market.constants()
-    size = constants.C2[market.tree.depth[idx]] / 2.0 * np.abs(A).sum(axis=1)
+    size = market.constants().C2[market.tree.depth[idx]] / 2.0 * np.abs(A).sum(axis=1)
     B = size[:, None] * np.ones(market.m) / market.m
     B[~in_Z(market, A, B, idx, tol).member] = 0.0
     return B
@@ -720,11 +640,7 @@ def _ones_radius(market: MarketData, t: int, scale: float) -> float:
     return float((scale * Lp.sum(axis=1) / lip).min())
 
 
-def slater_path(
-    tree: ScenarioTree,
-    market: MarketData,
-    constants: MarketConstants | None = None,
-) -> SlaterPath:
+def slater_path(tree: ScenarioTree, market: MarketData) -> SlaterPath:
     """Strictly interior path built by the lambda = delta / (2H) recursion.
 
     Starting from the all-ones portfolio, each step scales the interior
@@ -732,7 +648,7 @@ def slater_path(
     interiority radius, then completes to a path; H = m bounds |(1, ..., 1)|.
     Raises MarginTooTight when (B2) fails.
     """
-    constants = constants or market_constants(market)
+    constants = market.constants()
     m = market.m
     N = tree.horizon
     e = np.ones(m)
@@ -775,7 +691,6 @@ def dominating_path(
     market: MarketData,
     vs: list[AdaptedVector],
     us: list[AdaptedVector],
-    constants: MarketConstants | None = None,
     tol: float = MEMBERSHIP_TOL,
 ) -> list[AdaptedVector]:
     """Turn a relaxed sequence (v_0, u_1, v_1, ..., u_{N+1}) into a path.
@@ -791,7 +706,6 @@ def dominating_path(
         raise PreconditionViolated(
             f"need v_0..v_{N} and u_1..u_{N + 1}, got {len(vs)} and {len(us)}"
         )
-    constants = constants or market.constants()
 
     def require(ok: np.ndarray, t: int, what: str) -> None:
         if not ok.all():
@@ -812,7 +726,7 @@ def dominating_path(
     path = [AdaptedVector(0, vs[0].values.copy())]
     for t in range(1, N + 1):
         g = path[t - 1].values[tree.up(t)] - us[t - 1].values
-        h = feasible_completion(market, g, tree.indices(t), constants, tol)
+        h = feasible_completion(market, g, tree.indices(t), tol)
         path.append(AdaptedVector(t, vs[t].values + h))
     return path
 
@@ -821,26 +735,23 @@ def dominating_path(
 
 def sample_cone_batch(
     market: MarketData,
-    node: int | str | Node,
+    nodes: np.ndarray,
     rng: np.random.Generator,
-    count: int,
     tightness: float | None = None,
 ) -> np.ndarray:
-    """``count`` random members of the node's margin cone, one per row.
+    """Random members of the nodes' margin cones, one row per entry of ``nodes``.
 
     Longs and shorts get disjoint supports; the shorts are scaled so they use
     a ``tightness`` fraction (default random in [0, 0.9]) of the cost-adjusted
     long value, which keeps the margin residual exactly (1 - tightness) times
-    the long value.
+    the long value.  A row that draws no long gets one in a random column.
     """
-    node = market.tree.node(node)
-    m = market.m
-    i = node.index
-    mu = market.margins[node.depth]
+    (idx,) = market._rows(nodes)
+    count, m = len(idx), market.m
+    mu = market.margins[market.tree.depth[idx]]
     longs = rng.random((count, m)) < (0.75 if m > 1 else 1.1)
-    none = ~longs.any(axis=1)
-    if none.any():
-        longs[none, rng.integers(0, m)] = True
+    none = np.flatnonzero(~longs.any(axis=1))
+    longs[none, rng.integers(0, m, len(none))] = True
     shorts = ~longs & (rng.random((count, m)) < 0.7)
     u = rng.uniform(0.1, 1.0, (count, m)) * longs
     v = rng.uniform(0.1, 1.0, (count, m)) * shorts
@@ -848,21 +759,10 @@ def sample_cone_batch(
         rng.uniform(0.0, 0.9, count) if tightness is None
         else np.full(count, tightness)
     )
-    den = mu * (v @ market.Lm[i])
-    num = u @ market.Lp[i]
+    den = mu * np.vecdot(v, market.Lm[idx])
+    num = np.vecdot(u, market.Lp[idx])
     scale = np.where(den > 0.0, beta * num / np.where(den > 0.0, den, 1.0), 0.0)
     return u - scale[:, None] * v
-
-
-def sample_cone_point(
-    market: MarketData,
-    node: int | str | Node,
-    rng: np.random.Generator,
-    scale: float = 1.0,
-    tightness: float | None = None,
-) -> np.ndarray:
-    """Random member of the node's margin cone; see :func:`sample_cone_batch`."""
-    return scale * sample_cone_batch(market, node, rng, 1, tightness)[0]
 
 
 def transition_frontier_batch(
@@ -870,7 +770,6 @@ def transition_frontier_batch(
     A: np.ndarray,
     D: np.ndarray,
     nodes: np.ndarray,
-    constants: MarketConstants | None = None,
 ) -> np.ndarray:
     """Rowwise largest c >= 0 with (A_k, c_k D_k) self-financing at node k.
 
@@ -887,7 +786,6 @@ def transition_frontier_batch(
     """
     idx, A, D = market._rows(nodes, A, D)
     market._non_root(idx)
-    constants = constants or market.constants()
     R, Lp, Lm = market.returns[idx], market.Lp[idx], market.Lm[idx]
     AR = A * R
 
@@ -899,7 +797,7 @@ def transition_frontier_batch(
     active = (norm_a > 0.0) & (norm_d > 0.0)
     hi = np.where(
         active,
-        2.0 * constants.K[market.tree.depth[idx]] * norm_a
+        2.0 * market.constants().K[market.tree.depth[idx]] * norm_a
         / np.where(active, norm_d, 1.0),
         0.0,
     )[:, None]
@@ -933,17 +831,14 @@ def sample_transition_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One random (a, b) in each listed node's transition cone, as ``(n, m)`` rows.
 
-    Draws node by node (a parent-cone point, a cone direction, a fill in
-    [0, max_fill)), then scales every direction to its frontier in one call.
+    Draws the parent-cone points, then the cone directions, then the fills
+    in [0, max_fill), one call each, and scales every direction to its
+    frontier in one call.
     """
     (idx,) = market._rows(nodes)
     market._non_root(idx)
-    A = np.zeros((len(idx), market.m))
-    D = np.zeros_like(A)
-    fill = np.zeros(len(idx))
-    for k, i in enumerate(idx):
-        A[k] = sample_cone_point(market, market.tree.parents[i], rng)
-        D[k] = sample_cone_point(market, i, rng)
-        fill[k] = rng.uniform(0.0, max_fill)
+    A = sample_cone_batch(market, market.tree.parents[idx], rng)
+    D = sample_cone_batch(market, idx, rng)
+    fill = rng.uniform(0.0, max_fill, len(idx))
     c_max = transition_frontier_batch(market, A, D, idx)
     return A, (fill * c_max)[:, None] * D

@@ -356,53 +356,38 @@ def check_psi_class(
 ) -> PsiClassReport:
     """Sampled axiom report; failures are reported, never raised."""
     rng = np.random.default_rng(seed)
-    leaves = tree.leaves()
-    per_leaf = max(1, n_samples // len(leaves))
+    n_leaves = len(tree.leaves())
+    per_leaf = max(1, n_samples // n_leaves)
+    # per sample: its leaf, a, a2, a bump of a, a scaling and a mixing weight
+    pos = np.repeat(np.arange(n_leaves), per_leaf)
+    nodes = tree.indices(tree.horizon)[pos]
+    A, A2, bump = (sample_cone_batch(market, nodes, rng) for _ in range(3))
+    bump *= rng.uniform(0.1, 1.0, (len(pos), 1))
+    lam = rng.uniform(0.0, 3.0, (len(pos), 1))
+    th = rng.uniform(0.0, 1.0, (len(pos), 1))
+    h = objective._h_psi[pos]
 
-    counters = {
-        name: [0, 0, 0.0]
-        for name in ("psi2", "psi3", "psi4", "mono", "conc")
-    }
+    def value(X: np.ndarray) -> np.ndarray:
+        return objective.form.values(X, pos)
 
-    def record(name: str, violation: np.ndarray) -> None:
-        c = counters[name]
-        c[0] += len(violation)
-        c[1] += int(np.count_nonzero(violation > 0.0))
-        c[2] = max(c[2], float(violation.max()))
+    def result(violation: np.ndarray) -> AxiomResult:
+        return AxiomResult(
+            len(violation), int(np.count_nonzero(violation > 0.0)),
+            max(float(violation.max()), 0.0),
+        )
 
-    for pos, leaf in enumerate(leaves):
-        h = float(objective._h_psi[pos])
-        # per sample: a, a2, a bump of a, a scaling and a mixing weight
-        A, A2, bump = (sample_cone_batch(market, leaf, rng, per_leaf) for _ in range(3))
-        bump *= rng.uniform(0.1, 1.0, (per_leaf, 1))
-        lam = rng.uniform(0.0, 3.0, (per_leaf, 1))
-        th = rng.uniform(0.0, 1.0, (per_leaf, 1))
-
-        def value(X: np.ndarray) -> np.ndarray:
-            return objective.form.values(X, np.full(len(X), pos))
-
-        va, va2 = value(A), value(A2)
-        scale = tol * (1.0 + np.abs(va) + np.abs(va2))
-        nrm = np.abs(A).sum(axis=1)
-        record("psi2", va + va2 - value(A + A2) - scale)
-        record("psi3", np.abs(value(lam * A) - lam[:, 0] * va) - scale)
-        record("psi4", np.maximum(nrm / h - va, va - h * nrm) - scale)
-        record("mono", va - value(A + bump) - scale)
-        mix = value(th * A + (1.0 - th) * A2)
-        record("conc", th[:, 0] * va + (1.0 - th[:, 0]) * va2 - mix - scale)
-
-    def result(name: str) -> AxiomResult:
-        c = counters[name]
-        return AxiomResult(c[0], c[1], max(c[2], 0.0))
-
+    va, va2 = value(A), value(A2)
+    scale = tol * (1.0 + np.abs(va) + np.abs(va2))
+    nrm = np.abs(A).sum(axis=1)
+    mix = value(th * A + (1.0 - th) * A2)
     return PsiClassReport(
         psi1_note=(
             "continuity and joint measurability hold automatically on a "
             "finite sample space"
         ),
-        superadditive=result("psi2"),
-        homogeneous=result("psi3"),
-        two_sided_bound=result("psi4"),
-        monotone=result("mono"),
-        concave=result("conc"),
+        superadditive=result(va + va2 - value(A + A2) - scale),
+        homogeneous=result(np.abs(value(lam * A) - lam[:, 0] * va) - scale),
+        two_sided_bound=result(np.maximum(nrm / h - va, va - h * nrm) - scale),
+        monotone=result(va - value(A + bump) - scale),
+        concave=result(th[:, 0] * va + (1.0 - th[:, 0]) * va2 - mix - scale),
     )

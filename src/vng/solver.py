@@ -144,6 +144,16 @@ class KktResiduals:
     complementarity: float
     duality_gap: float
 
+    @classmethod
+    def of(cls, g: np.ndarray, r_d: np.ndarray, lam: np.ndarray) -> "KktResiduals":
+        """Residuals of an iterate: constraint values g, dual residual r_d."""
+        return cls(
+            primal=float(np.maximum(-g, 0.0).max(initial=0.0)),
+            stationarity=float(np.abs(r_d).max()),
+            complementarity=max(0.0, float((lam * g).max())),
+            duality_gap=float(lam @ g),
+        )
+
     def within(self, tol: float) -> bool:
         return (
             self.primal <= tol
@@ -264,15 +274,6 @@ class AssembledProgram:
     @property
     def n_edge_blocks(self) -> int:
         return self.problem.tree.n_nodes - 1
-
-    # row layout within a node block: v, u, margin, min-plus, min-minus, psi
-    def rows_min_plus(self, idx: np.ndarray) -> np.ndarray:
-        """``(n, m)`` rows Lp (R x_par - x) - s >= 0 of the given nodes."""
-        return self.row_base[idx, None] + 2 * self.m + 1 + np.arange(self.m)
-
-    def rows_min_minus(self, idx: np.ndarray) -> np.ndarray:
-        """``(n, m)`` rows Lm (R x_par - x) - s >= 0 of the given nodes."""
-        return self.rows_min_plus(idx) + self.m
 
     def A_dot(self, z: np.ndarray) -> np.ndarray:
         """A z, for a (n_vars,) vector or a (n_vars, k) stack."""
@@ -499,13 +500,14 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     Follows the interior-witness recursion: each child state is the all-ones
     direction scaled to half the self-financing frontier of its parent state,
     which keeps every margin and cash slack strictly positive; auxiliary
-    variables get padding sized against their block's slack.
+    variables get padding of a tenth of their block's state scale, capped at
+    0.4 of the slack it eats into, so every row stays strictly positive.
+    Raises InfeasibleStart when the start is not strictly interior anyway.
     """
     problem = prog.problem
     tree, market = problem.tree, problem.market
     form = problem.objective.form
     m = market.m
-    constants = market.constants()
     ones = np.ones(m)
 
     states = np.zeros((tree.n_nodes, m))  # one per node index
@@ -513,8 +515,7 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     for t in range(1, tree.horizon + 1):
         lev = tree.indices(t)
         c_star = transition_frontier_batch(
-            market, states[tree.parents[lev]], np.tile(ones, (len(lev), 1)), lev,
-            constants,
+            market, states[tree.parents[lev]], np.tile(ones, (len(lev), 1)), lev
         )
         stuck = np.flatnonzero(c_star <= 0.0)
         if stuck.size:
@@ -539,32 +540,26 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     psi_min = mins.sum(axis=1)
     cols = np.arange(m)
 
-    for shrink in range(60):
-        pad_frac = 0.1 * 0.5 ** shrink
-        z = np.zeros(prog.n_vars)
-        pad_v = np.minimum(
-            pad_frac * x_scale, 0.4 * margin_min / np.maximum(den_v, 1e-30)
-        )
-        z[prog.v_off[idx, None] + cols] = np.maximum(-x, 0.0) + pad_v[:, None]
-        pad_s = np.minimum(pad_frac * x_scale, 0.4 * psi_min / m)
-        z[prog.s_off[idx, None] + cols] = mins - pad_s[:, None]
-        z[prog.x_off[idx, None] + cols] = x
+    z = np.zeros(prog.n_vars)
+    pad_v = np.minimum(0.1 * x_scale, 0.4 * margin_min / np.maximum(den_v, 1e-30))
+    z[prog.v_off[idx, None] + cols] = np.maximum(-x, 0.0) + pad_v[:, None]
+    pad_s = np.minimum(0.1 * x_scale, 0.4 * psi_min / m)
+    z[prog.s_off[idx, None] + cols] = mins - pad_s[:, None]
+    z[prog.x_off[idx, None] + cols] = x
 
-        # w on the tighter of its two rows, then pad_w inside it (in direction d)
-        X = z[prog.leaf_x[form.lifted]]
-        scale = np.abs(X).sum(axis=1) / m
-        target = -form.d * np.minimum(form.c1 * X, form.c2 * X)
-        sigma_full = (np.vecdot(form.cx[form.lifted], X)
-                      + np.vecdot(form.cw, target))
-        pad_w = np.minimum(
-            pad_frac * scale,
-            0.4 * sigma_full / np.maximum(np.abs(form.cw).sum(axis=1), 1e-30),
-        )
-        z[prog.leaf_w] = target + form.d * pad_w[:, None]
+    # w on the tighter of its two rows, then pad_w inside it (in direction d)
+    X = z[prog.leaf_x[form.lifted]]
+    scale = np.abs(X).sum(axis=1) / m
+    target = -form.d * np.minimum(form.c1 * X, form.c2 * X)
+    sigma_full = np.vecdot(form.cx[form.lifted], X) + np.vecdot(form.cw, target)
+    pad_w = np.minimum(
+        0.1 * scale, 0.4 * sigma_full / np.maximum(np.abs(form.cw).sum(axis=1), 1e-30)
+    )
+    z[prog.leaf_w] = target + form.d * pad_w[:, None]
 
-        if prog.g(z).min() > 0.0 and np.all(prog.sigmas(z) > 0.0):
-            return z
-    raise InfeasibleStart("could not construct a strictly interior start")
+    if not (prog.g(z).min() > 0.0 and np.all(prog.sigmas(z) > 0.0)):
+        raise InfeasibleStart("the interior start is not strictly interior")
+    return z
 
 
 # --- the primal-dual barrier loop -------------------------------------------------
@@ -955,12 +950,7 @@ def solve_log_optimal(
         else:
             z, lam, g, state, gf, r_d, mu = step
 
-    residuals = KktResiduals(
-        primal=max(0.0, -float(g.min())),
-        stationarity=float(np.abs(r_d).max()),
-        complementarity=max(0.0, float((lam * g).max())),
-        duality_gap=float(lam @ g),
-    )
+    residuals = KktResiduals.of(g, r_d, lam)
     path = prog.path_values(z)
     converged = not stop and residuals.within(options.tol)
     if not converged:
@@ -1012,29 +1002,20 @@ def _kkt_report(solution: Solution, prog: AssembledProgram) -> KktReport:
 
     g = prog.g(z)
     r_d = prog.grad_f(z) + prog.A_T_dot(lam)
-    comp = lam * g
     tree = prog.problem.tree
 
     def worst(values: np.ndarray, owner: np.ndarray) -> tuple[str, float]:
         k = int(np.argmax(values))
         return tree.nodes[owner[k]].node_id, float(values[k])
 
-    primal_viol = np.maximum(-g, 0.0)
-    path_ok = True
-    stored = solution.path
-    for t, av in enumerate(prog.path_values(z)):
-        if not np.allclose(av.values, stored[t].values, rtol=0.0, atol=1e-12):
-            path_ok = False
-    residuals = KktResiduals(
-        primal=float(primal_viol.max(initial=0.0)),
-        stationarity=float(np.abs(r_d).max()),
-        complementarity=max(0.0, float(comp.max())),
-        duality_gap=float(lam @ g),
+    path_ok = all(
+        np.allclose(av.values, stored.values, rtol=0.0, atol=1e-12)
+        for av, stored in zip(prog.path_values(z), solution.path, strict=True)
     )
     return KktReport(
-        residuals=residuals,
-        worst_primal=worst(primal_viol, prog.row_owner),
+        residuals=KktResiduals.of(g, r_d, lam),
+        worst_primal=worst(np.maximum(-g, 0.0), prog.row_owner),
         worst_stationarity=worst(np.abs(r_d), prog.col_owner),
-        worst_complementarity=worst(np.maximum(comp, 0.0), prog.row_owner),
+        worst_complementarity=worst(np.maximum(lam * g, 0.0), prog.row_owner),
         path_consistent=path_ok,
     )

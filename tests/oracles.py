@@ -335,43 +335,15 @@ def lift_contains(lift, vec) -> bool:
     return res.status == 0
 
 
-def exact_transition_proof(market, node, p, bar_terms) -> bool:
-    """The closed-form transition proof at one node, in exact rational arithmetic.
+def exact_transition_bound(market, node, p, bar_terms, kappa, gamma):
+    """(bound, e, f): the transition bound at one node, in exact rational arithmetic.
 
     ``p`` is the node's price and ``bar_terms`` the ``(weight, price)`` pairs
     whose weighted sum is p_bar (the children with their conditional
     probabilities, or the terminal price with weight 1 at a leaf); every float
-    is taken as the rational it stores and p_bar is summed exactly.  Proved
-    when sigma = p / R lies in kappa [Lp, Lm] for some kappa >= 0 and
-    sigma - p_bar has a nonnegative inner product with every section vertex
-    of the node's margin cone (checked as e_i and beta_j e_i - alpha_i e_j).
-    """
-    from fractions import Fraction as F
-
-    node = market.tree.node(node)
-    i = node.index
-    m = market.m
-    R = [F(v) for v in market.returns[i]]
-    alpha = [F(v) for v in market.Lp[i]]
-    lm = [F(v) for v in market.Lm[i]]
-    beta = [F(market.margins[node.depth]) * v for v in lm]
-    sigma = [F(p[j]) / R[j] for j in range(m)]
-    p_bar = [sum(F(w) * F(v[j]) for w, v in bar_terms) for j in range(m)]
-    y = [sigma[j] - p_bar[j] for j in range(m)]
-    kappa_lo = max([sigma[j] / lm[j] for j in range(m)] + [F(0)])
-    kappa_hi = min(sigma[j] / alpha[j] for j in range(m))
-    in_dual = all(v >= 0 for v in y) and all(
-        beta[j] * y[k] - alpha[k] * y[j] >= 0
-        for k in range(m) for j in range(m) if j != k
-    )
-    return kappa_lo <= kappa_hi and in_dual
-
-
-def exact_transition_bound(market, node, p, bar_terms, kappa, gamma):
-    """(bound, e, f): the transition bound at one node, in exact rational arithmetic.
-
-    Inputs as in :func:`exact_transition_proof`, plus the scales ``kappa`` and
-    ``gamma`` the library chose.  e and f are the exact sup-norm distances of
+    is taken as the rational it stores and p_bar is summed exactly.
+    ``kappa`` and ``gamma`` are the scales the library chose.  e and f are
+    the exact sup-norm distances of
     sigma = p / R from kappa [Lp, Lm] and of sigma - p_bar from
     gamma [Lp, mu Lm], with mu Lm the exact product, and the bound is
     max(e R_max, e + f).  For any kappa, gamma >= 0 that bound is at least
@@ -463,21 +435,27 @@ def sample_competitor_path(tree, market, rng, start, max_fill=0.95):
 
 
 def competitor_paths_loop(tree, market, rng, start, count, max_fill=0.95):
-    """The competitor sampler with one frontier call per node."""
+    """The competitor sampler with one frontier call per node.
+
+    The draws come as the library takes them: per level, the directions of
+    every path and node in one call (rows path by path), then the fills.
+    """
     from vng.market_model import sample_cone_batch, transition_frontier_batch
 
     levels = [np.tile(np.asarray(start, dtype=float), (count, 1, 1))]
     for t in range(1, tree.horizon + 1):
         nodes = tree.level(t)
+        shape = (count, len(nodes))
+        D = sample_cone_batch(market, np.tile(tree.indices(t), count), rng)
+        D = D.reshape(*shape, market.m)
+        fill = rng.uniform(0.0, max_fill, count * len(nodes)).reshape(shape)
         rows = np.zeros((count, len(nodes), market.m))
         for pos, node in enumerate(nodes):
             A = levels[t - 1][:, tree.level_position(tree.parent(node)), :]
-            D = sample_cone_batch(market, node, rng, count)
             c_max = transition_frontier_batch(
-                market, A, D, np.full(count, node.index)
+                market, A, D[:, pos], np.full(count, node.index)
             )
-            fill = rng.uniform(0.0, max_fill, count)
-            rows[:, pos, :] = (fill * c_max)[:, None] * D
+            rows[:, pos, :] = (fill[:, pos] * c_max)[:, None] * D[:, pos]
         levels.append(rows)
     return levels
 

@@ -107,10 +107,10 @@ class TestSelfFinancing:
         for node in market.tree.nodes:
             if node.parent is None:
                 continue
-            for _ in range(50):
-                a = vng.sample_cone_point(market, market.tree.parent(node), rng)
-                psi = vng.self_financing_value(market, [a], [np.zeros(2)], [node.index])
-                assert psi[0] >= -MEMBER_TOL
+            nodes = np.full(50, node.index)
+            A = vng.sample_cone_batch(market, market.tree.parents[nodes], rng)
+            psi = vng.self_financing_value(market, A, np.zeros_like(A), nodes)
+            assert np.all(psi >= -MEMBER_TOL)
 
 
 def _psi_min_form(market, A, B, nodes):
@@ -128,8 +128,8 @@ class TestTransitionFrontier:
         market, tree = problem.market, problem.tree
         rng = np.random.default_rng(seed)
         nodes = rng.permutation(np.repeat(np.arange(1, tree.n_nodes), 40))
-        A = np.array([vng.sample_cone_point(market, tree.parents[i], rng) for i in nodes])
-        D = np.array([vng.sample_cone_point(market, i, rng) for i in nodes])
+        A = vng.sample_cone_batch(market, tree.parents[nodes], rng)
+        D = vng.sample_cone_batch(market, nodes, rng)
         D[::9] = 0.0
         c = transition_frontier_batch(market, A, D, nodes)
         ref = frontier_bisection(market, A, D, nodes)
@@ -152,8 +152,8 @@ class TestTransitionFrontier:
             market, tree = problem.market, problem.tree
             rng = np.random.default_rng(seed)
             nodes = np.repeat(np.arange(1, tree.n_nodes), 10)
-            A = np.array([vng.sample_cone_point(market, tree.parents[i], rng) for i in nodes])
-            D = np.array([vng.sample_cone_point(market, i, rng) for i in nodes])
+            A = vng.sample_cone_batch(market, tree.parents[nodes], rng)
+            D = vng.sample_cone_batch(market, nodes, rng)
             B = transition_frontier_batch(market, A, D, nodes)[:, None] * D
             res = vng.in_Z(market, A, B, nodes, tol=0.0)
             assert res.member.all(), f"seed {seed}: psi {res.psi[~res.member]}"
@@ -164,8 +164,8 @@ class TestInZ:
         market = two_asset_margin_market()
         rng = np.random.default_rng(2)
         node = market.tree.node("aa")
-        a = vng.sample_cone_point(market, market.tree.parent(node), rng)
-        res = vng.in_Z(market, [a], [np.zeros(2)], [node.index])
+        a = vng.sample_cone_batch(market, market.tree.parents[[node.index]], rng)
+        res = vng.in_Z(market, a, np.zeros_like(a), [node.index])
         assert res.member.all()
 
     def test_full_reinvestment_single_asset(self):
@@ -214,12 +214,10 @@ class TestConeAxioms:
     def test_pointedness(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(5)
-        node = market.tree.node("a")
-        for _ in range(200):
-            a = vng.sample_cone_point(market, node, rng, tightness=1.0)
-            if np.abs(a).sum() < 1e-12:
-                continue
-            assert vng.margin_residual(market, [-a], [node.index])[0] < 0.0
+        nodes = np.full(200, market.tree.node("a").index)
+        A = vng.sample_cone_batch(market, nodes, rng, tightness=1.0)
+        nonzero = np.abs(A).sum(axis=1) >= 1e-12
+        assert np.all(vng.margin_residual(market, -A[nonzero], nodes[nonzero]) < 0.0)
 
 
 class TestLifts:
@@ -231,7 +229,7 @@ class TestLifts:
         checked = 0
         for _ in range(1000):
             if rng.random() < 0.5:
-                a = vng.sample_cone_point(market, node, rng)
+                a = vng.sample_cone_batch(market, [node.index], rng)[0]
             else:
                 a = rng.normal(scale=1.0, size=2)
             resid = vng.margin_residual(market, [a], [node.index])[0]
@@ -248,8 +246,8 @@ class TestLifts:
         lift = vng.lift_Z(market, node)
         agree = 0
         for _ in range(1300):
-            a = vng.sample_cone_point(market, market.tree.parent(node), rng)
-            direction = vng.sample_cone_point(market, node, rng)
+            a = vng.sample_cone_batch(market, market.tree.parents[[node.index]], rng)[0]
+            direction = vng.sample_cone_batch(market, [node.index], rng)[0]
             c_star = transition_frontier_batch(market, [a], [direction], [node.index])[0]
             b = rng.uniform(0.0, 1.6) * c_star * direction
             if rng.random() < 0.3:
@@ -308,10 +306,9 @@ class TestDualConeViolation:
             if abs(resid) < 1e-8:
                 continue
             # p in X* iff min over sampled members of p.a is nonnegative
-            worst = min(
-                float(p @ vng.sample_cone_point(market, node, rng, tightness=1.0))
-                for _ in range(200)
-            )
+            worst = float((vng.sample_cone_batch(
+                market, np.full(200, node.index), rng, tightness=1.0
+            ) @ p).min())
             if resid > 0:
                 assert worst >= -1e-9
             else:
@@ -345,12 +342,10 @@ class TestFeasibleCompletion:
     def test_property_over_samples(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(10)
-        node = market.tree.node("bb")
-        parent = market.tree.parent(node)
-        for _ in range(500):
-            a = vng.sample_cone_point(market, parent, rng)
-            b = vng.feasible_completion(market, [a], [node.index])
-            assert vng.in_Z(market, [a], b, [node.index]).member.all()
+        nodes = np.full(500, market.tree.node("bb").index)
+        A = vng.sample_cone_batch(market, market.tree.parents[nodes], rng)
+        B = vng.feasible_completion(market, A, nodes)
+        assert vng.in_Z(market, A, B, nodes).member.all()
 
     def test_rejects_nonmember(self):
         market = two_asset_margin_market()
@@ -516,12 +511,10 @@ class TestPaperBounds:
         ones = np.ones(2)
         for node in market.tree.nodes:
             h = constants.H[node.depth]
-            for _ in range(100):
-                a = vng.sample_cone_point(market, node, rng)
-                value = float(ones @ a)
-                norm = float(np.abs(a).sum())
-                assert value >= norm / h - 1e-9
-                assert value <= h * norm + 1e-9
+            A = vng.sample_cone_batch(market, np.full(100, node.index), rng)
+            value, norm = A @ ones, np.abs(A).sum(axis=1)
+            assert np.all(value >= norm / h - 1e-9)
+            assert np.all(value <= h * norm + 1e-9)
 
     def test_transition_bound_k(self):
         market = two_asset_margin_market()
@@ -542,10 +535,10 @@ class TestPaperBounds:
         rng = np.random.default_rng(14)
         for node in market.tree.nodes:
             t = node.depth
-            for _ in range(200):
-                a = vng.sample_cone_point(market, node, rng)
-                lhs = np.maximum(a, 0).sum() - constants.nu[t] * np.maximum(-a, 0).sum()
-                assert lhs >= constants.C1[t] * np.abs(a).sum() - 1e-9
+            A = vng.sample_cone_batch(market, np.full(200, node.index), rng)
+            longs, shorts = np.maximum(A, 0).sum(axis=1), np.maximum(-A, 0).sum(axis=1)
+            lhs = longs - constants.nu[t] * shorts
+            assert np.all(lhs >= constants.C1[t] * np.abs(A).sum(axis=1) - 1e-9)
 
     def test_small_completions_are_admissible(self):
         market = two_asset_margin_market()
@@ -554,15 +547,14 @@ class TestPaperBounds:
         for node in market.tree.nodes:
             if node.parent is None:
                 continue
-            parent = market.tree.parent(node)
-            for _ in range(100):
-                a = vng.sample_cone_point(market, parent, rng)
-                b = vng.sample_cone_point(market, node, rng)
-                norm_b = np.abs(b).sum()
-                if norm_b == 0.0:
-                    continue
-                b *= rng.uniform(0.0, 1.0) * constants.C2[node.depth] * np.abs(a).sum() / norm_b
-                assert vng.in_Z(market, [a], [b], [node.index]).member.all()
+            nodes = np.full(100, node.index)
+            A = vng.sample_cone_batch(market, market.tree.parents[nodes], rng)
+            B = vng.sample_cone_batch(market, nodes, rng)
+            norm_b = np.abs(B).sum(axis=1)
+            size = rng.uniform(0.0, 1.0, 100) * constants.C2[node.depth]
+            size *= np.abs(A).sum(axis=1)
+            B *= np.divide(size, norm_b, out=np.zeros(100), where=norm_b > 0.0)[:, None]
+            assert vng.in_Z(market, A, B, nodes).member.all()
 
     def test_psi_upper_bound_chain(self):
         market = two_asset_margin_market()

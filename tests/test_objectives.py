@@ -43,8 +43,9 @@ class TestEvaluate:
         lin = vng.LinearObjective(tree, market, q=q)
         pen = vng.NormPenalizedObjective(tree, market, q=q, theta=0.0)
         rng = np.random.default_rng(0)
-        for leaf in tree.leaves():
-            a = vng.sample_cone_point(market, leaf, rng)
+        leaves = tree.leaves()
+        rows = vng.sample_cone_batch(market, [leaf.index for leaf in leaves], rng)
+        for leaf, a in zip(leaves, rows):
             assert pen.evaluate(leaf, a) == pytest.approx(lin.evaluate(leaf, a))
 
     def test_outside_cone_rejected(self, tree, market):
@@ -96,7 +97,7 @@ class TestGradient:
             checked = 0
             while checked < 100:
                 leaf = tree.leaves()[rng.integers(len(tree.leaves()))]
-                a = vng.sample_cone_point(market, leaf, rng)
+                a = vng.sample_cone_batch(market, [leaf.index], rng)[0]
                 if np.abs(a).min() < 1e-2:  # stay clear of kinks
                     continue
                 pos = tree.level_position(leaf)
@@ -110,8 +111,7 @@ class TestGradient:
         rng = np.random.default_rng(2)
         obj = vng.NormPenalizedObjective(tree, market, theta=0.01, norm="l2")
         for leaf in tree.leaves():
-            for _ in range(200):
-                a = vng.sample_cone_point(market, leaf, rng)
+            for a in vng.sample_cone_batch(market, np.full(200, leaf.index), rng):
                 if np.abs(a).sum() < 1e-9:
                     continue
                 val = obj.evaluate(leaf, a)
@@ -143,8 +143,8 @@ class TestLeafFormAgreement:
         leaves = tree.leaves()
         for obj in _four_variants(tree, market):
             for pos, leaf in enumerate(leaves):
-                for k in range(200):
-                    a = vng.sample_cone_point(market, leaf, rng)
+                draws = vng.sample_cone_batch(market, np.full(200, leaf.index), rng)
+                for k, a in enumerate(draws):
                     if k % 4 == 0:
                         a[np.argmin(a)] = 0.0  # on a kink of |.| and min
                     assert obj.evaluate(leaf, a) == pytest.approx(
@@ -156,8 +156,8 @@ class TestLeafFormAgreement:
                             g, leaf_grad(obj, pos, a), rtol=1e-12, atol=0.0
                         )
             for _ in range(20):
-                rows = np.vstack(
-                    [vng.sample_cone_point(market, leaf, rng) for leaf in leaves]
+                rows = vng.sample_cone_batch(
+                    market, [leaf.index for leaf in leaves], rng
                 )
                 assert vng.log_objective(
                     tree, obj, vng.AdaptedVector(2, rows)
@@ -175,8 +175,8 @@ class TestLogObjective:
     def test_doubling_adds_log_two(self, tree, market):
         obj = vng.LiquidationObjective(tree, market)
         rng = np.random.default_rng(3)
-        rows = np.vstack(
-            [vng.sample_cone_point(market, leaf, rng) for leaf in tree.leaves()]
+        rows = vng.sample_cone_batch(
+            market, [leaf.index for leaf in tree.leaves()], rng
         )
         x = vng.AdaptedVector(2, rows)
         f1 = vng.log_objective(tree, obj, x)
