@@ -18,10 +18,8 @@ from .certification import (
     GrowthEntry,
     RapidityCertificate,
     SupermartingaleReport,
-    buy_and_hold_path,
     check_equivalences,
     extract_dual,
-    fixed_fraction_path,
     growth_dominance,
     prop4_reconstruct,
     sample_competitor_paths,
@@ -32,9 +30,11 @@ from .market_model import (
     ConeLift,
     MarketConstants,
     MarketData,
+    buy_and_hold_path,
     dual_cone_residual,
     dual_cone_violation,
     feasible_completion,
+    fixed_fraction_path,
     in_Z,
     lift_Z,
     margin_residual,

@@ -394,7 +394,6 @@ class GrowthEntry:
 
 def growth_dominance(
     dual: DualPath,
-    x: list[AdaptedVector],
     y: list[AdaptedVector],
     tree: ScenarioTree,
     on_nonpositive: str = "raise",
@@ -405,7 +404,6 @@ def growth_dominance(
     ``NonpositiveDenominator`` or, with ``on_nonpositive='mark'``, produce a
     nan entry.  For ``y = x`` every entry is 1 up to the certificate residual.
     """
-    del x  # the rapid path fixes the benchmark; ratios only involve y
     N = tree.horizon
     entries: list[GrowthEntry] = []
     for t in range(1, N + 1):
@@ -598,7 +596,7 @@ def prop4_reconstruct(
     return dual, verify_rapid(path, dual, tree, market, tol)
 
 
-# --- strategy paths and the competitor sampler ----------------------------------
+# --- the competitor sampler ------------------------------------------------------
 
 def sample_competitor_paths(
     tree: ScenarioTree,
@@ -631,33 +629,3 @@ def sample_competitor_paths(
         [AdaptedVector(t, levels[t][k]) for t in range(tree.horizon + 1)]
         for k in range(count)
     ]
-
-
-def buy_and_hold_path(
-    tree: ScenarioTree, market: MarketData, start: np.ndarray
-) -> list[AdaptedVector]:
-    """Hold the initial positions; values compound by the nodewise returns."""
-    path = [AdaptedVector(0, np.asarray(start, float)[None, :])]
-    for t in range(1, tree.horizon + 1):
-        held = path[t - 1].values[tree.up(t)]
-        path.append(AdaptedVector(t, market.returns[tree.span(t)] * held))
-    return path
-
-
-def fixed_fraction_path(
-    tree: ScenarioTree,
-    market: MarketData,
-    start: np.ndarray,
-    weights: np.ndarray,
-    fill: float = 1.0,
-) -> list[AdaptedVector]:
-    """Rebalance to fixed weights each date, spending the whole frontier."""
-    weights = np.asarray(weights, dtype=float)
-    path = [AdaptedVector(0, np.asarray(start, float)[None, :])]
-    for t in range(1, tree.horizon + 1):
-        A = path[t - 1].values[tree.up(t)]
-        c = transition_frontier_batch(
-            market, A, np.tile(weights, (len(A), 1)), tree.indices(t)
-        )
-        path.append(AdaptedVector(t, (fill * c)[:, None] * weights))
-    return path

@@ -35,9 +35,7 @@ from .certification import (
     RapidityCertificate,
     SupermartingaleReport,
     _supermartingale_checks,
-    buy_and_hold_path,
     extract_dual,
-    fixed_fraction_path,
     growth_dominance,
     sample_competitor_paths,
     verify_rapid,
@@ -53,7 +51,13 @@ from .errors import (
     ParseError,
     VngError,
 )
-from .market_model import MarketData, returns_from_prices, slater_path
+from .market_model import (
+    MarketData,
+    buy_and_hold_path,
+    fixed_fraction_path,
+    returns_from_prices,
+    slater_path,
+)
 from .objectives import (
     LinearObjective,
     LiquidationObjective,
@@ -657,7 +661,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for spec in strategies:
         sid = str(_need(spec, "id", "strategy"))
         y = _strategy_path(spec, problem, rapid)
-        entries = growth_dominance(dual, rapid, y, problem.tree, on_nonpositive="mark")
+        entries = growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
         f_val = log_objective(problem.tree, problem.objective, y[-1])
         for t in range(1, problem.tree.horizon + 1):
             level = [e for e in entries if e.t == t]

@@ -343,46 +343,6 @@ _U = 0.5 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _transition_terms(
-    market: MarketData,
-    nodes: np.ndarray,
-    p: np.ndarray,
-    p_bar: np.ndarray,
-    bar_abs: np.ndarray | None,
-) -> tuple[np.ndarray, ...]:
-    """Node indices, sigma^, e_s, y^ and e_y of :func:`transition_bound`.
-
-    |sigma - sigma^| <= e_s and |y - y^| <= e_y hold against the exact
-    sigma = p / R and y = sigma - p_bar, row by row, with p_bar the exact
-    child sum sum_k w_k v_k (w_k the conditional probabilities, v_k the child
-    prices; a leaf's p_bar is its terminal price itself).  Each bound follows
-    the standard model fl(x op y) = (x op y)(1 + delta), |delta| <= u = 2^-53:
-
-    - sigma^ = fl(p / R) gives |sigma - sigma^| <= u / (1 - u) |sigma^|,
-      bounded by e_s = 2u |sigma^| (plus the smallest normal float for
-      underflow);
-    - p_bar^ is a dot product over the node's n children, so
-      |p_bar - p_bar^| <= gamma_n S with S = sum_k w_k |v_k| and
-      gamma_n = nu / (1 - nu) (Higham, Accuracy and Stability of Numerical
-      Algorithms, eq. 3.5).  The same sum over |v_k| is computed as S^ >=
-      (1 - gamma_n) S, so e_bar = 2nu S^ bounds the error for any nu <= 0.01;
-      ``bar_abs`` is S^, and its default |p_bar| is S^ whenever the child
-      prices are nonnegative;
-    - y^ = fl(sigma^ - p_bar^) gives |y - y^| <= e_s + e_bar + 2u |y^|.
-    """
-    idx, p, p_bar, bar_abs = market._rows(
-        nodes, p, p_bar, np.abs(p_bar) if bar_abs is None else bar_abs
-    )
-    tree = market.tree
-    n_children = np.bincount(tree.parents[1:], minlength=tree.n_nodes)[idx]
-    sigma = p / market.returns[idx]
-    y = sigma - p_bar
-    err_sigma = 2.0 * _U * np.abs(sigma) + _TINY
-    err_bar = (2.0 * _U * n_children)[:, None] * bar_abs
-    err_y = err_sigma + err_bar + 2.0 * _U * np.abs(y)
-    return idx, sigma, err_sigma, y, err_y
-
-
 def _up(x: np.ndarray) -> np.ndarray:
     """The next float up: at or above the exact value x was rounded from."""
     return np.nextafter(x, np.inf)
@@ -418,12 +378,40 @@ def _transition_bound_terms(
     p_bar: np.ndarray,
     bar_abs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """e, f, R_max, kappa and gamma of :func:`transition_bound`, per row."""
-    idx, sigma, err_sigma, y, err_y = _transition_terms(
-        market, nodes, p, p_bar, bar_abs
+    """e, f, R_max, kappa and gamma of :func:`transition_bound`, per row.
+
+    e and f are distances of sigma^ and y^, which stand for the exact
+    sigma = p / R and y = sigma - p_bar within the error bounds
+    |sigma - sigma^| <= e_s and |y - y^| <= e_y, row by row, with p_bar the
+    exact child sum sum_k w_k v_k (w_k the conditional probabilities, v_k the
+    child prices; a leaf's p_bar is its terminal price itself).  Each bound
+    follows the standard model fl(x op y) = (x op y)(1 + delta),
+    |delta| <= u = 2^-53:
+
+    - sigma^ = fl(p / R) gives |sigma - sigma^| <= u / (1 - u) |sigma^|,
+      bounded by e_s = 2u |sigma^| (plus the smallest normal float for
+      underflow);
+    - p_bar^ is a dot product over the node's n children, so
+      |p_bar - p_bar^| <= gamma_n S with S = sum_k w_k |v_k| and
+      gamma_n = nu / (1 - nu) (Higham, Accuracy and Stability of Numerical
+      Algorithms, eq. 3.5).  The same sum over |v_k| is computed as S^ >=
+      (1 - gamma_n) S, so e_bar = 2nu S^ bounds the error for any nu <= 0.01;
+      ``bar_abs`` is S^, and its default |p_bar| is S^ whenever the child
+      prices are nonnegative;
+    - y^ = fl(sigma^ - p_bar^) gives |y - y^| <= e_s + e_bar + 2u |y^|.
+    """
+    idx, p, p_bar, bar_abs = market._rows(
+        nodes, p, p_bar, np.abs(p_bar) if bar_abs is None else bar_abs
     )
+    tree = market.tree
+    n_children = np.bincount(tree.parents[1:], minlength=tree.n_nodes)[idx]
+    sigma = p / market.returns[idx]
+    y = sigma - p_bar
+    err_sigma = 2.0 * _U * np.abs(sigma) + _TINY
+    err_bar = (2.0 * _U * n_children)[:, None] * bar_abs
+    err_y = err_sigma + err_bar + 2.0 * _U * np.abs(y)
     Lp, Lm = market.Lp[idx], market.Lm[idx]
-    mu_Lm = _down(market.margins[market.tree.depth[idx]][:, None] * Lm)
+    mu_Lm = _down(market.margins[tree.depth[idx]][:, None] * Lm)
     e, kappa = _ratio_cone_distance(sigma, err_sigma, Lp, Lm)
     f, gamma = _ratio_cone_distance(y, err_y, Lp, mu_Lm)
     return e, f, market.returns[idx].max(axis=1), kappa, gamma
@@ -441,7 +429,7 @@ def transition_bound(
     ``nodes`` are non-root node indices and ``p``, ``p_bar`` their ``(n, m)``
     prices and next-date conditional expectations; ``bar_abs`` is the same
     conditional sum over the absolute child prices (see
-    :func:`_transition_terms`).  With sigma = p / R and d = R a - b,
+    :func:`_transition_bound_terms`).  With sigma = p / R and d = R a - b,
 
         p_bar . b - p . a = -sigma . d - (sigma - p_bar) . b.
 
@@ -456,7 +444,7 @@ def transition_bound(
     and C. Jansson (SIAM J. Optim. 14(3), 2004).
 
     e and f come from :func:`_ratio_cone_distance` on the rows and error
-    bounds of :func:`_transition_terms`, with mu Lm rounded down, and the
+    bounds of :func:`_transition_bound_terms`, with mu Lm rounded down, and the
     final product and sum round outward.  So the bound holds in exact
     arithmetic over the stored floats, with mu Lm taken exactly or rounded
     as the lift rounds it.  A row whose e and f are both 0 reads 0.0, since
@@ -590,7 +578,7 @@ def dual_cone_residual(
     return section_values(market, P, nodes).min(axis=1)
 
 
-# --- interior machinery: completion, Slater path, dominating path ---------------
+# --- paths: completion, Slater, strategy and dominating paths ------------------
 
 def feasible_completion(
     market: MarketData,
@@ -684,6 +672,36 @@ def slater_path(tree: ScenarioTree, market: MarketData) -> SlaterPath:
                 f"interior path lost strict self-financing slack at date {t}"
             )
     return SlaterPath(values=values, radii=radii, psi_slack=psi_slack)
+
+
+def buy_and_hold_path(
+    tree: ScenarioTree, market: MarketData, start: np.ndarray
+) -> list[AdaptedVector]:
+    """Hold the initial positions; values compound by the nodewise returns."""
+    path = [AdaptedVector(0, np.asarray(start, float)[None, :])]
+    for t in range(1, tree.horizon + 1):
+        held = path[t - 1].values[tree.up(t)]
+        path.append(AdaptedVector(t, market.returns[tree.span(t)] * held))
+    return path
+
+
+def fixed_fraction_path(
+    tree: ScenarioTree,
+    market: MarketData,
+    start: np.ndarray,
+    weights: np.ndarray,
+    fill: float = 1.0,
+) -> list[AdaptedVector]:
+    """Rebalance to fixed weights each date, spending the whole frontier."""
+    weights = np.asarray(weights, dtype=float)
+    path = [AdaptedVector(0, np.asarray(start, float)[None, :])]
+    for t in range(1, tree.horizon + 1):
+        A = path[t - 1].values[tree.up(t)]
+        c = transition_frontier_batch(
+            market, A, np.tile(weights, (len(A), 1)), tree.indices(t)
+        )
+        path.append(AdaptedVector(t, (fill * c)[:, None] * weights))
+    return path
 
 
 def dominating_path(

@@ -134,10 +134,6 @@ class TerminalObjective:
             raise DimensionMismatch(f"node {node.node_id!r} is not a leaf")
         return self.tree.level_position(node)
 
-    def h_psi(self, leaf: int | str | Node) -> float:
-        """Reported two-sided bound constant at a leaf."""
-        return float(self._h_psi[self._leaf_pos(leaf)])
-
     def _check_member(self, node: Node, a: np.ndarray) -> None:
         if margin_residual(self.market, a[None], [node.index])[0] < -MEMBERSHIP_TOL:
             raise NotInCone(f"portfolio outside the margin cone at {node.node_id!r}")

@@ -45,7 +45,9 @@ keeps the blocks nonsingular in floating point down to the final mu; the
 other rows are condensed, so mid-path most blocks are only their node's 3m
 columns wide.  D scales like the probability of the row's node and the
 Hessian scale like that of a leaf, which is what the threshold compares (see
-:class:`_NewtonSystem`).
+:class:`_NewtonSystem`).  The augmented blocks are quasidefinite (Vanderbei,
+SIAM J. Optim. 5(1), 1995), so no regularization is added: a block that is
+singular anyway ends the solve unconverged, with the reason in its warning.
 
 A solve owns its workspace; problems are immutable and may be solved
 concurrently.
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleStart
-from .market_model import MarketData, margin_residual, transition_frontier_batch
+from .market_model import MarketData, fixed_fraction_path, margin_residual
 from .objectives import TerminalObjective, log_objective
 from .scenario_tree import AdaptedVector, ScenarioTree
 
@@ -260,20 +262,11 @@ class AssembledProgram:
     leaf_x: np.ndarray        # (n_leaves, m) x columns of each leaf
     leaf_w: np.ndarray        # (n_lifted, m) w columns of each lifted leaf
     row_owner: np.ndarray     # node index owning each constraint row
-    col_owner: np.ndarray     # node index owning each variable column
     leaf_prob: np.ndarray
 
     @property
     def m(self) -> int:
         return self.problem.market.m
-
-    @property
-    def n_state_vectors(self) -> int:
-        return self.problem.tree.n_nodes
-
-    @property
-    def n_edge_blocks(self) -> int:
-        return self.problem.tree.n_nodes - 1
 
     def A_dot(self, z: np.ndarray) -> np.ndarray:
         """A z, for a (n_vars,) vector or a (n_vars, k) stack."""
@@ -373,17 +366,6 @@ def _entry_product(
     return np.bincount(out_idx, vals * x[in_idx], n)
 
 
-def _block_entries(
-    rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, pattern: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value of the ``pattern`` entries of stacked blocks."""
-    return (
-        np.broadcast_to(rows[:, :, None], blocks.shape)[:, pattern].ravel(),
-        np.broadcast_to(cols[:, None, :], blocks.shape)[:, pattern].ravel(),
-        blocks[:, pattern].ravel(),
-    )
-
-
 def assemble(problem: PathProblem) -> AssembledProgram:
     """Build the lifted deterministic-equivalent program, one level at a time."""
     tree = problem.tree
@@ -441,36 +423,26 @@ def assemble(problem: PathProblem) -> AssembledProgram:
             loc=w_loc, par=w_par, up=form.lifted,
         ))
 
-    # A from the same blocks: every structural entry of a node block (the
-    # pattern of generic coefficients), and the two diagonals of a leaf's w rows
-    ones = np.ones((1, m))
-    generic = _node_blocks(ones, ones, ones, np.array([0.5]))  # Lp - mu Lm != 0
-    pat_loc, pat_par = (blk[0] != 0.0 for blk in generic)
-    row = row_base[idx, None] + np.arange(block)
-    col_loc = x_off[idx, None] + np.arange(3 * m)
-    col_par = x_off[tree.parents[idx], None] + np.arange(m)
-    deep = tree.depth[idx] > 1
-    parts = [
-        _block_entries(row, col_loc, loc, pat_loc),
-        _block_entries(row[deep], col_par[deep], par[deep], pat_par),
-    ]
-    if n_lifted:
-        w_rows = n_node_rows + np.arange(n_lifted * 2 * m).reshape(n_lifted, 2 * m)
-        diagonals = np.tile(np.eye(m, dtype=bool), (2, 1))
-        parts += [
-            _block_entries(w_rows, leaf_w, w_loc, diagonals),
-            _block_entries(w_rows, leaf_x[form.lifted], w_par, diagonals),
-        ]
+    # A from the same blocks.  Every coefficient of the lift is nonzero
+    # (Lp > 0, R > 0, mu Lm > Lp, and c1, c2, d of a w row are cost
+    # multipliers or +-1), so A's entries are the blocks' nonzeros.
+    parts = []
+    for t, lev in enumerate(levels):
+        _, nr, nc = lev.loc.shape
+        k, r, c = np.nonzero(lev.loc)
+        parts.append((lev.rows.start + k * nr + r, lev.cols.start + k * nc + c,
+                      lev.loc[k, r, c]))
+        if lev.par is not None:
+            prev = levels[t - 1]
+            k, r, c = np.nonzero(lev.par)
+            col = prev.cols.start + lev.up[k] * prev.loc.shape[2] + c
+            parts.append((lev.rows.start + k * nr + r, col, lev.par[k, r, c]))
     rows, cols, vals = (np.concatenate([p[k] for p in parts]) for k in range(3))
     order = np.lexsort((cols, rows))
 
     row_owner = np.zeros(n_cons, dtype=int)
-    col_owner = np.zeros(n_vars, dtype=int)
     row_owner[:n_node_rows] = np.repeat(idx, block)
-    col_owner[:n_node_vars] = np.repeat(idx, 3 * m)
-    lifted_index = nodes[leaves][form.lifted]
-    row_owner[n_node_rows:] = np.repeat(lifted_index, 2 * m)
-    col_owner[n_node_vars:] = np.repeat(lifted_index, m)
+    row_owner[n_node_rows:] = np.repeat(nodes[leaves][form.lifted], 2 * m)
     return AssembledProgram(
         problem=problem,
         n_vars=n_vars,
@@ -487,7 +459,6 @@ def assemble(problem: PathProblem) -> AssembledProgram:
         leaf_x=leaf_x,
         leaf_w=leaf_w,
         row_owner=row_owner,
-        col_owner=col_owner,
         leaf_prob=tree.prob[leaves],
     )
 
@@ -497,33 +468,28 @@ def assemble(problem: PathProblem) -> AssembledProgram:
 def _interior_start(prog: AssembledProgram) -> np.ndarray:
     """Strictly feasible start along an all-ones interior path from x0.
 
-    Follows the interior-witness recursion: each child state is the all-ones
-    direction scaled to half the self-financing frontier of its parent state,
-    which keeps every margin and cash slack strictly positive; auxiliary
-    variables get padding of a tenth of their block's state scale, capped at
-    0.4 of the slack it eats into, so every row stays strictly positive.
-    Raises InfeasibleStart when the start is not strictly interior anyway.
+    Follows the interior-witness recursion, the fixed-fraction path with
+    all-ones weights and fill 0.5: each child state is the all-ones direction
+    scaled to half the self-financing frontier of its parent state, which
+    keeps every margin and cash slack strictly positive; auxiliary variables
+    get padding of a tenth of their block's state scale, capped at 0.4 of the
+    slack it eats into, so every row stays strictly positive.  Raises
+    InfeasibleStart at a node with no strictly positive transition, or when
+    the start is not strictly interior anyway.
     """
     problem = prog.problem
     tree, market = problem.tree, problem.market
     form = problem.objective.form
     m = market.m
-    ones = np.ones(m)
 
-    states = np.zeros((tree.n_nodes, m))  # one per node index
-    states[0] = problem.x0
-    for t in range(1, tree.horizon + 1):
-        lev = tree.indices(t)
-        c_star = transition_frontier_batch(
-            market, states[tree.parents[lev]], np.tile(ones, (len(lev), 1)), lev
+    path = fixed_fraction_path(tree, market, problem.x0, np.ones(m), fill=0.5)
+    states = np.concatenate([av.values for av in path])  # one per node index
+    stuck = np.flatnonzero(states[1:, 0] <= 0.0)
+    if stuck.size:
+        raise InfeasibleStart(
+            f"no strictly positive transition from node "
+            f"{tree.nodes[tree.parents[stuck[0] + 1]].node_id!r}"
         )
-        stuck = np.flatnonzero(c_star <= 0.0)
-        if stuck.size:
-            raise InfeasibleStart(
-                f"no strictly positive transition from node "
-                f"{tree.nodes[tree.parents[lev[stuck[0]]]].node_id!r}"
-            )
-        states[lev] = (0.5 * c_star)[:, None] * ones
 
     # Per non-root node: its state x, its parent's state a, and the slacks
     # of its margin and cash rows at that state.
@@ -567,18 +533,20 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
 class _NewtonSystem:
     """The Newton matrix of one iterate as stacked level blocks, and its solves.
 
-    The system is (W + A^T D A + ridge I) dz = r_d - A^T (r_c / g), with
-    D = lam / g.  Near the end of the path the active rows' D grows like
-    1 / mu and swamps everything else in their block, which then turns
-    singular in floating point.  Such a row keeps its multiplier step as an
-    unknown y, in the augmented quasidefinite form (Vanderbei, SIAM J. Optim.
-    5(1), 1995), scaled by h = gscale^2 (``hscale``) so that every entry
-    scales like the Hessian:
+    The system is (W + A^T D A) dz = r_d - A^T (r_c / g), with D = lam / g.
+    Near the end of the path the active rows' D grows like 1 / mu and swamps
+    everything else in their block, which then turns singular in floating
+    point.  Such a row keeps its multiplier step as an unknown y, in the
+    augmented quasidefinite form (Vanderbei, SIAM J. Optim. 5(1), 1995),
+    scaled by h = gscale^2 (``hscale``) so that every entry scales like the
+    Hessian:
 
         [ H     h a^T    ] [ dz ]   [ r_d - sum_cond a r_c / g ]
         [ h a  -h^2 / D  ] [ y  ] = [ -h r_c / lam             ]
 
-    with H = W + ridge I + the other rows' a^T D a, and dlam = -h y.
+    with H = W + the other rows' a^T D a, and dlam = -h y.  Where H is
+    positive definite the matrix is quasidefinite, so it factors stably in
+    any symmetric order, and no regularization is added.
 
     A row is augmented when D > AUGMENT h / max P(leaf).  On the central path
     D = mu P(node) / g^2 scales like the probability of the row's node.  The
@@ -590,9 +558,9 @@ class _NewtonSystem:
     With AUGMENT = 1e4 the condensed rows raise a block's condition number
     by about 1e4 at most, 4 of its 16 digits.  The margin matters: from 1e6
     on, the largest trees take more Newton iterations, and at 1e8 blocks
-    holding such rows need ridge retries and a 3,280-node tree takes 72 or
-    more iterations against 52.  Scaling x0 by 2^k scales D, h and W by 4^-k
-    exactly, so the flags, and the solve, repeat bit for bit.
+    holding such rows turn singular in floating point and a 3,280-node tree
+    takes 72 or more iterations against 52.  Scaling x0 by 2^k scales D, h
+    and W by 4^-k exactly, so the flags, and the solve, repeat bit for bit.
 
     The rows of a node read only its own columns and its parent's x, so K is
     block-tree structured.  A level's blocks are stacked: each holds the
@@ -601,8 +569,8 @@ class _NewtonSystem:
     slots).  Leaves to root, one batched LU solve per level gives
     K^-1 [B | r], and ``np.add.at`` folds the Schur complements
     C - B^T K^-1 B into the parents' x-x blocks; substitution runs root to
-    leaves.  A singular block raises FloatingPointError, and the caller
-    retries with a ridge.
+    leaves.  A singular block raises FloatingPointError, which ends the
+    solve unconverged.
     """
 
     def __init__(
@@ -612,11 +580,10 @@ class _NewtonSystem:
         lam: np.ndarray,
         g: np.ndarray,
         hscale: float,
-        ridge: float,
         state: LeafState | None = None,
     ) -> None:
         self.prog, self.lam, self.g = prog, lam, g
-        self.hscale, self.ridge = hscale, ridge
+        self.hscale = hscale
         m = prog.m
         levels = prog.levels
         D = lam / g
@@ -654,11 +621,10 @@ class _NewtonSystem:
                 K[:, :nc, :nc] = Kc
                 K[:, nc:, :nc] = E
                 K[:, :nc, nc:] = E.transpose(0, 2, 1)
+                j = nc + np.arange(ns)
+                K[:, j, j] = self.slot_diag[slot]
                 if B is not None:
                     B = np.concatenate([B, lev.par[node, order] * bsl], axis=1)
-            diag = K.reshape(n, -1)[:, ::nc + ns + 1]
-            diag[:, :nc] += ridge
-            diag[:, nc:] = self.slot_diag[slot]
             if t == leaf_level:
                 K[:, :m, :m] += xx
             if lifted and t == len(levels) - 1:
@@ -704,7 +670,9 @@ class _NewtonSystem:
                     np.add.at(self.Ks[t - 1][:, :m, :m], up, self.Cs[t] - BtS[:, :, :m])
                 np.add.at(rs[t - 1][:, :m], up, -BtS[:, :, -k:])
         except np.linalg.LinAlgError as exc:
-            raise FloatingPointError(f"newton block: {exc}") from None
+            raise FloatingPointError(
+                f"singular Newton block at level {t}: {exc}"
+            ) from None
         dz = np.empty((prog.n_vars, k))
         y = np.zeros((prog.n_cons, k))
         for t, (lev, slot) in enumerate(zip(levels, self.slots)):
@@ -731,7 +699,7 @@ class _NewtonSystem:
             Wdz[prog.leaf_x[form.lifted]] += (xw @ wl)[:, :, 0]
             xt = xw.transpose(0, 2, 1)
             Wdz[prog.leaf_w] = (ww @ wl + xt @ xl[form.lifted])[:, :, 0]
-        Kp = Wdz + self.ridge * dz + prog.A_T_dot(self.Dc * Adz + self.bs * y)
+        Kp = Wdz + prog.A_T_dot(self.Dc * Adz + self.bs * y)
         Kq = self.bs * Adz + self.slot_diag * y
         ddz, dy = self.solve((rp - Kp)[:, None], (rq - Kq)[:, None])
         dz = dz + ddz[:, 0]
@@ -765,7 +733,6 @@ def _newton_step(
     r_d: np.ndarray,
     r_c: np.ndarray,
     hscale: float,
-    ridge: float = 0.0,
     state: LeafState | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton direction (dz, dlam, A dz) for the residuals (r_d, r_c).
@@ -773,7 +740,7 @@ def _newton_step(
     One elimination over the blocks of :class:`_NewtonSystem`, then one
     refinement pass against the full system.
     """
-    system = _NewtonSystem(prog, z, lam, g, hscale, ridge, state)
+    system = _NewtonSystem(prog, z, lam, g, hscale, state)
     rp, rq = system.rhs(r_d, r_c)
     dz, y = system.solve(rp[:, None], rq[:, None])
     dz, y = system.refine(dz[:, 0], y[:, 0], prog.A_dot(dz[:, 0]), rp, rq)
@@ -790,7 +757,6 @@ def _predictor_corrector(
     w: np.ndarray,
     mu_floor: float,
     hscale: float,
-    ridge: float = 0.0,
     state: LeafState | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
     """Mehrotra's predictor-corrector direction on the weighted central path.
@@ -805,7 +771,7 @@ def _predictor_corrector(
     r_c = lam g - mu w + dlam_aff dg_aff, so the corrector costs no third
     solve.  Returns dz, dlam, A dz, mu and that r_c.
     """
-    system = _NewtonSystem(prog, z, lam, g, hscale, ridge, state)
+    system = _NewtonSystem(prog, z, lam, g, hscale, state)
     lg = lam * g
     rp_aff, rq_aff = system.rhs(r_d, lg)
     rp_cen, rq_cen = system.rhs(np.zeros(prog.n_vars), -w)
@@ -838,11 +804,12 @@ def solve_log_optimal(
     Newton steps before mu moves, and the final one to c = 0.01, so the
     returned iterate sits on the central path (the certificate's prices, and
     the split along flat faces of the optimal set, are read off that center).
-    Both kinds of step share the fraction-to-boundary safeguard, the Armijo
-    (1e-4, 0.5) backtracking line search on the weighted KKT residual norm
-    and the ridge retry for a singular Newton block.  ``tol`` sets the final
-    mu and the convergence test, nothing else.  Only a centered final stage
-    within tol counts as converged; ``outer_iterations`` and
+    Both kinds of step share the fraction-to-boundary safeguard and the
+    Armijo (1e-4, 0.5) backtracking line search on the weighted KKT residual
+    norm.  A singular Newton block, or a line search that finds no step, ends
+    the solve unconverged, and the warning says which.  ``tol`` sets the
+    final mu and the convergence test, nothing else.  Only a centered final
+    stage within tol counts as converged; ``outer_iterations`` and
     ``objective_trace`` count the centered stages.
     """
     options = options or SolveOptions()
@@ -905,45 +872,40 @@ def solve_log_optimal(
             stop = stop or f"max_iter={options.max_iter} reached"
             break
 
-        # The undamped direction; a singular Newton block retries with the
-        # next proximal damping, logged.  A predictor-corrector step picks its
-        # mu with its direction.
-        step = None
-        for ridge_scale in (0.0, 1e-4, 1e-1):
-            hscale, ridge = gscale * gscale, ridge_scale * gscale * gscale
-            try:
-                if predictor:
-                    dz, dlam, Adz, mu_step, _ = _predictor_corrector(
-                        prog, z, lam, g, r_d, w, handover, hscale, ridge, state
-                    )
-                else:
-                    dz, dlam, Adz = _newton_step(
-                        prog, z, lam, g, r_d, r_c, hscale, ridge, state
-                    )
-                    mu_step = mu
-            except FloatingPointError as exc:
-                log.debug("newton step failed at mu=%.3e ridge=%.1e: %s",
-                          mu, ridge_scale, exc)
-                continue
-
-            phi0 = merit(r_d, lam * g - mu_step * w, gscale)
-            alpha = _max_step(g, Adz, lam, dlam, max(0.995, 1.0 - 1e4 * mu_step))
-            for _ in range(40):
-                z_try = z + alpha * dz
-                lam_try = lam + alpha * dlam
-                if np.all(np.isfinite(z_try)):
-                    state2 = prog._leaf_state(z_try)
-                    g2 = prog.g(z_try)
-                    if np.all(state2[3] > 0.0) and g2.min() > 0.0:
-                        gf2 = prog.grad_f(z_try, state2)
-                        r_d2 = gf2 + prog.A_T_dot(lam_try)
-                        r_c2 = lam_try * g2 - mu_step * w
-                        if merit(r_d2, r_c2, gscale) <= (1.0 - 1e-4 * alpha) * phi0:
-                            step = (z_try, lam_try, g2, state2, gf2, r_d2, mu_step)
-                            break
-                alpha *= 0.5
-            break
+        # A predictor-corrector step picks its mu with its direction.
         iters += 1
+        hscale = gscale * gscale
+        try:
+            if predictor:
+                dz, dlam, Adz, mu_step, _ = _predictor_corrector(
+                    prog, z, lam, g, r_d, w, handover, hscale, state=state
+                )
+            else:
+                dz, dlam, Adz = _newton_step(
+                    prog, z, lam, g, r_d, r_c, hscale, state=state
+                )
+                mu_step = mu
+        except FloatingPointError as exc:
+            stop = str(exc)
+            break
+
+        step = None
+        phi0 = merit(r_d, lam * g - mu_step * w, gscale)
+        alpha = _max_step(g, Adz, lam, dlam, max(0.995, 1.0 - 1e4 * mu_step))
+        for _ in range(40):
+            z_try = z + alpha * dz
+            lam_try = lam + alpha * dlam
+            if np.all(np.isfinite(z_try)):
+                state2 = prog._leaf_state(z_try)
+                g2 = prog.g(z_try)
+                if np.all(state2[3] > 0.0) and g2.min() > 0.0:
+                    gf2 = prog.grad_f(z_try, state2)
+                    r_d2 = gf2 + prog.A_T_dot(lam_try)
+                    r_c2 = lam_try * g2 - mu_step * w
+                    if merit(r_d2, r_c2, gscale) <= (1.0 - 1e-4 * alpha) * phi0:
+                        step = (z_try, lam_try, g2, state2, gf2, r_d2, mu_step)
+                        break
+            alpha *= 0.5
         if step is None:
             log.debug("line search stalled at mu=%.3e iter=%d", mu, iters)
             stop = "line search stalled"
@@ -979,9 +941,6 @@ class KktReport:
     """Independent recomputation of the optimality residuals."""
 
     residuals: KktResiduals
-    worst_primal: tuple[str, float]
-    worst_stationarity: tuple[str, float]
-    worst_complementarity: tuple[str, float]
     path_consistent: bool
 
     def within(self, tol: float) -> bool:
@@ -1002,20 +961,11 @@ def _kkt_report(solution: Solution, prog: AssembledProgram) -> KktReport:
 
     g = prog.g(z)
     r_d = prog.grad_f(z) + prog.A_T_dot(lam)
-    tree = prog.problem.tree
-
-    def worst(values: np.ndarray, owner: np.ndarray) -> tuple[str, float]:
-        k = int(np.argmax(values))
-        return tree.nodes[owner[k]].node_id, float(values[k])
-
     path_ok = all(
         np.allclose(av.values, stored.values, rtol=0.0, atol=1e-12)
         for av, stored in zip(prog.path_values(z), solution.path, strict=True)
     )
     return KktReport(
         residuals=KktResiduals.of(g, r_d, lam),
-        worst_primal=worst(np.maximum(-g, 0.0), prog.row_owner),
-        worst_stationarity=worst(np.abs(r_d), prog.col_owner),
-        worst_complementarity=worst(np.maximum(lam * g, 0.0), prog.row_owner),
         path_consistent=path_ok,
     )

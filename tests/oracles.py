@@ -175,11 +175,10 @@ def dense_constraint_matrix(problem) -> np.ndarray:
     return A
 
 
-def dense_newton_matrix(prog, z, lam, g, ridge: float = 0.0) -> np.ndarray:
-    """K = W + A^T diag(lam / g) A + ridge I, dense, A from the node-by-node oracle."""
+def dense_newton_matrix(prog, z, lam, g) -> np.ndarray:
+    """K = W + A^T diag(lam / g) A, dense, A from the node-by-node oracle."""
     A = dense_constraint_matrix(prog.problem)
-    return (dense_neg_hess(prog, z) + A.T @ (A * (lam / g)[:, None])
-            + ridge * np.eye(prog.n_vars))
+    return dense_neg_hess(prog, z) + A.T @ (A * (lam / g)[:, None])
 
 
 def frontier_bisection(market, A, D, nodes):

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import vng
+import vng.cli_io as cli
 from conftest import make_instance, regular_problem, two_asset_margin_market
 from oracles import (
     central_difference_gradient,
@@ -35,8 +36,7 @@ from vng.solver import (
 class TestAssemble:
     def test_single_asset_two_leaf_counts(self, single_asset):
         prog = assemble(single_asset)
-        assert prog.n_state_vectors == 3  # root + 2 leaves
-        assert prog.n_edge_blocks == 2
+        assert single_asset.tree.n_nodes == 3  # root + 2 leaves
         # x, v, d per non-root node; liquidation objective adds w per leaf
         assert prog.n_vars == 2 * 3 * 1 + 2 * 1
 
@@ -57,8 +57,9 @@ class TestAssemble:
             objective=vng.LinearObjective(tree, market), x0=np.array([1.0]),
         )
         prog = assemble(problem)
-        assert prog.n_state_vectors == 4
-        assert prog.n_edge_blocks == 3
+        assert tree.n_nodes == 4
+        # x, v, s per non-root node; 4m + 2 rows each, no lifted leaf
+        assert (prog.n_vars, prog.n_cons) == (3 * 3 * 1, 3 * (4 * 1 + 2))
 
     def test_binary_depth_three_counts(self):
         raw = [("n0", None, 1.0)]
@@ -87,7 +88,8 @@ class TestAssemble:
             tree=tree, market=market,
             objective=vng.LinearObjective(tree, market), x0=np.array([1.0]),
         )
-        assert assemble(problem).n_state_vectors == 15
+        assert tree.n_nodes == 15
+        assert assemble(problem).n_vars == 14 * 3 * 1
 
     def test_interior_start_is_strictly_feasible(self, kelly):
         prog = assemble(kelly)
@@ -204,34 +206,40 @@ class TestSolveProperties:
         assert not solution.converged
         assert solution.iterations <= 3
 
-    def test_singular_block_retries_with_ridge(self, kelly, monkeypatch, caplog):
-        """A singular Newton block is logged and its step retried with a ridge."""
-        base = vng.solve_log_optimal(kelly)
-        lu, factored = np.linalg.solve, []
+    def test_singular_block_ends_the_solve(
+        self, kelly, monkeypatch, caplog, capsys, tmp_path
+    ):
+        """A singular Newton block stops the solve unconverged, and says so.
+
+        There is no regularized retry: the first step fails, the warning names
+        the singular block, ``vng solve`` exits 4, and no "line search
+        stalled" message is logged (the benchmark counts those).
+        """
+        lu, failed = np.linalg.solve, []
 
         def singular_once(*args):
-            if not factored:
-                factored.append(True)
+            if not failed:
+                failed.append(True)
                 raise np.linalg.LinAlgError("Singular matrix")
             return lu(*args)
 
-        ridges, elimination = [], _NewtonSystem.solve
-
-        def solve(self, rp, rq):
-            ridges.append(self.ridge)
-            return elimination(self, rp, rq)
-
         monkeypatch.setattr(np.linalg, "solve", singular_once)
-        monkeypatch.setattr(_NewtonSystem, "solve", solve)
         with caplog.at_level(logging.DEBUG, logger="vng.solver"):
             solution = vng.solve_log_optimal(kelly)
-        failed = [r for r in caplog.records if r.msg.startswith("newton step failed")]
-        assert len(failed) == 1 and failed[0].args[1] == 0.0
-        assert ridges[0] == 0.0 and ridges[1] > 0.0  # the same step, damped
-        assert solution.converged
-        assert solution.objective_value == pytest.approx(base.objective_value, abs=1e-9)
-        dual = vng.extract_dual(solution, kelly)
-        assert vng.verify_rapid(solution.path, dual, kelly.tree, kelly.market).certified
+            assert not solution.converged and solution.iterations == 1
+            warned = [r.getMessage() for r in caplog.records
+                      if r.levelno == logging.WARNING]
+            assert len(warned) == 1 and "singular Newton block" in warned[0]
+
+            failed.clear()
+            out = str(tmp_path / "kelly.solution.json")
+            code = cli.main(["solve", os.path.join(FIXTURES, "kelly.json"),
+                             "--out", out])
+        assert code == cli.EXIT_NONCONVERGENCE == 4
+        printed = capsys.readouterr()
+        assert "converged=False" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert not any("line search stalled" in r.getMessage() for r in caplog.records)
 
     def test_iteration_cap_flagged_even_with_small_residuals(self, kelly):
         needed = vng.solve_log_optimal(kelly).iterations
@@ -300,7 +308,7 @@ NEWTON_POINTS = {
 
 
 def _newton_residuals(
-    problem, point: str, ridge_scale: float = 0.0, mehrotra: bool = False
+    problem, point: str, mehrotra: bool = False
 ) -> tuple[float, float]:
     """Relative residual and backward error of the block direction.
 
@@ -327,16 +335,16 @@ def _newton_residuals(
     gf = prog.grad_f(z)
     r_d = gf + A.T @ lam
     gscale = float(np.abs(gf).max())
-    ridge = ridge_scale * gscale**2
+    state = prog._leaf_state(z)
     if mehrotra:
         mu_floor = HANDOVER * 1e-2 * vng.SolveOptions().tol
         dz, _, _, mu, r_c = _predictor_corrector(
-            prog, z, lam, g, r_d, w, mu_floor, gscale**2, ridge
+            prog, z, lam, g, r_d, w, mu_floor, gscale**2, state=state
         )
         assert mu_floor <= mu <= float(lam @ g) / w.sum()
         # the corrector term is the affine direction's dlam * A dz
         aff_dz, aff_dlam, aff_Adz = _newton_step(
-            prog, z, lam, g, r_d, lam * g, gscale**2, ridge
+            prog, z, lam, g, r_d, lam * g, gscale**2, state=state
         )
         term = aff_dlam * aff_Adz
         assert np.abs(r_c - (lam * g - mu * w) - term).max() <= (
@@ -344,8 +352,8 @@ def _newton_residuals(
         )
     else:
         r_c = lam * g - mu * w
-        dz = _newton_step(prog, z, lam, g, r_d, r_c, gscale**2, ridge)[0]
-    K = dense_newton_matrix(prog, z, lam, g, ridge)
+        dz = _newton_step(prog, z, lam, g, r_d, r_c, gscale**2, state=state)[0]
+    K = dense_newton_matrix(prog, z, lam, g)
     rhs = r_d - A.T @ (r_c / g)
     resid, scale = np.abs(K @ dz - rhs).max(), np.abs(rhs).max()
     return resid / scale, resid / (np.abs(K).sum(axis=1).max() * np.abs(dz).max() + scale)
@@ -413,12 +421,12 @@ class TestBlockNewtonStep:
         assert _newton_residuals(make(), "final")[1] <= 1e-15
 
     @pytest.mark.parametrize("point", ["start", "mu1e-4"])
-    def test_mixed_lifted_leaves_with_ridge(self, point):
+    def test_mixed_lifted_leaves(self, point):
         problem = _l1_alternating_problem()
         lifted = problem.objective.form.lifted
         assert problem.market.m == 1
         assert 0 < len(lifted) < len(problem.tree.leaves())
-        assert _newton_residuals(problem, point, ridge_scale=1e-4)[0] <= 1e-11
+        assert _newton_residuals(problem, point)[0] <= 1e-11
 
     def test_large_tree_converges(self):
         """A deep tree: 3^6 = 1,093 nodes at m = 2, within 75 iterations."""
