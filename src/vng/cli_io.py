@@ -1,8 +1,11 @@
 """Problem/solution/certificate files, the command-line surface, and CSV reports.
 
 Files are JSON with an explicit schema version; floats are serialized with
-full round-trip precision.  Writes are atomic (write to a temporary file in
-the target directory, then rename).  The command set is
+full round-trip precision.  Every per-node table maps node ids to vectors
+and is read by ``_node_rows`` and written by ``_node_map``.  Numbers must
+be finite and fit a double, integer fields must be integral and the solver
+``tol`` positive; anything else is a parse error.  Writes are atomic (write
+to a temporary file in the target directory, then rename).  The command set is
 
     vng validate PROBLEM
     vng solve    PROBLEM [--tol --max-iter --seed --objective --out]
@@ -104,12 +107,19 @@ def _need(section, key: str, where: str, kind: type | None = None):
 
 
 def _number(value, where: str, kind: type = float):
+    """A finite number that fits a double; integral when ``kind`` is int."""
     try:
-        out = kind(value)
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        out = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected a number: {exc}") from exc
     if not np.isfinite(out):
         raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    if kind is int:
+        if not out.is_integer():
+            raise ParseError(f"{where}: expected an integer, got {value!r}")
+        return value if isinstance(value, int) else int(out)
     return out
 
 
@@ -117,7 +127,7 @@ def _array(value, where: str) -> np.ndarray:
     """Finite floats; null entries (which numpy reads as nan) are rejected."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected numbers: {exc}") from exc
     if not np.isfinite(arr).all():
         raise ParseError(f"{where}: expected finite numbers")
@@ -129,6 +139,29 @@ def _vector(value, m: int, where: str) -> np.ndarray:
     if arr.shape != (m,):
         raise ParseError(f"{where}: expected {m} numbers, got shape {arr.shape}")
     return arr
+
+
+def _node_rows(table, nodes, m: int, where: str, scalars: bool = False) -> np.ndarray:
+    """The rows of a ``{node_id: vector}`` table for ``nodes``, in their order.
+
+    Every node needs an entry of m numbers; with ``scalars``, one number
+    stands for m equal ones.
+    """
+    if not isinstance(table, dict):
+        raise ParseError(f"{where}: expected an object, got {type(table).__name__}")
+    rows = np.empty((len(nodes), m))
+    for k, node in enumerate(nodes):
+        if node.node_id not in table:
+            raise ParseError(f"{where}: node {node.node_id!r}: missing entry")
+        at = f"{where}[{node.node_id}]"
+        val = _array(table[node.node_id], at)
+        rows[k] = val.item() if scalars and val.size == 1 else _vector(val, m, at)
+    return rows
+
+
+def _node_map(nodes, rows: np.ndarray) -> dict:
+    """The ``{node_id: vector}`` table of ``rows``, one row per node in order."""
+    return {node.node_id: row for node, row in zip(nodes, rows.tolist(), strict=True)}
 
 
 def _read_json(path: str, what: str):
@@ -143,24 +176,12 @@ def _read_json(path: str, what: str):
 
 def _per_node_table(spec, tree: ScenarioTree, m: int, where: str) -> np.ndarray:
     """Scalar, per-asset vector, or {node_id: scalar|vector} to (n_nodes, m)."""
-    out = np.zeros((tree.n_nodes, m))
     if isinstance(spec, dict):
-        for node in tree.nodes:
-            if node.node_id not in spec:
-                raise ParseError(f"{where}: node {node.node_id!r}: missing entry")
-            val = _array(spec[node.node_id], f"{where}[{node.node_id}]")
-            if val.shape != (m,) and val.size != 1:
-                raise ParseError(f"{where}[{node.node_id}]: expected scalar or {m}-vector")
-            out[node.index] = val if val.shape == (m,) else val.item()
-        return out
+        return _node_rows(spec, tree.nodes, m, where, scalars=True)
     val = _array(spec, where)
-    if val.ndim == 0:
-        out[:] = float(val)
-    elif val.shape == (m,):
-        out[:] = val
-    else:
+    if val.ndim != 0 and val.shape != (m,):
         raise ParseError(f"{where}: expected scalar, {m}-vector or per-node map")
-    return out
+    return np.broadcast_to(val, (tree.n_nodes, m)).copy()
 
 
 def build_objective(
@@ -216,31 +237,16 @@ def parse_problem_dict(doc: dict) -> PathProblem:
             f"market.margins: need one value or {tree.horizon + 1} values"
         )
 
-    non_root = [n for n in tree.nodes if n.parent is not None]
     try:
         if "returns" in market_sec:
             returns = np.full((tree.n_nodes, m), np.nan)
-            table = _need(market_sec, "returns", "market", dict)
-            for node in non_root:
-                if node.node_id not in table:
-                    raise ParseError(
-                        f"market.returns: node {node.node_id!r}: missing entry"
-                    )
-                returns[node.index] = _vector(
-                    table[node.node_id], m, f"market.returns[{node.node_id}]"
-                )
+            returns[1:] = _node_rows(
+                market_sec["returns"], tree.nodes[1:], m, "market.returns"
+            )
         elif "prices" in market_sec:
-            prices = np.zeros((tree.n_nodes, m))
-            table = _need(market_sec, "prices", "market", dict)
-            for node in tree.nodes:
-                if node.node_id not in table:
-                    raise ParseError(
-                        f"market.prices: node {node.node_id!r}: missing entry"
-                    )
-                prices[node.index] = _vector(
-                    table[node.node_id], m, f"market.prices[{node.node_id}]"
-                )
-            returns = returns_from_prices(tree, prices)
+            returns = returns_from_prices(
+                tree, _node_rows(market_sec["prices"], tree.nodes, m, "market.prices")
+            )
         else:
             raise ParseError("market: need either 'returns' or 'prices'")
 
@@ -265,7 +271,7 @@ def parse_problem_dict(doc: dict) -> PathProblem:
         raise
     except InfeasibleStart as exc:
         raise ParseError(f"initial_portfolio: {exc}") from exc
-    except (VngError, ValueError, TypeError) as exc:  # objective options of a wrong type
+    except (VngError, ValueError, TypeError, OverflowError) as exc:  # objective options
         raise ParseError(str(exc)) from exc
 
 
@@ -274,22 +280,26 @@ def load_problem(path: str) -> tuple[PathProblem, bytes, dict]:
     return parse_problem_dict(doc), raw, doc
 
 
-def solve_options_from(doc: dict, args: argparse.Namespace) -> SolveOptions:
-    section = doc.get("solver", {})
+def solve_options_from(section, args=None, where: str = "solver") -> SolveOptions:
+    """Solver options from a file section; command-line flags override it.
+
+    Without ``args`` the section is a solution file's record of the options,
+    which must hold every field.
+    """
     if not isinstance(section, dict):
-        raise ParseError("solver: expected an object")
-
-    def option(name: str, default, kind: type):
-        value = getattr(args, name, None)
+        raise ParseError(f"{where}: expected an object")
+    values = {}
+    for field in dataclasses.fields(SolveOptions):
+        value = getattr(args, field.name, None)
         if value is None:
-            value = section.get(name, default)
-        return _number(value, f"solver.{name}", kind)
-
-    return SolveOptions(
-        tol=option("tol", 1e-8, float),
-        max_iter=option("max_iter", 2000, int),
-        seed=option("seed", 0, int),
-    )
+            value = (_need(section, field.name, where) if args is None
+                     else section.get(field.name, field.default))
+        values[field.name] = _number(
+            value, f"{where}.{field.name}", type(field.default)
+        )
+    if values["tol"] <= 0:
+        raise ParseError(f"{where}.tol: must be positive, got {values['tol']!r}")
+    return SolveOptions(**values)
 
 
 # --- serialization ----------------------------------------------------------------
@@ -311,50 +321,26 @@ def write_json(path: str, doc: dict) -> None:
     _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _options_to_doc(options: SolveOptions) -> dict:
-    """The options section of a solution file; its digest hashes the same map."""
-    return {"tol": options.tol, "max_iter": options.max_iter, "seed": options.seed}
-
-
-def _options_from_doc(opts: dict) -> SolveOptions:
-    return SolveOptions(
-        tol=float(opts["tol"]), max_iter=int(opts["max_iter"]), seed=int(opts["seed"])
-    )
-
-
 def digest_of(problem_bytes: bytes, options: SolveOptions) -> str:
-    opt = json.dumps(_options_to_doc(options), sort_keys=True)
+    opt = json.dumps(dataclasses.asdict(options), sort_keys=True)
     return hashlib.sha256(problem_bytes + b"\x00" + opt.encode()).hexdigest()
-
-
-def _adapted_to_dict(tree: ScenarioTree, av: AdaptedVector) -> dict:
-    level = tree.level(av.storage_depth(tree))
-    return {n.node_id: [float(v) for v in av.values[k]] for k, n in enumerate(level)}
 
 
 def _path_to_dict(tree: ScenarioTree, path: list[AdaptedVector]) -> dict:
     out: dict = {}
     for av in path:
-        out.update(_adapted_to_dict(tree, av))
+        out.update(_node_map(tree.level(av.storage_depth(tree)), av.values))
     return out
 
 
-def _path_from_dict(tree: ScenarioTree, table: dict, m: int) -> list[AdaptedVector]:
-    path = []
-    for t in range(tree.horizon + 1):
-        values = {}
-        for node in tree.level(t):
-            if node.node_id not in table:
-                raise ParseError(f"solution path: missing node {node.node_id!r}")
-            values[node.node_id] = _vector(
-                table[node.node_id], m, f"path[{node.node_id}]"
-            )
-        path.append(AdaptedVector.from_dict(tree, t, values))
-    return path
+def _path_from_dict(tree: ScenarioTree, table, m: int) -> list[AdaptedVector]:
+    return [
+        AdaptedVector(t, _node_rows(table, tree.level(t), m, "path"))
+        for t in range(tree.horizon + 1)
+    ]
 
 
 def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict:
-    r = solution.residuals
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -365,13 +351,8 @@ def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict
         "outer_iterations": solution.outer_iterations,
         "wall_time": solution.wall_time,
         "mu_final": solution.mu_final,
-        "residuals": {
-            "primal": r.primal,
-            "stationarity": r.stationarity,
-            "complementarity": r.complementarity,
-            "duality_gap": r.duality_gap,
-        },
-        "options": _options_to_doc(solution.options),
+        "residuals": dataclasses.asdict(solution.residuals),
+        "options": dataclasses.asdict(solution.options),
         "objective_trace": list(solution.objective_trace),
         "path": _path_to_dict(tree, solution.path),
         "z": [float(v) for v in solution.z],
@@ -380,19 +361,14 @@ def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict
 
 
 def solution_from_doc(doc: dict, problem: PathProblem) -> Solution:
-    tree = problem.tree
-    m = problem.market.m
     res = doc["residuals"]
     return Solution(
-        path=_path_from_dict(tree, doc["path"], m),
+        path=_path_from_dict(problem.tree, doc["path"], problem.market.m),
         objective_value=float(doc["objective_value"]),
         z=_array(doc["z"], "solution.z"),
         multipliers=_array(doc["multipliers"], "solution.multipliers"),
         residuals=KktResiduals(
-            primal=float(res["primal"]),
-            stationarity=float(res["stationarity"]),
-            complementarity=float(res["complementarity"]),
-            duality_gap=float(res["duality_gap"]),
+            **{f.name: float(res[f.name]) for f in dataclasses.fields(KktResiduals)}
         ),
         iterations=int(doc["iterations"]),
         outer_iterations=int(doc["outer_iterations"]),
@@ -400,7 +376,7 @@ def solution_from_doc(doc: dict, problem: PathProblem) -> Solution:
         converged=bool(doc["converged"]),
         objective_trace=[float(v) for v in doc["objective_trace"]],
         mu_final=float(doc["mu_final"]),
-        options=_options_from_doc(doc["options"]),
+        options=solve_options_from(doc["options"], where="solution.options"),
     )
 
 
@@ -429,10 +405,10 @@ def certificate_to_doc(
         "path": _path_to_dict(tree, path),
         "dual": {
             **{
-                str(t): _adapted_to_dict(tree, dual.prices[t])
+                str(t): _node_map(tree.level(t), dual.prices[t].values)
                 for t in sorted(dual.prices)
             },
-            "terminal": _adapted_to_dict(tree, dual.terminal),
+            "terminal": _node_map(tree.leaves(), dual.terminal.values),
         },
     }
     if cert.supermartingale is not None:
@@ -446,21 +422,12 @@ def certificate_to_doc(
 
 
 def dual_from_doc(tree: ScenarioTree, doc: dict, m: int) -> DualPath:
-    prices = {}
-    for t in range(1, tree.horizon + 1):
-        table = doc[str(t)]
-        values = {
-            node.node_id: _vector(table[node.node_id], m, f"dual[{t}]")
-            for node in tree.level(t)
-        }
-        prices[t] = AdaptedVector.from_dict(tree, t, values)
-    table = doc["terminal"]
-    values = {
-        leaf.node_id: _vector(table[leaf.node_id], m, "dual[terminal]")
-        for leaf in tree.leaves()
+    prices = {
+        t: AdaptedVector(t, _node_rows(doc[str(t)], tree.level(t), m, f"dual[{t}]"))
+        for t in range(1, tree.horizon + 1)
     }
-    terminal = AdaptedVector.from_dict(tree, tree.horizon + 1, values)
-    return DualPath(prices=prices, terminal=terminal)
+    terminal = _node_rows(doc["terminal"], tree.leaves(), m, "dual[terminal]")
+    return DualPath(prices=prices, terminal=AdaptedVector(tree.horizon + 1, terminal))
 
 
 # --- commands ---------------------------------------------------------------------
@@ -519,7 +486,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             ),
             x0=problem.x0,
         )
-    options = solve_options_from(doc, args)
+    options = solve_options_from(doc.get("solver", {}), args)
     solution = solve_log_optimal(problem, options)
     digest = digest_of(raw, options)
     out = args.out or _default_out(args.problem, ".solution.json")
@@ -533,10 +500,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _load_solution(args, problem: PathProblem, raw: bytes) -> tuple[Solution, str]:
     _, sdoc = _read_json(args.solution, "solution")
-    try:
-        options = _options_from_doc(sdoc["options"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"solution file: bad options section: {exc}") from exc
+    options = solve_options_from(
+        _need(sdoc, "options", "solution"), where="solution.options"
+    )
     digest = digest_of(raw, options)
     if sdoc.get("digest") != digest:
         raise DigestMismatch(
@@ -544,7 +510,7 @@ def _load_solution(args, problem: PathProblem, raw: bytes) -> tuple[Solution, st
         )
     try:
         return solution_from_doc(sdoc, problem), digest
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"solution file: bad or missing field: {exc!r}") from exc
 
 
@@ -626,7 +592,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not isinstance(strategies, list):
         raise ParseError(f"strategies {args.strategies}: 'strategies' is not a list")
 
-    options = solve_options_from(doc, args)
+    options = solve_options_from(doc.get("solver", {}), args)
     if args.certificate:
         _, cdoc = _read_json(args.certificate, "certificate")
         if not isinstance(cdoc, dict):
@@ -669,14 +635,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             probs = problem.tree.prob[problem.tree.span(t)]
             cond = probs / probs.sum()
             rows.append(
-                (
-                    sid,
-                    t,
-                    len(level),
-                    float(ratios.max()) if len(ratios) else float("nan"),
-                    float(cond @ ratios) if len(ratios) else float("nan"),
-                    f_val,
-                )
+                (sid, t, len(level), float(ratios.max()), float(cond @ ratios), f_val)
             )
 
     payload_lines = ["strategy_id,t,node_count,max_conditional_growth,mean_growth,F_value"]

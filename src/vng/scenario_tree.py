@@ -294,17 +294,6 @@ class AdaptedVector:
         rows = len(tree.level(min(depth, tree.horizon)))
         return AdaptedVector(depth, np.tile(vec, (rows, 1)))
 
-    @staticmethod
-    def from_dict(
-        tree: ScenarioTree, depth: int, values: dict[str, np.ndarray]
-    ) -> "AdaptedVector":
-        level = tree.level(min(depth, tree.horizon))
-        missing = [n.node_id for n in level if n.node_id not in values]
-        if missing:
-            raise DepthMismatch(f"missing values for nodes {missing}")
-        rows = np.vstack([np.atleast_1d(np.asarray(values[n.node_id], float)) for n in level])
-        return AdaptedVector(depth, rows)
-
 
 def expectation(tree: ScenarioTree, av: AdaptedVector) -> float:
     """E[X] of a scalar adapted field: probability-weighted sum over its depth."""

@@ -451,8 +451,9 @@ EXIT_CODES = {
     cli.EXIT_OK, cli.EXIT_REFUTED, cli.EXIT_PARSE, cli.EXIT_MARGIN,
     cli.EXIT_NONCONVERGENCE, cli.EXIT_DIGEST, cli.EXIT_LP,
 }
-# wrong container types and non-string scalars for any field
-WRONG_VALUES = [None, 7, "x", [], {}, [0.5], {"k": [0.5]}, True]
+# wrong container types, non-string scalars and an integer no double can hold
+BIG = 10**400
+WRONG_VALUES = [None, 7, "x", [], {}, [0.5], {"k": [0.5]}, True, BIG]
 
 
 def json_paths(doc, prefix=()):
@@ -508,6 +509,58 @@ def kelly_outputs(tmp_path_factory):
                str(out / "kelly.solution.json")) == cli.EXIT_OK
     return (json.loads((out / "kelly.solution.json").read_text()),
             json.loads((out / "kelly.certificate.json").read_text()))
+
+
+class TestNumbers:
+    """Numbers out of a field's range are parse errors, never a traceback."""
+
+    @pytest.mark.parametrize("file, path, value", [
+        pytest.param("problem", ("market", "assets"), BIG, id="assets=10**400"),
+        pytest.param("problem", ("market", "margins"), BIG, id="margins=10**400"),
+        pytest.param("problem", ("solver", "max_iter"), BIG, id="max_iter=10**400"),
+        pytest.param("problem", ("solver", "seed"), BIG, id="seed=10**400"),
+        pytest.param("problem", ("objective",), {"variant": "linear", "q": [BIG, 1.0]},
+                     id="objective.q=10**400"),
+        pytest.param("problem", ("market", "assets"), 2.5, id="assets=2.5"),
+        pytest.param("problem", ("solver", "max_iter"), 2.5, id="max_iter=2.5"),
+        pytest.param("problem", ("solver", "seed"), True, id="seed=true"),
+        pytest.param("problem", ("tree", "nodes", 1, "prob"), True, id="prob=true"),
+        pytest.param("problem", ("solver", "tol"), 0, id="tol=0"),
+        pytest.param("problem", ("solver", "tol"), -1e-8, id="tol=-1e-8"),
+        pytest.param("flag", ("--tol",), "0", id="--tol=0"),
+        pytest.param("solution", ("z", 0), BIG, id="solution.z=10**400"),
+        pytest.param("solution", ("path", "up", 0), BIG, id="solution.path=10**400"),
+        pytest.param("solution", ("objective_value",), BIG,
+                     id="solution.objective_value=10**400"),
+        pytest.param("solution", ("options", "tol"), BIG,
+                     id="solution.options.tol=10**400"),
+        pytest.param("certificate", ("dual", "1", "mid", 0), BIG,
+                     id="certificate.dual=10**400"),
+    ])
+    def test_out_of_range_number_exits_parse(
+        self, workdir, kelly_outputs, capsys, file, path, value
+    ):
+        argv = {
+            "problem": ["solve", "bad.problem.json"],
+            "flag": ["solve", "kelly.json", *path, value],
+            "solution": ["certify", "kelly.json", "bad.solution.json"],
+            "certificate": ["compare", "kelly.json", "strategies.json",
+                            "--certificate", "bad.certificate.json"],
+        }[file]
+        if file != "flag":
+            doc = copy.deepcopy({
+                "problem": fixture_doc("kelly.json"),
+                "solution": kelly_outputs[0],
+                "certificate": kelly_outputs[1],
+            }[file])
+            *outer, key = path
+            owner = doc
+            for step in outer:
+                owner = owner[step]
+            owner[key] = value
+            (workdir / f"bad.{file}.json").write_text(json.dumps(doc))
+        assert run(*argv) == cli.EXIT_PARSE
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestExitCodeFuzz:
