@@ -15,7 +15,6 @@ from . import errors
 from .certification import (
     DualPath,
     EquivalenceReport,
-    GrowthEntry,
     RapidityCertificate,
     SupermartingaleReport,
     check_equivalences,

@@ -44,7 +44,7 @@ from .market_model import (
     transition_frontier_batch,
 )
 from .scenario_tree import AdaptedVector, ScenarioTree, conditional_expectation
-from .solver import PathProblem, Solution, _kkt_report, assemble
+from .solver import PathProblem, Solution, _kkt_report, _stored_iterate, assemble
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,18 @@ def extract_dual(
 ) -> DualPath:
     """Dual path from the converged solution's multipliers.
 
-    Refuses non-certified input (re-running the independent residual report)
-    unless ``strict=False``, which extracts anyway so a later verification can
-    refute tampered data with a concrete witness.  For each non-root node the
-    price is the cost-weighted multiplier of its self-financing rows, pushed
-    through the returns and divided by the node probability; the terminal
-    layer is the objective's multiplier-selected supergradient over its
-    value, whose degree-one Euler identity pins p_{N+1} . x_N = 1 exactly.
+    Raises DimensionMismatch when z or the multipliers do not fit the
+    problem.  Refuses non-certified input (re-running the independent
+    residual report) unless ``strict=False``, which extracts anyway so a
+    later verification can refute tampered data with a concrete witness.
+    For each non-root node the price is the cost-weighted multiplier of its
+    self-financing rows, pushed through the returns and divided by the node
+    probability; the terminal layer is the objective's multiplier-selected
+    supergradient over its value, whose degree-one Euler identity pins
+    p_{N+1} . x_N = 1 exactly.
     """
     prog = assemble(problem)
+    _, lam = _stored_iterate(solution, prog)
     if strict:
         report = _kkt_report(solution, prog)
         if not solution.converged or not report.within(solution.options.tol):
@@ -102,7 +105,6 @@ def extract_dual(
             )
     tree, market = problem.tree, problem.market
     N, m = tree.horizon, market.m
-    lam = np.asarray(solution.multipliers, dtype=float)
 
     def edge_price_density(idx: np.ndarray) -> np.ndarray:
         # Combined multiplier of the two min-form rows, weighted by the
@@ -111,12 +113,10 @@ def extract_dual(
         plus = prog.row_base[idx, None] + 2 * m + 1 + np.arange(m)
         return lam[plus] * market.Lp[idx] + lam[plus + m] * market.Lm[idx]
 
-    prices: dict[int, AdaptedVector] = {}
-    for t in range(1, N + 1):
-        idx = tree.indices(t)
-        prices[t] = AdaptedVector(
-            t, market.returns[idx] * edge_price_density(idx) / tree.prob[idx, None]
-        )
+    idx = np.arange(1, tree.n_nodes)
+    rows = market.returns[idx] * edge_price_density(idx) / tree.prob[idx, None]
+    layers = np.split(rows, tree.offsets[2:-1] - 1)  # dates 1..N
+    prices = {t: AdaptedVector(t, v) for t, v in enumerate(layers, start=1)}
 
     # Terminal layer: the objective's supergradient over its value.  At a
     # kink (a terminal coordinate parked exactly at zero) the stationarity
@@ -218,6 +218,22 @@ def _transition_level(
     return values, lp
 
 
+def _layer_residuals(
+    market: MarketData, t: int, p: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dual-cone residual and p . x - 1 per row of price layer t = 1..N+1.
+
+    ``p`` holds the layer's rows and ``x`` the date-(t-1) path layer it
+    prices.  A depth-t row sits in its parent's dual cone and prices its
+    parent's state; at t = N + 1 a leaf row prices the leaf's own.
+    """
+    tree = market.tree
+    cone_nodes = tree.indices(tree.horizon)
+    if t <= tree.horizon:
+        cone_nodes, x = tree.parents[tree.indices(t)], x[tree.up(t)]
+    return dual_cone_residual(market, p, cone_nodes), np.vecdot(p, x) - 1.0
+
+
 def verify_rapid(
     path: list[AdaptedVector],
     dual: DualPath,
@@ -279,15 +295,11 @@ def verify_rapid(
     # (p-X) membership and the supporting normalization p_{t+1} x_t = 1.
     for t in range(1, N + 2):
         p = dual.price(t, N).values
-        if t == N + 1:
-            cone_nodes, x_prev = tree.indices(N), path[N].values
-        else:
-            cone_nodes = tree.parents[tree.indices(t)]
-            x_prev = path[t - 1].values[tree.up(t)]
-        viol = violation(np.maximum(0.0, -dual_cone_residual(market, p, cone_nodes)))
+        member, norm = _layer_residuals(market, t, p, path[t - 1].values)
+        viol = violation(np.maximum(0.0, -member))
         level = tree.level(min(t, N))
         membership.update(zip((f"p_{t}@{n.node_id}" for n in level), viol.tolist()))
-        resid = violation(np.abs(np.vecdot(p, x_prev) - 1.0))
+        resid = violation(np.abs(norm))
         normalization[t - 1] = max(0.0, float(resid.max()))
         note_witness(
             min(t, N), {"dual_cone_membership": viol, "normalization": resid},
@@ -385,40 +397,33 @@ def _supermartingale_checks(
     ]
 
 
-@dataclass(frozen=True)
-class GrowthEntry:
-    t: int
-    node_id: str
-    ratio: float
-
-
 def growth_dominance(
     dual: DualPath,
     y: list[AdaptedVector],
     tree: ScenarioTree,
     on_nonpositive: str = "raise",
-) -> list[GrowthEntry]:
+) -> list[np.ndarray]:
     """Per-period conditional growth-rate table E_t(p_{t+1} y_t / p_t y_{t-1}).
 
-    The denominator must be strictly positive; offending nodes either raise
-    ``NonpositiveDenominator`` or, with ``on_nonpositive='mark'``, produce a
-    nan entry.  For ``y = x`` every entry is 1 up to the certificate residual.
+    Entry t - 1 holds the ratios of the depth-t nodes, in level order.  The
+    denominator must be strictly positive; offending nodes either raise
+    ``NonpositiveDenominator`` or, with ``on_nonpositive='mark'``, read nan.
+    For ``y = x`` every ratio is 1 up to the certificate residual.
     """
     N = tree.horizon
-    entries: list[GrowthEntry] = []
+    table = []
     for t in range(1, N + 1):
-        level = tree.level(t)
         den = np.vecdot(dual.price(t, N).values, y[t - 1].values[tree.up(t)])
         num = np.vecdot(dual.bar(tree, t).values, y[t].values)
         bad = den <= 0.0
         if on_nonpositive == "raise" and bad.any():
             k = int(np.argmax(bad))
+            node = tree.level(t)[k]
             raise NonpositiveDenominator(
-                f"p_{t} . y_{t - 1} = {float(den[k])!r} at node {level[k].node_id!r}"
+                f"p_{t} . y_{t - 1} = {float(den[k])!r} at node {node.node_id!r}"
             )
-        ratio = np.where(bad, np.nan, num / np.where(bad, 1.0, den))
-        entries += [GrowthEntry(t, n.node_id, r) for n, r in zip(level, ratio.tolist())]
-    return entries
+        table.append(np.where(bad, np.nan, num / np.where(bad, 1.0, den)))
+    return table
 
 
 @dataclass(frozen=True)
@@ -493,20 +498,15 @@ def check_equivalences(
     denominator exists are dropped from the ratio forms only.
     """
     rng = np.random.default_rng(seed)
-    N = tree.horizon
     idx, up = tree.indices(t), tree.up(t)
     bar = conditional_expectation(tree, p_next)  # p_next itself at the last date
 
     P = p_t.values
-    norms = [np.vecdot(P, x_prev.values[up])]
-    members = [dual_cone_residual(market, P, tree.parents[idx])]
-    if p_next.depth == N + 1:
-        members.append(dual_cone_residual(market, p_next.values, idx))
-    else:
-        below = tree.indices(t + 1)
-        norms.append(np.vecdot(p_next.values, x_curr.values[tree.up(t + 1)]))
-        members.append(dual_cone_residual(market, p_next.values, tree.parents[below]))
-    pre_norm = max(0.0, float(np.abs(np.concatenate(norms) - 1.0).max()))
+    members, norms = zip(
+        _layer_residuals(market, t, P, x_prev.values),
+        _layer_residuals(market, t + 1, p_next.values, x_curr.values),
+    )
+    pre_norm = max(0.0, float(np.abs(np.concatenate(norms)).max()))
     pre_member = max(0.0, -float(np.concatenate(members).min()))
 
     # (IV): the per-node values, collecting LP witnesses for the sampled forms.
@@ -604,14 +604,14 @@ def sample_competitor_paths(
     rng: np.random.Generator,
     start: np.ndarray,
     count: int,
-    max_fill: float = 0.95,
 ) -> list[list[AdaptedVector]]:
     """``count`` random feasible paths from ``start``.
 
-    At every node each path picks a random cone direction and scales it
-    inside the self-financing frontier of its own parent state.  Per level,
-    the directions of every path and node come from one draw, the fills from
-    one more, and the frontier from one call, with rows path by path.
+    At every node each path picks a random cone direction and scales it to
+    a random fill in [0, 0.95) of the self-financing frontier of its own
+    parent state.  Per level, the directions of every path and node come
+    from one draw, the fills from one more, and the frontier from one call,
+    with rows path by path.
     """
     start = np.asarray(start, dtype=float)
     m = market.m
@@ -620,7 +620,7 @@ def sample_competitor_paths(
         idx = tree.indices(t)
         nodes = np.tile(idx, count)
         D = sample_cone_batch(market, nodes, rng)
-        fill = rng.uniform(0.0, max_fill, len(nodes))
+        fill = rng.uniform(0.0, 0.95, len(nodes))
         c_max = transition_frontier_batch(
             market, levels[t - 1][:, tree.up(t)].reshape(-1, m), D, nodes
         )

@@ -3,9 +3,10 @@
 Files are JSON with an explicit schema version; floats are serialized with
 full round-trip precision.  Every per-node table maps node ids to vectors
 and is read by ``_node_rows`` and written by ``_node_map``.  Numbers must
-be finite and fit a double, integer fields must be integral and the solver
-``tol`` positive; anything else is a parse error.  Writes are atomic (write
-to a temporary file in the target directory, then rename).  The command set is
+be finite and fit a double (a boolean or a string is no number), integer
+fields must be integral and the solver ``tol`` positive; anything else is a
+parse error.  Writes are atomic (write to a temporary file in the target
+directory, then rename).  The command set is
 
     vng validate PROBLEM
     vng solve    PROBLEM [--tol --max-iter --seed --objective --out]
@@ -50,7 +51,6 @@ from .errors import (
     LPFailure,
     MarginTooTight,
     NonConvergence,
-    NotCertified,
     ParseError,
     VngError,
 )
@@ -89,6 +89,14 @@ EXIT_DIGEST = 5
 EXIT_LP = 6
 EXIT_LIBRARY = 7
 
+ERROR_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (MarginTooTight, EXIT_MARGIN),
+    (NonConvergence, EXIT_NONCONVERGENCE),
+    (DigestMismatch, EXIT_DIGEST),
+    (LPFailure, EXIT_LP),
+)
+
 
 # --- parsing helpers -------------------------------------------------------------
 
@@ -109,8 +117,8 @@ def _need(section, key: str, where: str, kind: type | None = None):
 def _number(value, where: str, kind: type = float):
     """A finite number that fits a double; integral when ``kind`` is int."""
     try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a number")
+        if isinstance(value, (bool, str)):
+            raise TypeError("booleans and strings are not numbers")
         out = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected a number: {exc}") from exc
@@ -124,9 +132,13 @@ def _number(value, where: str, kind: type = float):
 
 
 def _array(value, where: str) -> np.ndarray:
-    """Finite floats; null entries (which numpy reads as nan) are rejected."""
+    """Finite floats; nulls (which numpy reads as nan), booleans and strings
+    anywhere are rejected."""
     try:
         arr = np.asarray(value, dtype=float)
+        leaves = np.asarray(value, dtype=object).reshape(-1)  # as parsed
+        if any(isinstance(v, (bool, str)) for v in leaves):
+            raise TypeError("booleans and strings are not numbers")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected numbers: {exc}") from exc
     if not np.isfinite(arr).all():
@@ -170,7 +182,9 @@ def _read_json(path: str, what: str):
         with open(path, "rb") as fh:
             raw = fh.read()
         return raw, json.loads(raw.decode("utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSON and UTF-8 errors, RecursionError a nesting
+        # deeper than the decoder follows
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -522,10 +536,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     try:
-        dual = extract_dual(solution, problem)
-    except NotCertified:
-        # A tampered file can carry stale residuals; verify the stored data
-        # anyway so the refutation names a witness.
+        # Verification decides the verdict, so a tampered file with stale
+        # residuals is still refuted with a witness.
         dual = extract_dual(solution, problem, strict=False)
     except DimensionMismatch as exc:  # z or multipliers of the wrong length
         raise ParseError(f"solution file: {exc}") from exc
@@ -627,15 +639,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for spec in strategies:
         sid = str(_need(spec, "id", "strategy"))
         y = _strategy_path(spec, problem, rapid)
-        entries = growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
+        table = growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
         f_val = log_objective(problem.tree, problem.objective, y[-1])
-        for t in range(1, problem.tree.horizon + 1):
-            level = [e for e in entries if e.t == t]
-            ratios = np.array([e.ratio for e in level])
+        for t, ratios in enumerate(table, start=1):
             probs = problem.tree.prob[problem.tree.span(t)]
             cond = probs / probs.sum()
             rows.append(
-                (sid, t, len(level), float(ratios.max()), float(cond @ ratios), f_val)
+                (sid, t, len(ratios), float(ratios.max()), float(cond @ ratios), f_val)
             )
 
     payload_lines = ["strategy_id,t,node_count,max_conditional_growth,mean_growth,F_value"]
@@ -715,22 +725,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MarginTooTight as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MARGIN
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except DigestMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIGEST
-    except LPFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LP
     except (VngError, FloatingPointError) as exc:
+        for kind, code in ERROR_EXIT_CODES:
+            if isinstance(exc, kind):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_LIBRARY
 

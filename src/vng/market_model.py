@@ -31,7 +31,8 @@ fail: the LP then decides the node and builds the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,14 +50,6 @@ from .scenario_tree import AdaptedVector, Node, ScenarioTree
 MEMBERSHIP_TOL = 1e-9
 
 
-def _pos(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def _neg(x: np.ndarray) -> np.ndarray:
-    return np.maximum(-x, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class MarketData:
     """Per-node returns and cost rates plus per-date margins, tied to a tree.
@@ -69,9 +62,8 @@ class MarketData:
     m: int
     returns: np.ndarray      # (n_nodes, m); row of root is nan
     lam_plus: np.ndarray     # (n_nodes, m), in [0, 1)
-    lam_minus: np.ndarray    # (n_nodes, m), >= 0
-    margins: np.ndarray      # (N + 1,), each > 1
-    _cache: dict = field(default_factory=dict, repr=False)
+    lam_minus: np.ndarray    # (n_nodes, m), finite and >= 0
+    margins: np.ndarray      # (N + 1,), each finite and > 1
 
     def __post_init__(self) -> None:
         n = self.tree.n_nodes
@@ -89,53 +81,51 @@ class MarketData:
             )
         object.__setattr__(self, "margins", margins)
 
-        if np.any(self.lam_plus < 0) or np.any(self.lam_plus >= 1):
+        # Written so that a nan fails every test.
+        if not np.all((self.lam_plus >= 0) & (self.lam_plus < 1)):
             raise ValueError("selling cost rates must lie in [0, 1)")
-        if np.any(self.lam_minus < 0):
-            raise ValueError("buying cost rates must be nonnegative")
-        if np.any(self.returns[self.tree.parents >= 0] <= 0):
-            raise NonpositivePrice("gross returns must be strictly positive")
-        bad = [t for t, mu in enumerate(margins) if not mu > 1.0]
+        if not np.all((self.lam_minus >= 0) & (self.lam_minus < np.inf)):
+            raise ValueError("buying cost rates must be finite and nonnegative")
+        R = self.returns[self.tree.parents >= 0]
+        if not np.all((R > 0) & (R < np.inf)):
+            raise NonpositivePrice("gross returns must be finite and strictly positive")
+        bad = [t for t, mu in enumerate(margins) if not 1.0 < mu < np.inf]
         if bad:
-            raise MarginTooTight(f"margins must exceed 1, offending dates {bad}")
+            raise MarginTooTight(
+                f"margins must be finite and exceed 1, offending dates {bad}"
+            )
 
     # Cost multipliers: Lp = 1 - lam_plus <= 1 <= Lm = 1 + lam_minus.
-    @property
+    @cached_property
     def Lp(self) -> np.ndarray:
-        if "Lp" not in self._cache:
-            self._cache["Lp"] = 1.0 - self.lam_plus
-        return self._cache["Lp"]
+        return 1.0 - self.lam_plus
 
-    @property
+    @cached_property
     def Lm(self) -> np.ndarray:
-        if "Lm" not in self._cache:
-            self._cache["Lm"] = 1.0 + self.lam_minus
-        return self._cache["Lm"]
+        return 1.0 + self.lam_minus
 
     def bounds(self) -> dict[str, np.ndarray]:
         """Observed (B1) bounds per date: R_lo, R_hi (t>=1), L_lo, L_hi."""
-        if "bounds" not in self._cache:
-            N = self.tree.horizon
-            R_lo = np.full(N + 1, np.nan)
-            R_hi = np.full(N + 1, np.nan)
-            L_lo = np.zeros(N + 1)
-            L_hi = np.zeros(N + 1)
-            for t in range(N + 1):
-                idx = self.tree.span(t)
-                L_lo[t] = self.Lp[idx].min()
-                L_hi[t] = self.Lm[idx].max()
-                if t >= 1:
-                    R_lo[t] = self.returns[idx].min()
-                    R_hi[t] = self.returns[idx].max()
-            self._cache["bounds"] = {
-                "R_lo": R_lo, "R_hi": R_hi, "L_lo": L_lo, "L_hi": L_hi,
-            }
-        return self._cache["bounds"]
+        return self._bounds
+
+    @cached_property
+    def _bounds(self) -> dict[str, np.ndarray]:
+        starts = self.tree.offsets[:-1]
+        R_lo = np.minimum.reduceat(self.returns.min(axis=1), starts)
+        R_hi = np.maximum.reduceat(self.returns.max(axis=1), starts)
+        R_lo[0] = R_hi[0] = np.nan
+        return {
+            "R_lo": R_lo, "R_hi": R_hi,
+            "L_lo": np.minimum.reduceat(self.Lp.min(axis=1), starts),
+            "L_hi": np.maximum.reduceat(self.Lm.max(axis=1), starts),
+        }
 
     def constants(self) -> "MarketConstants":
-        if "constants" not in self._cache:
-            self._cache["constants"] = market_constants(self)
-        return self._cache["constants"]
+        return self._constants
+
+    @cached_property
+    def _constants(self) -> "MarketConstants":
+        return market_constants(self)
 
     def _rows(self, nodes, *arrays) -> tuple[np.ndarray, ...]:
         """Node indices and ``(n, m)`` float arrays, one row per index."""
@@ -179,7 +169,8 @@ def margin_residual(market: MarketData, A: np.ndarray, nodes: np.ndarray) -> np.
     """
     idx, A = market._rows(nodes, A)
     mu = market.margins[market.tree.depth[idx]]
-    return np.vecdot(market.Lp[idx], _pos(A)) - mu * np.vecdot(market.Lm[idx], _neg(A))
+    longs, shorts = np.maximum(A, 0.0), np.maximum(-A, 0.0)
+    return np.vecdot(market.Lp[idx], longs) - mu * np.vecdot(market.Lm[idx], shorts)
 
 
 def _psi_rows(Lp: np.ndarray, Lm: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -491,17 +482,18 @@ def section_values(market: MarketData, P: np.ndarray, nodes: np.ndarray) -> np.n
     return (verts @ P[:, :, None])[:, :, 0]
 
 
-def _min_over_ideal_section(
-    mu: float, m: int, weight_pos: float, weight_neg: float
-) -> float:
+def _min_over_ideal_section(mu, m: int, weight_pos, weight_neg):
     """Minimum of w+ |a+| - w- |a-| over the unit section of {mu |a-| <= |a+|}.
 
-    Exact: the function is linear on each orthant, so the minimum sits at a
-    section vertex.
+    Exact, and elementwise over arrays: the function is linear on each
+    orthant, so the minimum sits at a section vertex.  The axis vertices read
+    w+; for m >= 2 the one-long, one-short vertices read w+ mu / (1 + mu) -
+    w- / (1 + mu), rounded as :func:`section_vertices` rounds them.
     """
-    verts = section_vertices(np.ones((1, m)), np.full((1, m), mu))[0]
-    vals = weight_pos * _pos(verts).sum(axis=1) - weight_neg * _neg(verts).sum(axis=1)
-    return float(vals.min())
+    if m == 1:
+        return weight_pos
+    pair = weight_pos * (mu / (1.0 + mu)) - weight_neg * (1.0 / (1.0 + mu))
+    return np.minimum(weight_pos, pair)
 
 
 @dataclass(frozen=True)
@@ -524,45 +516,31 @@ class MarketConstants:
 def market_constants(market: MarketData) -> MarketConstants:
     """nu_t, C1_t, C2_t, K_t, H_t from the observed (B1) bounds.
 
-    C1 and Q are section minima, computed exactly over the section vertices.
-    Raises MarginTooTight when (B2) fails at some date.  At the final date the
-    forward-looking term of nu is absent and only the cost-ratio term remains.
+    C1 and Q are section minima, in closed form.  Raises MarginTooTight when
+    (B2) fails at some date.  At the final date the forward-looking term of
+    nu is absent and only the cost-ratio term remains.
     """
-    N = market.tree.horizon
     b = market.bounds()
+    mu = market.margins
+    ratio_here = b["L_hi"] / b["L_lo"]
+    ratio_next = (b["L_hi"] * b["R_hi"]) / (b["L_lo"] * b["R_lo"])  # nan at t = 0
+    nu = np.maximum(np.append(ratio_next[1:], -np.inf), ratio_here)
 
-    nu = np.zeros(N + 1)
-    for t in range(N + 1):
-        ratio_here = b["L_hi"][t] / b["L_lo"][t]
-        if t < N:
-            ratio_next = (b["L_hi"][t + 1] * b["R_hi"][t + 1]) / (
-                b["L_lo"][t + 1] * b["R_lo"][t + 1]
-            )
-            nu[t] = max(ratio_next, ratio_here)
-        else:
-            nu[t] = ratio_here
-
-    bad = [t for t in range(N + 1) if market.margins[t] <= nu[t]]
-    if bad:
-        detail = ", ".join(
-            f"t={t}: mu={market.margins[t]:.6g} <= nu={nu[t]:.6g}" for t in bad
-        )
+    bad = np.flatnonzero(mu <= nu)
+    if bad.size:
+        detail = ", ".join(f"t={t}: mu={mu[t]:.6g} <= nu={nu[t]:.6g}" for t in bad)
         raise MarginTooTight(f"(B2) fails: {detail}")
 
-    C1 = np.zeros(N + 1)
-    Q = np.zeros(N + 1)
-    for t in range(N + 1):
-        mu = float(market.margins[t])
-        C1[t] = _min_over_ideal_section(mu, market.m, 1.0, nu[t])
-        Q[t] = _min_over_ideal_section(mu, market.m, 1.0, 1.0)
+    ones = np.ones_like(mu)
+    C1 = _min_over_ideal_section(mu, market.m, ones, nu)
+    Q = _min_over_ideal_section(mu, market.m, ones, ones)
     if np.any(C1 <= 0) or np.any(Q <= 0):
         raise MarginTooTight("section minimum is not strictly positive")
 
-    C2 = np.full(N + 1, np.nan)
-    K = np.full(N + 1, np.nan)
-    for t in range(1, N + 1):
-        C2[t] = C1[t - 1] * b["L_lo"][t] * b["R_lo"][t] / (2.0 * b["L_hi"][t])
-        K[t] = 2.0 * b["L_hi"][t] * b["R_hi"][t] / (C1[t] * b["L_lo"][t])
+    # R_lo and R_hi are nan at t = 0, and so are C2 and K.
+    C1_before = np.append(np.nan, C1[:-1])
+    C2 = C1_before * b["L_lo"] * b["R_lo"] / (2.0 * b["L_hi"])
+    K = 2.0 * b["L_hi"] * b["R_hi"] / (C1 * b["L_lo"])
     return MarketConstants(nu=nu, C1=C1, C2=C2, K=K, H=1.0 / Q, Q=Q)
 
 
@@ -636,42 +614,31 @@ def slater_path(tree: ScenarioTree, market: MarketData) -> SlaterPath:
     interiority radius, then completes to a path; H = m bounds |(1, ..., 1)|.
     Raises MarginTooTight when (B2) fails.
     """
-    constants = market.constants()
+    C2 = market.constants().C2
     m = market.m
     N = tree.horizon
-    e = np.ones(m)
-
-    v_scale = [1.0]
-    delta = [_ones_radius(market, 0, 1.0)]
-    lam = [np.nan]
-    for t in range(1, N + 1):
-        lam_t = delta[t - 1] / (2.0 * m)
-        v_t = lam_t * constants.C2[t] / 2.0
-        lam.append(lam_t)
-        v_scale.append(v_t)
-        delta.append(_ones_radius(market, t, v_t))
 
     y_scale = [1.0]
+    delta = _ones_radius(market, 0, 1.0)
     for t in range(1, N + 1):
-        g = y_scale[t - 1] - lam[t]
-        h = (constants.C2[t] / 2.0) * g
-        y_scale.append(v_scale[t] + h)
+        lam = delta / (2.0 * m)
+        v = lam * C2[t] / 2.0
+        delta = _ones_radius(market, t, v)
+        y_scale.append(v + (C2[t] / 2.0) * (y_scale[t - 1] - lam))
 
-    values = [y_scale[t] * e for t in range(N + 1)]
-    radii = [_ones_radius(market, t, y_scale[t]) for t in range(N + 1)]
-    psi_slack = [np.inf]
-    for t in range(1, N + 1):
-        lev = tree.indices(t)
-        slack = float(self_financing_value(
-            market, np.tile(values[t - 1], (len(lev), 1)),
-            np.tile(values[t], (len(lev), 1)), lev,
-        ).min())
-        psi_slack.append(slack)
-        if slack <= 0:
-            raise MarginTooTight(
-                f"interior path lost strict self-financing slack at date {t}"
-            )
-    return SlaterPath(values=values, radii=radii, psi_slack=psi_slack)
+    values = [y * np.ones(m) for y in y_scale]
+    radii = [_ones_radius(market, t, y) for t, y in enumerate(y_scale)]
+    # Every transition in one call: node k moves values[t - 1] into values[t].
+    nodes = np.arange(1, tree.n_nodes)
+    stacked, depth = np.array(values), tree.depth[nodes]
+    psi = self_financing_value(market, stacked[depth - 1], stacked[depth], nodes)
+    slack = np.minimum.reduceat(psi, tree.offsets[1:-1] - 1)
+    if np.any(slack <= 0):
+        raise MarginTooTight(
+            "interior path lost strict self-financing slack at date "
+            f"{np.argmax(slack <= 0) + 1}"
+        )
+    return SlaterPath(values=values, radii=radii, psi_slack=[np.inf, *slack.tolist()])
 
 
 def buy_and_hold_path(
@@ -845,18 +812,17 @@ def sample_transition_pairs(
     market: MarketData,
     nodes: np.ndarray,
     rng: np.random.Generator,
-    max_fill: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One random (a, b) in each listed node's transition cone, as ``(n, m)`` rows.
 
     Draws the parent-cone points, then the cone directions, then the fills
-    in [0, max_fill), one call each, and scales every direction to its
+    in [0, 1), one call each, and scales every direction to its
     frontier in one call.
     """
     (idx,) = market._rows(nodes)
     market._non_root(idx)
     A = sample_cone_batch(market, market.tree.parents[idx], rng)
     D = sample_cone_batch(market, idx, rng)
-    fill = rng.uniform(0.0, max_fill, len(idx))
+    fill = rng.uniform(0.0, 1.0, len(idx))
     c_max = transition_frontier_batch(market, A, D, idx)
     return A, (fill * c_max)[:, None] * D

@@ -124,7 +124,6 @@ class TerminalObjective:
         self.tree = tree
         self.market = market
         self.m = market.m
-        self._h_psi = np.ones(len(tree.leaves()))
 
     # -- public surface --------------------------------------------------------
 

@@ -498,9 +498,7 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     mu = market.margins[tree.depth[idx], None]
     Lp, Lm, R = market.Lp[idx], market.Lm[idx], market.returns[idx]
     x_scale = np.abs(x).sum(axis=1) / m
-    margin_min = np.vecdot(Lp, np.maximum(x, 0.0)) - mu[:, 0] * np.vecdot(
-        Lm, np.maximum(-x, 0.0)
-    )
+    margin_min = margin_residual(market, x, idx)
     den_v = (mu * Lm - Lp).sum(axis=1)
     mins = np.minimum(Lp * (R * a - x), Lm * (R * a - x))
     psi_min = mins.sum(axis=1)
@@ -952,13 +950,20 @@ def kkt_report(solution: Solution, problem: PathProblem) -> KktReport:
     return _kkt_report(solution, assemble(problem))
 
 
-def _kkt_report(solution: Solution, prog: AssembledProgram) -> KktReport:
-    """:func:`kkt_report` against an already assembled program."""
+def _stored_iterate(
+    solution: Solution, prog: AssembledProgram
+) -> tuple[np.ndarray, np.ndarray]:
+    """The solution's z and multipliers, which must fit the program's shapes."""
     z = np.asarray(solution.z, dtype=float)
     lam = np.asarray(solution.multipliers, dtype=float)
     if z.shape != (prog.n_vars,) or lam.shape != (prog.n_cons,):
         raise DimensionMismatch("stored iterate does not match the problem")
+    return z, lam
 
+
+def _kkt_report(solution: Solution, prog: AssembledProgram) -> KktReport:
+    """:func:`kkt_report` against an already assembled program."""
+    z, lam = _stored_iterate(solution, prog)
     g = prog.g(z)
     r_d = prog.grad_f(z) + prog.A_T_dot(lam)
     path_ok = all(

@@ -334,7 +334,30 @@ def lift_contains(lift, vec) -> bool:
     return res.status == 0
 
 
+_EXACT_BOUNDS: dict = {}
+
+
+def _float_bytes(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def exact_transition_bound(market, node, p, bar_terms, kappa, gamma):
+    """:func:`exact_bound_at_node`, memoized by market, node and the bytes of
+    every float argument: the transition tests pose many rows more than once,
+    and the value depends on nothing else, so tests may share it."""
+    key = (
+        market, market.tree.node(node).index, _float_bytes(p),
+        tuple((_float_bytes(w), _float_bytes(v)) for w, v in bar_terms),
+        _float_bytes(kappa), _float_bytes(gamma),
+    )
+    if key not in _EXACT_BOUNDS:
+        _EXACT_BOUNDS[key] = exact_bound_at_node(
+            market, node, p, bar_terms, kappa, gamma
+        )
+    return _EXACT_BOUNDS[key]
+
+
+def exact_bound_at_node(market, node, p, bar_terms, kappa, gamma):
     """(bound, e, f): the transition bound at one node, in exact rational arithmetic.
 
     ``p`` is the node's price and ``bar_terms`` the ``(weight, price)`` pairs
@@ -426,18 +449,19 @@ def growth_table_loop(dual, y, tree):
     return rows
 
 
-def sample_competitor_path(tree, market, rng, start, max_fill=0.95):
+def sample_competitor_path(tree, market, rng, start):
     """One random feasible path from the library's competitor sampler."""
     import vng
 
-    return vng.sample_competitor_paths(tree, market, rng, start, 1, max_fill)[0]
+    return vng.sample_competitor_paths(tree, market, rng, start, 1)[0]
 
 
-def competitor_paths_loop(tree, market, rng, start, count, max_fill=0.95):
+def competitor_paths_loop(tree, market, rng, start, count):
     """The competitor sampler with one frontier call per node.
 
     The draws come as the library takes them: per level, the directions of
-    every path and node in one call (rows path by path), then the fills.
+    every path and node in one call (rows path by path), then the fills in
+    [0, 0.95).
     """
     from vng.market_model import sample_cone_batch, transition_frontier_batch
 
@@ -447,7 +471,7 @@ def competitor_paths_loop(tree, market, rng, start, count, max_fill=0.95):
         shape = (count, len(nodes))
         D = sample_cone_batch(market, np.tile(tree.indices(t), count), rng)
         D = D.reshape(*shape, market.m)
-        fill = rng.uniform(0.0, max_fill, count * len(nodes)).reshape(shape)
+        fill = rng.uniform(0.0, 0.95, count * len(nodes)).reshape(shape)
         rows = np.zeros((count, len(nodes), market.m))
         for pos, node in enumerate(nodes):
             A = levels[t - 1][:, tree.level_position(tree.parent(node)), :]

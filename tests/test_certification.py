@@ -188,25 +188,29 @@ class TestSupermartingale:
 class TestGrowthDominance:
     def test_rapid_path_all_ones(self, pipeline):
         problem, solution, dual, _ = pipeline
-        entries = vng.growth_dominance(dual, solution.path, problem.tree)
-        for entry in entries:
-            assert entry.ratio == pytest.approx(1.0, abs=1e-8)
+        tree = problem.tree
+        table = vng.growth_dominance(dual, solution.path, tree)
+        # one array per date, one ratio per node in level order
+        assert [len(r) for r in table] == [
+            len(tree.level(t)) for t in range(1, tree.horizon + 1)
+        ]
+        for ratio in np.concatenate(table):
+            assert ratio == pytest.approx(1.0, abs=1e-8)
 
     def test_buy_and_hold_dominated_in_kelly(self, kelly):
         solution = vng.solve_log_optimal(kelly)
         dual = vng.extract_dual(solution, kelly)
         y = vng.buy_and_hold_path(kelly.tree, kelly.market, kelly.x0)
-        entries = vng.growth_dominance(dual, y, kelly.tree)
-        ratios = [e.ratio for e in entries]
+        ratios = np.concatenate(vng.growth_dominance(dual, y, kelly.tree))
         # frictionless deflated prices are martingales, so holding the assets
         # earns ratio 1; only wasteful strategies are strictly dominated
         assert all(r <= 1.0 + 1e-8 for r in ratios)
         wasteful = vng.fixed_fraction_path(
             kelly.tree, kelly.market, kelly.x0, np.array([0.5, 0.5]), fill=0.9
         )
-        entries = vng.growth_dominance(dual, wasteful, kelly.tree)
-        assert all(e.ratio <= 1.0 + 1e-8 for e in entries)
-        assert min(e.ratio for e in entries) < 1.0 - 1e-3
+        ratios = np.concatenate(vng.growth_dominance(dual, wasteful, kelly.tree))
+        assert all(r <= 1.0 + 1e-8 for r in ratios)
+        assert min(ratios) < 1.0 - 1e-3
 
     def test_ratio_scale_invariance(self, pipeline):
         problem, solution, dual, _ = pipeline
@@ -215,11 +219,11 @@ class TestGrowthDominance:
         e1 = vng.growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
         y2 = [vng.AdaptedVector(av.depth, 2.0 * av.values) for av in y]
         e2 = vng.growth_dominance(dual, y2, problem.tree, on_nonpositive="mark")
-        for a, b in zip(e1, e2):
-            if np.isnan(a.ratio):
-                assert np.isnan(b.ratio)
+        for a, b in zip(np.concatenate(e1), np.concatenate(e2), strict=True):
+            if np.isnan(a):
+                assert np.isnan(b)
             else:
-                assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
+                assert b == pytest.approx(a, rel=1e-12)
 
     def test_nonpositive_denominator_raises(self, pipeline):
         problem, solution, dual, _ = pipeline
@@ -253,6 +257,15 @@ class TestEquivalences:
         assert report.value_I == pytest.approx(0.0, abs=1e-7)
         assert report.value_II == pytest.approx(0.0, abs=1e-7)
         assert report.value_III == pytest.approx(0.0, abs=1e-7)
+
+    def test_terminal_normalization_counts_at_the_last_date(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        N = problem.tree.horizon
+        bad = scaled_dual(dual, N + 1, 1.5, problem.tree)
+        report = self._report(pipeline, N, dual=bad, n_samples=2, seed=0, tol=1e-7)
+        cert = vng.verify_rapid(solution.path, bad, problem.tree, problem.market)
+        assert report.precondition_normalization == pytest.approx(0.5, abs=1e-8)
+        assert report.precondition_normalization == cert.normalization_by_t[N]
 
     def test_corrupted_dual_detected_consistently(self, pipeline):
         problem, solution, dual, _ = pipeline
@@ -773,8 +786,11 @@ class TestLevelAlgebraMatchesNodeLoops:
                         report.first_form, report.second_form, report.equality_gap
                     ) == supermartingale_loop(d, y, tree)
                     table = vng.growth_dominance(d, y, tree, "mark")
+                    assert [len(r) for r in table] == [
+                        len(tree.level(t)) for t in range(1, tree.horizon + 1)
+                    ]
                     assert np.array_equal(
-                        [e.ratio for e in table],
+                        np.concatenate(table),
                         [r for _, _, r in growth_table_loop(d, y, tree)],
                         equal_nan=True,
                     )

@@ -197,7 +197,9 @@ class TestSolveCertify:
         assert cert["verdict"] == "refuted"
         assert cert["witness"] is not None
 
-    @pytest.mark.parametrize("damage", ["no_residuals", "short_z", "null_multiplier"])
+    @pytest.mark.parametrize(
+        "damage", ["no_residuals", "short_z", "short_multipliers", "null_multiplier"]
+    )
     def test_malformed_solution_is_parse_error(self, workdir, damage):
         run("solve", "kelly.json")
         doc = json.loads((workdir / "kelly.solution.json").read_text())
@@ -205,6 +207,8 @@ class TestSolveCertify:
             del doc["residuals"]
         elif damage == "short_z":
             doc["z"] = doc["z"][:-1]
+        elif damage == "short_multipliers":
+            doc["multipliers"] = doc["multipliers"][:-1]
         else:
             doc["multipliers"][5] = None
         (workdir / "kelly.solution.json").write_text(json.dumps(doc))
@@ -451,9 +455,10 @@ EXIT_CODES = {
     cli.EXIT_OK, cli.EXIT_REFUTED, cli.EXIT_PARSE, cli.EXIT_MARGIN,
     cli.EXIT_NONCONVERGENCE, cli.EXIT_DIGEST, cli.EXIT_LP,
 }
-# wrong container types, non-string scalars and an integer no double can hold
+# wrong container types, non-string scalars, an integer no double can hold,
+# and a boolean or a numeric string inside a vector
 BIG = 10**400
-WRONG_VALUES = [None, 7, "x", [], {}, [0.5], {"k": [0.5]}, True, BIG]
+WRONG_VALUES = [None, 7, "x", [], {}, [0.5], {"k": [0.5]}, True, BIG, [True], ["0.5"]]
 
 
 def json_paths(doc, prefix=()):
@@ -512,7 +517,8 @@ def kelly_outputs(tmp_path_factory):
 
 
 class TestNumbers:
-    """Numbers out of a field's range are parse errors, never a traceback."""
+    """Numbers out of a field's range, booleans and strings are parse errors,
+    never a traceback."""
 
     @pytest.mark.parametrize("file, path, value", [
         pytest.param("problem", ("market", "assets"), BIG, id="assets=10**400"),
@@ -525,10 +531,18 @@ class TestNumbers:
         pytest.param("problem", ("solver", "max_iter"), 2.5, id="max_iter=2.5"),
         pytest.param("problem", ("solver", "seed"), True, id="seed=true"),
         pytest.param("problem", ("tree", "nodes", 1, "prob"), True, id="prob=true"),
+        pytest.param("problem", ("tree", "nodes", 1, "prob"), "1.0", id="prob='1.0'"),
+        pytest.param("problem", ("initial_portfolio",), [True, True],
+                     id="initial_portfolio=[true,true]"),
+        pytest.param("problem", ("market", "returns", "mid"), ["1.0", "1.0"],
+                     id="returns.mid=['1.0','1.0']"),
+        pytest.param("problem", ("market", "lambda_minus"), True,
+                     id="lambda_minus=true"),
         pytest.param("problem", ("solver", "tol"), 0, id="tol=0"),
         pytest.param("problem", ("solver", "tol"), -1e-8, id="tol=-1e-8"),
         pytest.param("flag", ("--tol",), "0", id="--tol=0"),
         pytest.param("solution", ("z", 0), BIG, id="solution.z=10**400"),
+        pytest.param("solution", ("z", 0), True, id="solution.z=true"),
         pytest.param("solution", ("path", "up", 0), BIG, id="solution.path=10**400"),
         pytest.param("solution", ("objective_value",), BIG,
                      id="solution.objective_value=10**400"),
@@ -560,6 +574,17 @@ class TestNumbers:
             owner[key] = value
             (workdir / f"bad.{file}.json").write_text(json.dumps(doc))
         assert run(*argv) == cli.EXIT_PARSE
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [500, 100_000])
+    def test_deeply_nested_value_exits_parse(self, workdir, capsys, depth):
+        doc = fixture_doc("kelly.json")
+        doc["initial_portfolio"] = "NESTED"
+        nested = "[" * depth + "0.5" + "]" * depth
+        (workdir / "bad.problem.json").write_text(
+            json.dumps(doc).replace('"NESTED"', nested)
+        )
+        assert run("solve", "bad.problem.json") == cli.EXIT_PARSE
         assert "Traceback" not in capsys.readouterr().err
 
 

@@ -65,6 +65,30 @@ class TestReturnsFromPrices:
             vng.returns_from_prices(tree, np.array([[100.0], [0.0]]))
 
 
+class TestMarketDataChecks:
+    """A nan or infinite return, cost rate or margin is refused at construction."""
+
+    @pytest.mark.parametrize("name, value, error", [
+        ("returns", np.nan, NonpositivePrice),
+        ("returns", np.inf, NonpositivePrice),
+        ("lam_plus", np.nan, ValueError),
+        ("lam_minus", np.nan, ValueError),
+        ("lam_minus", np.inf, ValueError),
+        ("margins", np.inf, MarginTooTight),
+    ])
+    def test_non_finite_entry_raises(self, name, value, error):
+        tree = vng.build_tree([("r", None, 1.0), ("u", "r", 0.5), ("d", "r", 0.5)], 2)
+        data = {
+            "returns": np.array([[np.nan, np.nan], [1.1, 0.9], [0.9, 1.1]]),
+            "lam_plus": np.zeros((3, 2)),
+            "lam_minus": np.zeros((3, 2)),
+            "margins": np.array([1.5, 1.5]),
+        }
+        data[name].flat[-1] = value  # a non-root node's entry, or the last date's
+        with pytest.raises(error):
+            vng.MarketData(tree=tree, m=2, **data)
+
+
 class TestMarginResidual:
     def test_long_covers_short(self):
         _, market = frictionless_market(2, [[1.0, 1.0]], [1.5, 1.5])
