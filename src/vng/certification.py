@@ -104,14 +104,15 @@ def extract_dual(
                 "solution is not converged to tolerance; no dual path extracted"
             )
     tree, market = problem.tree, problem.market
-    N, m = tree.horizon, market.m
+    N = tree.horizon
+    mult = prog.node_rows(lam)  # node i's multipliers at i - 1, by kind
 
     def edge_price_density(idx: np.ndarray) -> np.ndarray:
         # Combined multiplier of the two min-form rows, weighted by the
         # selling/buying cost coefficients: the x_parent-direction gradient
         # of the edge block divided by the returns.
-        plus = prog.row_base[idx, None] + 2 * m + 1 + np.arange(m)
-        return lam[plus] * market.Lp[idx] + lam[plus + m] * market.Lm[idx]
+        return (mult["plus"][idx - 1] * market.Lp[idx]
+                + mult["minus"][idx - 1] * market.Lm[idx])
 
     idx = np.arange(1, tree.n_nodes)
     rows = market.returns[idx] * edge_price_density(idx) / tree.prob[idx, None]
@@ -124,9 +125,7 @@ def extract_dual(
     # the multipliers, so read it off the same block identities as the
     # interior layers and pin the Euler normalization exactly per leaf.
     idx = tree.indices(N)
-    base = prog.row_base[idx]
-    beta = lam[base[:, None] + m + np.arange(m)]
-    gamma = lam[base + 2 * m, None]
+    beta, gamma = mult["u"][idx - 1], mult["margin"][idx - 1]
     g = (edge_price_density(idx) - beta - gamma * market.Lp[idx]) / tree.prob[idx, None]
     term = g / np.vecdot(g, solution.path[N].values)[:, None]
     return DualPath(prices=prices, terminal=AdaptedVector(N + 1, term))
@@ -410,6 +409,8 @@ def growth_dominance(
     ``NonpositiveDenominator`` or, with ``on_nonpositive='mark'``, read nan.
     For ``y = x`` every ratio is 1 up to the certificate residual.
     """
+    if on_nonpositive not in ("raise", "mark"):
+        raise ValueError(f"on_nonpositive is 'raise' or 'mark', not {on_nonpositive!r}")
     N = tree.horizon
     table = []
     for t in range(1, N + 1):

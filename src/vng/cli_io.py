@@ -375,21 +375,26 @@ def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict
 
 
 def solution_from_doc(doc: dict, problem: PathProblem) -> Solution:
-    res = doc["residuals"]
+    def number(key: str, kind: type = float, section=doc, where="solution"):
+        return _number(_need(section, key, where), f"{where}.{key}", kind)
+
+    res = _need(doc, "residuals", "solution")
     return Solution(
         path=_path_from_dict(problem.tree, doc["path"], problem.market.m),
-        objective_value=float(doc["objective_value"]),
+        objective_value=number("objective_value"),
         z=_array(doc["z"], "solution.z"),
         multipliers=_array(doc["multipliers"], "solution.multipliers"),
-        residuals=KktResiduals(
-            **{f.name: float(res[f.name]) for f in dataclasses.fields(KktResiduals)}
-        ),
-        iterations=int(doc["iterations"]),
-        outer_iterations=int(doc["outer_iterations"]),
-        wall_time=float(doc["wall_time"]),
-        converged=bool(doc["converged"]),
-        objective_trace=[float(v) for v in doc["objective_trace"]],
-        mu_final=float(doc["mu_final"]),
+        residuals=KktResiduals(**{
+            f.name: number(f.name, section=res, where="solution.residuals")
+            for f in dataclasses.fields(KktResiduals)
+        }),
+        iterations=number("iterations", int),
+        outer_iterations=number("outer_iterations", int),
+        wall_time=number("wall_time"),
+        converged=_need(doc, "converged", "solution", bool),
+        objective_trace=list(_array(doc["objective_trace"],
+                                    "solution.objective_trace")),
+        mu_final=number("mu_final"),
         options=solve_options_from(doc["options"], where="solution.options"),
     )
 

@@ -23,17 +23,17 @@ Res. 62, 1996).  The certificate layer divides each node's multipliers by
 P(node), so every node's price then carries an error of order mu, and a final
 mu of 1e-2 * tol serves every tree.  Centering and merit measure r_c / P.
 
-Down to 100 times that final mu, each iteration is a Mehrotra
-predictor-corrector step (S. Mehrotra, SIAM J. Optim. 2(4), 1992): the
-affine and centering directions come out of one factorization, the step
-picks its own mu from how far the affine direction can go, and the
-second-order corrector rides on the refinement pass, so a step costs the
-same two elimination passes as a plain Newton step.  The last stretch is
-followed by centered stages, mu <- 0.2 mu, each centered before mu moves:
-the certificate and the split along flat faces of the optimal set (the
-homogeneity check scales x0 and compares that split) are read off the
-central path, and a predictor-corrector run all the way down leaves the
-iterate off center by more than they tolerate.
+One routine computes every direction in two elimination passes: the first
+factors the blocks, the second refines against the full system.  Down to
+100 times that final mu, each iteration is a Mehrotra predictor-corrector
+step (S. Mehrotra, SIAM J. Optim. 2(4), 1992): the affine and centering
+directions share the first pass, the step picks its own mu from how far the
+affine direction can go, and the second-order corrector rides on the
+refinement pass.  Centered stages at a fixed mu follow, mu <- 0.2 mu, each
+centered before mu moves: the certificate and the split along flat faces of
+the optimal set (the homogeneity check scales x0 and compares that split)
+are read off the central path, and a predictor-corrector run all the way
+down leaves the iterate off center by more than they tolerate.
 
 Each Newton system is solved on the scenario tree's block structure: the
 rows of a node read only its own columns and its parent's state, so the
@@ -203,29 +203,39 @@ class Level:
     up: np.ndarray | None     # (n,) parent block within the previous level
 
 
+def _row_kinds(m: int) -> dict[str, np.ndarray]:
+    """Offsets of each kind of row in a node block, in block order: v >= 0,
+    u = x + v >= 0, margin >= 0, plus: Lp (R x_par - x) - s >= 0, minus:
+    Lm (R x_par - x) - s >= 0 and cash: sum(s) >= 0; m rows of each kind
+    but margin and cash, which are one row each."""
+    sizes = {"v": m, "u": m, "margin": 1, "plus": m, "minus": m, "cash": 1}
+    ends = np.cumsum(list(sizes.values()))
+    return {k: np.arange(end - n, end) for (k, n), end in zip(sizes.items(), ends)}
+
+
 def _node_blocks(
     Lp: np.ndarray, Lm: np.ndarray, R: np.ndarray, mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient blocks of the node rows: (k, 4m + 2, 3m) and (k, 4m + 2, m).
 
-    Columns x, v, s of the node, then x of its parent; rows v >= 0,
-    u = x + v >= 0, margin >= 0, Lp (R x_par - x) - s >= 0,
-    Lm (R x_par - x) - s >= 0 and sum(s) >= 0.
+    Rows by :func:`_row_kinds`; columns x, v, s of the node, then x of its
+    parent.
     """
     k, m = Lp.shape
-    j = np.arange(m)
-    loc = np.zeros((k, 4 * m + 2, 3 * m))
-    par = np.zeros((k, 4 * m + 2, m))
-    loc[:, j, m + j] = 1.0
-    loc[:, m + j, j] = 1.0
-    loc[:, m + j, m + j] = 1.0
-    loc[:, 2 * m, :m] = Lp
-    loc[:, 2 * m, m:2 * m] = Lp - mu[:, None] * Lm
-    for first, L in ((2 * m + 1, Lp), (3 * m + 1, Lm)):
-        loc[:, first + j, j] = -L
-        loc[:, first + j, 2 * m + j] = -1.0
-        par[:, first + j, j] = L * R
-    loc[:, 4 * m + 1, 2 * m:] = 1.0
+    rows = _row_kinds(m)
+    n_rows = sum(map(len, rows.values()))
+    x, v, s = np.arange(3 * m).reshape(3, m)  # x is also the parent's x in par
+    loc = np.zeros((k, n_rows, 3 * m))
+    par = np.zeros((k, n_rows, m))
+    loc[:, rows["v"], v] = 1.0
+    loc[:, rows["u"], x] = loc[:, rows["u"], v] = 1.0
+    loc[:, rows["margin"], x] = Lp
+    loc[:, rows["margin"], v] = Lp - mu[:, None] * Lm
+    for kind, L in (("plus", Lp), ("minus", Lm)):
+        loc[:, rows[kind], x] = -L
+        loc[:, rows[kind], s] = -1.0
+        par[:, rows[kind], x] = L * R
+    loc[:, rows["cash"], s] = 1.0
     return loc, par
 
 
@@ -234,10 +244,10 @@ class AssembledProgram:
     """Lifted deterministic equivalent with index maps for the dual layer.
 
     Per non-root node the variables are the state x, the margin split v
-    (u = x + v), and the min-form cash scalars s; the rows are v >= 0,
-    u >= 0, margin >= 0, Lp(R x_par - x) - s >= 0, Lm(R x_par - x) - s >= 0,
-    and sum(s) >= 0.  Lifted objective leaves append auxiliary scalars w with
-    two coordinatewise rows each (see :class:`~vng.objectives.LeafForm`).
+    (u = x + v) and the min-form cash scalars s (:meth:`node_columns`); its
+    rows are the kinds of :func:`_row_kinds` (:meth:`node_rows`).  Lifted
+    objective leaves append auxiliary scalars w with two coordinatewise rows
+    each (see :class:`~vng.objectives.LeafForm`).
 
     The constraints are g(z) = A z + b >= 0.  ``levels`` holds A as stacked
     dense blocks, for the Newton elimination; ``A_rows``, ``A_cols`` and
@@ -253,12 +263,6 @@ class AssembledProgram:
     A_vals: np.ndarray
     b: np.ndarray
     levels: list[Level]
-    # Per node index (the root's entries are unused): column offsets of the
-    # x, v and s blocks, and the first row of the node's constraint block.
-    x_off: np.ndarray
-    v_off: np.ndarray
-    s_off: np.ndarray
-    row_base: np.ndarray
     leaf_x: np.ndarray        # (n_leaves, m) x columns of each leaf
     leaf_w: np.ndarray        # (n_lifted, m) w columns of each lifted leaf
     row_owner: np.ndarray     # node index owning each constraint row
@@ -279,13 +283,22 @@ class AssembledProgram:
     def g(self, z: np.ndarray) -> np.ndarray:
         return self.A_dot(z) + self.b
 
+    def node_columns(self, z: np.ndarray) -> np.ndarray:
+        """Views of z's x, v and s columns, each (n_nodes - 1, m), node i at i - 1."""
+        n = self.problem.tree.n_nodes - 1
+        return z[:n * 3 * self.m].reshape(n, 3, self.m).transpose(1, 0, 2)
+
+    def node_rows(self, y: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of y's node rows by kind (:func:`_row_kinds`), node i at i - 1."""
+        n, nr = self.problem.tree.n_nodes - 1, self.levels[0].loc.shape[1]
+        block = y[:n * nr].reshape(n, nr)
+        return {k: block[:, r[0]:r[-1] + 1] for k, r in _row_kinds(self.m).items()}
+
     def path_values(self, z: np.ndarray) -> list[AdaptedVector]:
-        tree = self.problem.tree
-        out = [AdaptedVector(0, self.problem.x0[None, :].copy())]
-        for t in range(1, tree.horizon + 1):
-            cols = self.x_off[tree.span(t), None] + np.arange(self.m)
-            out.append(AdaptedVector(t, z[cols]))
-        return out
+        x = self.node_columns(z)[0].copy()
+        layers = np.split(x, self.problem.tree.offsets[2:-1] - 1)  # dates 1..N
+        return [AdaptedVector(t, v)
+                for t, v in enumerate([self.problem.x0[None, :].copy(), *layers])]
 
     # -- objective: f(z) = sum_l P_l ln sigma_l ---------------------------------
     # Leaf inner products use np.vecdot on the stacked (n_leaves, m) arrays: it
@@ -373,42 +386,36 @@ def assemble(problem: PathProblem) -> AssembledProgram:
     form = problem.objective.form
     m = market.m
     N = tree.horizon
-    leaves = tree.span(N)
+    leaves = tree.indices(N)
     n_lifted = len(form.lifted)
-    nodes = np.arange(tree.n_nodes)
 
-    # node i >= 1 owns columns x, v, s at (i - 1) 3m and block rows at (i - 1) block
-    block = 4 * m + 2
-    x_off = (nodes - 1) * 3 * m
-    row_base = (nodes - 1) * block
-    n_node_vars = (tree.n_nodes - 1) * 3 * m
+    idx = np.arange(1, tree.n_nodes)
+    loc, par = _node_blocks(
+        market.Lp[idx], market.Lm[idx], market.returns[idx],
+        market.margins[tree.depth[idx]],
+    )
+    # node i >= 1 owns block i - 1 of the node columns and of the node rows
+    _, block, width = loc.shape
+    n_node_vars = (tree.n_nodes - 1) * width
     n_node_rows = (tree.n_nodes - 1) * block
-    leaf_x = x_off[leaves, None] + np.arange(m)
+    leaf_x = np.arange(n_node_vars).reshape(-1, 3, m)[leaves - 1, 0]
     leaf_w = n_node_vars + np.arange(n_lifted * m).reshape(n_lifted, m)
     n_vars = n_node_vars + n_lifted * m
     # per lifted leaf: m rows c1 * x + d * w >= 0, then m rows c2 * x + d * w >= 0
     n_cons = n_node_rows + n_lifted * 2 * m
 
-    idx = nodes[1:]
-    loc, par = _node_blocks(
-        market.Lp[idx], market.Lm[idx], market.returns[idx],
-        market.margins[tree.depth[idx]],
-    )
-    # the root's state is the constant x0: its terms move into b
     b = np.zeros(n_cons)
-    first = tree.indices(1)
-    plus = row_base[first, None] + 2 * m + 1 + np.arange(m)
-    b[plus] = market.Lp[first] * market.returns[first] * problem.x0
-    b[plus + m] = market.Lm[first] * market.returns[first] * problem.x0
-
     levels = []
     for t in range(1, N + 1):
-        lo, hi = tree.span(t).start, tree.span(t).stop
+        lo, hi = tree.span(t).start - 1, tree.span(t).stop - 1
+        rows = slice(lo * block, hi * block)
+        if t == 1:  # the root's state is the constant x0: its coupling moves into b
+            b[rows] = (par[lo:hi] @ problem.x0).ravel()
         levels.append(Level(
-            rows=slice((lo - 1) * block, (hi - 1) * block),
-            cols=slice((lo - 1) * 3 * m, (hi - 1) * 3 * m),
-            loc=loc[lo - 1:hi - 1],
-            par=None if t == 1 else par[lo - 1:hi - 1],
+            rows=rows,
+            cols=slice(lo * width, hi * width),
+            loc=loc[lo:hi],
+            par=None if t == 1 else par[lo:hi],
             up=None if t == 1 else tree.up(t),
         ))
     if n_lifted:
@@ -442,7 +449,7 @@ def assemble(problem: PathProblem) -> AssembledProgram:
 
     row_owner = np.zeros(n_cons, dtype=int)
     row_owner[:n_node_rows] = np.repeat(idx, block)
-    row_owner[n_node_rows:] = np.repeat(nodes[leaves][form.lifted], 2 * m)
+    row_owner[n_node_rows:] = np.repeat(leaves[form.lifted], 2 * m)
     return AssembledProgram(
         problem=problem,
         n_vars=n_vars,
@@ -452,10 +459,6 @@ def assemble(problem: PathProblem) -> AssembledProgram:
         A_vals=vals[order],
         b=b,
         levels=levels,
-        x_off=x_off,
-        v_off=x_off + m,
-        s_off=x_off + 2 * m,
-        row_base=row_base,
         leaf_x=leaf_x,
         leaf_w=leaf_w,
         row_owner=row_owner,
@@ -502,14 +505,13 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     den_v = (mu * Lm - Lp).sum(axis=1)
     mins = np.minimum(Lp * (R * a - x), Lm * (R * a - x))
     psi_min = mins.sum(axis=1)
-    cols = np.arange(m)
 
     z = np.zeros(prog.n_vars)
     pad_v = np.minimum(0.1 * x_scale, 0.4 * margin_min / np.maximum(den_v, 1e-30))
-    z[prog.v_off[idx, None] + cols] = np.maximum(-x, 0.0) + pad_v[:, None]
     pad_s = np.minimum(0.1 * x_scale, 0.4 * psi_min / m)
-    z[prog.s_off[idx, None] + cols] = mins - pad_s[:, None]
-    z[prog.x_off[idx, None] + cols] = x
+    prog.node_columns(z)[:] = (
+        x, np.maximum(-x, 0.0) + pad_v[:, None], mins - pad_s[:, None]
+    )
 
     # w on the tighter of its two rows, then pad_w inside it (in direction d)
     X = z[prog.leaf_x[form.lifted]]
@@ -723,69 +725,51 @@ def _max_step(
     return alpha
 
 
-def _newton_step(
-    prog: AssembledProgram,
-    z: np.ndarray,
-    lam: np.ndarray,
-    g: np.ndarray,
-    r_d: np.ndarray,
-    r_c: np.ndarray,
-    hscale: float,
-    state: LeafState | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton direction (dz, dlam, A dz) for the residuals (r_d, r_c).
-
-    One elimination over the blocks of :class:`_NewtonSystem`, then one
-    refinement pass against the full system.
-    """
-    system = _NewtonSystem(prog, z, lam, g, hscale, state)
-    rp, rq = system.rhs(r_d, r_c)
-    dz, y = system.solve(rp[:, None], rq[:, None])
-    dz, y = system.refine(dz[:, 0], y[:, 0], prog.A_dot(dz[:, 0]), rp, rq)
-    Adz = prog.A_dot(dz)
-    return dz, system.dlam(r_c, y, Adz), Adz
-
-
-def _predictor_corrector(
+def _newton_direction(
     prog: AssembledProgram,
     z: np.ndarray,
     lam: np.ndarray,
     g: np.ndarray,
     r_d: np.ndarray,
     w: np.ndarray,
-    mu_floor: float,
+    mu: float,
     hscale: float,
+    predict: bool,
     state: LeafState | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-    """Mehrotra's predictor-corrector direction on the weighted central path.
+    """Newton direction (dz, dlam, A dz), its mu and its r_c.
 
-    The pass that factors the blocks solves two columns: the affine
-    direction (r_c = lam g) and the centering direction (r_c = -w, r_d = 0),
-    so the Newton direction toward any mu is d_aff + mu d_cen.  With
-    mu_avg = lam^T g / sum(w) and mu_aff the same average after the largest
-    feasible affine step, mu = max(sigma mu_avg, mu_floor) for
-    sigma = (mu_aff / mu_avg)^3.  The refinement pass then solves for the
-    residual of d_aff + mu d_cen against the corrector's right-hand side,
+    A centered step aims at the given mu: the pass that factors the blocks
+    of :class:`_NewtonSystem` solves one column, r_c = lam g - mu w.  A
+    Mehrotra step (``predict``) solves the affine (r_c = lam g) and the
+    centering (r_c = -w, r_d = 0) column there, and takes mu = max(sigma
+    mu_avg, the given mu) for mu_avg = lam^T g / sum(w), sigma =
+    (mu_aff / mu_avg)^3, mu_aff that average after the largest feasible
+    affine step.  One refinement pass against the full system follows; a
+    Mehrotra step refines d_aff + mu d_cen against the corrector's
     r_c = lam g - mu w + dlam_aff dg_aff, so the corrector costs no third
-    solve.  Returns dz, dlam, A dz, mu and that r_c.
+    solve.
     """
     system = _NewtonSystem(prog, z, lam, g, hscale, state)
     lg = lam * g
-    rp_aff, rq_aff = system.rhs(r_d, lg)
-    rp_cen, rq_cen = system.rhs(np.zeros(prog.n_vars), -w)
-    dz, y = system.solve(np.column_stack([rp_aff, rp_cen]),
-                         np.column_stack([rq_aff, rq_cen]))
-    Adz = prog.A_dot(dz)
-    dlam_aff = system.dlam(lg, y[:, 0], Adz[:, 0])
-    alpha = _max_step(g, Adz[:, 0], lam, dlam_aff, 1.0)
-    w_sum = float(w.sum())
-    mu_avg = float(lam @ g) / w_sum
-    mu_aff = float((lam + alpha * dlam_aff) @ (g + alpha * Adz[:, 0])) / w_sum
-    mu = max((mu_aff / mu_avg) ** SIGMA_POWER * mu_avg, mu_floor)
-    r_c = lg - mu * w + dlam_aff * Adz[:, 0]
-    rp, rq = system.rhs(r_d, r_c)
-    dz = dz[:, 0] + mu * dz[:, 1]
-    dz, y = system.refine(dz, y[:, 0] + mu * y[:, 1], prog.A_dot(dz), rp, rq)
+    if predict:
+        aff, cen = system.rhs(r_d, lg), system.rhs(np.zeros(prog.n_vars), -w)
+        dz, y = system.solve(*(np.column_stack(pair) for pair in zip(aff, cen)))
+        Adz = prog.A_dot(dz)
+        dlam_aff = system.dlam(lg, y[:, 0], Adz[:, 0])
+        alpha = _max_step(g, Adz[:, 0], lam, dlam_aff, 1.0)
+        w_sum = float(w.sum())
+        mu_avg = float(lam @ g) / w_sum
+        mu_aff = float((lam + alpha * dlam_aff) @ (g + alpha * Adz[:, 0])) / w_sum
+        mu = max((mu_aff / mu_avg) ** SIGMA_POWER * mu_avg, mu)
+        r_c = lg - mu * w + dlam_aff * Adz[:, 0]
+        rp, rq = system.rhs(r_d, r_c)
+        dz, y = dz[:, 0] + mu * dz[:, 1], y[:, 0] + mu * y[:, 1]
+    else:
+        r_c = lg - mu * w
+        rp, rq = system.rhs(r_d, r_c)
+        dz, y = (v[:, 0] for v in system.solve(rp[:, None], rq[:, None]))
+    dz, y = system.refine(dz, y, prog.A_dot(dz), rp, rq)
     Adz = prog.A_dot(dz)
     return dz, system.dlam(r_c, y, Adz), Adz, mu, r_c
 
@@ -796,19 +780,20 @@ def solve_log_optimal(
     """Interior-point solve; returns the best iterate flagged when not converged.
 
     From the interior start at mu = 1, every iteration is a Mehrotra
-    predictor-corrector step (:func:`_predictor_corrector`) that picks its
-    own mu, down to HANDOVER times the final mu, 1e-2 * tol.  From there
-    centered stages mu <- 0.2 mu finish the path: each stage is centered by
-    Newton steps before mu moves, and the final one to c = 0.01, so the
-    returned iterate sits on the central path (the certificate's prices, and
-    the split along flat faces of the optimal set, are read off that center).
-    Both kinds of step share the fraction-to-boundary safeguard and the
-    Armijo (1e-4, 0.5) backtracking line search on the weighted KKT residual
-    norm.  A singular Newton block, or a line search that finds no step, ends
-    the solve unconverged, and the warning says which.  ``tol`` sets the
-    final mu and the convergence test, nothing else.  Only a centered final
-    stage within tol counts as converged; ``outer_iterations`` and
-    ``objective_trace`` count the centered stages.
+    predictor-corrector step that picks its own mu, down to HANDOVER times
+    the final mu, 1e-2 * tol.  From there centered stages mu <- 0.2 mu
+    finish the path: each stage is centered by Newton steps at its mu before
+    mu moves, and the final one to c = 0.01, so the returned iterate sits on
+    the central path (the certificate's prices, and the split along flat
+    faces of the optimal set, are read off that center).  Both kinds of step
+    come from one call to :func:`_newton_direction` and share the
+    fraction-to-boundary safeguard and the Armijo (1e-4, 0.5) backtracking
+    line search on the weighted KKT residual norm.  A singular Newton block,
+    or a line search that finds no step, ends the solve unconverged, and the
+    warning says which.  ``tol`` sets the final mu and the convergence test,
+    nothing else.  Only a centered final stage within tol counts as
+    converged; ``outer_iterations`` and ``objective_trace`` count the
+    centered stages.
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
@@ -870,19 +855,13 @@ def solve_log_optimal(
             stop = stop or f"max_iter={options.max_iter} reached"
             break
 
-        # A predictor-corrector step picks its mu with its direction.
+        # A predictor-corrector step picks its mu, no lower than the handover.
         iters += 1
-        hscale = gscale * gscale
         try:
-            if predictor:
-                dz, dlam, Adz, mu_step, _ = _predictor_corrector(
-                    prog, z, lam, g, r_d, w, handover, hscale, state=state
-                )
-            else:
-                dz, dlam, Adz = _newton_step(
-                    prog, z, lam, g, r_d, r_c, hscale, state=state
-                )
-                mu_step = mu
+            dz, dlam, Adz, mu_step, _ = _newton_direction(
+                prog, z, lam, g, r_d, w, handover if predictor else mu,
+                gscale * gscale, predictor, state,
+            )
         except FloatingPointError as exc:
             stop = str(exc)
             break

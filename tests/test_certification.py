@@ -231,6 +231,12 @@ class TestGrowthDominance:
         with pytest.raises(NonpositiveDenominator):
             vng.growth_dominance(dual, zeroed, problem.tree)
 
+    def test_unknown_on_nonpositive_rejected(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        zeroed = [vng.AdaptedVector(av.depth, 0.0 * av.values) for av in solution.path]
+        with pytest.raises(ValueError, match="'raise' or 'mark', not 'rasie'"):
+            vng.growth_dominance(dual, zeroed, problem.tree, on_nonpositive="rasie")
+
 
 class TestEquivalences:
     def _report(self, pipeline, t, dual=None, **kw):

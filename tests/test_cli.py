@@ -40,12 +40,13 @@ def tilt_kelly_solution(workdir) -> None:
     """
     assert run("solve", "kelly.json") == cli.EXIT_OK
     problem = cli.load_problem("kelly.json")[0]
-    m = problem.market.m
-    # the multipliers of mid's min-form rows, asset 0 then asset 1
-    row = vng.assemble(problem).row_base[problem.tree.node("mid").index] + 2 * m + 1
+    prog = vng.assemble(problem)
+    # the multipliers of mid's plus min-form rows, asset 0 then asset 1
+    plus = prog.node_rows(np.arange(prog.n_cons))["plus"]
+    row = plus[problem.tree.node("mid").index - 1]
     doc = json.loads((workdir / "kelly.solution.json").read_text())
-    doc["multipliers"][row] += 0.005
-    doc["multipliers"][row + 1] -= 0.005
+    doc["multipliers"][row[0]] += 0.005
+    doc["multipliers"][row[1]] -= 0.005
     (workdir / "kelly.solution.json").write_text(json.dumps(doc))
 
 
@@ -548,6 +549,13 @@ class TestNumbers:
                      id="solution.objective_value=10**400"),
         pytest.param("solution", ("options", "tol"), BIG,
                      id="solution.options.tol=10**400"),
+        pytest.param("solution", ("converged",), "false",
+                     id="solution.converged='false'"),
+        pytest.param("solution", ("objective_trace",), "12",
+                     id="solution.objective_trace='12'"),
+        pytest.param("solution", ("iterations",), 2.5, id="solution.iterations=2.5"),
+        pytest.param("solution", ("mu_final",), "1e-10",
+                     id="solution.mu_final='1e-10'"),
         pytest.param("certificate", ("dual", "1", "mid", 0), BIG,
                      id="certificate.dual=10**400"),
     ])

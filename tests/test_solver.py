@@ -26,9 +26,8 @@ from vng.solver import (
     HANDOVER,
     _interior_start,
     _entry_product,
+    _newton_direction,
     _NewtonSystem,
-    _newton_step,
-    _predictor_corrector,
     assemble,
 )
 
@@ -336,23 +335,25 @@ def _newton_residuals(
     r_d = gf + A.T @ lam
     gscale = float(np.abs(gf).max())
     state = prog._leaf_state(z)
+
+    def direction(mu: float, predict: bool):
+        return _newton_direction(prog, z, lam, g, r_d, w, mu, gscale**2, predict, state)
+
     if mehrotra:
         mu_floor = HANDOVER * 1e-2 * vng.SolveOptions().tol
-        dz, _, _, mu, r_c = _predictor_corrector(
-            prog, z, lam, g, r_d, w, mu_floor, gscale**2, state=state
-        )
+        dz, _, _, mu, r_c = direction(mu_floor, True)
         assert mu_floor <= mu <= float(lam @ g) / w.sum()
-        # the corrector term is the affine direction's dlam * A dz
-        aff_dz, aff_dlam, aff_Adz = _newton_step(
-            prog, z, lam, g, r_d, lam * g, gscale**2, state=state
-        )
+        # the corrector term is the affine direction's dlam * A dz, and the
+        # affine direction is the centered one at mu = 0
+        _, aff_dlam, aff_Adz, _, aff_r_c = direction(0.0, False)
+        assert np.array_equal(aff_r_c, lam * g)
         term = aff_dlam * aff_Adz
         assert np.abs(r_c - (lam * g - mu * w) - term).max() <= (
             1e-6 * np.abs(term).max()
         )
     else:
-        r_c = lam * g - mu * w
-        dz = _newton_step(prog, z, lam, g, r_d, r_c, gscale**2, state=state)[0]
+        dz, _, _, _, r_c = direction(mu, False)
+        assert np.array_equal(r_c, lam * g - mu * w)
     K = dense_newton_matrix(prog, z, lam, g)
     rhs = r_d - A.T @ (r_c / g)
     resid, scale = np.abs(K @ dz - rhs).max(), np.abs(rhs).max()
@@ -364,6 +365,45 @@ NEWTON_CASES = (
     + [pytest.param(lambda n=n: _fixture_problem(n), id=n)
        for n in ("kelly", "single_asset", "two_asset_margin")]
 )
+
+
+class TestNodeLayout:
+    """The named row kinds against the node-by-node oracle A."""
+
+    @pytest.mark.parametrize("make", NEWTON_CASES)
+    def test_row_kinds_match_oracle(self, make):
+        problem = make()
+        tree, market, m = problem.tree, problem.market, problem.market.m
+        prog = assemble(problem)
+        A = dense_constraint_matrix(problem)
+        rows = prog.node_rows(np.arange(prog.n_cons))
+        x, v, s = prog.node_columns(np.arange(prog.n_vars))
+        # the kinds tile every node block, in order
+        block = np.concatenate(list(rows.values()), axis=1)
+        assert np.array_equal(block.ravel(), np.arange(block.size))
+        eye = np.eye(m)
+
+        def coef(kind, i, cols, j=None):
+            """A on node i's rows of a kind and node j's (default i's) columns."""
+            return A[np.ix_(rows[kind][i - 1], cols[(j or i) - 1])]
+
+        for i in range(1, tree.n_nodes):
+            Lp, Lm, R = market.Lp[i], market.Lm[i], market.returns[i]
+            mu = market.margins[tree.depth[i]]
+            assert np.array_equal(coef("v", i, v), eye)
+            assert np.array_equal(coef("u", i, x), eye)
+            assert np.array_equal(coef("u", i, v), eye)
+            assert np.array_equal(coef("margin", i, x), [Lp])
+            assert np.array_equal(coef("margin", i, v), [Lp - mu * Lm])
+            for kind, L in (("plus", Lp), ("minus", Lm)):
+                assert np.array_equal(coef(kind, i, x), np.diag(-L))
+                assert np.array_equal(coef(kind, i, s), -eye)
+                parent = tree.parents[i]
+                if parent:
+                    assert np.array_equal(coef(kind, i, x, parent), np.diag(L * R))
+                else:  # the root's x0 is a constant
+                    assert np.array_equal(prog.b[rows[kind][i - 1]], L * R * problem.x0)
+            assert np.array_equal(coef("cash", i, s), [np.ones(m)])
 
 
 class TestConstraintProducts:
@@ -408,6 +448,24 @@ class TestBlockNewtonStep:
     @pytest.mark.parametrize("point", ["start", "mu1e-4"])
     def test_predictor_corrector_solves_dense_system(self, make, point):
         assert _newton_residuals(make(), point, mehrotra=True)[0] <= 1e-11
+
+    def test_each_step_costs_two_elimination_passes(self, monkeypatch):
+        """Every Newton system of a solve runs ``solve`` twice, for both kinds
+        of step: the factoring pass (two columns for a predictor step, one for
+        a centered step) and the one-column refinement pass."""
+        passes = {}  # id -> (system, columns per pass); holding it keeps the id
+        solve = _NewtonSystem.solve
+
+        def counted(self, rp, rq):
+            passes.setdefault(id(self), (self, []))[1].append(rp.shape[1])
+            return solve(self, rp, rq)
+
+        monkeypatch.setattr(_NewtonSystem, "solve", counted)
+        solution = vng.solve_log_optimal(make_instance(0))
+        assert solution.converged
+        assert len(passes) == solution.iterations
+        columns = [tuple(c) for _, c in passes.values()]
+        assert set(columns) == {(2, 1), (1, 1)}
 
     @pytest.mark.parametrize("make", NEWTON_CASES)
     def test_direction_backward_stable_at_final_mu(self, make):
@@ -540,8 +598,8 @@ class TestKktReport:
         prog = assemble(single_asset)
         z = solution.z.copy()
         # push a margin split negative: primal residual equals the violation
-        off = prog.v_off[single_asset.tree.node("up").index]
-        z[off] = -0.25
+        v = prog.node_columns(z)[1]
+        v[single_asset.tree.node("up").index - 1, 0] = -0.25
         tampered = vng.Solution(
             path=prog.path_values(z),
             objective_value=solution.objective_value,
