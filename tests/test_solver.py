@@ -23,13 +23,20 @@ from oracles import (
 from vng.cli_io import load_problem
 from vng.errors import InfeasibleStart
 from vng.solver import (
+    BETA,
     HANDOVER,
     _interior_start,
     _entry_product,
+    _mu_floor,
     _newton_direction,
     _NewtonSystem,
     assemble,
 )
+
+
+def _certified(problem, solution) -> bool:
+    dual = vng.extract_dual(solution, problem)
+    return vng.verify_rapid(solution.path, dual, problem.tree, problem.market).certified
 
 
 class TestAssemble:
@@ -268,13 +275,12 @@ class TestWeightedCentralPath:
     @pytest.mark.parametrize("shape", [(2, 6, 2), (3, 4, 4)],
                              ids=["127-node-m2", "121-node-m4"])
     def test_regular_trees_converge_and_certify(self, shape):
+        """Within 30 iterations: 23 and 24 taken, plus a quarter."""
         problem = regular_problem(*shape, seed=0)
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= 75
-        dual = vng.extract_dual(solution, problem)
-        cert = vng.verify_rapid(solution.path, dual, problem.tree, problem.market)
-        assert cert.certified
+        assert solution.iterations <= 30
+        assert _certified(problem, solution)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -487,15 +493,76 @@ class TestBlockNewtonStep:
         assert _newton_residuals(problem, point)[0] <= 1e-11
 
     def test_large_tree_converges(self):
-        """A deep tree: 3^6 = 1,093 nodes at m = 2, within 75 iterations."""
+        """A deep tree: 3^6 = 1,093 nodes at m = 2, within 33 iterations
+        (26 taken, plus a quarter)."""
         problem = regular_problem(3, 6, 2, seed=0)
         assert problem.tree.n_nodes == 1093
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= 75
-        dual = vng.extract_dual(solution, problem)
-        cert = vng.verify_rapid(solution.path, dual, problem.tree, problem.market)
-        assert cert.certified
+        assert solution.iterations <= 33
+        assert _certified(problem, solution)
+
+
+class TestResidualFloor:
+    """A predictor-corrector step's mu stays above BETA rel / rel0, rel the
+    relative dual residual ||r_d||_inf / gscale and rel0 its value at the
+    interior start, so mu cannot outrun stationarity on deep trees."""
+
+    def test_deep_binary_tree_within_45_iterations(self):
+        """2^9 = 1,023 nodes at m = 2: 61 iterations without the floor."""
+        problem = regular_problem(2, 9, 2, seed=0)
+        assert problem.tree.n_nodes == 1023
+        solution = vng.solve_log_optimal(problem)
+        assert solution.converged
+        assert solution.iterations <= 45
+        assert _certified(problem, solution)
+
+    def test_predictor_mu_respects_residual_floor(self, monkeypatch):
+        """Every predictor step's mu is at least BETA rel / rel0 and the
+        handover, and the residual floor binds above the handover."""
+        problem = regular_problem(2, 9, 2, seed=0)
+        prog = assemble(problem)
+        w = problem.tree.prob[prog.row_owner]
+        z0 = _interior_start(prog)
+        gf0 = prog.grad_f(z0)
+        r_d0 = gf0 + prog.A_T_dot(w / prog.g(z0))
+        rel0 = np.abs(r_d0).max() / np.abs(gf0).max()
+        handover = HANDOVER * 1e-2 * vng.SolveOptions().tol
+
+        steps, direction = [], _newton_direction
+
+        def recorded(prog, z, lam, g, r_d, w, mu, hscale, predict, state=None):
+            out = direction(prog, z, lam, g, r_d, w, mu, hscale, predict, state)
+            if predict:
+                rel = np.abs(r_d).max() / np.abs(prog.grad_f(z)).max()
+                steps.append((out[3], BETA * rel / rel0))
+            return out
+
+        monkeypatch.setattr(vng.solver, "_newton_direction", recorded)
+        solution = vng.solve_log_optimal(problem)
+        assert solution.converged and steps
+        assert all(mu >= floor and mu >= handover for mu, floor in steps)
+        assert any(mu == floor > handover for mu, floor in steps)
+
+    def test_stationary_start_keeps_the_handover(self):
+        """rel0 = 0 (a stationary start) leaves the handover as the floor."""
+        assert _mu_floor(1e-8, 0.0, 0.0) == 1e-8
+        assert _mu_floor(1e-8, 0.5, 0.0) == 1e-8
+        assert _mu_floor(1e-8, 0.5, 2.0) == max(1e-8, 0.25 * BETA)
+        assert _mu_floor(1e-8, 0.0, 2.0) == 1e-8
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-11])
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda s=s: make_instance(s), id=f"seed{s}") for s in range(4)),
+        pytest.param(lambda: regular_problem(2, 9, 2, seed=0), id="1023-node-m2"),
+    ])
+    def test_converges_and_certifies_across_tolerances(self, make, tol):
+        """The floor moves the path near the handover, which tol places;
+        seeds 0-3 cover the four objective variants."""
+        problem = make()
+        solution = vng.solve_log_optimal(problem, vng.SolveOptions(tol=tol))
+        assert solution.converged
+        assert _certified(problem, solution)
 
 
 def _record_systems(monkeypatch, record) -> list:
