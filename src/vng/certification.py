@@ -217,6 +217,11 @@ def _transition_level(
     return values, lp
 
 
+def _violation(v: np.ndarray) -> np.ndarray:
+    """A NaN residual (from a NaN entry) is an unbounded violation."""
+    return np.where(np.isnan(v), np.inf, v)
+
+
 def _layer_residuals(
     market: MarketData, t: int, p: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -262,10 +267,6 @@ def verify_rapid(
     feasibility: dict[str, float] = {}
     witness: dict | None = None
 
-    def violation(v: np.ndarray) -> np.ndarray:
-        """A nan residual (from a nan entry) is an unbounded violation."""
-        return np.where(np.isnan(v), np.inf, v)
-
     def note_witness(t: int, columns: dict[str, np.ndarray], extra) -> None:
         """Witness at the level's first node above tol, first column first."""
         nonlocal witness
@@ -287,7 +288,7 @@ def verify_rapid(
             tree.indices(t), tol=tol,
         )
         worst = np.minimum(np.minimum(res.parent_margin, res.child_margin), res.psi)
-        viol = violation(np.maximum(0.0, -worst))
+        viol = _violation(np.maximum(0.0, -worst))
         feasibility.update(zip((n.node_id for n in tree.level(t)), viol.tolist()))
         note_witness(t, {"path_feasibility": viol}, lambda k, t=t: {"layer": t})
 
@@ -295,10 +296,10 @@ def verify_rapid(
     for t in range(1, N + 2):
         p = dual.price(t, N).values
         member, norm = _layer_residuals(market, t, p, path[t - 1].values)
-        viol = violation(np.maximum(0.0, -member))
+        viol = _violation(np.maximum(0.0, -member))
         level = tree.level(min(t, N))
         membership.update(zip((f"p_{t}@{n.node_id}" for n in level), viol.tolist()))
-        resid = violation(np.abs(norm))
+        resid = _violation(np.abs(norm))
         normalization[t - 1] = max(0.0, float(resid.max()))
         note_witness(
             min(t, N), {"dual_cone_membership": viol, "normalization": resid},
@@ -344,15 +345,54 @@ def verify_rapid(
 class SupermartingaleReport:
     """Nodewise supermartingale residuals of (p_{t+1} y_t) along a path.
 
-    ``first_form`` is max of E_t[p_{t+1}] y_t - p_t y_{t-1} over nodes;
-    ``second_form`` conditions one date earlier.  ``equality_gap`` is the
-    largest absolute deviation of the first form (meaningful for the solved
-    path, where both sides agree and the sequence is a martingale).
+    ``first_form`` is max of E_t[p_{t+1}] y_t - p_t y_{t-1} over the non-root
+    nodes; ``second_form`` conditions one date earlier, over the non-leaf
+    nodes.  ``equality_gap`` is the largest absolute deviation of the first
+    form (meaningful for the solved path, where both sides agree and the
+    sequence is a martingale).  Each is a maximum over the whole tree at once
+    (see :func:`_supermartingale_checks`), at least 0, and a NaN residual (from
+    a NaN entry) counts as an unbounded violation, ``inf``, as it does in
+    :func:`verify_rapid`, so it cannot hide the rest of its date.
     """
 
     first_form: float
     second_form: float
     equality_gap: float
+
+
+def _level_shapes(tree: ScenarioTree, m: int) -> list[tuple[int, int]]:
+    """(rows, m) of each level, depth 0 to N."""
+    o = tree.offsets.tolist()
+    return [(b - a, m) for a, b in zip(o, o[1:])]
+
+
+def _check_path(y: list[AdaptedVector], shapes: list[tuple[int, int]]) -> None:
+    """ShapeMismatch unless the path has one layer of each level's shape."""
+    if len(y) != len(shapes):
+        raise ShapeMismatch(f"path must have {len(shapes)} layers, got {len(y)}")
+    if [av.values.shape for av in y] != shapes:
+        raise ShapeMismatch("path layers do not match the tree and the dual")
+
+
+def _tree_prices(dual: DualPath, tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
+    """Every price row of the dual path in node order, and E_t p_{t+1} per node.
+
+    ``p`` holds p_t on each depth-t node, one row per non-root node (node i
+    at row i - 1).  ``bar`` holds E_t p_{t+1} on each node: one ordered
+    ``np.add.at`` over all children at once, which adds each parent's
+    children in child order as :func:`conditional_expectation` does, and the
+    terminal layer on the leaves.
+    """
+    N = tree.horizon
+    layers = [dual.price(t, N).values for t in range(1, N + 2)]
+    shapes = _level_shapes(tree, dual.terminal.dim)
+    if [a.shape for a in layers] != shapes[1:] + shapes[-1:]:
+        raise ShapeMismatch("dual path layers do not match the tree")
+    p = np.concatenate(layers[:-1])
+    bar = np.zeros((tree.n_nodes, p.shape[1]))
+    np.add.at(bar, tree.parents[1:], tree.cond_prob[1:, None] * p)
+    bar[tree.span(N)] = layers[-1]
+    return p, bar
 
 
 def supermartingale_check(
@@ -364,32 +404,33 @@ def supermartingale_check(
 def _supermartingale_checks(
     dual: DualPath, paths: list[list[AdaptedVector]], tree: ScenarioTree
 ) -> list[SupermartingaleReport]:
-    """:func:`supermartingale_check` of each path, building E_t p_{t+1} once.
+    """:func:`supermartingale_check` of each path, in one pass over the tree.
 
-    The paths are stacked per date, (count, n_t, m).  The running maxima start
-    at 0, and a date whose residuals hold a NaN leaves them as they are
-    (``np.fmax``).
+    Each path is stacked once into a (count, n_nodes, m) array, and every
+    residual comes from whole-tree arrays: E_t[p_{t+1}] y_t is one
+    ``np.vecdot`` over all nodes, p_t y_{t-1} one more over the non-root
+    nodes and their parents, and the second form's E_{t-1} of the first is
+    one ordered ``np.add.at`` over all children.  A form's maximum is taken
+    over all its nodes at once, from 0, with NaN residuals read as ``inf``.
     """
-    N = tree.horizon
+    p, bar = _tree_prices(dual, tree)
+    shapes = _level_shapes(tree, p.shape[1])
     for y in paths:
-        if len(y) != N + 1:
-            raise ShapeMismatch(f"path must have {N + 1} layers, got {len(y)}")
-    bars = [dual.bar(tree, t).values for t in range(N + 1)]
-    worst1, worst2, gap = (np.zeros(len(paths)) for _ in range(3))
-    Y_prev = np.stack([y[0].values for y in paths])
-    for t in range(1, N + 1):
-        up = tree.up(t)
-        Y = np.stack([y[t].values for y in paths])
-        lhs = np.vecdot(bars[t], Y)
-        diff = lhs - np.vecdot(dual.price(t, N).values, Y_prev[:, up])
-        worst1 = np.fmax(worst1, diff.max(axis=1))
-        gap = np.fmax(gap, np.abs(diff).max(axis=1))
-        # one date earlier: E_{t-1}[p_bar_{t+1} y_t] against p_bar_t y_{t-1}
-        lhs_prev = np.zeros((len(paths), len(bars[t - 1])))
-        np.add.at(lhs_prev, (slice(None), up), tree.cond_prob[tree.span(t)] * lhs)
-        diff = lhs_prev - np.vecdot(bars[t - 1], Y_prev)
-        worst2 = np.fmax(worst2, diff.max(axis=1))
-        Y_prev = Y
+        _check_path(y, shapes)
+    Y = np.concatenate([av.values for y in paths for av in y]).reshape(
+        len(paths), tree.n_nodes, p.shape[1]
+    )
+    lhs = np.vecdot(bar, Y)  # E_t[p_{t+1}] y_t at every node
+    diff = _violation(lhs[:, 1:] - np.vecdot(p, Y[:, tree.parents[1:]]))
+    # one date earlier: E_{t-1}[p_bar_{t+1} y_t] against p_bar_t y_{t-1}
+    inner = int(tree.offsets[tree.horizon])
+    lhs_prev = np.zeros((len(paths), inner))
+    np.add.at(lhs_prev, (slice(None), tree.parents[1:]), tree.cond_prob[1:] * lhs[:, 1:])
+    diff_prev = _violation(lhs_prev - lhs[:, :inner])
+    worst1, worst2, gap = (
+        np.maximum.reduce(v, axis=1, initial=0.0)
+        for v in (diff, diff_prev, np.abs(diff))
+    )
     return [
         SupermartingaleReport(float(a), float(b), float(c))
         for a, b, c in zip(worst1, worst2, gap)
@@ -411,20 +452,21 @@ def growth_dominance(
     """
     if on_nonpositive not in ("raise", "mark"):
         raise ValueError(f"on_nonpositive is 'raise' or 'mark', not {on_nonpositive!r}")
-    N = tree.horizon
-    table = []
-    for t in range(1, N + 1):
-        den = np.vecdot(dual.price(t, N).values, y[t - 1].values[tree.up(t)])
-        num = np.vecdot(dual.bar(tree, t).values, y[t].values)
-        bad = den <= 0.0
-        if on_nonpositive == "raise" and bad.any():
-            k = int(np.argmax(bad))
-            node = tree.level(t)[k]
-            raise NonpositiveDenominator(
-                f"p_{t} . y_{t - 1} = {float(den[k])!r} at node {node.node_id!r}"
-            )
-        table.append(np.where(bad, np.nan, num / np.where(bad, 1.0, den)))
-    return table
+    p, bar = _tree_prices(dual, tree)
+    _check_path(y, _level_shapes(tree, p.shape[1]))
+    Y = np.concatenate([av.values for av in y])
+    den = np.vecdot(p, Y[tree.parents[1:]])
+    num = np.vecdot(bar[1:], Y[1:])
+    bad = den <= 0.0
+    if on_nonpositive == "raise" and bad.any():
+        k = int(np.argmax(bad))
+        node = tree.nodes[k + 1]
+        raise NonpositiveDenominator(
+            f"p_{node.depth} . y_{node.depth - 1} = {float(den[k])!r} "
+            f"at node {node.node_id!r}"
+        )
+    ratio = np.where(bad, np.nan, num / np.where(bad, 1.0, den))
+    return np.split(ratio, tree.offsets[2:-1] - 1)
 
 
 @dataclass(frozen=True)

@@ -408,9 +408,16 @@ def conditional_expectation_loop(tree, av):
 
 
 def supermartingale_loop(dual, y, tree):
-    """(first form, second form, equality gap) node by node."""
+    """(first form, second form, equality gap) node by node.
+
+    A NaN residual counts as an unbounded violation, ``inf``.
+    """
     N = tree.horizon
     worst1 = worst2 = gap = 0.0
+
+    def violation(v):
+        return float("inf") if v != v else v
+
     for t in range(1, N + 1):
         p_t = dual.price(t, N)
         bar_next = dual.bar(tree, t)
@@ -419,8 +426,8 @@ def supermartingale_loop(dual, y, tree):
             rhs = float(
                 p_t.value_at(tree, node) @ y[t - 1].value_at(tree, tree.parent(node))
             )
-            worst1 = max(worst1, lhs - rhs)
-            gap = max(gap, abs(lhs - rhs))
+            worst1 = max(worst1, violation(lhs - rhs))
+            gap = max(gap, violation(abs(lhs - rhs)))
         bar_t = dual.bar(tree, t - 1)
         for q in tree.level(t - 1):
             lhs = sum(
@@ -429,7 +436,7 @@ def supermartingale_loop(dual, y, tree):
                 for child in tree.children(q)
             )
             rhs = float(bar_t.value_at(tree, q) @ y[t - 1].value_at(tree, q))
-            worst2 = max(worst2, lhs - rhs)
+            worst2 = max(worst2, violation(lhs - rhs))
     return worst1, worst2, gap
 
 

@@ -175,6 +175,39 @@ class TestSupermartingale:
         r2 = vng.supermartingale_check(dual, y2, problem.tree)
         assert r2.first_form == pytest.approx(3.0 * r1.first_form, rel=1e-9, abs=1e-12)
 
+    def test_nan_residual_is_unbounded(self, pipeline):
+        """A NaN residual reads inf: it cannot hide the other nodes of its date."""
+        problem, solution, dual, _ = pipeline
+        tree = problem.tree
+        y = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
+        y[2].values[1] *= 50.0
+        report = vng.supermartingale_check(dual, y, tree)
+        assert report.first_form == pytest.approx(49.0, rel=1e-6)
+        assert report.second_form == pytest.approx(23.6, rel=1e-2)
+        y[2].values[0, 0] = np.nan
+        report = vng.supermartingale_check(dual, y, tree)
+        assert (report.first_form, report.second_form, report.equality_gap) == (
+            np.inf, np.inf, np.inf
+        )
+        assert supermartingale_loop(dual, y, tree) == (np.inf, np.inf, np.inf)
+
+    def test_layers_of_wrong_shape_raise(self, pipeline):
+        """Dates 1 and 2 hold 2 and 3 nodes; rows of 3 and 2 add up the same."""
+        problem, solution, dual, _ = pipeline
+        y = list(solution.path)
+        y[1], y[2] = (vng.AdaptedVector(t, np.ones((4 - t, 3))) for t in (1, 2))
+        with pytest.raises(ShapeMismatch):
+            vng.supermartingale_check(dual, y, problem.tree)
+        with pytest.raises(ShapeMismatch):
+            vng.growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
+        prices = dict(dual.prices)
+        prices[1], prices[2] = (vng.AdaptedVector(t, np.ones((4 - t, 3))) for t in (1, 2))
+        with pytest.raises(ShapeMismatch):
+            vng.supermartingale_check(
+                vng.DualPath(prices=prices, terminal=dual.terminal),
+                solution.path, problem.tree,
+            )
+
     def test_path_of_wrong_length_raises(self, pipeline):
         problem, solution, dual, _ = pipeline
         with pytest.raises(ShapeMismatch):
@@ -818,6 +851,40 @@ class TestLevelAlgebraMatchesNodeLoops:
                 else:
                     assert cert.witness is None or cert.witness["kind"] == "transition"
         assert witnesses >= len(solved_set)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: regular_problem(2, 6, 2, seed=0), id="2^6-m2"),
+        pytest.param(lambda: make_instance(32), id="seed32-m1"),
+    ])
+    def test_supermartingale_single_and_batched(self, make):
+        """Horizon 6 and m = 1: the node loop, single and batched calls agree
+        bit for bit, NaN paths included."""
+        problem = make()
+        tree, market = problem.tree, problem.market
+        assert tree.horizon == 6 or market.m == 1
+        solution = vng.solve_log_optimal(problem)
+        dual = vng.extract_dual(solution, problem)
+        nan_path = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
+        nan_path[-1].values[-1, 0] = np.nan
+        strategies = [
+            solution.path,
+            nan_path,
+            vng.buy_and_hold_path(tree, market, problem.x0),
+            *vng.sample_competitor_paths(
+                tree, market, np.random.default_rng(0), problem.x0, 5
+            ),
+        ]
+        def fields(reports):
+            return np.array([[r.first_form, r.second_form, r.equality_gap]
+                             for r in reports])
+
+        for d in (dual, negated_first_price(dual)):
+            single = fields(vng.supermartingale_check(d, y, tree) for y in strategies)
+            batched = fields(_supermartingale_checks(d, strategies, tree))
+            assert single.tobytes() == batched.tobytes()
+            assert single.tolist() == [
+                list(supermartingale_loop(d, y, tree)) for y in strategies
+            ]
 
     def test_sampler_matches_per_node_frontier_calls(self, solved_set):
         for k, (problem, _, _) in enumerate(solved_set):
