@@ -13,11 +13,11 @@ Euler identity makes the last normalization exact by construction.
 
 Verification never trusts the solver: memberships use the exact section-vertex
 test, normalizations are plain inner products, and each transition inequality
-is settled from the dual path alone, a whole tree level at a time, by a
-rigorous upper bound on its LP value (0 where both of the bound's distances
-vanish).  Only a node whose bound exceeds the tolerance goes to one small LP
-over the cone lift, which decides it and supplies the refutation witness; the
-certificate lists those nodes.
+is settled from the dual path alone by a rigorous upper bound on its LP value
+(0 where both of the bound's distances vanish).  Each criterion is one array
+pass over every node of the tree.  Only a node whose bound exceeds the
+tolerance goes to one small LP over the cone lift, which decides it and
+supplies the refutation witness; the certificate lists those nodes.
 """
 
 from __future__ import annotations
@@ -185,32 +185,30 @@ class RapidityCertificate:
         return out
 
 
-def _transition_level(
+def _transition_values(
     market: MarketData,
-    idx: np.ndarray,
+    nodes: np.ndarray,
     p: np.ndarray,
-    p_next: AdaptedVector,
+    p_bar: np.ndarray,
+    bar_abs: np.ndarray | None,
     tol: float,
 ) -> tuple[np.ndarray, dict[int, DualConeCheck]]:
-    """Transition values of one tree level, and the LP checks by level position.
+    """Transition values of non-root nodes, and the LP checks by row.
 
-    ``p_next`` is the price layer after ``p``.  :func:`transition_bound` runs
-    on the whole level, with the same conditional sums over |p_next| bounding
-    the rounding of p_bar (they are p_bar itself when p_next >= 0).  A node
-    reads that rigorous upper bound where it is within ``tol``, 0 where both
-    of its distances vanish.  Only a node whose bound exceeds ``tol`` gets the
-    LP, whose value is written in and whose check, with any witness, is
-    returned.
+    ``p_bar`` holds each node's E_t p_{t+1} and ``bar_abs`` the same
+    conditional sums over |p_{t+1}|, or None when no price is negative (they
+    are p_bar itself then).  One :func:`transition_bound` call covers every
+    row: a row reads that rigorous upper bound where it is within ``tol``, 0
+    where both of its distances vanish.  Only a row whose bound exceeds
+    ``tol`` gets the LP, whose value is written in and whose check, with any
+    witness, is returned.  A row with a non-finite price keeps the bound's
+    ``inf`` and gets no LP, which could not take it.
     """
-    tree = market.tree
-    p_bar = conditional_expectation(tree, p_next).values
-    bar_abs = None if (p_next.values >= 0.0).all() else conditional_expectation(
-        tree, AdaptedVector(p_next.depth, np.abs(p_next.values))
-    ).values
-    values = transition_bound(market, idx, p, p_bar, bar_abs)
+    values = transition_bound(market, nodes, p, p_bar, bar_abs)
+    finite = np.isfinite(p).all(axis=1) & np.isfinite(p_bar).all(axis=1)
     lp = {
-        int(k): dual_cone_violation(market, p[k], p_bar[k], int(idx[k]), tol=tol)
-        for k in np.flatnonzero(values > tol)
+        int(k): dual_cone_violation(market, p[k], p_bar[k], int(nodes[k]), tol=tol)
+        for k in np.flatnonzero((values > tol) & finite)
     }
     for k, check in lp.items():
         values[k] = check.value
@@ -222,20 +220,16 @@ def _violation(v: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(v), np.inf, v)
 
 
-def _layer_residuals(
-    market: MarketData, t: int, p: np.ndarray, x: np.ndarray
+def _price_residuals(
+    market: MarketData, p: np.ndarray, nodes: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dual-cone residual and p . x - 1 per row of price layer t = 1..N+1.
+    """Dual-cone residual and p . x - 1 per price row.
 
-    ``p`` holds the layer's rows and ``x`` the date-(t-1) path layer it
-    prices.  A depth-t row sits in its parent's dual cone and prices its
-    parent's state; at t = N + 1 a leaf row prices the leaf's own.
+    Row k lies in the dual of node ``nodes[k]``'s cone and prices that
+    node's state ``x[k]``: a p_t row on a depth-t node (t = 1..N) its
+    parent's, a p_{N+1} row its own leaf's.
     """
-    tree = market.tree
-    cone_nodes = tree.indices(tree.horizon)
-    if t <= tree.horizon:
-        cone_nodes, x = tree.parents[tree.indices(t)], x[tree.up(t)]
-    return dual_cone_residual(market, p, cone_nodes), np.vecdot(p, x) - 1.0
+    return dual_cone_residual(market, p, nodes), np.vecdot(p, x) - 1.0
 
 
 def verify_rapid(
@@ -247,10 +241,12 @@ def verify_rapid(
 ) -> RapidityCertificate:
     """Check that the dual path supports the path; refute with a witness.
 
-    Every criterion runs on whole tree levels.  The witness is the first
-    violation above ``tol`` in the order: path feasibility by date, then
-    membership and normalization by date (node by node, membership first),
-    then transitions by date.
+    Each criterion is one array pass over the whole tree, with rows in node
+    order, which is date order.  The witness is the first violation above
+    ``tol`` in the order: path feasibility, then membership and
+    normalization (row by row, membership first), then transitions.  A
+    transition witness carries its LP pair; a non-finite price gets no LP,
+    but its own price row fails membership first.
     """
     N = tree.horizon
     if len(path) != N + 1:
@@ -261,83 +257,74 @@ def verify_rapid(
             raise ShapeMismatch(f"path layer {t} stored at wrong depth")
     dual.check_shapes(tree, market.m)
 
-    normalization = [0.0] * (N + 1)
-    membership: dict[str, float] = {}
-    transition: dict[str, float] = {}
-    feasibility: dict[str, float] = {}
-    witness: dict | None = None
+    ids = [node.node_id for node in tree.nodes]
+    X = np.concatenate([av.values for av in path])
+    idx, parents, leaves = np.arange(1, tree.n_nodes), tree.parents[1:], tree.indices(N)
 
-    def note_witness(t: int, columns: dict[str, np.ndarray], extra) -> None:
-        """Witness at the level's first node above tol, first column first."""
-        nonlocal witness
+    def first_hit(rows: np.ndarray, columns: dict[str, np.ndarray], extra):
+        """Witness at the first row above tol, first column first."""
         table = np.column_stack(list(columns.values()))
         hits = np.argwhere(table > tol)
-        if witness is None and len(hits):
-            k, c = hits[0]
-            witness = {
-                "kind": list(columns)[c], "node": tree.level(t)[k].node_id,
-                "value": float(table[k, c]), **extra(k),
-            }
+        if not len(hits):
+            return None
+        k, c = hits[0]
+        return {
+            "kind": list(columns)[c], "node": ids[rows[k]],
+            "value": float(table[k, c]), **extra(k),
+        }
 
     # The supported object must itself be a path: transition-cone membership
     # of every consecutive pair (a supporting dual says nothing about primal
     # feasibility on its own).
-    for t in range(1, N + 1):
-        res = in_Z(
-            market, path[t - 1].values[tree.up(t)], path[t].values,
-            tree.indices(t), tol=tol,
-        )
-        worst = np.minimum(np.minimum(res.parent_margin, res.child_margin), res.psi)
-        viol = _violation(np.maximum(0.0, -worst))
-        feasibility.update(zip((n.node_id for n in tree.level(t)), viol.tolist()))
-        note_witness(t, {"path_feasibility": viol}, lambda k, t=t: {"layer": t})
+    res = in_Z(market, X[parents], X[1:], idx, tol=tol)
+    worst = np.minimum(np.minimum(res.parent_margin, res.child_margin), res.psi)
+    feasibility = _violation(np.maximum(0.0, -worst))
 
-    # (p-X) membership and the supporting normalization p_{t+1} x_t = 1.
-    for t in range(1, N + 2):
-        p = dual.price(t, N).values
-        member, norm = _layer_residuals(market, t, p, path[t - 1].values)
-        viol = _violation(np.maximum(0.0, -member))
-        level = tree.level(min(t, N))
-        membership.update(zip((f"p_{t}@{n.node_id}" for n in level), viol.tolist()))
-        resid = _violation(np.abs(norm))
-        normalization[t - 1] = max(0.0, float(resid.max()))
-        note_witness(
-            min(t, N), {"dual_cone_membership": viol, "normalization": resid},
-            lambda k, t=t: {"layer": t},
-        )
+    # (p-X) membership and the supporting normalization p_{t+1} x_t = 1, over
+    # p_1..p_N on the non-root nodes, then p_{N+1} on the leaves.
+    p, bar = _tree_prices(dual, tree)
+    terminal = dual.terminal.values
+    rows = np.concatenate([idx, leaves])
+    layer = np.concatenate([tree.depth[1:], np.full(len(leaves), N + 1)])
+    cone = np.concatenate([parents, leaves])
+    member, norm = _price_residuals(market, np.concatenate([p, terminal]), cone, X[cone])
+    membership = _violation(np.maximum(0.0, -member))
+    norm = _violation(np.abs(norm))
+    date_starts = np.append(tree.offsets[1:-1] - 1, tree.n_nodes - 1)
+    normalization = np.maximum(np.maximum.reduceat(norm, date_starts), 0.0)
 
     # (dual-path): certify sup { p_bar b - p a } <= 0 at every node, by the
-    # closed-form bound where it is within tol and by LP elsewhere.  A value
+    # rigorous bound where it is within tol and by LP elsewhere.  A value
     # above tol is an LP value, which comes with its witness pair.
-    lp_nodes: list[str] = []
-    for t in range(1, N + 1):
-        level = tree.level(t)
-        values, lp = _transition_level(
-            market, tree.indices(t), dual.price(t, N).values,
-            dual.price(t + 1, N), tol,
-        )
-        lp_nodes += [level[k].node_id for k in lp]
-        transition.update(zip((node.node_id for node in level), values.tolist()))
-        note_witness(
-            t, {"transition": values},
-            lambda k: {"pair": (lp[k].witness_a.tolist(), lp[k].witness_b.tolist())},
-        )
+    bar_abs = None
+    if not ((p >= 0.0).all() and (terminal >= 0.0).all()):
+        bar_abs = _conditional_sums(tree, np.abs(p), np.abs(terminal))[1:]
+    transition, lp = _transition_values(market, idx, p, bar[1:], bar_abs, tol)
 
-    certified = (
-        max(normalization) <= tol
-        and max(membership.values()) <= tol
-        and max(transition.values()) <= tol
-        and max(feasibility.values()) <= tol
+    witness = (
+        first_hit(idx, {"path_feasibility": feasibility},
+                  lambda k: {"layer": int(layer[k])})
+        or first_hit(rows, {"dual_cone_membership": membership, "normalization": norm},
+                     lambda k: {"layer": int(layer[k])})
+        or first_hit(idx, {"transition": transition}, lambda k: {
+            "pair": (lp[k].witness_a.tolist(), lp[k].witness_b.tolist())
+        } if k in lp else {})
     )
+    non_root = ids[1:]
     return RapidityCertificate(
         tol=tol,
-        certified=certified,
-        normalization_by_t=normalization,
-        membership_by_node=membership,
-        transition_by_node=transition,
-        feasibility_by_node=feasibility,
+        certified=bool(max(
+            normalization.max(), membership.max(), transition.max(), feasibility.max()
+        ) <= tol),
+        normalization_by_t=normalization.tolist(),
+        membership_by_node=dict(zip(
+            (f"p_{t}@{ids[i]}" for t, i in zip(layer.tolist(), rows.tolist())),
+            membership.tolist(),
+        )),
+        transition_by_node=dict(zip(non_root, transition.tolist())),
+        feasibility_by_node=dict(zip(non_root, feasibility.tolist())),
         witness=witness,
-        transition_lp_nodes=lp_nodes,
+        transition_lp_nodes=[non_root[k] for k in lp],
     )
 
 
@@ -378,10 +365,7 @@ def _tree_prices(dual: DualPath, tree: ScenarioTree) -> tuple[np.ndarray, np.nda
     """Every price row of the dual path in node order, and E_t p_{t+1} per node.
 
     ``p`` holds p_t on each depth-t node, one row per non-root node (node i
-    at row i - 1).  ``bar`` holds E_t p_{t+1} on each node: one ordered
-    ``np.add.at`` over all children at once, which adds each parent's
-    children in child order as :func:`conditional_expectation` does, and the
-    terminal layer on the leaves.
+    at row i - 1), and ``bar`` is :func:`_conditional_sums` of it.
     """
     N = tree.horizon
     layers = [dual.price(t, N).values for t in range(1, N + 2)]
@@ -389,10 +373,23 @@ def _tree_prices(dual: DualPath, tree: ScenarioTree) -> tuple[np.ndarray, np.nda
     if [a.shape for a in layers] != shapes[1:] + shapes[-1:]:
         raise ShapeMismatch("dual path layers do not match the tree")
     p = np.concatenate(layers[:-1])
+    return p, _conditional_sums(tree, p, layers[-1])
+
+
+def _conditional_sums(
+    tree: ScenarioTree, p: np.ndarray, terminal: np.ndarray
+) -> np.ndarray:
+    """E_t of the next price layer on every node.
+
+    ``p`` holds p_1..p_N as :func:`_tree_prices` does, one row per non-root
+    node.  One ordered ``np.add.at`` over all children at once adds each
+    parent's children in child order, as :func:`conditional_expectation`
+    does; the leaves hold the terminal layer.
+    """
     bar = np.zeros((tree.n_nodes, p.shape[1]))
     np.add.at(bar, tree.parents[1:], tree.cond_prob[1:, None] * p)
-    bar[tree.span(N)] = layers[-1]
-    return p, bar
+    bar[tree.span(tree.horizon)] = terminal
+    return bar
 
 
 def supermartingale_check(
@@ -541,19 +538,27 @@ def check_equivalences(
     denominator exists are dropped from the ratio forms only.
     """
     rng = np.random.default_rng(seed)
+    N = tree.horizon
     idx, up = tree.indices(t), tree.up(t)
     bar = conditional_expectation(tree, p_next)  # p_next itself at the last date
 
+    def residuals(s: int, p: np.ndarray, x: np.ndarray):
+        """Date-s price rows against the date-(s-1) states ``x``."""
+        nodes = idx if s > N else tree.parents[tree.indices(s)]
+        return _price_residuals(market, p, nodes, x[nodes - tree.offsets[s - 1]])
+
     P = p_t.values
     members, norms = zip(
-        _layer_residuals(market, t, P, x_prev.values),
-        _layer_residuals(market, t + 1, p_next.values, x_curr.values),
+        residuals(t, P, x_prev.values), residuals(t + 1, p_next.values, x_curr.values)
     )
     pre_norm = max(0.0, float(np.abs(np.concatenate(norms)).max()))
     pre_member = max(0.0, -float(np.concatenate(members).min()))
 
     # (IV): the per-node values, collecting LP witnesses for the sampled forms.
-    values, lp = _transition_level(market, idx, P, p_next, tol)
+    bar_abs = None if (p_next.values >= 0.0).all() else conditional_expectation(
+        tree, AdaptedVector(p_next.depth, np.abs(p_next.values))
+    ).values
+    values, lp = _transition_values(market, idx, P, bar.values, bar_abs, tol)
     value_iv = float(values.max())
 
     # Sampled transition pairs, one (n, m) row block per sample: the solved

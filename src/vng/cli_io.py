@@ -4,8 +4,9 @@ Files are JSON with an explicit schema version; floats are serialized with
 full round-trip precision.  Every per-node table maps node ids to vectors
 and is read by ``_node_rows`` and written by ``_node_map``.  Numbers must
 be finite and fit a double (a boolean or a string is no number), integer
-fields must be integral and the solver ``tol`` positive; anything else is a
-parse error.  Writes are atomic (write to a temporary file in the target
+fields must be integral, the counts (``max_iter``, ``--competitors``,
+certify's ``--seed``) at least 0, and every ``tol`` positive; anything else
+is a parse error.  Writes are atomic (write to a temporary file in the target
 directory, then rename).  The command set is
 
     vng validate PROBLEM
@@ -128,6 +129,22 @@ def _number(value, where: str, kind: type = float):
         if not out.is_integer():
             raise ParseError(f"{where}: expected an integer, got {value!r}")
         return value if isinstance(value, int) else int(out)
+    return out
+
+
+def _positive(value, where: str) -> float:
+    """A finite number above 0, such as a tolerance."""
+    out = _number(value, where)
+    if out <= 0:
+        raise ParseError(f"{where}: must be positive, got {out!r}")
+    return out
+
+
+def _count(value, where: str) -> int:
+    """An integer of at least 0, such as an iteration cap or a sample count."""
+    out = _number(value, where, int)
+    if out < 0:
+        raise ParseError(f"{where}: must not be negative, got {out!r}")
     return out
 
 
@@ -311,8 +328,8 @@ def solve_options_from(section, args=None, where: str = "solver") -> SolveOption
         values[field.name] = _number(
             value, f"{where}.{field.name}", type(field.default)
         )
-    if values["tol"] <= 0:
-        raise ParseError(f"{where}.tol: must be positive, got {values['tol']!r}")
+    _positive(values["tol"], f"{where}.tol")
+    _count(values["max_iter"], f"{where}.max_iter")
     return SolveOptions(**values)
 
 
@@ -534,6 +551,9 @@ def _load_solution(args, problem: PathProblem, raw: bytes) -> tuple[Solution, st
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    tol = _positive(args.tol, "--tol")
+    competitors = _count(args.competitors, "--competitors")
+    seed = _count(args.seed, "--seed")
     problem, raw, _ = load_problem(args.problem)
     solution, digest = _load_solution(args, problem, raw)
     if not solution.converged:
@@ -546,13 +566,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
         dual = extract_dual(solution, problem, strict=False)
     except DimensionMismatch as exc:  # z or multipliers of the wrong length
         raise ParseError(f"solution file: {exc}") from exc
-    cert = verify_rapid(
-        solution.path, dual, problem.tree, problem.market, tol=args.tol
-    )
-    if args.competitors > 0 and cert.certified:
-        rng = np.random.default_rng(args.seed)
+    cert = verify_rapid(solution.path, dual, problem.tree, problem.market, tol=tol)
+    if competitors > 0 and cert.certified:
+        rng = np.random.default_rng(seed)
         paths = sample_competitor_paths(
-            problem.tree, problem.market, rng, problem.x0, args.competitors
+            problem.tree, problem.market, rng, problem.x0, competitors
         )
         rapid, *reports = _supermartingale_checks(
             dual, [solution.path, *paths], problem.tree

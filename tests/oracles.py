@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from vng.market_model import ConeLift
+from vng.market_model import ConeLift, dual_cone_violation, transition_bound
+from vng.scenario_tree import AdaptedVector
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
@@ -512,15 +513,25 @@ def _node_section_min(market, p, node):
 
 
 def verify_loops(path, dual, tree, market, tol):
-    """verify_rapid's feasibility, membership and normalization, node by node.
+    """verify_rapid node by node: every field of its certificate.
 
-    Returns the feasibility and membership tables, the normalization list and
-    the first witness among those three criteria (None if all hold).
+    Returns a dict keyed by the :class:`vng.RapidityCertificate` field
+    names.  Each node's transition value is a one-row ``transition_bound``
+    on its p_bar and its conditional sum over |p_{t+1}|, both summed child by
+    child, and the LP where that bound exceeds tol and the prices are
+    finite.  A NaN residual counts as an unbounded violation, ``inf``.
     """
     N = tree.horizon
-    feasibility, membership = {}, {}
+    feasibility, membership, transition = {}, {}, {}
     normalization = [0.0] * (N + 1)
+    lp_nodes = []
     witness = None
+
+    def violation(*residuals):
+        """max(0, -min residual), or ``inf`` if any residual is NaN."""
+        if any(r != r for r in residuals):
+            return float("inf")
+        return max(0.0, -min(residuals))
 
     def note(kind, node_id, value, **extra):
         nonlocal witness
@@ -533,12 +544,12 @@ def verify_loops(path, dual, tree, market, tol):
             a = path[t - 1].value_at(tree, parent)
             b = path[t].value_at(tree, node)
             d = market.returns[node.index] * a - b
-            psi = float(
-                market.Lp[node.index] @ np.maximum(d, 0.0)
-                - market.Lm[node.index] @ np.maximum(-d, 0.0)
+            # the min-form, as the frontier and the solver's rows round psi
+            lp, lm = market.Lp[node.index], market.Lm[node.index]
+            psi = float(np.minimum(lp * d, lm * d).sum())
+            viol = violation(
+                _node_margin(market, a, parent), _node_margin(market, b, node), psi
             )
-            worst = min(_node_margin(market, a, parent), _node_margin(market, b, node), psi)
-            viol = max(0.0, -worst)
             feasibility[node.node_id] = viol
             note("path_feasibility", node.node_id, viol, layer=t)
     for t in range(1, N + 2):
@@ -546,11 +557,47 @@ def verify_loops(path, dual, tree, market, tol):
         for node in tree.level(min(t, N)):
             p = p_t.value_at(tree, node)
             cone_node = node if t == N + 1 else tree.parent(node)
-            viol = max(0.0, -_node_section_min(market, p, cone_node))
+            viol = violation(_node_section_min(market, p, cone_node))
             membership[f"p_{t}@{node.node_id}"] = viol
             note("dual_cone_membership", node.node_id, viol, layer=t)
             x_prev = path[t - 1].value_at(tree, cone_node)
             resid = abs(float(p @ x_prev) - 1.0)
+            resid = float("inf") if resid != resid else resid
             normalization[t - 1] = max(normalization[t - 1], resid)
             note("normalization", node.node_id, resid, layer=t)
-    return feasibility, membership, normalization, witness
+    for t in range(1, N + 1):
+        p_next = dual.price(t + 1, N)
+        abs_next = AdaptedVector(p_next.depth, np.abs(p_next.values))
+        if t == N:  # E_N is the identity on the terminal layer
+            bars, abs_bars = p_next.values, abs_next.values
+        else:
+            bars = conditional_expectation_loop(tree, p_next)
+            abs_bars = conditional_expectation_loop(tree, abs_next)
+        for pos, node in enumerate(tree.level(t)):
+            p = dual.price(t, N).value_at(tree, node)
+            p_bar, bar_abs = bars[pos], abs_bars[pos]
+            value = float(transition_bound(
+                market, [node.index], p[None], p_bar[None], bar_abs[None]
+            )[0])
+            extra = {}
+            if value > tol and np.isfinite(p).all() and np.isfinite(p_bar).all():
+                check = dual_cone_violation(market, p, p_bar, node.index, tol=tol)
+                value = check.value
+                lp_nodes.append(node.node_id)
+                if value > tol:
+                    extra["pair"] = (check.witness_a.tolist(), check.witness_b.tolist())
+            transition[node.node_id] = value
+            note("transition", node.node_id, value, **extra)
+    return {
+        "certified": max(
+            max(normalization), max(membership.values()),
+            max(transition.values()), max(feasibility.values()),
+        ) <= tol,
+        "normalization_by_t": normalization,
+        "membership_by_node": membership,
+        "transition_by_node": transition,
+        "feasibility_by_node": feasibility,
+        "witness": witness,
+        "transition_lp_nodes": lp_nodes,
+    }
+

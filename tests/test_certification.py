@@ -147,6 +147,63 @@ class TestVerifyRapid:
         assert cert.max_feasibility == np.inf
         assert cert.witness["kind"] == "path_feasibility"
 
+    def test_nan_price_refuted_without_lp(self, pipeline, monkeypatch):
+        """A non-finite price reads inf and gets no LP, which cannot take it;
+        its own membership is the witness."""
+        problem, solution, dual, _ = pipeline
+        tree = problem.tree
+        bad = tampered_duals(problem, solution, dual)["nan_price"]
+        lp_nodes = []
+        violation = vng.certification.dual_cone_violation
+
+        def logged(market, p, p_bar, node, tol):
+            lp_nodes.append(node)
+            return violation(market, p, p_bar, node, tol)
+
+        monkeypatch.setattr(vng.certification, "dual_cone_violation", logged)
+        cert = vng.verify_rapid(solution.path, bad, tree, problem.market)
+        nan_node = tree.level(2)[0].node_id
+        assert not cert.certified
+        assert cert.transition_by_node[nan_node] == np.inf
+        assert cert.transition_by_node[tree.level(1)[0].node_id] == np.inf
+        assert lp_nodes == [] and cert.transition_lp_nodes == []
+        assert cert.witness == {
+            "kind": "dual_cone_membership", "node": nan_node, "value": np.inf,
+            "layer": 2,
+        }
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: regular_problem(3, 1, 2, seed=0), id="horizon1"),
+        pytest.param(lambda: regular_problem(2, 4, 3, seed=0), id="horizon4"),
+        pytest.param(lambda: regular_problem(2, 6, 2, seed=0), id="horizon6"),
+    ])
+    def test_one_pass_per_criterion(self, make, monkeypatch):
+        """One verify_rapid makes one in_Z, one dual_cone_residual and one
+        transition_bound call at any horizon, with or without LP nodes, and
+        leaves conditional expectations to whole-tree sums."""
+        problem = make()
+        solution = vng.solve_log_optimal(problem)
+        dual = vng.extract_dual(solution, problem)
+        calls = {}
+
+        def counted(name):
+            inner = getattr(vng.certification, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(vng.certification, name, wrapper)
+
+        for name in ("in_Z", "dual_cone_residual", "transition_bound",
+                     "conditional_expectation"):
+            counted(name)
+        for d in (dual, tampered_duals(problem, solution, dual)["tilted"]):
+            calls.clear()
+            cert = vng.verify_rapid(solution.path, d, problem.tree, problem.market)
+            assert calls == {"in_Z": 1, "dual_cone_residual": 1, "transition_bound": 1}
+        assert cert.transition_lp_nodes
+
 
 class TestSupermartingale:
     def test_rapid_path_is_martingale(self, pipeline):
@@ -796,6 +853,111 @@ def negated_first_price(dual):
     return vng.DualPath(prices=prices, terminal=dual.terminal)
 
 
+def tampered_duals(problem, solution, dual):
+    """Refutable duals, by name, each from one edit of the solved dual.
+
+    - ``scaled``: p_1 times 1.5.
+    - ``negative``: at the first node of date 1 or later with two children,
+      every child's price becomes the node's p / R, so the node's
+      sigma - p_bar vanishes but for rounding and its bound reads only
+      rounding terms.  Then the first coordinate of the first two children
+      moves apart, keeping their conditional mean, until the second reads
+      -1.  The node's p_bar barely moves; its |p| sums do.
+    - ``nan_price``: the first date-2 price (date 1 on a horizon-1 tree)
+      reads NaN.
+    - ``tilted``: p_1 at the first node moves by 1e-3 along a direction the
+      root state does not price (any direction when m = 1).
+    """
+    tree, market, N = problem.tree, problem.market, problem.tree.horizon
+
+    def edited(edit):
+        prices = {t: av.values.copy() for t, av in dual.prices.items()}
+        prices[N + 1] = dual.terminal.values.copy()
+        edit(prices)
+        return vng.DualPath(
+            prices={t: vng.AdaptedVector(t, prices[t]) for t in range(1, N + 1)},
+            terminal=vng.AdaptedVector(N + 1, prices[N + 1]),
+        )
+
+    def scale(prices):
+        prices[1] *= 1.5
+
+    def negative(prices):
+        for node in tree.nodes[1:tree.n_nodes - len(tree.leaves())]:
+            kids = tree.children(node)
+            if len(kids) >= 2:
+                t, (w1, w2) = node.depth + 1, (kids[0].cond_prob, kids[1].cond_prob)
+                r1, r2 = tree.level_position(kids[0]), tree.level_position(kids[1])
+                p = prices[t - 1][tree.level_position(node)]
+                prices[t][[tree.level_position(kid) for kid in kids]] = (
+                    p / market.returns[node.index]
+                )
+                delta = w2 * (prices[t][r2, 0] + 1.0)
+                prices[t][r1, 0] += delta / w1
+                prices[t][r2, 0] -= delta / w2
+                return
+        prices[N][0, 0] = -prices[N][0, 0]
+
+    def nan(prices):
+        prices[min(2, N)][0, 0] = np.nan
+
+    def tilt(prices):
+        x, v = solution.path[0].values[0], np.zeros(market.m)
+        if len(v) >= 2:
+            v[0], v[1] = x[1], -x[0]
+        else:
+            v[0] = 1.0
+        prices[1][0] += 1e-3 * v / np.abs(v).max()
+
+    return {name: edited(edit) for name, edit in (
+        ("scaled", scale), ("negative", negative), ("nan_price", nan), ("tilted", tilt),
+    )}
+
+
+def tampered_paths(solution):
+    """Refutable paths, by name: a NaN entry in the last layer, and a date-1
+    layer blown up 50 times, past the self-financing frontier."""
+    nan_path = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
+    nan_path[-1].values[-1, 0] = np.nan
+    infeasible = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
+    infeasible[1].values[:] *= 50.0
+    return {"nan_path": nan_path, "infeasible": infeasible}
+
+
+def hex_fields(value):
+    """Floats as ``float.hex``, dicts as their item lists in key order, and
+    containers tagged with their type, so equality is bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(k, hex_fields(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [hex_fields(v) for v in value])
+    return (type(value).__name__, value)
+
+
+def assert_certificate_matches_loops(path, dual, tree, market):
+    """verify_rapid equals the node-by-node oracle in every field, bit for bit."""
+    cert = vng.verify_rapid(path, dual, tree, market)
+    loops = verify_loops(path, dual, tree, market, cert.tol)
+    assert hex_fields({k: getattr(cert, k) for k in loops}) == hex_fields(loops)
+    return cert
+
+
+LADDER = [(3, 3, 2), (3, 3, 4), (2, 5, 2), (2, 5, 4), (4, 3, 2), (2, 6, 2)]
+
+
+@pytest.fixture(scope="module")
+def ladder_set():
+    """Regular trees of the benchmark ladder's shapes, solved once."""
+    out = []
+    for branching, depth, m in LADDER:
+        problem = regular_problem(branching, depth, m, seed=0)
+        solution = vng.solve_log_optimal(problem)
+        out.append((problem, solution, vng.extract_dual(solution, problem)))
+    return out
+
+
 class TestLevelAlgebraMatchesNodeLoops:
     """Whole-level array forms equal the per-node references bit for bit."""
 
@@ -838,19 +1000,30 @@ class TestLevelAlgebraMatchesNodeLoops:
                     (r.first_form, r.second_form, r.equality_gap)
                     for r in _supermartingale_checks(d, strategies, tree)
                 ] == [supermartingale_loop(d, y, tree) for y in strategies]
-                cert = vng.verify_rapid(solution.path, d, tree, market)
-                feas, member, norm, witness = verify_loops(
-                    solution.path, d, tree, market, cert.tol
-                )
-                assert cert.feasibility_by_node == feas
-                assert cert.membership_by_node == member
-                assert cert.normalization_by_t == norm
-                if witness is not None:
-                    witnesses += 1
-                    assert cert.witness == witness
-                else:
-                    assert cert.witness is None or cert.witness["kind"] == "transition"
+                cert = assert_certificate_matches_loops(solution.path, d, tree, market)
+                witnesses += cert.witness is not None
         assert witnesses >= len(solved_set)
+
+    def test_verify_rapid_solved_and_tampered(self, solved_set, ladder_set):
+        """Acceptance seeds 0-49, the fixtures and the ladder shapes, each
+        with its solved dual, four tampered duals and two tampered paths."""
+        kinds, lp_nodes = set(), 0
+        for problem, solution, dual in solved_set + ladder_set:
+            tree, market = problem.tree, problem.market
+            cert = assert_certificate_matches_loops(solution.path, dual, tree, market)
+            assert cert.certified
+            cases = [(solution.path, d) for d in
+                     tampered_duals(problem, solution, dual).values()]
+            cases += [(y, dual) for y in tampered_paths(solution).values()]
+            for path, d in cases:
+                cert = assert_certificate_matches_loops(path, d, tree, market)
+                assert not cert.certified
+                kinds.add(cert.witness["kind"])
+                lp_nodes += len(cert.transition_lp_nodes)
+        assert kinds == {
+            "path_feasibility", "dual_cone_membership", "normalization", "transition",
+        }
+        assert lp_nodes >= len(ladder_set)
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: regular_problem(2, 6, 2, seed=0), id="2^6-m2"),

@@ -198,6 +198,23 @@ class TestSolveCertify:
         assert cert["verdict"] == "refuted"
         assert cert["witness"] is not None
 
+    def test_zero_leaf_state_refuted_without_traceback(self, workdir, capsys):
+        """A leaf state of 0 makes that leaf's terminal price p / (p . 0)
+        non-finite; it is refuted by membership, and no LP is posed on it."""
+        run("solve", "kelly.json")
+        doc = json.loads((workdir / "kelly.solution.json").read_text())
+        doc["path"]["up"] = [0.0, 0.0]
+        (workdir / "kelly.solution.json").write_text(json.dumps(doc))
+        assert (
+            run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_REFUTED
+        )
+        assert "Traceback" not in capsys.readouterr().err
+        cert = json.loads((workdir / "kelly.certificate.json").read_text())
+        assert cert["witness"]["kind"] == "dual_cone_membership"
+        assert cert["witness"]["node"] == "up"
+        assert cert["transition_by_node"]["up"] == float("inf")
+        assert "up" not in cert["transition_lp_nodes"]
+
     @pytest.mark.parametrize(
         "damage", ["no_residuals", "short_z", "short_multipliers", "null_multiplier"]
     )
@@ -542,6 +559,16 @@ class TestNumbers:
         pytest.param("problem", ("solver", "tol"), 0, id="tol=0"),
         pytest.param("problem", ("solver", "tol"), -1e-8, id="tol=-1e-8"),
         pytest.param("flag", ("--tol",), "0", id="--tol=0"),
+        pytest.param("problem", ("solver", "max_iter"), -1, id="max_iter=-1"),
+        pytest.param("flag", ("--max-iter",), "-2", id="--max-iter=-2"),
+        pytest.param("solution", ("options", "max_iter"), -1,
+                     id="solution.options.max_iter=-1"),
+        pytest.param("certify flag", ("--tol",), "0", id="certify--tol=0"),
+        pytest.param("certify flag", ("--tol",), "-1", id="certify--tol=-1"),
+        pytest.param("certify flag", ("--tol",), "nan", id="certify--tol=nan"),
+        pytest.param("certify flag", ("--tol",), "inf", id="certify--tol=inf"),
+        pytest.param("certify flag", ("--competitors",), "-3", id="--competitors=-3"),
+        pytest.param("certify flag", ("--seed",), "-1", id="certify--seed=-1"),
         pytest.param("solution", ("z", 0), BIG, id="solution.z=10**400"),
         pytest.param("solution", ("z", 0), True, id="solution.z=true"),
         pytest.param("solution", ("path", "up", 0), BIG, id="solution.path=10**400"),
@@ -565,11 +592,14 @@ class TestNumbers:
         argv = {
             "problem": ["solve", "bad.problem.json"],
             "flag": ["solve", "kelly.json", *path, value],
+            "certify flag": ["certify", "kelly.json", "kelly.solution.json", *path, value],
             "solution": ["certify", "kelly.json", "bad.solution.json"],
             "certificate": ["compare", "kelly.json", "strategies.json",
                             "--certificate", "bad.certificate.json"],
         }[file]
-        if file != "flag":
+        if file == "certify flag":  # a solution that certifies with valid flags
+            (workdir / "kelly.solution.json").write_text(json.dumps(kelly_outputs[0]))
+        elif file != "flag":
             doc = copy.deepcopy({
                 "problem": fixture_doc("kelly.json"),
                 "solution": kelly_outputs[0],
@@ -583,6 +613,29 @@ class TestNumbers:
             (workdir / f"bad.{file}.json").write_text(json.dumps(doc))
         assert run(*argv) == cli.EXIT_PARSE
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_tol_rule_is_the_same_for_solve_and_certify(self, workdir, capsys):
+        assert run("solve", "kelly.json", "--tol", "0") == cli.EXIT_PARSE
+        assert "solver.tol: must be positive, got 0.0" in capsys.readouterr().err
+        assert run("solve", "kelly.json") == cli.EXIT_OK
+        capsys.readouterr()
+        for value in ("0", "inf"):
+            assert run("certify", "kelly.json", "kelly.solution.json",
+                       "--tol", value) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: --tol: must be positive, got 0.0\n"
+            "error: --tol: expected a finite number, got inf\n"
+        )
+
+    def test_zero_counts_stay_valid(self, workdir):
+        assert run("solve", "kelly.json", "--max-iter", "0",
+                   "--out", "zero.json") == cli.EXIT_NONCONVERGENCE
+        assert json.loads((workdir / "zero.json").read_text())["iterations"] == 0
+        assert run("solve", "kelly.json") == cli.EXIT_OK
+        assert run("certify", "kelly.json", "kelly.solution.json",
+                   "--competitors", "0", "--seed", "0") == cli.EXIT_OK
+        doc = json.loads((workdir / "kelly.certificate.json").read_text())
+        assert doc["verdict"] == "certified" and "supermartingale" not in doc
 
     @pytest.mark.parametrize("depth", [500, 100_000])
     def test_deeply_nested_value_exits_parse(self, workdir, capsys, depth):
