@@ -22,6 +22,7 @@ supplies the refutation witness; the certificate lists those nodes.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ from .market_model import (
 )
 from .scenario_tree import AdaptedVector, ScenarioTree, conditional_expectation
 from .solver import PathProblem, Solution, _kkt_report, _stored_iterate, assemble
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,9 @@ def extract_dual(
     idx = tree.indices(N)
     beta, gamma = mult["u"][idx - 1], mult["margin"][idx - 1]
     g = (edge_price_density(idx) - beta - gamma * market.Lp[idx]) / tree.prob[idx, None]
-    term = g / np.vecdot(g, solution.path[N].values)[:, None]
+    # A leaf state of 0 makes its row non-finite, which verification refutes.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = g / np.vecdot(g, solution.path[N].values)[:, None]
     return DualPath(prices=prices, terminal=AdaptedVector(N + 1, term))
 
 
@@ -204,7 +209,8 @@ def _transition_values(
     witness, is returned.  A row with a non-finite price keeps the bound's
     ``inf`` and gets no LP, which could not take it.
     """
-    values = transition_bound(market, nodes, p, p_bar, bar_abs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite price
+        values = transition_bound(market, nodes, p, p_bar, bar_abs)
     finite = np.isfinite(p).all(axis=1) & np.isfinite(p_bar).all(axis=1)
     lp = {
         int(k): dual_cone_violation(market, p[k], p_bar[k], int(nodes[k]), tol=tol)
@@ -229,7 +235,8 @@ def _price_residuals(
     node's state ``x[k]``: a p_t row on a depth-t node (t = 1..N) its
     parent's, a p_{N+1} row its own leaf's.
     """
-    return dual_cone_residual(market, p, nodes), np.vecdot(p, x) - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite price
+        return dual_cone_residual(market, p, nodes), np.vecdot(p, x) - 1.0
 
 
 def verify_rapid(
@@ -287,11 +294,16 @@ def verify_rapid(
     rows = np.concatenate([idx, leaves])
     layer = np.concatenate([tree.depth[1:], np.full(len(leaves), N + 1)])
     cone = np.concatenate([parents, leaves])
-    member, norm = _price_residuals(market, np.concatenate([p, terminal]), cone, X[cone])
+    prices = np.concatenate([p, terminal])
+    member, norm = _price_residuals(market, prices, cone, X[cone])
     membership = _violation(np.maximum(0.0, -member))
     norm = _violation(np.abs(norm))
     date_starts = np.append(tree.offsets[1:-1] - 1, tree.n_nodes - 1)
     normalization = np.maximum(np.maximum.reduceat(norm, date_starts), 0.0)
+    bad = np.flatnonzero(~np.isfinite(prices).all(axis=1))
+    if len(bad):  # refuted by membership; its arithmetic raised no warning
+        log.warning("non-finite price rows: %d, the first p_%d@%s",
+                    len(bad), layer[bad[0]], ids[rows[bad[0]]])
 
     # (dual-path): certify sup { p_bar b - p a } <= 0 at every node, by the
     # rigorous bound where it is within tol and by LP elsewhere.  A value

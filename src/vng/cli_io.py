@@ -2,12 +2,13 @@
 
 Files are JSON with an explicit schema version; floats are serialized with
 full round-trip precision.  Every per-node table maps node ids to vectors
-and is read by ``_node_rows`` and written by ``_node_map``.  Numbers must
-be finite and fit a double (a boolean or a string is no number), integer
-fields must be integral, the counts (``max_iter``, ``--competitors``,
-certify's ``--seed``) at least 0, and every ``tol`` positive; anything else
-is a parse error.  Writes are atomic (write to a temporary file in the target
-directory, then rename).  The command set is
+and is read by ``_node_rows`` and written by ``_node_map``.  A table is
+checked as a whole, and an error still names its first bad entry in node
+order.  Numbers must be finite and fit a double (a boolean or a string is
+no number), integer fields must be integral, the counts (``max_iter``,
+``--competitors``, certify's ``--seed``) at least 0, and every ``tol``
+positive; anything else is a parse error.  Writes are atomic (write to a
+temporary file in the target directory, then rename).  The command set is
 
     vng validate PROBLEM
     vng solve    PROBLEM [--tol --max-iter --seed --objective --out]
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -153,8 +155,10 @@ def _array(value, where: str) -> np.ndarray:
     anywhere are rejected."""
     try:
         arr = np.asarray(value, dtype=float)
-        leaves = np.asarray(value, dtype=object).reshape(-1)  # as parsed
-        if any(isinstance(v, (bool, str)) for v in leaves):
+        leaves = value if arr.ndim else (value,)  # as parsed, flattened below
+        for _ in range(arr.ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        if any(issubclass(kind, (bool, str)) for kind in set(map(type, leaves))):
             raise TypeError("booleans and strings are not numbers")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected numbers: {exc}") from exc
@@ -174,10 +178,21 @@ def _node_rows(table, nodes, m: int, where: str, scalars: bool = False) -> np.nd
     """The rows of a ``{node_id: vector}`` table for ``nodes``, in their order.
 
     Every node needs an entry of m numbers; with ``scalars``, one number
-    stands for m equal ones.
+    stands for m equal ones.  The entries are converted as one array.  A
+    table that does not convert to one row per node (a missing or bad entry,
+    or scalars mixed with vectors) is scanned node by node, which accepts the
+    mixed tables and names the first bad entry in node order.
     """
     if not isinstance(table, dict):
         raise ParseError(f"{where}: expected an object, got {type(table).__name__}")
+    try:
+        rows = _array([table[node.node_id] for node in nodes], where)
+        if rows.shape == (len(nodes), m):
+            return rows
+        if scalars and rows.shape == (len(nodes),):
+            return np.repeat(rows[:, None], m, axis=1)
+    except (KeyError, ParseError):
+        pass  # the scan below names the first bad entry
     rows = np.empty((len(nodes), m))
     for k, node in enumerate(nodes):
         if node.node_id not in table:
@@ -386,8 +401,8 @@ def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict
         "options": dataclasses.asdict(solution.options),
         "objective_trace": list(solution.objective_trace),
         "path": _path_to_dict(tree, solution.path),
-        "z": [float(v) for v in solution.z],
-        "multipliers": [float(v) for v in solution.multipliers],
+        "z": solution.z.tolist(),
+        "multipliers": solution.multipliers.tolist(),
     }
 
 

@@ -395,7 +395,7 @@ def _transition_bound_terms(
         nodes, p, p_bar, np.abs(p_bar) if bar_abs is None else bar_abs
     )
     tree = market.tree
-    n_children = np.bincount(tree.parents[1:], minlength=tree.n_nodes)[idx]
+    n_children = tree.child_counts[idx]
     sigma = p / market.returns[idx]
     y = sigma - p_bar
     err_sigma = 2.0 * _U * np.abs(sigma) + _TINY

@@ -52,8 +52,9 @@ class ScenarioTree:
 
     Nodes are indexed by depth, then input order, so level t is the index
     range ``offsets[t]:offsets[t + 1]`` and whole levels are array slices.
-    ``parents``, ``depth``, ``cond_prob`` and ``prob`` (unconditional) hold one
-    entry per node index; the root is index 0, with parent -1.
+    ``parents``, ``depth``, ``cond_prob``, ``prob`` (unconditional) and
+    ``child_counts`` hold one entry per node index; the root is index 0, with
+    parent -1.
     """
 
     horizon: int
@@ -64,6 +65,7 @@ class ScenarioTree:
     cond_prob: np.ndarray = field(repr=False)
     prob: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
+    child_counts: np.ndarray = field(repr=False)
     _id_index: dict[str, int] = field(repr=False)
     _up: tuple[np.ndarray, ...] = field(repr=False)
 
@@ -221,7 +223,8 @@ def build_tree(
         parents[offsets[t]:offsets[t + 1]] - offsets[t - 1]
         for t in range(1, horizon + 1)
     )
-    for arr in (parents, depths, cond_prob, prob, offsets, *up):
+    child_counts = np.bincount(parents[1:], minlength=len(nodes))
+    for arr in (parents, depths, cond_prob, prob, offsets, child_counts, *up):
         arr.flags.writeable = False
 
     if dimension < 1:
@@ -236,6 +239,7 @@ def build_tree(
         cond_prob=cond_prob,
         prob=prob,
         offsets=offsets,
+        child_counts=child_counts,
         _id_index={nid: new_index[nid] for nid in ids},
         _up=up,
     )

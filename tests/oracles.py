@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
+from vng.errors import ParseError
 from vng.market_model import ConeLift, dual_cone_violation, transition_bound
 from vng.scenario_tree import AdaptedVector
 
@@ -601,3 +602,42 @@ def verify_loops(path, dual, tree, market, tol):
         "transition_lp_nodes": lp_nodes,
     }
 
+
+
+# --- node-by-node reader of a {node_id: vector} table -----------------------------
+
+def _array_loop(value, where):
+    """Finite floats, with the leaf types read off an object array."""
+    try:
+        arr = np.asarray(value, dtype=float)
+        leaves = np.asarray(value, dtype=object).reshape(-1)  # as parsed
+        if any(isinstance(v, (bool, str)) for v in leaves):
+            raise TypeError("booleans and strings are not numbers")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: expected numbers: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{where}: expected finite numbers")
+    return arr
+
+
+def node_rows_loop(table, nodes, m, where, scalars=False):
+    """The rows of a node table, one ``_array_loop`` per node in order.
+
+    Every node needs an entry of m numbers; with ``scalars``, one number
+    stands for m equal ones.  The first bad entry in node order is named.
+    """
+    if not isinstance(table, dict):
+        raise ParseError(f"{where}: expected an object, got {type(table).__name__}")
+    rows = np.empty((len(nodes), m))
+    for k, node in enumerate(nodes):
+        if node.node_id not in table:
+            raise ParseError(f"{where}: node {node.node_id!r}: missing entry")
+        at = f"{where}[{node.node_id}]"
+        val = _array_loop(table[node.node_id], at)
+        if scalars and val.size == 1:
+            rows[k] = val.item()
+        elif val.shape != (m,):
+            raise ParseError(f"{at}: expected {m} numbers, got shape {val.shape}")
+        else:
+            rows[k] = val
+    return rows

@@ -1,11 +1,13 @@
 """Command-line surface: parsing, exit codes, file round-trips, referees."""
 
+import argparse
 import copy
 import json
 import os
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 import vng
 import vng.cli_io as cli
-from vng.errors import InfeasibleStart, LPFailure, NotCertified
+from oracles import node_rows_loop
+from vng.errors import InfeasibleStart, LPFailure, NotCertified, ParseError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -198,9 +201,11 @@ class TestSolveCertify:
         assert cert["verdict"] == "refuted"
         assert cert["witness"] is not None
 
-    def test_zero_leaf_state_refuted_without_traceback(self, workdir, capsys):
+    @pytest.mark.filterwarnings("error")
+    def test_zero_leaf_state_refuted_without_traceback(self, workdir, capsys, caplog):
         """A leaf state of 0 makes that leaf's terminal price p / (p . 0)
-        non-finite; it is refuted by membership, and no LP is posed on it."""
+        non-finite; it is refuted by membership, and no LP is posed on it.
+        No numpy warning is raised: one log line names the row."""
         run("solve", "kelly.json")
         doc = json.loads((workdir / "kelly.solution.json").read_text())
         doc["path"]["up"] = [0.0, 0.0]
@@ -209,6 +214,8 @@ class TestSolveCertify:
             run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_REFUTED
         )
         assert "Traceback" not in capsys.readouterr().err
+        logged = [r.getMessage() for r in caplog.records if r.name == "vng.certification"]
+        assert logged == ["non-finite price rows: 1, the first p_3@up"]
         cert = json.loads((workdir / "kelly.certificate.json").read_text())
         assert cert["witness"]["kind"] == "dual_cone_membership"
         assert cert["witness"]["node"] == "up"
@@ -682,3 +689,108 @@ class TestExitCodeFuzz:
                    "--certificate", "fuzz.certificate.json")
         assert code in EXIT_CODES
         assert "Traceback" not in capsys.readouterr().err
+
+
+# --- node tables read as one array --------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**300, 10**300),
+)
+BAD_KINDS = ["missing", "true", "string", "null", "big", "dict",
+             "long", "short", "nested", "bad leaf"]
+
+
+@st.composite
+def node_tables(draw, bad: bool):
+    """(table, nodes, m, scalars): a ``{node_id: vector}`` table for ``nodes``.
+
+    With ``scalars``, entries mix vectors, bare numbers and one-number
+    vectors, as cost maps may.  With ``bad``, some entries at random
+    positions are broken.
+    """
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3),
+                        min_size=1, max_size=6, unique=True))
+    m = draw(st.integers(1, 4))
+    scalars = draw(st.booleans())
+    table = {}
+    for nid in ids:
+        vec = draw(st.lists(NUMBERS, min_size=m, max_size=m))
+        table[nid] = draw(st.sampled_from([vec, vec[0], vec[:1]])) if scalars else vec
+    if draw(st.booleans()):
+        table["not a node"] = True  # entries of other ids are never read
+    broken = st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids), unique=True)
+    for nid in draw(broken) if bad else []:
+        kind, entry = draw(st.sampled_from(BAD_KINDS)), table[nid]
+        vec = entry if isinstance(entry, list) else [entry]
+        if kind == "missing":
+            del table[nid]
+        elif kind == "bad leaf":
+            vec[draw(st.integers(0, len(vec) - 1))] = draw(
+                st.sampled_from([True, "1.0", None, BIG]))
+            table[nid] = vec
+        else:
+            table[nid] = {
+                "true": True, "string": "1.0", "null": None, "big": BIG,
+                "dict": {"k": vec}, "long": vec + [1.0], "short": vec[:-1],
+                "nested": [vec],
+            }[kind]
+    return table, [SimpleNamespace(node_id=nid) for nid in ids], m, scalars
+
+
+class TestNodeTables:
+    """``_node_rows`` reads a whole table at once and agrees with the
+    node-by-node reader: the same bytes, or the same first bad entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=node_tables(bad=False))
+    def test_good_tables_match_the_node_loop(self, case):
+        table, nodes, m, scalars = case
+        got = cli._node_rows(table, nodes, m, "t", scalars)
+        want = node_rows_loop(table, nodes, m, "t", scalars)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=node_tables(bad=True))
+    def test_bad_tables_name_the_first_bad_entry(self, case):
+        table, nodes, m, scalars = case
+        try:
+            want = node_rows_loop(table, nodes, m, "t", scalars)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                cli._node_rows(table, nodes, m, "t", scalars)
+            assert str(got.value) == str(exc)
+        else:  # a one-number vector or a [[x]] still stands for m numbers
+            got = cli._node_rows(table, nodes, m, "t", scalars)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stem", ["kelly", "single_asset", "two_asset_margin"])
+    def test_files_give_back_the_solver_arrays(self, tmp_path, stem):
+        problem, _, doc = cli.load_problem(os.path.join(FIXTURES, f"{stem}.json"))
+        tree, m = problem.tree, problem.market.m
+        options = cli.solve_options_from(doc.get("solver", {}), argparse.Namespace())
+        solution = vng.solve_log_optimal(problem, options)
+        dual = vng.extract_dual(solution, problem)
+        cert = vng.verify_rapid(solution.path, dual, tree, problem.market)
+
+        def through_file(name, written):
+            cli.write_json(str(tmp_path / name), written)
+            return cli._read_json(str(tmp_path / name), name)[1]
+
+        read = cli.solution_from_doc(
+            through_file("s.json", cli.solution_to_doc(solution, tree, "d")), problem
+        )
+        assert read.z.tobytes() == solution.z.tobytes()
+        assert read.multipliers.tobytes() == solution.multipliers.tobytes()
+        for got, want in zip(read.path, solution.path, strict=True):
+            assert got.values.tobytes() == want.values.tobytes()
+        cdoc = through_file("c.json", cli.certificate_to_doc(
+            cert, tree, solution.path, dual, "d", 0.0
+        ))
+        back = cli.dual_from_doc(tree, cdoc["dual"], m)
+        assert back.prices.keys() == dual.prices.keys()
+        for t, prices in dual.prices.items():
+            assert back.prices[t].values.tobytes() == prices.values.tobytes()
+        assert back.terminal.values.tobytes() == dual.terminal.values.tobytes()

@@ -109,7 +109,9 @@ class TestBuildTree:
             assert tree.parents[node.index] == (-1 if parent is None else parent.index)
             assert tree.prob[node.index] == node_probability(tree, node)
             assert tree.level_position(node) == node.index - tree.span(node.depth).start
+            assert tree.child_counts[node.index] == len(tree.children(node))
         assert [n.node_id for n in tree.children("a")] == ["aa", "ab"]
+        assert not tree.child_counts.flags.writeable
 
     def test_unknown_node_lookup(self):
         tree = minimal_binary()
