@@ -60,10 +60,9 @@ from .objectives import (
 from .scenario_tree import (
     AdaptedVector,
     Node,
+    NodeArray,
     ScenarioTree,
     build_tree,
-    conditional_expectation,
-    expectation,
 )
 from .solver import (
     KktReport,

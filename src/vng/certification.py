@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DepthMismatch,
     NonpositiveDenominator,
     NotCertified,
-    ShapeMismatch,
     ZeroDenominator,
 )
 from .market_model import (
@@ -44,43 +44,43 @@ from .market_model import (
     transition_bound,
     transition_frontier_batch,
 )
-from .scenario_tree import AdaptedVector, ScenarioTree, conditional_expectation
+from .scenario_tree import AdaptedVector, NodeArray, ScenarioTree, node_array
 from .solver import PathProblem, Solution, _kkt_report, _stored_iterate, assemble
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPath:
-    """Adapted price vectors p_1, ..., p_{N+1}.
+    """Price vectors p_1, ..., p_{N+1} as two arrays in node order.
 
-    ``prices[t]`` (t = 1..N) sits on depth-t nodes and prices date-(t-1)
-    portfolios; ``terminal`` is p_{N+1}, stored on the leaves.
+    ``p`` holds p_t on each depth-t node (t = 1..N), one row per non-root
+    node (node i at row i - 1); it prices the parent's date-(t-1) portfolio.
+    ``p_terminal`` holds p_{N+1}, one row per leaf.  ``prices[t]`` and
+    ``terminal`` are their date views.
     """
 
-    prices: dict[int, AdaptedVector]
-    terminal: AdaptedVector
+    tree: ScenarioTree
+    p: np.ndarray
+    p_terminal: np.ndarray
 
-    def price(self, t: int, horizon: int) -> AdaptedVector:
-        if t == horizon + 1:
-            return self.terminal
-        if t not in self.prices:
-            raise ShapeMismatch(f"dual path has no layer t={t}")
-        return self.prices[t]
+    @property
+    def prices(self) -> NodeArray:
+        return NodeArray(self.tree, self.p, first=1)
 
-    def bar(self, tree: ScenarioTree, t: int) -> AdaptedVector:
-        """E_t of the next layer: the prices entering date-t decisions."""
-        return conditional_expectation(tree, self.price(t + 1, tree.horizon))
+    @property
+    def terminal(self) -> AdaptedVector:
+        return AdaptedVector(self.tree.horizon + 1, self.p_terminal)
 
-    def check_shapes(self, tree: ScenarioTree, m: int) -> None:
-        for t in range(1, tree.horizon + 1):
-            av = self.price(t, tree.horizon)
-            av.check_against(tree)
-            if av.depth != t or av.dim != m:
-                raise ShapeMismatch(f"dual layer t={t} has wrong shape")
-        self.terminal.check_against(tree)
-        if self.terminal.depth != tree.horizon + 1 or self.terminal.dim != m:
-            raise ShapeMismatch("terminal dual layer has wrong shape")
+
+def _dual_arrays(
+    dual: DualPath, tree: ScenarioTree, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dual's p and p_{N+1}, or ShapeMismatch unless they fit the tree."""
+    return (
+        node_array(dual.p, (tree.n_nodes - 1, m), "dual prices"),
+        node_array(dual.p_terminal, (len(tree.leaves()), m), "terminal dual layer"),
+    )
 
 
 def extract_dual(
@@ -107,7 +107,7 @@ def extract_dual(
                 "solution is not converged to tolerance; no dual path extracted"
             )
     tree, market = problem.tree, problem.market
-    N = tree.horizon
+    X = node_array(solution.path, (tree.n_nodes, market.m), "path")
     mult = prog.node_rows(lam)  # node i's multipliers at i - 1, by kind
 
     def edge_price_density(idx: np.ndarray) -> np.ndarray:
@@ -118,22 +118,20 @@ def extract_dual(
                 + mult["minus"][idx - 1] * market.Lm[idx])
 
     idx = np.arange(1, tree.n_nodes)
-    rows = market.returns[idx] * edge_price_density(idx) / tree.prob[idx, None]
-    layers = np.split(rows, tree.offsets[2:-1] - 1)  # dates 1..N
-    prices = {t: AdaptedVector(t, v) for t, v in enumerate(layers, start=1)}
+    p = market.returns[idx] * edge_price_density(idx) / tree.prob[idx, None]
 
     # Terminal layer: the objective's supergradient over its value.  At a
     # kink (a terminal coordinate parked exactly at zero) the stationarity
     # identity of the leaf block selects the supergradient consistent with
     # the multipliers, so read it off the same block identities as the
     # interior layers and pin the Euler normalization exactly per leaf.
-    idx = tree.indices(N)
+    idx = tree.indices(tree.horizon)
     beta, gamma = mult["u"][idx - 1], mult["margin"][idx - 1]
     g = (edge_price_density(idx) - beta - gamma * market.Lp[idx]) / tree.prob[idx, None]
     # A leaf state of 0 makes its row non-finite, which verification refutes.
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = g / np.vecdot(g, solution.path[N].values)[:, None]
-    return DualPath(prices=prices, terminal=AdaptedVector(N + 1, term))
+        term = g / np.vecdot(g, X[idx])[:, None]
+    return DualPath(tree, p, term)
 
 
 @dataclass(frozen=True)
@@ -240,7 +238,7 @@ def _price_residuals(
 
 
 def verify_rapid(
-    path: list[AdaptedVector],
+    path: np.ndarray | NodeArray,
     dual: DualPath,
     tree: ScenarioTree,
     market: MarketData,
@@ -256,16 +254,10 @@ def verify_rapid(
     but its own price row fails membership first.
     """
     N = tree.horizon
-    if len(path) != N + 1:
-        raise ShapeMismatch(f"path must have {N + 1} layers, got {len(path)}")
-    for t, av in enumerate(path):
-        av.check_against(tree)
-        if av.storage_depth(tree) != t:
-            raise ShapeMismatch(f"path layer {t} stored at wrong depth")
-    dual.check_shapes(tree, market.m)
+    X = node_array(path, (tree.n_nodes, market.m), "path")
+    p, terminal = _dual_arrays(dual, tree, market.m)
 
     ids = [node.node_id for node in tree.nodes]
-    X = np.concatenate([av.values for av in path])
     idx, parents, leaves = np.arange(1, tree.n_nodes), tree.parents[1:], tree.indices(N)
 
     def first_hit(rows: np.ndarray, columns: dict[str, np.ndarray], extra):
@@ -289,8 +281,7 @@ def verify_rapid(
 
     # (p-X) membership and the supporting normalization p_{t+1} x_t = 1, over
     # p_1..p_N on the non-root nodes, then p_{N+1} on the leaves.
-    p, bar = _tree_prices(dual, tree)
-    terminal = dual.terminal.values
+    bar = _conditional_sums(tree, p, terminal)
     rows = np.concatenate([idx, leaves])
     layer = np.concatenate([tree.depth[1:], np.full(len(leaves), N + 1)])
     cone = np.concatenate([parents, leaves])
@@ -359,44 +350,14 @@ class SupermartingaleReport:
     equality_gap: float
 
 
-def _level_shapes(tree: ScenarioTree, m: int) -> list[tuple[int, int]]:
-    """(rows, m) of each level, depth 0 to N."""
-    o = tree.offsets.tolist()
-    return [(b - a, m) for a, b in zip(o, o[1:])]
-
-
-def _check_path(y: list[AdaptedVector], shapes: list[tuple[int, int]]) -> None:
-    """ShapeMismatch unless the path has one layer of each level's shape."""
-    if len(y) != len(shapes):
-        raise ShapeMismatch(f"path must have {len(shapes)} layers, got {len(y)}")
-    if [av.values.shape for av in y] != shapes:
-        raise ShapeMismatch("path layers do not match the tree and the dual")
-
-
-def _tree_prices(dual: DualPath, tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
-    """Every price row of the dual path in node order, and E_t p_{t+1} per node.
-
-    ``p`` holds p_t on each depth-t node, one row per non-root node (node i
-    at row i - 1), and ``bar`` is :func:`_conditional_sums` of it.
-    """
-    N = tree.horizon
-    layers = [dual.price(t, N).values for t in range(1, N + 2)]
-    shapes = _level_shapes(tree, dual.terminal.dim)
-    if [a.shape for a in layers] != shapes[1:] + shapes[-1:]:
-        raise ShapeMismatch("dual path layers do not match the tree")
-    p = np.concatenate(layers[:-1])
-    return p, _conditional_sums(tree, p, layers[-1])
-
-
 def _conditional_sums(
     tree: ScenarioTree, p: np.ndarray, terminal: np.ndarray
 ) -> np.ndarray:
     """E_t of the next price layer on every node.
 
-    ``p`` holds p_1..p_N as :func:`_tree_prices` does, one row per non-root
+    ``p`` holds p_1..p_N as :attr:`DualPath.p` does, one row per non-root
     node.  One ordered ``np.add.at`` over all children at once adds each
-    parent's children in child order, as :func:`conditional_expectation`
-    does; the leaves hold the terminal layer.
+    parent's children in child order; the leaves hold the terminal layer.
     """
     bar = np.zeros((tree.n_nodes, p.shape[1]))
     np.add.at(bar, tree.parents[1:], tree.cond_prob[1:, None] * p)
@@ -405,35 +366,32 @@ def _conditional_sums(
 
 
 def supermartingale_check(
-    dual: DualPath, y: list[AdaptedVector], tree: ScenarioTree
+    dual: DualPath, y: np.ndarray | NodeArray, tree: ScenarioTree
 ) -> SupermartingaleReport:
     return _supermartingale_checks(dual, [y], tree)[0]
 
 
 def _supermartingale_checks(
-    dual: DualPath, paths: list[list[AdaptedVector]], tree: ScenarioTree
+    dual: DualPath, paths: np.ndarray, tree: ScenarioTree
 ) -> list[SupermartingaleReport]:
     """:func:`supermartingale_check` of each path, in one pass over the tree.
 
-    Each path is stacked once into a (count, n_nodes, m) array, and every
-    residual comes from whole-tree arrays: E_t[p_{t+1}] y_t is one
-    ``np.vecdot`` over all nodes, p_t y_{t-1} one more over the non-root
-    nodes and their parents, and the second form's E_{t-1} of the first is
-    one ordered ``np.add.at`` over all children.  A form's maximum is taken
-    over all its nodes at once, from 0, with NaN residuals read as ``inf``.
+    ``paths`` is (count, n_nodes, m), and every residual comes from
+    whole-tree arrays: E_t[p_{t+1}] y_t is one ``np.vecdot`` over all nodes,
+    p_t y_{t-1} one more over the non-root nodes and their parents, and the
+    second form's E_{t-1} of the first is one ordered ``np.add.at`` over all
+    children.  A form's maximum is taken over all its nodes at once, from 0,
+    with NaN residuals read as ``inf``.
     """
-    p, bar = _tree_prices(dual, tree)
-    shapes = _level_shapes(tree, p.shape[1])
-    for y in paths:
-        _check_path(y, shapes)
-    Y = np.concatenate([av.values for y in paths for av in y]).reshape(
-        len(paths), tree.n_nodes, p.shape[1]
-    )
+    m = tree.state_dim
+    p, terminal = _dual_arrays(dual, tree, m)
+    bar = _conditional_sums(tree, p, terminal)
+    Y = node_array(paths, (len(paths), tree.n_nodes, m), "each path")
     lhs = np.vecdot(bar, Y)  # E_t[p_{t+1}] y_t at every node
     diff = _violation(lhs[:, 1:] - np.vecdot(p, Y[:, tree.parents[1:]]))
     # one date earlier: E_{t-1}[p_bar_{t+1} y_t] against p_bar_t y_{t-1}
     inner = int(tree.offsets[tree.horizon])
-    lhs_prev = np.zeros((len(paths), inner))
+    lhs_prev = np.zeros((len(Y), inner))
     np.add.at(lhs_prev, (slice(None), tree.parents[1:]), tree.cond_prob[1:] * lhs[:, 1:])
     diff_prev = _violation(lhs_prev - lhs[:, :inner])
     worst1, worst2, gap = (
@@ -448,25 +406,27 @@ def _supermartingale_checks(
 
 def growth_dominance(
     dual: DualPath,
-    y: list[AdaptedVector],
+    y: np.ndarray | NodeArray,
     tree: ScenarioTree,
     on_nonpositive: str = "raise",
-) -> list[np.ndarray]:
-    """Per-period conditional growth-rate table E_t(p_{t+1} y_t / p_t y_{t-1}).
+) -> np.ndarray:
+    """Conditional growth rates E_t(p_{t+1} y_t / p_t y_{t-1}) of every node.
 
-    Entry t - 1 holds the ratios of the depth-t nodes, in level order.  The
-    denominator must be strictly positive; offending nodes either raise
+    Entry i - 1 holds the ratio of non-root node i, so a date's ratios are
+    the contiguous entries of its level.  The denominator must be strictly
+    positive; offending nodes (a NaN denominator among them) either raise
     ``NonpositiveDenominator`` or, with ``on_nonpositive='mark'``, read nan.
     For ``y = x`` every ratio is 1 up to the certificate residual.
     """
     if on_nonpositive not in ("raise", "mark"):
         raise ValueError(f"on_nonpositive is 'raise' or 'mark', not {on_nonpositive!r}")
-    p, bar = _tree_prices(dual, tree)
-    _check_path(y, _level_shapes(tree, p.shape[1]))
-    Y = np.concatenate([av.values for av in y])
+    m = tree.state_dim
+    p, terminal = _dual_arrays(dual, tree, m)
+    Y = node_array(y, (tree.n_nodes, m), "path")
+    bar = _conditional_sums(tree, p, terminal)
     den = np.vecdot(p, Y[tree.parents[1:]])
     num = np.vecdot(bar[1:], Y[1:])
-    bad = den <= 0.0
+    bad = ~(den > 0.0)
     if on_nonpositive == "raise" and bad.any():
         k = int(np.argmax(bad))
         node = tree.nodes[k + 1]
@@ -474,8 +434,7 @@ def growth_dominance(
             f"p_{node.depth} . y_{node.depth - 1} = {float(den[k])!r} "
             f"at node {node.node_id!r}"
         )
-    ratio = np.where(bad, np.nan, num / np.where(bad, 1.0, den))
-    return np.split(ratio, tree.offsets[2:-1] - 1)
+    return np.where(bad, np.nan, num / np.where(bad, 1.0, den))
 
 
 @dataclass(frozen=True)
@@ -531,10 +490,8 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 def check_equivalences(
     tree: ScenarioTree,
     market: MarketData,
-    x_prev: AdaptedVector,
-    x_curr: AdaptedVector,
-    p_t: AdaptedVector,
-    p_next: AdaptedVector,
+    path: np.ndarray | NodeArray,
+    dual: DualPath,
     t: int,
     n_samples: int = 500,
     seed: int = 0,
@@ -547,35 +504,40 @@ def check_equivalences(
     the supplied pair), then evaluates the ratio, log-ratio and expectation
     forms against the per-node check (IV), the same rigorous bound and LP
     fallback as :func:`verify_rapid`.  Nodes where no strictly positive
-    denominator exists are dropped from the ratio forms only.
+    denominator exists are dropped from the ratio forms only.  A NaN
+    statistic reads ``inf``, an unbounded violation.
     """
     rng = np.random.default_rng(seed)
     N = tree.horizon
-    idx, up = tree.indices(t), tree.up(t)
-    bar = conditional_expectation(tree, p_next)  # p_next itself at the last date
+    if not 1 <= t <= N:
+        raise DepthMismatch(f"date {t} outside 1..{N}")
+    X = node_array(path, (tree.n_nodes, market.m), "path")
+    p, terminal = _dual_arrays(dual, tree, market.m)
+    idx = tree.indices(t)
+    up, P = tree.parents[idx], p[idx - 1]
+    if t < N:  # p_{t+1} on the depth-(t+1) nodes prices their parents' states
+        nxt = tree.indices(t + 1)
+        p_next, cone_next = p[nxt - 1], tree.parents[nxt]
+    else:  # p_{N+1} on the leaves prices their own states
+        p_next, cone_next = terminal, idx
 
-    def residuals(s: int, p: np.ndarray, x: np.ndarray):
-        """Date-s price rows against the date-(s-1) states ``x``."""
-        nodes = idx if s > N else tree.parents[tree.indices(s)]
-        return _price_residuals(market, p, nodes, x[nodes - tree.offsets[s - 1]])
-
-    P = p_t.values
     members, norms = zip(
-        residuals(t, P, x_prev.values), residuals(t + 1, p_next.values, x_curr.values)
+        _price_residuals(market, P, up, X[up]),
+        _price_residuals(market, p_next, cone_next, X[cone_next]),
     )
-    pre_norm = max(0.0, float(np.abs(np.concatenate(norms)).max()))
-    pre_member = max(0.0, -float(np.concatenate(members).min()))
+    pre_norm = float(_violation(np.abs(np.concatenate(norms))).max())
+    pre_member = max(0.0, float(_violation(-np.concatenate(members)).max()))
 
     # (IV): the per-node values, collecting LP witnesses for the sampled forms.
-    bar_abs = None if (p_next.values >= 0.0).all() else conditional_expectation(
-        tree, AdaptedVector(p_next.depth, np.abs(p_next.values))
-    ).values
-    values, lp = _transition_values(market, idx, P, bar.values, bar_abs, tol)
-    value_iv = float(values.max())
+    bar = _conditional_sums(tree, p, terminal)[idx]  # p_next itself at the last date
+    bar_abs = None if (p_next >= 0.0).all() else _conditional_sums(
+        tree, np.abs(p), np.abs(terminal)
+    )[idx]
+    values, lp = _transition_values(market, idx, P, bar, bar_abs, tol)
 
     # Sampled transition pairs, one (n, m) row block per sample: the solved
     # pair, the LP witnesses added to it, then random pairs.
-    eq_a, eq_b = x_prev.values[up], x_curr.values
+    eq_a, eq_b = X[up], X[idx]
     samples = [(eq_a, eq_b)]
     lp_hit = {k: check for k, check in lp.items() if check.witness_a is not None}
     if lp_hit:
@@ -593,36 +555,36 @@ def check_equivalences(
         samples.append((a, b))
 
     pa = np.vecdot(P, np.stack([a for a, _ in samples]))
-    pb = np.vecdot(bar.values, np.stack([b for _, b in samples]))
+    pb = np.vecdot(bar, np.stack([b for _, b in samples]))
     prob = tree.prob[idx]
     kept = ~(pa <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = pb / pa
-        log_ratio = np.where(ratio > 0, np.log(ratio), -np.inf)
+        log_ratio = np.where(ratio <= 0, -np.inf, np.log(ratio))  # NaN stays
     e_ratio = _ordered_sum(np.where(kept, prob * ratio, 0.0))
     e_log = _ordered_sum(np.where(kept, prob * log_ratio, 0.0))
     e_diff = _ordered_sum(prob * (pb - pa))
-    value_i = max([-np.inf] + (e_ratio - 1.0).tolist())
-    value_ii = max([-np.inf] + e_log.tolist())
-    value_iii = max([-np.inf] + e_diff.tolist())
+    value_i, value_ii, value_iii, value_iv = (
+        float(_violation(v).max()) for v in (e_ratio - 1.0, e_log, e_diff, values)
+    )
 
     return EquivalenceReport(
         t=t,
-        value_I=float(value_i),
-        value_II=float(value_ii),
-        value_III=float(value_iii),
-        value_IV=float(value_iv),
+        value_I=value_i,
+        value_II=value_ii,
+        value_III=value_iii,
+        value_IV=value_iv,
         tol=tol,
         samples=len(samples),
         dropped_nodes=int((~kept.all(axis=0)).sum()),
         precondition_normalization=pre_norm,
-        precondition_membership=max(0.0, pre_member),
+        precondition_membership=pre_member,
     )
 
 
 def prop4_reconstruct(
     l_seq: DualPath,
-    path: list[AdaptedVector],
+    path: np.ndarray | NodeArray,
     tree: ScenarioTree,
     market: MarketData,
     tol: float = 1e-6,
@@ -632,28 +594,31 @@ def prop4_reconstruct(
     Divides each price vector by its inner product with the path state it
     prices; positive scalings of the input therefore reconstruct the same
     dual path.  Raises ZeroDenominator when an inner product is not strictly
-    positive.
+    positive (a NaN among them).
     """
     N = tree.horizon
+    X = node_array(path, (tree.n_nodes, market.m), "path")
+    p, terminal = _dual_arrays(l_seq, tree, market.m)
 
-    def normalized(t: int, src: np.ndarray, x_prev: np.ndarray) -> AdaptedVector:
-        denom = np.vecdot(src, x_prev)
-        bad = np.flatnonzero(denom <= 1e-300)
+    def normalized(src: np.ndarray, nodes: np.ndarray, x: np.ndarray, leaf: bool):
+        denom = np.vecdot(src, x)
+        bad = np.flatnonzero(~(denom > 1e-300))
         if bad.size:
-            node = tree.level(min(t, N))[bad[0]]
+            node = tree.nodes[nodes[bad[0]]]
+            t = N + 1 if leaf else node.depth
             raise ZeroDenominator(
                 f"l_{t} . x_{t - 1} = {float(denom[bad[0]])!r} at "
-                f"{'leaf' if t > N else 'node'} {node.node_id!r}"
+                f"{'leaf' if leaf else 'node'} {node.node_id!r}"
             )
-        return AdaptedVector(t, src / denom[:, None])
+        return src / denom[:, None]
 
-    prices = {
-        t: normalized(t, l_seq.price(t, N).values, path[t - 1].values[tree.up(t)])
-        for t in range(1, N + 1)
-    }
-    terminal = normalized(N + 1, l_seq.terminal.values, path[N].values)
-    dual = DualPath(prices=prices, terminal=terminal)
-    return dual, verify_rapid(path, dual, tree, market, tol)
+    idx, leaves = np.arange(1, tree.n_nodes), tree.indices(N)
+    dual = DualPath(
+        tree,
+        normalized(p, idx, X[tree.parents[1:]], leaf=False),
+        normalized(terminal, leaves, X[leaves], leaf=True),
+    )
+    return dual, verify_rapid(X, dual, tree, market, tol)
 
 
 # --- the competitor sampler ------------------------------------------------------
@@ -664,8 +629,8 @@ def sample_competitor_paths(
     rng: np.random.Generator,
     start: np.ndarray,
     count: int,
-) -> list[list[AdaptedVector]]:
-    """``count`` random feasible paths from ``start``.
+) -> np.ndarray:
+    """``count`` random feasible paths from ``start``, as (count, n_nodes, m).
 
     At every node each path picks a random cone direction and scales it to
     a random fill in [0, 0.95) of the self-financing frontier of its own
@@ -673,19 +638,16 @@ def sample_competitor_paths(
     from one draw, the fills from one more, and the frontier from one call,
     with rows path by path.
     """
-    start = np.asarray(start, dtype=float)
     m = market.m
-    levels: list[np.ndarray] = [np.tile(start, (count, 1, 1))]
+    Y = np.empty((count, tree.n_nodes, m))
+    Y[:, 0] = start
     for t in range(1, tree.horizon + 1):
-        idx = tree.indices(t)
+        lev, idx = tree.span(t), tree.indices(t)
         nodes = np.tile(idx, count)
         D = sample_cone_batch(market, nodes, rng)
         fill = rng.uniform(0.0, 0.95, len(nodes))
         c_max = transition_frontier_batch(
-            market, levels[t - 1][:, tree.up(t)].reshape(-1, m), D, nodes
+            market, Y[:, tree.parents[lev]].reshape(-1, m), D, nodes
         )
-        levels.append(((fill * c_max)[:, None] * D).reshape(count, len(idx), m))
-    return [
-        [AdaptedVector(t, levels[t][k]) for t in range(tree.horizon + 1)]
-        for k in range(count)
-    ]
+        Y[:, lev] = ((fill * c_max)[:, None] * D).reshape(count, len(idx), m)
+    return Y

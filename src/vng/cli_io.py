@@ -45,6 +45,7 @@ from .certification import (
     extract_dual,
     growth_dominance,
     sample_competitor_paths,
+    supermartingale_check,
     verify_rapid,
 )
 from .errors import (
@@ -71,7 +72,7 @@ from .objectives import (
     TerminalObjective,
     log_objective,
 )
-from .scenario_tree import AdaptedVector, ScenarioTree, build_tree
+from .scenario_tree import NodeArray, ScenarioTree, build_tree
 from .solver import (
     KktResiduals,
     PathProblem,
@@ -372,18 +373,12 @@ def digest_of(problem_bytes: bytes, options: SolveOptions) -> str:
     return hashlib.sha256(problem_bytes + b"\x00" + opt.encode()).hexdigest()
 
 
-def _path_to_dict(tree: ScenarioTree, path: list[AdaptedVector]) -> dict:
-    out: dict = {}
-    for av in path:
-        out.update(_node_map(tree.level(av.storage_depth(tree)), av.values))
-    return out
+def _path_to_dict(tree: ScenarioTree, path: np.ndarray | NodeArray) -> dict:
+    return _node_map(tree.nodes, np.asarray(path))
 
 
-def _path_from_dict(tree: ScenarioTree, table, m: int) -> list[AdaptedVector]:
-    return [
-        AdaptedVector(t, _node_rows(table, tree.level(t), m, "path"))
-        for t in range(tree.horizon + 1)
-    ]
+def _path_from_dict(tree: ScenarioTree, table, m: int) -> NodeArray:
+    return NodeArray(tree, _node_rows(table, tree.nodes, m, "path"))
 
 
 def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict:
@@ -434,7 +429,7 @@ def solution_from_doc(doc: dict, problem: PathProblem) -> Solution:
 def certificate_to_doc(
     cert: RapidityCertificate,
     tree: ScenarioTree,
-    path: list[AdaptedVector],
+    path: np.ndarray | NodeArray,
     dual: DualPath,
     digest: str,
     wall_time: float,
@@ -456,10 +451,12 @@ def certificate_to_doc(
         "path": _path_to_dict(tree, path),
         "dual": {
             **{
-                str(t): _node_map(tree.level(t), dual.prices[t].values)
-                for t in sorted(dual.prices)
+                str(t): _node_map(
+                    tree.level(t), dual.p[tree.offsets[t] - 1:tree.offsets[t + 1] - 1]
+                )
+                for t in range(1, tree.horizon + 1)
             },
-            "terminal": _node_map(tree.leaves(), dual.terminal.values),
+            "terminal": _node_map(tree.leaves(), dual.p_terminal),
         },
     }
     if cert.supermartingale is not None:
@@ -473,12 +470,12 @@ def certificate_to_doc(
 
 
 def dual_from_doc(tree: ScenarioTree, doc: dict, m: int) -> DualPath:
-    prices = {
-        t: AdaptedVector(t, _node_rows(doc[str(t)], tree.level(t), m, f"dual[{t}]"))
+    p = np.concatenate([
+        _node_rows(doc[str(t)], tree.level(t), m, f"dual[{t}]")
         for t in range(1, tree.horizon + 1)
-    }
+    ])
     terminal = _node_rows(doc["terminal"], tree.leaves(), m, "dual[terminal]")
-    return DualPath(prices=prices, terminal=AdaptedVector(tree.horizon + 1, terminal))
+    return DualPath(tree, p, terminal)
 
 
 # --- commands ---------------------------------------------------------------------
@@ -587,9 +584,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         paths = sample_competitor_paths(
             problem.tree, problem.market, rng, problem.x0, competitors
         )
-        rapid, *reports = _supermartingale_checks(
-            dual, [solution.path, *paths], problem.tree
-        )
+        rapid = supermartingale_check(dual, solution.path, problem.tree)
+        reports = _supermartingale_checks(dual, paths, problem.tree)
         worst = SupermartingaleReport(
             max([0.0] + [r.first_form for r in reports]),
             max([0.0] + [r.second_form for r in reports]),
@@ -615,8 +611,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _strategy_path(
-    spec: dict, problem: PathProblem, rapid: list[AdaptedVector]
-) -> list[AdaptedVector]:
+    spec: dict, problem: PathProblem, rapid: NodeArray
+) -> np.ndarray | NodeArray:
     kind = _need(spec, "type", "strategy", str).lower()
     tree, market = problem.tree, problem.market
     if kind == "rapid":
@@ -673,14 +669,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rapid = solution.path
 
     out = args.out or _default_out(args.problem, ".compare.csv")
-    rows = []
+    tree, rows = problem.tree, []
+    leaves = tree.span(tree.horizon)
     for spec in strategies:
         sid = str(_need(spec, "id", "strategy"))
         y = _strategy_path(spec, problem, rapid)
-        table = growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
-        f_val = log_objective(problem.tree, problem.objective, y[-1])
-        for t, ratios in enumerate(table, start=1):
-            probs = problem.tree.prob[problem.tree.span(t)]
+        table = growth_dominance(dual, y, tree, on_nonpositive="mark")
+        f_val = log_objective(tree, problem.objective, np.asarray(y)[leaves])
+        for t in range(1, tree.horizon + 1):
+            ratios = table[tree.offsets[t] - 1:tree.offsets[t + 1] - 1]
+            probs = tree.prob[tree.span(t)]
             cond = probs / probs.sum()
             rows.append(
                 (sid, t, len(ratios), float(ratios.max()), float(cond @ ratios), f_val)

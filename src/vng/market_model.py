@@ -45,7 +45,7 @@ from .errors import (
     PreconditionViolated,
     UnknownNode,
 )
-from .scenario_tree import AdaptedVector, Node, ScenarioTree
+from .scenario_tree import Node, ScenarioTree, node_array
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -643,12 +643,16 @@ def slater_path(tree: ScenarioTree, market: MarketData) -> SlaterPath:
 
 def buy_and_hold_path(
     tree: ScenarioTree, market: MarketData, start: np.ndarray
-) -> list[AdaptedVector]:
-    """Hold the initial positions; values compound by the nodewise returns."""
-    path = [AdaptedVector(0, np.asarray(start, float)[None, :])]
+) -> np.ndarray:
+    """Hold the initial positions; values compound by the nodewise returns.
+
+    The path is one row per node, (n_nodes, m), in node order.
+    """
+    path = np.empty((tree.n_nodes, market.m))
+    path[0] = start
     for t in range(1, tree.horizon + 1):
-        held = path[t - 1].values[tree.up(t)]
-        path.append(AdaptedVector(t, market.returns[tree.span(t)] * held))
+        lev = tree.span(t)
+        path[lev] = market.returns[lev] * path[tree.parents[lev]]
     return path
 
 
@@ -658,61 +662,64 @@ def fixed_fraction_path(
     start: np.ndarray,
     weights: np.ndarray,
     fill: float = 1.0,
-) -> list[AdaptedVector]:
+) -> np.ndarray:
     """Rebalance to fixed weights each date, spending the whole frontier."""
     weights = np.asarray(weights, dtype=float)
-    path = [AdaptedVector(0, np.asarray(start, float)[None, :])]
+    path = np.empty((tree.n_nodes, market.m))
+    path[0] = start
     for t in range(1, tree.horizon + 1):
-        A = path[t - 1].values[tree.up(t)]
+        lev = tree.span(t)
+        A = path[tree.parents[lev]]
         c = transition_frontier_batch(
             market, A, np.tile(weights, (len(A), 1)), tree.indices(t)
         )
-        path.append(AdaptedVector(t, (fill * c)[:, None] * weights))
+        path[lev] = (fill * c)[:, None] * weights
     return path
 
 
 def dominating_path(
     tree: ScenarioTree,
     market: MarketData,
-    vs: list[AdaptedVector],
-    us: list[AdaptedVector],
+    vs: np.ndarray,
+    us: np.ndarray,
+    u_terminal: np.ndarray,
     tol: float = MEMBERSHIP_TOL,
-) -> list[AdaptedVector]:
+) -> np.ndarray:
     """Turn a relaxed sequence (v_0, u_1, v_1, ..., u_{N+1}) into a path.
 
-    ``vs[t]`` is the date-t state proposal, ``us[t - 1]`` the date-t input
-    (F_t-measurable, valued in the date-(t-1) cone, with ``us[N]`` the
-    terminal layer).  Requires (u_t, v_t) in Z_t and v_{t-1} - u_t in X_{t-1}
-    nodewise.  Builds y_0 = v_0, g = y_{t-1} - u_t, h by feasible completion,
-    y_t = v_t + h, so y_t - v_t is a cone element at every date.
+    ``vs`` holds the state proposals v_t, one row per node as a path does.
+    ``us`` holds the inputs u_1..u_N, one row per non-root node (node i at
+    row i - 1; F_t-measurable, valued in the date-(t-1) cone), and
+    ``u_terminal`` u_{N+1}, one row per leaf.  Requires (u_t, v_t) in Z_t and
+    v_{t-1} - u_t in X_{t-1} nodewise.  Builds y_0 = v_0, g = y_{t-1} - u_t,
+    h by feasible completion, y_t = v_t + h, so y_t - v_t is a cone element
+    at every date.
     """
-    N = tree.horizon
-    if len(vs) != N + 1 or len(us) != N + 1:
-        raise PreconditionViolated(
-            f"need v_0..v_{N} and u_1..u_{N + 1}, got {len(vs)} and {len(us)}"
-        )
+    N, m = tree.horizon, market.m
+    V = node_array(vs, (tree.n_nodes, m), "vs")
+    U = node_array(us, (tree.n_nodes - 1, m), "us")
+    U_N = node_array(u_terminal, (len(tree.leaves()), m), "u_terminal")
+    idx, parents, leaves = np.arange(1, tree.n_nodes), tree.parents[1:], tree.indices(N)
 
-    def require(ok: np.ndarray, t: int, what: str) -> None:
+    def require(ok: np.ndarray, nodes: np.ndarray, what: str) -> None:
         if not ok.all():
-            node = tree.level(t)[int(np.argmin(ok))]
+            node = tree.nodes[nodes[int(np.argmin(ok))]]
             raise PreconditionViolated(f"{what} at node {node.node_id!r}")
 
-    for t in range(1, N + 1):
-        lev, u = tree.indices(t), us[t - 1].values
-        require(in_Z(market, u, vs[t].values, lev, tol).member, t,
-                f"(u_{t}, v_{t}) leaves the transition cone")
-        slack = vs[t - 1].values[tree.up(t)] - u
-        require(margin_residual(market, slack, tree.parents[lev]) >= -tol, t,
-                f"v_{t - 1} - u_{t} leaves the margin cone")
-    slack = vs[N].values - us[N].values
-    require(margin_residual(market, slack, tree.indices(N)) >= -tol, N,
+    in_cone = in_Z(market, U, V[1:], idx, tol).member
+    margin_ok = margin_residual(market, V[parents] - U, parents) >= -tol
+    for t in range(1, N + 1):  # the first failing date, the Z test first
+        rows = slice(tree.offsets[t] - 1, tree.offsets[t + 1] - 1)
+        require(in_cone[rows], idx[rows], f"(u_{t}, v_{t}) leaves the transition cone")
+        require(margin_ok[rows], idx[rows], f"v_{t - 1} - u_{t} leaves the margin cone")
+    require(margin_residual(market, V[leaves] - U_N, leaves) >= -tol, leaves,
             f"v_{N} - u_{N + 1} leaves the margin cone")
 
-    path = [AdaptedVector(0, vs[0].values.copy())]
+    path = V.copy()
     for t in range(1, N + 1):
-        g = path[t - 1].values[tree.up(t)] - us[t - 1].values
-        h = feasible_completion(market, g, tree.indices(t), tol)
-        path.append(AdaptedVector(t, vs[t].values + h))
+        lev = tree.span(t)
+        g = path[tree.parents[lev]] - U[lev.start - 1:lev.stop - 1]
+        path[lev] += feasible_completion(market, g, tree.indices(t), tol)
     return path
 
 

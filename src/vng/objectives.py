@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DepthMismatch,
     DimensionMismatch,
     NegativeValue,
     NotInCone,
@@ -35,7 +34,7 @@ from .market_model import (
     sample_cone_batch,
     section_values,
 )
-from .scenario_tree import AdaptedVector, Node, ScenarioTree
+from .scenario_tree import Node, ScenarioTree, node_array
 
 
 def _leaf_matrix(tree: ScenarioTree, m: int, data, name: str) -> np.ndarray:
@@ -287,15 +286,12 @@ def _dual_range(market: MarketData, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def log_objective(
-    tree: ScenarioTree, objective: TerminalObjective, x_N: AdaptedVector
+    tree: ScenarioTree, objective: TerminalObjective, x_N: np.ndarray
 ) -> float:
-    """E log value of the terminal layer; -inf when any leaf value is <= 0."""
-    x_N.check_against(tree)
-    if x_N.storage_depth(tree) != tree.horizon:
-        raise DepthMismatch(
-            f"terminal layer must sit at depth {tree.horizon}, got {x_N.depth}"
-        )
-    vals = objective.form.values(x_N.values)
+    """E log value of the terminal layer x_N, one row per leaf in leaf order;
+    -inf when any leaf value is <= 0."""
+    x_N = node_array(x_N, (len(tree.leaves()), tree.state_dim), "terminal layer")
+    vals = objective.form.values(x_N)
     if np.any(vals <= 0.0):
         return float("-inf")
     return float(tree.prob[tree.span(tree.horizon)] @ np.log(vals))

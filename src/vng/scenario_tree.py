@@ -1,17 +1,16 @@
 """Finite filtered probability spaces as rooted scenario trees.
 
 A tree with horizon ``N`` encodes a filtration F_0 <= ... <= F_N on a finite
-sample space: the depth-t nodes are the atoms of F_t.  Adapted random vectors
-are stored as one value per node of their depth.  By convention F_{N+1} = F_N,
-so data of logical depth ``N + 1`` (terminal dual prices) is stored on the
-leaves; conditional expectation acts as the identity on that layer.
+sample space: the depth-t nodes are the atoms of F_t.  By convention
+F_{N+1} = F_N, so data of logical depth ``N + 1`` (terminal dual prices) is
+stored on the leaves.
 
-Tree algebra works on whole levels.  Nodes are indexed by depth, then input
-order, so level t is the contiguous index range ``tree.span(t)`` and per-node
-market arrays are sliced per level.  An :class:`AdaptedVector` of depth t has
-its rows in that index order, and ``tree.up(t)`` maps each depth-t row to its
-parent's row in level t - 1: a parent gather is ``values[tree.up(t)]`` and a
-conditional expectation is one ordered ``np.add.at`` over the children.
+Tree algebra works on the whole tree at once.  Nodes are indexed by depth,
+then input order, so level t is the contiguous index range ``tree.span(t)``,
+and an adapted field is one array with a row per node in that order: a
+parent gather is ``values[tree.parents]`` and a conditional expectation is
+one ordered ``np.add.at`` over the children.  :class:`NodeArray` views such
+an array date by date, as :class:`AdaptedVector` rows of one level.
 
 All types are immutable after construction and every operation is a pure
 function, so concurrent read access is safe.
@@ -29,6 +28,7 @@ from .errors import (
     DepthMismatch,
     DimensionMismatch,
     RaggedDepth,
+    ShapeMismatch,
     UnknownNode,
 )
 
@@ -247,7 +247,7 @@ def build_tree(
 
 @dataclass(frozen=True)
 class AdaptedVector:
-    """An F_t-measurable random vector: one row per depth-t node.
+    """The date-t view of a whole-tree array: one row per depth-t node.
 
     ``depth`` may be ``N + 1`` (the F_{N+1} = F_N convention); the rows are
     then aligned with the leaves.  Rows are in node index order: row k of a
@@ -257,69 +257,33 @@ class AdaptedVector:
     depth: int
     values: np.ndarray  # shape (n_nodes_at_depth, dim)
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise DimensionMismatch("adapted values must be a 2-d array")
-        object.__setattr__(self, "values", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
+@dataclass(frozen=True, eq=False)
+class NodeArray:
+    """Rows in node order, from node index ``first`` on, viewed date by date.
 
-    def storage_depth(self, tree: ScenarioTree) -> int:
-        return min(self.depth, tree.horizon)
-
-    def check_against(self, tree: ScenarioTree) -> None:
-        t = self.depth
-        if not 0 <= t <= tree.horizon + 1:
-            raise DepthMismatch(f"depth {t} outside 0..{tree.horizon + 1}")
-        lev = tree.span(self.storage_depth(tree))
-        rows = lev.stop - lev.start
-        if self.values.shape[0] != rows:
-            raise DepthMismatch(
-                f"expected {rows} rows at depth {t}, got {self.values.shape[0]}"
-            )
-
-    def value_at(self, tree: ScenarioTree, ref: int | str | Node) -> np.ndarray:
-        node = tree.node(ref)
-        if node.depth != self.storage_depth(tree):
-            raise DepthMismatch(
-                f"node {node.node_id!r} at depth {node.depth}, data stored at "
-                f"depth {self.storage_depth(tree)}"
-            )
-        return self.values[tree.level_position(node)]
-
-    @staticmethod
-    def constant(tree: ScenarioTree, depth: int, vec: np.ndarray) -> "AdaptedVector":
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
-        rows = len(tree.level(min(depth, tree.horizon)))
-        return AdaptedVector(depth, np.tile(vec, (rows, 1)))
-
-
-def expectation(tree: ScenarioTree, av: AdaptedVector) -> float:
-    """E[X] of a scalar adapted field: probability-weighted sum over its depth."""
-    av.check_against(tree)
-    if av.dim != 1:
-        raise DimensionMismatch("expectation is defined for scalar fields")
-    return float(tree.prob[tree.span(av.storage_depth(tree))] @ av.values[:, 0])
-
-
-def conditional_expectation(tree: ScenarioTree, av: AdaptedVector) -> AdaptedVector:
-    """E[ . | F_{t-1}] of a depth-t field: child-probability-weighted averages.
-
-    Input of logical depth N+1 is F_N-measurable already (F_{N+1} = F_N), so
-    it is returned at depth N unchanged.
+    ``np.asarray`` gives the whole array; ``[t]`` gives the depth-t rows as
+    an :class:`AdaptedVector`.  A path is a NodeArray over every node; the
+    price layers of a dual path start at node 1.
     """
-    av.check_against(tree)
-    if av.depth == tree.horizon + 1:
-        return AdaptedVector(tree.horizon, av.values.copy())
-    if av.depth < 1:
-        raise DepthMismatch("cannot condition a depth-0 field further")
-    t = av.depth - 1
-    out = np.zeros((len(tree.level(t)), av.dim))
-    weights = tree.cond_prob[tree.span(av.depth), None]
-    np.add.at(out, tree.up(av.depth), weights * av.values)  # in child order
-    return AdaptedVector(t, out)
+
+    tree: ScenarioTree
+    values: np.ndarray
+    first: int = 0
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.values, dtype=dtype, copy=copy)
+
+    def __getitem__(self, t: int) -> AdaptedVector:
+        lev = self.tree.span(t)
+        if lev.start < self.first:
+            raise DepthMismatch(f"no rows at depth {t}")
+        return AdaptedVector(t, self.values[lev.start - self.first:lev.stop - self.first])
+
+
+def node_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``values`` as a float array, or ShapeMismatch unless it has ``shape``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != shape:
+        raise ShapeMismatch(f"{what} must have shape {shape}, got {arr.shape}")
+    return arr

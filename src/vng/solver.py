@@ -65,7 +65,7 @@ import numpy as np
 from .errors import DimensionMismatch, InfeasibleStart
 from .market_model import MarketData, fixed_fraction_path, margin_residual
 from .objectives import TerminalObjective, log_objective
-from .scenario_tree import AdaptedVector, ScenarioTree
+from .scenario_tree import NodeArray, ScenarioTree, node_array
 
 log = logging.getLogger(__name__)
 
@@ -174,9 +174,13 @@ class KktResiduals:
 
 @dataclass(frozen=True)
 class Solution:
-    """Converged (or best-effort) path with multipliers and residuals."""
+    """Converged (or best-effort) path with multipliers and residuals.
 
-    path: list[AdaptedVector]
+    ``path`` holds one state row per node, in node order; ``path[t]`` is its
+    date-t view.
+    """
+
+    path: NodeArray
     objective_value: float
     z: np.ndarray
     multipliers: np.ndarray
@@ -302,11 +306,9 @@ class AssembledProgram:
         block = y[:n * nr].reshape(n, nr)
         return {k: block[:, r[0]:r[-1] + 1] for k, r in _row_kinds(self.m).items()}
 
-    def path_values(self, z: np.ndarray) -> list[AdaptedVector]:
-        x = self.node_columns(z)[0].copy()
-        layers = np.split(x, self.problem.tree.offsets[2:-1] - 1)  # dates 1..N
-        return [AdaptedVector(t, v)
-                for t, v in enumerate([self.problem.x0[None, :].copy(), *layers])]
+    def path_values(self, z: np.ndarray) -> np.ndarray:
+        """The path of z, (n_nodes, m): x0 on the root, then z's x columns."""
+        return np.concatenate([self.problem.x0[None, :], self.node_columns(z)[0]])
 
     # -- objective: f(z) = sum_l P_l ln sigma_l ---------------------------------
     # Leaf inner products use np.vecdot on the stacked (n_leaves, m) arrays: it
@@ -493,8 +495,7 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     form = problem.objective.form
     m = market.m
 
-    path = fixed_fraction_path(tree, market, problem.x0, np.ones(m), fill=0.5)
-    states = np.concatenate([av.values for av in path])  # one per node index
+    states = fixed_fraction_path(tree, market, problem.x0, np.ones(m), fill=0.5)
     stuck = np.flatnonzero(states[1:, 0] <= 0.0)
     if stuck.size:
         raise InfeasibleStart(
@@ -832,6 +833,7 @@ def solve_log_optimal(
     mu_target = 1e-2 * options.tol
     handover = HANDOVER * mu_target
     w = problem.tree.prob[prog.row_owner]  # central-path weight of each row
+    leaves = problem.tree.span(problem.tree.horizon)
 
     z = _interior_start(prog)
     g = prog.g(z)
@@ -879,7 +881,7 @@ def solve_log_optimal(
             if centered:
                 outer += 1
                 trace.append(log_objective(problem.tree, problem.objective,
-                                           prog.path_values(z)[-1]))
+                                           prog.path_values(z)[leaves]))
                 if final_stage:
                     break
                 mu = max(0.2 * mu, mu_target)
@@ -932,8 +934,8 @@ def solve_log_optimal(
             stop or "residuals above tol", iters, mu, residuals,
         )
     return Solution(
-        path=path,
-        objective_value=log_objective(problem.tree, problem.objective, path[-1]),
+        path=NodeArray(problem.tree, path),
+        objective_value=log_objective(problem.tree, problem.objective, path[leaves]),
         z=z,
         multipliers=lam,
         residuals=residuals,
@@ -979,10 +981,10 @@ def _kkt_report(solution: Solution, prog: AssembledProgram) -> KktReport:
     z, lam = _stored_iterate(solution, prog)
     g = prog.g(z)
     r_d = prog.grad_f(z) + prog.A_T_dot(lam)
-    path_ok = all(
-        np.allclose(av.values, stored.values, rtol=0.0, atol=1e-12)
-        for av, stored in zip(prog.path_values(z), solution.path, strict=True)
-    )
+    x = prog.path_values(z)
+    path_ok = bool(np.allclose(
+        x, node_array(solution.path, x.shape, "path"), rtol=0.0, atol=1e-12
+    ))
     return KktReport(
         residuals=KktResiduals.of(g, r_d, lam),
         path_consistent=path_ok,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from vng.errors import ParseError
+from vng.errors import DepthMismatch, DimensionMismatch, ParseError
 from vng.market_model import ConeLift, dual_cone_violation, transition_bound
 from vng.scenario_tree import AdaptedVector
 
@@ -394,18 +394,71 @@ def exact_bound_at_node(market, node, p, bar_terms, kappa, gamma):
     return max(e * max(R), e + f), e, f
 
 
+# --- per-date tree algebra ---------------------------------------------------
+# The library keeps every adapted field as one array over the whole tree; these
+# are the per-date references it is checked against.
+
+def _layer_values(tree, av) -> np.ndarray:
+    """av's rows, or DepthMismatch unless they fill the level of its depth."""
+    if not 0 <= av.depth <= tree.horizon + 1:
+        raise DepthMismatch(f"depth {av.depth} outside 0..{tree.horizon + 1}")
+    values = np.asarray(av.values, dtype=float)
+    rows = len(tree.level(min(av.depth, tree.horizon)))
+    if values.ndim != 2 or values.shape[0] != rows:
+        raise DepthMismatch(f"expected {rows} rows at depth {av.depth}, got {values.shape}")
+    return values
+
+
+def expectation(tree, av) -> float:
+    """E[X] of a scalar adapted field: probability-weighted sum over its depth."""
+    values = _layer_values(tree, av)
+    if values.shape[1] != 1:
+        raise DimensionMismatch("expectation is defined for scalar fields")
+    return float(tree.prob[tree.span(min(av.depth, tree.horizon))] @ values[:, 0])
+
+
+def conditional_expectation(tree, av) -> AdaptedVector:
+    """E[ . | F_{t-1}] of a depth-t field: child-probability-weighted averages.
+
+    Input of logical depth N+1 is F_N-measurable already (F_{N+1} = F_N), so
+    it is returned at depth N unchanged.  One ordered ``np.add.at`` adds each
+    parent's children in child order.
+    """
+    values = _layer_values(tree, av)
+    if av.depth == tree.horizon + 1:
+        return AdaptedVector(tree.horizon, values.copy())
+    if av.depth < 1:
+        raise DepthMismatch("cannot condition a depth-0 field further")
+    out = np.zeros((len(tree.level(av.depth - 1)), values.shape[1]))
+    weights = tree.cond_prob[tree.span(av.depth), None]
+    np.add.at(out, tree.up(av.depth), weights * values)  # in child order
+    return AdaptedVector(av.depth - 1, out)
+
+
+def dual_layer(dual, t: int) -> AdaptedVector:
+    """p_t as a date view: ``prices[t]`` for t <= N, the terminal layer at N + 1."""
+    return dual.terminal if t == dual.tree.horizon + 1 else dual.prices[t]
+
+
+def dual_bar(tree, dual, t: int) -> AdaptedVector:
+    """E_t p_{t+1} on the depth-t nodes, date by date."""
+    return conditional_expectation(tree, dual_layer(dual, t + 1))
+
+
 # --- per-node references for the whole-level tree algebra ----------------------
 # The loops below walk one node at a time with the library's earlier per-node
 # arithmetic (one ``x @ y`` per node, Python accumulation in child order); the
-# array versions must reproduce them exactly.
+# array versions must reproduce them exactly.  A path is read by node index,
+# a date-t price row of node i at row i - 1 of ``dual.p``.
 
 def conditional_expectation_loop(tree, av):
     """E[av | F_{t-1}] as one child-weighted sum per parent node."""
     t = av.depth - 1
-    out = np.zeros((len(tree.level(t)), av.dim))
+    start = tree.span(av.depth).start
+    out = np.zeros((len(tree.level(t)), av.values.shape[1]))
     for pos, node in enumerate(tree.level(t)):
         for child in tree.children(node):
-            out[pos] += child.cond_prob * av.value_at(tree, child)
+            out[pos] += child.cond_prob * av.values[child.index - start]
     return out
 
 
@@ -415,29 +468,28 @@ def supermartingale_loop(dual, y, tree):
     A NaN residual counts as an unbounded violation, ``inf``.
     """
     N = tree.horizon
+    y = np.asarray(y)
     worst1 = worst2 = gap = 0.0
 
     def violation(v):
         return float("inf") if v != v else v
 
     for t in range(1, N + 1):
-        p_t = dual.price(t, N)
-        bar_next = dual.bar(tree, t)
+        bar_next = dual_bar(tree, dual, t).values
+        start = tree.span(t).start
         for node in tree.level(t):
-            lhs = float(bar_next.value_at(tree, node) @ y[t].value_at(tree, node))
-            rhs = float(
-                p_t.value_at(tree, node) @ y[t - 1].value_at(tree, tree.parent(node))
-            )
+            lhs = float(bar_next[node.index - start] @ y[node.index])
+            rhs = float(dual.p[node.index - 1] @ y[node.parent])
             worst1 = max(worst1, violation(lhs - rhs))
             gap = max(gap, violation(abs(lhs - rhs)))
-        bar_t = dual.bar(tree, t - 1)
-        for q in tree.level(t - 1):
+        bar_t = dual_bar(tree, dual, t - 1).values
+        for pos, q in enumerate(tree.level(t - 1)):
             lhs = sum(
                 child.cond_prob
-                * float(bar_next.value_at(tree, child) @ y[t].value_at(tree, child))
+                * float(bar_next[child.index - start] @ y[child.index])
                 for child in tree.children(q)
             )
-            rhs = float(bar_t.value_at(tree, q) @ y[t - 1].value_at(tree, q))
+            rhs = float(bar_t[pos] @ y[q.index])
             worst2 = max(worst2, violation(lhs - rhs))
     return worst1, worst2, gap
 
@@ -445,15 +497,14 @@ def supermartingale_loop(dual, y, tree):
 def growth_table_loop(dual, y, tree):
     """(t, node id, ratio) per node; nan where the denominator is not positive."""
     N = tree.horizon
+    y = np.asarray(y)
     rows = []
     for t in range(1, N + 1):
-        p_t = dual.price(t, N)
-        bar_next = dual.bar(tree, t)
+        bar_next = dual_bar(tree, dual, t).values
+        start = tree.span(t).start
         for node in tree.level(t):
-            den = float(
-                p_t.value_at(tree, node) @ y[t - 1].value_at(tree, tree.parent(node))
-            )
-            num = float(bar_next.value_at(tree, node) @ y[t].value_at(tree, node))
+            den = float(dual.p[node.index - 1] @ y[node.parent])
+            num = float(bar_next[node.index - start] @ y[node.index])
             rows.append((t, node.node_id, num / den if den > 0.0 else float("nan")))
     return rows
 
@@ -539,11 +590,12 @@ def verify_loops(path, dual, tree, market, tol):
         if witness is None and value > tol:
             witness = {"kind": kind, "node": node_id, "value": value, **extra}
 
+    path = np.asarray(path)
     for t in range(1, N + 1):
         for node in tree.level(t):
             parent = tree.parent(node)
-            a = path[t - 1].value_at(tree, parent)
-            b = path[t].value_at(tree, node)
+            a = path[parent.index]
+            b = path[node.index]
             d = market.returns[node.index] * a - b
             # the min-form, as the frontier and the solver's rows round psi
             lp, lm = market.Lp[node.index], market.Lm[node.index]
@@ -554,20 +606,20 @@ def verify_loops(path, dual, tree, market, tol):
             feasibility[node.node_id] = viol
             note("path_feasibility", node.node_id, viol, layer=t)
     for t in range(1, N + 2):
-        p_t = dual.price(t, N)
-        for node in tree.level(min(t, N)):
-            p = p_t.value_at(tree, node)
+        p_t = dual_layer(dual, t).values
+        for pos, node in enumerate(tree.level(min(t, N))):
+            p = p_t[pos]
             cone_node = node if t == N + 1 else tree.parent(node)
             viol = violation(_node_section_min(market, p, cone_node))
             membership[f"p_{t}@{node.node_id}"] = viol
             note("dual_cone_membership", node.node_id, viol, layer=t)
-            x_prev = path[t - 1].value_at(tree, cone_node)
+            x_prev = path[cone_node.index]
             resid = abs(float(p @ x_prev) - 1.0)
             resid = float("inf") if resid != resid else resid
             normalization[t - 1] = max(normalization[t - 1], resid)
             note("normalization", node.node_id, resid, layer=t)
     for t in range(1, N + 1):
-        p_next = dual.price(t + 1, N)
+        p_next = dual_layer(dual, t + 1)
         abs_next = AdaptedVector(p_next.depth, np.abs(p_next.values))
         if t == N:  # E_N is the identity on the terminal layer
             bars, abs_bars = p_next.values, abs_next.values
@@ -575,7 +627,7 @@ def verify_loops(path, dual, tree, market, tol):
             bars = conditional_expectation_loop(tree, p_next)
             abs_bars = conditional_expectation_loop(tree, abs_next)
         for pos, node in enumerate(tree.level(t)):
-            p = dual.price(t, N).value_at(tree, node)
+            p = dual.p[node.index - 1]
             p_bar, bar_abs = bars[pos], abs_bars[pos]
             value = float(transition_bound(
                 market, [node.index], p[None], p_bar[None], bar_abs[None]

@@ -19,6 +19,7 @@ import vng.cli_io as cli
 from conftest import kelly_problem, make_instance, two_asset_margin_market
 from oracles import (
     batch_transition_members,
+    dual_bar,
     kelly_oracle,
     node_probability,
     section_grid_min,
@@ -102,7 +103,7 @@ def test_02_kelly_oracle():
     solution = vng.solve_log_optimal(problem)
     elapsed = time.perf_counter() - t0
     f_star, v_star = kelly_oracle()
-    x1 = solution.path[1].value_at(problem.tree, "mid")
+    x1 = np.asarray(solution.path)[problem.tree.node("mid").index]
     fraction = float(x1[1] / x1.sum())
     ok = (
         solution.converged
@@ -134,16 +135,12 @@ def _expectation_form_violation(problem, dual, path) -> float:
     tree = problem.tree
     worst = 0.0
     for t in range(1, tree.horizon + 1):
-        p_t = dual.price(t, tree.horizon)
-        bar = dual.bar(tree, t)
+        bar = dual_bar(tree, dual, t).values
         lhs = rhs = 0.0
-        for node in tree.level(t):
+        for pos, node in enumerate(tree.level(t)):
             prob = node_probability(tree, node)
-            lhs += prob * float(bar.value_at(tree, node) @ path[t].value_at(tree, node))
-            rhs += prob * float(
-                p_t.value_at(tree, node)
-                @ path[t - 1].value_at(tree, tree.parent(node))
-            )
+            lhs += prob * float(bar[pos] @ path[node.index])
+            rhs += prob * float(dual.p[node.index - 1] @ path[node.parent])
         worst = max(worst, lhs - rhs)
     return worst
 
@@ -184,19 +181,15 @@ def test_05_supermartingale(pipelines, competitors):
 
 
 def _corrupt(dual, tree, mode, rng):
-    prices = {t: vng.AdaptedVector(t, av.values.copy())
-              for t, av in dual.prices.items()}
-    terminal = vng.AdaptedVector(dual.terminal.depth, dual.terminal.values.copy())
+    p, terminal = dual.p.copy(), dual.p_terminal.copy()
     if mode == "terminal_x2":
-        terminal = vng.AdaptedVector(terminal.depth, 2.0 * terminal.values)
+        terminal *= 2.0
         t_check = tree.horizon
     else:
         t_check = int(rng.integers(1, tree.horizon + 1))
-        values = prices[t_check].values.copy()
-        row = int(rng.integers(values.shape[0]))
-        values[row] = -values[row] if mode == "negate_node" else 0.5 * values[row]
-        prices[t_check] = vng.AdaptedVector(t_check, values)
-    return vng.DualPath(prices=prices, terminal=terminal), t_check
+        row = tree.span(t_check).start - 1 + int(rng.integers(len(tree.level(t_check))))
+        p[row] = -p[row] if mode == "negate_node" else 0.5 * p[row]
+    return vng.DualPath(tree, p, terminal), t_check
 
 
 def test_06_four_way_consistency(pipelines):
@@ -210,8 +203,7 @@ def test_06_four_way_consistency(pipelines):
 
         for t in range(1, tree.horizon + 1):
             clean = vng.check_equivalences(
-                tree, problem.market, solution.path[t - 1], solution.path[t],
-                dual.prices[t], dual.price(t + 1, tree.horizon), t,
+                tree, problem.market, solution.path, dual, t,
                 n_samples=25, seed=seed, tol=1e-7,
             )
             if not (clean.all_pass and clean.consistent):
@@ -220,8 +212,7 @@ def test_06_four_way_consistency(pipelines):
         for mode in ("terminal_x2", "negate_node", "half_node"):
             bad, t = _corrupt(dual, tree, mode, rng)
             rep = vng.check_equivalences(
-                tree, problem.market, solution.path[t - 1], solution.path[t],
-                bad.prices[t], bad.price(t + 1, tree.horizon), t,
+                tree, problem.market, solution.path, bad, t,
                 n_samples=25, seed=seed, tol=1e-7,
             )
             p = rep.passes

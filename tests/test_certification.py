@@ -1,6 +1,8 @@
 """Dual extraction, rapidity verification, and the growth-bound checks."""
 
+import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,15 +12,19 @@ import vng.cli_io as cli
 from conftest import make_instance, regular_problem
 from oracles import (
     competitor_paths_loop,
+    conditional_expectation,
     conditional_expectation_loop,
+    dual_bar,
+    dual_layer,
     exact_transition_bound,
     growth_table_loop,
     sample_competitor_path,
     supermartingale_loop,
     verify_loops,
 )
-from vng.certification import _supermartingale_checks
+from vng.certification import _conditional_sums, _supermartingale_checks
 from vng.errors import (
+    DepthMismatch,
     NonpositiveDenominator,
     NotCertified,
     ShapeMismatch,
@@ -39,14 +45,18 @@ def pipeline():
     return problem, solution, dual, cert
 
 
+def date_rows(tree, t: int) -> slice:
+    """The rows of date t in a dual's ``p``, where node i sits at row i - 1."""
+    return slice(tree.offsets[t] - 1, tree.offsets[t + 1] - 1)
+
+
 def scaled_dual(dual: vng.DualPath, layer: int, factor, tree) -> vng.DualPath:
-    prices = {t: vng.AdaptedVector(t, av.values.copy()) for t, av in dual.prices.items()}
-    terminal = vng.AdaptedVector(dual.terminal.depth, dual.terminal.values.copy())
+    p, terminal = dual.p.copy(), dual.p_terminal.copy()
     if layer == tree.horizon + 1:
-        terminal = vng.AdaptedVector(terminal.depth, factor * terminal.values)
+        terminal *= factor
     else:
-        prices[layer] = vng.AdaptedVector(layer, factor * prices[layer].values)
-    return vng.DualPath(prices=prices, terminal=terminal)
+        p[date_rows(tree, layer)] *= factor
+    return vng.DualPath(tree, p, terminal)
 
 
 class TestExtractDual:
@@ -66,13 +76,13 @@ class TestExtractDual:
         )
         solution = vng.solve_log_optimal(linear)
         dual = vng.extract_dual(solution, linear)
-        x_N = solution.path[-1]
+        x_N = solution.path[kelly.tree.horizon].values
         for pos, leaf in enumerate(kelly.tree.leaves()):
-            q_over_value = np.ones(2) / float(np.ones(2) @ x_N.values[pos])
+            q_over_value = np.ones(2) / float(np.ones(2) @ x_N[pos])
             np.testing.assert_allclose(
                 dual.terminal.values[pos], q_over_value, atol=1e-7
             )
-            assert float(dual.terminal.values[pos] @ x_N.values[pos]) == pytest.approx(
+            assert float(dual.terminal.values[pos] @ x_N[pos]) == pytest.approx(
                 1.0, abs=1e-12
             )
 
@@ -91,13 +101,10 @@ class TestExtractDual:
         )
         solution = vng.solve_log_optimal(problem)
         dual = vng.extract_dual(solution, problem)
+        X = np.asarray(solution.path)
         for t in range(1, 3):
             node = tree.level(t)[0]
-            parent = tree.parent(node)
-            value = float(
-                dual.prices[t].value_at(tree, node)
-                @ solution.path[t - 1].value_at(tree, parent)
-            )
+            value = float(dual.p[node.index - 1] @ X[node.parent])
             assert value == pytest.approx(1.0, abs=1e-8)
 
     def test_refuses_non_converged(self, kelly):
@@ -125,13 +132,9 @@ class TestVerifyRapid:
     def test_negated_node_refuted_with_witness(self, pipeline):
         problem, solution, dual, _ = pipeline
         tree = problem.tree
-        prices = {t: vng.AdaptedVector(t, av.values.copy())
-                  for t, av in dual.prices.items()}
-        prices[1] = vng.AdaptedVector(
-            1, np.vstack([-prices[1].values[0]] + [prices[1].values[k]
-                                                   for k in range(1, len(prices[1].values))])
-        )
-        bad = vng.DualPath(prices=prices, terminal=dual.terminal)
+        p = dual.p.copy()
+        p[0] = -p[0]
+        bad = vng.DualPath(tree, p, dual.p_terminal)
         cert = vng.verify_rapid(solution.path, bad, tree, problem.market)
         assert not cert.certified
         assert cert.max_membership > 1e-6
@@ -140,8 +143,8 @@ class TestVerifyRapid:
 
     def test_nan_path_entry_refuted(self, pipeline):
         problem, solution, dual, _ = pipeline
-        path = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
-        path[-1].values[-1, 0] = np.nan
+        path = np.array(solution.path)
+        path[-1, 0] = np.nan
         cert = vng.verify_rapid(path, dual, problem.tree, problem.market)
         assert not cert.certified
         assert cert.max_feasibility == np.inf
@@ -195,14 +198,78 @@ class TestVerifyRapid:
 
             monkeypatch.setattr(vng.certification, name, wrapper)
 
-        for name in ("in_Z", "dual_cone_residual", "transition_bound",
-                     "conditional_expectation"):
+        for name in ("in_Z", "dual_cone_residual", "transition_bound"):
             counted(name)
         for d in (dual, tampered_duals(problem, solution, dual)["tilted"]):
             calls.clear()
             cert = vng.verify_rapid(solution.path, d, problem.tree, problem.market)
             assert calls == {"in_Z": 1, "dual_cone_residual": 1, "transition_bound": 1}
         assert cert.transition_lp_nodes
+
+
+class TestDateViews:
+    """A path is one (n_nodes, m) array and a dual two arrays; their date
+    views read the same rows."""
+
+    def test_views_are_the_whole_tree_rows(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        tree = problem.tree
+        X = np.asarray(solution.path)
+        assert X.shape == (tree.n_nodes, problem.market.m)
+        assert dual.p.shape == (tree.n_nodes - 1, problem.market.m)
+        for t in range(tree.horizon + 1):
+            assert solution.path[t].depth == t
+            assert np.array_equal(solution.path[t].values, X[tree.span(t)])
+        for t in range(1, tree.horizon + 1):
+            lev = tree.span(t)
+            assert dual.prices[t].depth == t
+            assert np.array_equal(
+                dual.prices[t].values, dual.p[lev.start - 1:lev.stop - 1]
+            )
+        assert dual.terminal.depth == tree.horizon + 1
+        assert np.array_equal(dual.terminal.values, dual.p_terminal)
+        assert len(dual.p_terminal) == len(tree.leaves())
+        with pytest.raises(DepthMismatch):
+            dual.prices[0]  # the root has no price row
+
+    def test_competitor_rows_and_the_solved_path_alike(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        tree = problem.tree
+        paths = vng.sample_competitor_paths(
+            tree, problem.market, np.random.default_rng(4), problem.x0, 3
+        )
+        assert paths.shape == (3, tree.n_nodes, problem.market.m)
+        assert vng.supermartingale_check(dual, paths[1], tree) == (
+            vng.supermartingale_check(dual, vng.NodeArray(tree, paths[1]), tree)
+        )
+        assert vng.supermartingale_check(dual, solution.path, tree) == (
+            vng.supermartingale_check(dual, np.asarray(solution.path), tree)
+        )
+        empty = vng.sample_competitor_paths(
+            tree, problem.market, np.random.default_rng(4), problem.x0, 0
+        )
+        assert empty.shape == (0, tree.n_nodes, problem.market.m)
+
+    @pytest.mark.parametrize("cut", ["row", "column", "flat"])
+    def test_wrong_path_shape_raises_everywhere(self, pipeline, cut):
+        problem, solution, dual, _ = pipeline
+        tree, market = problem.tree, problem.market
+        X = np.asarray(solution.path)
+        bad = {"row": X[:-1], "column": X[:, 1:], "flat": X.reshape(-1)}[cut]
+        calls = [
+            lambda: vng.verify_rapid(bad, dual, tree, market),
+            lambda: vng.supermartingale_check(dual, bad, tree),
+            lambda: vng.growth_dominance(dual, bad, tree),
+            lambda: vng.check_equivalences(tree, market, bad, dual, 1, n_samples=2),
+            lambda: vng.prop4_reconstruct(dual, bad, tree, market),
+            lambda: vng.extract_dual(dataclasses.replace(solution, path=bad), problem),
+            lambda: vng.kkt_report(dataclasses.replace(solution, path=bad), problem),
+            lambda: vng.log_objective(tree, problem.objective, bad[tree.span(1)]),
+            lambda: vng.dominating_path(tree, market, bad, dual.p, dual.p_terminal),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatch):
+                call()
 
 
 class TestSupermartingale:
@@ -228,20 +295,19 @@ class TestSupermartingale:
         rng = np.random.default_rng(1)
         y = sample_competitor_path(problem.tree, problem.market, rng, problem.x0)
         r1 = vng.supermartingale_check(dual, y, problem.tree)
-        y2 = [vng.AdaptedVector(av.depth, 3.0 * av.values) for av in y]
-        r2 = vng.supermartingale_check(dual, y2, problem.tree)
+        r2 = vng.supermartingale_check(dual, 3.0 * y, problem.tree)
         assert r2.first_form == pytest.approx(3.0 * r1.first_form, rel=1e-9, abs=1e-12)
 
     def test_nan_residual_is_unbounded(self, pipeline):
         """A NaN residual reads inf: it cannot hide the other nodes of its date."""
         problem, solution, dual, _ = pipeline
         tree = problem.tree
-        y = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
-        y[2].values[1] *= 50.0
+        y = np.array(solution.path)
+        y[tree.span(2).start + 1] *= 50.0
         report = vng.supermartingale_check(dual, y, tree)
         assert report.first_form == pytest.approx(49.0, rel=1e-6)
         assert report.second_form == pytest.approx(23.6, rel=1e-2)
-        y[2].values[0, 0] = np.nan
+        y[tree.span(2).start, 0] = np.nan
         report = vng.supermartingale_check(dual, y, tree)
         assert (report.first_form, report.second_form, report.equality_gap) == (
             np.inf, np.inf, np.inf
@@ -249,29 +315,31 @@ class TestSupermartingale:
         assert supermartingale_loop(dual, y, tree) == (np.inf, np.inf, np.inf)
 
     def test_layers_of_wrong_shape_raise(self, pipeline):
-        """Dates 1 and 2 hold 2 and 3 nodes; rows of 3 and 2 add up the same."""
+        """A path or a dual of the wrong width raises, whatever its row count."""
         problem, solution, dual, _ = pipeline
-        y = list(solution.path)
-        y[1], y[2] = (vng.AdaptedVector(t, np.ones((4 - t, 3))) for t in (1, 2))
+        y = np.ones((problem.tree.n_nodes, 2))
         with pytest.raises(ShapeMismatch):
             vng.supermartingale_check(dual, y, problem.tree)
         with pytest.raises(ShapeMismatch):
             vng.growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
-        prices = dict(dual.prices)
-        prices[1], prices[2] = (vng.AdaptedVector(t, np.ones((4 - t, 3))) for t in (1, 2))
-        with pytest.raises(ShapeMismatch):
-            vng.supermartingale_check(
-                vng.DualPath(prices=prices, terminal=dual.terminal),
-                solution.path, problem.tree,
-            )
+        for p, terminal in ((dual.p[:, :2], dual.p_terminal),
+                            (dual.p, dual.p_terminal[:, :2])):
+            with pytest.raises(ShapeMismatch):
+                vng.supermartingale_check(
+                    vng.DualPath(problem.tree, p, terminal), solution.path, problem.tree,
+                )
 
     def test_path_of_wrong_length_raises(self, pipeline):
         problem, solution, dual, _ = pipeline
+        X = np.asarray(solution.path)
         with pytest.raises(ShapeMismatch):
-            vng.supermartingale_check(dual, solution.path[:-1], problem.tree)
+            vng.supermartingale_check(dual, X[:-1], problem.tree)
+        with pytest.raises(ShapeMismatch):
+            _supermartingale_checks(dual, np.stack([X[:-1], X[:-1]]), problem.tree)
         with pytest.raises(ShapeMismatch):
             _supermartingale_checks(
-                dual, [solution.path, solution.path[:-1]], problem.tree
+                vng.DualPath(problem.tree, dual.p[:-1], dual.p_terminal),
+                X[None], problem.tree,
             )
 
 
@@ -280,25 +348,23 @@ class TestGrowthDominance:
         problem, solution, dual, _ = pipeline
         tree = problem.tree
         table = vng.growth_dominance(dual, solution.path, tree)
-        # one array per date, one ratio per node in level order
-        assert [len(r) for r in table] == [
-            len(tree.level(t)) for t in range(1, tree.horizon + 1)
-        ]
-        for ratio in np.concatenate(table):
+        # one ratio per non-root node, in node order
+        assert table.shape == (tree.n_nodes - 1,)
+        for ratio in table:
             assert ratio == pytest.approx(1.0, abs=1e-8)
 
     def test_buy_and_hold_dominated_in_kelly(self, kelly):
         solution = vng.solve_log_optimal(kelly)
         dual = vng.extract_dual(solution, kelly)
         y = vng.buy_and_hold_path(kelly.tree, kelly.market, kelly.x0)
-        ratios = np.concatenate(vng.growth_dominance(dual, y, kelly.tree))
+        ratios = vng.growth_dominance(dual, y, kelly.tree)
         # frictionless deflated prices are martingales, so holding the assets
         # earns ratio 1; only wasteful strategies are strictly dominated
         assert all(r <= 1.0 + 1e-8 for r in ratios)
         wasteful = vng.fixed_fraction_path(
             kelly.tree, kelly.market, kelly.x0, np.array([0.5, 0.5]), fill=0.9
         )
-        ratios = np.concatenate(vng.growth_dominance(dual, wasteful, kelly.tree))
+        ratios = vng.growth_dominance(dual, wasteful, kelly.tree)
         assert all(r <= 1.0 + 1e-8 for r in ratios)
         assert min(ratios) < 1.0 - 1e-3
 
@@ -307,9 +373,8 @@ class TestGrowthDominance:
         rng = np.random.default_rng(2)
         y = sample_competitor_path(problem.tree, problem.market, rng, problem.x0)
         e1 = vng.growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
-        y2 = [vng.AdaptedVector(av.depth, 2.0 * av.values) for av in y]
-        e2 = vng.growth_dominance(dual, y2, problem.tree, on_nonpositive="mark")
-        for a, b in zip(np.concatenate(e1), np.concatenate(e2), strict=True):
+        e2 = vng.growth_dominance(dual, 2.0 * y, problem.tree, on_nonpositive="mark")
+        for a, b in zip(e1, e2, strict=True):
             if np.isnan(a):
                 assert np.isnan(b)
             else:
@@ -317,13 +382,25 @@ class TestGrowthDominance:
 
     def test_nonpositive_denominator_raises(self, pipeline):
         problem, solution, dual, _ = pipeline
-        zeroed = [vng.AdaptedVector(av.depth, 0.0 * av.values) for av in solution.path]
+        zeroed = 0.0 * np.asarray(solution.path)
         with pytest.raises(NonpositiveDenominator):
             vng.growth_dominance(dual, zeroed, problem.tree)
 
+    def test_nan_denominator_raises(self, pipeline):
+        """A NaN denominator is not positive: it raises, or reads nan."""
+        problem, solution, dual, _ = pipeline
+        tree = problem.tree
+        p = dual.p.copy()
+        p[tree.span(2).start - 1, 0] = np.nan
+        bad = vng.DualPath(tree, p, dual.p_terminal)
+        with pytest.raises(NonpositiveDenominator, match="= nan at node"):
+            vng.growth_dominance(bad, solution.path, tree, on_nonpositive="raise")
+        marked = vng.growth_dominance(bad, solution.path, tree, on_nonpositive="mark")
+        assert np.isnan(marked[tree.span(2).start - 1])
+
     def test_unknown_on_nonpositive_rejected(self, pipeline):
         problem, solution, dual, _ = pipeline
-        zeroed = [vng.AdaptedVector(av.depth, 0.0 * av.values) for av in solution.path]
+        zeroed = 0.0 * np.asarray(solution.path)
         with pytest.raises(ValueError, match="'raise' or 'mark', not 'rasie'"):
             vng.growth_dominance(dual, zeroed, problem.tree, on_nonpositive="rasie")
 
@@ -333,10 +410,7 @@ class TestEquivalences:
         problem, solution, base_dual, _ = pipeline
         dual = dual or base_dual
         return vng.check_equivalences(
-            problem.tree, problem.market,
-            solution.path[t - 1], solution.path[t],
-            dual.prices[t], dual.price(t + 1, problem.tree.horizon),
-            t, **kw,
+            problem.tree, problem.market, solution.path, dual, t, **kw
         )
 
     def test_certified_dual_all_four_pass(self, pipeline):
@@ -372,6 +446,30 @@ class TestEquivalences:
         assert not (report.passes["I"] and report.passes["II"] and report.passes["III"])
         assert report.consistent
 
+    @pytest.mark.parametrize("date", [1, 2])
+    def test_nan_price_reads_inf(self, pipeline, date):
+        """A NaN price of date 1 or 2 makes the date-1 statistics NaN, which
+        read inf and fail."""
+        problem, solution, dual, _ = pipeline
+        tree = problem.tree
+        p = dual.p.copy()
+        p[tree.span(date).start - 1, 0] = np.nan
+        bad = vng.DualPath(tree, p, dual.p_terminal)
+        report = self._report(pipeline, 1, dual=bad, n_samples=20, seed=0, tol=1e-7)
+        assert report.precondition_normalization == np.inf
+        assert report.precondition_membership == np.inf
+        assert (report.value_I, report.value_II, report.value_III) == (
+            np.inf, np.inf, np.inf
+        )
+        assert report.value_IV == np.inf
+        assert not any(report.passes.values())
+        assert report.consistent
+
+    def test_date_outside_the_horizon_raises(self, pipeline):
+        for t in (0, pipeline[0].tree.horizon + 1):
+            with pytest.raises(DepthMismatch):
+                self._report(pipeline, t, n_samples=2)
+
 
 class TestProp4:
     def test_idempotent_on_normalized_dual(self, pipeline):
@@ -382,33 +480,24 @@ class TestProp4:
         assert cert2.certified
         # idempotent up to the extracted dual's own normalization residual
         slack = 10.0 * cert.max_normalization + 1e-12
-        for t, av in dual.prices.items():
-            np.testing.assert_allclose(
-                rebuilt.prices[t].values, av.values, rtol=slack, atol=slack
-            )
+        np.testing.assert_allclose(rebuilt.p, dual.p, rtol=slack, atol=slack)
 
     def test_positive_scalings_do_not_matter(self, pipeline):
         problem, solution, dual, _ = pipeline
         rng = np.random.default_rng(3)
         tree = problem.tree
-        prices = {}
-        for t, av in dual.prices.items():
-            factors = rng.uniform(0.5, 4.0, (av.values.shape[0], 1))
-            prices[t] = vng.AdaptedVector(t, factors * av.values)
-        tfac = rng.uniform(0.5, 4.0, (dual.terminal.values.shape[0], 1))
-        scaled = vng.DualPath(
-            prices=prices,
-            terminal=vng.AdaptedVector(dual.terminal.depth, tfac * dual.terminal.values),
-        )
+        factors = rng.uniform(0.5, 4.0, (len(dual.p), 1))
+        tfac = rng.uniform(0.5, 4.0, (len(dual.p_terminal), 1))
+        scaled = vng.DualPath(tree, factors * dual.p, tfac * dual.p_terminal)
         rebuilt, cert = vng.prop4_reconstruct(
             scaled, solution.path, tree, problem.market
         )
         assert cert.certified
         base, _ = vng.prop4_reconstruct(dual, solution.path, tree, problem.market)
-        for t, av in base.prices.items():
-            np.testing.assert_allclose(
-                rebuilt.prices[t].values, av.values, rtol=1e-10, atol=1e-12
-            )
+        np.testing.assert_allclose(rebuilt.p, base.p, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            rebuilt.p_terminal, base.p_terminal, rtol=1e-10, atol=1e-12
+        )
 
     def test_bad_membership_refuted(self, pipeline):
         problem, solution, dual, _ = pipeline
@@ -416,12 +505,11 @@ class TestProp4:
         m = problem.market.m
         # boost one price coordinate far out of the dual cone but keep the
         # normalizing inner products positive
-        prices = {t: vng.AdaptedVector(t, av.values.copy())
-                  for t, av in dual.prices.items()}
+        p = dual.p.copy()
         distort = np.ones(m)
         distort[0] = 80.0
-        prices[1] = vng.AdaptedVector(1, prices[1].values * distort)
-        bad = vng.DualPath(prices=prices, terminal=dual.terminal)
+        p[date_rows(tree, 1)] *= distort
+        bad = vng.DualPath(tree, p, dual.p_terminal)
         rebuilt, cert = vng.prop4_reconstruct(
             bad, solution.path, tree, problem.market
         )
@@ -430,12 +518,28 @@ class TestProp4:
     def test_zero_denominator_raises(self, pipeline):
         problem, solution, dual, _ = pipeline
         tree = problem.tree
-        prices = {t: vng.AdaptedVector(t, av.values.copy())
-                  for t, av in dual.prices.items()}
-        prices[1] = vng.AdaptedVector(1, 0.0 * prices[1].values)
-        bad = vng.DualPath(prices=prices, terminal=dual.terminal)
+        p = dual.p.copy()
+        p[date_rows(tree, 1)] = 0.0
+        bad = vng.DualPath(tree, p, dual.p_terminal)
         with pytest.raises(ZeroDenominator):
             vng.prop4_reconstruct(bad, solution.path, tree, problem.market)
+
+    def test_nan_denominator_raises(self, pipeline):
+        """A NaN inner product is not strictly positive, on either layer."""
+        problem, solution, dual, _ = pipeline
+        tree = problem.tree
+        p, terminal = dual.p.copy(), dual.p_terminal.copy()
+        p[tree.span(2).start - 1, 0] = np.nan
+        terminal[0, 0] = np.nan
+        for bad, where in (
+            (vng.DualPath(tree, p, dual.p_terminal),
+             f"l_2 . x_1 = nan at node {tree.level(2)[0].node_id!r}"),
+            (vng.DualPath(tree, dual.p, terminal),
+             f"l_{tree.horizon + 1} . x_{tree.horizon} = nan at leaf "
+             f"{tree.leaves()[0].node_id!r}"),
+        ):
+            with pytest.raises(ZeroDenominator, match=re.escape(where)):
+                vng.prop4_reconstruct(bad, solution.path, tree, problem.market)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -459,17 +563,14 @@ def solved_set():
 
 def level_prices(dual, tree, t):
     """Depth-t nodes with their prices p_t and p_bar = E_t p_{t+1}."""
-    return tree.level(t), dual.prices[t].values, dual.bar(tree, t).values
+    return tree.level(t), dual.prices[t].values, dual_bar(tree, dual, t).values
 
 
 def bar_terms(dual, tree, t, node):
     """The (weight, price) pairs whose weighted sum is p_bar at the node."""
     if t == tree.horizon:
-        return [(1.0, dual.terminal.value_at(tree, node))]
-    return [
-        (child.cond_prob, dual.prices[t + 1].value_at(tree, child))
-        for child in tree.children(node)
-    ]
+        return [(1.0, dual.p_terminal[tree.level_position(node)])]
+    return [(child.cond_prob, dual.p[child.index - 1]) for child in tree.children(node)]
 
 
 _LP_VALUES: dict = {}
@@ -490,10 +591,10 @@ def lp_value(market, p, p_bar, node) -> float:
 
 def level_bar_abs(dual, tree, t):
     """The conditional sum over |p_{t+1}| that verification passes, or None."""
-    nxt = dual.price(t + 1, tree.horizon)
+    nxt = dual_layer(dual, t + 1)
     if (nxt.values >= 0.0).all():
         return None
-    return vng.conditional_expectation(
+    return conditional_expectation(
         tree, vng.AdaptedVector(nxt.depth, np.abs(nxt.values))
     ).values
 
@@ -640,7 +741,7 @@ class TestTransitionProof:
                         terms = [[(1.0, row)] for row in target]
                     else:
                         child = target[tree.up(t + 1)]
-                        p_bar = vng.conditional_expectation(
+                        p_bar = conditional_expectation(
                             tree, vng.AdaptedVector(t + 1, child)
                         ).values
                         terms = [
@@ -710,15 +811,12 @@ class TestTransitionProof:
             margins=np.array([2.5, 2.5]),
         )
         x0 = np.array([0.5, 0.5])
-        path = [vng.AdaptedVector(0, x0[None, :]), vng.AdaptedVector(1, x0[None, :])]
+        path = np.array([x0, x0])
         # p_1 lies in the dual cone and prices x0 at 1, but buying asset 1 at
         # p_1 and holding it is worth p_2 > p_1 next date
         p = np.array([1.0, 1.2]) / 1.1
         terminal = np.array([1.0, 1.0])
-        dual = vng.DualPath(
-            prices={1: vng.AdaptedVector(1, p[None, :])},
-            terminal=vng.AdaptedVector(2, terminal[None, :]),
-        )
+        dual = vng.DualPath(tree, p[None, :], terminal[None, :])
         cert = vng.verify_rapid(path, dual, tree, market)
         assert not cert.certified
         assert max(
@@ -732,8 +830,7 @@ class TestTransitionProof:
             "pair": (lp.witness_a.tolist(), lp.witness_b.tolist()),
         }
         report = vng.check_equivalences(
-            tree, market, path[0], path[1], dual.prices[1], dual.terminal, 1,
-            n_samples=5, tol=1e-6,
+            tree, market, path, dual, 1, n_samples=5, tol=1e-6
         )
         assert report.value_IV == lp.value
         assert not report.passes["IV"] and report.consistent
@@ -796,8 +893,8 @@ class TestTransitionBound:
                         offset[kids[-1]] = -(w[rest] @ offset[rest]) / w[kids[-1]]
                     child = (sigma - y)[up] + offset
                     nxt = vng.AdaptedVector(t + 1, child)
-                    p_bar = vng.conditional_expectation(tree, nxt).values
-                    bar_abs = vng.conditional_expectation(
+                    p_bar = conditional_expectation(tree, nxt).values
+                    bar_abs = conditional_expectation(
                         tree, vng.AdaptedVector(t + 1, np.abs(child))
                     ).values
                     terms = [
@@ -848,9 +945,9 @@ class TestTransitionBound:
 
 def negated_first_price(dual):
     """The dual with the first date-1 price negated: refuted with a witness."""
-    prices = {t: vng.AdaptedVector(t, av.values.copy()) for t, av in dual.prices.items()}
-    prices[1].values[0] *= -1.0
-    return vng.DualPath(prices=prices, terminal=dual.terminal)
+    p = dual.p.copy()
+    p[0] *= -1.0
+    return vng.DualPath(dual.tree, p, dual.p_terminal)
 
 
 def tampered_duals(problem, solution, dual):
@@ -871,12 +968,11 @@ def tampered_duals(problem, solution, dual):
     tree, market, N = problem.tree, problem.market, problem.tree.horizon
 
     def edited(edit):
-        prices = {t: av.values.copy() for t, av in dual.prices.items()}
+        prices = {t: dual.prices[t].values.copy() for t in range(1, N + 1)}
         prices[N + 1] = dual.terminal.values.copy()
         edit(prices)
         return vng.DualPath(
-            prices={t: vng.AdaptedVector(t, prices[t]) for t in range(1, N + 1)},
-            terminal=vng.AdaptedVector(N + 1, prices[N + 1]),
+            tree, np.concatenate([prices[t] for t in range(1, N + 1)]), prices[N + 1]
         )
 
     def scale(prices):
@@ -917,10 +1013,10 @@ def tampered_duals(problem, solution, dual):
 def tampered_paths(solution):
     """Refutable paths, by name: a NaN entry in the last layer, and a date-1
     layer blown up 50 times, past the self-financing frontier."""
-    nan_path = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
-    nan_path[-1].values[-1, 0] = np.nan
-    infeasible = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
-    infeasible[1].values[:] *= 50.0
+    nan_path = np.array(solution.path)
+    nan_path[-1, 0] = np.nan
+    infeasible = np.array(solution.path)
+    infeasible[solution.path.tree.span(1)] *= 50.0
     return {"nan_path": nan_path, "infeasible": infeasible}
 
 
@@ -974,31 +1070,35 @@ class TestLevelAlgebraMatchesNodeLoops:
                 *competitors,
             ]
             for d in (dual, negated_first_price(dual)):
-                for t in range(1, tree.horizon + 1):
-                    av = d.price(t + 1, tree.horizon)
-                    if av.depth <= tree.horizon:
-                        assert np.array_equal(
-                            vng.conditional_expectation(tree, av).values,
-                            conditional_expectation_loop(tree, av),
-                        )
+                # the whole-tree sums equal the per-date oracle byte for byte,
+                # over the prices and over |p|
+                bar = _conditional_sums(tree, d.p, d.p_terminal)
+                bar_abs = _conditional_sums(tree, np.abs(d.p), np.abs(d.p_terminal))
+                for t in range(tree.horizon + 1):
+                    av = dual_layer(d, t + 1)
+                    abs_av = vng.AdaptedVector(av.depth, np.abs(av.values))
+                    for sums, layer in ((bar, av), (bar_abs, abs_av)):
+                        date_t = conditional_expectation(tree, layer).values
+                        assert sums[tree.span(t)].tobytes() == date_t.tobytes()
+                        if layer.depth <= tree.horizon:
+                            assert np.array_equal(
+                                date_t, conditional_expectation_loop(tree, layer)
+                            )
                 for y in strategies:
                     report = vng.supermartingale_check(d, y, tree)
                     assert (
                         report.first_form, report.second_form, report.equality_gap
                     ) == supermartingale_loop(d, y, tree)
                     table = vng.growth_dominance(d, y, tree, "mark")
-                    assert [len(r) for r in table] == [
-                        len(tree.level(t)) for t in range(1, tree.horizon + 1)
-                    ]
                     assert np.array_equal(
-                        np.concatenate(table),
+                        table,
                         [r for _, _, r in growth_table_loop(d, y, tree)],
                         equal_nan=True,
                     )
-                # all paths at once, stacked per date
+                # all paths at once
                 assert [
                     (r.first_form, r.second_form, r.equality_gap)
-                    for r in _supermartingale_checks(d, strategies, tree)
+                    for r in _supermartingale_checks(d, np.stack(strategies), tree)
                 ] == [supermartingale_loop(d, y, tree) for y in strategies]
                 cert = assert_certificate_matches_loops(solution.path, d, tree, market)
                 witnesses += cert.witness is not None
@@ -1037,8 +1137,8 @@ class TestLevelAlgebraMatchesNodeLoops:
         assert tree.horizon == 6 or market.m == 1
         solution = vng.solve_log_optimal(problem)
         dual = vng.extract_dual(solution, problem)
-        nan_path = [vng.AdaptedVector(av.depth, av.values.copy()) for av in solution.path]
-        nan_path[-1].values[-1, 0] = np.nan
+        nan_path = np.array(solution.path)
+        nan_path[-1, 0] = np.nan
         strategies = [
             solution.path,
             nan_path,
@@ -1053,7 +1153,7 @@ class TestLevelAlgebraMatchesNodeLoops:
 
         for d in (dual, negated_first_price(dual)):
             single = fields(vng.supermartingale_check(d, y, tree) for y in strategies)
-            batched = fields(_supermartingale_checks(d, strategies, tree))
+            batched = fields(_supermartingale_checks(d, np.stack(strategies), tree))
             assert single.tobytes() == batched.tobytes()
             assert single.tolist() == [
                 list(supermartingale_loop(d, y, tree)) for y in strategies
@@ -1069,7 +1169,7 @@ class TestLevelAlgebraMatchesNodeLoops:
                 tree, market, np.random.default_rng(k), problem.x0, 4
             )
             for t in range(tree.horizon + 1):
-                assert np.array_equal(np.stack([y[t].values for y in paths]), levels[t])
+                assert np.array_equal(paths[:, tree.span(t)], levels[t])
 
     def test_frontier_rows_from_mixed_nodes(self, solved_set):
         rng = np.random.default_rng(3)

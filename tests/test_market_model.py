@@ -11,6 +11,7 @@ from vng.errors import (
     NonpositivePrice,
     NotInCone,
     PreconditionViolated,
+    ShapeMismatch,
 )
 from vng.market_model import (
     _min_over_ideal_section,
@@ -428,50 +429,44 @@ class TestSlaterPath:
 
 class TestDominatingPath:
     def _relaxed_from_slater(self, market, shrink):
+        """v_t and u_t constant per date: the Slater witness and its shrink."""
         tree = market.tree
         witness = vng.slater_path(tree, market)
-        vs = [
-            vng.AdaptedVector.constant(tree, t, witness.values[t])
-            for t in range(tree.horizon + 1)
-        ]
-        us = []
-        for t in range(1, tree.horizon + 1):
-            us.append(
-                vng.AdaptedVector.constant(tree, t, shrink * witness.values[t - 1])
-            )
-        us.append(
-            vng.AdaptedVector.constant(
-                tree, tree.horizon + 1, shrink * witness.values[tree.horizon]
-            )
-        )
-        return vs, us
+        depth = tree.depth
+        vs = np.array(witness.values)[depth]
+        us = shrink * np.array(witness.values)[depth[1:] - 1]
+        u_terminal = np.tile(shrink * witness.values[tree.horizon], (len(tree.leaves()), 1))
+        return vs, us, u_terminal
 
     def test_path_input_reproduces_path_property(self):
         market = two_asset_margin_market()
-        vs, us = self._relaxed_from_slater(market, 1.0)
-        ys = vng.dominating_path(market.tree, market, vs, us)
-        for t, v in enumerate(vs):
-            resid = vng.margin_residual(
-                market, ys[t].values - v.values, market.tree.indices(t)
-            )
-            assert (resid >= -MEMBER_TOL).all()
+        vs, us, u_terminal = self._relaxed_from_slater(market, 1.0)
+        ys = vng.dominating_path(market.tree, market, vs, us, u_terminal)
+        resid = vng.margin_residual(market, ys - vs, np.arange(market.tree.n_nodes))
+        assert (resid >= -MEMBER_TOL).all()
 
     def test_half_slater_sequence_dominated(self):
         market = two_asset_margin_market()
-        vs, us = self._relaxed_from_slater(market, 0.5)
-        ys = vng.dominating_path(market.tree, market, vs, us)
+        vs, us, u_terminal = self._relaxed_from_slater(market, 0.5)
+        ys = vng.dominating_path(market.tree, market, vs, us, u_terminal)
         tree = market.tree
-        for t in range(1, tree.horizon + 1):
-            res = vng.in_Z(
-                market, ys[t - 1].values[tree.up(t)], ys[t].values, tree.indices(t)
-            )
-            assert res.member.all()
+        idx = np.arange(1, tree.n_nodes)
+        assert vng.in_Z(market, ys[tree.parents[idx]], ys[idx], idx).member.all()
 
     def test_violated_precondition_raises(self):
         market = two_asset_margin_market()
-        vs, us = self._relaxed_from_slater(market, 3.0)  # v_{t-1} - u_t leaves cone
+        # v_{t-1} - u_t leaves cone
+        vs, us, u_terminal = self._relaxed_from_slater(market, 3.0)
         with pytest.raises(PreconditionViolated):
-            vng.dominating_path(market.tree, market, vs, us)
+            vng.dominating_path(market.tree, market, vs, us, u_terminal)
+
+    def test_inputs_of_wrong_shape_raise(self):
+        market = two_asset_margin_market()
+        vs, us, u_terminal = self._relaxed_from_slater(market, 0.5)
+        for bad in ((vs[1:], us, u_terminal), (vs, us[1:], u_terminal),
+                    (vs, us, u_terminal[1:])):
+            with pytest.raises(ShapeMismatch):
+                vng.dominating_path(market.tree, market, *bad)
 
 
 class TestMarketConstants:

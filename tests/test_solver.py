@@ -121,17 +121,17 @@ class TestSolveOracles:
         assert frac == pytest.approx(1.0, abs=1e-6)
         assert f_star == pytest.approx(0.5 * (np.log(1.2) + np.log(0.9)), abs=1e-9)
         assert solution.objective_value == pytest.approx(f_star, abs=1e-6)
-        x1 = solution.path[1]
+        x = np.asarray(solution.path)
         tree = single_asset.tree
-        assert x1.value_at(tree, "up")[0] == pytest.approx(1.2, abs=1e-6)
-        assert x1.value_at(tree, "down")[0] == pytest.approx(0.9, abs=1e-6)
+        assert x[tree.node("up").index, 0] == pytest.approx(1.2, abs=1e-6)
+        assert x[tree.node("down").index, 0] == pytest.approx(0.9, abs=1e-6)
 
     def test_kelly_fraction_and_value(self, kelly):
         solution = vng.solve_log_optimal(kelly)
         assert solution.converged
         f_oracle, v_oracle = kelly_oracle()
         assert f_oracle == pytest.approx(5.0 / 12.0, abs=1e-7)
-        x1 = solution.path[1].value_at(kelly.tree, "mid")
+        x1 = np.asarray(solution.path)[kelly.tree.node("mid").index]
         fraction = x1[1] / x1.sum()
         assert fraction == pytest.approx(f_oracle, abs=1e-4)
         assert solution.objective_value == pytest.approx(v_oracle, abs=1e-6)
@@ -198,7 +198,8 @@ class TestSolveProperties:
             y = sample_competitor_path(
                 problem.tree, problem.market, rng, problem.x0
             )
-            f_y = vng.log_objective(problem.tree, problem.objective, y[-1])
+            leaves = problem.tree.span(problem.tree.horizon)
+            f_y = vng.log_objective(problem.tree, problem.objective, y[leaves])
             assert f_y <= solution.objective_value + 1e-7
 
     def test_objective_trace_monotone(self):
@@ -743,7 +744,7 @@ class TestAssembledDerivatives:
             solution.path, dual, problem.tree, problem.market, tol=1e-6
         )
         assert cert.certified
-        x_N = solution.path[-1]
+        x_N = solution.path[problem.tree.horizon]
         values = [
             problem.objective.evaluate(leaf, x_N.values[pos])
             for pos, leaf in enumerate(problem.tree.leaves())
