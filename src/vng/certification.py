@@ -79,7 +79,7 @@ def _dual_arrays(
     """The dual's p and p_{N+1}, or ShapeMismatch unless they fit the tree."""
     return (
         node_array(dual.p, (tree.n_nodes - 1, m), "dual prices"),
-        node_array(dual.p_terminal, (len(tree.leaves()), m), "terminal dual layer"),
+        node_array(dual.p_terminal, (tree.n_leaves, m), "terminal dual layer"),
     )
 
 
@@ -257,7 +257,7 @@ def verify_rapid(
     X = node_array(path, (tree.n_nodes, market.m), "path")
     p, terminal = _dual_arrays(dual, tree, market.m)
 
-    ids = [node.node_id for node in tree.nodes]
+    ids = tree.ids
     idx, parents, leaves = np.arange(1, tree.n_nodes), tree.parents[1:], tree.indices(N)
 
     def first_hit(rows: np.ndarray, columns: dict[str, np.ndarray], extra):
@@ -429,10 +429,9 @@ def growth_dominance(
     bad = ~(den > 0.0)
     if on_nonpositive == "raise" and bad.any():
         k = int(np.argmax(bad))
-        node = tree.nodes[k + 1]
+        t = tree.depth[k + 1]
         raise NonpositiveDenominator(
-            f"p_{node.depth} . y_{node.depth - 1} = {float(den[k])!r} "
-            f"at node {node.node_id!r}"
+            f"p_{t} . y_{t - 1} = {float(den[k])!r} at node {tree.ids[k + 1]!r}"
         )
     return np.where(bad, np.nan, num / np.where(bad, 1.0, den))
 
@@ -604,11 +603,11 @@ def prop4_reconstruct(
         denom = np.vecdot(src, x)
         bad = np.flatnonzero(~(denom > 1e-300))
         if bad.size:
-            node = tree.nodes[nodes[bad[0]]]
-            t = N + 1 if leaf else node.depth
+            i = nodes[bad[0]]
+            t = N + 1 if leaf else tree.depth[i]
             raise ZeroDenominator(
                 f"l_{t} . x_{t - 1} = {float(denom[bad[0]])!r} at "
-                f"{'leaf' if leaf else 'node'} {node.node_id!r}"
+                f"{'leaf' if leaf else 'node'} {tree.ids[i]!r}"
             )
         return src / denom[:, None]
 

@@ -175,8 +175,8 @@ def _vector(value, m: int, where: str) -> np.ndarray:
     return arr
 
 
-def _node_rows(table, nodes, m: int, where: str, scalars: bool = False) -> np.ndarray:
-    """The rows of a ``{node_id: vector}`` table for ``nodes``, in their order.
+def _node_rows(table, ids, m: int, where: str, scalars: bool = False) -> np.ndarray:
+    """The rows of a ``{node_id: vector}`` table for the node ``ids``, in order.
 
     Every node needs an entry of m numbers; with ``scalars``, one number
     stands for m equal ones.  The entries are converted as one array.  A
@@ -187,26 +187,26 @@ def _node_rows(table, nodes, m: int, where: str, scalars: bool = False) -> np.nd
     if not isinstance(table, dict):
         raise ParseError(f"{where}: expected an object, got {type(table).__name__}")
     try:
-        rows = _array([table[node.node_id] for node in nodes], where)
-        if rows.shape == (len(nodes), m):
+        rows = _array([table[nid] for nid in ids], where)
+        if rows.shape == (len(ids), m):
             return rows
-        if scalars and rows.shape == (len(nodes),):
+        if scalars and rows.shape == (len(ids),):
             return np.repeat(rows[:, None], m, axis=1)
     except (KeyError, ParseError):
         pass  # the scan below names the first bad entry
-    rows = np.empty((len(nodes), m))
-    for k, node in enumerate(nodes):
-        if node.node_id not in table:
-            raise ParseError(f"{where}: node {node.node_id!r}: missing entry")
-        at = f"{where}[{node.node_id}]"
-        val = _array(table[node.node_id], at)
+    rows = np.empty((len(ids), m))
+    for k, nid in enumerate(ids):
+        if nid not in table:
+            raise ParseError(f"{where}: node {nid!r}: missing entry")
+        at = f"{where}[{nid}]"
+        val = _array(table[nid], at)
         rows[k] = val.item() if scalars and val.size == 1 else _vector(val, m, at)
     return rows
 
 
-def _node_map(nodes, rows: np.ndarray) -> dict:
-    """The ``{node_id: vector}`` table of ``rows``, one row per node in order."""
-    return {node.node_id: row for node, row in zip(nodes, rows.tolist(), strict=True)}
+def _node_map(ids, rows: np.ndarray) -> dict:
+    """The ``{node_id: vector}`` table of ``rows``, one row per id in order."""
+    return dict(zip(ids, rows.tolist(), strict=True))
 
 
 def _read_json(path: str, what: str):
@@ -224,7 +224,7 @@ def _read_json(path: str, what: str):
 def _per_node_table(spec, tree: ScenarioTree, m: int, where: str) -> np.ndarray:
     """Scalar, per-asset vector, or {node_id: scalar|vector} to (n_nodes, m)."""
     if isinstance(spec, dict):
-        return _node_rows(spec, tree.nodes, m, where, scalars=True)
+        return _node_rows(spec, tree.ids, m, where, scalars=True)
     val = _array(spec, where)
     if val.ndim != 0 and val.shape != (m,):
         raise ParseError(f"{where}: expected scalar, {m}-vector or per-node map")
@@ -261,8 +261,8 @@ def parse_problem_dict(doc: dict) -> PathProblem:
         )
     tree_sec = _need(doc, "tree", "problem", dict)
     raw_nodes = []
-    for entry in _need(tree_sec, "nodes", "tree", list):
-        nid = str(_need(entry, "id", "tree.nodes[]"))
+    for k, entry in enumerate(_need(tree_sec, "nodes", "tree", list)):
+        nid = _need(entry, "id", f"tree.nodes[{k}]", str)
         parent = entry.get("parent")
         if parent is not None and not isinstance(parent, str):
             raise ParseError(f"tree.nodes[{nid}]: parent must be a node id")
@@ -288,11 +288,11 @@ def parse_problem_dict(doc: dict) -> PathProblem:
         if "returns" in market_sec:
             returns = np.full((tree.n_nodes, m), np.nan)
             returns[1:] = _node_rows(
-                market_sec["returns"], tree.nodes[1:], m, "market.returns"
+                market_sec["returns"], tree.ids[1:], m, "market.returns"
             )
         elif "prices" in market_sec:
             returns = returns_from_prices(
-                tree, _node_rows(market_sec["prices"], tree.nodes, m, "market.prices")
+                tree, _node_rows(market_sec["prices"], tree.ids, m, "market.prices")
             )
         else:
             raise ParseError("market: need either 'returns' or 'prices'")
@@ -373,14 +373,6 @@ def digest_of(problem_bytes: bytes, options: SolveOptions) -> str:
     return hashlib.sha256(problem_bytes + b"\x00" + opt.encode()).hexdigest()
 
 
-def _path_to_dict(tree: ScenarioTree, path: np.ndarray | NodeArray) -> dict:
-    return _node_map(tree.nodes, np.asarray(path))
-
-
-def _path_from_dict(tree: ScenarioTree, table, m: int) -> NodeArray:
-    return NodeArray(tree, _node_rows(table, tree.nodes, m, "path"))
-
-
 def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -395,7 +387,7 @@ def solution_to_doc(solution: Solution, tree: ScenarioTree, digest: str) -> dict
         "residuals": dataclasses.asdict(solution.residuals),
         "options": dataclasses.asdict(solution.options),
         "objective_trace": list(solution.objective_trace),
-        "path": _path_to_dict(tree, solution.path),
+        "path": _node_map(tree.ids, np.asarray(solution.path)),
         "z": solution.z.tolist(),
         "multipliers": solution.multipliers.tolist(),
     }
@@ -407,7 +399,9 @@ def solution_from_doc(doc: dict, problem: PathProblem) -> Solution:
 
     res = _need(doc, "residuals", "solution")
     return Solution(
-        path=_path_from_dict(problem.tree, doc["path"], problem.market.m),
+        path=NodeArray(problem.tree, _node_rows(
+            doc["path"], problem.tree.ids, problem.market.m, "path"
+        )),
         objective_value=number("objective_value"),
         z=_array(doc["z"], "solution.z"),
         multipliers=_array(doc["multipliers"], "solution.multipliers"),
@@ -448,15 +442,16 @@ def certificate_to_doc(
         "witness": cert.witness,
         "transition_lp_nodes": list(cert.transition_lp_nodes),
         "tightest": cert.tightest(),
-        "path": _path_to_dict(tree, path),
+        "path": _node_map(tree.ids, np.asarray(path)),
         "dual": {
             **{
                 str(t): _node_map(
-                    tree.level(t), dual.p[tree.offsets[t] - 1:tree.offsets[t + 1] - 1]
+                    tree.ids[tree.span(t)],
+                    dual.p[tree.offsets[t] - 1:tree.offsets[t + 1] - 1],
                 )
                 for t in range(1, tree.horizon + 1)
             },
-            "terminal": _node_map(tree.leaves(), dual.p_terminal),
+            "terminal": _node_map(tree.ids[tree.span(tree.horizon)], dual.p_terminal),
         },
     }
     if cert.supermartingale is not None:
@@ -471,10 +466,12 @@ def certificate_to_doc(
 
 def dual_from_doc(tree: ScenarioTree, doc: dict, m: int) -> DualPath:
     p = np.concatenate([
-        _node_rows(doc[str(t)], tree.level(t), m, f"dual[{t}]")
+        _node_rows(doc[str(t)], tree.ids[tree.span(t)], m, f"dual[{t}]")
         for t in range(1, tree.horizon + 1)
     ])
-    terminal = _node_rows(doc["terminal"], tree.leaves(), m, "dual[terminal]")
+    terminal = _node_rows(
+        doc["terminal"], tree.ids[tree.span(tree.horizon)], m, "dual[terminal]"
+    )
     return DualPath(tree, p, terminal)
 
 
@@ -511,7 +508,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "interior path: radii="
         + repr([float(r) for r in witness.radii])
         + " min_psi_slack="
-        + repr(float(min(witness.psi_slack[1:])) if tree.horizon >= 1 else 0.0)
+        + repr(float(min(witness.psi_slack[1:])))
     )
     print(f"initial portfolio: interior radius={problem.epsilon0()!r}")
     print("validate: OK")
@@ -611,7 +608,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _strategy_path(
-    spec: dict, problem: PathProblem, rapid: NodeArray
+    spec: dict, problem: PathProblem, rapid: np.ndarray | NodeArray
 ) -> np.ndarray | NodeArray:
     kind = _need(spec, "type", "strategy", str).lower()
     tree, market = problem.tree, problem.market
@@ -625,7 +622,8 @@ def _strategy_path(
         )
         return fixed_fraction_path(tree, market, problem.x0, weights)
     if kind == "path":
-        return _path_from_dict(tree, _need(spec, "values", "strategy", dict), market.m)
+        values = _need(spec, "values", "strategy", dict)
+        return _node_rows(values, tree.ids, market.m, "path")
     raise ParseError(f"strategy: unknown type {kind!r}")
 
 
@@ -649,7 +647,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print("compare: stored certificate is refuted")
             return EXIT_REFUTED
         try:
-            rapid = _path_from_dict(problem.tree, cdoc["path"], problem.market.m)
+            rapid = _node_rows(cdoc["path"], problem.tree.ids, problem.market.m, "path")
             dual = dual_from_doc(problem.tree, cdoc["dual"], problem.market.m)
         except (KeyError, TypeError) as exc:
             raise ParseError(

@@ -237,14 +237,14 @@ class ConeLift:
 
 def lift_Z(market: MarketData, node: int | str | Node) -> ConeLift:
     """Lift of the transition cone into the node, in (u_a, v_a, u_b, v_b, d+, d-)."""
-    node = market.tree.node(node)
-    parent = market.tree.parent(node)
-    if parent is None:
+    tree = market.tree
+    i = tree.index(node)
+    ip = tree.parents[i]
+    if ip < 0:
         raise DimensionMismatch("transition cones live on depth >= 1 nodes")
     m = market.m
-    i, ip = node.index, parent.index
-    mu_par = market.margins[parent.depth]
-    mu = market.margins[node.depth]
+    mu_par = market.margins[tree.depth[ip]]
+    mu = market.margins[tree.depth[i]]
     R = market.returns[i]
     eye = np.eye(m)
     Z = np.zeros((m, m))
@@ -262,7 +262,7 @@ def lift_Z(market: MarketData, node: int | str | Node) -> ConeLift:
         np.hstack([Z, Z, eye, -eye, Z, Z]),
     ])
     return ConeLift(
-        description=f"Z into node {node.node_id}",
+        description=f"Z into node {tree.ids[i]}",
         n_vars=6 * m,
         A_ub=A_ub,
         b_ub=np.zeros(3),
@@ -297,17 +297,17 @@ def dual_cone_violation(
     """
     from scipy.optimize import linprog  # loads HiGHS on the first LP only
 
-    node = market.tree.node(node)
-    lift = lift_Z(market, node)
+    i = market.tree.index(node)
+    lift = lift_Z(market, i)
     m = market.m
-    _, (p,), (pb,) = market._rows([node.index], [p_parent], [p_bar_child])
+    _, (p,), (pb,) = market._rows([i], [p_parent], [p_bar_child])
 
     # maximize pb.(u_b - v_b) - p.(u_a - v_a)  ->  minimize the negation
     c = np.concatenate([p, -p, -pb, pb, np.zeros(2 * m)])
     norm_row = np.concatenate([np.ones(4 * m), np.zeros(2 * m)])
     A_ub = np.vstack([lift.A_ub, norm_row])
     b_ub = np.concatenate([lift.b_ub, [1.0]])
-    d_cap = 2.0 * (1.0 + float(market.returns[node.index].max()))
+    d_cap = 2.0 * (1.0 + float(market.returns[i].max()))
     upper = np.concatenate([np.full(4 * m, np.inf), np.full(2 * m, d_cap)])
     res = linprog(
         c=c,
@@ -318,7 +318,7 @@ def dual_cone_violation(
     )
     if res.status != 0:
         raise LPFailure(
-            f"dual-cone LP at node {node.node_id} failed "
+            f"dual-cone LP at node {market.tree.ids[i]} failed "
             f"(status {res.status}): {res.message}"
         )
     value = -float(res.fun) + 0.0  # normalize -0.0
@@ -575,7 +575,7 @@ def feasible_completion(
     if bad.size:
         raise NotInCone(
             "vector fails the margin test at parent of "
-            f"{market.tree.nodes[idx[bad[0]]].node_id!r}"
+            f"{market.tree.ids[idx[bad[0]]]!r}"
         )
     size = market.constants().C2[market.tree.depth[idx]] / 2.0 * np.abs(A).sum(axis=1)
     B = size[:, None] * np.ones(market.m) / market.m
@@ -698,13 +698,13 @@ def dominating_path(
     N, m = tree.horizon, market.m
     V = node_array(vs, (tree.n_nodes, m), "vs")
     U = node_array(us, (tree.n_nodes - 1, m), "us")
-    U_N = node_array(u_terminal, (len(tree.leaves()), m), "u_terminal")
+    U_N = node_array(u_terminal, (tree.n_leaves, m), "u_terminal")
     idx, parents, leaves = np.arange(1, tree.n_nodes), tree.parents[1:], tree.indices(N)
 
     def require(ok: np.ndarray, nodes: np.ndarray, what: str) -> None:
         if not ok.all():
-            node = tree.nodes[nodes[int(np.argmin(ok))]]
-            raise PreconditionViolated(f"{what} at node {node.node_id!r}")
+            k = nodes[int(np.argmin(ok))]
+            raise PreconditionViolated(f"{what} at node {tree.ids[k]!r}")
 
     in_cone = in_Z(market, U, V[1:], idx, tol).member
     margin_ok = margin_residual(market, V[parents] - U, parents) >= -tol

@@ -39,7 +39,7 @@ from .scenario_tree import Node, ScenarioTree, node_array
 
 def _leaf_matrix(tree: ScenarioTree, m: int, data, name: str) -> np.ndarray:
     """Broadcast a vector or per-leaf table to shape (n_leaves, m)."""
-    n_leaves = len(tree.leaves())
+    n_leaves = tree.n_leaves
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1 and arr.shape == (m,):
         return np.tile(arr, (n_leaves, 1))
@@ -126,36 +126,36 @@ class TerminalObjective:
 
     # -- public surface --------------------------------------------------------
 
-    def _leaf_pos(self, leaf: int | str | Node) -> int:
-        node = self.tree.node(leaf)
-        if node.depth != self.tree.horizon:
-            raise DimensionMismatch(f"node {node.node_id!r} is not a leaf")
-        return self.tree.level_position(node)
+    def _leaf_pos(self, k: int) -> int:
+        pos = k - int(self.tree.offsets[self.tree.horizon])
+        if pos < 0:
+            raise DimensionMismatch(f"node {self.tree.ids[k]!r} is not a leaf")
+        return pos
 
-    def _check_member(self, node: Node, a: np.ndarray) -> None:
-        if margin_residual(self.market, a[None], [node.index])[0] < -MEMBERSHIP_TOL:
-            raise NotInCone(f"portfolio outside the margin cone at {node.node_id!r}")
+    def _check_member(self, k: int, a: np.ndarray) -> None:
+        if margin_residual(self.market, a[None], [k])[0] < -MEMBERSHIP_TOL:
+            raise NotInCone(f"portfolio outside the margin cone at {self.tree.ids[k]!r}")
 
     def evaluate(self, leaf: int | str | Node, a: np.ndarray) -> float:
-        node = self.tree.node(leaf)
+        k = self.tree.index(leaf)
         a = np.asarray(a, dtype=float)
-        self._check_member(node, a)
-        val = float(self.form.values(a[None], [self._leaf_pos(node)])[0])
+        self._check_member(k, a)
+        val = float(self.form.values(a[None], [self._leaf_pos(k)])[0])
         if val < -1e-12 * max(1.0, float(np.abs(a).sum())):
             raise NegativeValue(
                 f"objective is negative ({val!r}) on a cone member at "
-                f"{node.node_id!r}; the objective is misconfigured"
+                f"{self.tree.ids[k]!r}; the objective is misconfigured"
             )
         return val
 
     def gradient(self, leaf: int | str | Node, a: np.ndarray) -> np.ndarray:
         """Supergradient at ``a``; kinks resolve by the sign convention (0 -> +)."""
-        node = self.tree.node(leaf)
+        k = self.tree.index(leaf)
         a = np.asarray(a, dtype=float)
-        self._check_member(node, a)
-        pos = [self._leaf_pos(node)]
+        self._check_member(k, a)
+        pos = [self._leaf_pos(k)]
         if self.form.values(a[None], pos)[0] <= 0.0:
-            raise ZeroValue(f"objective vanishes at {node.node_id!r}")
+            raise ZeroValue(f"objective vanishes at {self.tree.ids[k]!r}")
         return self.form.supergradients(a[None], pos)[0]
 
 
@@ -227,7 +227,7 @@ class NormPenalizedObjective(TerminalObjective):
         if q is None:
             q = np.ones(self.m)
         self.q = _leaf_matrix(tree, self.m, q, "q")
-        n_leaves = len(tree.leaves())
+        n_leaves = tree.n_leaves
         theta_arr = np.asarray(theta, dtype=float)
         if theta_arr.ndim == 0:
             theta_arr = np.full(n_leaves, float(theta_arr))
@@ -246,7 +246,7 @@ class NormPenalizedObjective(TerminalObjective):
             k = over[0]
             raise ValueError(
                 f"penalty weight {self.theta[k]!r} at leaf "
-                f"{tree.leaves()[k].node_id!r} exceeds the admissible bound "
+                f"{tree.ids[tree.span(tree.horizon)][k]!r} exceeds the admissible bound "
                 f"{self.theta_bound[k]!r}"
             )
         self._h_psi = np.maximum(np.maximum(c_max, 1.0 / (delta * c_min)), 1.0)
@@ -279,7 +279,7 @@ def _dual_range(market: MarketData, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     bad = np.flatnonzero(~(c_min > 0))
     if bad.size:
         raise NotInCone(
-            f"price vector at leaf {tree.leaves()[bad[0]].node_id!r} is not "
+            f"price vector at leaf {tree.ids[tree.span(tree.horizon)][bad[0]]!r} is not "
             f"strictly inside the dual cone (section minimum {float(c_min[bad[0]])!r})"
         )
     return c_min, c_max
@@ -290,7 +290,7 @@ def log_objective(
 ) -> float:
     """E log value of the terminal layer x_N, one row per leaf in leaf order;
     -inf when any leaf value is <= 0."""
-    x_N = node_array(x_N, (len(tree.leaves()), tree.state_dim), "terminal layer")
+    x_N = node_array(x_N, (tree.n_leaves, tree.state_dim), "terminal layer")
     vals = objective.form.values(x_N)
     if np.any(vals <= 0.0):
         return float("-inf")
@@ -347,7 +347,7 @@ def check_psi_class(
 ) -> PsiClassReport:
     """Sampled axiom report; failures are reported, never raised."""
     rng = np.random.default_rng(seed)
-    n_leaves = len(tree.leaves())
+    n_leaves = tree.n_leaves
     per_leaf = max(1, n_samples // n_leaves)
     # per sample: its leaf, a, a2, a bump of a, a scaling and a mixing weight
     pos = np.repeat(np.arange(n_leaves), per_leaf)

@@ -5,12 +5,14 @@ sample space: the depth-t nodes are the atoms of F_t.  By convention
 F_{N+1} = F_N, so data of logical depth ``N + 1`` (terminal dual prices) is
 stored on the leaves.
 
-Tree algebra works on the whole tree at once.  Nodes are indexed by depth,
-then input order, so level t is the contiguous index range ``tree.span(t)``,
-and an adapted field is one array with a row per node in that order: a
-parent gather is ``values[tree.parents]`` and a conditional expectation is
-one ordered ``np.add.at`` over the children.  :class:`NodeArray` views such
-an array date by date, as :class:`AdaptedVector` rows of one level.
+A tree is its node ids plus index arrays, and tree algebra works on the
+whole tree at once.  Nodes are indexed by depth, then input order, so level
+t is the contiguous index range ``tree.span(t)``, and an adapted field is one
+array with a row per node in that order: a parent gather is
+``values[tree.parents]`` and a conditional expectation is one ordered
+``np.add.at`` over the children.  :class:`NodeArray` views such an array date
+by date, as :class:`AdaptedVector` rows of one level; :class:`Node` views one
+node index as a record, for callers outside the library.
 
 All types are immutable after construction and every operation is a pure
 function, so concurrent read access is safe.
@@ -18,7 +20,9 @@ function, so concurrent read access is safe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +41,7 @@ PROB_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Node:
-    """One atom of the filtration: index is the position in ``tree.nodes``."""
+    """A view of one atom of the filtration: row ``index`` of the tree's arrays."""
 
     index: int
     node_id: str
@@ -52,50 +56,67 @@ class ScenarioTree:
 
     Nodes are indexed by depth, then input order, so level t is the index
     range ``offsets[t]:offsets[t + 1]`` and whole levels are array slices.
-    ``parents``, ``depth``, ``cond_prob``, ``prob`` (unconditional) and
-    ``child_counts`` hold one entry per node index; the root is index 0, with
-    parent -1.
+    ``ids``, ``parents``, ``depth``, ``cond_prob``, ``prob`` (unconditional)
+    and ``child_counts`` hold one entry per node index; the root is index 0,
+    with parent -1.  The :class:`Node` lookups are views of these arrays.
     """
 
     horizon: int
-    nodes: tuple[Node, ...]
     state_dim: int
+    ids: tuple[str, ...] = field(repr=False)
     parents: np.ndarray = field(repr=False)
     depth: np.ndarray = field(repr=False)
     cond_prob: np.ndarray = field(repr=False)
     prob: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     child_counts: np.ndarray = field(repr=False)
-    _id_index: dict[str, int] = field(repr=False)
-    _up: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
     @property
-    def root(self) -> Node:
-        return self.nodes[0]
+    def n_leaves(self) -> int:
+        return int(self.offsets[-1] - self.offsets[-2])
 
-    def node(self, ref: int | str | Node) -> Node:
-        """Resolve an index, id or Node to the tree's Node."""
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        """One :class:`Node` view per index, built on first access."""
+        rows = zip(self.ids, self.parents.tolist(), self.depth.tolist(),
+                   self.cond_prob.tolist())
+        return tuple(Node(k, nid, None if par < 0 else par, d, p)
+                     for k, (nid, par, d, p) in enumerate(rows))
+
+    @cached_property
+    def _id_index(self) -> dict[str, int]:
+        return {nid: k for k, nid in enumerate(self.ids)}
+
+    def index(self, ref: int | str | Node) -> int:
+        """Node index of an id, a Node or an integer index; UnknownNode for
+        anything else, booleans included."""
         if isinstance(ref, Node):
             ref = ref.index
         if isinstance(ref, str):
-            if ref not in self._id_index:
-                raise UnknownNode(f"no node with id {ref!r}")
-            return self.nodes[self._id_index[ref]]
-        if not 0 <= ref < len(self.nodes):
-            raise UnknownNode(f"node index {ref} out of range")
-        return self.nodes[ref]
+            k = self._id_index.get(ref, -1)
+        elif isinstance(ref, bool) or not hasattr(ref, "__index__"):
+            k = -1
+        else:
+            k = operator.index(ref)
+        if not 0 <= k < self.n_nodes:
+            raise UnknownNode(f"no node {ref!r} in the tree")
+        return k
+
+    def node(self, ref: int | str | Node) -> Node:
+        """Resolve an index, id or Node to the tree's Node."""
+        return self.nodes[self.index(ref)]
 
     def children(self, ref: int | str | Node) -> tuple[Node, ...]:
-        node = self.node(ref)
-        return tuple(self.nodes[i] for i in np.flatnonzero(self.parents == node.index))
+        k = self.index(ref)
+        return tuple(self.nodes[i] for i in np.flatnonzero(self.parents == k))
 
     def parent(self, ref: int | str | Node) -> Node | None:
-        node = self.node(ref)
-        return None if node.parent is None else self.nodes[node.parent]
+        par = self.parents[self.index(ref)]
+        return None if par < 0 else self.nodes[par]
 
     def span(self, depth: int) -> slice:
         """Index range of the depth-t level."""
@@ -122,12 +143,12 @@ class ScenarioTree:
         """
         if not 1 <= depth <= self.horizon:
             raise DepthMismatch(f"depth {depth} outside 1..{self.horizon}")
-        return self._up[depth - 1]
+        return self.parents[self.span(depth)] - self.offsets[depth - 1]
 
     def level_position(self, ref: int | str | Node) -> int:
         """Position of a node within its depth level."""
-        node = self.node(ref)
-        return node.index - int(self.offsets[node.depth])
+        k = self.index(ref)
+        return k - int(self.offsets[self.depth[k]])
 
 
 def build_tree(
@@ -138,110 +159,89 @@ def build_tree(
 
     ``raw_nodes`` holds ``(id, parent_id_or_None, cond_prob)`` triples; the
     root's probability entry is ignored (taken as 1).  ``dimension`` is the
-    state dimension at every node.
+    state dimension at every node.  Each check names the first offending
+    node in input order.
     """
     if not raw_nodes:
         raise CycleOrForest("empty node list")
+    ids, parent_ids, probs = (list(col) for col in zip(*raw_nodes, strict=True))
+    n = len(ids)
 
-    ids = [nid for nid, _, _ in raw_nodes]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    position = {nid: k for k, nid in enumerate(ids)}
+    if len(position) != n:
+        dupes = sorted({nid for k, nid in enumerate(ids) if position[nid] != k})
         raise CycleOrForest(f"duplicate node ids: {dupes}")
-    id_index = {nid: k for k, (nid, _, _) in enumerate(raw_nodes)}
-    parent_of = {nid: par for nid, par, _ in raw_nodes}
-
-    roots = [nid for nid, par, _ in raw_nodes if par is None]
+    roots = [k for k, par in enumerate(parent_ids) if par is None]
     if len(roots) != 1:
         raise CycleOrForest(f"expected exactly one root, found {len(roots)}")
-    for nid, par, _ in raw_nodes:
-        if par is not None and par not in id_index:
-            raise CycleOrForest(f"node {nid!r} references unknown parent {par!r}")
+    # input position of each node's parent: -1 at the root, n if unknown
+    parent = np.array([-1 if p is None else position.get(p, n) for p in parent_ids])
+    if (bad := np.flatnonzero(parent == n)).size:
+        k = bad[0]
+        raise CycleOrForest(
+            f"node {ids[k]!r} references unknown parent {parent_ids[k]!r}"
+        )
 
-    # Depths via BFS; a node left unvisited means a cycle or detached component.
-    children_ids: dict[str, list[str]] = {nid: [] for nid in ids}
-    for nid, par, _ in raw_nodes:
-        if par is not None:
-            children_ids[par].append(nid)
-    depth: dict[str, int] = {roots[0]: 0}
-    frontier = [roots[0]]
-    while frontier:
-        nxt: list[str] = []
-        for nid in frontier:
-            for c in children_ids[nid]:
-                depth[c] = depth[nid] + 1
-                nxt.append(c)
-        frontier = nxt
-    if len(depth) != len(ids):
-        missing = sorted(set(ids) - set(depth))
+    # Depths level by level; a node left at -1 is on a cycle or detached.
+    depth = np.where(parent < 0, 0, -1)
+    horizon = 0
+    while (new := (depth < 0) & (depth[parent] == horizon)).any():
+        horizon += 1
+        depth[new] = horizon
+    if (bad := np.flatnonzero(depth < 0)).size:
+        missing = sorted(ids[k] for k in bad)
         raise CycleOrForest(f"nodes unreachable from root (cycle?): {missing}")
 
-    horizon = max(depth.values())
     if horizon < 1:
         raise RaggedDepth("tree must have horizon N >= 1")
-    for nid in ids:
-        if not children_ids[nid] and depth[nid] != horizon:
-            raise RaggedDepth(
-                f"leaf {nid!r} at depth {depth[nid]}, expected {horizon}"
-            )
+    child = parent >= 0
+    child_counts = np.bincount(parent[child], minlength=n)
+    if (bad := np.flatnonzero((child_counts == 0) & (depth != horizon))).size:
+        k = bad[0]
+        raise RaggedDepth(f"leaf {ids[k]!r} at depth {depth[k]}, expected {horizon}")
 
     # Probabilities: strictly positive, children summing to one.
-    cond = {nid: p for nid, _, p in raw_nodes}
-    cond[roots[0]] = 1.0
-    for nid, p in cond.items():
-        if not (0.0 < p <= 1.0) or not np.isfinite(p):
-            raise BadProbability(f"node {nid!r} has conditional probability {p}")
-    for nid, kids in children_ids.items():
-        if kids:
-            s = sum(cond[c] for c in kids)
-            if abs(s - 1.0) > PROB_TOL:
-                raise BadProbability(
-                    f"children of {nid!r} have probabilities summing to {s!r}"
-                )
-
-    # Canonical node order: by depth, then original file order.
-    order = sorted(ids, key=lambda nid: (depth[nid], id_index[nid]))
-    new_index = {nid: k for k, nid in enumerate(order)}
-    nodes = tuple(
-        Node(
-            index=new_index[nid],
-            node_id=nid,
-            parent=None if nid == roots[0] else new_index[parent_of[nid]],
-            depth=depth[nid],
-            cond_prob=cond[nid],
+    probs[roots[0]] = 1.0
+    cond = np.array(probs, dtype=float)
+    if (bad := np.flatnonzero(~((0.0 < cond) & (cond <= 1.0)))).size:
+        k = bad[0]
+        raise BadProbability(f"node {ids[k]!r} has conditional probability {probs[k]}")
+    sums = np.zeros(n)
+    np.add.at(sums, parent[child], cond[child])  # in input order, as sum() adds
+    off = (child_counts > 0) & (np.abs(sums - 1.0) > PROB_TOL)
+    if (bad := np.flatnonzero(off)).size:
+        k = bad[0]
+        raise BadProbability(
+            f"children of {ids[k]!r} have probabilities summing to {float(sums[k])!r}"
         )
-        for nid in order
-    )
-    parents = np.array([-1 if n.parent is None else n.parent for n in nodes])
-    depths = np.array([n.depth for n in nodes])
-    cond_prob = np.array([n.cond_prob for n in nodes])
+
+    if dimension < 1:
+        raise DimensionMismatch("state dimension must be positive")
+
+    # Canonical node order: by depth, then input order.
+    order = np.argsort(depth, kind="stable")
+    parents = np.argsort(order)[parent[order]]
+    parents[0] = -1  # the root
+    depths, cond_prob = depth[order], cond[order]
     offsets = np.searchsorted(depths, np.arange(horizon + 2))
     prob = cond_prob.copy()
     for t in range(1, horizon + 1):
         lev = slice(offsets[t], offsets[t + 1])
         prob[lev] = prob[parents[lev]] * cond_prob[lev]
-    up = tuple(
-        parents[offsets[t]:offsets[t + 1]] - offsets[t - 1]
-        for t in range(1, horizon + 1)
-    )
-    child_counts = np.bincount(parents[1:], minlength=len(nodes))
-    for arr in (parents, depths, cond_prob, prob, offsets, child_counts, *up):
+    child_counts = child_counts[order]
+    for arr in (parents, depths, cond_prob, prob, offsets, child_counts):
         arr.flags.writeable = False
-
-    if dimension < 1:
-        raise DimensionMismatch("state dimension must be positive")
 
     return ScenarioTree(
         horizon=horizon,
-        nodes=nodes,
         state_dim=int(dimension),
+        ids=tuple(ids[k] for k in order.tolist()),
         parents=parents,
         depth=depths,
         cond_prob=cond_prob,
         prob=prob,
         offsets=offsets,
         child_counts=child_counts,
-        _id_index={nid: new_index[nid] for nid in ids},
-        _up=up,
     )
 
 

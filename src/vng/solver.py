@@ -125,7 +125,7 @@ class PathProblem:
 
     def epsilon0(self) -> float:
         """1-norm interiority radius of x0 at the root cone."""
-        i = self.tree.root.index
+        i = 0  # the root
         resid = float(margin_residual(self.market, self.x0[None], [i])[0])
         lip = float(
             max(self.market.Lp[i].max(),
@@ -500,7 +500,7 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     if stuck.size:
         raise InfeasibleStart(
             f"no strictly positive transition from node "
-            f"{tree.nodes[tree.parents[stuck[0] + 1]].node_id!r}"
+            f"{tree.ids[tree.parents[stuck[0] + 1]]!r}"
         )
 
     # Per non-root node: its state x, its parent's state a, and the slacks

@@ -9,9 +9,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from vng.errors import DepthMismatch, DimensionMismatch, ParseError
+from vng.errors import (
+    BadProbability,
+    CycleOrForest,
+    DepthMismatch,
+    DimensionMismatch,
+    ParseError,
+    RaggedDepth,
+)
 from vng.market_model import ConeLift, dual_cone_violation, transition_bound
-from vng.scenario_tree import AdaptedVector
+from vng.scenario_tree import PROB_TOL, AdaptedVector
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
@@ -286,6 +293,94 @@ def section_grid_min(mu: float, m: int, weight_pos: float, weight_neg: float) ->
         - weight_neg * np.maximum(-dirs, 0.0).sum(axis=1)
     )
     return float(vals.min())
+
+
+# --- the node-by-node tree builder ---------------------------------------------
+
+def build_tree_loop(raw_nodes, dimension) -> dict:
+    """``build_tree`` with dicts and a breadth-first search, one node at a time.
+
+    Makes the same checks in the same order, with the same messages, and
+    returns the arrays a tree stores (``ids``, ``parents``, ``depth``,
+    ``cond_prob``, ``prob``, ``offsets``, ``child_counts``) with ``horizon``
+    and ``state_dim``.
+    """
+    if not raw_nodes:
+        raise CycleOrForest("empty node list")
+
+    ids = [nid for nid, _, _ in raw_nodes]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise CycleOrForest(f"duplicate node ids: {dupes}")
+    id_index = {nid: k for k, (nid, _, _) in enumerate(raw_nodes)}
+    parent_of = {nid: par for nid, par, _ in raw_nodes}
+
+    roots = [nid for nid, par, _ in raw_nodes if par is None]
+    if len(roots) != 1:
+        raise CycleOrForest(f"expected exactly one root, found {len(roots)}")
+    for nid, par, _ in raw_nodes:
+        if par is not None and par not in id_index:
+            raise CycleOrForest(f"node {nid!r} references unknown parent {par!r}")
+
+    children_ids: dict = {nid: [] for nid in ids}
+    for nid, par, _ in raw_nodes:
+        if par is not None:
+            children_ids[par].append(nid)
+    depth = {roots[0]: 0}
+    frontier = [roots[0]]
+    while frontier:
+        nxt = []
+        for nid in frontier:
+            for c in children_ids[nid]:
+                depth[c] = depth[nid] + 1
+                nxt.append(c)
+        frontier = nxt
+    if len(depth) != len(ids):
+        missing = sorted(set(ids) - set(depth))
+        raise CycleOrForest(f"nodes unreachable from root (cycle?): {missing}")
+
+    horizon = max(depth.values())
+    if horizon < 1:
+        raise RaggedDepth("tree must have horizon N >= 1")
+    for nid in ids:
+        if not children_ids[nid] and depth[nid] != horizon:
+            raise RaggedDepth(f"leaf {nid!r} at depth {depth[nid]}, expected {horizon}")
+
+    cond = {nid: p for nid, _, p in raw_nodes}
+    cond[roots[0]] = 1.0
+    for nid, p in cond.items():
+        if not (0.0 < p <= 1.0) or not np.isfinite(p):
+            raise BadProbability(f"node {nid!r} has conditional probability {p}")
+    for nid, kids in children_ids.items():
+        if kids:
+            s = sum(cond[c] for c in kids)
+            if abs(s - 1.0) > PROB_TOL:
+                raise BadProbability(
+                    f"children of {nid!r} have probabilities summing to {s!r}"
+                )
+
+    if dimension < 1:
+        raise DimensionMismatch("state dimension must be positive")
+
+    order = sorted(ids, key=lambda nid: (depth[nid], id_index[nid]))
+    new_index = {nid: k for k, nid in enumerate(order)}
+    parents = np.array([-1 if nid == roots[0] else new_index[parent_of[nid]] for nid in order])
+    depths = np.array([depth[nid] for nid in order])
+    cond_prob = np.array([cond[nid] for nid in order])
+    prob = cond_prob.copy()
+    for k in range(1, len(order)):  # a parent precedes its children
+        prob[k] = prob[parents[k]] * cond_prob[k]
+    return {
+        "horizon": horizon,
+        "state_dim": int(dimension),
+        "ids": tuple(order),
+        "parents": parents,
+        "depth": depths,
+        "cond_prob": cond_prob,
+        "prob": prob,
+        "offsets": np.array([sum(d < t for d in depths) for t in range(horizon + 2)]),
+        "child_counts": np.array([len(children_ids[nid]) for nid in order]),
+    }
 
 
 def node_probability(tree, ref) -> float:
@@ -672,20 +767,20 @@ def _array_loop(value, where):
     return arr
 
 
-def node_rows_loop(table, nodes, m, where, scalars=False):
-    """The rows of a node table, one ``_array_loop`` per node in order.
+def node_rows_loop(table, ids, m, where, scalars=False):
+    """The rows of a node table, one ``_array_loop`` per node id in order.
 
     Every node needs an entry of m numbers; with ``scalars``, one number
     stands for m equal ones.  The first bad entry in node order is named.
     """
     if not isinstance(table, dict):
         raise ParseError(f"{where}: expected an object, got {type(table).__name__}")
-    rows = np.empty((len(nodes), m))
-    for k, node in enumerate(nodes):
-        if node.node_id not in table:
-            raise ParseError(f"{where}: node {node.node_id!r}: missing entry")
-        at = f"{where}[{node.node_id}]"
-        val = _array_loop(table[node.node_id], at)
+    rows = np.empty((len(ids), m))
+    for k, nid in enumerate(ids):
+        if nid not in table:
+            raise ParseError(f"{where}: node {nid!r}: missing entry")
+        at = f"{where}[{nid}]"
+        val = _array_loop(table[nid], at)
         if scalars and val.size == 1:
             rows[k] = val.item()
         elif val.shape != (m,):

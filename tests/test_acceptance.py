@@ -8,6 +8,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 
@@ -352,3 +354,14 @@ def test_10_cli_golden(tmp_path, monkeypatch):
         not mismatches,
         f"mismatches: {mismatches}" if mismatches else "3 fixtures byte-identical",
     )
+
+
+def test_benchmark_inputs_reproduce_the_acceptance_instances():
+    """perfbench's seeds50 generator rebuilds the 50 acceptance instances;
+    its check reads each tree's Node records (id, parent, probability)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "check_inputs.py")],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

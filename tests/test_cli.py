@@ -7,7 +7,6 @@ import os
 import shutil
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,7 +252,7 @@ class TestSolveCertify:
         # re-running verification on the stored path + dual reproduces the
         # stored residuals
         problem, _, _ = cli.load_problem("two_asset_margin.json")
-        path = cli._path_from_dict(problem.tree, first["path"], problem.market.m)
+        path = cli._node_rows(first["path"], problem.tree.ids, problem.market.m, "path")
         dual = cli.dual_from_doc(problem.tree, first["dual"], problem.market.m)
         cert = vng.verify_rapid(path, dual, problem.tree, problem.market,
                                 tol=first["tolerance"])
@@ -621,6 +620,19 @@ class TestNumbers:
         assert run(*argv) == cli.EXIT_PARSE
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [None, True, 3, 2.5, ["up"], {"id": "up"}],
+                             ids=["null", "true", "3", "2.5", "list", "object"])
+    def test_node_id_must_be_a_string(self, workdir, capsys, value):
+        # the leaf's tables are keyed by the id's str() form, which a
+        # conversion of the id would accept
+        doc = fixture_doc("kelly.json")
+        doc["tree"]["nodes"][2]["id"] = value
+        doc["market"]["returns"][str(value)] = doc["market"]["returns"].pop("up")
+        (workdir / "bad.problem.json").write_text(json.dumps(doc))
+        assert run("validate", "bad.problem.json") == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"tree.nodes[2].id: expected str, got {type(value).__name__}" in err
+
     def test_tol_rule_is_the_same_for_solve_and_certify(self, workdir, capsys):
         assert run("solve", "kelly.json", "--tol", "0") == cli.EXIT_PARSE
         assert "solver.tol: must be positive, got 0.0" in capsys.readouterr().err
@@ -703,7 +715,7 @@ BAD_KINDS = ["missing", "true", "string", "null", "big", "dict",
 
 @st.composite
 def node_tables(draw, bad: bool):
-    """(table, nodes, m, scalars): a ``{node_id: vector}`` table for ``nodes``.
+    """(table, ids, m, scalars): a ``{node_id: vector}`` table for node ``ids``.
 
     With ``scalars``, entries mix vectors, bare numbers and one-number
     vectors, as cost maps may.  With ``bad``, some entries at random
@@ -735,7 +747,7 @@ def node_tables(draw, bad: bool):
                 "dict": {"k": vec}, "long": vec + [1.0], "short": vec[:-1],
                 "nested": [vec],
             }[kind]
-    return table, [SimpleNamespace(node_id=nid) for nid in ids], m, scalars
+    return table, ids, m, scalars
 
 
 class TestNodeTables:
@@ -745,9 +757,9 @@ class TestNodeTables:
     @settings(max_examples=300, deadline=None)
     @given(case=node_tables(bad=False))
     def test_good_tables_match_the_node_loop(self, case):
-        table, nodes, m, scalars = case
-        got = cli._node_rows(table, nodes, m, "t", scalars)
-        want = node_rows_loop(table, nodes, m, "t", scalars)
+        table, ids, m, scalars = case
+        got = cli._node_rows(table, ids, m, "t", scalars)
+        want = node_rows_loop(table, ids, m, "t", scalars)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
@@ -755,15 +767,15 @@ class TestNodeTables:
     @settings(max_examples=300, deadline=None)
     @given(case=node_tables(bad=True))
     def test_bad_tables_name_the_first_bad_entry(self, case):
-        table, nodes, m, scalars = case
+        table, ids, m, scalars = case
         try:
-            want = node_rows_loop(table, nodes, m, "t", scalars)
+            want = node_rows_loop(table, ids, m, "t", scalars)
         except ParseError as exc:
             with pytest.raises(ParseError) as got:
-                cli._node_rows(table, nodes, m, "t", scalars)
+                cli._node_rows(table, ids, m, "t", scalars)
             assert str(got.value) == str(exc)
         else:  # a one-number vector or a [[x]] still stands for m numbers
-            got = cli._node_rows(table, nodes, m, "t", scalars)
+            got = cli._node_rows(table, ids, m, "t", scalars)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("stem", ["kelly", "single_asset", "two_asset_margin"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vng
-from conftest import make_instance, two_asset_margin_market
+from conftest import kelly_problem, make_instance, two_asset_margin_market
 from oracles import frontier_bisection, lift_contains, lift_X, section_grid_min
 from vng.errors import (
     MarginTooTight,
@@ -12,6 +12,7 @@ from vng.errors import (
     NotInCone,
     PreconditionViolated,
     ShapeMismatch,
+    UnknownNode,
 )
 from vng.market_model import (
     _min_over_ideal_section,
@@ -295,6 +296,22 @@ class TestLifts:
         rng = np.random.default_rng(8)
         for _ in range(20):
             assert lift_contains(lift, rng.uniform(0.0, 3.0, 2))
+
+
+def test_node_callers_reject_refs_that_are_no_node():
+    """Every per-node entry point resolves its node through the tree: a bool
+    (which would read as index 1), None or a float raises UnknownNode."""
+    problem = kelly_problem()
+    market, objective, a = problem.market, problem.objective, np.ones(2)
+    for ref in (True, None, 2.0, "nowhere", 9):
+        with pytest.raises(UnknownNode):
+            vng.lift_Z(market, ref)
+        with pytest.raises(UnknownNode):
+            vng.dual_cone_violation(market, a, a, ref)
+        with pytest.raises(UnknownNode):
+            objective.evaluate(ref, a)
+        with pytest.raises(UnknownNode):
+            objective.gradient(ref, a)
 
 
 class TestDualConeViolation:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vng
-from oracles import conditional_expectation, expectation, node_probability
+from oracles import (
+    build_tree_loop,
+    conditional_expectation,
+    expectation,
+    node_probability,
+)
 from vng.errors import (
     BadProbability,
     CycleOrForest,
@@ -14,6 +19,7 @@ from vng.errors import (
     DimensionMismatch,
     RaggedDepth,
     UnknownNode,
+    VngError,
 )
 
 TOL = 1e-12
@@ -112,11 +118,30 @@ class TestBuildTree:
             assert tree.child_counts[node.index] == len(tree.children(node))
         assert [n.node_id for n in tree.children("a")] == ["aa", "ab"]
         assert not tree.child_counts.flags.writeable
+        assert tree.ids == ("r", "a", "b", "ba", "aa", "bb", "ab")
+        assert tree.n_leaves == len(tree.leaves()) == 4
+        for k, node in enumerate(tree.nodes):  # the Node view reads the arrays
+            parent = int(tree.parents[k])
+            assert node == vng.Node(
+                k, tree.ids[k], None if parent < 0 else parent,
+                int(tree.depth[k]), float(tree.cond_prob[k]),
+            )
+            assert type(node.depth) is int and type(node.cond_prob) is float
 
     def test_unknown_node_lookup(self):
         tree = minimal_binary()
-        with pytest.raises(UnknownNode):
-            tree.node("missing")
+        for ref in ("missing", 3, -1, True, False, np.True_, None, 1.5,
+                    np.float64(1.0), [1]):
+            for lookup in (tree.node, tree.index, tree.parent, tree.children,
+                           tree.level_position):
+                with pytest.raises(UnknownNode):
+                    lookup(ref)
+
+    def test_node_refs(self):
+        tree = minimal_binary()
+        for ref in ("d", 2, np.int64(2), tree.nodes[2]):
+            assert tree.index(ref) == 2
+            assert tree.node(ref) is tree.nodes[2]
 
 
 class TestNodeProbability:
@@ -246,3 +271,90 @@ def test_tower_property_hypothesis(probs, values):
     direct = expectation(tree, av)
     nested = expectation(tree, conditional_expectation(tree, av))
     assert nested == pytest.approx(direct, abs=1e-10)
+
+
+DEFECTS = [
+    None, "empty", "duplicate", "no root", "two roots", "unknown parent", "cycle",
+    "horizon 0", "extra child", "reparent", "bad probability", "sum off",
+    "root probability", "dimension",
+]
+
+
+@st.composite
+def raw_trees(draw):
+    """(raw_nodes, dimension, defect): a random tree in shuffled input order,
+    valid or with one defect."""
+    horizon = draw(st.integers(1, 3))
+    raw, level = [[0, None, 1.0]], [0]
+    for _ in range(horizon):
+        nxt = []
+        for par in level:
+            w = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+            for x in w:
+                nxt.append(len(raw))
+                raw.append([len(raw), par, x / sum(w)])
+        level = nxt
+    names = draw(st.lists(st.text("abxy", min_size=1, max_size=4),
+                          min_size=len(raw), max_size=len(raw), unique=True))
+    raw = [[names[k], None if par is None else names[par], p] for k, par, p in raw]
+    raw = draw(st.permutations(raw))
+    pick = lambda: draw(st.integers(0, len(raw) - 1))  # noqa: E731
+    non_root = [k for k, (_, par, _) in enumerate(raw) if par is not None]
+    k = draw(st.sampled_from(non_root))
+    root = next(j for j, (_, par, _) in enumerate(raw) if par is None)
+    defect = draw(st.sampled_from(DEFECTS))
+    if defect == "empty":
+        raw = []
+    elif defect == "duplicate":
+        other = draw(st.sampled_from([j for j in range(len(raw)) if j != k]))
+        raw[k][0] = raw[other][0]
+    elif defect == "no root":
+        raw[root][1] = raw[k][0]
+    elif defect == "two roots":
+        raw[k][1] = None
+    elif defect == "unknown parent":
+        raw[k][1] = "ghost"
+    elif defect == "cycle":  # k's parent becomes k or one of its descendants
+        below, grew = {raw[k][0]}, True
+        while grew:
+            more = {nid for nid, par, _ in raw if par in below}
+            grew, below = not more <= below, below | more
+        raw[k][1] = draw(st.sampled_from(sorted(below)))
+    elif defect == "horizon 0":
+        raw = [raw[root]]
+    elif defect == "extra child":  # under a leaf this makes the tree ragged
+        raw.insert(pick(), ["new", raw[pick()][0], 1.0])
+    elif defect == "reparent":
+        raw[k][1] = raw[pick()][0]
+    elif defect == "bad probability":
+        raw[k][2] = draw(st.sampled_from([0.0, -0.25, 1.5, np.nan, np.inf, -np.inf]))
+    elif defect == "sum off":  # beyond or within the 1e-12 tolerance
+        raw[k][2] *= 1.0 + draw(st.sampled_from([-1e-6, -3e-12, 5e-13, 3e-12, 1e-6]))
+    elif defect == "root probability":  # ignored: the root's is taken as 1
+        raw[root][2] = draw(st.sampled_from([0.0, np.nan, 7.0]))
+    dimension = draw(st.sampled_from([0, -1])) if defect == "dimension" else 2
+    return [tuple(entry) for entry in raw], dimension, defect
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=raw_trees())
+def test_build_tree_matches_the_loop_builder(case):
+    """The whole-array builder stores the loop builder's arrays bit for bit,
+    or raises the same error with the same message."""
+    raw, dimension, defect = case
+    try:
+        want = build_tree_loop(raw, dimension)
+    except VngError as exc:
+        with pytest.raises(VngError) as got:
+            vng.build_tree(raw, dimension)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    assert defect in (None, "sum off", "root probability", "reparent", "extra child")
+    tree = vng.build_tree(raw, dimension)
+    assert (tree.horizon, tree.state_dim, tree.ids) == (
+        want["horizon"], want["state_dim"], want["ids"]
+    )
+    for name in ("parents", "depth", "cond_prob", "prob", "offsets", "child_counts"):
+        got = getattr(tree, name)
+        assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes()
+        assert not got.flags.writeable
