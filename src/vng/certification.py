@@ -4,6 +4,9 @@ A dual path assigns to every date-t node a price vector for date-(t-1)
 portfolios, lying in the dual of the previous date's cone, such that expected
 discounted value cannot grow across any admissible transition.  A solved path
 is *rapid* when a dual path supports it with unit inner products everywhere.
+A :class:`DualPath` checks its shapes once, when it is built, and carries the
+conditional sums E_t p_{t+1} that every criterion reads; a check against
+another tree object raises ShapeMismatch.
 
 Extraction reads the prices off the solver's multipliers: the block of
 multipliers linking a node to its parent, pushed through the returns and
@@ -31,6 +34,7 @@ from .errors import (
     DepthMismatch,
     NonpositiveDenominator,
     NotCertified,
+    ShapeMismatch,
     ZeroDenominator,
 )
 from .market_model import (
@@ -58,11 +62,36 @@ class DualPath:
     node (node i at row i - 1); it prices the parent's date-(t-1) portfolio.
     ``p_terminal`` holds p_{N+1}, one row per leaf.  ``prices[t]`` and
     ``terminal`` are their date views.
+
+    Construction checks both shapes against the tree (ShapeMismatch) but no
+    values, and stores read-only float copies with their conditional sums:
+    ``bar`` holds E_t p_{t+1} on every node (p_{N+1} itself on the leaves),
+    ``bar_abs`` the same sums over |p|.
     """
 
     tree: ScenarioTree
     p: np.ndarray
     p_terminal: np.ndarray
+    bar: np.ndarray = field(init=False, repr=False)
+    bar_abs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        tree, m = self.tree, self.tree.state_dim
+        p = node_array(self.p, (tree.n_nodes - 1, m), "dual prices")
+        terminal = node_array(
+            self.p_terminal, (tree.n_leaves, m), "terminal dual layer"
+        )
+        # the sums over p and |p| side by side: one ordered np.add.at adds
+        # each parent's children in child order
+        sums = np.zeros((tree.n_nodes, 2 * m))
+        both = np.hstack([p, np.abs(p)])
+        with np.errstate(invalid="ignore"):  # inf and -inf siblings: NaN, refuted later
+            np.add.at(sums, tree.parents[1:], tree.cond_prob[1:, None] * both)
+        sums[tree.span(tree.horizon)] = np.hstack([terminal, np.abs(terminal)])
+        for name, value in zip(("p", "p_terminal", "bar", "bar_abs"),
+                               (p.copy(), terminal.copy(), *np.hsplit(sums, 2))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def prices(self) -> NodeArray:
@@ -73,14 +102,9 @@ class DualPath:
         return AdaptedVector(self.tree.horizon + 1, self.p_terminal)
 
 
-def _dual_arrays(
-    dual: DualPath, tree: ScenarioTree, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The dual's p and p_{N+1}, or ShapeMismatch unless they fit the tree."""
-    return (
-        node_array(dual.p, (tree.n_nodes - 1, m), "dual prices"),
-        node_array(dual.p_terminal, (tree.n_leaves, m), "terminal dual layer"),
-    )
+def _check_tree(dual: DualPath, tree: ScenarioTree) -> None:
+    if dual.tree is not tree:
+        raise ShapeMismatch("dual path belongs to another tree")
 
 
 def extract_dual(
@@ -189,26 +213,21 @@ class RapidityCertificate:
 
 
 def _transition_values(
-    market: MarketData,
-    nodes: np.ndarray,
-    p: np.ndarray,
-    p_bar: np.ndarray,
-    bar_abs: np.ndarray | None,
-    tol: float,
+    market: MarketData, dual: DualPath, nodes: np.ndarray, tol: float
 ) -> tuple[np.ndarray, dict[int, DualConeCheck]]:
-    """Transition values of non-root nodes, and the LP checks by row.
+    """Transition values of the non-root ``nodes``, and the LP checks by row.
 
-    ``p_bar`` holds each node's E_t p_{t+1} and ``bar_abs`` the same
-    conditional sums over |p_{t+1}|, or None when no price is negative (they
-    are p_bar itself then).  One :func:`transition_bound` call covers every
-    row: a row reads that rigorous upper bound where it is within ``tol``, 0
-    where both of its distances vanish.  Only a row whose bound exceeds
-    ``tol`` gets the LP, whose value is written in and whose check, with any
-    witness, is returned.  A row with a non-finite price keeps the bound's
-    ``inf`` and gets no LP, which could not take it.
+    Each node reads its price p, its E_t p_{t+1} and the same conditional
+    sum over |p_{t+1}| off the dual.  One :func:`transition_bound` call
+    covers every row: a row reads that rigorous upper bound where it is
+    within ``tol``, 0 where both of its distances vanish.  Only a row whose
+    bound exceeds ``tol`` gets the LP, whose value is written in and whose
+    check, with any witness, is returned.  A row with a non-finite price
+    keeps the bound's ``inf`` and gets no LP, which could not take it.
     """
+    p, p_bar = dual.p[nodes - 1], dual.bar[nodes]
     with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite price
-        values = transition_bound(market, nodes, p, p_bar, bar_abs)
+        values = transition_bound(market, nodes, p, p_bar, dual.bar_abs[nodes])
     finite = np.isfinite(p).all(axis=1) & np.isfinite(p_bar).all(axis=1)
     lp = {
         int(k): dual_cone_violation(market, p[k], p_bar[k], int(nodes[k]), tol=tol)
@@ -255,7 +274,7 @@ def verify_rapid(
     """
     N = tree.horizon
     X = node_array(path, (tree.n_nodes, market.m), "path")
-    p, terminal = _dual_arrays(dual, tree, market.m)
+    _check_tree(dual, tree)
 
     ids = tree.ids
     idx, parents, leaves = np.arange(1, tree.n_nodes), tree.parents[1:], tree.indices(N)
@@ -281,11 +300,10 @@ def verify_rapid(
 
     # (p-X) membership and the supporting normalization p_{t+1} x_t = 1, over
     # p_1..p_N on the non-root nodes, then p_{N+1} on the leaves.
-    bar = _conditional_sums(tree, p, terminal)
     rows = np.concatenate([idx, leaves])
     layer = np.concatenate([tree.depth[1:], np.full(len(leaves), N + 1)])
     cone = np.concatenate([parents, leaves])
-    prices = np.concatenate([p, terminal])
+    prices = np.concatenate([dual.p, dual.p_terminal])
     member, norm = _price_residuals(market, prices, cone, X[cone])
     membership = _violation(np.maximum(0.0, -member))
     norm = _violation(np.abs(norm))
@@ -299,10 +317,7 @@ def verify_rapid(
     # (dual-path): certify sup { p_bar b - p a } <= 0 at every node, by the
     # rigorous bound where it is within tol and by LP elsewhere.  A value
     # above tol is an LP value, which comes with its witness pair.
-    bar_abs = None
-    if not ((p >= 0.0).all() and (terminal >= 0.0).all()):
-        bar_abs = _conditional_sums(tree, np.abs(p), np.abs(terminal))[1:]
-    transition, lp = _transition_values(market, idx, p, bar[1:], bar_abs, tol)
+    transition, lp = _transition_values(market, dual, idx, tol)
 
     witness = (
         first_hit(idx, {"path_feasibility": feasibility},
@@ -350,21 +365,6 @@ class SupermartingaleReport:
     equality_gap: float
 
 
-def _conditional_sums(
-    tree: ScenarioTree, p: np.ndarray, terminal: np.ndarray
-) -> np.ndarray:
-    """E_t of the next price layer on every node.
-
-    ``p`` holds p_1..p_N as :attr:`DualPath.p` does, one row per non-root
-    node.  One ordered ``np.add.at`` over all children at once adds each
-    parent's children in child order; the leaves hold the terminal layer.
-    """
-    bar = np.zeros((tree.n_nodes, p.shape[1]))
-    np.add.at(bar, tree.parents[1:], tree.cond_prob[1:, None] * p)
-    bar[tree.span(tree.horizon)] = terminal
-    return bar
-
-
 def supermartingale_check(
     dual: DualPath, y: np.ndarray | NodeArray, tree: ScenarioTree
 ) -> SupermartingaleReport:
@@ -383,12 +383,10 @@ def _supermartingale_checks(
     children.  A form's maximum is taken over all its nodes at once, from 0,
     with NaN residuals read as ``inf``.
     """
-    m = tree.state_dim
-    p, terminal = _dual_arrays(dual, tree, m)
-    bar = _conditional_sums(tree, p, terminal)
-    Y = node_array(paths, (len(paths), tree.n_nodes, m), "each path")
-    lhs = np.vecdot(bar, Y)  # E_t[p_{t+1}] y_t at every node
-    diff = _violation(lhs[:, 1:] - np.vecdot(p, Y[:, tree.parents[1:]]))
+    _check_tree(dual, tree)
+    Y = node_array(paths, (len(paths), tree.n_nodes, tree.state_dim), "each path")
+    lhs = np.vecdot(dual.bar, Y)  # E_t[p_{t+1}] y_t at every node
+    diff = _violation(lhs[:, 1:] - np.vecdot(dual.p, Y[:, tree.parents[1:]]))
     # one date earlier: E_{t-1}[p_bar_{t+1} y_t] against p_bar_t y_{t-1}
     inner = int(tree.offsets[tree.horizon])
     lhs_prev = np.zeros((len(Y), inner))
@@ -420,12 +418,10 @@ def growth_dominance(
     """
     if on_nonpositive not in ("raise", "mark"):
         raise ValueError(f"on_nonpositive is 'raise' or 'mark', not {on_nonpositive!r}")
-    m = tree.state_dim
-    p, terminal = _dual_arrays(dual, tree, m)
-    Y = node_array(y, (tree.n_nodes, m), "path")
-    bar = _conditional_sums(tree, p, terminal)
-    den = np.vecdot(p, Y[tree.parents[1:]])
-    num = np.vecdot(bar[1:], Y[1:])
+    _check_tree(dual, tree)
+    Y = node_array(y, (tree.n_nodes, tree.state_dim), "path")
+    den = np.vecdot(dual.p, Y[tree.parents[1:]])
+    num = np.vecdot(dual.bar[1:], Y[1:])
     bad = ~(den > 0.0)
     if on_nonpositive == "raise" and bad.any():
         k = int(np.argmax(bad))
@@ -511,14 +507,14 @@ def check_equivalences(
     if not 1 <= t <= N:
         raise DepthMismatch(f"date {t} outside 1..{N}")
     X = node_array(path, (tree.n_nodes, market.m), "path")
-    p, terminal = _dual_arrays(dual, tree, market.m)
+    _check_tree(dual, tree)
     idx = tree.indices(t)
-    up, P = tree.parents[idx], p[idx - 1]
+    up, P = tree.parents[idx], dual.p[idx - 1]
     if t < N:  # p_{t+1} on the depth-(t+1) nodes prices their parents' states
         nxt = tree.indices(t + 1)
-        p_next, cone_next = p[nxt - 1], tree.parents[nxt]
+        p_next, cone_next = dual.p[nxt - 1], tree.parents[nxt]
     else:  # p_{N+1} on the leaves prices their own states
-        p_next, cone_next = terminal, idx
+        p_next, cone_next = dual.p_terminal, idx
 
     members, norms = zip(
         _price_residuals(market, P, up, X[up]),
@@ -528,11 +524,8 @@ def check_equivalences(
     pre_member = max(0.0, float(_violation(-np.concatenate(members)).max()))
 
     # (IV): the per-node values, collecting LP witnesses for the sampled forms.
-    bar = _conditional_sums(tree, p, terminal)[idx]  # p_next itself at the last date
-    bar_abs = None if (p_next >= 0.0).all() else _conditional_sums(
-        tree, np.abs(p), np.abs(terminal)
-    )[idx]
-    values, lp = _transition_values(market, idx, P, bar, bar_abs, tol)
+    bar = dual.bar[idx]  # p_next itself at the last date
+    values, lp = _transition_values(market, dual, idx, tol)
 
     # Sampled transition pairs, one (n, m) row block per sample: the solved
     # pair, the LP witnesses added to it, then random pairs.
@@ -597,7 +590,7 @@ def prop4_reconstruct(
     """
     N = tree.horizon
     X = node_array(path, (tree.n_nodes, market.m), "path")
-    p, terminal = _dual_arrays(l_seq, tree, market.m)
+    _check_tree(l_seq, tree)
 
     def normalized(src: np.ndarray, nodes: np.ndarray, x: np.ndarray, leaf: bool):
         denom = np.vecdot(src, x)
@@ -614,8 +607,8 @@ def prop4_reconstruct(
     idx, leaves = np.arange(1, tree.n_nodes), tree.indices(N)
     dual = DualPath(
         tree,
-        normalized(p, idx, X[tree.parents[1:]], leaf=False),
-        normalized(terminal, leaves, X[leaves], leaf=True),
+        normalized(l_seq.p, idx, X[tree.parents[1:]], leaf=False),
+        normalized(l_seq.p_terminal, leaves, X[leaves], leaf=True),
     )
     return dual, verify_rapid(X, dual, tree, market, tol)
 

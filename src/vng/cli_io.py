@@ -620,6 +620,9 @@ def _strategy_path(
         weights = _vector(
             _need(spec, "weights", "strategy"), market.m, "strategy.weights"
         )
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(weights).sum()):
+                raise ParseError("strategy.weights: the 1-norm overflows a double")
         return fixed_fraction_path(tree, market, problem.x0, weights)
     if kind == "path":
         values = _need(spec, "values", "strategy", dict)
@@ -670,7 +673,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     tree, rows = problem.tree, []
     leaves = tree.span(tree.horizon)
     for spec in strategies:
-        sid = str(_need(spec, "id", "strategy"))
+        sid = _need(spec, "id", "strategy", str)
         y = _strategy_path(spec, problem, rapid)
         table = growth_dominance(dual, y, tree, on_nonpositive="mark")
         f_val = log_objective(tree, problem.objective, np.asarray(y)[leaves])

@@ -94,8 +94,8 @@ LeafState = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 class PathProblem:
     """A solvable instance: tree, market, terminal objective, pinned start.
 
-    The initial portfolio must be strictly interior to the date-0 cone; its
-    interiority radius is reported by :meth:`epsilon0`.
+    The initial portfolio must be strictly interior to the date-0 cone, with
+    a finite interiority radius, which :meth:`epsilon0` reports.
     """
 
     tree: ScenarioTree
@@ -118,15 +118,18 @@ class PathProblem:
             )
         object.__setattr__(self, "x0", x0)
         self.market.constants()  # raises MarginTooTight when (B2) fails
-        if self.epsilon0() <= 0.0:
+        radius = self.epsilon0()
+        if not 0.0 < radius < np.inf:
             raise InfeasibleStart(
-                "x0 is not strictly interior to the date-0 margin cone"
+                "x0 needs a positive, finite interior radius in the date-0 "
+                f"margin cone: radius {radius!r}"
             )
 
     def epsilon0(self) -> float:
         """1-norm interiority radius of x0 at the root cone."""
         i = 0  # the root
-        resid = float(margin_residual(self.market, self.x0[None], [i])[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge x0: inf or nan
+            resid = float(margin_residual(self.market, self.x0[None], [i])[0])
         lip = float(
             max(self.market.Lp[i].max(),
                 self.market.margins[0] * self.market.Lm[i].max())

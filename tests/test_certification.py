@@ -22,7 +22,7 @@ from oracles import (
     supermartingale_loop,
     verify_loops,
 )
-from vng.certification import _conditional_sums, _supermartingale_checks
+from vng.certification import _supermartingale_checks
 from vng.errors import (
     DepthMismatch,
     NonpositiveDenominator,
@@ -269,6 +269,71 @@ class TestDateViews:
         ]
         for call in calls:
             with pytest.raises(ShapeMismatch):
+                call()
+
+
+class TestDualPath:
+    """A dual checks its shapes once, stores read-only copies and its
+    conditional sums, and belongs to the tree it was built on."""
+
+    @pytest.mark.parametrize("cut", ["row", "column", "flat", "terminal_row",
+                                     "terminal_column"])
+    def test_wrong_shape_raises_at_construction(self, pipeline, cut):
+        problem, _, dual, _ = pipeline
+        p, terminal = dual.p, dual.p_terminal
+        p, terminal = {
+            "row": (p[:-1], terminal),
+            "column": (p[:, 1:], terminal),
+            "flat": (p.reshape(-1), terminal),
+            "terminal_row": (p, terminal[:-1]),
+            "terminal_column": (p, terminal[:, 1:]),
+        }[cut]
+        with pytest.raises(ShapeMismatch, match="must have shape"):
+            vng.DualPath(problem.tree, p, terminal)
+
+    def test_arrays_are_read_only_copies(self, pipeline):
+        problem, _, dual, _ = pipeline
+        p, terminal = dual.p.copy(), dual.p_terminal.copy()
+        d = vng.DualPath(problem.tree, p, terminal)
+        p[0] = terminal[0] = np.nan  # the source arrays stay the caller's
+        assert np.array_equal(d.p, dual.p)
+        assert np.array_equal(d.p_terminal, dual.p_terminal)
+        for name in ("p", "p_terminal", "bar", "bar_abs"):
+            arr = getattr(d, name)
+            assert arr.dtype == float and not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(ValueError):
+            d.prices[1].values[0] = 0.0
+
+    def test_values_are_not_checked(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        tree = problem.tree
+        parent = next(i for i in range(tree.n_nodes)
+                      if tree.child_counts[i] >= 2 and tree.depth[i] < tree.horizon)
+        kids = np.flatnonzero(tree.parents == parent)
+        p = dual.p.copy()
+        p[kids[0] - 1], p[kids[1] - 1] = np.inf, -np.inf  # their sum is NaN
+        d = vng.DualPath(tree, p, dual.p_terminal)
+        assert np.isnan(d.bar[parent]).all() and np.isinf(d.bar_abs[parent]).all()
+        cert = vng.verify_rapid(solution.path, d, tree, problem.market)
+        assert not cert.certified and cert.max_membership == np.inf
+        assert cert.witness["kind"] == "dual_cone_membership"
+
+    def test_another_tree_object_raises_everywhere(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        tree, market, X = problem.tree, problem.market, solution.path
+        twin = dataclasses.replace(tree)  # equal arrays, another object
+        other = vng.DualPath(twin, dual.p, dual.p_terminal)
+        calls = [
+            lambda: vng.verify_rapid(X, other, tree, market),
+            lambda: vng.supermartingale_check(other, X, tree),
+            lambda: vng.growth_dominance(other, X, tree),
+            lambda: vng.check_equivalences(tree, market, X, other, 1, n_samples=2),
+            lambda: vng.prop4_reconstruct(other, X, tree, market),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatch, match="another tree"):
                 call()
 
 
@@ -590,10 +655,8 @@ def lp_value(market, p, p_bar, node) -> float:
 
 
 def level_bar_abs(dual, tree, t):
-    """The conditional sum over |p_{t+1}| that verification passes, or None."""
+    """The conditional sum over |p_{t+1}| that verification passes."""
     nxt = dual_layer(dual, t + 1)
-    if (nxt.values >= 0.0).all():
-        return None
     return conditional_expectation(
         tree, vng.AdaptedVector(nxt.depth, np.abs(nxt.values))
     ).values
@@ -1072,12 +1135,10 @@ class TestLevelAlgebraMatchesNodeLoops:
             for d in (dual, negated_first_price(dual)):
                 # the whole-tree sums equal the per-date oracle byte for byte,
                 # over the prices and over |p|
-                bar = _conditional_sums(tree, d.p, d.p_terminal)
-                bar_abs = _conditional_sums(tree, np.abs(d.p), np.abs(d.p_terminal))
                 for t in range(tree.horizon + 1):
                     av = dual_layer(d, t + 1)
                     abs_av = vng.AdaptedVector(av.depth, np.abs(av.values))
-                    for sums, layer in ((bar, av), (bar_abs, abs_av)):
+                    for sums, layer in ((d.bar, av), (d.bar_abs, abs_av)):
                         date_t = conditional_expectation(tree, layer).values
                         assert sums[tree.span(t)].tobytes() == date_t.tobytes()
                         if layer.depth <= tree.horizon:

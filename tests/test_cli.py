@@ -82,6 +82,16 @@ class TestValidate:
         (workdir / "bad.json").write_text(json.dumps(doc))
         assert run("validate", "bad.json") == cli.EXIT_MARGIN
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_start_whose_radius_overflows_is_parse_error(self, workdir, capsys, command):
+        doc = json.loads((workdir / "kelly.json").read_text())
+        doc["initial_portfolio"] = [1e308, 1e308]
+        (workdir / "big.json").write_text(json.dumps(doc))
+        assert run(command, "big.json") == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "initial_portfolio" in err and "radius inf" in err
+        assert "Warning" not in err
+
 
 class TestSolveCertify:
     def test_pipeline_exit_codes(self, workdir):
@@ -339,11 +349,32 @@ class TestCompare:
         ]}))
         assert run("compare", "kelly.json", "bad_weights.json") == cli.EXIT_PARSE
 
+    def test_weights_whose_norm_overflows_are_parse_error(self, workdir, capsys):
+        def rows(weights):
+            (workdir / "ff.json").write_text(json.dumps({"strategies": [
+                {"id": "ff", "type": "fixed_fraction", "weights": weights},
+            ]}))
+            code = run("compare", "kelly.json", "ff.json")
+            return code, (workdir / "kelly.compare.csv").read_text()
+
+        code, unit = rows([1.0, 1.0])
+        assert code == cli.EXIT_OK
+        # homogeneity: a huge but summable weight vector gives the same rows
+        assert rows([1e300, 1e300]) == (cli.EXIT_OK, unit)
+        capsys.readouterr()
+        assert rows([1e308, 1e308])[0] == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "strategy.weights" in err and "Warning" not in err
+
     @pytest.mark.parametrize("doc", [
         [{"id": "rapid", "type": "rapid"}],
         {"strategies": [{"id": "rapid", "type": 3}]},
         {"strategies": ["rapid"]},
-    ], ids=["document_is_list", "type_is_int", "entry_is_string"])
+        {"strategies": [{"id": None, "type": "rapid"}]},
+        {"strategies": [{"id": True, "type": "rapid"}]},
+        {"strategies": [{"id": 3, "type": "rapid"}]},
+    ], ids=["document_is_list", "type_is_int", "entry_is_string", "id_is_null",
+            "id_is_bool", "id_is_int"])
     def test_malformed_strategies_are_parse_errors(self, workdir, doc):
         (workdir / "bad.json").write_text(json.dumps(doc))
         assert run("compare", "kelly.json", "bad.json") == cli.EXIT_PARSE
