@@ -49,7 +49,7 @@ from .market_model import (
     transition_frontier_batch,
 )
 from .scenario_tree import AdaptedVector, NodeArray, ScenarioTree, node_array
-from .solver import PathProblem, Solution, _kkt_report, _stored_iterate, assemble
+from .solver import PathProblem, Solution, _stored_iterate, kkt_report
 
 log = logging.getLogger(__name__)
 
@@ -113,19 +113,22 @@ def extract_dual(
     """Dual path from the converged solution's multipliers.
 
     Raises DimensionMismatch when z or the multipliers do not fit the
-    problem.  Refuses non-certified input (re-running the independent
-    residual report) unless ``strict=False``, which extracts anyway so a
-    later verification can refute tampered data with a concrete witness.
+    problem.  Refuses non-certified input unless ``strict=False``, which
+    extracts anyway so a later verification can refute tampered data with a
+    concrete witness; the refusal rests on :func:`~vng.solver.kkt_report`,
+    which recomputes the residuals from the stored z and multipliers.  Both
+    read the problem's one read-only program (:attr:`PathProblem.program`),
+    so a solve, its report and its extraction assemble it once.
     For each non-root node the price is the cost-weighted multiplier of its
     self-financing rows, pushed through the returns and divided by the node
     probability; the terminal layer is the objective's multiplier-selected
     supergradient over its value, whose degree-one Euler identity pins
     p_{N+1} . x_N = 1 exactly.
     """
-    prog = assemble(problem)
+    prog = problem.program
     _, lam = _stored_iterate(solution, prog)
     if strict:
-        report = _kkt_report(solution, prog)
+        report = kkt_report(solution, problem)
         if not solution.converged or not report.within(solution.options.tol):
             raise NotCertified(
                 "solution is not converged to tolerance; no dual path extracted"

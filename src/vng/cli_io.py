@@ -56,6 +56,7 @@ from .errors import (
     MarginTooTight,
     NonConvergence,
     ParseError,
+    PreconditionViolated,
     VngError,
 )
 from .market_model import (
@@ -575,14 +576,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
         dual = extract_dual(solution, problem, strict=False)
     except DimensionMismatch as exc:  # z or multipliers of the wrong length
         raise ParseError(f"solution file: {exc}") from exc
-    cert = verify_rapid(solution.path, dual, problem.tree, problem.market, tol=tol)
+    tree, market, x0 = problem.tree, problem.market, problem.x0
+    del problem  # and with it the assembled program, which nothing below reads
+    cert = verify_rapid(solution.path, dual, tree, market, tol=tol)
     if competitors > 0 and cert.certified:
         rng = np.random.default_rng(seed)
-        paths = sample_competitor_paths(
-            problem.tree, problem.market, rng, problem.x0, competitors
-        )
-        rapid = supermartingale_check(dual, solution.path, problem.tree)
-        reports = _supermartingale_checks(dual, paths, problem.tree)
+        paths = sample_competitor_paths(tree, market, rng, x0, competitors)
+        rapid = supermartingale_check(dual, solution.path, tree)
+        reports = _supermartingale_checks(dual, paths, tree)
         worst = SupermartingaleReport(
             max([0.0] + [r.first_form for r in reports]),
             max([0.0] + [r.second_form for r in reports]),
@@ -594,7 +595,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     write_json(
         out,
         certificate_to_doc(
-            cert, problem.tree, solution.path, dual, digest,
+            cert, tree, solution.path, dual, digest,
             time.perf_counter() - t0,
         ),
     )
@@ -620,10 +621,10 @@ def _strategy_path(
         weights = _vector(
             _need(spec, "weights", "strategy"), market.m, "strategy.weights"
         )
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.abs(weights).sum()):
-                raise ParseError("strategy.weights: the 1-norm overflows a double")
-        return fixed_fraction_path(tree, market, problem.x0, weights)
+        try:
+            return fixed_fraction_path(tree, market, problem.x0, weights)
+        except PreconditionViolated as exc:  # weights without a finite 1-norm
+            raise ParseError(f"strategy.weights: {exc}") from None
     if kind == "path":
         values = _need(spec, "values", "strategy", dict)
         return _node_rows(values, tree.ids, market.m, "path")

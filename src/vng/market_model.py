@@ -663,8 +663,16 @@ def fixed_fraction_path(
     weights: np.ndarray,
     fill: float = 1.0,
 ) -> np.ndarray:
-    """Rebalance to fixed weights each date, spending the whole frontier."""
+    """Rebalance to fixed weights each date, spending the whole frontier.
+
+    Raises PreconditionViolated when the weights' 1-norm is not finite.
+    """
     weights = np.asarray(weights, dtype=float)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(weights).sum()):
+            raise PreconditionViolated(
+                f"fixed-fraction weights {weights.tolist()} have no finite 1-norm"
+            )
     path = np.empty((tree.n_nodes, market.m))
     path[0] = start
     for t in range(1, tree.horizon + 1):

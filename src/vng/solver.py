@@ -59,12 +59,13 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleStart
 from .market_model import MarketData, fixed_fraction_path, margin_residual
-from .objectives import TerminalObjective, log_objective
+from .objectives import LeafForm, TerminalObjective, log_objective
 from .scenario_tree import NodeArray, ScenarioTree, node_array
 
 log = logging.getLogger(__name__)
@@ -95,7 +96,10 @@ class PathProblem:
     """A solvable instance: tree, market, terminal objective, pinned start.
 
     The initial portfolio must be strictly interior to the date-0 cone, with
-    a finite interiority radius, which :meth:`epsilon0` reports.
+    a finite interiority radius, which :meth:`epsilon0` reports.  The lifted
+    program is :attr:`program`, assembled on first use and kept: the solve,
+    :func:`kkt_report` and the dual extraction read that one read-only
+    object, and a problem made by ``dataclasses.replace`` assembles its own.
     """
 
     tree: ScenarioTree
@@ -135,6 +139,15 @@ class PathProblem:
                 self.market.margins[0] * self.market.Lm[i].max())
         )
         return resid / lip
+
+    @cached_property
+    def program(self) -> AssembledProgram:
+        """The lifted program of :func:`assemble`, built once per problem."""
+        return assemble(self)
+
+    def __getstate__(self) -> dict:
+        # a pickled or copied problem assembles its own read-only program
+        return {k: v for k, v in vars(self).items() if k != "program"}
 
 
 @dataclass(frozen=True)
@@ -254,7 +267,7 @@ def _node_blocks(
     return loc, par
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AssembledProgram:
     """Lifted deterministic equivalent with index maps for the dual layer.
 
@@ -268,24 +281,27 @@ class AssembledProgram:
     dense blocks, for the Newton elimination; ``A_rows``, ``A_cols`` and
     ``A_vals`` hold its structural entries, sorted by row and then column, for
     the products :meth:`A_dot` and :meth:`A_T_dot`.
+
+    Every array is read-only.  The program keeps the parts of its problem it
+    reads (tree, objective form, x0), not the problem, which caches it
+    (:attr:`PathProblem.program`): the two form no reference cycle.
     """
 
-    problem: PathProblem
+    tree: ScenarioTree
+    form: LeafForm
+    x0: np.ndarray
+    m: int
     n_vars: int
     n_cons: int
     A_rows: np.ndarray        # entries of A, sorted by row, then column
     A_cols: np.ndarray
     A_vals: np.ndarray
     b: np.ndarray
-    levels: list[Level]
+    levels: tuple[Level, ...]
     leaf_x: np.ndarray        # (n_leaves, m) x columns of each leaf
     leaf_w: np.ndarray        # (n_lifted, m) w columns of each lifted leaf
     row_owner: np.ndarray     # node index owning each constraint row
     leaf_prob: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.problem.market.m
 
     def A_dot(self, z: np.ndarray) -> np.ndarray:
         """A z, for a (n_vars,) vector or a (n_vars, k) stack."""
@@ -300,18 +316,18 @@ class AssembledProgram:
 
     def node_columns(self, z: np.ndarray) -> np.ndarray:
         """Views of z's x, v and s columns, each (n_nodes - 1, m), node i at i - 1."""
-        n = self.problem.tree.n_nodes - 1
+        n = self.tree.n_nodes - 1
         return z[:n * 3 * self.m].reshape(n, 3, self.m).transpose(1, 0, 2)
 
     def node_rows(self, y: np.ndarray) -> dict[str, np.ndarray]:
         """Views of y's node rows by kind (:func:`_row_kinds`), node i at i - 1."""
-        n, nr = self.problem.tree.n_nodes - 1, self.levels[0].loc.shape[1]
+        n, nr = self.tree.n_nodes - 1, self.levels[0].loc.shape[1]
         block = y[:n * nr].reshape(n, nr)
         return {k: block[:, r[0]:r[-1] + 1] for k, r in _row_kinds(self.m).items()}
 
     def path_values(self, z: np.ndarray) -> np.ndarray:
         """The path of z, (n_nodes, m): x0 on the root, then z's x columns."""
-        return np.concatenate([self.problem.x0[None, :], self.node_columns(z)[0]])
+        return np.concatenate([self.x0[None, :], self.node_columns(z)[0]])
 
     # -- objective: f(z) = sum_l P_l ln sigma_l ---------------------------------
     # Leaf inner products use np.vecdot on the stacked (n_leaves, m) arrays: it
@@ -320,7 +336,7 @@ class AssembledProgram:
 
     def _leaf_state(self, z: np.ndarray) -> LeafState:
         """Leaf states X, their Euclidean norms, d sigma / d x and sigma per leaf."""
-        form = self.problem.objective.form
+        form = self.form
         X = z[self.leaf_x]
         nrm = np.sqrt(np.vecdot(X, X))
         sigma = np.vecdot(form.cx, X) - form.l2 * nrm
@@ -340,7 +356,7 @@ class AssembledProgram:
     # ``state``, when given, is the :meth:`_leaf_state` of z.
 
     def grad_f(self, z: np.ndarray, state: LeafState | None = None) -> np.ndarray:
-        form = self.problem.objective.form
+        form = self.form
         _, _, G, sigma = state or self._leaf_state(z)
         P = self.leaf_prob[:, None]
         s = sigma[:, None]
@@ -359,7 +375,7 @@ class AssembledProgram:
         curvature of the Euclidean penalty.  Returns the (n_leaves, m, m)
         x-x blocks and the (n_lifted, m, m) x-w and w-w blocks.
         """
-        form = self.problem.objective.form
+        form = self.form
         X, nrm, G, sigma = state or self._leaf_state(z)
         P = self.leaf_prob[:, None, None]
         s = sigma[:, None, None]
@@ -393,7 +409,11 @@ def _entry_product(
 
 
 def assemble(problem: PathProblem) -> AssembledProgram:
-    """Build the lifted deterministic-equivalent program, one level at a time."""
+    """Build the lifted deterministic-equivalent program, every node at once.
+
+    Every array of the result is read-only.  :attr:`PathProblem.program`
+    calls this once per problem and keeps the result.
+    """
     tree = problem.tree
     market = problem.market
     form = problem.objective.form
@@ -416,72 +436,83 @@ def assemble(problem: PathProblem) -> AssembledProgram:
     n_vars = n_node_vars + n_lifted * m
     # per lifted leaf: m rows c1 * x + d * w >= 0, then m rows c2 * x + d * w >= 0
     n_cons = n_node_rows + n_lifted * 2 * m
+    j = np.arange(m)
+    w_loc = np.zeros((n_lifted, 2 * m, m))
+    w_par = np.zeros((n_lifted, 2 * m, m))
+    w_loc[:, j, j] = w_loc[:, m + j, j] = form.d
+    w_par[:, j, j] = form.c1
+    w_par[:, m + j, j] = form.c2
 
+    # the root's state is the constant x0: its children's coupling moves into b
+    x0 = problem.x0.copy()
+    n1 = tree.span(1).stop - 1  # the depth-1 nodes own the first n1 blocks
     b = np.zeros(n_cons)
+    b[:n1 * block] = (par[:n1] @ x0).ravel()
+
+    # A from the same blocks, all nodes in one pass.  Every coefficient of
+    # the lift is nonzero (Lp > 0, R > 0, mu Lm > Lp, and c1, c2, d of a w row
+    # are cost multipliers or +-1), so A's entries are the blocks' nonzeros.
+    def entries(blocks: np.ndarray, row0: int, col0: np.ndarray) -> tuple:
+        """Nonzeros of stacked blocks; block k starts at row0 + k * rows, col0[k]."""
+        k, r, c = np.nonzero(blocks)
+        return row0 + k * blocks.shape[1] + r, col0[k] + c, blocks[k, r, c]
+
+    rows, cols, vals = (np.concatenate(part) for part in zip(
+        entries(loc, 0, (idx - 1) * width),
+        entries(par[n1:], n1 * block, (tree.parents[idx[n1:]] - 1) * width),
+        entries(w_loc, n_node_rows, leaf_w[:, 0]),
+        entries(w_par, n_node_rows, leaf_x[form.lifted, 0]),
+    ))
+    order = np.lexsort((cols, rows))
+
     levels = []
     for t in range(1, N + 1):
         lo, hi = tree.span(t).start - 1, tree.span(t).stop - 1
-        rows = slice(lo * block, hi * block)
-        if t == 1:  # the root's state is the constant x0: its coupling moves into b
-            b[rows] = (par[lo:hi] @ problem.x0).ravel()
         levels.append(Level(
-            rows=rows,
+            rows=slice(lo * block, hi * block),
             cols=slice(lo * width, hi * width),
             loc=loc[lo:hi],
             par=None if t == 1 else par[lo:hi],
             up=None if t == 1 else tree.up(t),
         ))
     if n_lifted:
-        j = np.arange(m)
-        w_loc = np.zeros((n_lifted, 2 * m, m))
-        w_par = np.zeros((n_lifted, 2 * m, m))
-        w_loc[:, j, j] = w_loc[:, m + j, j] = form.d
-        w_par[:, j, j] = form.c1
-        w_par[:, m + j, j] = form.c2
         levels.append(Level(
             rows=slice(n_node_rows, n_cons), cols=slice(n_node_vars, n_vars),
-            loc=w_loc, par=w_par, up=form.lifted,
+            loc=w_loc, par=w_par, up=form.lifted.view(),  # frozen below, not the form's
         ))
-
-    # A from the same blocks.  Every coefficient of the lift is nonzero
-    # (Lp > 0, R > 0, mu Lm > Lp, and c1, c2, d of a w row are cost
-    # multipliers or +-1), so A's entries are the blocks' nonzeros.
-    parts = []
-    for t, lev in enumerate(levels):
-        _, nr, nc = lev.loc.shape
-        k, r, c = np.nonzero(lev.loc)
-        parts.append((lev.rows.start + k * nr + r, lev.cols.start + k * nc + c,
-                      lev.loc[k, r, c]))
-        if lev.par is not None:
-            prev = levels[t - 1]
-            k, r, c = np.nonzero(lev.par)
-            col = prev.cols.start + lev.up[k] * prev.loc.shape[2] + c
-            parts.append((lev.rows.start + k * nr + r, col, lev.par[k, r, c]))
-    rows, cols, vals = (np.concatenate([p[k] for p in parts]) for k in range(3))
-    order = np.lexsort((cols, rows))
 
     row_owner = np.zeros(n_cons, dtype=int)
     row_owner[:n_node_rows] = np.repeat(idx, block)
     row_owner[n_node_rows:] = np.repeat(leaves[form.lifted], 2 * m)
-    return AssembledProgram(
-        problem=problem,
+    prog = AssembledProgram(
+        tree=tree,
+        form=form,
+        x0=x0,
+        m=m,
         n_vars=n_vars,
         n_cons=n_cons,
         A_rows=rows[order],
         A_cols=cols[order],
         A_vals=vals[order],
         b=b,
-        levels=levels,
+        levels=tuple(levels),
         leaf_x=leaf_x,
         leaf_w=leaf_w,
         row_owner=row_owner,
         leaf_prob=tree.prob[leaves],
     )
+    # Read-only: neither a solve nor a caller can change the A and b that the
+    # independent KKT check reads.
+    arrays = [a for a in vars(prog).values() if isinstance(a, np.ndarray)]
+    arrays += [a for lev in levels for a in (lev.loc, lev.par, lev.up) if a is not None]
+    for a in (loc, par, w_loc, w_par, *arrays):
+        a.flags.writeable = False
+    return prog
 
 
 # --- interior start --------------------------------------------------------------
 
-def _interior_start(prog: AssembledProgram) -> np.ndarray:
+def _interior_start(problem: PathProblem) -> np.ndarray:
     """Strictly feasible start along an all-ones interior path from x0.
 
     Follows the interior-witness recursion, the fixed-fraction path with
@@ -490,15 +521,23 @@ def _interior_start(prog: AssembledProgram) -> np.ndarray:
     keeps every margin and cash slack strictly positive; auxiliary variables
     get padding of a tenth of their block's state scale, capped at 0.4 of the
     slack it eats into, so every row stays strictly positive.  Raises
-    InfeasibleStart at a node with no strictly positive transition, or when
+    InfeasibleStart at a node with no strictly positive transition, at the
+    first node whose frontier is not finite (a huge x0 overflows it), or when
     the start is not strictly interior anyway.
     """
-    problem = prog.problem
+    prog = problem.program
     tree, market = problem.tree, problem.market
-    form = problem.objective.form
+    form = prog.form
     m = market.m
 
-    states = fixed_fraction_path(tree, market, problem.x0, np.ones(m), fill=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge x0: refused below
+        states = fixed_fraction_path(tree, market, problem.x0, np.ones(m), fill=0.5)
+    lost = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
+    if lost.size:
+        raise InfeasibleStart(
+            f"the self-financing frontier at node {tree.ids[lost[0] + 1]!r} "
+            "is not finite"
+        )
     stuck = np.flatnonzero(states[1:, 0] <= 0.0)
     if stuck.size:
         raise InfeasibleStart(
@@ -706,7 +745,7 @@ class _NewtonSystem:
         xl = dz[prog.leaf_x][:, :, None]
         Wdz[prog.leaf_x] = (xx @ xl)[:, :, 0]
         if self.lifted:
-            form = prog.problem.objective.form
+            form = prog.form
             wl = dz[prog.leaf_w][:, :, None]
             Wdz[prog.leaf_x[form.lifted]] += (xw @ wl)[:, :, 0]
             xt = xw.transpose(0, 2, 1)
@@ -832,13 +871,13 @@ def solve_log_optimal(
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
-    prog = assemble(problem)
+    prog = problem.program
     mu_target = 1e-2 * options.tol
     handover = HANDOVER * mu_target
     w = problem.tree.prob[prog.row_owner]  # central-path weight of each row
     leaves = problem.tree.span(problem.tree.horizon)
 
-    z = _interior_start(prog)
+    z = _interior_start(problem)
     g = prog.g(z)
     mu = 1.0
     lam = mu * w / g
@@ -963,11 +1002,6 @@ class KktReport:
         return self.residuals.within(tol) and self.path_consistent
 
 
-def kkt_report(solution: Solution, problem: PathProblem) -> KktReport:
-    """Recompute all residuals from the stored iterate, solver state unused."""
-    return _kkt_report(solution, assemble(problem))
-
-
 def _stored_iterate(
     solution: Solution, prog: AssembledProgram
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -979,8 +1013,14 @@ def _stored_iterate(
     return z, lam
 
 
-def _kkt_report(solution: Solution, prog: AssembledProgram) -> KktReport:
-    """:func:`kkt_report` against an already assembled program."""
+def kkt_report(solution: Solution, problem: PathProblem) -> KktReport:
+    """Recompute all residuals from the stored iterate, solver state unused.
+
+    g, the dual residual and the path are computed afresh from the stored z
+    and multipliers against the problem's read-only program
+    (:attr:`PathProblem.program`), which no solve can change.
+    """
+    prog = problem.program
     z, lam = _stored_iterate(solution, prog)
     g = prog.g(z)
     r_d = prog.grad_f(z) + prog.A_T_dot(lam)

@@ -128,7 +128,7 @@ def dense_neg_hess(prog, z: np.ndarray) -> np.ndarray:
     """-hess f(z) as a dense matrix, scattering the stacked blocks leaf by leaf."""
     xx, xw, ww = prog.neg_hess_f(z)
     W = np.zeros((prog.n_vars, prog.n_vars))
-    lifted = list(prog.problem.objective.form.lifted)
+    lifted = list(prog.form.lifted)
     for leaf, cols in enumerate(prog.leaf_x):
         W[np.ix_(cols, cols)] += xx[leaf]
         if leaf in lifted:
@@ -184,10 +184,45 @@ def dense_constraint_matrix(problem) -> np.ndarray:
     return A
 
 
-def dense_newton_matrix(prog, z, lam, g) -> np.ndarray:
+def level_by_level_entries(prog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's entries gathered one level of the program's blocks at a time.
+
+    Each level's nonzeros, and below the first level those of its coupling
+    to the parent level's x, then all of them sorted by row and column.
+    """
+    parts = []
+    for t, lev in enumerate(prog.levels):
+        _, nr, nc = lev.loc.shape
+        k, r, c = np.nonzero(lev.loc)
+        parts.append((lev.rows.start + k * nr + r, lev.cols.start + k * nc + c,
+                      lev.loc[k, r, c]))
+        if lev.par is not None:
+            prev = prog.levels[t - 1]
+            k, r, c = np.nonzero(lev.par)
+            col = prev.cols.start + lev.up[k] * prev.loc.shape[2] + c
+            parts.append((lev.rows.start + k * nr + r, col, lev.par[k, r, c]))
+    rows, cols, vals = (np.concatenate([p[k] for p in parts]) for k in range(3))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
+
+
+def root_coupling(problem) -> np.ndarray:
+    """b, node by node: L R x0 on the min-form rows of every depth-1 node."""
+    tree, market, m = problem.tree, problem.market, problem.market.m
+    b = np.zeros((tree.n_nodes - 1) * (4 * m + 2)
+                 + len(problem.objective.form.lifted) * 2 * m)
+    for i in range(1, tree.n_nodes):
+        if tree.depth[i] == 1:
+            r, R = (i - 1) * (4 * m + 2), market.returns[i]
+            b[r + 2 * m + 1:r + 3 * m + 1] = market.Lp[i] * R * problem.x0
+            b[r + 3 * m + 1:r + 4 * m + 1] = market.Lm[i] * R * problem.x0
+    return b
+
+
+def dense_newton_matrix(problem, z, lam, g) -> np.ndarray:
     """K = W + A^T diag(lam / g) A, dense, A from the node-by-node oracle."""
-    A = dense_constraint_matrix(prog.problem)
-    return dense_neg_hess(prog, z) + A.T @ (A * (lam / g)[:, None])
+    A = dense_constraint_matrix(problem)
+    return dense_neg_hess(problem.program, z) + A.T @ (A * (lam / g)[:, None])
 
 
 def frontier_bisection(market, A, D, nodes):

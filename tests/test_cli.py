@@ -92,6 +92,17 @@ class TestValidate:
         assert "initial_portfolio" in err and "radius inf" in err
         assert "Warning" not in err
 
+    def test_start_whose_frontier_overflows_names_the_node(self, workdir, capsys):
+        doc = json.loads((workdir / "kelly.json").read_text())
+        x0 = doc["initial_portfolio"]
+        for scale, code in ((1e100, cli.EXIT_OK), (1e160, cli.EXIT_LIBRARY)):
+            doc["initial_portfolio"] = [scale * x for x in x0]
+            (workdir / "big.json").write_text(json.dumps(doc))
+            assert run("solve", "big.json") == code
+        err = capsys.readouterr().err
+        assert "InfeasibleStart: the self-financing frontier at node 'up' is not finite" in err
+        assert "Warning" not in err
+
 
 class TestSolveCertify:
     def test_pipeline_exit_codes(self, workdir):

@@ -185,6 +185,18 @@ class TestTransitionFrontier:
             assert res.member.all(), f"seed {seed}: psi {res.psi[~res.member]}"
 
 
+class TestFixedFractionPath:
+    def test_weights_without_finite_norm_are_refused(self):
+        problem = kelly_problem()
+        args = problem.tree, problem.market, problem.x0
+        # homogeneity: a huge but summable weight vector spends the same frontier
+        unit = vng.fixed_fraction_path(*args, [1.0, 1.0])
+        assert np.array_equal(vng.fixed_fraction_path(*args, [1e300, 1e300]), unit)
+        for weights in ([1e308, 1e308], [np.inf, 1.0], [np.nan, 1.0]):
+            with pytest.raises(PreconditionViolated, match="fixed-fraction weights"):
+                vng.fixed_fraction_path(*args, weights)
+
+
 class TestInZ:
     def test_liquidation_pair_is_member(self):
         market = two_asset_margin_market()

@@ -1,7 +1,12 @@
 """Program assembly, the interior-point solve, and the KKT report."""
 
+import copy
+import dataclasses
+import gc
 import logging
 import os
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +14,12 @@ import scipy.sparse as sp
 
 import vng
 import vng.cli_io as cli
-from conftest import make_instance, regular_problem, two_asset_margin_market
+from conftest import (
+    kelly_problem,
+    make_instance,
+    regular_problem,
+    two_asset_margin_market,
+)
 from oracles import (
     central_difference_gradient,
     dense_constraint_matrix,
@@ -17,7 +27,9 @@ from oracles import (
     dense_newton_matrix,
     golden_section_max,
     kelly_oracle,
+    level_by_level_entries,
     retained_fraction_oracle,
+    root_coupling,
     sample_competitor_path,
 )
 from vng.cli_io import load_problem
@@ -97,9 +109,22 @@ class TestAssemble:
         assert tree.n_nodes == 15
         assert assemble(problem).n_vars == 14 * 3 * 1
 
+    @pytest.mark.parametrize("make", [
+        *(lambda s=s: make_instance(s) for s in range(50)),
+        lambda: regular_problem(2, 6, 2, seed=0),  # 127 nodes, every leaf lifted
+    ], ids=[*(f"seed{s}" for s in range(50)), "ladder127"])
+    def test_entries_match_level_by_level_assembly(self, make):
+        problem = make()
+        prog = assemble(problem)
+        for name, oracle in zip(("A_rows", "A_cols", "A_vals"),
+                                level_by_level_entries(prog)):
+            got = getattr(prog, name)
+            assert got.dtype == oracle.dtype and np.array_equal(got, oracle), name
+        assert np.array_equal(prog.b, root_coupling(problem))
+
     def test_interior_start_is_strictly_feasible(self, kelly):
-        prog = assemble(kelly)
-        z0 = _interior_start(prog)
+        prog = kelly.program
+        z0 = _interior_start(kelly)
         assert prog.g(z0).min() > 0.0
         assert prog.sigmas(z0).min() > 0.0
 
@@ -332,7 +357,7 @@ def _newton_residuals(
     w = problem.tree.prob[prog.row_owner]
     options, mu = NEWTON_POINTS[point]
     if options is None:
-        z = _interior_start(prog)
+        z = _interior_start(problem)
         lam = w / prog.g(z)
     else:
         solution = vng.solve_log_optimal(problem, options)
@@ -361,7 +386,7 @@ def _newton_residuals(
     else:
         dz, _, _, _, r_c = direction(mu, False)
         assert np.array_equal(r_c, lam * g - mu * w)
-    K = dense_newton_matrix(prog, z, lam, g)
+    K = dense_newton_matrix(problem, z, lam, g)
     rhs = r_d - A.T @ (r_c / g)
     resid, scale = np.abs(K @ dz - rhs).max(), np.abs(rhs).max()
     return resid / scale, resid / (np.abs(K).sum(axis=1).max() * np.abs(dz).max() + scale)
@@ -529,7 +554,7 @@ class TestResidualFloor:
         problem = regular_problem(2, 9, 2, seed=0)
         prog = assemble(problem)
         w = problem.tree.prob[prog.row_owner]
-        z0 = _interior_start(prog)
+        z0 = _interior_start(problem)
         gf0 = prog.grad_f(z0)
         r_d0 = gf0 + prog.A_T_dot(w / prog.g(z0))
         rel0 = np.abs(r_d0).max() / np.abs(gf0).max()
@@ -691,6 +716,94 @@ class TestKktReport:
         assert report.residuals.primal == pytest.approx(0.25, abs=1e-8)
 
 
+def _program_arrays(prog) -> dict[str, np.ndarray]:
+    """Every array of a program by name, its levels' blocks included."""
+    arrays = {f.name: getattr(prog, f.name) for f in dataclasses.fields(prog)
+              if isinstance(getattr(prog, f.name), np.ndarray)}
+    for t, lev in enumerate(prog.levels):
+        arrays.update({f"levels[{t}].{k}": getattr(lev, k) for k in ("loc", "par", "up")
+                       if getattr(lev, k) is not None})
+    return arrays
+
+
+class TestSharedProgram:
+    """A problem assembles its program once; solve and checks share it."""
+
+    def test_pipeline_assembles_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(vng.solver, "assemble",
+                            lambda problem: calls.append(problem) or assemble(problem))
+        problem = kelly_problem()
+        solution = vng.solve_log_optimal(problem)
+        assert vng.kkt_report(solution, problem).within(solution.options.tol)
+        vng.extract_dual(solution, problem)
+        vng.extract_dual(solution, problem, strict=False)
+        assert calls == [problem]
+
+    @pytest.mark.parametrize("variant", ["liquidation", "l1_mixed"])
+    def test_program_is_read_only(self, variant):
+        problem = _margin_problem(variant)
+        vng.solve_log_optimal(problem)
+        arrays = _program_arrays(problem.program)
+        assert {"A_vals", "b", "leaf_w", "levels[2].up"} <= set(arrays)
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # the form's own index array is not frozen by the program
+        assert problem.objective.form.lifted.flags.writeable
+
+    @pytest.mark.parametrize("variant", ["liquidation", "l1_mixed"])
+    def test_program_after_solve_equals_fresh_assembly(self, variant):
+        problem = _margin_problem(variant)
+        solution = vng.solve_log_optimal(problem)
+        vng.extract_dual(solution, problem)
+        shared, fresh = problem.program, assemble(problem)
+        assert (shared.n_vars, shared.n_cons) == (fresh.n_vars, fresh.n_cons)
+        assert [(a.rows, a.cols) for a in shared.levels] == [
+            (a.rows, a.cols) for a in fresh.levels
+        ]
+        arrays, expected = _program_arrays(shared), _program_arrays(fresh)
+        assert arrays.keys() == expected.keys()
+        for name, array in arrays.items():
+            assert array.dtype == expected[name].dtype, name
+            assert array.tobytes() == expected[name].tobytes(), name
+
+    def test_program_does_not_keep_its_problem_alive(self):
+        problem = kelly_problem()
+        solution = vng.solve_log_optimal(problem)
+        vng.extract_dual(solution, problem)
+        program = weakref.ref(problem.program)
+        gc.disable()
+        try:
+            del problem
+            assert program() is None  # freed by reference counts: no cycle
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copied_problem_assembles_its_own(self, clone):
+        problem = kelly_problem()
+        program = problem.program
+        twin = clone(problem)
+        assert twin.program is not program
+        arrays, expected = _program_arrays(twin.program), _program_arrays(program)
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            assert array.tobytes() == expected[name].tobytes(), name
+
+    def test_replaced_problem_assembles_its_own(self):
+        problem = kelly_problem()
+        program = problem.program
+        doubled = dataclasses.replace(problem, x0=2.0 * problem.x0)
+        assert problem.program is program
+        assert doubled.program is not program
+        assert np.array_equal(doubled.program.b, 2.0 * program.b)
+        assert np.array_equal(doubled.program.A_vals, program.A_vals)
+
+
 def _margin_problem(variant: str) -> vng.PathProblem:
     """Two assets with costs and shorting room, four leaves; one objective."""
     market = two_asset_margin_market()
@@ -718,8 +831,9 @@ class TestAssembledDerivatives:
         "variant", ["linear", "liquidation", "l1", "l2", "l1_mixed"]
     )
     def test_derivatives_match_differences(self, variant):
-        prog = assemble(_margin_problem(variant))
-        z0 = _interior_start(prog)
+        problem = _margin_problem(variant)
+        prog = problem.program
+        z0 = _interior_start(problem)
         grad = prog.grad_f(z0)
         assert grad == pytest.approx(
             central_difference_gradient(prog.f, z0), rel=1e-6, abs=1e-8
