@@ -8,16 +8,18 @@ order.  Numbers must be finite and fit a double (a boolean or a string is
 no number), integer fields must be integral, the counts (``max_iter``,
 ``--competitors``, certify's ``--seed``) at least 0, and every ``tol``
 positive; anything else is a parse error.  Writes are atomic (write to a
-temporary file in the target directory, then rename).  The command set is
+temporary file in the target directory, then rename), and an output that
+cannot be written is a parse error too.  The command set is
 
     vng validate PROBLEM
     vng solve    PROBLEM [--tol --max-iter --seed --objective --out]
     vng certify  PROBLEM SOLUTION [--tol --competitors --seed --out]
     vng compare  PROBLEM STRATEGIES [--certificate --out]
 
-Exit codes: 0 success/certified, 1 verification refuted, 2 parse error,
-3 margin too tight, 4 solver not converged, 5 digest mismatch, 6 LP failure,
-7 any other library error (a ``VngError`` or a ``FloatingPointError``).
+Exit codes: 0 success/certified, 1 verification refuted, 2 parse error or
+unwritable output, 3 margin too tight, 4 solver not converged, 5 digest
+mismatch, 6 LP failure, 7 any other library error (a ``VngError`` or a
+``FloatingPointError``).
 Verbosity follows the VNG_LOG environment variable (error|warn|info|debug).
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -353,16 +356,23 @@ def solve_options_from(section, args=None, where: str = "solver") -> SolveOption
 # --- serialization ----------------------------------------------------------------
 
 def _atomic_write(path: str, payload: str) -> None:
+    """Write ``payload`` to ``path``; an unwritable target is a parse error.
+
+    No temporary file is left behind, whether or not the write succeeds.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # strerror, not str(exc): the latter names the temporary file
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_json(path: str, doc: dict) -> None:
@@ -647,7 +657,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ParseError(f"certificate {args.certificate}: expected a JSON object")
         if cdoc.get("digest") != digest_of(raw, options):
             raise DigestMismatch("certificate does not match this problem file")
-        if cdoc.get("verdict") != "certified":
+        verdict = cdoc.get("verdict")
+        if verdict not in ("certified", "refuted"):
+            raise ParseError(
+                f"certificate {args.certificate}: field 'verdict' must be "
+                f"'certified' or 'refuted', got {verdict!r}"
+            )
+        if verdict == "refuted":
             print("compare: stored certificate is refuted")
             return EXIT_REFUTED
         try:
@@ -711,7 +727,14 @@ def _configure_logging() -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Treat it as read-only: ``parse_args`` leaves it as it is, so every
+    ``main`` call shares it.  It names the commands but holds none of the
+    ``cmd_*`` functions; ``main`` looks those up when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="vng",
         description=(
@@ -723,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a problem file and print constants")
     p.add_argument("problem")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="solve the log-optimal path problem")
     p.add_argument("problem")
@@ -733,7 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", default=None,
                    help="override the file's objective variant")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="verify a solution with a dual price path")
     p.add_argument("problem")
@@ -743,7 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampled competitor paths for the supermartingale report")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("compare", help="growth tables of strategies vs the benchmark")
     p.add_argument("problem")
@@ -753,16 +773,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {
+        "validate": cmd_validate,
+        "solve": cmd_solve,
+        "certify": cmd_certify,
+        "compare": cmd_compare,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (VngError, FloatingPointError) as exc:
         for kind, code in ERROR_EXIT_CODES:
             if isinstance(exc, kind):

@@ -101,7 +101,7 @@ class NonpositiveDenominator(VngError):
 # --- cli ----------------------------------------------------------------------
 
 class ParseError(VngError):
-    """Problem/solution/certificate file failed to parse or validate."""
+    """An input file failed to parse or validate, or an output file cannot be written."""
 
 
 class DigestMismatch(VngError):

@@ -413,6 +413,139 @@ class TestCompare:
         assert type(error).__name__ in capsys.readouterr().err
 
 
+class TestStoredVerdict:
+    def test_missing_verdict_is_parse_error(self, workdir, capsys):
+        # the solution file carries the same digest, so only its verdict fails
+        run("solve", "kelly.json")
+        capsys.readouterr()
+        assert run(
+            "compare", "kelly.json", "strategies.json",
+            "--certificate", "kelly.solution.json",
+        ) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "'verdict'" in captured.err and "refuted" not in captured.out
+
+    @pytest.mark.parametrize("verdict", ["Certified", "", 1])
+    def test_unknown_verdict_is_parse_error(self, workdir, verdict):
+        run("solve", "kelly.json")
+        run("certify", "kelly.json", "kelly.solution.json")
+        doc = json.loads((workdir / "kelly.certificate.json").read_text())
+        doc["verdict"] = verdict
+        (workdir / "kelly.certificate.json").write_text(json.dumps(doc))
+        assert run(
+            "compare", "kelly.json", "strategies.json",
+            "--certificate", "kelly.certificate.json",
+        ) == cli.EXIT_PARSE
+
+    def test_refuted_verdict_exits_refuted(self, workdir, capsys):
+        tilt_kelly_solution(workdir)
+        assert run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_REFUTED
+        capsys.readouterr()
+        assert run(
+            "compare", "kelly.json", "strategies.json",
+            "--certificate", "kelly.certificate.json",
+        ) == cli.EXIT_REFUTED
+        assert capsys.readouterr().out == "compare: stored certificate is refuted\n"
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written exits 2 and leaves no temporary file."""
+
+    COMMANDS = {
+        "solve": ["solve", "kelly.json"],
+        "certify": ["certify", "kelly.json", "kelly.solution.json"],
+        "compare": ["compare", "kelly.json", "strategies.json"],
+    }
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory", "dot"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exits_parse_without_traceback(self, workdir, capsys, command, target):
+        assert run("solve", "kelly.json") == cli.EXIT_OK
+        (workdir / "sub").mkdir()
+        out = {"missing_dir": str(workdir / "missing" / "x.out"),
+               "directory": "sub", "dot": "."}[target]
+        before = sorted(p.name for p in workdir.rglob("*"))
+        capsys.readouterr()
+        assert run(*self.COMMANDS[command], "--out", out) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in workdir.rglob("*")) == before
+
+    def test_process_exits_parse_with_one_error_line(self, workdir):
+        # only a real process shows an uncaught exception's exit status 1
+        path = os.pathsep.join(filter(None, [TestStartup.SRC, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "vng.cli_io", "solve", "kelly.json",
+             "--out", str(workdir / "missing" / "x.json")],
+            cwd=workdir, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == cli.EXIT_PARSE
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            f"error: cannot write {workdir / 'missing' / 'x.json'}: "
+            "No such file or directory"
+        ]
+
+
+class TestParserReuse:
+    """``main`` may run many times in one process on one shared parser."""
+
+    def test_parser_is_built_once(self, workdir, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert run("validate", "kelly.json") == cli.EXIT_OK
+        assert built  # the root parser and one per command
+        first = list(built)
+        assert run("solve", "kelly.json") == cli.EXIT_OK
+        assert run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_OK
+        assert run("validate", "kelly.json") == cli.EXIT_OK
+        assert built == first
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_options_do_not_leak_between_calls(self, workdir):
+        cli.build_parser.cache_clear()
+        assert run("solve", "kelly.json", "--out", "first.json") == cli.EXIT_OK
+        assert run("solve", "kelly.json", "--tol", "1e-10", "--max-iter", "500",
+                   "--out", "tight.json") == cli.EXIT_OK
+        assert run("solve", "kelly.json") == cli.EXIT_OK
+        first, tight, plain = (json.loads((workdir / name).read_text()) for name in
+                               ("first.json", "tight.json", "kelly.solution.json"))
+        assert tight["options"]["tol"] == 1e-10 and tight["digest"] != first["digest"]
+        assert plain["options"] == first["options"]
+        assert plain["digest"] == first["digest"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "--tol", "x", "kelly.json"], 2),
+        (["frobnicate"], 2),
+        ([], 2),
+        (["--help"], 0),
+        (["certify", "--help"], 0),
+    ], ids=["bad_float", "unknown_command", "no_command", "help", "command_help"])
+    def test_calls_after_an_exit_still_work(self, workdir, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == code
+        capsys.readouterr()
+        assert run("validate", "kelly.json") == cli.EXIT_OK
+        assert capsys.readouterr().out.rstrip().endswith("validate: OK")
+
+    def test_patched_command_is_the_one_that_runs(self, workdir, monkeypatch):
+        cli.build_parser()  # cached before the patch
+        seen = []
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args) or 42)
+        assert run("validate", "kelly.json") == 42
+        assert [(a.command, a.problem) for a in seen] == [("validate", "kelly.json")]
+
+
 class TestGolden:
     """Byte-identical summaries and CSV under a fixed seed."""
 
