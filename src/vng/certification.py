@@ -21,6 +21,8 @@ is settled from the dual path alone by a rigorous upper bound on its LP value
 pass over every node of the tree.  Only a node whose bound exceeds the
 tolerance goes to one small LP over the cone lift, which decides it and
 supplies the refutation witness; the certificate lists those nodes.
+A certificate keeps each criterion as one array in the dual's row order;
+only the certificate file (:mod:`vng.cli_io`) names its rows.
 """
 
 from __future__ import annotations
@@ -161,58 +163,34 @@ def extract_dual(
     return DualPath(tree, p, term)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RapidityCertificate:
     """Residual report for the three defining properties of a supporting dual.
 
     ``certified`` means every residual is within ``tol``: unit normalization
     at all dates, dual-cone membership of every price vector, and the per-node
-    bound on expected growth across the transition cones.  A node's transition
-    value is a rigorous upper bound on its LP value (0 where both of the
-    bound's distances vanish) where that bound is within ``tol``, and the LP
-    value itself elsewhere; ``transition_lp_nodes`` names the nodes the LP
-    decided.
+    bound on expected growth across the transition cones.  Each criterion is
+    a read-only float array in the dual's row order, positive = violation.  A
+    node's transition value is a rigorous upper bound on its LP value (0
+    where both of the bound's distances vanish) where that bound is within
+    ``tol``, and the LP value itself elsewhere; ``transition_lp_nodes`` names
+    the nodes the LP decided.
     """
 
     tol: float
     certified: bool
-    normalization_by_t: list[float]          # index t: max |p_{t+1} x_t - 1|
-    membership_by_node: dict[str, float]     # positive = violation
-    transition_by_node: dict[str, float]     # a bound on the LP value, or the LP value
-    feasibility_by_node: dict[str, float]    # primal cone violations of the path
+    normalization: np.ndarray  # date t = 0..N: max |p_{t+1} x_t - 1|
+    membership: np.ndarray     # p_t on node i at row i - 1, then p_{N+1} per leaf
+    transition: np.ndarray     # node i at row i - 1: its LP value, or a bound on it
+    feasibility: np.ndarray    # node i at row i - 1: primal cone violation of the path
     witness: dict | None = None
-    supermartingale: "SupermartingaleReport | None" = None
     transition_lp_nodes: list[str] = field(default_factory=list)
 
-    @property
-    def max_normalization(self) -> float:
-        return max(self.normalization_by_t)
-
-    @property
-    def max_membership(self) -> float:
-        return max(self.membership_by_node.values())
-
-    @property
-    def max_transition(self) -> float:
-        return max(self.transition_by_node.values())
-
-    @property
-    def max_feasibility(self) -> float:
-        return max(self.feasibility_by_node.values())
-
-    def tightest(self) -> dict[str, dict]:
-        """Per criterion, its worst entry (a date for normalization, a node
-        otherwise), the value there and the slack ``tol - value``."""
-        out = {}
-        for name, label, table in (
-            ("normalization", "date", dict(enumerate(self.normalization_by_t))),
-            ("membership", "node", self.membership_by_node),
-            ("transition", "node", self.transition_by_node),
-            ("feasibility", "node", self.feasibility_by_node),
-        ):
-            at = max(table, key=table.__getitem__)
-            out[name] = {label: at, "value": table[at], "slack": self.tol - table[at]}
-        return out
+    def __post_init__(self) -> None:
+        for name in ("normalization", "membership", "transition", "feasibility"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def _transition_values(
@@ -269,11 +247,12 @@ def verify_rapid(
     """Check that the dual path supports the path; refute with a witness.
 
     Each criterion is one array pass over the whole tree, with rows in node
-    order, which is date order.  The witness is the first violation above
-    ``tol`` in the order: path feasibility, then membership and
-    normalization (row by row, membership first), then transitions.  A
-    transition witness carries its LP pair; a non-finite price gets no LP,
-    but its own price row fails membership first.
+    order, which is date order, and the certificate keeps those arrays.  The
+    witness is the first violation above ``tol`` in the order: path
+    feasibility, then membership and normalization (row by row, membership
+    first), then transitions.  A transition witness carries its LP pair; a
+    non-finite price gets no LP, but its own price row fails membership
+    first.
     """
     N = tree.horizon
     X = node_array(path, (tree.n_nodes, market.m), "path")
@@ -331,21 +310,17 @@ def verify_rapid(
             "pair": (lp[k].witness_a.tolist(), lp[k].witness_b.tolist())
         } if k in lp else {})
     )
-    non_root = ids[1:]
     return RapidityCertificate(
         tol=tol,
         certified=bool(max(
             normalization.max(), membership.max(), transition.max(), feasibility.max()
         ) <= tol),
-        normalization_by_t=normalization.tolist(),
-        membership_by_node=dict(zip(
-            (f"p_{t}@{ids[i]}" for t, i in zip(layer.tolist(), rows.tolist())),
-            membership.tolist(),
-        )),
-        transition_by_node=dict(zip(non_root, transition.tolist())),
-        feasibility_by_node=dict(zip(non_root, feasibility.tolist())),
+        normalization=normalization,
+        membership=membership,
+        transition=transition,
+        feasibility=feasibility,
         witness=witness,
-        transition_lp_nodes=[non_root[k] for k in lp],
+        transition_lp_nodes=[ids[k + 1] for k in lp],
     )
 
 

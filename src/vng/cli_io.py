@@ -4,12 +4,14 @@ Files are JSON with an explicit schema version; floats are serialized with
 full round-trip precision.  Every per-node table maps node ids to vectors
 and is read by ``_node_rows`` and written by ``_node_map``.  A table is
 checked as a whole, and an error still names its first bad entry in node
-order.  Numbers must be finite and fit a double (a boolean or a string is
-no number), integer fields must be integral, the counts (``max_iter``,
-``--competitors``, certify's ``--seed``) at least 0, and every ``tol``
-positive; anything else is a parse error.  Writes are atomic (write to a
-temporary file in the target directory, then rename), and an output that
-cannot be written is a parse error too.  The command set is
+order.  Only :func:`certificate_to_doc` names the rows of the certificate's
+criterion arrays.  Numbers must be finite and fit a double (a boolean or a
+string is no number), integer fields must be integral, the counts
+(``max_iter``, ``--competitors``, certify's ``--seed``) at least 0, and
+every ``tol`` positive; anything else is a parse error.  Writes are atomic
+(write to a temporary file in the target directory, then rename) and honour
+the umask, and an output that cannot be written is a parse error too.  The
+command set is
 
     vng validate PROBLEM
     vng solve    PROBLEM [--tol --max-iter --seed --objective --out]
@@ -20,7 +22,8 @@ Exit codes: 0 success/certified, 1 verification refuted, 2 parse error or
 unwritable output, 3 margin too tight, 4 solver not converged, 5 digest
 mismatch, 6 LP failure, 7 any other library error (a ``VngError`` or a
 ``FloatingPointError``).
-Verbosity follows the VNG_LOG environment variable (error|warn|info|debug).
+Verbosity follows the VNG_LOG environment variable (error|warn|info|debug),
+read again by every ``main`` call.
 """
 
 from __future__ import annotations
@@ -358,12 +361,16 @@ def solve_options_from(section, args=None, where: str = "solver") -> SolveOption
 def _atomic_write(path: str, payload: str) -> None:
     """Write ``payload`` to ``path``; an unwritable target is a parse error.
 
+    The file gets the mode ``open(path, "w")`` gives: 0o666 less the umask.
     No temporary file is left behind, whether or not the write succeeds.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")  # mode 0o600
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)
         os.replace(tmp, path)
@@ -438,7 +445,24 @@ def certificate_to_doc(
     dual: DualPath,
     digest: str,
     wall_time: float,
+    supermartingale: SupermartingaleReport | None = None,
 ) -> dict:
+    """The certificate file: each criterion keyed by date, node id or, for a
+    price row, ``p_t@id``; ``tightest`` names each one's first worst entry."""
+    N, non_root = tree.horizon, tree.ids[1:]
+    price_keys = [f"p_{t}@{nid}" for t, nid in zip(tree.depth[1:].tolist(), non_root)]
+    price_keys += [f"p_{N + 1}@{nid}" for nid in tree.ids[tree.span(N)]]
+    tables = {
+        "normalization": ("date", range(N + 1), cert.normalization),
+        "membership": ("node", price_keys, cert.membership),
+        "transition": ("node", non_root, cert.transition),
+        "feasibility": ("node", non_root, cert.feasibility),
+    }
+    tightest = {}
+    for name, (label, keys, values) in tables.items():
+        k = int(np.argmax(values))
+        value = float(values[k])
+        tightest[name] = {label: keys[k], "value": value, "slack": cert.tol - value}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -446,13 +470,13 @@ def certificate_to_doc(
         "wall_time": wall_time,
         "verdict": "certified" if cert.certified else "refuted",
         "tolerance": cert.tol,
-        "normalization_by_t": list(cert.normalization_by_t),
-        "membership_by_node": cert.membership_by_node,
-        "transition_by_node": cert.transition_by_node,
-        "feasibility_by_node": cert.feasibility_by_node,
+        "normalization_by_t": cert.normalization.tolist(),
+        "membership_by_node": _node_map(price_keys, cert.membership),
+        "transition_by_node": _node_map(non_root, cert.transition),
+        "feasibility_by_node": _node_map(non_root, cert.feasibility),
         "witness": cert.witness,
         "transition_lp_nodes": list(cert.transition_lp_nodes),
-        "tightest": cert.tightest(),
+        "tightest": tightest,
         "path": _node_map(tree.ids, np.asarray(path)),
         "dual": {
             **{
@@ -465,8 +489,8 @@ def certificate_to_doc(
             "terminal": _node_map(tree.ids[tree.span(tree.horizon)], dual.p_terminal),
         },
     }
-    if cert.supermartingale is not None:
-        s = cert.supermartingale
+    if supermartingale is not None:
+        s = supermartingale
         doc["supermartingale"] = {
             "first_form": s.first_form,
             "second_form": s.second_form,
@@ -589,6 +613,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     tree, market, x0 = problem.tree, problem.market, problem.x0
     del problem  # and with it the assembled program, which nothing below reads
     cert = verify_rapid(solution.path, dual, tree, market, tol=tol)
+    worst = None
     if competitors > 0 and cert.certified:
         rng = np.random.default_rng(seed)
         paths = sample_competitor_paths(tree, market, rng, x0, competitors)
@@ -599,21 +624,20 @@ def cmd_certify(args: argparse.Namespace) -> int:
             max([0.0] + [r.second_form for r in reports]),
             rapid.equality_gap,
         )
-        cert = dataclasses.replace(cert, supermartingale=worst)
 
     out = args.out or _default_out(args.problem, ".certificate.json")
     write_json(
         out,
         certificate_to_doc(
             cert, tree, solution.path, dual, digest,
-            time.perf_counter() - t0,
+            time.perf_counter() - t0, worst,
         ),
     )
     print(
         f"certify: {'certified' if cert.certified else 'refuted'} "
-        f"normalization={cert.max_normalization!r} "
-        f"membership={cert.max_membership!r} "
-        f"transition={cert.max_transition!r}"
+        f"normalization={float(cert.normalization.max())!r} "
+        f"membership={float(cert.membership.max())!r} "
+        f"transition={float(cert.transition.max())!r}"
     )
     return EXIT_OK if cert.certified else EXIT_REFUTED
 
@@ -721,10 +745,9 @@ def _configure_logging() -> None:
         "info": logging.INFO,
         "debug": logging.DEBUG,
     }
-    logging.basicConfig(
-        level=mapping.get(level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig adds the handler once per process; the level follows each call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(mapping.get(level, logging.WARNING))
 
 
 @functools.cache

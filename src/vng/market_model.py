@@ -128,9 +128,14 @@ class MarketData:
         return market_constants(self)
 
     def _rows(self, nodes, *arrays) -> tuple[np.ndarray, ...]:
-        """Node indices and ``(n, m)`` float arrays, one row per index."""
-        idx = np.asarray(nodes, dtype=int)
-        if idx.ndim != 1 or (
+        """Node indices (integers, no booleans) and ``(n, m)`` rows, one per index."""
+        try:
+            idx = np.asarray(nodes)
+        except ValueError:  # a ragged list, which is no vector: rejected below
+            idx = np.zeros((1, 1))
+        if not idx.size:
+            idx = idx.astype(int)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
             idx.size and (idx.min() < 0 or idx.max() >= self.tree.n_nodes)
         ):
             raise UnknownNode(f"expected a vector of node indices, got {nodes!r}")
@@ -210,7 +215,7 @@ def in_Z(
     tol: float = MEMBERSHIP_TOL,
 ) -> ZMembership:
     """Rowwise membership of (A_k, B_k) in the transition cone into node k."""
-    idx = np.asarray(nodes, dtype=int)
+    (idx,) = market._rows(nodes)
     psi = self_financing_value(market, A, B, idx)
     pm = margin_residual(market, A, market.tree.parents[idx])
     cm = margin_residual(market, B, idx)

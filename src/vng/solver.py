@@ -347,12 +347,6 @@ class AssembledProgram:
     def sigmas(self, z: np.ndarray) -> np.ndarray:
         return self._leaf_state(z)[3]
 
-    def f(self, z: np.ndarray) -> float:
-        s = self.sigmas(z)
-        if np.any(s <= 0.0):
-            return float("-inf")
-        return float(self.leaf_prob @ np.log(s))
-
     # ``state``, when given, is the :meth:`_leaf_state` of z.
 
     def grad_f(self, z: np.ndarray, state: LeafState | None = None) -> np.ndarray:

@@ -698,7 +698,9 @@ def verify_loops(path, dual, tree, market, tol):
     """verify_rapid node by node: every field of its certificate.
 
     Returns a dict keyed by the :class:`vng.RapidityCertificate` field
-    names.  Each node's transition value is a one-row ``transition_bound``
+    names.  Its tables name their entries as the certificate file does:
+    normalization is a list by date, membership a dict keyed ``p_t@id``,
+    transition and feasibility dicts keyed by node id.  Each node's transition value is a one-row ``transition_bound``
     on its p_bar and its conditional sum over |p_{t+1}|, both summed child by
     child, and the LP where that bound exceeds tol and the prices are
     finite.  A NaN residual counts as an unbounded violation, ``inf``.
@@ -776,10 +778,10 @@ def verify_loops(path, dual, tree, market, tol):
             max(normalization), max(membership.values()),
             max(transition.values()), max(feasibility.values()),
         ) <= tol,
-        "normalization_by_t": normalization,
-        "membership_by_node": membership,
-        "transition_by_node": transition,
-        "feasibility_by_node": feasibility,
+        "normalization": normalization,
+        "membership": membership,
+        "transition": transition,
+        "feasibility": feasibility,
         "witness": witness,
         "transition_lp_nodes": lp_nodes,
     }

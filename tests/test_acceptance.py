@@ -85,8 +85,8 @@ def test_01_theorem_pipeline(pipelines):
     not_converged = [k for k, r in enumerate(runs) if not r[1].converged]
     refuted = [k for k, r in enumerate(runs) if r[3] is None or not r[3].certified]
     residual = max(
-        max(c.max_normalization, c.max_membership, c.max_transition,
-            c.max_feasibility)
+        max(c.normalization.max(), c.membership.max(), c.transition.max(),
+            c.feasibility.max())
         for _, _, _, c in runs if c is not None
     ) if len(refuted) < len(runs) else float("inf")
     ok = not not_converged and not refuted and residual <= CERT_TOL
@@ -124,7 +124,7 @@ def test_02_kelly_oracle():
 
 def test_03_normalization(pipelines):
     runs, _ = pipelines
-    worst = max(c.max_normalization for _, _, _, c in runs if c is not None)
+    worst = max(c.normalization.max() for _, _, _, c in runs if c is not None)
     report(
         3,
         "unit inner products p_{t+1} . x_t at every node",

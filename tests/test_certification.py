@@ -117,16 +117,16 @@ class TestVerifyRapid:
     def test_pipeline_certifies(self, pipeline):
         _, _, _, cert = pipeline
         assert cert.certified
-        assert cert.max_normalization <= 1e-6
-        assert cert.max_membership <= 1e-6
-        assert cert.max_transition <= 1e-6
+        assert cert.normalization.max() <= 1e-6
+        assert cert.membership.max() <= 1e-6
+        assert cert.transition.max() <= 1e-6
 
     def test_scaled_terminal_layer_refuted(self, pipeline):
         problem, solution, dual, _ = pipeline
         bad = scaled_dual(dual, problem.tree.horizon + 1, 2.0, problem.tree)
         cert = vng.verify_rapid(solution.path, bad, problem.tree, problem.market)
         assert not cert.certified
-        assert cert.normalization_by_t[-1] == pytest.approx(1.0, abs=1e-6)
+        assert cert.normalization[-1] == pytest.approx(1.0, abs=1e-6)
         assert cert.witness is not None
 
     def test_negated_node_refuted_with_witness(self, pipeline):
@@ -137,7 +137,7 @@ class TestVerifyRapid:
         bad = vng.DualPath(tree, p, dual.p_terminal)
         cert = vng.verify_rapid(solution.path, bad, tree, problem.market)
         assert not cert.certified
-        assert cert.max_membership > 1e-6
+        assert cert.membership.max() > 1e-6
         assert cert.witness is not None
 
 
@@ -147,7 +147,7 @@ class TestVerifyRapid:
         path[-1, 0] = np.nan
         cert = vng.verify_rapid(path, dual, problem.tree, problem.market)
         assert not cert.certified
-        assert cert.max_feasibility == np.inf
+        assert cert.feasibility.max() == np.inf
         assert cert.witness["kind"] == "path_feasibility"
 
     def test_nan_price_refuted_without_lp(self, pipeline, monkeypatch):
@@ -167,8 +167,8 @@ class TestVerifyRapid:
         cert = vng.verify_rapid(solution.path, bad, tree, problem.market)
         nan_node = tree.level(2)[0].node_id
         assert not cert.certified
-        assert cert.transition_by_node[nan_node] == np.inf
-        assert cert.transition_by_node[tree.level(1)[0].node_id] == np.inf
+        assert cert.transition[tree.index(nan_node) - 1] == np.inf
+        assert cert.transition[tree.level(1)[0].index - 1] == np.inf
         assert lp_nodes == [] and cert.transition_lp_nodes == []
         assert cert.witness == {
             "kind": "dual_cone_membership", "node": nan_node, "value": np.inf,
@@ -317,7 +317,7 @@ class TestDualPath:
         d = vng.DualPath(tree, p, dual.p_terminal)
         assert np.isnan(d.bar[parent]).all() and np.isinf(d.bar_abs[parent]).all()
         cert = vng.verify_rapid(solution.path, d, tree, problem.market)
-        assert not cert.certified and cert.max_membership == np.inf
+        assert not cert.certified and cert.membership.max() == np.inf
         assert cert.witness["kind"] == "dual_cone_membership"
 
     def test_another_tree_object_raises_everywhere(self, pipeline):
@@ -500,7 +500,7 @@ class TestEquivalences:
         report = self._report(pipeline, N, dual=bad, n_samples=2, seed=0, tol=1e-7)
         cert = vng.verify_rapid(solution.path, bad, problem.tree, problem.market)
         assert report.precondition_normalization == pytest.approx(0.5, abs=1e-8)
-        assert report.precondition_normalization == cert.normalization_by_t[N]
+        assert report.precondition_normalization == cert.normalization[N]
 
     def test_corrupted_dual_detected_consistently(self, pipeline):
         problem, solution, dual, _ = pipeline
@@ -544,7 +544,7 @@ class TestProp4:
         )
         assert cert2.certified
         # idempotent up to the extracted dual's own normalization residual
-        slack = 10.0 * cert.max_normalization + 1e-12
+        slack = 10.0 * cert.normalization.max() + 1e-12
         np.testing.assert_allclose(rebuilt.p, dual.p, rtol=slack, atol=slack)
 
     def test_positive_scalings_do_not_matter(self, pipeline):
@@ -854,15 +854,14 @@ class TestTransitionProof:
                     ]
                     for node, b in zip(level, bound):
                         if b <= cert.tol:
-                            assert cert.transition_by_node[node.node_id] == b
+                            assert cert.transition[node.index - 1] == b
                 assert cert.transition_lp_nodes == over_tol
             certified.append(vng.verify_rapid(solution.path, dual, tree, market))
         # a certified dual needs no LP at all
         assert all(c.certified and c.transition_lp_nodes == [] for c in certified)
         # frictionless kelly: its three nodes read a few ulps above 0
-        kelly = certified[50].transition_by_node
-        assert list(kelly) == ["mid", "up", "down"]
-        assert all(0.0 < v <= 1e-14 for v in kelly.values())
+        assert solved_set[50][0].tree.ids[1:] == ("mid", "up", "down")
+        assert all(0.0 < v <= 1e-14 for v in certified[50].transition)
 
     @pytest.mark.parametrize("cost", [0.0, 0.02])
     def test_transition_only_failure_keeps_lp_witness(self, cost):
@@ -883,11 +882,11 @@ class TestTransitionProof:
         cert = vng.verify_rapid(path, dual, tree, market)
         assert not cert.certified
         assert max(
-            cert.max_normalization, cert.max_membership, cert.max_feasibility
+            cert.normalization.max(), cert.membership.max(), cert.feasibility.max()
         ) <= 1e-6
         assert cert.transition_lp_nodes == ["l"]
         lp = vng.dual_cone_violation(market, p, terminal, "l", tol=1e-6)
-        assert cert.max_transition == lp.value > 1e-6
+        assert cert.transition.max() == lp.value > 1e-6
         assert cert.witness == {
             "kind": "transition", "node": "l", "value": lp.value,
             "pair": (lp.witness_a.tolist(), lp.witness_b.tolist()),
@@ -1095,11 +1094,38 @@ def hex_fields(value):
     return (type(value).__name__, value)
 
 
+def named_tables(cert, tree) -> dict:
+    """The certificate's fields with each array row under its node's name.
+
+    Row i - 1 of transition and feasibility is node i; membership holds
+    p_t on the non-root nodes (node i at row i - 1), then p_{N+1} on the
+    leaves, keyed ``p_t@id``; normalization is a list by date.
+    """
+    N, ids = tree.horizon, tree.ids
+    prices = [(tree.depth[i], i) for i in range(1, tree.n_nodes)]
+    prices += [(N + 1, i) for i in tree.indices(N)]
+    by_node = {
+        name: {ids[row + 1]: value for row, value in enumerate(getattr(cert, name).tolist())}
+        for name in ("transition", "feasibility")
+    }
+    return {
+        "certified": cert.certified,
+        "normalization": cert.normalization.tolist(),
+        "membership": dict(zip(
+            (f"p_{t}@{ids[i]}" for t, i in prices), cert.membership.tolist(), strict=True
+        )),
+        **by_node,
+        "witness": cert.witness,
+        "transition_lp_nodes": cert.transition_lp_nodes,
+    }
+
+
 def assert_certificate_matches_loops(path, dual, tree, market):
-    """verify_rapid equals the node-by-node oracle in every field, bit for bit."""
+    """verify_rapid equals the node-by-node oracle in every field, bit for bit,
+    with the certificate's rows mapped to the oracle's node names."""
     cert = vng.verify_rapid(path, dual, tree, market)
     loops = verify_loops(path, dual, tree, market, cert.tol)
-    assert hex_fields({k: getattr(cert, k) for k in loops}) == hex_fields(loops)
+    assert hex_fields(named_tables(cert, tree)) == hex_fields(loops)
     return cert
 
 

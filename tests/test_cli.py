@@ -3,7 +3,9 @@
 import argparse
 import copy
 import json
+import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -278,9 +280,9 @@ class TestSolveCertify:
         cert = vng.verify_rapid(path, dual, problem.tree, problem.market,
                                 tol=first["tolerance"])
         for t, value in enumerate(first["normalization_by_t"]):
-            assert abs(cert.normalization_by_t[t] - value) <= 1e-12
+            assert abs(cert.normalization[t] - value) <= 1e-12
         for node_id, value in first["transition_by_node"].items():
-            assert abs(cert.transition_by_node[node_id] - value) <= 1e-12
+            assert abs(cert.transition[problem.tree.index(node_id) - 1] - value) <= 1e-12
 
     def test_tol_flag_plumbs_into_report(self, workdir):
         run("solve", "kelly.json", "--tol", "1e-10", "--out", "tight.json")
@@ -546,11 +548,69 @@ class TestParserReuse:
         assert [(a.command, a.problem) for a in seen] == [("validate", "kelly.json")]
 
 
+# Runs ``main(["validate", ...])`` in one fresh interpreter once per VNG_LOG
+# value given on argv, and prints the root logger's level and handler count
+# after each call.
+LOG_PROBE = """
+import json, logging, os, sys
+import vng.cli_io
+
+seen = []
+for level in sys.argv[1:]:
+    os.environ["VNG_LOG"] = level
+    assert vng.cli_io.main(["validate", "kelly.json"]) == 0
+    root = logging.getLogger()
+    seen.append([root.level, len(root.handlers)])
+print(json.dumps(seen))
+"""
+
+
+class TestLogLevelPerCall:
+    def test_every_main_call_reads_vng_log(self, workdir):
+        path = os.pathsep.join(filter(None, [TestStartup.SRC, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", LOG_PROBE, "error", "debug", "warn"],
+            cwd=workdir, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        seen = json.loads(out.stdout.strip().splitlines()[-1])
+        assert seen == [[logging.ERROR, 1], [logging.DEBUG, 1], [logging.WARNING, 1]]
+
+
+class TestOutputMode:
+    """Every output gets the mode ``open(path, "w")`` would: 0o666 less the umask."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_honour_the_umask(self, workdir, umask):
+        old = os.umask(umask)
+        try:
+            (workdir / "touched").touch()
+            assert run("solve", "kelly.json") == cli.EXIT_OK
+            assert run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_OK
+            assert run("compare", "kelly.json", "strategies.json") == cli.EXIT_OK
+            # an existing file takes the new mode too
+            os.chmod(workdir / "kelly.solution.json", 0o600)
+            assert run("solve", "kelly.json") == cli.EXIT_OK
+        finally:
+            os.umask(old)
+        expected = 0o666 & ~umask
+        assert (workdir / "touched").stat().st_mode & 0o777 == expected
+        for name in ("kelly.solution.json", "kelly.certificate.json", "kelly.compare.csv"):
+            assert (workdir / name).stat().st_mode & 0o777 == expected, name
+
+
 class TestGolden:
-    """Byte-identical summaries and CSV under a fixed seed."""
+    """Byte-identical summaries, certificates and CSV under a fixed seed."""
 
     def _golden(self, name):
         return os.path.join(os.path.dirname(__file__), "golden", name)
+
+    @staticmethod
+    def _masked(raw: bytes) -> bytes:
+        """The certificate with its one run-dependent value, wall_time, set to 0.0."""
+        out, count = re.subn(rb'"wall_time": [^,\n]+', b'"wall_time": 0.0', raw)
+        assert count == 1
+        return out
 
     @pytest.mark.parametrize(
         "fixture", ["kelly", "single_asset", "two_asset_margin"]
@@ -569,6 +629,9 @@ class TestGolden:
             assert out == fh.read()
         with open(self._golden(f"{fixture}.compare.csv"), "rb") as fh:
             assert (workdir / f"{fixture}.compare.csv").read_bytes() == fh.read()
+        with open(self._golden(f"{fixture}.certificate.json"), "rb") as fh:
+            written = (workdir / f"{fixture}.certificate.json").read_bytes()
+            assert self._masked(written) == fh.read()
 
 
 # --- start-up: no scipy at import; HiGHS (scipy.optimize) loads only for an LP -------

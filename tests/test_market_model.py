@@ -312,7 +312,9 @@ class TestLifts:
 
 def test_node_callers_reject_refs_that_are_no_node():
     """Every per-node entry point resolves its node through the tree: a bool
-    (which would read as index 1), None or a float raises UnknownNode."""
+    (which would read as index 1), None or a float raises UnknownNode.  The
+    row functions read a vector of node indices the same way: a boolean or
+    a fraction in it (which would truncate) raises, an empty list is valid."""
     problem = kelly_problem()
     market, objective, a = problem.market, problem.objective, np.ones(2)
     for ref in (True, None, 2.0, "nowhere", 9):
@@ -324,6 +326,21 @@ def test_node_callers_reject_refs_that_are_no_node():
             objective.evaluate(ref, a)
         with pytest.raises(UnknownNode):
             objective.gradient(ref, a)
+    a = np.ones((1, 2))
+    for rows in ([True], [1.9], [1.5], np.array([2.0]), ["mid"], [[1]], [[1], 2],
+                 [9], [-1]):
+        with pytest.raises(UnknownNode):
+            vng.margin_residual(market, a, rows)
+        with pytest.raises(UnknownNode):
+            vng.self_financing_value(market, a, a, rows)
+        with pytest.raises(UnknownNode):
+            vng.transition_frontier_batch(market, a, a, rows)
+        with pytest.raises(UnknownNode):
+            vng.in_Z(market, a, a, rows)
+    empty = np.ones((0, 2))
+    assert vng.margin_residual(market, empty, []).shape == (0,)
+    assert vng.in_Z(market, empty, empty, []).member.shape == (0,)
+    assert vng.margin_residual(market, a, np.array([1], dtype=np.uint8)).shape == (1,)
 
 
 class TestDualConeViolation:

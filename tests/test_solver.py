@@ -835,8 +835,10 @@ class TestAssembledDerivatives:
         prog = problem.program
         z0 = _interior_start(problem)
         grad = prog.grad_f(z0)
+        def f(z):  # sum_l P_l ln sigma_l
+            return float(prog.leaf_prob @ np.log(prog.sigmas(z)))
         assert grad == pytest.approx(
-            central_difference_gradient(prog.f, z0), rel=1e-6, abs=1e-8
+            central_difference_gradient(f, z0), rel=1e-6, abs=1e-8
         )
         hess = np.column_stack([
             -central_difference_gradient(lambda z: prog.grad_f(z)[k], z0)
