@@ -168,9 +168,10 @@ class RapidityCertificate:
     """Residual report for the three defining properties of a supporting dual.
 
     ``certified`` means every residual is within ``tol``: unit normalization
-    at all dates, dual-cone membership of every price vector, and the per-node
-    bound on expected growth across the transition cones.  Each criterion is
-    a read-only float array in the dual's row order, positive = violation.  A
+    at all dates, dual-cone membership of every price vector, the per-node
+    bound on expected growth across the transition cones, and, when ``start``
+    is not None, a path that starts at x0.  Each criterion over the tree is a
+    read-only float array in the dual's row order, positive = violation.  A
     node's transition value is a rigorous upper bound on its LP value (0
     where both of the bound's distances vanish) where that bound is within
     ``tol``, and the LP value itself elsewhere; ``transition_lp_nodes`` names
@@ -185,6 +186,7 @@ class RapidityCertificate:
     feasibility: np.ndarray    # node i at row i - 1: primal cone violation of the path
     witness: dict | None = None
     transition_lp_nodes: list[str] = field(default_factory=list)
+    start: float | None = None  # |y_0 - x0|_1 / |x0|_1; None when x0 was not given
 
     def __post_init__(self) -> None:
         for name in ("normalization", "membership", "transition", "feasibility"):
@@ -243,20 +245,29 @@ def verify_rapid(
     tree: ScenarioTree,
     market: MarketData,
     tol: float = 1e-6,
+    x0: np.ndarray | None = None,
 ) -> RapidityCertificate:
     """Check that the dual path supports the path; refute with a witness.
 
     Each criterion is one array pass over the whole tree, with rows in node
-    order, which is date order, and the certificate keeps those arrays.  The
-    witness is the first violation above ``tol`` in the order: path
-    feasibility, then membership and normalization (row by row, membership
-    first), then transitions.  A transition witness carries its LP pair; a
-    non-finite price gets no LP, but its own price row fails membership
-    first.
+    order, which is date order, and the certificate keeps those arrays.
+    Given the problem's ``x0``, the path must also start there: the ``start``
+    criterion is |y_0 - x0|_1 / |x0|_1, which is free of scale and exactly 0
+    on a solved path, whose root row is x0 itself.  Without it, a path and a
+    dual scaled by c and 1/c pass every other criterion.  The witness is the
+    first violation above ``tol`` in the order: start, path feasibility,
+    then membership and normalization (row by row, membership first), then
+    transitions.  A transition witness carries its LP pair; a non-finite
+    price gets no LP, but its own price row fails membership first.
     """
     N = tree.horizon
     X = node_array(path, (tree.n_nodes, market.m), "path")
     _check_tree(dual, tree)
+    start = None
+    if x0 is not None:
+        x0 = node_array(x0, (market.m,), "x0")
+        with np.errstate(divide="ignore", invalid="ignore"):  # x0 = 0: NaN, refuted
+            start = float(_violation(np.abs(X[0] - x0).sum() / np.abs(x0).sum()))
 
     ids = tree.ids
     idx, parents, leaves = np.arange(1, tree.n_nodes), tree.parents[1:], tree.indices(N)
@@ -302,7 +313,9 @@ def verify_rapid(
     transition, lp = _transition_values(market, dual, idx, tol)
 
     witness = (
-        first_hit(idx, {"path_feasibility": feasibility},
+        ({"kind": "start", "node": ids[0], "value": start, "layer": 0}
+         if start is not None and start > tol else None)
+        or first_hit(idx, {"path_feasibility": feasibility},
                   lambda k: {"layer": int(layer[k])})
         or first_hit(rows, {"dual_cone_membership": membership, "normalization": norm},
                      lambda k: {"layer": int(layer[k])})
@@ -313,7 +326,8 @@ def verify_rapid(
     return RapidityCertificate(
         tol=tol,
         certified=bool(max(
-            normalization.max(), membership.max(), transition.max(), feasibility.max()
+            normalization.max(), membership.max(), transition.max(), feasibility.max(),
+            start or 0.0,
         ) <= tol),
         normalization=normalization,
         membership=membership,
@@ -321,6 +335,7 @@ def verify_rapid(
         feasibility=feasibility,
         witness=witness,
         transition_lp_nodes=[ids[k + 1] for k in lp],
+        start=start,
     )
 
 

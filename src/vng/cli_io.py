@@ -14,9 +14,15 @@ the umask, and an output that cannot be written is a parse error too.  The
 command set is
 
     vng validate PROBLEM
-    vng solve    PROBLEM [--tol --max-iter --seed --objective --out]
+    vng solve    PROBLEM [--tol --max-iter --seed --out]
     vng certify  PROBLEM SOLUTION [--tol --competitors --seed --out]
     vng compare  PROBLEM STRATEGIES [--certificate --out]
+
+The problem file is the one source of the objective and of x0.  ``certify``
+also checks that the solution's path starts at x0, and ``compare
+--certificate`` verifies the stored path and dual again, against x0 and at
+``CERT_TOL_DEFAULT`` whatever tolerance the file records; either refutation
+exits 1.
 
 Exit codes: 0 success/certified, 1 verification refuted, 2 parse error or
 unwritable output, 3 margin too tight, 4 solver not converged, 5 digest
@@ -557,15 +563,6 @@ def _default_out(problem_path: str, suffix: str) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem, raw, doc = load_problem(args.problem)
-    if args.objective:
-        problem = PathProblem(
-            tree=problem.tree,
-            market=problem.market,
-            objective=build_objective(
-                problem.tree, problem.market, {"variant": args.objective}
-            ),
-            x0=problem.x0,
-        )
     options = solve_options_from(doc.get("solver", {}), args)
     solution = solve_log_optimal(problem, options)
     digest = digest_of(raw, options)
@@ -612,7 +609,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise ParseError(f"solution file: {exc}") from exc
     tree, market, x0 = problem.tree, problem.market, problem.x0
     del problem  # and with it the assembled program, which nothing below reads
-    cert = verify_rapid(solution.path, dual, tree, market, tol=tol)
+    cert = verify_rapid(solution.path, dual, tree, market, tol=tol, x0=x0)
     worst = None
     if competitors > 0 and cert.certified:
         rng = np.random.default_rng(seed)
@@ -687,8 +684,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"certificate {args.certificate}: field 'verdict' must be "
                 f"'certified' or 'refuted', got {verdict!r}"
             )
+        refuted = "compare: stored certificate is refuted"
         if verdict == "refuted":
-            print("compare: stored certificate is refuted")
+            print(refuted)
             return EXIT_REFUTED
         try:
             rapid = _node_rows(cdoc["path"], problem.tree.ids, problem.market.m, "path")
@@ -702,13 +700,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not solution.converged:
             raise NonConvergence("compare: solve did not converge")
         dual = extract_dual(solution, problem)
-        cert = verify_rapid(
-            solution.path, dual, problem.tree, problem.market, tol=CERT_TOL_DEFAULT
-        )
-        if not cert.certified:
-            print("compare: rapidity certificate refuted; no benchmark available")
-            return EXIT_REFUTED
         rapid = solution.path
+        refuted = "compare: rapidity certificate refuted; no benchmark available"
+    # a stored path and dual are verified as a solved one is: the digest
+    # covers the problem file, not their content
+    if not verify_rapid(rapid, dual, problem.tree, problem.market,
+                        tol=CERT_TOL_DEFAULT, x0=problem.x0).certified:
+        print(refuted)
+        return EXIT_REFUTED
 
     out = args.out or _default_out(args.problem, ".compare.csv")
     tree, rows = problem.tree, []
@@ -775,8 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--objective", default=None,
-                   help="override the file's objective variant")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("certify", help="verify a solution with a dual price path")

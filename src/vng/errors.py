@@ -60,16 +60,6 @@ class LPFailure(VngError):
     """The verification LP broke down; no certificate can be issued."""
 
 
-# --- objectives --------------------------------------------------------------
-
-class NegativeValue(VngError):
-    """Objective evaluated negative on a cone member (misconfigured objective)."""
-
-
-class ZeroValue(VngError):
-    """Objective value is zero where a positive value is required."""
-
-
 # --- solver ------------------------------------------------------------------
 
 class InfeasibleStart(VngError):

@@ -45,7 +45,7 @@ from .errors import (
     PreconditionViolated,
     UnknownNode,
 )
-from .scenario_tree import Node, ScenarioTree, node_array
+from .scenario_tree import ScenarioTree, node_array
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -240,7 +240,7 @@ class ConeLift:
     proj: np.ndarray
 
 
-def lift_Z(market: MarketData, node: int | str | Node) -> ConeLift:
+def lift_Z(market: MarketData, node: int | str) -> ConeLift:
     """Lift of the transition cone into the node, in (u_a, v_a, u_b, v_b, d+, d-)."""
     tree = market.tree
     i = tree.index(node)
@@ -290,7 +290,7 @@ def dual_cone_violation(
     market: MarketData,
     p_parent: np.ndarray,
     p_bar_child: np.ndarray,
-    node: int | str | Node,
+    node: int | str,
     tol: float = 1e-9,
 ) -> DualConeCheck:
     """LP check of the dual transition inequality at one node.

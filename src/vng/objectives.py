@@ -11,8 +11,9 @@ ways by a multiple of the 1-norm.  Three variants ship:
 Degree-one homogeneity yields the Euler identity g . a = value(a) for the
 supergradient g, which the dual extraction leans on.  Every variant carries
 its leaf values as one :class:`LeafForm`, built at construction: the arrays
-the solver reads for all leaves at once, and the one place that evaluation,
-supergradients, the log functional and the axiom checks compute them.
+the solver reads for all leaves at once.  ``form.values`` and
+``form.supergradients`` take rows at given leaf positions and are the one
+evaluation path, which the log functional and the axiom checks read too.
 """
 
 from __future__ import annotations
@@ -21,20 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NegativeValue,
-    NotInCone,
-    ZeroValue,
-)
-from .market_model import (
-    MEMBERSHIP_TOL,
-    MarketData,
-    margin_residual,
-    sample_cone_batch,
-    section_values,
-)
-from .scenario_tree import Node, ScenarioTree, node_array
+from .errors import DimensionMismatch, NotInCone
+from .market_model import MarketData, sample_cone_batch, section_values
+from .scenario_tree import ScenarioTree, node_array
 
 
 def _leaf_matrix(tree: ScenarioTree, m: int, data, name: str) -> np.ndarray:
@@ -123,40 +113,6 @@ class TerminalObjective:
         self.tree = tree
         self.market = market
         self.m = market.m
-
-    # -- public surface --------------------------------------------------------
-
-    def _leaf_pos(self, k: int) -> int:
-        pos = k - int(self.tree.offsets[self.tree.horizon])
-        if pos < 0:
-            raise DimensionMismatch(f"node {self.tree.ids[k]!r} is not a leaf")
-        return pos
-
-    def _check_member(self, k: int, a: np.ndarray) -> None:
-        if margin_residual(self.market, a[None], [k])[0] < -MEMBERSHIP_TOL:
-            raise NotInCone(f"portfolio outside the margin cone at {self.tree.ids[k]!r}")
-
-    def evaluate(self, leaf: int | str | Node, a: np.ndarray) -> float:
-        k = self.tree.index(leaf)
-        a = np.asarray(a, dtype=float)
-        self._check_member(k, a)
-        val = float(self.form.values(a[None], [self._leaf_pos(k)])[0])
-        if val < -1e-12 * max(1.0, float(np.abs(a).sum())):
-            raise NegativeValue(
-                f"objective is negative ({val!r}) on a cone member at "
-                f"{self.tree.ids[k]!r}; the objective is misconfigured"
-            )
-        return val
-
-    def gradient(self, leaf: int | str | Node, a: np.ndarray) -> np.ndarray:
-        """Supergradient at ``a``; kinks resolve by the sign convention (0 -> +)."""
-        k = self.tree.index(leaf)
-        a = np.asarray(a, dtype=float)
-        self._check_member(k, a)
-        pos = [self._leaf_pos(k)]
-        if self.form.values(a[None], pos)[0] <= 0.0:
-            raise ZeroValue(f"objective vanishes at {self.tree.ids[k]!r}")
-        return self.form.supergradients(a[None], pos)[0]
 
 
 class LinearObjective(TerminalObjective):

@@ -10,9 +10,12 @@ whole tree at once.  Nodes are indexed by depth, then input order, so level
 t is the contiguous index range ``tree.span(t)``, and an adapted field is one
 array with a row per node in that order: a parent gather is
 ``values[tree.parents]`` and a conditional expectation is one ordered
-``np.add.at`` over the children.  :class:`NodeArray` views such an array date
-by date, as :class:`AdaptedVector` rows of one level; :class:`Node` views one
-node index as a record, for callers outside the library.
+``np.add.at`` over the children.  A node is found by ``tree.index(id)`` and
+read off the arrays: node k's parent is ``parents[k]`` and its children are
+the indices whose parent is k.  :class:`NodeArray` views an adapted array
+date by date, as :class:`AdaptedVector` rows of one level, and
+``tree.nodes`` holds one :class:`Node` record per index, for callers outside
+the library.
 
 All types are immutable after construction and every operation is a pure
 function, so concurrent read access is safe.
@@ -58,7 +61,8 @@ class ScenarioTree:
     range ``offsets[t]:offsets[t + 1]`` and whole levels are array slices.
     ``ids``, ``parents``, ``depth``, ``cond_prob``, ``prob`` (unconditional)
     and ``child_counts`` hold one entry per node index; the root is index 0,
-    with parent -1.  The :class:`Node` lookups are views of these arrays.
+    with parent -1.  ``nodes`` and ``level(t)`` are :class:`Node` views of
+    these arrays.
     """
 
     horizon: int
@@ -91,11 +95,9 @@ class ScenarioTree:
     def _id_index(self) -> dict[str, int]:
         return {nid: k for k, nid in enumerate(self.ids)}
 
-    def index(self, ref: int | str | Node) -> int:
-        """Node index of an id, a Node or an integer index; UnknownNode for
-        anything else, booleans included."""
-        if isinstance(ref, Node):
-            ref = ref.index
+    def index(self, ref: int | str) -> int:
+        """Node index of an id or an integer index; UnknownNode for anything
+        else, booleans included."""
         if isinstance(ref, str):
             k = self._id_index.get(ref, -1)
         elif isinstance(ref, bool) or not hasattr(ref, "__index__"):
@@ -105,18 +107,6 @@ class ScenarioTree:
         if not 0 <= k < self.n_nodes:
             raise UnknownNode(f"no node {ref!r} in the tree")
         return k
-
-    def node(self, ref: int | str | Node) -> Node:
-        """Resolve an index, id or Node to the tree's Node."""
-        return self.nodes[self.index(ref)]
-
-    def children(self, ref: int | str | Node) -> tuple[Node, ...]:
-        k = self.index(ref)
-        return tuple(self.nodes[i] for i in np.flatnonzero(self.parents == k))
-
-    def parent(self, ref: int | str | Node) -> Node | None:
-        par = self.parents[self.index(ref)]
-        return None if par < 0 else self.nodes[par]
 
     def span(self, depth: int) -> slice:
         """Index range of the depth-t level."""
@@ -133,9 +123,6 @@ class ScenarioTree:
         """Nodes at a given depth, in index order."""
         return self.nodes[self.span(depth)]
 
-    def leaves(self) -> tuple[Node, ...]:
-        return self.level(self.horizon)
-
     def up(self, depth: int) -> np.ndarray:
         """Row of each depth-t node's parent within level t - 1 (t >= 1).
 
@@ -144,11 +131,6 @@ class ScenarioTree:
         if not 1 <= depth <= self.horizon:
             raise DepthMismatch(f"depth {depth} outside 1..{self.horizon}")
         return self.parents[self.span(depth)] - self.offsets[depth - 1]
-
-    def level_position(self, ref: int | str | Node) -> int:
-        """Position of a node within its depth level."""
-        k = self.index(ref)
-        return k - int(self.offsets[self.depth[k]])
 
 
 def build_tree(

@@ -26,9 +26,9 @@ def kelly_problem() -> vng.PathProblem:
     """
     tree = chain_then_branch_tree(2)
     returns = np.full((tree.n_nodes, 2), np.nan)
-    returns[tree.node("mid").index] = [1.0, 1.0]
-    returns[tree.node("up").index] = [1.0, 1.4]
-    returns[tree.node("down").index] = [1.0, 0.7]
+    returns[tree.index("mid")] = [1.0, 1.0]
+    returns[tree.index("up")] = [1.0, 1.4]
+    returns[tree.index("down")] = [1.0, 0.7]
     market = vng.MarketData(
         tree=tree,
         m=2,
@@ -48,8 +48,8 @@ def single_asset_problem() -> vng.PathProblem:
     raw = [("root", None, 1.0), ("up", "root", 0.5), ("down", "root", 0.5)]
     tree = vng.build_tree(raw, 1)
     returns = np.full((tree.n_nodes, 1), np.nan)
-    returns[tree.node("up").index] = [1.2]
-    returns[tree.node("down").index] = [0.9]
+    returns[tree.index("up")] = [1.2]
+    returns[tree.index("down")] = [0.9]
     market = vng.MarketData(
         tree=tree,
         m=1,

@@ -89,7 +89,7 @@ def leaf_value(objective, pos: int, a: np.ndarray) -> float:
     import vng
 
     if isinstance(objective, vng.LiquidationObjective):
-        leaf = objective.tree.leaves()[pos].index
+        leaf = objective.tree.span(objective.tree.horizon).start + pos
         lp, lm = objective.market.Lp[leaf], objective.market.Lm[leaf]
         return float(lp @ np.maximum(a, 0.0) - lm @ np.maximum(-a, 0.0))
     if isinstance(objective, vng.NormPenalizedObjective):
@@ -103,7 +103,7 @@ def leaf_grad(objective, pos: int, a: np.ndarray) -> np.ndarray:
     import vng
 
     if isinstance(objective, vng.LiquidationObjective):
-        leaf = objective.tree.leaves()[pos].index
+        leaf = objective.tree.span(objective.tree.horizon).start + pos
         return np.where(a >= 0.0, objective.market.Lp[leaf], objective.market.Lm[leaf])
     if isinstance(objective, vng.NormPenalizedObjective):
         if objective.norm == "l1":
@@ -172,7 +172,7 @@ def dense_constraint_matrix(problem) -> np.ndarray:
                 if parent != 0:
                     A[row, (parent - 1) * 3 * m + j] = L * R[j]
             A[r + 4 * m + 1, s[j]] = 1.0
-    leaves = [leaf.index for leaf in tree.leaves()]
+    leaves = tree.indices(tree.horizon)
     for k, pos in enumerate(form.lifted):
         x = (leaves[pos] - 1) * 3 * m
         for j in range(m):
@@ -263,10 +263,9 @@ def batch_transition_members(market, node, rng, count):
     a random admissible direction for each draw.
     """
     tree = market.tree
-    node = tree.node(node)
-    parent = tree.parent(node)
+    i = tree.index(node)
+    ip = int(tree.parents[i])
     m = market.m
-    i, ip = node.index, parent.index
     R, Lp, Lm = market.returns[i], market.Lp[i], market.Lm[i]
 
     def cone_batch(idx, mu, n):
@@ -281,8 +280,8 @@ def batch_transition_members(market, node, rng, count):
         scale = np.where(den > 0, beta[:, 0] * num / np.maximum(den, 1e-300), 0.0)
         return u - scale[:, None] * v
 
-    a = cone_batch(ip, market.margins[parent.depth], count)
-    d = cone_batch(i, market.margins[node.depth], count)
+    a = cone_batch(ip, market.margins[tree.depth[ip]], count)
+    d = cone_batch(i, market.margins[tree.depth[i]], count)
 
     def psi(A, B):
         diff = A * R - B
@@ -420,9 +419,9 @@ def build_tree_loop(raw_nodes, dimension) -> dict:
 
 def node_probability(tree, ref) -> float:
     """Unconditional probability of a node's atom: the product along its root path."""
-    chain = [tree.node(ref)]
+    chain = [tree.nodes[tree.index(ref)]]
     while chain[-1].parent is not None:
-        chain.append(tree.parent(chain[-1]))
+        chain.append(tree.nodes[chain[-1].parent])
     prob = 1.0
     for node in reversed(chain):  # root first, as the tree's own product runs
         prob *= node.cond_prob
@@ -431,9 +430,9 @@ def node_probability(tree, ref) -> float:
 
 def lift_X(market, node) -> ConeLift:
     """Split-variable lift of the node's margin cone: a = u - v, u, v >= 0."""
-    node = market.tree.node(node)
+    i = market.tree.index(node)
+    node = market.tree.nodes[i]
     m = market.m
-    i = node.index
     mu = market.margins[node.depth]
     eye = np.eye(m)
     # -(Lp . u - mu Lm . v) <= 0
@@ -478,7 +477,7 @@ def exact_transition_bound(market, node, p, bar_terms, kappa, gamma):
     every float argument: the transition tests pose many rows more than once,
     and the value depends on nothing else, so tests may share it."""
     key = (
-        market, market.tree.node(node).index, _float_bytes(p),
+        market, market.tree.index(node), _float_bytes(p),
         tuple((_float_bytes(w), _float_bytes(v)) for w, v in bar_terms),
         _float_bytes(kappa), _float_bytes(gamma),
     )
@@ -505,8 +504,8 @@ def exact_bound_at_node(market, node, p, bar_terms, kappa, gamma):
     """
     from fractions import Fraction as F
 
-    node = market.tree.node(node)
-    i = node.index
+    i = market.tree.index(node)
+    node = market.tree.nodes[i]
     m = market.m
     R = [F(v) for v in market.returns[i]]
     lp = [F(v) for v in market.Lp[i]]
@@ -587,8 +586,8 @@ def conditional_expectation_loop(tree, av):
     start = tree.span(av.depth).start
     out = np.zeros((len(tree.level(t)), av.values.shape[1]))
     for pos, node in enumerate(tree.level(t)):
-        for child in tree.children(node):
-            out[pos] += child.cond_prob * av.values[child.index - start]
+        for child in np.flatnonzero(tree.parents == node.index):
+            out[pos] += tree.cond_prob[child] * av.values[child - start]
     return out
 
 
@@ -615,9 +614,9 @@ def supermartingale_loop(dual, y, tree):
         bar_t = dual_bar(tree, dual, t - 1).values
         for pos, q in enumerate(tree.level(t - 1)):
             lhs = sum(
-                child.cond_prob
-                * float(bar_next[child.index - start] @ y[child.index])
-                for child in tree.children(q)
+                tree.cond_prob[child]
+                * float(bar_next[child - start] @ y[child])
+                for child in np.flatnonzero(tree.parents == q.index)
             )
             rhs = float(bar_t[pos] @ y[q.index])
             worst2 = max(worst2, violation(lhs - rhs))
@@ -664,7 +663,7 @@ def competitor_paths_loop(tree, market, rng, start, count):
         fill = rng.uniform(0.0, 0.95, count * len(nodes)).reshape(shape)
         rows = np.zeros((count, len(nodes), market.m))
         for pos, node in enumerate(nodes):
-            A = levels[t - 1][:, tree.level_position(tree.parent(node)), :]
+            A = levels[t - 1][:, node.parent - tree.span(t - 1).start, :]
             c_max = transition_frontier_batch(
                 market, A, D[:, pos], np.full(count, node.index)
             )
@@ -694,7 +693,7 @@ def _node_section_min(market, p, node):
     return float((np.array(verts) @ p).min())
 
 
-def verify_loops(path, dual, tree, market, tol):
+def verify_loops(path, dual, tree, market, tol, x0=None):
     """verify_rapid node by node: every field of its certificate.
 
     Returns a dict keyed by the :class:`vng.RapidityCertificate` field
@@ -704,9 +703,12 @@ def verify_loops(path, dual, tree, market, tol):
     on its p_bar and its conditional sum over |p_{t+1}|, both summed child by
     child, and the LP where that bound exceeds tol and the prices are
     finite.  A NaN residual counts as an unbounded violation, ``inf``.
+    Given x0, the start is the 1-norm distance of the root row from x0 over
+    |x0|_1, summed entry by entry, and its witness comes first.
     """
     N = tree.horizon
     feasibility, membership, transition = {}, {}, {}
+    start = None
     normalization = [0.0] * (N + 1)
     lp_nodes = []
     witness = None
@@ -723,9 +725,18 @@ def verify_loops(path, dual, tree, market, tol):
             witness = {"kind": kind, "node": node_id, "value": value, **extra}
 
     path = np.asarray(path)
+    if x0 is not None:
+        dist = scale = 0.0
+        for y, x in zip(path[0].tolist(), np.asarray(x0, dtype=float).tolist()):
+            dist += abs(y - x)
+            scale += abs(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            start = float(np.float64(dist) / scale)
+        start = float("inf") if start != start else start
+        note("start", tree.ids[0], start, layer=0)
     for t in range(1, N + 1):
         for node in tree.level(t):
-            parent = tree.parent(node)
+            parent = tree.nodes[node.parent]
             a = path[parent.index]
             b = path[node.index]
             d = market.returns[node.index] * a - b
@@ -741,7 +752,7 @@ def verify_loops(path, dual, tree, market, tol):
         p_t = dual_layer(dual, t).values
         for pos, node in enumerate(tree.level(min(t, N))):
             p = p_t[pos]
-            cone_node = node if t == N + 1 else tree.parent(node)
+            cone_node = node if t == N + 1 else tree.nodes[node.parent]
             viol = violation(_node_section_min(market, p, cone_node))
             membership[f"p_{t}@{node.node_id}"] = viol
             note("dual_cone_membership", node.node_id, viol, layer=t)
@@ -776,7 +787,7 @@ def verify_loops(path, dual, tree, market, tol):
     return {
         "certified": max(
             max(normalization), max(membership.values()),
-            max(transition.values()), max(feasibility.values()),
+            max(transition.values()), max(feasibility.values()), start or 0.0,
         ) <= tol,
         "normalization": normalization,
         "membership": membership,
@@ -784,6 +795,7 @@ def verify_loops(path, dual, tree, market, tol):
         "feasibility": feasibility,
         "witness": witness,
         "transition_lp_nodes": lp_nodes,
+        "start": start,
     }
 
 

@@ -105,7 +105,7 @@ def test_02_kelly_oracle():
     solution = vng.solve_log_optimal(problem)
     elapsed = time.perf_counter() - t0
     f_star, v_star = kelly_oracle()
-    x1 = np.asarray(solution.path)[problem.tree.node("mid").index]
+    x1 = np.asarray(solution.path)[problem.tree.index("mid")]
     fraction = float(x1[1] / x1.sum())
     ok = (
         solution.converged
@@ -140,7 +140,7 @@ def _expectation_form_violation(problem, dual, path) -> float:
         bar = dual_bar(tree, dual, t).values
         lhs = rhs = 0.0
         for pos, node in enumerate(tree.level(t)):
-            prob = node_probability(tree, node)
+            prob = node_probability(tree, node.index)
             lhs += prob * float(bar[pos] @ path[node.index])
             rhs += prob * float(dual.p[node.index - 1] @ path[node.parent])
         worst = max(worst, lhs - rhs)
@@ -249,7 +249,7 @@ def test_07_constants_oracle():
     for node in market.tree.nodes:
         if node.parent is None:
             continue
-        a, b = batch_transition_members(market, node, rng, 10_000)
+        a, b = batch_transition_members(market, node.index, rng, 10_000)
         bound = constants.K[node.depth] * np.abs(a).sum(axis=1) + 1e-9
         violations += int((np.abs(b).sum(axis=1) > bound).sum())
         total += len(a)

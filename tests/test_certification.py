@@ -77,7 +77,7 @@ class TestExtractDual:
         solution = vng.solve_log_optimal(linear)
         dual = vng.extract_dual(solution, linear)
         x_N = solution.path[kelly.tree.horizon].values
-        for pos, leaf in enumerate(kelly.tree.leaves()):
+        for pos in range(kelly.tree.n_leaves):
             q_over_value = np.ones(2) / float(np.ones(2) @ x_N[pos])
             np.testing.assert_allclose(
                 dual.terminal.values[pos], q_over_value, atol=1e-7
@@ -139,6 +139,55 @@ class TestVerifyRapid:
         assert not cert.certified
         assert cert.membership.max() > 1e-6
         assert cert.witness is not None
+
+    def test_solved_path_starts_exactly_at_x0(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        cert = vng.verify_rapid(solution.path, dual, problem.tree, problem.market,
+                                x0=problem.x0)
+        assert cert.certified and cert.start == 0.0
+        assert vng.verify_rapid(solution.path, dual, problem.tree,
+                                problem.market).start is None
+
+    @pytest.mark.parametrize("c", [2.0, 0.5, 1024.0])
+    def test_rescaled_path_and_dual_refuted_at_the_start(self, pipeline, c):
+        """c X against the dual over c passes every other criterion, so only
+        x0 tells it from the solved path; the start witness comes first."""
+        problem, solution, dual, _ = pipeline
+        tree, market, x0 = problem.tree, problem.market, problem.x0
+        path = c * np.asarray(solution.path)
+        bad = vng.DualPath(tree, dual.p / c, dual.p_terminal / c)
+        assert vng.verify_rapid(path, bad, tree, market).certified
+        cert = vng.verify_rapid(path, bad, tree, market, x0=x0)
+        assert not cert.certified
+        assert cert.start == pytest.approx(abs(c - 1.0), rel=1e-12)
+        assert cert.witness == {"kind": "start", "node": tree.ids[0],
+                                "value": cert.start, "layer": 0}
+        # the start is scale-free: x0, path and dual scaled together pass
+        assert vng.verify_rapid(path, bad, tree, market, x0=c * x0).start == 0.0
+
+    def test_start_witness_comes_before_path_feasibility(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        path = np.array(solution.path)
+        path[-1, 0] = np.nan
+        path[0] *= 1.5
+        cert = vng.verify_rapid(path, dual, problem.tree, problem.market,
+                                x0=problem.x0)
+        assert cert.feasibility.max() == np.inf
+        assert cert.witness["kind"] == "start"
+        assert cert.witness["value"] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_or_zero_start_refuted_without_warning(self, pipeline):
+        problem, solution, dual, _ = pipeline
+        tree, market = problem.tree, problem.market
+        path = np.array(solution.path)
+        path[0, 0] = np.nan
+        assert vng.verify_rapid(path, dual, tree, market, x0=problem.x0).start == np.inf
+        cert = vng.verify_rapid(solution.path, dual, tree, market,
+                                x0=np.zeros(market.m))
+        assert cert.start == np.inf and not cert.certified
+        with pytest.raises(ShapeMismatch):
+            vng.verify_rapid(solution.path, dual, tree, market, x0=np.ones(market.m + 1))
 
 
     def test_nan_path_entry_refuted(self, pipeline):
@@ -228,7 +277,7 @@ class TestDateViews:
             )
         assert dual.terminal.depth == tree.horizon + 1
         assert np.array_equal(dual.terminal.values, dual.p_terminal)
-        assert len(dual.p_terminal) == len(tree.leaves())
+        assert len(dual.p_terminal) == tree.n_leaves
         with pytest.raises(DepthMismatch):
             dual.prices[0]  # the root has no price row
 
@@ -601,7 +650,7 @@ class TestProp4:
              f"l_2 . x_1 = nan at node {tree.level(2)[0].node_id!r}"),
             (vng.DualPath(tree, dual.p, terminal),
              f"l_{tree.horizon + 1} . x_{tree.horizon} = nan at leaf "
-             f"{tree.leaves()[0].node_id!r}"),
+             f"{tree.level(tree.horizon)[0].node_id!r}"),
         ):
             with pytest.raises(ZeroDenominator, match=re.escape(where)):
                 vng.prop4_reconstruct(bad, solution.path, tree, problem.market)
@@ -634,8 +683,9 @@ def level_prices(dual, tree, t):
 def bar_terms(dual, tree, t, node):
     """The (weight, price) pairs whose weighted sum is p_bar at the node."""
     if t == tree.horizon:
-        return [(1.0, dual.p_terminal[tree.level_position(node)])]
-    return [(child.cond_prob, dual.p[child.index - 1]) for child in tree.children(node)]
+        return [(1.0, dual.p_terminal[node.index - tree.span(t).start])]
+    return [(tree.cond_prob[child], dual.p[child - 1])
+            for child in np.flatnonzero(tree.parents == node.index)]
 
 
 _LP_VALUES: dict = {}
@@ -808,8 +858,8 @@ class TestTransitionProof:
                             tree, vng.AdaptedVector(t + 1, child)
                         ).values
                         terms = [
-                            [(c.cond_prob, child[c.index - tree.offsets[t + 1]])
-                             for c in tree.children(node)]
+                            [(tree.cond_prob[c], child[c - tree.offsets[t + 1]])
+                             for c in np.flatnonzero(tree.parents == node.index)]
                             for node in level
                         ]
                     p = market.returns[idx] * sigma
@@ -1041,13 +1091,13 @@ def tampered_duals(problem, solution, dual):
         prices[1] *= 1.5
 
     def negative(prices):
-        for node in tree.nodes[1:tree.n_nodes - len(tree.leaves())]:
-            kids = tree.children(node)
+        for node in tree.nodes[1:tree.n_nodes - tree.n_leaves]:
+            kids = np.flatnonzero(tree.parents == node.index)
             if len(kids) >= 2:
-                t, (w1, w2) = node.depth + 1, (kids[0].cond_prob, kids[1].cond_prob)
-                r1, r2 = tree.level_position(kids[0]), tree.level_position(kids[1])
-                p = prices[t - 1][tree.level_position(node)]
-                prices[t][[tree.level_position(kid) for kid in kids]] = (
+                t, (w1, w2) = node.depth + 1, tree.cond_prob[kids[:2]]
+                r1, r2 = kids[:2] - tree.offsets[t]
+                p = prices[t - 1][node.index - tree.offsets[t - 1]]
+                prices[t][kids - tree.offsets[t]] = (
                     p / market.returns[node.index]
                 )
                 delta = w2 * (prices[t][r2, 0] + 1.0)
@@ -1073,13 +1123,15 @@ def tampered_duals(problem, solution, dual):
 
 
 def tampered_paths(solution):
-    """Refutable paths, by name: a NaN entry in the last layer, and a date-1
-    layer blown up 50 times, past the self-financing frontier."""
+    """Refutable paths, by name: a NaN entry in the last layer, a date-1
+    layer blown up 50 times, past the self-financing frontier, and the whole
+    path doubled, which starts off x0 and breaks every normalization."""
     nan_path = np.array(solution.path)
     nan_path[-1, 0] = np.nan
     infeasible = np.array(solution.path)
     infeasible[solution.path.tree.span(1)] *= 50.0
-    return {"nan_path": nan_path, "infeasible": infeasible}
+    return {"nan_path": nan_path, "infeasible": infeasible,
+            "rescaled": 2.0 * np.asarray(solution.path)}
 
 
 def hex_fields(value):
@@ -1117,14 +1169,15 @@ def named_tables(cert, tree) -> dict:
         **by_node,
         "witness": cert.witness,
         "transition_lp_nodes": cert.transition_lp_nodes,
+        "start": cert.start,
     }
 
 
-def assert_certificate_matches_loops(path, dual, tree, market):
+def assert_certificate_matches_loops(path, dual, tree, market, x0=None):
     """verify_rapid equals the node-by-node oracle in every field, bit for bit,
     with the certificate's rows mapped to the oracle's node names."""
-    cert = vng.verify_rapid(path, dual, tree, market)
-    loops = verify_loops(path, dual, tree, market, cert.tol)
+    cert = vng.verify_rapid(path, dual, tree, market, x0=x0)
+    loops = verify_loops(path, dual, tree, market, cert.tol, x0=x0)
     assert hex_fields(named_tables(cert, tree)) == hex_fields(loops)
     return cert
 
@@ -1193,22 +1246,24 @@ class TestLevelAlgebraMatchesNodeLoops:
 
     def test_verify_rapid_solved_and_tampered(self, solved_set, ladder_set):
         """Acceptance seeds 0-49, the fixtures and the ladder shapes, each
-        with its solved dual, four tampered duals and two tampered paths."""
+        with its solved dual, four tampered duals and three tampered paths,
+        against the problem's x0."""
         kinds, lp_nodes = set(), 0
         for problem, solution, dual in solved_set + ladder_set:
-            tree, market = problem.tree, problem.market
-            cert = assert_certificate_matches_loops(solution.path, dual, tree, market)
-            assert cert.certified
+            tree, market, x0 = problem.tree, problem.market, problem.x0
+            cert = assert_certificate_matches_loops(solution.path, dual, tree, market, x0)
+            assert cert.certified and cert.start == 0.0
             cases = [(solution.path, d) for d in
                      tampered_duals(problem, solution, dual).values()]
             cases += [(y, dual) for y in tampered_paths(solution).values()]
             for path, d in cases:
-                cert = assert_certificate_matches_loops(path, d, tree, market)
+                cert = assert_certificate_matches_loops(path, d, tree, market, x0)
                 assert not cert.certified
                 kinds.add(cert.witness["kind"])
                 lp_nodes += len(cert.transition_lp_nodes)
         assert kinds == {
-            "path_feasibility", "dual_cone_membership", "normalization", "transition",
+            "start", "path_feasibility", "dual_cone_membership", "normalization",
+            "transition",
         }
         assert lp_nodes >= len(ladder_set)
 

@@ -47,7 +47,7 @@ def tilt_kelly_solution(workdir) -> None:
     prog = vng.assemble(problem)
     # the multipliers of mid's plus min-form rows, asset 0 then asset 1
     plus = prog.node_rows(np.arange(prog.n_cons))["plus"]
-    row = plus[problem.tree.node("mid").index - 1]
+    row = plus[problem.tree.index("mid") - 1]
     doc = json.loads((workdir / "kelly.solution.json").read_text())
     doc["multipliers"][row[0]] += 0.005
     doc["multipliers"][row[1]] -= 0.005
@@ -301,11 +301,85 @@ class TestSolveCertify:
         b = json.loads((workdir / "single_asset.solution.json").read_text())
         assert a["objective_value"] == b["objective_value"]
 
-    def test_objective_override(self, workdir):
-        assert run("solve", "kelly.json", "--objective", "linear",
-                   "--out", "lin.json") == 0
-        doc = json.loads((workdir / "lin.json").read_text())
-        assert doc["converged"] is True
+
+class TestBoundToProblem:
+    """What certify and compare accept belongs to the problem file: its
+    objective and its x0, checked on every read."""
+
+    def test_solve_has_no_objective_option(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("solve", "two_asset_margin.json", "--objective", "linear")
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "--objective" in capsys.readouterr().err
+        assert not (workdir / "two_asset_margin.solution.json").exists()
+
+    def test_rescaled_solution_refuted_at_the_start(self, workdir, capsys):
+        """Path doubled and multipliers halved: the dual halves with them,
+        so only the start at x0 = [0.5, 0.5] refutes the [1, 1] root."""
+        run("solve", "kelly.json")
+        doc = json.loads((workdir / "kelly.solution.json").read_text())
+        doc["path"] = {nid: [2.0 * v for v in row] for nid, row in doc["path"].items()}
+        doc["multipliers"] = [0.5 * v for v in doc["multipliers"]]
+        (workdir / "kelly.solution.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_REFUTED
+        assert capsys.readouterr().out.startswith("certify: refuted ")
+        cert = json.loads((workdir / "kelly.certificate.json").read_text())
+        assert cert["verdict"] == "refuted"
+        assert cert["witness"] == {"kind": "start", "node": "root", "value": 1.0,
+                                   "layer": 0}
+
+    def tampered_certificate(self, workdir, edit) -> None:
+        run("solve", "kelly.json")
+        assert run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_OK
+        doc = json.loads((workdir / "kelly.certificate.json").read_text())
+        assert doc["verdict"] == "certified"
+        edit(doc)
+        (workdir / "kelly.certificate.json").write_text(json.dumps(doc))
+
+    def compare(self, capsys) -> tuple[int, str]:
+        capsys.readouterr()
+        code = run("compare", "kelly.json", "strategies.json",
+                   "--certificate", "kelly.certificate.json")
+        return code, capsys.readouterr().out
+
+    @staticmethod
+    def scale_dual(doc, c) -> None:
+        doc["dual"] = {
+            layer: {nid: [c * v for v in row] for nid, row in table.items()}
+            for layer, table in doc["dual"].items()
+        }
+
+    @pytest.mark.parametrize("dual_factor, path_factor", [(3.0, 0.5), (0.5, 2.0)],
+                             ids=["off_normalization", "off_start"])
+    def test_tampered_certificate_refuted(self, workdir, capsys, dual_factor,
+                                          path_factor):
+        """Under a stored "certified", the content is verified again and
+        refuted, and no table is written: dual tripled and path halved fail
+        normalization; dual halved and path doubled fail only the start."""
+        def edit(doc):
+            self.scale_dual(doc, dual_factor)
+            doc["path"] = {nid: [path_factor * v for v in row]
+                           for nid, row in doc["path"].items()}
+
+        self.tampered_certificate(workdir, edit)
+        assert self.compare(capsys) == (
+            cli.EXIT_REFUTED, "compare: stored certificate is refuted\n"
+        )
+        assert not (workdir / "kelly.compare.csv").exists()
+
+    @pytest.mark.parametrize("tolerance", [1.0, 1e300])
+    def test_stored_tolerance_does_not_loosen_the_check(self, workdir, capsys, tolerance):
+        """A dual scaled by 1.5 is off in normalization by 0.5: within the
+        stored tolerance, but not within CERT_TOL_DEFAULT."""
+        def edit(doc):
+            self.scale_dual(doc, 1.5)
+            doc["tolerance"] = tolerance
+
+        self.tampered_certificate(workdir, edit)
+        assert self.compare(capsys) == (
+            cli.EXIT_REFUTED, "compare: stored certificate is refuted\n"
+        )
 
 
 class TestCompare:

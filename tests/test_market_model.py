@@ -33,7 +33,7 @@ def frictionless_market(m, returns_by_node, margins, probs=None):
     tree = vng.build_tree(raw, m)
     ret = np.full((tree.n_nodes, m), np.nan)
     for j, row in enumerate(returns_by_node):
-        ret[tree.node(f"l{j}").index] = row
+        ret[tree.index(f"l{j}")] = row
     return tree, vng.MarketData(
         tree=tree, m=m, returns=ret,
         lam_plus=np.zeros((tree.n_nodes, m)),
@@ -47,19 +47,19 @@ class TestReturnsFromPrices:
         tree = vng.build_tree([("r", None, 1.0), ("u", "r", 1.0)], 1)
         prices = np.array([[100.0], [110.0]])
         out = vng.returns_from_prices(tree, prices)
-        assert out[tree.node("u").index, 0] == pytest.approx(1.1)
+        assert out[tree.index("u"), 0] == pytest.approx(1.1)
 
     def test_constant_prices_give_unit_returns(self):
         tree = vng.build_tree([("r", None, 1.0), ("u", "r", 1.0)], 2)
         prices = np.array([[50.0, 20.0], [50.0, 20.0]])
         out = vng.returns_from_prices(tree, prices)
-        np.testing.assert_allclose(out[tree.node("u").index], [1.0, 1.0])
+        np.testing.assert_allclose(out[tree.index("u")], [1.0, 1.0])
 
     def test_componentwise(self):
         tree = vng.build_tree([("r", None, 1.0), ("u", "r", 1.0)], 2)
         prices = np.array([[100.0, 50.0], [90.0, 55.0]])
         out = vng.returns_from_prices(tree, prices)
-        np.testing.assert_allclose(out[tree.node("u").index], [0.9, 1.1])
+        np.testing.assert_allclose(out[tree.index("u")], [0.9, 1.1])
 
     def test_nonpositive_price_rejected(self):
         tree = vng.build_tree([("r", None, 1.0), ("u", "r", 1.0)], 1)
@@ -201,7 +201,7 @@ class TestInZ:
     def test_liquidation_pair_is_member(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(2)
-        node = market.tree.node("aa")
+        node = market.tree.nodes[market.tree.index("aa")]
         a = vng.sample_cone_batch(market, market.tree.parents[[node.index]], rng)
         res = vng.in_Z(market, a, np.zeros_like(a), [node.index])
         assert res.member.all()
@@ -215,7 +215,7 @@ class TestInZ:
     def test_cone_homogeneity_doubles_residuals(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(3)
-        node = market.tree.node("ab")
+        node = market.tree.nodes[market.tree.index("ab")]
         a, b = vng.sample_transition_pairs(market, [node.index], rng)
         r1 = vng.in_Z(market, a, b, [node.index])
         r2 = vng.in_Z(market, 2.0 * a, 2.0 * b, [node.index])
@@ -231,7 +231,7 @@ class TestConeAxioms:
     def test_membership_closed_under_cone_operations(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(4)
-        node = [market.tree.node("ba").index]
+        node = [market.tree.index("ba")]
         failures = 0
         for _ in range(1000):
             a1, b1 = vng.sample_transition_pairs(market, node, rng)
@@ -252,7 +252,7 @@ class TestConeAxioms:
     def test_pointedness(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(5)
-        nodes = np.full(200, market.tree.node("a").index)
+        nodes = np.full(200, market.tree.index("a"))
         A = vng.sample_cone_batch(market, nodes, rng, tightness=1.0)
         nonzero = np.abs(A).sum(axis=1) >= 1e-12
         assert np.all(vng.margin_residual(market, -A[nonzero], nodes[nonzero]) < 0.0)
@@ -262,8 +262,8 @@ class TestLifts:
     def test_lift_x_agrees_with_margin_residual(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(6)
-        node = market.tree.node("a")
-        lift = lift_X(market, node)
+        node = market.tree.nodes[market.tree.index("a")]
+        lift = lift_X(market, node.index)
         checked = 0
         for _ in range(1000):
             if rng.random() < 0.5:
@@ -280,8 +280,8 @@ class TestLifts:
     def test_lift_z_agrees_with_in_z(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(7)
-        node = market.tree.node("ab")
-        lift = vng.lift_Z(market, node)
+        node = market.tree.nodes[market.tree.index("ab")]
+        lift = vng.lift_Z(market, node.index)
         agree = 0
         for _ in range(1300):
             a = vng.sample_cone_batch(market, market.tree.parents[[node.index]], rng)[0]
@@ -312,20 +312,17 @@ class TestLifts:
 
 def test_node_callers_reject_refs_that_are_no_node():
     """Every per-node entry point resolves its node through the tree: a bool
-    (which would read as index 1), None or a float raises UnknownNode.  The
-    row functions read a vector of node indices the same way: a boolean or
-    a fraction in it (which would truncate) raises, an empty list is valid."""
+    (which would read as index 1), None, a float or a Node record raises
+    UnknownNode.  The row functions read a vector of node indices the same
+    way: a boolean or a fraction in it (which would truncate) raises, an
+    empty list is valid."""
     problem = kelly_problem()
-    market, objective, a = problem.market, problem.objective, np.ones(2)
-    for ref in (True, None, 2.0, "nowhere", 9):
+    market, a = problem.market, np.ones(2)
+    for ref in (True, None, 2.0, "nowhere", 9, problem.tree.nodes[1]):
         with pytest.raises(UnknownNode):
             vng.lift_Z(market, ref)
         with pytest.raises(UnknownNode):
             vng.dual_cone_violation(market, a, a, ref)
-        with pytest.raises(UnknownNode):
-            objective.evaluate(ref, a)
-        with pytest.raises(UnknownNode):
-            objective.gradient(ref, a)
     a = np.ones((1, 2))
     for rows in ([True], [1.9], [1.5], np.array([2.0]), ["mid"], [[1]], [[1], 2],
                  [9], [-1]):
@@ -370,7 +367,7 @@ class TestDualConeViolation:
     def test_dual_cone_residual_matches_lp_membership(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(9)
-        node = market.tree.node("a")
+        node = market.tree.nodes[market.tree.index("a")]
         for _ in range(200):
             p = rng.normal(size=2)
             resid = vng.dual_cone_residual(market, [p], [node.index])[0]
@@ -395,14 +392,14 @@ class TestDualConeViolation:
 class TestFeasibleCompletion:
     def test_zero_maps_to_zero(self):
         market = two_asset_margin_market()
-        aa = [market.tree.node("aa").index]
+        aa = [market.tree.index("aa")]
         b = vng.feasible_completion(market, [np.zeros(2)], aa)
         np.testing.assert_allclose(b, np.zeros((1, 2)))
 
     def test_ones_completion_size_and_membership(self):
         market = two_asset_margin_market()
         constants = market.constants()
-        node = market.tree.node("ba")
+        node = market.tree.nodes[market.tree.index("ba")]
         a = np.ones(2)
         b = vng.feasible_completion(market, [a], [node.index])
         assert np.abs(b).sum() == pytest.approx(
@@ -413,7 +410,7 @@ class TestFeasibleCompletion:
     def test_property_over_samples(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(10)
-        nodes = np.full(500, market.tree.node("bb").index)
+        nodes = np.full(500, market.tree.index("bb"))
         A = vng.sample_cone_batch(market, market.tree.parents[nodes], rng)
         B = vng.feasible_completion(market, A, nodes)
         assert vng.in_Z(market, A, B, nodes).member.all()
@@ -422,7 +419,7 @@ class TestFeasibleCompletion:
         market = two_asset_margin_market()
         with pytest.raises(NotInCone):
             vng.feasible_completion(
-                market, [[1.0, -1.0]], [market.tree.node("aa").index]
+                market, [[1.0, -1.0]], [market.tree.index("aa")]
             )
 
 
@@ -481,7 +478,7 @@ class TestDominatingPath:
         depth = tree.depth
         vs = np.array(witness.values)[depth]
         us = shrink * np.array(witness.values)[depth[1:] - 1]
-        u_terminal = np.tile(shrink * witness.values[tree.horizon], (len(tree.leaves()), 1))
+        u_terminal = np.tile(shrink * witness.values[tree.horizon], (tree.n_leaves, 1))
         return vs, us, u_terminal
 
     def test_path_input_reproduces_path_property(self):

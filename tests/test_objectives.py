@@ -6,7 +6,7 @@ import pytest
 import vng
 from conftest import two_asset_margin_market
 from oracles import central_difference_gradient, leaf_grad, leaf_value, log_objective_loop
-from vng.errors import NegativeValue, NotInCone, ShapeMismatch, ZeroValue
+from vng.errors import ShapeMismatch
 
 
 @pytest.fixture
@@ -19,10 +19,23 @@ def tree(market):
     return market.tree
 
 
+def leaf_pos(tree, ref) -> int:
+    """Position of a leaf within the leaf level: the row a ``LeafForm`` reads."""
+    return tree.index(ref) - tree.span(tree.horizon).start
+
+
+def value(obj, pos, a) -> float:
+    return float(obj.form.values(np.asarray(a, dtype=float)[None], [pos])[0])
+
+
+def supergradient(obj, pos, a) -> np.ndarray:
+    return obj.form.supergradients(np.asarray(a, dtype=float)[None], [pos])[0]
+
+
 class TestEvaluate:
     def test_linear_all_ones(self, tree, market):
         obj = vng.LinearObjective(tree, market)
-        assert obj.evaluate("aa", np.array([2.0, 3.0])) == pytest.approx(5.0)
+        assert value(obj, leaf_pos(tree, "aa"), [2.0, 3.0]) == pytest.approx(5.0)
 
     def test_liquidation_frictionless_net_value(self):
         tree = vng.build_tree(
@@ -36,29 +49,16 @@ class TestEvaluate:
             margins=np.array([1.5, 1.5]),
         )
         obj = vng.LiquidationObjective(tree, market)
-        assert obj.evaluate("u", np.array([2.0, -1.0])) == pytest.approx(1.0)
+        assert value(obj, leaf_pos(tree, "u"), [2.0, -1.0]) == pytest.approx(1.0)
 
     def test_zero_penalty_equals_linear(self, tree, market):
         q = np.array([1.0, 1.05])
         lin = vng.LinearObjective(tree, market, q=q)
         pen = vng.NormPenalizedObjective(tree, market, q=q, theta=0.0)
         rng = np.random.default_rng(0)
-        leaves = tree.leaves()
-        rows = vng.sample_cone_batch(market, [leaf.index for leaf in leaves], rng)
-        for leaf, a in zip(leaves, rows):
-            assert pen.evaluate(leaf, a) == pytest.approx(lin.evaluate(leaf, a))
-
-    def test_outside_cone_rejected(self, tree, market):
-        obj = vng.LinearObjective(tree, market)
-        with pytest.raises(NotInCone):
-            obj.evaluate("aa", np.array([0.1, -1.0]))
-
-    def test_negative_value_detected(self, tree, market):
-        bad = vng.NormPenalizedObjective(
-            tree, market, theta=1.5, norm="l1", enforce_bound=False
-        )
-        with pytest.raises(NegativeValue):
-            bad.evaluate("aa", np.array([1.0, 1.0]))
+        rows = vng.sample_cone_batch(market, tree.indices(tree.horizon), rng)
+        for pos, a in enumerate(rows):
+            assert value(pen, pos, a) == pytest.approx(value(lin, pos, a))
 
     def test_theta_bound_enforced(self, tree, market):
         probe = vng.NormPenalizedObjective(tree, market, theta=0.0)
@@ -71,22 +71,22 @@ class TestGradient:
     def test_linear_gradient_and_euler(self, tree, market):
         q = np.array([1.1, 0.9])
         obj = vng.LinearObjective(tree, market, q=q)
-        a = np.array([2.0, 1.0])
-        g = obj.gradient("ab", a)
+        a, pos = np.array([2.0, 1.0]), leaf_pos(tree, "ab")
+        g = supergradient(obj, pos, a)
         np.testing.assert_allclose(g, q)
-        assert g @ a == pytest.approx(obj.evaluate("ab", a))
+        assert g @ a == pytest.approx(value(obj, pos, a))
 
     def test_liquidation_componentwise_slopes(self, tree, market):
         obj = vng.LiquidationObjective(tree, market)
-        leaf = tree.node("ba")
-        a = np.array([2.0, -0.4])
-        g = obj.gradient(leaf, a)
-        i = leaf.index
+        i = tree.index("ba")
+        a, pos = np.array([2.0, -0.4]), leaf_pos(tree, i)
+        g = supergradient(obj, pos, a)
         np.testing.assert_allclose(g, [market.Lp[i][0], market.Lm[i][1]])
-        assert g @ a == pytest.approx(obj.evaluate(leaf, a))
+        assert g @ a == pytest.approx(value(obj, pos, a))
 
     def test_finite_difference_agreement(self, tree, market):
         rng = np.random.default_rng(1)
+        leaves = tree.indices(tree.horizon)
         objectives = [
             vng.LinearObjective(tree, market, q=np.array([1.0, 1.1])),
             vng.LiquidationObjective(tree, market),
@@ -96,12 +96,11 @@ class TestGradient:
         for obj in objectives:
             checked = 0
             while checked < 100:
-                leaf = tree.leaves()[rng.integers(len(tree.leaves()))]
-                a = vng.sample_cone_batch(market, [leaf.index], rng)[0]
+                pos = int(rng.integers(tree.n_leaves))
+                a = vng.sample_cone_batch(market, [leaves[pos]], rng)[0]
                 if np.abs(a).min() < 1e-2:  # stay clear of kinks
                     continue
-                pos = tree.level_position(leaf)
-                g = obj.gradient(leaf, a)
+                g = supergradient(obj, pos, a)
                 fd = central_difference_gradient(lambda x: leaf_value(obj, pos, x), a)
                 rel = np.abs(g - fd).max() / max(1.0, np.abs(g).max())
                 assert rel < 1e-5
@@ -110,19 +109,14 @@ class TestGradient:
     def test_euler_identity_sampled(self, tree, market):
         rng = np.random.default_rng(2)
         obj = vng.NormPenalizedObjective(tree, market, theta=0.01, norm="l2")
-        for leaf in tree.leaves():
-            for a in vng.sample_cone_batch(market, np.full(200, leaf.index), rng):
+        for pos, leaf in enumerate(tree.indices(tree.horizon)):
+            for a in vng.sample_cone_batch(market, np.full(200, leaf), rng):
                 if np.abs(a).sum() < 1e-9:
                     continue
-                val = obj.evaluate(leaf, a)
-                assert obj.gradient(leaf, a) @ a == pytest.approx(
+                val = value(obj, pos, a)
+                assert supergradient(obj, pos, a) @ a == pytest.approx(
                     val, rel=1e-9, abs=1e-12
                 )
-
-    def test_zero_value_raises(self, tree, market):
-        obj = vng.LiquidationObjective(tree, market)
-        with pytest.raises(ZeroValue):
-            obj.gradient("aa", np.zeros(2))
 
 
 def _four_variants(tree, market):
@@ -140,25 +134,23 @@ class TestLeafFormAgreement:
 
     def test_agrees_with_per_leaf_reference(self, tree, market):
         rng = np.random.default_rng(11)
-        leaves = tree.leaves()
+        leaves = tree.indices(tree.horizon)
         for obj in _four_variants(tree, market):
             for pos, leaf in enumerate(leaves):
-                draws = vng.sample_cone_batch(market, np.full(200, leaf.index), rng)
+                draws = vng.sample_cone_batch(market, np.full(200, leaf), rng)
                 for k, a in enumerate(draws):
                     if k % 4 == 0:
                         a[np.argmin(a)] = 0.0  # on a kink of |.| and min
-                    assert obj.evaluate(leaf, a) == pytest.approx(
+                    assert value(obj, pos, a) == pytest.approx(
                         leaf_value(obj, pos, a), rel=1e-12, abs=1e-300
                     )
                     if leaf_value(obj, pos, a) > 0.0:
-                        g = obj.gradient(leaf, a)
+                        g = supergradient(obj, pos, a)
                         np.testing.assert_allclose(
                             g, leaf_grad(obj, pos, a), rtol=1e-12, atol=0.0
                         )
             for _ in range(20):
-                rows = vng.sample_cone_batch(
-                    market, [leaf.index for leaf in leaves], rng
-                )
+                rows = vng.sample_cone_batch(market, leaves, rng)
                 assert vng.log_objective(tree, obj, rows) == pytest.approx(
                     log_objective_loop(tree, obj, rows), rel=1e-12, abs=1e-15
                 )
@@ -167,14 +159,14 @@ class TestLeafFormAgreement:
 class TestLogObjective:
     def test_all_ones_terminal_gives_zero(self, tree, market):
         obj = vng.LinearObjective(tree, market)
-        x = np.tile([0.5, 0.5], (len(tree.leaves()), 1))
+        x = np.tile([0.5, 0.5], (tree.n_leaves, 1))
         assert vng.log_objective(tree, obj, x) == pytest.approx(0.0, abs=1e-15)
 
     def test_doubling_adds_log_two(self, tree, market):
         obj = vng.LiquidationObjective(tree, market)
         rng = np.random.default_rng(3)
         rows = vng.sample_cone_batch(
-            market, [leaf.index for leaf in tree.leaves()], rng
+            market, tree.indices(tree.horizon), rng
         )
         f1 = vng.log_objective(tree, obj, rows)
         f2 = vng.log_objective(tree, obj, 2.0 * rows)
@@ -182,7 +174,7 @@ class TestLogObjective:
 
     def test_scaling_identity_exact(self, tree, market):
         obj = vng.LinearObjective(tree, market)
-        x = np.tile([0.3, 0.6], (len(tree.leaves()), 1))
+        x = np.tile([0.3, 0.6], (tree.n_leaves, 1))
         for c in (0.1, 2.5, 10.0):
             shifted = vng.log_objective(tree, obj, c * x)
             assert shifted == pytest.approx(
@@ -191,13 +183,13 @@ class TestLogObjective:
 
     def test_zero_leaf_gives_minus_infinity(self, tree, market):
         obj = vng.LinearObjective(tree, market)
-        rows = np.tile([0.5, 0.5], (len(tree.leaves()), 1))
+        rows = np.tile([0.5, 0.5], (tree.n_leaves, 1))
         rows[1] = 0.0
         assert vng.log_objective(tree, obj, rows) == float("-inf")
 
     def test_terminal_layer_of_wrong_shape_raises(self, tree, market):
         obj = vng.LinearObjective(tree, market)
-        for shape in ((tree.n_nodes, 2), (len(tree.leaves()), 3)):
+        for shape in ((tree.n_nodes, 2), (tree.n_leaves, 3)):
             with pytest.raises(ShapeMismatch):
                 vng.log_objective(tree, obj, np.ones(shape))
 

@@ -43,7 +43,7 @@ class TestBuildTree:
         tree = minimal_binary()
         assert tree.horizon == 1
         assert tree.n_nodes == 3
-        assert [n.node_id for n in tree.leaves()] == ["u", "d"]
+        assert tree.ids[tree.span(tree.horizon)] == ("u", "d")
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(BadProbability):
@@ -111,15 +111,15 @@ class TestBuildTree:
         assert tree.up(1).tolist() == [0, 0]
         assert tree.up(2).tolist() == [1, 0, 1, 0]
         for node in tree.nodes:
-            parent = tree.parent(node)
-            assert tree.parents[node.index] == (-1 if parent is None else parent.index)
-            assert tree.prob[node.index] == node_probability(tree, node)
-            assert tree.level_position(node) == node.index - tree.span(node.depth).start
-            assert tree.child_counts[node.index] == len(tree.children(node))
-        assert [n.node_id for n in tree.children("a")] == ["aa", "ab"]
+            k = node.index
+            assert tree.prob[k] == node_probability(tree, k)
+            assert tree.indices(node.depth)[k - tree.span(node.depth).start] == k
+            assert tree.child_counts[k] == np.count_nonzero(tree.parents == k)
+        kids = np.flatnonzero(tree.parents == tree.index("a"))
+        assert [tree.ids[k] for k in kids] == ["aa", "ab"]
         assert not tree.child_counts.flags.writeable
         assert tree.ids == ("r", "a", "b", "ba", "aa", "bb", "ab")
-        assert tree.n_leaves == len(tree.leaves()) == 4
+        assert tree.n_leaves == len(tree.level(tree.horizon)) == 4
         for k, node in enumerate(tree.nodes):  # the Node view reads the arrays
             parent = int(tree.parents[k])
             assert node == vng.Node(
@@ -131,17 +131,15 @@ class TestBuildTree:
     def test_unknown_node_lookup(self):
         tree = minimal_binary()
         for ref in ("missing", 3, -1, True, False, np.True_, None, 1.5,
-                    np.float64(1.0), [1]):
-            for lookup in (tree.node, tree.index, tree.parent, tree.children,
-                           tree.level_position):
-                with pytest.raises(UnknownNode):
-                    lookup(ref)
+                    np.float64(1.0), [1], tree.nodes[2]):
+            with pytest.raises(UnknownNode):
+                tree.index(ref)
 
     def test_node_refs(self):
         tree = minimal_binary()
-        for ref in ("d", 2, np.int64(2), tree.nodes[2]):
+        for ref in ("d", 2, np.int64(2)):
             assert tree.index(ref) == 2
-            assert tree.node(ref) is tree.nodes[2]
+            assert tree.nodes[tree.index(ref)].node_id == "d"
 
 
 class TestNodeProbability:
@@ -163,7 +161,7 @@ class TestNodeProbability:
     def test_each_depth_sums_to_one(self):
         tree = three_level()
         for t in range(tree.horizon + 1):
-            total = sum(node_probability(tree, n) for n in tree.level(t))
+            total = sum(node_probability(tree, k) for k in tree.indices(t))
             assert total == pytest.approx(1.0, abs=TOL)
 
 
@@ -232,8 +230,8 @@ class TestConditionalExpectation:
         out = conditional_expectation(tree, av)
         for pos, node in enumerate(tree.level(1)):
             expected = sum(
-                child.cond_prob * av.values[tree.level_position(child)]
-                for child in tree.children(node)
+                tree.cond_prob[child] * av.values[child - tree.span(2).start]
+                for child in np.flatnonzero(tree.parents == node.index)
             )
             assert np.array_equal(out.values[pos], expected)
 
@@ -266,7 +264,7 @@ def test_tower_property_hypothesis(probs, values):
     for k in range(len(weights)):
         raw += [(f"c{k}{j}", f"c{k}", p) for j, p in enumerate(leaf_probs)]
     tree = vng.build_tree(raw, 1)
-    data = np.resize(np.array(values), (len(tree.leaves()), 1))
+    data = np.resize(np.array(values), (tree.n_leaves, 1))
     av = vng.AdaptedVector(2, data)
     direct = expectation(tree, av)
     nested = expectation(tree, conditional_expectation(tree, av))

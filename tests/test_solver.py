@@ -148,15 +148,15 @@ class TestSolveOracles:
         assert solution.objective_value == pytest.approx(f_star, abs=1e-6)
         x = np.asarray(solution.path)
         tree = single_asset.tree
-        assert x[tree.node("up").index, 0] == pytest.approx(1.2, abs=1e-6)
-        assert x[tree.node("down").index, 0] == pytest.approx(0.9, abs=1e-6)
+        assert x[tree.index("up"), 0] == pytest.approx(1.2, abs=1e-6)
+        assert x[tree.index("down"), 0] == pytest.approx(0.9, abs=1e-6)
 
     def test_kelly_fraction_and_value(self, kelly):
         solution = vng.solve_log_optimal(kelly)
         assert solution.converged
         f_oracle, v_oracle = kelly_oracle()
         assert f_oracle == pytest.approx(5.0 / 12.0, abs=1e-7)
-        x1 = np.asarray(solution.path)[kelly.tree.node("mid").index]
+        x1 = np.asarray(solution.path)[kelly.tree.index("mid")]
         fraction = x1[1] / x1.sum()
         assert fraction == pytest.approx(f_oracle, abs=1e-4)
         assert solution.objective_value == pytest.approx(v_oracle, abs=1e-6)
@@ -520,7 +520,7 @@ class TestBlockNewtonStep:
         problem = _l1_alternating_problem()
         lifted = problem.objective.form.lifted
         assert problem.market.m == 1
-        assert 0 < len(lifted) < len(problem.tree.leaves())
+        assert 0 < len(lifted) < problem.tree.n_leaves
         assert _newton_residuals(problem, point)[0] <= 1e-11
 
     def test_large_tree_converges(self):
@@ -697,7 +697,7 @@ class TestKktReport:
         z = solution.z.copy()
         # push a margin split negative: primal residual equals the violation
         v = prog.node_columns(z)[1]
-        v[single_asset.tree.node("up").index - 1, 0] = -0.25
+        v[single_asset.tree.index("up") - 1, 0] = -0.25
         tampered = vng.Solution(
             path=prog.path_values(z),
             objective_value=solution.objective_value,
@@ -852,7 +852,7 @@ class TestAssembledDerivatives:
         problem = _margin_problem("l1_mixed")
         prog = assemble(problem)
         lifted = problem.objective.form.lifted
-        assert 0 < len(lifted) < len(problem.tree.leaves())
+        assert 0 < len(lifted) < problem.tree.n_leaves
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
         dual = vng.extract_dual(solution, problem)
@@ -861,10 +861,7 @@ class TestAssembledDerivatives:
         )
         assert cert.certified
         x_N = solution.path[problem.tree.horizon]
-        values = [
-            problem.objective.evaluate(leaf, x_N.values[pos])
-            for pos, leaf in enumerate(problem.tree.leaves())
-        ]
+        values = problem.objective.form.values(x_N.values)
         assert prog.sigmas(solution.z) == pytest.approx(values, rel=1e-8)
 
 
