@@ -22,7 +22,8 @@ The problem file is the one source of the objective and of x0.  ``certify``
 also checks that the solution's path starts at x0, and ``compare
 --certificate`` verifies the stored path and dual again, against x0 and at
 ``CERT_TOL_DEFAULT`` whatever tolerance the file records; either refutation
-exits 1.
+exits 1.  A refuted ``certify`` line ends with ``witness=<kind>``, the kind
+of the certificate file's witness.
 
 Exit codes: 0 success/certified, 1 verification refuted, 2 parse error or
 unwritable output, 3 margin too tight, 4 solver not converged, 5 digest
@@ -635,6 +636,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         f"normalization={float(cert.normalization.max())!r} "
         f"membership={float(cert.membership.max())!r} "
         f"transition={float(cert.transition.max())!r}"
+        + (f" witness={cert.witness['kind']}" if cert.witness else "")
     )
     return EXIT_OK if cert.certified else EXIT_REFUTED
 

@@ -30,7 +30,7 @@ step (S. Mehrotra, SIAM J. Optim. 2(4), 1992): the affine and centering
 directions share the first pass, the step picks its own mu from how far the
 affine direction can go, no lower than the relative dual residual allows
 (see :func:`solve_log_optimal`), and the second-order corrector rides on
-the refinement pass.  Centered stages at a fixed mu follow, mu <- 0.2 mu,
+the refinement pass.  Centered stages at a fixed mu follow, mu <- 0.04 mu,
 each centered before mu moves: the certificate and the split along flat
 faces of the optimal set (the homogeneity check scales x0 and compares that
 split) are read off the central path, and a predictor-corrector run all the
@@ -836,11 +836,15 @@ def solve_log_optimal(
 
     From the interior start at mu = 1, every iteration is a Mehrotra
     predictor-corrector step that picks its own mu, down to HANDOVER times
-    the final mu, 1e-2 * tol.  From there centered stages mu <- 0.2 mu
+    the final mu, 1e-2 * tol.  From there centered stages mu <- 0.04 mu
     finish the path: each stage is centered by Newton steps at its mu before
     mu moves, and the final one to c = 0.01, so the returned iterate sits on
     the central path (the certificate's prices, and the split along flat
-    faces of the optimal set, are read off that center).  Both kinds of step
+    faces of the optimal set, are read off that center).  A step that would
+    land at or within rounding above the final mu lands on it, so the final
+    stage runs at exactly 1e-2 * tol; from the handover that makes three
+    stages (a long-step schedule: S. Wright, Primal-Dual Interior-Point
+    Methods, SIAM 1997, ch. 5).  Both kinds of step
     come from one call to :func:`_newton_direction` and share the
     fraction-to-boundary safeguard and the Armijo (1e-4, 0.5) backtracking
     line search on the weighted KKT residual norm.  A singular Newton block,
@@ -853,15 +857,14 @@ def solve_log_optimal(
     A predictor-corrector step's mu is floored by the dual residual as well
     as by the handover.  Infeasible interior-point methods keep the residual
     r and mu in the neighbourhood ||r|| / ||r0|| <= beta mu / mu0 (Kojima,
-    Megiddo and Mizuno, Math. Prog. 61, 1993; Wright, Primal-Dual
-    Interior-Point Methods, SIAM 1997, ch. 6).  With r measured as rel =
-    ||r_d||_inf / gscale, rel0 its value at the interior start and mu0 = 1,
-    that reads mu >= BETA rel / rel0 for BETA = 1 / beta (:func:`_mu_floor`):
-    mu falls no faster than the relative dual residual.  Without the floor,
-    mu falls 200 times in the first four steps while rel falls 50 times, and
-    a deep tree then spends tens of short steps near its leaves recovering
-    stationarity at a small mu.  Both ratios are invariant when x0 is
-    scaled, so the iteration stays covariant.
+    Megiddo and Mizuno, Math. Prog. 61, 1993; Wright, ch. 6).  With r
+    measured as rel = ||r_d||_inf / gscale, rel0 its value at the interior
+    start and mu0 = 1, that reads mu >= BETA rel / rel0 for BETA = 1 / beta
+    (:func:`_mu_floor`): mu falls no faster than the relative dual residual.
+    Without the floor, mu falls 200 times in the first four steps while rel
+    falls 50 times, and a deep tree then spends tens of short steps near its
+    leaves recovering stationarity at a small mu.  Both ratios are invariant
+    when x0 is scaled, so the iteration stays covariant.
     """
     options = options or SolveOptions()
     t_start = time.perf_counter()
@@ -901,7 +904,7 @@ def solve_log_optimal(
         predictor = mu > handover
         if not predictor:
             r_c = lam * g - mu * w
-            final_stage = mu <= mu_target * (1.0 + 1e-12)
+            final_stage = mu == mu_target
             c_center = 0.01 if final_stage else 0.1
             centered = (
                 float(np.abs(r_c / w).max()) <= 2.0 * c_center * mu
@@ -920,7 +923,9 @@ def solve_log_optimal(
                                            prog.path_values(z)[leaves]))
                 if final_stage:
                     break
-                mu = max(0.2 * mu, mu_target)
+                mu *= 0.04
+                if mu <= mu_target * (1.0 + 1e-12):  # within rounding of it
+                    mu = mu_target
                 continue
         if stop or iters >= options.max_iter:
             stop = stop or f"max_iter={options.max_iter} reached"

@@ -99,6 +99,13 @@ def test_01_theorem_pipeline(pipelines):
     )
 
 
+def test_end_game_centers_at_most_three_times(pipelines):
+    """Below the handover each centered stage divides mu by 25, so a solve
+    centers at most three times: at the handover, once between, at the end."""
+    runs, _ = pipelines
+    assert max(solution.outer_iterations for _, solution, _, _ in runs) <= 3
+
+
 def test_02_kelly_oracle():
     t0 = time.perf_counter()
     problem = kelly_problem()

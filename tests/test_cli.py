@@ -211,17 +211,20 @@ class TestSolveCertify:
             run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_DIGEST
         )
 
-    def test_tampered_path_refuted_with_witness(self, workdir):
+    def test_tampered_path_refuted_with_witness(self, workdir, capsys):
         run("solve", "kelly.json")
         doc = json.loads((workdir / "kelly.solution.json").read_text())
         doc["path"]["up"] = [v * 1.05 for v in doc["path"]["up"]]
         (workdir / "kelly.solution.json").write_text(json.dumps(doc))
+        capsys.readouterr()
         assert (
             run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_REFUTED
         )
         cert = json.loads((workdir / "kelly.certificate.json").read_text())
         assert cert["verdict"] == "refuted"
         assert cert["witness"] is not None
+        # the refuted line names the file's witness kind
+        assert capsys.readouterr().out.endswith(f" witness={cert['witness']['kind']}\n")
 
     @pytest.mark.filterwarnings("error")
     def test_zero_leaf_state_refuted_without_traceback(self, workdir, capsys, caplog):
@@ -232,10 +235,13 @@ class TestSolveCertify:
         doc = json.loads((workdir / "kelly.solution.json").read_text())
         doc["path"]["up"] = [0.0, 0.0]
         (workdir / "kelly.solution.json").write_text(json.dumps(doc))
+        capsys.readouterr()
         assert (
             run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_REFUTED
         )
-        assert "Traceback" not in capsys.readouterr().err
+        printed = capsys.readouterr()
+        assert "Traceback" not in printed.err
+        assert printed.out.endswith(" witness=dual_cone_membership\n")
         logged = [r.getMessage() for r in caplog.records if r.name == "vng.certification"]
         assert logged == ["non-finite price rows: 1, the first p_3@up"]
         cert = json.loads((workdir / "kelly.certificate.json").read_text())
@@ -323,7 +329,8 @@ class TestBoundToProblem:
         (workdir / "kelly.solution.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_REFUTED
-        assert capsys.readouterr().out.startswith("certify: refuted ")
+        out = capsys.readouterr().out
+        assert out.startswith("certify: refuted ") and out.endswith(" witness=start\n")
         cert = json.loads((workdir / "kelly.certificate.json").read_text())
         assert cert["verdict"] == "refuted"
         assert cert["witness"] == {"kind": "start", "node": "root", "value": 1.0,

@@ -273,6 +273,16 @@ class TestSolveProperties:
         assert "Traceback" not in printed.out + printed.err
         assert not any("line search stalled" in r.getMessage() for r in caplog.records)
 
+    def test_final_stage_runs_at_the_target_mu(self, kelly, monkeypatch):
+        """A stage whose next mu lands within rounding above the final mu
+        moves to the final mu itself: from HANDOVER 25 (1 + 1e-13) times the
+        final mu, one stage step lands at the final mu times 1 + 1e-13."""
+        monkeypatch.setattr(vng.solver, "HANDOVER", 25.0 * (1.0 + 1e-13))
+        solution = vng.solve_log_optimal(kelly)
+        assert solution.converged
+        assert solution.mu_final == 1e-2 * solution.options.tol
+        assert solution.outer_iterations == 2
+
     def test_iteration_cap_flagged_even_with_small_residuals(self, kelly):
         needed = vng.solve_log_optimal(kelly).iterations
         capped = vng.solve_log_optimal(kelly, vng.SolveOptions(max_iter=needed - 1))
@@ -301,12 +311,26 @@ class TestWeightedCentralPath:
     @pytest.mark.parametrize("shape", [(2, 6, 2), (3, 4, 4)],
                              ids=["127-node-m2", "121-node-m4"])
     def test_regular_trees_converge_and_certify(self, shape):
-        """Within 30 iterations: 23 and 24 taken, plus a quarter."""
+        """Within 29 iterations: 23 taken on each, plus a quarter."""
         problem = regular_problem(*shape, seed=0)
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= 30
+        assert solution.iterations <= 29
+        assert solution.outer_iterations <= 3
         assert _certified(problem, solution)
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda n=n: _fixture_problem(n), id=n)
+          for n in ("kelly", "single_asset", "two_asset_margin")),
+        *(pytest.param(lambda s=s: regular_problem(*s, seed=0), id="x".join(map(str, s)))
+          for s in ((2, 3, 1), (3, 3, 2), (2, 5, 4))),
+    ])
+    def test_end_game_centers_at_most_three_times(self, make):
+        """Below the handover mu falls 25 times per stage: the handover
+        stage, one stage between and the final one."""
+        solution = vng.solve_log_optimal(make())
+        assert solution.converged
+        assert solution.outer_iterations <= 3
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -330,7 +354,7 @@ def _l1_alternating_problem() -> vng.PathProblem:
 
 # Where a Newton direction is checked: the solve options whose centered end
 # gives the iterate (None: the interior start at mu = 1) and the mu the
-# direction aims at, 0.2 times the centered mu as a centered stage takes it.
+# direction aims at, 0.2 times the centered mu (a centered stage takes 0.04).
 NEWTON_POINTS = {
     "start": (None, 1.0),
     "mu1e-4": (vng.SolveOptions(tol=1e-2), 0.2e-4),   # final mu 1e-2 * tol
@@ -480,8 +504,9 @@ class TestBlockNewtonStep:
     @pytest.mark.parametrize("point", ["start", "mu1e-4"])
     def test_predictor_corrector_solves_dense_system(self, make, point):
         """Over these 106 cases the backward error reads at most 1.5e-16
-        (seed42, start) and the relative residual up to 7e-12 (seed13,
-        mu1e-4), close to its bound."""
+        (seed42, start) and the relative residual up to 2.2e-12 (seed13,
+        mu1e-4; 1.3e-11 if the end game jumps from the handover straight
+        to the final mu)."""
         relative, backward = _newton_residuals(make(), point, mehrotra=True)
         assert relative <= 1e-11
         assert backward <= 1e-15
@@ -524,13 +549,14 @@ class TestBlockNewtonStep:
         assert _newton_residuals(problem, point)[0] <= 1e-11
 
     def test_large_tree_converges(self):
-        """A deep tree: 3^6 = 1,093 nodes at m = 2, within 33 iterations
-        (26 taken, plus a quarter)."""
+        """A deep tree: 3^6 = 1,093 nodes at m = 2, within 32 iterations
+        (25 taken, plus a quarter)."""
         problem = regular_problem(3, 6, 2, seed=0)
         assert problem.tree.n_nodes == 1093
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= 33
+        assert solution.iterations <= 32
+        assert solution.outer_iterations <= 3
         assert _certified(problem, solution)
 
 
@@ -539,13 +565,15 @@ class TestResidualFloor:
     relative dual residual ||r_d||_inf / gscale and rel0 its value at the
     interior start, so mu cannot outrun stationarity on deep trees."""
 
-    def test_deep_binary_tree_within_45_iterations(self):
-        """2^9 = 1,023 nodes at m = 2: 61 iterations without the floor."""
+    def test_deep_binary_tree_within_38_iterations(self):
+        """2^9 = 1,023 nodes at m = 2: 30 iterations taken, plus a quarter;
+        60 without the floor."""
         problem = regular_problem(2, 9, 2, seed=0)
         assert problem.tree.n_nodes == 1023
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= 45
+        assert solution.iterations <= 38
+        assert solution.outer_iterations <= 3
         assert _certified(problem, solution)
 
     def test_predictor_mu_respects_residual_floor(self, monkeypatch):
