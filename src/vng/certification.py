@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     DepthMismatch,
-    NonpositiveDenominator,
     NotCertified,
     ShapeMismatch,
     ZeroDenominator,
@@ -399,29 +398,19 @@ def growth_dominance(
     dual: DualPath,
     y: np.ndarray | NodeArray,
     tree: ScenarioTree,
-    on_nonpositive: str = "raise",
 ) -> np.ndarray:
     """Conditional growth rates E_t(p_{t+1} y_t / p_t y_{t-1}) of every node.
 
     Entry i - 1 holds the ratio of non-root node i, so a date's ratios are
-    the contiguous entries of its level.  The denominator must be strictly
-    positive; offending nodes (a NaN denominator among them) either raise
-    ``NonpositiveDenominator`` or, with ``on_nonpositive='mark'``, read nan.
-    For ``y = x`` every ratio is 1 up to the certificate residual.
+    the contiguous entries of its level.  A node whose denominator is not
+    strictly positive (a NaN denominator among them) reads nan.  For
+    ``y = x`` every ratio is 1 up to the certificate residual.
     """
-    if on_nonpositive not in ("raise", "mark"):
-        raise ValueError(f"on_nonpositive is 'raise' or 'mark', not {on_nonpositive!r}")
     _check_tree(dual, tree)
     Y = node_array(y, (tree.n_nodes, tree.state_dim), "path")
     den = np.vecdot(dual.p, Y[tree.parents[1:]])
     num = np.vecdot(dual.bar[1:], Y[1:])
     bad = ~(den > 0.0)
-    if on_nonpositive == "raise" and bad.any():
-        k = int(np.argmax(bad))
-        t = tree.depth[k + 1]
-        raise NonpositiveDenominator(
-            f"p_{t} . y_{t - 1} = {float(den[k])!r} at node {tree.ids[k + 1]!r}"
-        )
     return np.where(bad, np.nan, num / np.where(bad, 1.0, den))
 
 

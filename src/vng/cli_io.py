@@ -27,8 +27,9 @@ of the certificate file's witness.
 
 Exit codes: 0 success/certified, 1 verification refuted, 2 parse error or
 unwritable output, 3 margin too tight, 4 solver not converged, 5 digest
-mismatch, 6 LP failure, 7 any other library error (a ``VngError`` or a
-``FloatingPointError``).
+mismatch, 6 LP failure, 7 any other error: a ``VngError`` or a
+``FloatingPointError`` prints its message, and any other exception its
+traceback too, so no fault exits 1.
 Verbosity follows the VNG_LOG environment variable (error|warn|info|debug),
 read again by every ``main`` call.
 """
@@ -46,6 +47,7 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 
 import numpy as np
 
@@ -522,9 +524,9 @@ def dual_from_doc(tree: ScenarioTree, doc: dict, m: int) -> DualPath:
 def cmd_validate(args: argparse.Namespace) -> int:
     problem, _, _ = load_problem(args.problem)
     tree, market = problem.tree, problem.market
-    constants = market.constants()
+    constants = market.constants
     witness = slater_path(tree, market)
-    b = market.bounds()
+    b = market.bounds
 
     print(
         f"validate: schema ok, horizon={tree.horizon} nodes={tree.n_nodes} "
@@ -717,7 +719,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for spec in strategies:
         sid = _need(spec, "id", "strategy", str)
         y = _strategy_path(spec, problem, rapid)
-        table = growth_dominance(dual, y, tree, on_nonpositive="mark")
+        table = growth_dominance(dual, y, tree)
         f_val = log_objective(tree, problem.objective, np.asarray(y)[leaves])
         for t in range(1, tree.horizon + 1):
             ratios = table[tree.offsets[t] - 1:tree.offsets[t + 1] - 1]
@@ -809,14 +811,15 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return command(args)
-    except (VngError, FloatingPointError) as exc:
+    except Exception as exc:
         for kind, code in ERROR_EXIT_CODES:
             if isinstance(exc, kind):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
+        if not isinstance(exc, (VngError, FloatingPointError)):
+            traceback.print_exc()  # a fault, never a refutation: show where
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_LIBRARY
-
 
 if __name__ == "__main__":
     sys.exit(main())

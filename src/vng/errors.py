@@ -84,10 +84,6 @@ class ZeroDenominator(VngError):
     """Normalizing inner product is zero or negative."""
 
 
-class NonpositiveDenominator(VngError):
-    """Competitor path violates the positivity proviso of the growth ratio."""
-
-
 # --- cli ----------------------------------------------------------------------
 
 class ParseError(VngError):

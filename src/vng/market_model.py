@@ -32,7 +32,7 @@ fail: the LP then decides the node and builds the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -104,12 +104,9 @@ class MarketData:
     def Lm(self) -> np.ndarray:
         return 1.0 + self.lam_minus
 
+    @cached_property
     def bounds(self) -> dict[str, np.ndarray]:
         """Observed (B1) bounds per date: R_lo, R_hi (t>=1), L_lo, L_hi."""
-        return self._bounds
-
-    @cached_property
-    def _bounds(self) -> dict[str, np.ndarray]:
         starts = self.tree.offsets[:-1]
         R_lo = np.minimum.reduceat(self.returns.min(axis=1), starts)
         R_hi = np.maximum.reduceat(self.returns.max(axis=1), starts)
@@ -120,11 +117,9 @@ class MarketData:
             "L_hi": np.maximum.reduceat(self.Lm.max(axis=1), starts),
         }
 
-    def constants(self) -> "MarketConstants":
-        return self._constants
-
     @cached_property
-    def _constants(self) -> "MarketConstants":
+    def constants(self) -> "MarketConstants":
+        """The (B2) constants of :func:`market_constants`, computed once."""
         return market_constants(self)
 
     def _rows(self, nodes, *arrays) -> tuple[np.ndarray, ...]:
@@ -306,9 +301,13 @@ def dual_cone_violation(
     lift = lift_Z(market, i)
     m = market.m
     _, (p,), (pb,) = market._rows([i], [p_parent], [p_bar_child])
+    # The value is positively homogeneous in (p, pb): solve at the power of
+    # two that brings the largest entry into [0.5, 1), and scale back.  Both
+    # steps are exact short of underflow, and the feasible set is unchanged.
+    _, e = np.frexp(max(np.abs(p).max(), np.abs(pb).max()))
 
     # maximize pb.(u_b - v_b) - p.(u_a - v_a)  ->  minimize the negation
-    c = np.concatenate([p, -p, -pb, pb, np.zeros(2 * m)])
+    c = np.ldexp(np.concatenate([p, -p, -pb, pb, np.zeros(2 * m)]), -e)
     norm_row = np.concatenate([np.ones(4 * m), np.zeros(2 * m)])
     A_ub = np.vstack([lift.A_ub, norm_row])
     b_ub = np.concatenate([lift.b_ub, [1.0]])
@@ -326,7 +325,7 @@ def dual_cone_violation(
             f"dual-cone LP at node {market.tree.ids[i]} failed "
             f"(status {res.status}): {res.message}"
         )
-    value = -float(res.fun) + 0.0  # normalize -0.0
+    value = float(np.ldexp(-res.fun, e)) + 0.0  # normalize -0.0
     if value <= tol:
         return DualConeCheck(value, None, None)
     z = res.x
@@ -465,13 +464,20 @@ def section_vertices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     section minimum here.
     """
     n, m = alpha.shape
-    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    i, j, k, eye = _vertex_layout(m)
     den = alpha[:, i] + beta[:, j]
-    pairs = np.zeros((n, len(i), m))
-    k = np.arange(len(i))
-    pairs[:, k, i] = beta[:, j] / den
-    pairs[:, k, j] = -alpha[:, i] / den
-    return np.concatenate([np.broadcast_to(np.eye(m), (n, m, m)), pairs], axis=1)
+    verts = np.zeros((n, m * m, m))
+    verts[:, :m] = eye
+    verts[:, k, i] = beta[:, j] / den
+    verts[:, k, j] = -alpha[:, i] / den
+    return verts
+
+
+@cache
+def _vertex_layout(m: int) -> tuple[np.ndarray, ...]:
+    """Long legs i, short legs j and rows k of the pair vertices, and eye(m)."""
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    return i, j, np.arange(m, m * m), np.eye(m)
 
 
 def section_values(market: MarketData, P: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -485,20 +491,6 @@ def section_values(market: MarketData, P: np.ndarray, nodes: np.ndarray) -> np.n
     mu = market.margins[market.tree.depth[idx]]
     verts = section_vertices(market.Lp[idx], mu[:, None] * market.Lm[idx])
     return (verts @ P[:, :, None])[:, :, 0]
-
-
-def _min_over_ideal_section(mu, m: int, weight_pos, weight_neg):
-    """Minimum of w+ |a+| - w- |a-| over the unit section of {mu |a-| <= |a+|}.
-
-    Exact, and elementwise over arrays: the function is linear on each
-    orthant, so the minimum sits at a section vertex.  The axis vertices read
-    w+; for m >= 2 the one-long, one-short vertices read w+ mu / (1 + mu) -
-    w- / (1 + mu), rounded as :func:`section_vertices` rounds them.
-    """
-    if m == 1:
-        return weight_pos
-    pair = weight_pos * (mu / (1.0 + mu)) - weight_neg * (1.0 / (1.0 + mu))
-    return np.minimum(weight_pos, pair)
 
 
 @dataclass(frozen=True)
@@ -521,29 +513,35 @@ class MarketConstants:
 def market_constants(market: MarketData) -> MarketConstants:
     """nu_t, C1_t, C2_t, K_t, H_t from the observed (B1) bounds.
 
-    C1 and Q are section minima, in closed form.  Raises MarginTooTight when
-    (B2) fails at some date.  At the final date the forward-looking term of
-    nu is absent and only the cost-ratio term remains.
+    C1 and Q are the minima of |a+| - nu_t |a-| and |a+| - |a-| over the
+    unit section of the ideal cone {mu_t |a-| <= |a+|}, in 1-norms.  Both
+    are linear on each orthant, so each minimum sits at one of the
+    :func:`section_vertices`.  Raises MarginTooTight when (B2) fails at some
+    date.  At the final date the forward-looking term of nu is absent and
+    only the cost-ratio term remains.
     """
-    b = market.bounds()
+    b = market.bounds
     mu = market.margins
     ratio_here = b["L_hi"] / b["L_lo"]
     ratio_next = (b["L_hi"] * b["R_hi"]) / (b["L_lo"] * b["R_lo"])  # nan at t = 0
-    nu = np.maximum(np.append(ratio_next[1:], -np.inf), ratio_here)
+    nu = np.maximum(np.concatenate([ratio_next[1:], [-np.inf]]), ratio_here)
 
     bad = np.flatnonzero(mu <= nu)
     if bad.size:
         detail = ", ".join(f"t={t}: mu={mu[t]:.6g} <= nu={nu[t]:.6g}" for t in bad)
         raise MarginTooTight(f"(B2) fails: {detail}")
 
-    ones = np.ones_like(mu)
-    C1 = _min_over_ideal_section(mu, market.m, ones, nu)
-    Q = _min_over_ideal_section(mu, market.m, ones, ones)
-    if np.any(C1 <= 0) or np.any(Q <= 0):
+    ones = np.ones((len(mu), market.m))
+    verts = section_vertices(ones, mu[:, None] * ones)
+    longs = np.maximum(verts, 0.0).sum(axis=2)
+    shorts = np.maximum(-verts, 0.0).sum(axis=2)
+    C1 = (longs - nu[:, None] * shorts).min(axis=1)
+    Q = (longs - shorts).min(axis=1)
+    if (C1 <= 0).any() or (Q <= 0).any():
         raise MarginTooTight("section minimum is not strictly positive")
 
     # R_lo and R_hi are nan at t = 0, and so are C2 and K.
-    C1_before = np.append(np.nan, C1[:-1])
+    C1_before = np.concatenate([[np.nan], C1[:-1]])
     C2 = C1_before * b["L_lo"] * b["R_lo"] / (2.0 * b["L_hi"])
     K = 2.0 * b["L_hi"] * b["R_hi"] / (C1 * b["L_lo"])
     return MarketConstants(nu=nu, C1=C1, C2=C2, K=K, H=1.0 / Q, Q=Q)
@@ -582,7 +580,7 @@ def feasible_completion(
             "vector fails the margin test at parent of "
             f"{market.tree.ids[idx[bad[0]]]!r}"
         )
-    size = market.constants().C2[market.tree.depth[idx]] / 2.0 * np.abs(A).sum(axis=1)
+    size = market.constants.C2[market.tree.depth[idx]] / 2.0 * np.abs(A).sum(axis=1)
     B = size[:, None] * np.ones(market.m) / market.m
     B[~in_Z(market, A, B, idx, tol).member] = 0.0
     return B
@@ -619,7 +617,7 @@ def slater_path(tree: ScenarioTree, market: MarketData) -> SlaterPath:
     interiority radius, then completes to a path; H = m bounds |(1, ..., 1)|.
     Raises MarginTooTight when (B2) fails.
     """
-    C2 = market.constants().C2
+    C2 = market.constants.C2
     m = market.m
     N = tree.horizon
 
@@ -802,7 +800,7 @@ def transition_frontier_batch(
     active = (norm_a > 0.0) & (norm_d > 0.0)
     hi = np.where(
         active,
-        2.0 * market.constants().K[market.tree.depth[idx]] * norm_a
+        2.0 * market.constants.K[market.tree.depth[idx]] * norm_a
         / np.where(active, norm_d, 1.0),
         0.0,
     )[:, None]

@@ -133,7 +133,7 @@ class LiquidationObjective(TerminalObjective):
 
     def __init__(self, tree: ScenarioTree, market: MarketData):
         super().__init__(tree, market)
-        c1_N = market.constants().C1[tree.horizon]
+        c1_N = market.constants.C1[tree.horizon]
         leaves = tree.span(tree.horizon)
         Lp, Lm = market.Lp[leaves], market.Lm[leaves]
         self._h_psi = np.maximum(

@@ -61,8 +61,7 @@ class ScenarioTree:
     range ``offsets[t]:offsets[t + 1]`` and whole levels are array slices.
     ``ids``, ``parents``, ``depth``, ``cond_prob``, ``prob`` (unconditional)
     and ``child_counts`` hold one entry per node index; the root is index 0,
-    with parent -1.  ``nodes`` and ``level(t)`` are :class:`Node` views of
-    these arrays.
+    with parent -1.  ``nodes`` holds a :class:`Node` view of each index.
     """
 
     horizon: int
@@ -118,10 +117,6 @@ class ScenarioTree:
         """Node indices of the depth-t level."""
         lev = self.span(depth)
         return np.arange(lev.start, lev.stop)
-
-    def level(self, depth: int) -> tuple[Node, ...]:
-        """Nodes at a given depth, in index order."""
-        return self.nodes[self.span(depth)]
 
     def up(self, depth: int) -> np.ndarray:
         """Row of each depth-t node's parent within level t - 1 (t >= 1).

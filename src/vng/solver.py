@@ -121,7 +121,7 @@ class PathProblem:
                 f"x0 must have length {self.market.m}, got shape {x0.shape}"
             )
         object.__setattr__(self, "x0", x0)
-        self.market.constants()  # raises MarginTooTight when (B2) fails
+        self.market.constants  # raises MarginTooTight when (B2) fails
         radius = self.epsilon0()
         if not 0.0 < radius < np.inf:
             raise InfeasibleStart(
@@ -836,23 +836,24 @@ def solve_log_optimal(
 
     From the interior start at mu = 1, every iteration is a Mehrotra
     predictor-corrector step that picks its own mu, down to HANDOVER times
-    the final mu, 1e-2 * tol.  From there centered stages mu <- 0.04 mu
+    the final mu, min(1e-2 * tol, 1): a tol above 100 never raises mu above
+    the start's.  From there centered stages mu <- 0.04 mu
     finish the path: each stage is centered by Newton steps at its mu before
     mu moves, and the final one to c = 0.01, so the returned iterate sits on
     the central path (the certificate's prices, and the split along flat
     faces of the optimal set, are read off that center).  A step that would
     land at or within rounding above the final mu lands on it, so the final
-    stage runs at exactly 1e-2 * tol; from the handover that makes three
+    stage runs at exactly that mu; from the handover that makes three
     stages (a long-step schedule: S. Wright, Primal-Dual Interior-Point
     Methods, SIAM 1997, ch. 5).  Both kinds of step
     come from one call to :func:`_newton_direction` and share the
     fraction-to-boundary safeguard and the Armijo (1e-4, 0.5) backtracking
     line search on the weighted KKT residual norm.  A singular Newton block,
     or a line search that finds no step, ends the solve unconverged, and the
-    warning says which.  ``tol`` sets the final mu and the convergence test,
-    nothing else.  Only a centered final stage within tol counts as
-    converged; ``outer_iterations`` and ``objective_trace`` count the
-    centered stages.
+    warning says which.  ``tol`` sets the convergence test, and the final mu
+    up to its cap at 1, nothing else.  Only a centered final stage within
+    tol counts as converged; ``outer_iterations`` and ``objective_trace``
+    count the centered stages.
 
     A predictor-corrector step's mu is floored by the dual residual as well
     as by the handover.  Infeasible interior-point methods keep the residual
@@ -869,7 +870,7 @@ def solve_log_optimal(
     options = options or SolveOptions()
     t_start = time.perf_counter()
     prog = problem.program
-    mu_target = 1e-2 * options.tol
+    mu_target = min(1e-2 * options.tol, 1.0)
     handover = HANDOVER * mu_target
     w = problem.tree.prob[prog.row_owner]  # central-path weight of each row
     leaves = problem.tree.span(problem.tree.horizon)

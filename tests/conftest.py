@@ -85,6 +85,24 @@ def two_asset_margin_market() -> vng.MarketData:
     )
 
 
+def identical_assets_market(
+    m: int, mu: float, up: float, down: float, lam_plus: float, lam_minus: float
+) -> vng.MarketData:
+    """One period, m assets that all return ``up`` or ``down``, margin ``mu``.
+
+    Every asset has the same costs, so nu_0 = (Lm up) / (Lp down) and
+    nu_1 = Lm / Lp, and the (B2) constants are the section minima of the ideal
+    cone {mu |a-| <= |a+|} at those nu.
+    """
+    tree = vng.build_tree([("r", None, 1.0), ("u", "r", 0.5), ("d", "r", 0.5)], m)
+    returns = np.array([[np.nan], [up], [down]]) * np.ones(m)
+    return vng.MarketData(
+        tree=tree, m=m, returns=returns,
+        lam_plus=np.full((3, m), lam_plus), lam_minus=np.full((3, m), lam_minus),
+        margins=np.array([mu, mu]),
+    )
+
+
 def make_instance(
     seed: int,
     max_depth: int = 4,

@@ -241,7 +241,7 @@ def frontier_bisection(market, A, D, nodes):
 
     norm_a, norm_d = np.abs(A).sum(axis=1), np.abs(D).sum(axis=1)
     active = (norm_a > 0.0) & (norm_d > 0.0)
-    K = market.constants().K[market.tree.depth[idx]]
+    K = market.constants.K[market.tree.depth[idx]]
     hi = np.where(active, 2.0 * K * norm_a / np.where(active, norm_d, 1.0), 0.0)
     lo = np.zeros(len(hi))
     cap = psi(hi) >= 0.0
@@ -532,7 +532,7 @@ def _layer_values(tree, av) -> np.ndarray:
     if not 0 <= av.depth <= tree.horizon + 1:
         raise DepthMismatch(f"depth {av.depth} outside 0..{tree.horizon + 1}")
     values = np.asarray(av.values, dtype=float)
-    rows = len(tree.level(min(av.depth, tree.horizon)))
+    rows = len(tree.nodes[tree.span(min(av.depth, tree.horizon))])
     if values.ndim != 2 or values.shape[0] != rows:
         raise DepthMismatch(f"expected {rows} rows at depth {av.depth}, got {values.shape}")
     return values
@@ -558,7 +558,7 @@ def conditional_expectation(tree, av) -> AdaptedVector:
         return AdaptedVector(tree.horizon, values.copy())
     if av.depth < 1:
         raise DepthMismatch("cannot condition a depth-0 field further")
-    out = np.zeros((len(tree.level(av.depth - 1)), values.shape[1]))
+    out = np.zeros((len(tree.nodes[tree.span(av.depth - 1)]), values.shape[1]))
     weights = tree.cond_prob[tree.span(av.depth), None]
     np.add.at(out, tree.up(av.depth), weights * values)  # in child order
     return AdaptedVector(av.depth - 1, out)
@@ -584,8 +584,8 @@ def conditional_expectation_loop(tree, av):
     """E[av | F_{t-1}] as one child-weighted sum per parent node."""
     t = av.depth - 1
     start = tree.span(av.depth).start
-    out = np.zeros((len(tree.level(t)), av.values.shape[1]))
-    for pos, node in enumerate(tree.level(t)):
+    out = np.zeros((len(tree.nodes[tree.span(t)]), av.values.shape[1]))
+    for pos, node in enumerate(tree.nodes[tree.span(t)]):
         for child in np.flatnonzero(tree.parents == node.index):
             out[pos] += tree.cond_prob[child] * av.values[child - start]
     return out
@@ -606,13 +606,13 @@ def supermartingale_loop(dual, y, tree):
     for t in range(1, N + 1):
         bar_next = dual_bar(tree, dual, t).values
         start = tree.span(t).start
-        for node in tree.level(t):
+        for node in tree.nodes[tree.span(t)]:
             lhs = float(bar_next[node.index - start] @ y[node.index])
             rhs = float(dual.p[node.index - 1] @ y[node.parent])
             worst1 = max(worst1, violation(lhs - rhs))
             gap = max(gap, violation(abs(lhs - rhs)))
         bar_t = dual_bar(tree, dual, t - 1).values
-        for pos, q in enumerate(tree.level(t - 1)):
+        for pos, q in enumerate(tree.nodes[tree.span(t - 1)]):
             lhs = sum(
                 tree.cond_prob[child]
                 * float(bar_next[child - start] @ y[child])
@@ -631,7 +631,7 @@ def growth_table_loop(dual, y, tree):
     for t in range(1, N + 1):
         bar_next = dual_bar(tree, dual, t).values
         start = tree.span(t).start
-        for node in tree.level(t):
+        for node in tree.nodes[tree.span(t)]:
             den = float(dual.p[node.index - 1] @ y[node.parent])
             num = float(bar_next[node.index - start] @ y[node.index])
             rows.append((t, node.node_id, num / den if den > 0.0 else float("nan")))
@@ -656,7 +656,7 @@ def competitor_paths_loop(tree, market, rng, start, count):
 
     levels = [np.tile(np.asarray(start, dtype=float), (count, 1, 1))]
     for t in range(1, tree.horizon + 1):
-        nodes = tree.level(t)
+        nodes = tree.nodes[tree.span(t)]
         shape = (count, len(nodes))
         D = sample_cone_batch(market, np.tile(tree.indices(t), count), rng)
         D = D.reshape(*shape, market.m)
@@ -735,7 +735,7 @@ def verify_loops(path, dual, tree, market, tol, x0=None):
         start = float("inf") if start != start else start
         note("start", tree.ids[0], start, layer=0)
     for t in range(1, N + 1):
-        for node in tree.level(t):
+        for node in tree.nodes[tree.span(t)]:
             parent = tree.nodes[node.parent]
             a = path[parent.index]
             b = path[node.index]
@@ -750,7 +750,7 @@ def verify_loops(path, dual, tree, market, tol, x0=None):
             note("path_feasibility", node.node_id, viol, layer=t)
     for t in range(1, N + 2):
         p_t = dual_layer(dual, t).values
-        for pos, node in enumerate(tree.level(min(t, N))):
+        for pos, node in enumerate(tree.nodes[tree.span(min(t, N))]):
             p = p_t[pos]
             cone_node = node if t == N + 1 else tree.nodes[node.parent]
             viol = violation(_node_section_min(market, p, cone_node))
@@ -769,7 +769,7 @@ def verify_loops(path, dual, tree, market, tol, x0=None):
         else:
             bars = conditional_expectation_loop(tree, p_next)
             abs_bars = conditional_expectation_loop(tree, abs_next)
-        for pos, node in enumerate(tree.level(t)):
+        for pos, node in enumerate(tree.nodes[tree.span(t)]):
             p = dual.p[node.index - 1]
             p_bar, bar_abs = bars[pos], abs_bars[pos]
             value = float(transition_bound(

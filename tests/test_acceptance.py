@@ -18,7 +18,12 @@ import pytest
 
 import vng
 import vng.cli_io as cli
-from conftest import kelly_problem, make_instance, two_asset_margin_market
+from conftest import (
+    identical_assets_market,
+    kelly_problem,
+    make_instance,
+    two_asset_margin_market,
+)
 from oracles import (
     batch_transition_members,
     dual_bar,
@@ -26,7 +31,6 @@ from oracles import (
     node_probability,
     section_grid_min,
 )
-from vng.market_model import _min_over_ideal_section
 
 N_INSTANCES = 50
 PIPELINE_BUDGET_S = 60.0
@@ -146,7 +150,7 @@ def _expectation_form_violation(problem, dual, path) -> float:
     for t in range(1, tree.horizon + 1):
         bar = dual_bar(tree, dual, t).values
         lhs = rhs = 0.0
-        for pos, node in enumerate(tree.level(t)):
+        for pos, node in enumerate(tree.nodes[tree.span(t)]):
             prob = node_probability(tree, node.index)
             lhs += prob * float(bar[pos] @ path[node.index])
             rhs += prob * float(dual.p[node.index - 1] @ path[node.parent])
@@ -196,7 +200,8 @@ def _corrupt(dual, tree, mode, rng):
         t_check = tree.horizon
     else:
         t_check = int(rng.integers(1, tree.horizon + 1))
-        row = tree.span(t_check).start - 1 + int(rng.integers(len(tree.level(t_check))))
+        lev = tree.span(t_check)
+        row = lev.start - 1 + int(rng.integers(lev.stop - lev.start))
         p[row] = -p[row] if mode == "negate_node" else 0.5 * p[row]
     return vng.DualPath(tree, p, terminal), t_check
 
@@ -244,12 +249,14 @@ def test_07_constants_oracle():
     closed_h = (mu + 1.0) / (mu - 1.0)
     worst = 0.0
     for m in (2, 3):
-        for section_min in (section_grid_min, _min_over_ideal_section):
-            c1 = section_min(mu, m, 1.0, nu)
-            q = section_min(mu, m, 1.0, 1.0)
+        exact = vng.market_constants(identical_assets_market(m, mu, 1.1, 0.9, 0.02, 0.02))
+        for c1, q in (
+            (section_grid_min(mu, m, 1.0, nu), section_grid_min(mu, m, 1.0, 1.0)),
+            (exact.C1[0], exact.Q[0]),
+        ):
             worst = max(worst, abs(c1 - closed_c1), abs(1.0 / q - closed_h))
     market = two_asset_margin_market()
-    constants = market.constants()
+    constants = market.constants
     rng = np.random.default_rng(77)
     violations = 0
     total = 0

@@ -25,7 +25,6 @@ from oracles import (
 from vng.certification import _supermartingale_checks
 from vng.errors import (
     DepthMismatch,
-    NonpositiveDenominator,
     NotCertified,
     ShapeMismatch,
     ZeroDenominator,
@@ -103,7 +102,7 @@ class TestExtractDual:
         dual = vng.extract_dual(solution, problem)
         X = np.asarray(solution.path)
         for t in range(1, 3):
-            node = tree.level(t)[0]
+            node = tree.nodes[tree.span(t)][0]
             value = float(dual.p[node.index - 1] @ X[node.parent])
             assert value == pytest.approx(1.0, abs=1e-8)
 
@@ -214,10 +213,10 @@ class TestVerifyRapid:
 
         monkeypatch.setattr(vng.certification, "dual_cone_violation", logged)
         cert = vng.verify_rapid(solution.path, bad, tree, problem.market)
-        nan_node = tree.level(2)[0].node_id
+        nan_node = tree.nodes[tree.span(2)][0].node_id
         assert not cert.certified
         assert cert.transition[tree.index(nan_node) - 1] == np.inf
-        assert cert.transition[tree.level(1)[0].index - 1] == np.inf
+        assert cert.transition[tree.nodes[tree.span(1)][0].index - 1] == np.inf
         assert lp_nodes == [] and cert.transition_lp_nodes == []
         assert cert.witness == {
             "kind": "dual_cone_membership", "node": nan_node, "value": np.inf,
@@ -435,7 +434,7 @@ class TestSupermartingale:
         with pytest.raises(ShapeMismatch):
             vng.supermartingale_check(dual, y, problem.tree)
         with pytest.raises(ShapeMismatch):
-            vng.growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
+            vng.growth_dominance(dual, y, problem.tree)
         for p, terminal in ((dual.p[:, :2], dual.p_terminal),
                             (dual.p, dual.p_terminal[:, :2])):
             with pytest.raises(ShapeMismatch):
@@ -486,37 +485,28 @@ class TestGrowthDominance:
         problem, solution, dual, _ = pipeline
         rng = np.random.default_rng(2)
         y = sample_competitor_path(problem.tree, problem.market, rng, problem.x0)
-        e1 = vng.growth_dominance(dual, y, problem.tree, on_nonpositive="mark")
-        e2 = vng.growth_dominance(dual, 2.0 * y, problem.tree, on_nonpositive="mark")
+        e1 = vng.growth_dominance(dual, y, problem.tree)
+        e2 = vng.growth_dominance(dual, 2.0 * y, problem.tree)
         for a, b in zip(e1, e2, strict=True):
             if np.isnan(a):
                 assert np.isnan(b)
             else:
                 assert b == pytest.approx(a, rel=1e-12)
 
-    def test_nonpositive_denominator_raises(self, pipeline):
+    def test_nonpositive_denominator_reads_nan(self, pipeline):
         problem, solution, dual, _ = pipeline
         zeroed = 0.0 * np.asarray(solution.path)
-        with pytest.raises(NonpositiveDenominator):
-            vng.growth_dominance(dual, zeroed, problem.tree)
+        assert np.isnan(vng.growth_dominance(dual, zeroed, problem.tree)).all()
 
-    def test_nan_denominator_raises(self, pipeline):
-        """A NaN denominator is not positive: it raises, or reads nan."""
+    def test_nan_denominator_reads_nan(self, pipeline):
+        """A NaN denominator is not positive: its ratio reads nan."""
         problem, solution, dual, _ = pipeline
         tree = problem.tree
         p = dual.p.copy()
         p[tree.span(2).start - 1, 0] = np.nan
         bad = vng.DualPath(tree, p, dual.p_terminal)
-        with pytest.raises(NonpositiveDenominator, match="= nan at node"):
-            vng.growth_dominance(bad, solution.path, tree, on_nonpositive="raise")
-        marked = vng.growth_dominance(bad, solution.path, tree, on_nonpositive="mark")
+        marked = vng.growth_dominance(bad, solution.path, tree)
         assert np.isnan(marked[tree.span(2).start - 1])
-
-    def test_unknown_on_nonpositive_rejected(self, pipeline):
-        problem, solution, dual, _ = pipeline
-        zeroed = 0.0 * np.asarray(solution.path)
-        with pytest.raises(ValueError, match="'raise' or 'mark', not 'rasie'"):
-            vng.growth_dominance(dual, zeroed, problem.tree, on_nonpositive="rasie")
 
 
 class TestEquivalences:
@@ -647,10 +637,10 @@ class TestProp4:
         terminal[0, 0] = np.nan
         for bad, where in (
             (vng.DualPath(tree, p, dual.p_terminal),
-             f"l_2 . x_1 = nan at node {tree.level(2)[0].node_id!r}"),
+             f"l_2 . x_1 = nan at node {tree.nodes[tree.span(2)][0].node_id!r}"),
             (vng.DualPath(tree, dual.p, terminal),
              f"l_{tree.horizon + 1} . x_{tree.horizon} = nan at leaf "
-             f"{tree.level(tree.horizon)[0].node_id!r}"),
+             f"{tree.nodes[tree.span(tree.horizon)][0].node_id!r}"),
         ):
             with pytest.raises(ZeroDenominator, match=re.escape(where)):
                 vng.prop4_reconstruct(bad, solution.path, tree, problem.market)
@@ -677,7 +667,7 @@ def solved_set():
 
 def level_prices(dual, tree, t):
     """Depth-t nodes with their prices p_t and p_bar = E_t p_{t+1}."""
-    return tree.level(t), dual.prices[t].values, dual_bar(tree, dual, t).values
+    return tree.nodes[tree.span(t)], dual.prices[t].values, dual_bar(tree, dual, t).values
 
 
 def bar_terms(dual, tree, t, node):
@@ -837,7 +827,7 @@ class TestTransitionProof:
             tree, market = problem.tree, problem.market
             m = market.m
             for t in range(1, tree.horizon + 1):
-                level = tree.level(t)
+                level = tree.nodes[tree.span(t)]
                 idx = tree.indices(t)
                 Lp, Lm = market.Lp[idx], market.Lm[idx]
                 beta = market.margins[t] * Lm
@@ -984,7 +974,7 @@ class TestTransitionBound:
             tree, market = problem.tree, problem.market
             m = market.m
             for t in range(1, tree.horizon):
-                level, idx = tree.level(t), tree.indices(t)
+                level, idx = tree.nodes[tree.span(t)], tree.indices(t)
                 Lp, Lm = market.Lp[idx], market.Lm[idx]
                 beta = market.margins[t] * Lm
                 up, w = tree.up(t + 1), tree.cond_prob[tree.span(t + 1)]
@@ -1229,7 +1219,7 @@ class TestLevelAlgebraMatchesNodeLoops:
                     assert (
                         report.first_form, report.second_form, report.equality_gap
                     ) == supermartingale_loop(d, y, tree)
-                    table = vng.growth_dominance(d, y, tree, "mark")
+                    table = vng.growth_dominance(d, y, tree)
                     assert np.array_equal(
                         table,
                         [r for _, _, r in growth_table_loop(d, y, tree)],

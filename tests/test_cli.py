@@ -177,6 +177,16 @@ class TestSolveCertify:
         for v in doc["z"]:
             assert float(repr(float(v))) == float(v)
 
+    @pytest.mark.parametrize("tol", ["1e20", "1e300"])
+    @pytest.mark.parametrize("stem", ["kelly", "single_asset", "two_asset_margin"])
+    def test_huge_tol_stops_at_the_start_mu(self, workdir, stem, tol):
+        """The final mu is 1e-2 tol but never above the interior start's
+        mu = 1, so a huge tol centers once at mu = 1 and converges."""
+        assert run("solve", f"{stem}.json", "--tol", tol) == cli.EXIT_OK
+        doc = json.loads((workdir / f"{stem}.solution.json").read_text())
+        assert doc["converged"] is True
+        assert doc["mu_final"] == 1.0
+
     def test_nonconvergence_exit(self, workdir):
         assert run("solve", "kelly.json", "--max-iter", "3") == cli.EXIT_NONCONVERGENCE
         # the flagged best-effort file is written but certify refuses it
@@ -336,6 +346,29 @@ class TestBoundToProblem:
         assert cert["witness"] == {"kind": "start", "node": "root", "value": 1.0,
                                    "layer": 0}
 
+    @pytest.mark.parametrize("field, factor, witness", [
+        ("multipliers", 1e300, "normalization"),
+        ("path", 1e-200, "start"),
+    ])
+    def test_extreme_rescaling_refuted_not_lp_failure(self, workdir, capsys, field,
+                                                      factor, witness):
+        """Multipliers times 1e300, or a path times 1e-200, put prices near
+        1e300 into the transition LP, which runs at a power-of-two scale of
+        its prices: it decides, and the run is refuted, not an LP failure."""
+        run("solve", "kelly.json")
+        doc = json.loads((workdir / "kelly.solution.json").read_text())
+        if field == "path":
+            doc["path"] = {nid: [factor * v for v in row]
+                           for nid, row in doc["path"].items()}
+        else:
+            doc["multipliers"] = [factor * v for v in doc["multipliers"]]
+        (workdir / "kelly.solution.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_REFUTED
+        out = capsys.readouterr().out
+        assert out.startswith("certify: refuted ")
+        assert out.endswith(f" witness={witness}\n")
+
     def tampered_certificate(self, workdir, edit) -> None:
         run("solve", "kelly.json")
         assert run("certify", "kelly.json", "kelly.solution.json") == cli.EXIT_OK
@@ -494,6 +527,20 @@ class TestCompare:
         assert run("solve", "kelly.json") == cli.EXIT_LIBRARY
         assert run("compare", "kelly.json", "strategies.json") == cli.EXIT_LIBRARY
         assert type(error).__name__ in capsys.readouterr().err
+
+
+    def test_unexpected_exception_exits_library_with_traceback(self, workdir, capsys):
+        """An exception outside the library's errors is a fault, never a
+        refutation: numpy refuses 2^62 competitor paths before allocating,
+        and the run exits 7 with the traceback and one error line."""
+        run("solve", "kelly.json")
+        capsys.readouterr()
+        code = run("certify", "kelly.json", "kelly.solution.json",
+                   "--competitors", str(2**62))
+        assert code == cli.EXIT_LIBRARY
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.splitlines()[-1].startswith("error: ValueError: array is too big")
 
 
 class TestStoredVerdict:

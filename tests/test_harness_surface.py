@@ -17,7 +17,6 @@ from conftest import make_instance
 # (module, attribute path) of each function or method the tracer wraps
 TRACED = [
     ("vng.scenario_tree", "build_tree"),
-    ("vng.scenario_tree", "ScenarioTree.level"),
     ("vng.market_model", "market_constants"),
     ("vng.market_model", "dual_cone_violation"),
     ("vng.market_model", "transition_frontier_batch"),
@@ -64,8 +63,6 @@ def test_node_records_read_the_tree_arrays(solved):
         tree.parents.tolist()
     )
     assert [n.cond_prob for n in tree.nodes] == tree.cond_prob.tolist()
-    for t in range(tree.horizon + 1):
-        assert tree.level(t) == tree.nodes[tree.span(t)]
 
 
 def test_date_views_read_the_path_and_dual_rows(solved):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import vng
-from conftest import kelly_problem, make_instance, two_asset_margin_market
+from conftest import (
+    identical_assets_market,
+    kelly_problem,
+    make_instance,
+    two_asset_margin_market,
+)
 from oracles import frontier_bisection, lift_contains, lift_X, section_grid_min
 from vng.errors import (
     MarginTooTight,
@@ -14,11 +19,7 @@ from vng.errors import (
     ShapeMismatch,
     UnknownNode,
 )
-from vng.market_model import (
-    _min_over_ideal_section,
-    section_vertices,
-    transition_frontier_batch,
-)
+from vng.market_model import section_vertices, transition_frontier_batch
 
 MEMBER_TOL = 1e-9
 
@@ -164,7 +165,7 @@ class TestTransitionFrontier:
         assert np.all(c[::9] == 0.0)
         np.testing.assert_allclose(c, ref, rtol=1e-12, atol=0.0)
         # maximal: a relative step of 1e-9 past an uncapped root is infeasible
-        K = market.constants().K[tree.depth[nodes]]
+        K = market.constants.K[tree.depth[nodes]]
         norm_a, norm_d = np.abs(A).sum(axis=1), np.abs(D).sum(axis=1)
         uncapped = (norm_d > 0.0) & (c < 2.0 * K * norm_a / np.where(norm_d > 0, norm_d, 1.0))
         assert uncapped.sum() > 0.5 * len(c)
@@ -364,6 +365,21 @@ class TestDualConeViolation:
         assert check.value == pytest.approx(1.0 / (1.0 + R), abs=1e-8)
         assert check.witness_a is not None
 
+    @pytest.mark.parametrize("k", [1, -1, 10, -10, 500, -500])
+    def test_value_scales_exactly_with_the_prices(self, k):
+        """The LP value is positively homogeneous in (p, p_bar), and the LP
+        runs at one power-of-two scale: prices times 2^k give exactly 2^k
+        times the value, and the same witness pair."""
+        market = two_asset_margin_market()
+        p, p_bar = np.array([1.0, 0.9]), np.array([1.3, 0.7])
+        base = vng.dual_cone_violation(market, p, p_bar, "aa", tol=-np.inf)
+        assert base.value > 0.1
+        c = 2.0 ** k
+        scaled = vng.dual_cone_violation(market, c * p, c * p_bar, "aa", tol=-np.inf)
+        assert scaled.value == c * base.value
+        assert np.array_equal(scaled.witness_a, base.witness_a)
+        assert np.array_equal(scaled.witness_b, base.witness_b)
+
     def test_dual_cone_residual_matches_lp_membership(self):
         market = two_asset_margin_market()
         rng = np.random.default_rng(9)
@@ -398,7 +414,7 @@ class TestFeasibleCompletion:
 
     def test_ones_completion_size_and_membership(self):
         market = two_asset_margin_market()
-        constants = market.constants()
+        constants = market.constants
         node = market.tree.nodes[market.tree.index("ba")]
         a = np.ones(2)
         b = vng.feasible_completion(market, [a], [node.index])
@@ -533,21 +549,29 @@ class TestMarketConstants:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_c1_and_h_match_closed_forms(self, m):
-        mu, nu = 1.5, 1.2721088435374148
-        for section_min in (section_grid_min, _min_over_ideal_section):
-            c1 = section_min(mu, m, 1.0, nu)
-            assert c1 == pytest.approx((mu - nu) / (1.0 + mu), abs=1e-3)
-            assert c1 == pytest.approx(0.0911564625850341, abs=1e-3)
-            q = section_min(mu, m, 1.0, 1.0)
-            assert 1.0 / q == pytest.approx((mu + 1.0) / (mu - 1.0), abs=1e-3)
-            assert 1.0 / q == pytest.approx(5.0, abs=1e-3)
+        mu = 1.5
+        market = identical_assets_market(m, mu, 1.1, 0.9, 0.02, 0.02)
+        constants = vng.market_constants(market)
+        assert constants.nu[0] == pytest.approx(1.2721088435374148, abs=1e-12)
+        for t, nu in enumerate(constants.nu):
+            grid = section_grid_min(mu, m, 1.0, nu), section_grid_min(mu, m, 1.0, 1.0)
+            for c1, q in (grid, (constants.C1[t], constants.Q[t])):
+                assert c1 == pytest.approx((mu - nu) / (1.0 + mu), abs=1e-3)
+                if t == 0:
+                    assert c1 == pytest.approx(0.0911564625850341, abs=1e-3)
+                assert 1.0 / q == pytest.approx((mu + 1.0) / (mu - 1.0), abs=1e-3)
+                assert 1.0 / q == pytest.approx(5.0, abs=1e-3)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_grid_and_pattern_methods_agree(self, m):
-        mu, nu = 1.7, 1.3
-        grid = section_grid_min(mu, m, 1.0, nu)
-        exact = _min_over_ideal_section(mu, m, 1.0, nu)
-        assert grid == pytest.approx(exact, abs=1e-4)
+        mu = 1.7
+        constants = vng.market_constants(identical_assets_market(m, mu, 1.0, 1.0, 0.0, 0.3))
+        assert constants.nu.tolist() == [1.3, 1.3]
+        for t, nu in enumerate(constants.nu):
+            grid = section_grid_min(mu, m, 1.0, nu)
+            assert grid == pytest.approx(constants.C1[t], abs=1e-4)
+            grid_q = section_grid_min(mu, m, 1.0, 1.0)
+            assert grid_q == pytest.approx(constants.Q[t], abs=1e-4)
 
     def test_b2_failure_raises_margin_too_tight(self):
         tree = vng.build_tree(
@@ -568,7 +592,7 @@ class TestPaperBounds:
 
     def test_all_ones_price_two_sided_bound(self):
         market = two_asset_margin_market()
-        constants = market.constants()
+        constants = market.constants
         rng = np.random.default_rng(12)
         ones = np.ones(2)
         for node in market.tree.nodes:
@@ -580,7 +604,7 @@ class TestPaperBounds:
 
     def test_transition_bound_k(self):
         market = two_asset_margin_market()
-        constants = market.constants()
+        constants = market.constants
         rng = np.random.default_rng(13)
         for node in market.tree.nodes:
             if node.parent is None:
@@ -593,7 +617,7 @@ class TestPaperBounds:
 
     def test_lemma_positive_part_bound(self):
         market = two_asset_margin_market()
-        constants = market.constants()
+        constants = market.constants
         rng = np.random.default_rng(14)
         for node in market.tree.nodes:
             t = node.depth
@@ -604,7 +628,7 @@ class TestPaperBounds:
 
     def test_small_completions_are_admissible(self):
         market = two_asset_margin_market()
-        constants = market.constants()
+        constants = market.constants
         rng = np.random.default_rng(15)
         for node in market.tree.nodes:
             if node.parent is None:
@@ -620,8 +644,8 @@ class TestPaperBounds:
 
     def test_psi_upper_bound_chain(self):
         market = two_asset_margin_market()
-        constants = market.constants()
-        b_bounds = market.bounds()
+        constants = market.constants
+        b_bounds = market.bounds
         rng = np.random.default_rng(16)
         for node in market.tree.nodes:
             if node.parent is None:
@@ -636,7 +660,7 @@ class TestPaperBounds:
 def test_random_instances_have_positive_constants():
     for seed in range(6):
         problem = make_instance(seed)
-        constants = problem.market.constants()
+        constants = problem.market.constants
         assert (constants.C1 > 0).all()
         assert (constants.Q > 0).all()
         assert (constants.H >= 1.0 - 1e-12).all()

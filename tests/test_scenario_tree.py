@@ -105,9 +105,9 @@ class TestBuildTree:
         assert [n.node_id for n in tree.nodes] == [nid for nid, _, _ in raw]
         for t in range(tree.horizon + 1):
             lev = tree.span(t)
-            assert [n.index for n in tree.level(t)] == list(range(lev.start, lev.stop))
+            assert [n.index for n in tree.nodes[tree.span(t)]] == list(range(lev.start, lev.stop))
             assert tree.indices(t).tolist() == list(range(lev.start, lev.stop))
-            assert all(n.depth == t for n in tree.level(t))
+            assert all(n.depth == t for n in tree.nodes[tree.span(t)])
         assert tree.up(1).tolist() == [0, 0]
         assert tree.up(2).tolist() == [1, 0, 1, 0]
         for node in tree.nodes:
@@ -119,7 +119,7 @@ class TestBuildTree:
         assert [tree.ids[k] for k in kids] == ["aa", "ab"]
         assert not tree.child_counts.flags.writeable
         assert tree.ids == ("r", "a", "b", "ba", "aa", "bb", "ab")
-        assert tree.n_leaves == len(tree.level(tree.horizon)) == 4
+        assert tree.n_leaves == len(tree.nodes[tree.span(tree.horizon)]) == 4
         for k, node in enumerate(tree.nodes):  # the Node view reads the arrays
             parent = int(tree.parents[k])
             assert node == vng.Node(
@@ -228,7 +228,7 @@ class TestConditionalExpectation:
         tree = vng.build_tree(raw, 2)
         av = vng.AdaptedVector(2, np.arange(8.0).reshape(4, 2))
         out = conditional_expectation(tree, av)
-        for pos, node in enumerate(tree.level(1)):
+        for pos, node in enumerate(tree.nodes[tree.span(1)]):
             expected = sum(
                 tree.cond_prob[child] * av.values[child - tree.span(2).start]
                 for child in np.flatnonzero(tree.parents == node.index)
