@@ -18,7 +18,6 @@ from .certification import (
     RapidityCertificate,
     SupermartingaleReport,
     check_equivalences,
-    extract_dual,
     growth_dominance,
     prop4_reconstruct,
     sample_competitor_paths,
@@ -71,6 +70,7 @@ from .solver import (
     Solution,
     SolveOptions,
     assemble,
+    extract_dual,
     kkt_report,
     solve_log_optimal,
 )

@@ -8,13 +8,9 @@ A :class:`DualPath` checks its shapes once, when it is built, and carries the
 conditional sums E_t p_{t+1} that every criterion reads; a check against
 another tree object raises ShapeMismatch.
 
-Extraction reads the prices off the solver's multipliers: the block of
-multipliers linking a node to its parent, pushed through the returns and
-divided by the node probability, is exactly the per-atom price density; the
-terminal layer comes from the objective's supergradient, whose degree-one
-Euler identity makes the last normalization exact by construction.
-
-Verification never trusts the solver: memberships use the exact section-vertex
+The solver reads a dual path off its multipliers
+(:func:`vng.solver.extract_dual`); this module imports no solver code, so
+verification never trusts the solver: memberships use the exact section-vertex
 test, normalizations are plain inner products, and each transition inequality
 is settled from the dual path alone by a rigorous upper bound on its LP value
 (0 where both of the bound's distances vanish).  Each criterion is one array
@@ -32,12 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DepthMismatch,
-    NotCertified,
-    ShapeMismatch,
-    ZeroDenominator,
-)
+from .errors import DepthMismatch, ShapeMismatch, ZeroDenominator
 from .market_model import (
     DualConeCheck,
     MarketData,
@@ -50,7 +41,6 @@ from .market_model import (
     transition_frontier_batch,
 )
 from .scenario_tree import AdaptedVector, NodeArray, ScenarioTree, node_array
-from .solver import PathProblem, Solution, _stored_iterate, kkt_report
 
 log = logging.getLogger(__name__)
 
@@ -106,60 +96,6 @@ class DualPath:
 def _check_tree(dual: DualPath, tree: ScenarioTree) -> None:
     if dual.tree is not tree:
         raise ShapeMismatch("dual path belongs to another tree")
-
-
-def extract_dual(
-    solution: Solution, problem: PathProblem, strict: bool = True
-) -> DualPath:
-    """Dual path from the converged solution's multipliers.
-
-    Raises DimensionMismatch when z or the multipliers do not fit the
-    problem.  Refuses non-certified input unless ``strict=False``, which
-    extracts anyway so a later verification can refute tampered data with a
-    concrete witness; the refusal rests on :func:`~vng.solver.kkt_report`,
-    which recomputes the residuals from the stored z and multipliers.  Both
-    read the problem's one read-only program (:attr:`PathProblem.program`),
-    so a solve, its report and its extraction assemble it once.
-    For each non-root node the price is the cost-weighted multiplier of its
-    self-financing rows, pushed through the returns and divided by the node
-    probability; the terminal layer is the objective's multiplier-selected
-    supergradient over its value, whose degree-one Euler identity pins
-    p_{N+1} . x_N = 1 exactly.
-    """
-    prog = problem.program
-    _, lam = _stored_iterate(solution, prog)
-    if strict:
-        report = kkt_report(solution, problem)
-        if not solution.converged or not report.within(solution.options.tol):
-            raise NotCertified(
-                "solution is not converged to tolerance; no dual path extracted"
-            )
-    tree, market = problem.tree, problem.market
-    X = node_array(solution.path, (tree.n_nodes, market.m), "path")
-    mult = prog.node_rows(lam)  # node i's multipliers at i - 1, by kind
-
-    def edge_price_density(idx: np.ndarray) -> np.ndarray:
-        # Combined multiplier of the two min-form rows, weighted by the
-        # selling/buying cost coefficients: the x_parent-direction gradient
-        # of the edge block divided by the returns.
-        return (mult["plus"][idx - 1] * market.Lp[idx]
-                + mult["minus"][idx - 1] * market.Lm[idx])
-
-    idx = np.arange(1, tree.n_nodes)
-    p = market.returns[idx] * edge_price_density(idx) / tree.prob[idx, None]
-
-    # Terminal layer: the objective's supergradient over its value.  At a
-    # kink (a terminal coordinate parked exactly at zero) the stationarity
-    # identity of the leaf block selects the supergradient consistent with
-    # the multipliers, so read it off the same block identities as the
-    # interior layers and pin the Euler normalization exactly per leaf.
-    idx = tree.indices(tree.horizon)
-    beta, gamma = mult["u"][idx - 1], mult["margin"][idx - 1]
-    g = (edge_price_density(idx) - beta - gamma * market.Lp[idx]) / tree.prob[idx, None]
-    # A leaf state of 0 makes its row non-finite, which verification refutes.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = g / np.vecdot(g, X[idx])[:, None]
-    return DualPath(tree, p, term)
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,7 +57,6 @@ from .certification import (
     RapidityCertificate,
     SupermartingaleReport,
     _supermartingale_checks,
-    extract_dual,
     growth_dominance,
     sample_competitor_paths,
     supermartingale_check,
@@ -94,6 +93,7 @@ from .solver import (
     PathProblem,
     Solution,
     SolveOptions,
+    extract_dual,
     solve_log_optimal,
 )
 

@@ -371,7 +371,7 @@ def _transition_bound_terms(
     nodes: np.ndarray,
     p: np.ndarray,
     p_bar: np.ndarray,
-    bar_abs: np.ndarray | None = None,
+    bar_abs: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """e, f, R_max, kappa and gamma of :func:`transition_bound`, per row.
 
@@ -391,13 +391,11 @@ def _transition_bound_terms(
       gamma_n = nu / (1 - nu) (Higham, Accuracy and Stability of Numerical
       Algorithms, eq. 3.5).  The same sum over |v_k| is computed as S^ >=
       (1 - gamma_n) S, so e_bar = 2nu S^ bounds the error for any nu <= 0.01;
-      ``bar_abs`` is S^, and its default |p_bar| is S^ whenever the child
-      prices are nonnegative;
+      ``bar_abs`` is S^, which the rows alone cannot supply (|p_bar| is S^
+      only where the child prices are nonnegative);
     - y^ = fl(sigma^ - p_bar^) gives |y - y^| <= e_s + e_bar + 2u |y^|.
     """
-    idx, p, p_bar, bar_abs = market._rows(
-        nodes, p, p_bar, np.abs(p_bar) if bar_abs is None else bar_abs
-    )
+    idx, p, p_bar, bar_abs = market._rows(nodes, p, p_bar, bar_abs)
     tree = market.tree
     n_children = tree.child_counts[idx]
     sigma = p / market.returns[idx]
@@ -417,7 +415,7 @@ def transition_bound(
     nodes: np.ndarray,
     p: np.ndarray,
     p_bar: np.ndarray,
-    bar_abs: np.ndarray | None = None,
+    bar_abs: np.ndarray,
 ) -> np.ndarray:
     """Rigorous upper bound on each node's :func:`dual_cone_violation` value.
 

@@ -50,6 +50,14 @@ Hessian scale like that of a leaf, which is what the threshold compares (see
 SIAM J. Optim. 5(1), 1995), so no regularization is added: a block that is
 singular anyway ends the solve unconverged, with the reason in its warning.
 
+Extraction reads the prices off the multipliers (:func:`extract_dual`): the
+block of multipliers linking a node to its parent, pushed through the returns
+and divided by the node probability, is exactly the per-atom price density;
+the terminal layer comes from the objective's supergradient, whose degree-one
+Euler identity makes the last normalization exact by construction.  The
+result is a :class:`~vng.certification.DualPath`, which
+:mod:`vng.certification` checks without reading any solver code.
+
 A solve owns its workspace; problems are immutable and may be solved
 concurrently.
 """
@@ -63,7 +71,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleStart
+from .certification import DualPath
+from .errors import DimensionMismatch, InfeasibleStart, NotCertified
 from .market_model import MarketData, fixed_fraction_path, margin_residual
 from .objectives import LeafForm, TerminalObjective, log_objective
 from .scenario_tree import NodeArray, ScenarioTree, node_array
@@ -703,12 +712,15 @@ class _NewtonSystem:
         rq = np.where(big, -self.hscale * r_c / self.lam, 0.0)
         return rp, rq
 
+    @np.errstate(invalid="ignore", over="ignore")  # checked at the end
     def solve(self, rp: np.ndarray, rq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve K [dz; y] = [rp; rq] for k columns: leaves to root, then back.
 
         ``rp`` is (n_vars, k) and ``rq`` (n_cons, k).  The first call factors
         each level's (already reduced) blocks against [B | r] and folds
-        C - B^T K^-1 B into the parents; later calls reuse K^-1 B.
+        C - B^T K^-1 B into the parents; later calls reuse K^-1 B.  A
+        direction that is not finite raises FloatingPointError, and numpy
+        warns of nothing on the way.
         """
         prog, levels, m = self.prog, self.prog.levels, self.prog.m
         k = rp.shape[1]
@@ -740,6 +752,8 @@ class _NewtonSystem:
             nc = lev.loc.shape[2]
             dz[lev.cols] = X[t][:, :nc].reshape(-1, k)
             y[slot] = X[t][:, nc:]
+        if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(y))):
+            raise FloatingPointError("newton direction is not finite")
         return dz, y
 
     def refine(
@@ -761,11 +775,7 @@ class _NewtonSystem:
         Kp = Wdz + prog.A_T_dot(self.Dc * Adz + self.bs * y)
         Kq = self.bs * Adz + self.slot_diag * y
         ddz, dy = self.solve((rp - Kp)[:, None], (rq - Kq)[:, None])
-        dz = dz + ddz[:, 0]
-        y = y + dy[:, 0]
-        if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(y))):
-            raise FloatingPointError("newton direction is not finite")
-        return dz, y
+        return dz + ddz[:, 0], y + dy[:, 0]
 
     def dlam(self, r_c: np.ndarray, y: np.ndarray, Adz: np.ndarray) -> np.ndarray:
         """Multiplier step: -h y on augmented rows, condensed elsewhere."""
@@ -1047,3 +1057,57 @@ def kkt_report(solution: Solution, problem: PathProblem) -> KktReport:
         residuals=KktResiduals.of(g, r_d, lam),
         path_consistent=path_ok,
     )
+
+
+def extract_dual(
+    solution: Solution, problem: PathProblem, strict: bool = True
+) -> DualPath:
+    """Dual path from the converged solution's multipliers.
+
+    Raises DimensionMismatch when z or the multipliers do not fit the
+    problem.  Refuses non-certified input unless ``strict=False``, which
+    extracts anyway so a later verification can refute tampered data with a
+    concrete witness; the refusal rests on :func:`kkt_report`, which
+    recomputes the residuals from the stored z and multipliers.  Both read
+    the problem's one read-only program (:attr:`PathProblem.program`), so a
+    solve, its report and its extraction assemble it once.
+    For each non-root node the price is the cost-weighted multiplier of its
+    self-financing rows, pushed through the returns and divided by the node
+    probability; the terminal layer is the objective's multiplier-selected
+    supergradient over its value, whose degree-one Euler identity pins
+    p_{N+1} . x_N = 1 exactly.
+    """
+    prog = problem.program
+    _, lam = _stored_iterate(solution, prog)
+    if strict:
+        report = kkt_report(solution, problem)
+        if not solution.converged or not report.within(solution.options.tol):
+            raise NotCertified(
+                "solution is not converged to tolerance; no dual path extracted"
+            )
+    tree, market = problem.tree, problem.market
+    X = node_array(solution.path, (tree.n_nodes, market.m), "path")
+    mult = prog.node_rows(lam)  # node i's multipliers at i - 1, by kind
+
+    def edge_price_density(idx: np.ndarray) -> np.ndarray:
+        # Combined multiplier of the two min-form rows, weighted by the
+        # selling/buying cost coefficients: the x_parent-direction gradient
+        # of the edge block divided by the returns.
+        return (mult["plus"][idx - 1] * market.Lp[idx]
+                + mult["minus"][idx - 1] * market.Lm[idx])
+
+    idx = np.arange(1, tree.n_nodes)
+    p = market.returns[idx] * edge_price_density(idx) / tree.prob[idx, None]
+
+    # Terminal layer: the objective's supergradient over its value.  At a
+    # kink (a terminal coordinate parked exactly at zero) the stationarity
+    # identity of the leaf block selects the supergradient consistent with
+    # the multipliers, so read it off the same block identities as the
+    # interior layers and pin the Euler normalization exactly per leaf.
+    idx = tree.indices(tree.horizon)
+    beta, gamma = mult["u"][idx - 1], mult["margin"][idx - 1]
+    g = (edge_price_density(idx) - beta - gamma * market.Lp[idx]) / tree.prob[idx, None]
+    # A leaf state of 0 makes its row non-finite, which verification refutes.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = g / np.vecdot(g, X[idx])[:, None]
+    return DualPath(tree, p, term)

@@ -702,12 +702,13 @@ def level_bar_abs(dual, tree, t):
     ).values
 
 
-def assert_bound_sound(market, nodes, p, p_bar, terms, bar_abs=None) -> np.ndarray:
+def assert_bound_sound(market, nodes, p, p_bar, terms, bar_abs) -> np.ndarray:
     """``transition_bound`` on these rows, checked node by node; returns it.
 
     ``terms[k]`` are the (weight, price) pairs whose exact sum is p_bar at
-    node k.  At every node, those reading 0 included, in exact arithmetic
-    with the library's kappa and gamma:
+    node k, and ``bar_abs[k]`` their float sum over the absolute prices.  At
+    every node, those reading 0 included, in exact arithmetic with the
+    library's kappa and gamma:
 
     - the distances of the exact sigma and sigma - p_bar are at most the
       library's e and f (the forward-error terms);
@@ -770,7 +771,7 @@ class TestTransitionProof:
             # the drawn p_bar is the exact child sum of a single child
             bound = assert_bound_sound(
                 market, [node.index for node in level], p, p_bar,
-                [[(1.0, row)] for row in p_bar],
+                [[(1.0, row)] for row in p_bar], np.abs(p_bar),
             )
             zero += int((bound == 0.0).sum())
             positive += int((bound > 0.0).sum())
@@ -840,24 +841,24 @@ class TestTransitionProof:
                     y = rng.uniform(1e-3, 0.1, (len(idx), 1)) * (Lp + w * (beta - Lp))
                     target = sigma - y
                     if t == tree.horizon:
-                        p_bar = target
+                        p_bar, bar_abs = target, np.abs(target)
                         terms = [[(1.0, row)] for row in target]
                     else:
                         child = target[tree.up(t + 1)]
-                        p_bar = conditional_expectation(
-                            tree, vng.AdaptedVector(t + 1, child)
-                        ).values
+                        p_bar, bar_abs = (conditional_expectation(
+                            tree, vng.AdaptedVector(t + 1, v)
+                        ).values for v in (child, np.abs(child)))
                         terms = [
                             [(tree.cond_prob[c], child[c - tree.offsets[t + 1]])
                              for c in np.flatnonzero(tree.parents == node.index)]
                             for node in level
                         ]
                     p = market.returns[idx] * sigma
-                    bound = assert_bound_sound(market, idx, p, p_bar, terms)
+                    bound = assert_bound_sound(market, idx, p, p_bar, terms, bar_abs)
                     zero_total += int((bound == 0.0).sum())
                     # the same distances in plain floats, without error terms
                     _, _, _, kappa, gamma = _transition_bound_terms(
-                        market, idx, p, p_bar
+                        market, idx, p, p_bar, bar_abs
                     )
                     s = p / market.returns[idx]
                     yb = s - p_bar
@@ -1038,6 +1039,7 @@ class TestTransitionBound:
                 bound = assert_bound_sound(
                     market, [node.index for node in level], p, p_bar,
                     [bar_terms(dual, tree, t, node) for node in level],
+                    level_bar_abs(dual, tree, t),
                 )
                 open_nodes += int((bound > 0.0).sum())
         # frictionless coordinates leave rounding to cover, so these nodes

@@ -28,7 +28,6 @@ TRACED = [
     ("vng.solver", "AssembledProgram.grad_f"),
     ("vng.solver", "AssembledProgram.neg_hess_f"),
     ("vng.solver", "kkt_report"),
-    ("vng.certification", "extract_dual"),
     ("vng.certification", "verify_rapid"),
     ("vng.certification", "supermartingale_check"),
     ("vng.certification", "sample_competitor_paths"),

@@ -152,6 +152,17 @@ class TestAssemble:
         ):
             _interior_start(huge)
 
+    def test_start_whose_direction_overflows_names_the_reason(self, kelly, caplog):
+        """At x0 * 1e152 the Newton direction turns non-finite after 6 steps;
+        the solve stops unconverged with that reason, and no RuntimeWarning
+        (an error in this suite) comes first."""
+        huge = dataclasses.replace(kelly, x0=1e152 * kelly.x0)
+        with caplog.at_level(logging.WARNING, logger="vng.solver"):
+            solution = vng.solve_log_optimal(huge)
+        assert not solution.converged and solution.iterations == 6
+        warned = [r.getMessage() for r in caplog.records]
+        assert len(warned) == 1 and "newton direction is not finite" in warned[0]
+
     def test_infeasible_x0_rejected(self, single_asset):
         with pytest.raises(InfeasibleStart):
             vng.PathProblem(
