@@ -251,18 +251,19 @@ def build_objective(
     tree: ScenarioTree, market: MarketData, section: dict
 ) -> TerminalObjective:
     variant = _need(section, "variant", "objective", str).lower()
-    if variant == "linear":
-        return LinearObjective(tree, market, q=section.get("q"))
     if variant == "liquidation":
         return LiquidationObjective(tree, market)
+    q = None if section.get("q") is None else _array(section["q"], "objective.q")
+    if variant == "linear":
+        return LinearObjective(tree, market, q=q)
     if variant == "norm_penalized":
         return NormPenalizedObjective(
             tree,
             market,
-            q=section.get("q"),
-            theta=section.get("theta", 0.0),
+            q=q,
+            theta=_array(section.get("theta", 0.0), "objective.theta"),
             norm=section.get("norm", "l1"),
-            delta=section.get("delta", 0.5),
+            delta=_number(section.get("delta", 0.5), "objective.delta"),
         )
     raise ParseError(f"objective: unknown variant {variant!r}")
 

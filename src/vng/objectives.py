@@ -11,9 +11,12 @@ ways by a multiple of the 1-norm.  Three variants ship:
 Degree-one homogeneity yields the Euler identity g . a = value(a) for the
 supergradient g, which the dual extraction leans on.  Every variant carries
 its leaf values as one :class:`LeafForm`, built at construction: the arrays
-the solver reads for all leaves at once.  ``form.values`` and
-``form.supergradients`` take rows at given leaf positions and are the one
-evaluation path, which the log functional and the axiom checks read too.
+the solver reads for all leaves at once.  Its piecewise-linear part is a
+sum of minima min(c1_j x_j, c2_j x_j): Lp and Lm for liquidation, and -theta
+and theta for the 1-norm penalty, -theta |x_j| being such a minimum.
+``form.values`` and ``form.supergradients`` take rows at given leaf positions
+and are the one evaluation path, which the log functional and the axiom
+checks read too.
 """
 
 from __future__ import annotations
@@ -45,21 +48,19 @@ class LeafForm:
     """Array form of the leaf values, one layout for every variant.
 
     The value at leaf l with terminal state x_l is
-    ``cx[l] . x_l - l2[l] * |x_l|_2``, plus ``cw[k] . w_k`` when l is the
-    lifted leaf ``lifted[k]``.  Its auxiliary scalars w_k satisfy the two
-    coordinatewise rows ``c1[k] * x_l + d * w_k >= 0`` and
-    ``c2[k] * x_l + d * w_k >= 0``; the solver's maximization drives w_k to
-    the binding row, where the linear form equals the piecewise-linear value.
+    ``cx[l] . x_l - l2[l] * |x_l|_2``, plus the sum over j of
+    ``min(c1[k] * x_l, c2[k] * x_l)_j`` when l is the lifted leaf
+    ``lifted[k]``.  The solver lifts that sum in min-form, as it lifts the
+    cash: m scalars w_k sit below both forms, ``c1[k] * x_l - w_k >= 0`` and
+    ``c2[k] * x_l - w_k >= 0``, and add up to it.
     """
 
     cx: np.ndarray      # (n_leaves, m) coefficients on x
     lifted: np.ndarray  # (n_lifted,) positions of the lifted leaves
-    cw: np.ndarray      # (n_lifted, m) coefficients on w
     c1: np.ndarray      # (n_lifted, m)
     c2: np.ndarray      # (n_lifted, m)
-    d: float            # -1: w sits below both forms; +1: w sits above both
     l2: np.ndarray      # (n_leaves,) Euclidean penalty weight
-    lift_index: np.ndarray = field(init=False)  # per leaf: row in cw, or -1
+    lift_index: np.ndarray = field(init=False)  # per leaf: row in c1, or -1
 
     def __post_init__(self) -> None:
         index = np.full(len(self.cx), -1)
@@ -72,11 +73,11 @@ class LeafForm:
         none = np.zeros((0, m))
         if l2 is None:
             l2 = np.zeros(n_leaves)
-        return LeafForm(cx, np.zeros(0, dtype=int), none, none, none, 1.0, l2)
+        return LeafForm(cx, np.zeros(0, dtype=int), none, none, l2)
 
     # The two methods below take (n, m) rows X, row k at leaf position pos[k]
     # (default: every leaf in order).  On a lifted leaf w sits at its binding
-    # row, w = -d min(c1 x, c2 x) coordinatewise.
+    # row, w = min(c1 x, c2 x) coordinatewise.
 
     def values(self, X: np.ndarray, pos=slice(None)) -> np.ndarray:
         """Leaf value of each row."""
@@ -84,8 +85,7 @@ class LeafForm:
         k = self.lift_index[pos]
         on = k >= 0
         k, Xl = k[on], X[on]
-        val[on] += np.vecdot(self.cw[k], -self.d * np.minimum(self.c1[k] * Xl,
-                                                              self.c2[k] * Xl))
+        val[on] += np.minimum(self.c1[k] * Xl, self.c2[k] * Xl).sum(axis=1)
         return val
 
     def supergradients(self, X: np.ndarray, pos=slice(None)) -> np.ndarray:
@@ -98,7 +98,7 @@ class LeafForm:
         on = k >= 0
         k, Xl = k[on], X[on]
         c1, c2 = self.c1[k], self.c2[k]
-        G[on] -= self.d * self.cw[k] * np.where(c1 * Xl <= c2 * Xl, c1, c2)
+        G[on] += np.where(c1 * Xl <= c2 * Xl, c1, c2)
         return G
 
 
@@ -139,15 +139,13 @@ class LiquidationObjective(TerminalObjective):
         self._h_psi = np.maximum(
             np.maximum(Lm.max(axis=1), 1.0 / (c1_N * Lp.min(axis=1))), 1.0
         )
-        # value = sum_j min(Lp_j x_j, Lm_j x_j): w sits below both forms
+        # value = sum_j min(Lp_j x_j, Lm_j x_j)
         n_leaves = len(Lp)
         self.form = LeafForm(
             cx=np.zeros((n_leaves, self.m)),
             lifted=np.arange(n_leaves),
-            cw=np.ones((n_leaves, self.m)),
             c1=Lp,
             c2=Lm,
-            d=-1.0,
             l2=np.zeros(n_leaves),
         )
 
@@ -189,8 +187,8 @@ class NormPenalizedObjective(TerminalObjective):
             theta_arr = np.full(n_leaves, float(theta_arr))
         if theta_arr.shape != (n_leaves,):
             raise DimensionMismatch(f"theta must be a scalar or length {n_leaves}")
-        if np.any(theta_arr < 0):
-            raise ValueError("penalty weights must be nonnegative")
+        if not np.all((theta_arr >= 0) & (theta_arr < np.inf)):  # NaN fails both
+            raise ValueError("penalty weights must be finite and nonnegative")
         self.theta = theta_arr
         self.h_hat = 1.0 if norm == "l1" else float(np.sqrt(self.m))
 
@@ -201,24 +199,23 @@ class NormPenalizedObjective(TerminalObjective):
         if enforce_bound and over.size:
             k = over[0]
             raise ValueError(
-                f"penalty weight {self.theta[k]!r} at leaf "
+                f"penalty weight {float(self.theta[k])!r} at leaf "
                 f"{tree.ids[tree.span(tree.horizon)][k]!r} exceeds the admissible bound "
-                f"{self.theta_bound[k]!r}"
+                f"{float(self.theta_bound[k])!r}"
             )
         self._h_psi = np.maximum(np.maximum(c_max, 1.0 / (delta * c_min)), 1.0)
         if norm == "l2":
             self.form = LeafForm.unlifted(self.q, l2=self.theta)
         else:
-            # value = q . x - theta sum_j |x_j|: w sits above both x and -x
+            # value = q . x + sum_j min(-theta x_j, theta x_j); at x_j = 0
+            # the c1 side gives the supergradient q_j - theta
             lifted = np.flatnonzero(self.theta)
-            ones = np.ones((len(lifted), self.m))
+            theta = np.repeat(self.theta[lifted, None], self.m, axis=1)
             self.form = LeafForm(
                 cx=self.q,
                 lifted=lifted,
-                cw=-self.theta[lifted, None] * ones,
-                c1=-ones,
-                c2=ones,
-                d=1.0,
+                c1=-theta,
+                c2=theta,
                 l2=np.zeros(n_leaves),
             )
 

@@ -11,10 +11,11 @@ forms, so it is lifted in min-form: an auxiliary scalar per coordinate sits
 below both forms and their sum is the released cash.  (A plus/minus split of
 the rebalance would leave a cost-free inflation ray wherever a coordinate is
 frictionless, which a log barrier chases to infinity; the min-form has no
-such ray.)  Piecewise-linear terminal objectives are lifted the same way, so
-maximizing drives each auxiliary scalar to the true value.  The objective
-reaches the program through its array form (:class:`~vng.objectives.LeafForm`):
-its value and derivatives are whole-array expressions over all leaves.
+such ray.)  Piecewise-linear terminal objectives are lifted the same way: a
+lifted leaf's scalars w sit below both of its forms and add up to its value.
+The objective reaches the program through its array form
+(:class:`~vng.objectives.LeafForm`): its value and derivatives are
+whole-array expressions over all leaves.
 
 Newton acts on the perturbed KKT system with explicit multipliers, centered
 on lambda_i g_i = mu P_i, P_i the probability of the node owning row i: a
@@ -355,7 +356,7 @@ class AssembledProgram:
         X = z[self.leaf_x]
         nrm = np.sqrt(np.vecdot(X, X))
         sigma = np.vecdot(form.cx, X) - form.l2 * nrm
-        sigma[form.lifted] += np.vecdot(form.cw, z[self.leaf_w])
+        sigma[form.lifted] += z[self.leaf_w].sum(axis=1)
         G = form.cx - form.l2[:, None] * X / nrm[:, None]
         return X, nrm, G, sigma
 
@@ -371,7 +372,7 @@ class AssembledProgram:
         s = sigma[:, None]
         grad = np.zeros(self.n_vars)
         grad[self.leaf_x] = P * G / s
-        grad[self.leaf_w] = P[form.lifted] * form.cw / s[form.lifted]
+        grad[self.leaf_w] = P[form.lifted] / s[form.lifted]
         return grad
 
     def neg_hess_f(
@@ -395,8 +396,10 @@ class AssembledProgram:
         )
         lw = form.lifted
         xx = P * (G[:, :, None] * G[:, None, :]) / s2 + P * (curv / s)
-        xw = P[lw] * (G[lw][:, :, None] * form.cw[:, None, :]) / s2[lw]
-        ww = P[lw] * (form.cw[:, :, None] * form.cw[:, None, :]) / s2[lw]
+        # sigma's gradient is 1 on each w: the columns of xw and all of ww agree
+        xw, ww = np.empty((2, len(lw), self.m, self.m))
+        xw[:] = P[lw] * G[lw][:, :, None] / s2[lw]
+        ww[:] = P[lw] / s2[lw]
         return xx, xw, ww
 
 
@@ -443,12 +446,12 @@ def assemble(problem: PathProblem) -> AssembledProgram:
     leaf_x = np.arange(n_node_vars).reshape(-1, 3, m)[leaves - 1, 0]
     leaf_w = n_node_vars + np.arange(n_lifted * m).reshape(n_lifted, m)
     n_vars = n_node_vars + n_lifted * m
-    # per lifted leaf: m rows c1 * x + d * w >= 0, then m rows c2 * x + d * w >= 0
+    # per lifted leaf: m rows c1 * x - w >= 0, then m rows c2 * x - w >= 0
     n_cons = n_node_rows + n_lifted * 2 * m
     j = np.arange(m)
     w_loc = np.zeros((n_lifted, 2 * m, m))
     w_par = np.zeros((n_lifted, 2 * m, m))
-    w_loc[:, j, j] = w_loc[:, m + j, j] = form.d
+    w_loc[:, j, j] = w_loc[:, m + j, j] = -1.0
     w_par[:, j, j] = form.c1
     w_par[:, m + j, j] = form.c2
 
@@ -458,9 +461,9 @@ def assemble(problem: PathProblem) -> AssembledProgram:
     b = np.zeros(n_cons)
     b[:n1 * block] = (par[:n1] @ x0).ravel()
 
-    # A from the same blocks, all nodes in one pass.  Every coefficient of
-    # the lift is nonzero (Lp > 0, R > 0, mu Lm > Lp, and c1, c2, d of a w row
-    # are cost multipliers or +-1), so A's entries are the blocks' nonzeros.
+    # A from the same blocks, all nodes in one pass.  Every coefficient of the
+    # lift is nonzero (Lp > 0, R > 0, mu Lm > Lp; a w row's c1, c2 are Lp, Lm
+    # or -+theta with theta > 0), so A's entries are the blocks' nonzeros.
     def entries(blocks: np.ndarray, row0: int, col0: np.ndarray) -> tuple:
         """Nonzeros of stacked blocks; block k starts at row0 + k * rows, col0[k]."""
         k, r, c = np.nonzero(blocks)
@@ -533,14 +536,14 @@ def _interior_start(problem: PathProblem) -> np.ndarray:
     order of a solution's: an infeasible-start method wants a start that is
     large against a solution (S. Wright, Primal-Dual Interior-Point Methods,
     SIAM 1997, ch. 6).
-    Auxiliary variables get padding of a tenth of their block's state
-    scale, capped at 0.4 of the slack it eats into, so every row stays
-    strictly positive.  Every step is homogeneous in x0 and scaling by a
-    power of two is exact, so the start at 2^k x0 is 2^k times the start at
-    x0 bit for bit, short of overflow and underflow.  Raises InfeasibleStart
-    at a node with no strictly positive transition, at the first node whose
-    frontier is not finite (a huge x0 overflows it), or when the start is
-    not strictly interior anyway.
+    The auxiliary scalars v, s and w get padding of a tenth of their node's
+    state scale, capped at 0.4 of the slack it eats into (for w, the leaf
+    value), so every row stays strictly positive.  Every step is homogeneous
+    in x0 and scaling by a power of two is exact, so the start at 2^k x0 is
+    2^k times the start at x0 bit for bit, short of overflow and underflow.
+    Raises InfeasibleStart at a node with no strictly positive transition,
+    at the first node whose frontier is not finite (a huge x0 overflows it),
+    or when the start is not strictly interior anyway.
     """
     prog = problem.program
     tree, market = problem.tree, problem.market
@@ -575,21 +578,16 @@ def _interior_start(problem: PathProblem) -> np.ndarray:
     psi_min = mins.sum(axis=1)
 
     z = np.zeros(prog.n_vars)
-    pad_v = np.minimum(0.1 * x_scale, 0.4 * margin_min / np.maximum(den_v, 1e-30))
+    pad_v = np.minimum(0.1 * x_scale, 0.4 * margin_min / den_v)  # den_v >= mu - 1 > 0
     pad_s = np.minimum(0.1 * x_scale, 0.4 * psi_min / m)
     prog.node_columns(z)[:] = (
         x, np.maximum(-x, 0.0) + pad_v[:, None], mins - pad_s[:, None]
     )
 
-    # w on the tighter of its two rows, then pad_w inside it (in direction d)
     X = z[prog.leaf_x[form.lifted]]
     scale = np.abs(X).sum(axis=1) / m
-    target = -form.d * np.minimum(form.c1 * X, form.c2 * X)
-    sigma_full = np.vecdot(form.cx[form.lifted], X) + np.vecdot(form.cw, target)
-    pad_w = np.minimum(
-        0.1 * scale, 0.4 * sigma_full / np.maximum(np.abs(form.cw).sum(axis=1), 1e-30)
-    )
-    z[prog.leaf_w] = target + form.d * pad_w[:, None]
+    pad_w = np.minimum(0.1 * scale, 0.4 * form.values(X, form.lifted) / m)
+    z[prog.leaf_w] = np.minimum(form.c1 * X, form.c2 * X) - pad_w[:, None]
 
     if not (prog.g(z).min() > 0.0 and np.all(prog.sigmas(z) > 0.0)):
         raise InfeasibleStart("the interior start is not strictly interior")

@@ -147,8 +147,8 @@ def dense_constraint_matrix(problem) -> np.ndarray:
     from (i - 1)(4m + 2): v >= 0, u = x + v >= 0, the margin
     Lp x + (Lp - mu Lm) v >= 0, Lp (R x_par - x) - s >= 0,
     Lm (R x_par - x) - s >= 0 and sum(s) >= 0; the root's x0 is a constant.
-    Lifted leaf k then owns m columns w and 2m rows c1 x + d w >= 0,
-    c2 x + d w >= 0 after all node columns and rows.
+    Lifted leaf k then owns m columns w and 2m rows c1 x - w >= 0,
+    c2 x - w >= 0 after all node columns and rows.
     """
     tree, market = problem.tree, problem.market
     form = problem.objective.form
@@ -180,7 +180,7 @@ def dense_constraint_matrix(problem) -> np.ndarray:
             for row, c in ((node_rows + k * 2 * m + j, form.c1[k, j]),
                            (node_rows + k * 2 * m + m + j, form.c2[k, j])):
                 A[row, x + j] = c
-                A[row, w] = form.d
+                A[row, w] = -1.0
     return A
 
 

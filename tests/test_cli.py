@@ -917,6 +917,18 @@ class TestNumbers:
         pytest.param("problem", ("solver", "seed"), BIG, id="seed=10**400"),
         pytest.param("problem", ("objective",), {"variant": "linear", "q": [BIG, 1.0]},
                      id="objective.q=10**400"),
+        pytest.param("problem", ("objective",),
+                     {"variant": "linear", "q": [True, "1.1"]},
+                     id="objective.q=[true,'1.1']"),
+        pytest.param("problem", ("objective",),
+                     {"variant": "norm_penalized", "theta": "0.001"},
+                     id="objective.theta='0.001'"),
+        pytest.param("problem", ("objective",),
+                     {"variant": "norm_penalized", "theta": float("nan")},
+                     id="objective.theta=NaN"),
+        pytest.param("problem", ("objective",),
+                     {"variant": "norm_penalized", "delta": "0.5"},
+                     id="objective.delta='0.5'"),
         pytest.param("problem", ("market", "assets"), 2.5, id="assets=2.5"),
         pytest.param("problem", ("solver", "max_iter"), 2.5, id="max_iter=2.5"),
         pytest.param("problem", ("solver", "seed"), True, id="seed=true"),
@@ -984,7 +996,11 @@ class TestNumbers:
             owner[key] = value
             (workdir / f"bad.{file}.json").write_text(json.dumps(doc))
         assert run(*argv) == cli.EXIT_PARSE
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if path == ("objective",):  # the message names the one bad field
+            (key,) = value.keys() - {"variant"}
+            assert f"objective.{key}:" in err
 
     @pytest.mark.parametrize("value", [None, True, 3, 2.5, ["up"], {"id": "up"}],
                              ids=["null", "true", "3", "2.5", "list", "object"])

@@ -66,6 +66,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             vng.NormPenalizedObjective(tree, market, theta=too_big)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -1e-3])
+    def test_theta_not_finite_or_negative_refused(self, tree, market, theta):
+        # NaN passes both a "< 0" test and the bound test
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            vng.NormPenalizedObjective(tree, market, theta=theta, enforce_bound=False)
+
 
 class TestGradient:
     def test_linear_gradient_and_euler(self, tree, market):

@@ -133,7 +133,8 @@ class TestAssemble:
           for n in ("kelly", "single_asset", "two_asset_margin")),
         *(pytest.param(lambda s=s: regular_problem(*s, seed=0), id="x".join(map(str, s)))
           for s in ((2, 6, 2), (3, 3, 4))),
-        *(pytest.param(lambda s=s: make_instance(s), id=f"seed{s}") for s in (0, 7, 13, 21)),
+        *(pytest.param(lambda s=s: make_instance(s), id=f"seed{s}")
+          for s in (0, 2, 7, 13, 21)),  # linear, l1, l2, liquidation, liquidation
     ])
     def test_interior_start_is_exactly_homogeneous(self, make):
         """The start at 2^k x0 is 2^k times the start at x0, bit for bit."""
@@ -495,6 +496,10 @@ class TestNodeLayout:
                 else:  # the root's x0 is a constant
                     assert np.array_equal(prog.b[rows[kind][i - 1]], L * R * problem.x0)
             assert np.array_equal(coef("cash", i, s), [np.ones(m)])
+        # below the node blocks, each lifted leaf's 2m rows hold -1 on its own
+        # w, as the plus and minus rows hold -1 on s
+        lifts = np.kron(np.eye(len(prog.leaf_w)), np.vstack([-eye, -eye]))
+        assert np.array_equal(A[block.size:, prog.leaf_w.ravel()], lifts)
 
 
 class TestConstraintProducts:
@@ -699,6 +704,7 @@ class TestAugmentedRows:
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: _fixture_problem("kelly"), id="kelly"),
         pytest.param(lambda: regular_problem(2, 4, 2, seed=0), id="31-node-m2"),
+        pytest.param(lambda: make_instance(2), id="seed2-l1"),
     ])
     def test_flags_reproduce_under_power_of_two_scaling(self, make, k, monkeypatch):
         """Scaling x0 by 2^k leaves every augmentation flag of the solve as is.
