@@ -44,6 +44,8 @@ from .scenario_tree import AdaptedVector, NodeArray, ScenarioTree, node_array
 
 log = logging.getLogger(__name__)
 
+CERT_TOL_DEFAULT = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class DualPath:
@@ -93,9 +95,10 @@ class DualPath:
         return AdaptedVector(self.tree.horizon + 1, self.p_terminal)
 
 
-def _check_tree(dual: DualPath, tree: ScenarioTree) -> None:
-    if dual.tree is not tree:
-        raise ShapeMismatch("dual path belongs to another tree")
+def _check_tree(tree: ScenarioTree, *parts: DualPath | MarketData) -> None:
+    for part in parts:
+        if part.tree is not tree:
+            raise ShapeMismatch(f"{type(part).__name__} belongs to another tree")
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +182,7 @@ def verify_rapid(
     dual: DualPath,
     tree: ScenarioTree,
     market: MarketData,
-    tol: float = 1e-6,
+    tol: float = CERT_TOL_DEFAULT,
     x0: np.ndarray | None = None,
 ) -> RapidityCertificate:
     """Check that the dual path supports the path; refute with a witness.
@@ -197,7 +200,7 @@ def verify_rapid(
     """
     N = tree.horizon
     X = node_array(path, (tree.n_nodes, market.m), "path")
-    _check_tree(dual, tree)
+    _check_tree(tree, dual, market)
     start = None
     if x0 is not None:
         x0 = node_array(x0, (market.m,), "x0")
@@ -311,7 +314,7 @@ def _supermartingale_checks(
     children.  A form's maximum is taken over all its nodes at once, from 0,
     with NaN residuals read as ``inf``.
     """
-    _check_tree(dual, tree)
+    _check_tree(tree, dual)
     Y = node_array(paths, (len(paths), tree.n_nodes, tree.state_dim), "each path")
     lhs = np.vecdot(dual.bar, Y)  # E_t[p_{t+1}] y_t at every node
     diff = _violation(lhs[:, 1:] - np.vecdot(dual.p, Y[:, tree.parents[1:]]))
@@ -342,7 +345,7 @@ def growth_dominance(
     strictly positive (a NaN denominator among them) reads nan.  For
     ``y = x`` every ratio is 1 up to the certificate residual.
     """
-    _check_tree(dual, tree)
+    _check_tree(tree, dual)
     Y = node_array(y, (tree.n_nodes, tree.state_dim), "path")
     den = np.vecdot(dual.p, Y[tree.parents[1:]])
     num = np.vecdot(dual.bar[1:], Y[1:])
@@ -425,7 +428,7 @@ def check_equivalences(
     if not 1 <= t <= N:
         raise DepthMismatch(f"date {t} outside 1..{N}")
     X = node_array(path, (tree.n_nodes, market.m), "path")
-    _check_tree(dual, tree)
+    _check_tree(tree, dual, market)
     idx = tree.indices(t)
     up, P = tree.parents[idx], dual.p[idx - 1]
     if t < N:  # p_{t+1} on the depth-(t+1) nodes prices their parents' states
@@ -497,7 +500,7 @@ def prop4_reconstruct(
     path: np.ndarray | NodeArray,
     tree: ScenarioTree,
     market: MarketData,
-    tol: float = 1e-6,
+    tol: float = CERT_TOL_DEFAULT,
 ) -> tuple[DualPath, RapidityCertificate]:
     """Normalize an unscaled price sequence into a dual path and verify it.
 
@@ -508,7 +511,7 @@ def prop4_reconstruct(
     """
     N = tree.horizon
     X = node_array(path, (tree.n_nodes, market.m), "path")
-    _check_tree(l_seq, tree)
+    _check_tree(tree, l_seq)
 
     def normalized(src: np.ndarray, nodes: np.ndarray, x: np.ndarray, leaf: bool):
         denom = np.vecdot(src, x)
@@ -548,6 +551,7 @@ def sample_competitor_paths(
     from one draw, the fills from one more, and the frontier from one call,
     with rows path by path.
     """
+    _check_tree(tree, market)
     m = market.m
     Y = np.empty((count, tree.n_nodes, m))
     Y[:, 0] = start

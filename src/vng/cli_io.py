@@ -53,6 +53,7 @@ import numpy as np
 
 from . import __version__
 from .certification import (
+    CERT_TOL_DEFAULT,
     DualPath,
     RapidityCertificate,
     SupermartingaleReport,
@@ -98,7 +99,6 @@ from .solver import (
 )
 
 SCHEMA_VERSION = 1
-CERT_TOL_DEFAULT = 1e-6
 
 EXIT_OK = 0
 EXIT_REFUTED = 1

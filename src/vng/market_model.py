@@ -66,6 +66,10 @@ class MarketData:
     margins: np.ndarray      # (N + 1,), each finite and > 1
 
     def __post_init__(self) -> None:
+        if self.m != self.tree.state_dim:
+            raise DimensionMismatch(
+                f"m = {self.m} is not the tree's state dimension {self.tree.state_dim}"
+            )
         n = self.tree.n_nodes
         for name in ("returns", "lam_plus", "lam_minus"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -286,7 +290,7 @@ def dual_cone_violation(
     p_parent: np.ndarray,
     p_bar_child: np.ndarray,
     node: int | str,
-    tol: float = 1e-9,
+    tol: float = MEMBERSHIP_TOL,
 ) -> DualConeCheck:
     """LP check of the dual transition inequality at one node.
 
@@ -563,7 +567,6 @@ def feasible_completion(
     market: MarketData,
     A: np.ndarray,
     nodes: np.ndarray,
-    tol: float = MEMBERSHIP_TOL,
 ) -> np.ndarray:
     """Child portfolios B with each (A_k, B_k) in node k's transition cone.
 
@@ -572,7 +575,9 @@ def feasible_completion(
     """
     idx, A = market._rows(nodes, A)
     market._non_root(idx)
-    bad = np.flatnonzero(margin_residual(market, A, market.tree.parents[idx]) < -tol)
+    bad = np.flatnonzero(
+        margin_residual(market, A, market.tree.parents[idx]) < -MEMBERSHIP_TOL
+    )
     if bad.size:
         raise NotInCone(
             "vector fails the margin test at parent of "
@@ -580,7 +585,7 @@ def feasible_completion(
         )
     size = market.constants.C2[market.tree.depth[idx]] / 2.0 * np.abs(A).sum(axis=1)
     B = size[:, None] * np.ones(market.m) / market.m
-    B[~in_Z(market, A, B, idx, tol).member] = 0.0
+    B[~in_Z(market, A, B, idx).member] = 0.0
     return B
 
 
@@ -692,7 +697,6 @@ def dominating_path(
     vs: np.ndarray,
     us: np.ndarray,
     u_terminal: np.ndarray,
-    tol: float = MEMBERSHIP_TOL,
 ) -> np.ndarray:
     """Turn a relaxed sequence (v_0, u_1, v_1, ..., u_{N+1}) into a path.
 
@@ -715,20 +719,20 @@ def dominating_path(
             k = nodes[int(np.argmin(ok))]
             raise PreconditionViolated(f"{what} at node {tree.ids[k]!r}")
 
-    in_cone = in_Z(market, U, V[1:], idx, tol).member
-    margin_ok = margin_residual(market, V[parents] - U, parents) >= -tol
+    in_cone = in_Z(market, U, V[1:], idx).member
+    margin_ok = margin_residual(market, V[parents] - U, parents) >= -MEMBERSHIP_TOL
     for t in range(1, N + 1):  # the first failing date, the Z test first
         rows = slice(tree.offsets[t] - 1, tree.offsets[t + 1] - 1)
         require(in_cone[rows], idx[rows], f"(u_{t}, v_{t}) leaves the transition cone")
         require(margin_ok[rows], idx[rows], f"v_{t - 1} - u_{t} leaves the margin cone")
-    require(margin_residual(market, V[leaves] - U_N, leaves) >= -tol, leaves,
+    require(margin_residual(market, V[leaves] - U_N, leaves) >= -MEMBERSHIP_TOL, leaves,
             f"v_{N} - u_{N + 1} leaves the margin cone")
 
     path = V.copy()
     for t in range(1, N + 1):
         lev = tree.span(t)
         g = path[tree.parents[lev]] - U[lev.start - 1:lev.stop - 1]
-        path[lev] += feasible_completion(market, g, tree.indices(t), tol)
+        path[lev] += feasible_completion(market, g, tree.indices(t))
     return path
 
 
@@ -738,14 +742,14 @@ def sample_cone_batch(
     market: MarketData,
     nodes: np.ndarray,
     rng: np.random.Generator,
-    tightness: float | None = None,
 ) -> np.ndarray:
     """Random members of the nodes' margin cones, one row per entry of ``nodes``.
 
     Longs and shorts get disjoint supports; the shorts are scaled so they use
-    a ``tightness`` fraction (default random in [0, 0.9]) of the cost-adjusted
-    long value, which keeps the margin residual exactly (1 - tightness) times
-    the long value.  A row that draws no long gets one in a random column.
+    a fraction beta, drawn uniformly from [0, 0.9] per row, of the
+    cost-adjusted long value, which keeps the margin residual (1 - beta)
+    times the long value.  A row that draws no long gets one in a random
+    column.
     """
     (idx,) = market._rows(nodes)
     count, m = len(idx), market.m
@@ -756,10 +760,7 @@ def sample_cone_batch(
     shorts = ~longs & (rng.random((count, m)) < 0.7)
     u = rng.uniform(0.1, 1.0, (count, m)) * longs
     v = rng.uniform(0.1, 1.0, (count, m)) * shorts
-    beta = (
-        rng.uniform(0.0, 0.9, count) if tightness is None
-        else np.full(count, tightness)
-    )
+    beta = rng.uniform(0.0, 0.9, count)
     den = mu * np.vecdot(v, market.Lm[idx])
     num = np.vecdot(u, market.Lp[idx])
     scale = np.where(den > 0.0, beta * num / np.where(den > 0.0, den, 1.0), 0.0)

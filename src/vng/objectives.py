@@ -8,15 +8,14 @@ ways by a multiple of the 1-norm.  Three variants ship:
 * ``liquidation``  -- cost-adjusted cash value of unwinding the portfolio;
 * ``norm_penalized`` -- q . a minus a small norm penalty (1-norm or Euclidean).
 
-Degree-one homogeneity yields the Euler identity g . a = value(a) for the
+Degree-one homogeneity yields the Euler identity g . a = value(a) for any
 supergradient g, which the dual extraction leans on.  Every variant carries
 its leaf values as one :class:`LeafForm`, built at construction: the arrays
 the solver reads for all leaves at once.  Its piecewise-linear part is a
 sum of minima min(c1_j x_j, c2_j x_j): Lp and Lm for liquidation, and -theta
 and theta for the 1-norm penalty, -theta |x_j| being such a minimum.
-``form.values`` and ``form.supergradients`` take rows at given leaf positions
-and are the one evaluation path, which the log functional and the axiom
-checks read too.
+``form.values`` takes rows at given leaf positions and is the one evaluation
+path, which the log functional and the axiom checks read too.
 """
 
 from __future__ import annotations
@@ -25,9 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInCone
+from .errors import DimensionMismatch, NotInCone, ShapeMismatch
 from .market_model import MarketData, sample_cone_batch, section_values
 from .scenario_tree import ScenarioTree, node_array
+
+# Relative slack of each sampled axiom test in :func:`check_psi_class`.
+PSI_TOL = 1e-9
 
 
 def _leaf_matrix(tree: ScenarioTree, m: int, data, name: str) -> np.ndarray:
@@ -52,7 +54,8 @@ class LeafForm:
     ``min(c1[k] * x_l, c2[k] * x_l)_j`` when l is the lifted leaf
     ``lifted[k]``.  The solver lifts that sum in min-form, as it lifts the
     cash: m scalars w_k sit below both forms, ``c1[k] * x_l - w_k >= 0`` and
-    ``c2[k] * x_l - w_k >= 0``, and add up to it.
+    ``c2[k] * x_l - w_k >= 0``, and add up to it.  The form gives values
+    only: the dual extraction reads a supergradient off the multipliers.
     """
 
     cx: np.ndarray      # (n_leaves, m) coefficients on x
@@ -75,31 +78,16 @@ class LeafForm:
             l2 = np.zeros(n_leaves)
         return LeafForm(cx, np.zeros(0, dtype=int), none, none, l2)
 
-    # The two methods below take (n, m) rows X, row k at leaf position pos[k]
-    # (default: every leaf in order).  On a lifted leaf w sits at its binding
-    # row, w = min(c1 x, c2 x) coordinatewise.
-
     def values(self, X: np.ndarray, pos=slice(None)) -> np.ndarray:
-        """Leaf value of each row."""
+        """Leaf value of each (n, m) row of X, row k at leaf position pos[k]
+        (default: every leaf in order).  On a lifted leaf w sits at its
+        binding row, w = min(c1 x, c2 x) coordinatewise."""
         val = np.vecdot(self.cx[pos], X) - self.l2[pos] * np.sqrt(np.vecdot(X, X))
         k = self.lift_index[pos]
         on = k >= 0
         k, Xl = k[on], X[on]
         val[on] += np.minimum(self.c1[k] * Xl, self.c2[k] * Xl).sum(axis=1)
         return val
-
-    def supergradients(self, X: np.ndarray, pos=slice(None)) -> np.ndarray:
-        """Supergradient of each row; a kink takes the c1 side (0 -> +)."""
-        l2 = self.l2[pos]
-        nrm = np.sqrt(np.vecdot(X, X))
-        scale = np.divide(l2, nrm, out=np.zeros_like(nrm), where=l2 > 0.0)
-        G = self.cx[pos] - scale[:, None] * X
-        k = self.lift_index[pos]
-        on = k >= 0
-        k, Xl = k[on], X[on]
-        c1, c2 = self.c1[k], self.c2[k]
-        G[on] += np.where(c1 * Xl <= c2 * Xl, c1, c2)
-        return G
 
 
 class TerminalObjective:
@@ -156,9 +144,8 @@ class NormPenalizedObjective(TerminalObjective):
     The admissible penalty weight per leaf is (1 - delta) / (H_q * H_hat)
     where H_q is the two-sided bound constant of q on the leaf cone and H_hat
     the norm-equivalence constant against the 1-norm; within that bound the
-    value stays above delta / H_q times the 1-norm.  Set
-    ``enforce_bound=False`` only to build deliberately broken objectives for
-    diagnostics.
+    value stays above delta / H_q times the 1-norm.  A weight above its
+    bound raises ValueError.
     """
 
     def __init__(
@@ -169,7 +156,6 @@ class NormPenalizedObjective(TerminalObjective):
         theta=0.0,
         norm: str = "l1",
         delta: float = 0.5,
-        enforce_bound: bool = True,
     ):
         super().__init__(tree, market)
         if norm not in ("l1", "l2"):
@@ -196,7 +182,7 @@ class NormPenalizedObjective(TerminalObjective):
         h_q = np.maximum(1.0 / c_min, c_max)
         self.theta_bound = (1.0 - delta) / (h_q * self.h_hat)
         over = np.flatnonzero(self.theta > self.theta_bound + 1e-15)
-        if enforce_bound and over.size:
+        if over.size:
             k = over[0]
             raise ValueError(
                 f"penalty weight {float(self.theta[k])!r} at leaf "
@@ -207,8 +193,7 @@ class NormPenalizedObjective(TerminalObjective):
         if norm == "l2":
             self.form = LeafForm.unlifted(self.q, l2=self.theta)
         else:
-            # value = q . x + sum_j min(-theta x_j, theta x_j); at x_j = 0
-            # the c1 side gives the supergradient q_j - theta
+            # value = q . x + sum_j min(-theta x_j, theta x_j)
             lifted = np.flatnonzero(self.theta)
             theta = np.repeat(self.theta[lifted, None], self.m, axis=1)
             self.form = LeafForm(
@@ -243,6 +228,8 @@ def log_objective(
 ) -> float:
     """E log value of the terminal layer x_N, one row per leaf in leaf order;
     -inf when any leaf value is <= 0."""
+    if objective.tree is not tree:
+        raise ShapeMismatch("objective belongs to another tree")
     x_N = node_array(x_N, (tree.n_leaves, tree.state_dim), "terminal layer")
     vals = objective.form.values(x_N)
     if np.any(vals <= 0.0):
@@ -296,9 +283,10 @@ def check_psi_class(
     market: MarketData,
     n_samples: int = 2000,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> PsiClassReport:
-    """Sampled axiom report; failures are reported, never raised."""
+    """Sampled axiom report; an axiom failure is reported, never raised."""
+    if objective.market is not market or market.tree is not tree:
+        raise ShapeMismatch("objective belongs to another tree or market")
     rng = np.random.default_rng(seed)
     n_leaves = tree.n_leaves
     per_leaf = max(1, n_samples // n_leaves)
@@ -321,7 +309,7 @@ def check_psi_class(
         )
 
     va, va2 = value(A), value(A2)
-    scale = tol * (1.0 + np.abs(va) + np.abs(va2))
+    scale = PSI_TOL * (1.0 + np.abs(va) + np.abs(va2))
     nrm = np.abs(A).sum(axis=1)
     mix = value(th * A + (1.0 - th) * A2)
     return PsiClassReport(

@@ -126,11 +126,8 @@ class PathProblem:
     def __post_init__(self) -> None:
         if self.market.tree is not self.tree:
             raise DimensionMismatch("market does not belong to the tree")
-        if self.tree.state_dim != self.market.m:
-            raise DimensionMismatch(
-                f"tree state dimension {self.tree.state_dim} does not match "
-                f"the market's {self.market.m} assets"
-            )
+        if self.objective.market is not self.market:
+            raise DimensionMismatch("objective does not belong to the market")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.market.m,):
             raise DimensionMismatch(

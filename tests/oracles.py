@@ -113,6 +113,26 @@ def leaf_grad(objective, pos: int, a: np.ndarray) -> np.ndarray:
     return objective.q[pos].copy()
 
 
+def over_bound_objective(tree, market):
+    """A 1-norm penalized objective whose weight is 60 times the smallest
+    admissible bound, which the constructor refuses.
+
+    Built as a valid objective with theta = 0, then given that weight and
+    its lifted form; the axiom bound constant does not depend on theta.
+    """
+    import vng
+
+    objective = vng.NormPenalizedObjective(tree, market, theta=0.0)
+    n_leaves, m = objective.q.shape
+    objective.theta = np.full(n_leaves, 60.0 * float(objective.theta_bound.min()))
+    weights = np.repeat(objective.theta[:, None], m, axis=1)
+    objective.form = vng.objectives.LeafForm(
+        cx=objective.q, lifted=np.arange(n_leaves), c1=-weights, c2=weights,
+        l2=np.zeros(n_leaves),
+    )
+    return objective
+
+
 def log_objective_loop(tree, objective, rows: np.ndarray) -> float:
     """E log value of terminal rows, one leaf at a time."""
     total = 0.0
@@ -302,6 +322,19 @@ def batch_transition_members(market, node, rng, count):
         hi = np.where(ok, hi, mid)
     fill = rng.uniform(0.0, 1.0, count)
     return a, (fill * lo)[:, None] * d
+
+
+def on_margin_boundary(market, A: np.ndarray, nodes) -> np.ndarray:
+    """Rows of ``A`` with the shorts scaled by (Lp . a+) / (mu Lm . a-), which
+    puts every row that has a short on its node's margin boundary."""
+    A = np.asarray(A, dtype=float)
+    out = A.copy()
+    for k, (a, node) in enumerate(zip(A, nodes)):
+        longs, shorts = np.maximum(a, 0.0), np.maximum(-a, 0.0)
+        cover = market.margins[market.tree.depth[node]] * (market.Lm[node] @ shorts)
+        if cover > 0.0:
+            out[k] = longs - (market.Lp[node] @ longs) / cover * shorts
+    return out
 
 
 def section_grid_min(mu: float, m: int, weight_pos: float, weight_neg: float) -> float:

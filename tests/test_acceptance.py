@@ -29,6 +29,7 @@ from oracles import (
     dual_bar,
     kelly_oracle,
     node_probability,
+    over_bound_objective,
     section_grid_min,
 )
 
@@ -317,11 +318,7 @@ def test_09_objective_axioms():
         rep = vng.check_psi_class(obj, tree, market, n_samples=10_000, seed=5)
         if not rep.passed:
             failures.append(type(obj).__name__)
-    probe = vng.NormPenalizedObjective(tree, market, theta=0.0)
-    broken = vng.NormPenalizedObjective(
-        tree, market, theta=60.0 * float(probe.theta_bound.min()),
-        enforce_bound=False,
-    )
+    broken = over_bound_objective(tree, market)
     broken_rep = vng.check_psi_class(broken, tree, market, n_samples=10_000, seed=6)
     ok = not failures and not broken_rep.two_sided_bound.passed
     report(

@@ -384,6 +384,35 @@ class TestDualPath:
             with pytest.raises(ShapeMismatch, match="another tree"):
                 call()
 
+    @pytest.mark.parametrize("entry", [
+        "verify_rapid", "check_equivalences", "sample_competitor_paths",
+        "log_objective", "check_psi_class",
+    ])
+    def test_market_or_objective_of_another_tree_raises(self, pipeline, entry):
+        """A twin tree's market (returns times 1.3), or the problem's
+        objective checked against the twin, is refused, not read."""
+        problem, solution, dual, _ = pipeline
+        tree, objective, X = problem.tree, problem.objective, solution.path
+        twin = dataclasses.replace(tree)
+        other = dataclasses.replace(
+            problem.market, tree=twin, returns=1.3 * problem.market.returns
+        )
+        call = {
+            "verify_rapid": lambda: vng.verify_rapid(X, dual, tree, other),
+            "check_equivalences": lambda: vng.check_equivalences(
+                tree, other, X, dual, 1, n_samples=2
+            ),
+            "sample_competitor_paths": lambda: vng.sample_competitor_paths(
+                tree, other, np.random.default_rng(0), problem.x0, 2
+            ),
+            "log_objective": lambda: vng.log_objective(
+                twin, objective, X[tree.horizon].values
+            ),
+            "check_psi_class": lambda: vng.check_psi_class(objective, twin, other),
+        }[entry]
+        with pytest.raises(ShapeMismatch, match="another tree"):
+            call()
+
 
 class TestSupermartingale:
     def test_rapid_path_is_martingale(self, pipeline):

@@ -10,8 +10,15 @@ from conftest import (
     make_instance,
     two_asset_margin_market,
 )
-from oracles import frontier_bisection, lift_contains, lift_X, section_grid_min
+from oracles import (
+    frontier_bisection,
+    lift_contains,
+    lift_X,
+    on_margin_boundary,
+    section_grid_min,
+)
 from vng.errors import (
+    DimensionMismatch,
     MarginTooTight,
     NonpositivePrice,
     NotInCone,
@@ -69,7 +76,8 @@ class TestReturnsFromPrices:
 
 
 class TestMarketDataChecks:
-    """A nan or infinite return, cost rate or margin is refused at construction."""
+    """A nan or infinite return, cost rate or margin, and an asset count that
+    is not the tree's state dimension, are refused at construction."""
 
     @pytest.mark.parametrize("name, value, error", [
         ("returns", np.nan, NonpositivePrice),
@@ -90,6 +98,16 @@ class TestMarketDataChecks:
         data[name].flat[-1] = value  # a non-root node's entry, or the last date's
         with pytest.raises(error):
             vng.MarketData(tree=tree, m=2, **data)
+
+    def test_asset_count_off_the_state_dimension_raises(self):
+        tree = vng.build_tree([("r", None, 1.0), ("u", "r", 0.5), ("d", "r", 0.5)], 1)
+        with pytest.raises(DimensionMismatch, match="state dimension 1"):
+            vng.MarketData(
+                tree=tree, m=2,
+                returns=np.array([[np.nan, np.nan], [1.1, 0.9], [0.9, 1.1]]),
+                lam_plus=np.zeros((3, 2)), lam_minus=np.zeros((3, 2)),
+                margins=np.array([1.5, 1.5]),
+            )
 
 
 class TestMarginResidual:
@@ -254,7 +272,8 @@ class TestConeAxioms:
         market = two_asset_margin_market()
         rng = np.random.default_rng(5)
         nodes = np.full(200, market.tree.index("a"))
-        A = vng.sample_cone_batch(market, nodes, rng, tightness=1.0)
+        A = vng.sample_cone_batch(market, nodes, rng)
+        A = on_margin_boundary(market, A, nodes)
         nonzero = np.abs(A).sum(axis=1) >= 1e-12
         assert np.all(vng.margin_residual(market, -A[nonzero], nodes[nonzero]) < 0.0)
 
@@ -390,9 +409,9 @@ class TestDualConeViolation:
             if abs(resid) < 1e-8:
                 continue
             # p in X* iff min over sampled members of p.a is nonnegative
-            worst = float((vng.sample_cone_batch(
-                market, np.full(200, node.index), rng, tightness=1.0
-            ) @ p).min())
+            nodes = np.full(200, node.index)
+            rows = vng.sample_cone_batch(market, nodes, rng)
+            worst = float((on_margin_boundary(market, rows, nodes) @ p).min())
             if resid > 0:
                 assert worst >= -1e-9
             else:

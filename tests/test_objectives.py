@@ -5,7 +5,13 @@ import pytest
 
 import vng
 from conftest import two_asset_margin_market
-from oracles import central_difference_gradient, leaf_grad, leaf_value, log_objective_loop
+from oracles import (
+    central_difference_gradient,
+    leaf_grad,
+    leaf_value,
+    log_objective_loop,
+    over_bound_objective,
+)
 from vng.errors import ShapeMismatch
 
 
@@ -26,10 +32,6 @@ def leaf_pos(tree, ref) -> int:
 
 def value(obj, pos, a) -> float:
     return float(obj.form.values(np.asarray(a, dtype=float)[None], [pos])[0])
-
-
-def supergradient(obj, pos, a) -> np.ndarray:
-    return obj.form.supergradients(np.asarray(a, dtype=float)[None], [pos])[0]
 
 
 class TestEvaluate:
@@ -70,15 +72,18 @@ class TestEvaluate:
     def test_theta_not_finite_or_negative_refused(self, tree, market, theta):
         # NaN passes both a "< 0" test and the bound test
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            vng.NormPenalizedObjective(tree, market, theta=theta, enforce_bound=False)
+            vng.NormPenalizedObjective(tree, market, theta=theta)
 
 
 class TestGradient:
+    """``oracles.leaf_grad``, which the solver's terminal-price test reads,
+    against finite differences, the Euler identity and the known slopes."""
+
     def test_linear_gradient_and_euler(self, tree, market):
         q = np.array([1.1, 0.9])
         obj = vng.LinearObjective(tree, market, q=q)
         a, pos = np.array([2.0, 1.0]), leaf_pos(tree, "ab")
-        g = supergradient(obj, pos, a)
+        g = leaf_grad(obj, pos, a)
         np.testing.assert_allclose(g, q)
         assert g @ a == pytest.approx(value(obj, pos, a))
 
@@ -86,7 +91,7 @@ class TestGradient:
         obj = vng.LiquidationObjective(tree, market)
         i = tree.index("ba")
         a, pos = np.array([2.0, -0.4]), leaf_pos(tree, i)
-        g = supergradient(obj, pos, a)
+        g = leaf_grad(obj, pos, a)
         np.testing.assert_allclose(g, [market.Lp[i][0], market.Lm[i][1]])
         assert g @ a == pytest.approx(value(obj, pos, a))
 
@@ -106,8 +111,8 @@ class TestGradient:
                 a = vng.sample_cone_batch(market, [leaves[pos]], rng)[0]
                 if np.abs(a).min() < 1e-2:  # stay clear of kinks
                     continue
-                g = supergradient(obj, pos, a)
-                fd = central_difference_gradient(lambda x: leaf_value(obj, pos, x), a)
+                g = leaf_grad(obj, pos, a)
+                fd = central_difference_gradient(lambda x: value(obj, pos, x), a)
                 rel = np.abs(g - fd).max() / max(1.0, np.abs(g).max())
                 assert rel < 1e-5
                 checked += 1
@@ -120,7 +125,7 @@ class TestGradient:
                 if np.abs(a).sum() < 1e-9:
                     continue
                 val = value(obj, pos, a)
-                assert supergradient(obj, pos, a) @ a == pytest.approx(
+                assert leaf_grad(obj, pos, a) @ a == pytest.approx(
                     val, rel=1e-9, abs=1e-12
                 )
 
@@ -135,8 +140,8 @@ def _four_variants(tree, market):
 
 
 class TestLeafFormAgreement:
-    """Value, supergradient and log functional through ``LeafForm`` agree
-    with the per-leaf references, kinks included."""
+    """Value and log functional through ``LeafForm`` agree with the
+    per-leaf references, kinks included."""
 
     def test_agrees_with_per_leaf_reference(self, tree, market):
         rng = np.random.default_rng(11)
@@ -150,11 +155,6 @@ class TestLeafFormAgreement:
                     assert value(obj, pos, a) == pytest.approx(
                         leaf_value(obj, pos, a), rel=1e-12, abs=1e-300
                     )
-                    if leaf_value(obj, pos, a) > 0.0:
-                        g = supergradient(obj, pos, a)
-                        np.testing.assert_allclose(
-                            g, leaf_grad(obj, pos, a), rtol=1e-12, atol=0.0
-                        )
             for _ in range(20):
                 rows = vng.sample_cone_batch(market, leaves, rng)
                 assert vng.log_objective(tree, obj, rows) == pytest.approx(
@@ -216,11 +216,7 @@ class TestPsiClass:
         assert report.passed
 
     def test_overweight_penalty_detected(self, tree, market):
-        probe = vng.NormPenalizedObjective(tree, market, theta=0.0)
-        bad = vng.NormPenalizedObjective(
-            tree, market, theta=60.0 * float(probe.theta_bound.min()),
-            enforce_bound=False,
-        )
+        bad = over_bound_objective(tree, market)
         report = vng.check_psi_class(bad, tree, market, n_samples=2000, seed=2)
         assert not report.two_sided_bound.passed
         assert report.two_sided_bound.violations > 0

@@ -27,13 +27,15 @@ from oracles import (
     dense_newton_matrix,
     golden_section_max,
     kelly_oracle,
+    leaf_grad,
+    leaf_value,
     level_by_level_entries,
     retained_fraction_oracle,
     root_coupling,
     sample_competitor_path,
 )
 from vng.cli_io import load_problem
-from vng.errors import InfeasibleStart
+from vng.errors import DimensionMismatch, InfeasibleStart
 from vng.solver import (
     BETA,
     HANDOVER,
@@ -163,6 +165,21 @@ class TestAssemble:
         assert not solution.converged and solution.iterations == 6
         warned = [r.getMessage() for r in caplog.records]
         assert len(warned) == 1 and "newton direction is not finite" in warned[0]
+
+    def test_objective_of_another_market_rejected(self, kelly):
+        """Kelly's tree with 5% costs takes only its own objective: the
+        frictionless one would solve another problem, and one of another
+        tree does not fit the leaves."""
+        tree = kelly.tree
+        costs = np.full((tree.n_nodes, 2), 0.05)
+        costly = dataclasses.replace(kelly.market, lam_plus=costs, lam_minus=costs)
+        own = vng.LiquidationObjective(tree, costly)
+        vng.PathProblem(tree=tree, market=costly, objective=own, x0=kelly.x0)
+        for objective in (kelly.objective, make_instance(3).objective):
+            with pytest.raises(DimensionMismatch, match="objective does not belong"):
+                vng.PathProblem(
+                    tree=tree, market=costly, objective=objective, x0=kelly.x0
+                )
 
     def test_infeasible_x0_rejected(self, single_asset):
         with pytest.raises(InfeasibleStart):
@@ -783,6 +800,34 @@ class TestKktReport:
         )
         report = vng.kkt_report(tampered, single_asset)
         assert report.residuals.primal == pytest.approx(0.25, abs=1e-8)
+
+
+class TestTerminalPrices:
+    @pytest.mark.parametrize("make", NEWTON_CASES)
+    def test_terminal_row_is_a_supergradient_over_the_value(self, make):
+        """p_{N+1} times the leaf value is a supergradient at the solved leaf.
+
+        Away from kinks it is ``leaf_grad`` to 1e-7 relative.  A kink is a
+        coordinate of a lifted leaf with |x_j| < 1e-6 |x|_1, where the
+        product must lie in the superdifferential of cx . x + min(c1 x, c2 x),
+        the interval [cx + min(c1, c2), cx + max(c1, c2)].
+        """
+        problem = make()
+        solution = vng.solve_log_optimal(problem)
+        assert solution.converged
+        dual = vng.extract_dual(solution, problem)
+        objective, form = problem.objective, problem.objective.form
+        for pos, x in enumerate(solution.path[problem.tree.horizon].values):
+            g = dual.p_terminal[pos] * leaf_value(objective, pos, x)
+            ref = leaf_grad(objective, pos, x)
+            k = form.lift_index[pos]
+            kink = (np.abs(x) < 1e-6 * np.abs(x).sum()) & (k >= 0)
+            gap = np.abs(g - ref)[~kink].max(initial=0.0)
+            assert gap <= 1e-7 * np.abs(ref).max(), pos
+            if kink.any():
+                lo = form.cx[pos] + np.minimum(form.c1[k], form.c2[k])
+                hi = form.cx[pos] + np.maximum(form.c1[k], form.c2[k])
+                assert np.all(((lo <= g) & (g <= hi))[kink]), pos
 
 
 def _program_arrays(prog) -> dict[str, np.ndarray]:
