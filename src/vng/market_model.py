@@ -55,7 +55,9 @@ class MarketData:
     """Per-node returns and cost rates plus per-date margins, tied to a tree.
 
     Arrays are indexed by node index; the root row of ``returns`` is unused.
-    Condition (B1) bounds are the observed per-date extremes.
+    Condition (B1) bounds are the observed per-date extremes.  The market
+    holds read-only copies of its arrays, so neither the caller nor a solve
+    can change the data its cached bounds and constants were computed from.
     """
 
     tree: ScenarioTree
@@ -72,13 +74,13 @@ class MarketData:
             )
         n = self.tree.n_nodes
         for name in ("returns", "lam_plus", "lam_minus"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _frozen(getattr(self, name))
             if arr.shape != (n, self.m):
                 raise DimensionMismatch(
                     f"{name} must have shape ({n}, {self.m}), got {arr.shape}"
                 )
             object.__setattr__(self, name, arr)
-        margins = np.asarray(self.margins, dtype=float)
+        margins = _frozen(self.margins)
         if margins.shape != (self.tree.horizon + 1,):
             raise DimensionMismatch(
                 f"margins must have length {self.tree.horizon + 1}"
@@ -102,11 +104,11 @@ class MarketData:
     # Cost multipliers: Lp = 1 - lam_plus <= 1 <= Lm = 1 + lam_minus.
     @cached_property
     def Lp(self) -> np.ndarray:
-        return 1.0 - self.lam_plus
+        return _frozen(1.0 - self.lam_plus)
 
     @cached_property
     def Lm(self) -> np.ndarray:
-        return 1.0 + self.lam_minus
+        return _frozen(1.0 + self.lam_minus)
 
     @cached_property
     def bounds(self) -> dict[str, np.ndarray]:
@@ -115,11 +117,11 @@ class MarketData:
         R_lo = np.minimum.reduceat(self.returns.min(axis=1), starts)
         R_hi = np.maximum.reduceat(self.returns.max(axis=1), starts)
         R_lo[0] = R_hi[0] = np.nan
-        return {
+        return {k: _frozen(v) for k, v in {
             "R_lo": R_lo, "R_hi": R_hi,
             "L_lo": np.minimum.reduceat(self.Lp.min(axis=1), starts),
             "L_hi": np.maximum.reduceat(self.Lm.max(axis=1), starts),
-        }
+        }.items()}
 
     @cached_property
     def constants(self) -> "MarketConstants":
@@ -149,6 +151,13 @@ class MarketData:
     def _non_root(self, idx: np.ndarray) -> None:
         if np.any(self.tree.parents[idx] < 0):
             raise DimensionMismatch("transition cones live on depth >= 1 nodes")
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def returns_from_prices(tree: ScenarioTree, prices: np.ndarray) -> np.ndarray:

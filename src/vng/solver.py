@@ -26,16 +26,17 @@ mu of 1e-2 * tol serves every tree.  Centering and merit measure r_c / P.
 
 One routine computes every direction in two elimination passes: the first
 factors the blocks, the second refines against the full system.  Down to
-100 times that final mu, each iteration is a Mehrotra predictor-corrector
+20 times that final mu, each iteration is a Mehrotra predictor-corrector
 step (S. Mehrotra, SIAM J. Optim. 2(4), 1992): the affine and centering
 directions share the first pass, the step picks its own mu from how far the
 affine direction can go, no lower than the relative dual residual allows
 (see :func:`solve_log_optimal`), and the second-order corrector rides on
-the refinement pass.  Centered stages at a fixed mu follow, mu <- 0.04 mu,
-each centered before mu moves: the certificate and the split along flat
-faces of the optimal set (the homogeneity check scales x0 and compares that
-split) are read off the central path, and a predictor-corrector run all the
-way down leaves the iterate off center by more than they tolerate.
+the refinement pass.  Two centered stages at a fixed mu follow, the first at
+that handover mu and the last at the final mu, each centered before mu
+moves: the certificate and the split along flat faces of the optimal set
+(the homogeneity check scales x0 and compares that split) are read off the
+central path, and a predictor-corrector run all the way down leaves the
+iterate off center by more than they tolerate.
 
 Each Newton system is solved on the scenario tree's block structure: the
 rows of a node read only its own columns and its parent's state, so the
@@ -82,8 +83,13 @@ log = logging.getLogger(__name__)
 
 # Above HANDOVER times the final mu every iteration is a Mehrotra
 # predictor-corrector step, whose centering weight is
-# sigma = (mu_aff / mu_avg)^SIGMA_POWER; below it, centered stages finish.
-HANDOVER = 100.0
+# sigma = (mu_aff / mu_avg)^SIGMA_POWER; below it, two centered stages finish:
+# one at the handover mu, then one at the final mu.  Newton iterations on
+# perfbench's seeds50 and ladder, with the start's padding below: 610 and 91
+# at 20; 617 and 90 at 10, which leaves acceptance 08's homogeneity error at
+# 1.7e-7 against 7.2e-8; 645 and 93 at 100 with a stage between (mu <- 0.04
+# mu per stage).
+HANDOVER = 20.0
 SIGMA_POWER = 3
 
 # No predictor-corrector step takes mu below BETA * rel / rel0, rel the
@@ -99,6 +105,15 @@ BETA = 1.0
 # perfbench took 116 at 0.5, and 99, 99 and 104.
 FILL = 0.95
 
+# The start pads v, s and w by PAD_SCALE times their node's state scale,
+# capped at PAD_SLACK of the slack the pad eats into (see _interior_start).
+# At HANDOVER 20, seeds50 and the ladder took 660 and 95 Newton iterations
+# with (0.1, 0.4) and 610 and 91 with (0.3, 0.8).  With (0.3, 0.4) the
+# predictor-corrector direction at the start of acceptance seed 31 has a
+# backward error of 1.4e-15, above the 1e-15 its test allows.
+PAD_SCALE = 0.3
+PAD_SLACK = 0.8
+
 # A Newton row stays augmented once its barrier weight exceeds AUGMENT times
 # the leaves' Hessian scale (see _NewtonSystem).
 AUGMENT = 1e4
@@ -112,10 +127,11 @@ class PathProblem:
     """A solvable instance: tree, market, terminal objective, pinned start.
 
     The initial portfolio must be strictly interior to the date-0 cone, with
-    a finite interiority radius, which :meth:`epsilon0` reports.  The lifted
-    program is :attr:`program`, assembled on first use and kept: the solve,
-    :func:`kkt_report` and the dual extraction read that one read-only
-    object, and a problem made by ``dataclasses.replace`` assembles its own.
+    a finite interiority radius, which :meth:`epsilon0` reports; the problem
+    holds a read-only copy of it.  The lifted program is :attr:`program`,
+    assembled on first use and kept: the solve, :func:`kkt_report` and the
+    dual extraction read that one read-only object, and a problem made by
+    ``dataclasses.replace`` assembles its own.
     """
 
     tree: ScenarioTree
@@ -128,7 +144,8 @@ class PathProblem:
             raise DimensionMismatch("market does not belong to the tree")
         if self.objective.market is not self.market:
             raise DimensionMismatch("objective does not belong to the market")
-        x0 = np.asarray(self.x0, dtype=float)
+        x0 = np.array(self.x0, dtype=float)  # a copy: the caller keeps theirs
+        x0.flags.writeable = False
         if x0.shape != (self.market.m,):
             raise DimensionMismatch(
                 f"x0 must have length {self.market.m}, got shape {x0.shape}"
@@ -453,7 +470,7 @@ def assemble(problem: PathProblem) -> AssembledProgram:
     w_par[:, m + j, j] = form.c2
 
     # the root's state is the constant x0: its children's coupling moves into b
-    x0 = problem.x0.copy()
+    x0 = problem.x0
     n1 = tree.span(1).stop - 1  # the depth-1 nodes own the first n1 blocks
     b = np.zeros(n_cons)
     b[:n1 * block] = (par[:n1] @ x0).ravel()
@@ -533,11 +550,12 @@ def _interior_start(problem: PathProblem) -> np.ndarray:
     order of a solution's: an infeasible-start method wants a start that is
     large against a solution (S. Wright, Primal-Dual Interior-Point Methods,
     SIAM 1997, ch. 6).
-    The auxiliary scalars v, s and w get padding of a tenth of their node's
-    state scale, capped at 0.4 of the slack it eats into (for w, the leaf
-    value), so every row stays strictly positive.  Every step is homogeneous
-    in x0 and scaling by a power of two is exact, so the start at 2^k x0 is
-    2^k times the start at x0 bit for bit, short of overflow and underflow.
+    The auxiliary scalars v, s and w get padding of PAD_SCALE times their
+    node's state scale, capped at PAD_SLACK of the slack it eats into (for
+    w, the leaf value), so every row stays strictly positive.  Every step is
+    homogeneous in x0 and scaling by a power of two is exact, so the start
+    at 2^k x0 is 2^k times the start at x0 bit for bit, short of overflow
+    and underflow.
     Raises InfeasibleStart at a node with no strictly positive transition,
     at the first node whose frontier is not finite (a huge x0 overflows it),
     or when the start is not strictly interior anyway.
@@ -575,15 +593,16 @@ def _interior_start(problem: PathProblem) -> np.ndarray:
     psi_min = mins.sum(axis=1)
 
     z = np.zeros(prog.n_vars)
-    pad_v = np.minimum(0.1 * x_scale, 0.4 * margin_min / den_v)  # den_v >= mu - 1 > 0
-    pad_s = np.minimum(0.1 * x_scale, 0.4 * psi_min / m)
+    # den_v >= mu - 1 > 0
+    pad_v = np.minimum(PAD_SCALE * x_scale, PAD_SLACK * margin_min / den_v)
+    pad_s = np.minimum(PAD_SCALE * x_scale, PAD_SLACK * psi_min / m)
     prog.node_columns(z)[:] = (
         x, np.maximum(-x, 0.0) + pad_v[:, None], mins - pad_s[:, None]
     )
 
     X = z[prog.leaf_x[form.lifted]]
     scale = np.abs(X).sum(axis=1) / m
-    pad_w = np.minimum(0.1 * scale, 0.4 * form.values(X, form.lifted) / m)
+    pad_w = np.minimum(PAD_SCALE * scale, PAD_SLACK * form.values(X, form.lifted) / m)
     z[prog.leaf_w] = np.minimum(form.c1 * X, form.c2 * X) - pad_w[:, None]
 
     if not (prog.g(z).min() > 0.0 and np.all(prog.sigmas(z) > 0.0)):
@@ -856,15 +875,12 @@ def solve_log_optimal(
     From the interior start at mu = 1, every iteration is a Mehrotra
     predictor-corrector step that picks its own mu, down to HANDOVER times
     the final mu, min(1e-2 * tol, 1): a tol above 100 never raises mu above
-    the start's.  From there centered stages mu <- 0.04 mu
-    finish the path: each stage is centered by Newton steps at its mu before
-    mu moves, and the final one to c = 0.01, so the returned iterate sits on
-    the central path (the certificate's prices, and the split along flat
-    faces of the optimal set, are read off that center).  A step that would
-    land at or within rounding above the final mu lands on it, so the final
-    stage runs at exactly that mu; from the handover that makes three
-    stages (a long-step schedule: S. Wright, Primal-Dual Interior-Point
-    Methods, SIAM 1997, ch. 5).  Both kinds of step
+    the start's.  From there two centered stages finish the path, one at
+    the handover mu and one at exactly the final mu: each stage is centered
+    by Newton steps at its mu before mu moves, and the final one to c =
+    0.01, so the returned iterate sits on the central path (the
+    certificate's prices, and the split along flat faces of the optimal
+    set, are read off that center).  Both kinds of step
     come from one call to :func:`_newton_direction` and share the
     fraction-to-boundary safeguard and the Armijo (1e-4, 0.5) backtracking
     line search on the weighted KKT residual norm.  A singular Newton block,
@@ -882,9 +898,9 @@ def solve_log_optimal(
     start and mu0 = 1, that reads mu >= BETA rel / rel0 for BETA = 1 / beta
     (:func:`_mu_floor`): mu falls no faster than the relative dual residual.
     Without the floor, mu runs ahead of rel (on 2^9 at m = 2 the first step
-    takes mu to 1.3e-4 while rel has not moved), and a deep tree then spends
+    takes mu to 5.1e-4 while rel has not moved), and a deep tree then spends
     extra steps near its leaves recovering stationarity at a small mu: that
-    tree takes 28 steps without the floor and 22 with it.  Both ratios are
+    tree takes 21 steps without the floor and 19 with it.  Both ratios are
     invariant when x0 is scaled, so the iteration stays covariant.
     """
     options = options or SolveOptions()
@@ -944,9 +960,7 @@ def solve_log_optimal(
                                            prog.path_values(z)[leaves]))
                 if final_stage:
                     break
-                mu *= 0.04
-                if mu <= mu_target * (1.0 + 1e-12):  # within rounding of it
-                    mu = mu_target
+                mu = mu_target
                 continue
         if stop or iters >= options.max_iter:
             stop = stop or f"max_iter={options.max_iter} reached"

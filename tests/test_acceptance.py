@@ -105,10 +105,10 @@ def test_01_theorem_pipeline(pipelines):
 
 
 def test_end_game_centers_at_most_three_times(pipelines):
-    """Below the handover each centered stage divides mu by 25, so a solve
-    centers at most three times: at the handover, once between, at the end."""
+    """Every solve centers exactly twice: at the handover mu, then at the
+    final mu."""
     runs, _ = pipelines
-    assert max(solution.outer_iterations for _, solution, _, _ in runs) <= 3
+    assert all(solution.outer_iterations == 2 for _, solution, _, _ in runs)
 
 
 def test_02_kelly_oracle():

@@ -110,6 +110,40 @@ class TestMarketDataChecks:
             )
 
 
+class TestMarketDataIsReadOnly:
+    """The market keeps read-only copies: its arrays and cached bounds cannot
+    drift from the data its (B2) constants were computed from."""
+
+    @staticmethod
+    def _data(market):
+        return {name: np.array(getattr(market, name))
+                for name in ("returns", "lam_plus", "lam_minus", "margins")}
+
+    def test_in_place_writes_raise(self):
+        market = make_instance(3).market
+        arrays = {name: getattr(market, name) for name in
+                  ("returns", "lam_plus", "lam_minus", "margins", "Lp", "Lm")}
+        for name, array in {**arrays, **market.bounds}.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 1.0
+
+    def test_writes_to_the_callers_arrays_leave_the_market_unchanged(self):
+        base = make_instance(3).market
+        data = self._data(base)
+        market = vng.MarketData(tree=base.tree, m=base.m, **data)
+        before = {k: v.copy() for k, v in market.bounds.items()}
+        nu = market.constants.nu.copy()
+        data["returns"][1:] *= 3.0
+        for name in ("lam_plus", "lam_minus", "margins"):
+            data[name] *= 0.5
+        assert all(np.array_equal(getattr(market, k), getattr(base, k), equal_nan=True)
+                   for k in data)
+        assert np.array_equal(market.Lp, base.Lp) and np.array_equal(market.Lm, base.Lm)
+        assert all(np.array_equal(market.bounds[k], v, equal_nan=True)
+                   for k, v in before.items())
+        assert np.array_equal(market.constants.nu, nu)
+
+
 class TestMarginResidual:
     def test_long_covers_short(self):
         _, market = frictionless_market(2, [[1.0, 1.0]], [1.5, 1.5])

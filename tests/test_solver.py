@@ -181,6 +181,15 @@ class TestAssemble:
                     tree=tree, market=costly, objective=objective, x0=kelly.x0
                 )
 
+    def test_x0_is_a_read_only_copy(self, kelly):
+        x0 = np.array(kelly.x0)
+        problem = dataclasses.replace(kelly, x0=x0)
+        with pytest.raises(ValueError, match="read-only"):
+            problem.x0[0] = 1.0
+        x0 *= 2.0
+        assert np.array_equal(problem.x0, kelly.x0)
+        assert np.array_equal(problem.program.x0, kelly.x0)
+
     def test_infeasible_x0_rejected(self, single_asset):
         with pytest.raises(InfeasibleStart):
             vng.PathProblem(
@@ -326,15 +335,25 @@ class TestSolveProperties:
         assert "Traceback" not in printed.out + printed.err
         assert not any("line search stalled" in r.getMessage() for r in caplog.records)
 
-    def test_final_stage_runs_at_the_target_mu(self, kelly, monkeypatch):
-        """A stage whose next mu lands within rounding above the final mu
-        moves to the final mu itself: from HANDOVER 25 (1 + 1e-13) times the
-        final mu, one stage step lands at the final mu times 1 + 1e-13."""
-        monkeypatch.setattr(vng.solver, "HANDOVER", 25.0 * (1.0 + 1e-13))
-        solution = vng.solve_log_optimal(kelly)
-        assert solution.converged
-        assert solution.mu_final == 1e-2 * solution.options.tol
-        assert solution.outer_iterations == 2
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    def test_final_stage_runs_at_the_target_mu(self, kelly, monkeypatch, tol):
+        """Centered steps aim at the handover mu, HANDOVER times 1e-2 tol,
+        until that stage centers, and from then on at exactly 1e-2 tol."""
+        centered, direction = [], _newton_direction
+
+        def recorded(prog, z, lam, g, r_d, w, mu, hscale, predict, state=None):
+            if not predict:
+                centered.append(mu)
+            return direction(prog, z, lam, g, r_d, w, mu, hscale, predict, state)
+
+        monkeypatch.setattr(vng.solver, "_newton_direction", recorded)
+        solution = vng.solve_log_optimal(kelly, vng.SolveOptions(tol=tol))
+        target = 1e-2 * tol
+        assert solution.converged and solution.outer_iterations == 2
+        assert solution.mu_final == target
+        k = centered.count(HANDOVER * target)
+        assert 0 < k < len(centered)
+        assert centered == [HANDOVER * target] * k + [target] * (len(centered) - k)
 
     def test_iteration_cap_flagged_even_with_small_residuals(self, kelly):
         needed = vng.solve_log_optimal(kelly).iterations
@@ -364,12 +383,12 @@ class TestWeightedCentralPath:
     @pytest.mark.parametrize("shape", [(2, 6, 2), (3, 4, 4)],
                              ids=["127-node-m2", "121-node-m4"])
     def test_regular_trees_converge_and_certify(self, shape):
-        """Within 27 iterations: 17 and 21 taken, plus a quarter."""
+        """Within 24 iterations: 16 and 19 taken, plus a quarter."""
         problem = regular_problem(*shape, seed=0)
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= 27
-        assert solution.outer_iterations <= 3
+        assert solution.iterations <= 24
+        assert solution.outer_iterations == 2
         assert _certified(problem, solution)
 
     @pytest.mark.parametrize("make", [
@@ -379,11 +398,11 @@ class TestWeightedCentralPath:
           for s in ((2, 3, 1), (3, 3, 2), (2, 5, 4))),
     ])
     def test_end_game_centers_at_most_three_times(self, make):
-        """Below the handover mu falls 25 times per stage: the handover
-        stage, one stage between and the final one."""
+        """The end game centers exactly twice: at the handover mu, then at
+        the final mu."""
         solution = vng.solve_log_optimal(make())
         assert solution.converged
-        assert solution.outer_iterations <= 3
+        assert solution.outer_iterations == 2
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -407,7 +426,7 @@ def _l1_alternating_problem() -> vng.PathProblem:
 
 # Where a Newton direction is checked: the solve options whose centered end
 # gives the iterate (None: the interior start at mu = 1) and the mu the
-# direction aims at, 0.2 times the centered mu (a centered stage takes 0.04).
+# direction aims at, 0.2 times the centered mu.
 NEWTON_POINTS = {
     "start": (None, 1.0),
     "mu1e-4": (vng.SolveOptions(tol=1e-2), 0.2e-4),   # final mu 1e-2 * tol
@@ -560,10 +579,9 @@ class TestBlockNewtonStep:
     @pytest.mark.parametrize("make", NEWTON_CASES)
     @pytest.mark.parametrize("point", ["start", "mu1e-4"])
     def test_predictor_corrector_solves_dense_system(self, make, point):
-        """Over these 106 cases the backward error reads at most 1.5e-16
-        (seed42, start) and the relative residual up to 2.2e-12 (seed13,
-        mu1e-4; 1.3e-11 if the end game jumps from the handover straight
-        to the final mu)."""
+        """Over these 106 cases the backward error reads at most 2.2e-16
+        (seed23, start) and the relative residual up to 4.4e-12 (seed13,
+        mu1e-4)."""
         relative, backward = _newton_residuals(make(), point, mehrotra=True)
         assert relative <= 1e-11
         assert backward <= 1e-15
@@ -592,8 +610,8 @@ class TestBlockNewtonStep:
 
         Only centered steps run below HANDOVER times the final mu.  There the
         active rows' D is about 1e10 times the Hessian scale, so ||K|| ||dz||
-        dwarfs ||rhs||: the relative residual reads up to 5.6e-10 on these
-        instances, while the backward error stays near eps (7.7e-17).
+        dwarfs ||rhs||: the relative residual reads up to 1.4e-11 on these
+        instances, while the backward error stays near eps (3.9e-17).
         """
         assert _newton_residuals(make(), "final")[1] <= 1e-15
 
@@ -606,14 +624,14 @@ class TestBlockNewtonStep:
         assert _newton_residuals(problem, point)[0] <= 1e-11
 
     def test_large_tree_converges(self):
-        """A deep tree: 3^6 = 1,093 nodes at m = 2, within 25 iterations
-        (20 taken, plus a quarter)."""
+        """A deep tree: 3^6 = 1,093 nodes at m = 2, within 22 iterations
+        (17 taken, plus a quarter)."""
         problem = regular_problem(3, 6, 2, seed=0)
         assert problem.tree.n_nodes == 1093
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= 25
-        assert solution.outer_iterations <= 3
+        assert solution.iterations <= 22
+        assert solution.outer_iterations == 2
         assert _certified(problem, solution)
 
 
@@ -622,15 +640,15 @@ class TestResidualFloor:
     relative dual residual ||r_d||_inf / gscale and rel0 its value at the
     interior start, so mu cannot outrun stationarity on deep trees."""
 
-    def test_deep_binary_tree_within_28_iterations(self):
-        """2^9 = 1,023 nodes at m = 2: 22 iterations taken, plus a quarter;
-        28 without the floor."""
+    def test_deep_binary_tree_within_24_iterations(self):
+        """2^9 = 1,023 nodes at m = 2: 19 iterations taken, plus a quarter;
+        21 without the floor."""
         problem = regular_problem(2, 9, 2, seed=0)
         assert problem.tree.n_nodes == 1023
         solution = vng.solve_log_optimal(problem)
         assert solution.converged
-        assert solution.iterations <= 28
-        assert solution.outer_iterations <= 3
+        assert solution.iterations <= 24
+        assert solution.outer_iterations == 2
         assert _certified(problem, solution)
 
     def test_predictor_mu_respects_residual_floor(self, monkeypatch):
