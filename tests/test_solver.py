@@ -335,8 +335,7 @@ class TestSolveProperties:
         assert "Traceback" not in printed.out + printed.err
         assert not any("line search stalled" in r.getMessage() for r in caplog.records)
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
-    def test_final_stage_runs_at_the_target_mu(self, kelly, monkeypatch, tol):
+    def test_final_stage_runs_at_the_target_mu(self, kelly, monkeypatch):
         """Centered steps aim at the handover mu, HANDOVER times 1e-2 tol,
         until that stage centers, and from then on at exactly 1e-2 tol."""
         centered, direction = [], _newton_direction
@@ -347,13 +346,15 @@ class TestSolveProperties:
             return direction(prog, z, lam, g, r_d, w, mu, hscale, predict, state)
 
         monkeypatch.setattr(vng.solver, "_newton_direction", recorded)
-        solution = vng.solve_log_optimal(kelly, vng.SolveOptions(tol=tol))
-        target = 1e-2 * tol
-        assert solution.converged and solution.outer_iterations == 2
-        assert solution.mu_final == target
-        k = centered.count(HANDOVER * target)
-        assert 0 < k < len(centered)
-        assert centered == [HANDOVER * target] * k + [target] * (len(centered) - k)
+        for tol in (1e-8, 1e-6):
+            centered.clear()
+            solution = vng.solve_log_optimal(kelly, vng.SolveOptions(tol=tol))
+            target = 1e-2 * tol
+            assert solution.converged and solution.outer_iterations == 2
+            assert solution.mu_final == target
+            k = centered.count(HANDOVER * target)
+            assert 0 < k < len(centered)
+            assert centered == [HANDOVER * target] * k + [target] * (len(centered) - k)
 
     def test_iteration_cap_flagged_even_with_small_residuals(self, kelly):
         needed = vng.solve_log_optimal(kelly).iterations
